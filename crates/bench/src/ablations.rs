@@ -1,10 +1,9 @@
 //! Ablation sweeps as a pooled workload.
 //!
-//! The criterion benches in `benches/ablations.rs` *time* the design-knob
-//! sweeps; this module *runs* them as a single flat list of independent
-//! worlds so they can fan out across a [`WorldPool`] and render to a
-//! deterministic report — the workload half of `sim_bench` and the
-//! subject of the determinism test.
+//! This module runs the design-knob sweeps as a single flat list of
+//! independent worlds so they can fan out across a [`WorldPool`] and
+//! render to a deterministic report — the workload half of `sim_bench`
+//! and the subject of the determinism test.
 
 use pdn_core::defense::integrity;
 use pdn_core::defense::privacy;

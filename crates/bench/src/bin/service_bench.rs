@@ -6,7 +6,7 @@
 //! sweep over steady / flash-crowd / failover traffic with real
 //! cross-region session handoff, aggregate-knee scaling, and the
 //! per-join CPU A/B of the zero-copy batched join path against the
-//! legacy owned assembly.
+//! public owned path (`SignalMsg::decode`, `handle_into`, `encode`).
 //!
 //! ```text
 //! cargo run --release -p pdn-bench --bin service_bench \
@@ -65,8 +65,8 @@ const PLATEAU_2X_VS_KNEE: f64 = 0.6;
 /// couplings).
 const FED_K4_SCALING_FLOOR: f64 = 3.0;
 
-/// The batched zero-copy join path must beat the legacy owned assembly
-/// by this factor in wall ns per admitted join.
+/// The batched zero-copy join path must beat the public owned path by
+/// this factor in wall ns per admitted join.
 const PER_JOIN_CPU_SPEEDUP_FLOOR: f64 = 1.5;
 
 fn ms(ns: u64) -> f64 {
@@ -452,9 +452,8 @@ fn ab_addr(i: u32) -> Addr {
     Addr::new(40, (i >> 16) as u8, (i >> 8) as u8, i as u8, 6000)
 }
 
-fn ab_server(fast: bool) -> SignalingServer {
+fn ab_server() -> SignalingServer {
     let mut s = SignalingServer::new(ProviderProfile::peer5(), 1);
-    s.set_join_fast_path(fast);
     s.accounts_mut().register(CustomerAccount::new(
         "svc",
         "key-svc",
@@ -463,12 +462,14 @@ fn ab_server(fast: bool) -> SignalingServer {
     s
 }
 
-/// Wall ns per admitted join through the batched admission path, warm
-/// server, tick-sized chunks (one `AdmissionBatch` per chunk, like the
-/// harness drain loop), best of three passes.
-fn per_join_cpu_ns(fast: bool, joins: u32, chunk: usize) -> f64 {
+/// Wall ns per admitted join, warm server, tick-sized chunks, best of
+/// three passes. `zero_copy` drives the batched admission path (one
+/// `AdmissionBatch` per chunk, like the harness drain loop); otherwise
+/// each frame takes the public owned path — `SignalMsg::decode`, then
+/// `handle_into`, then `encode` per reply.
+fn per_join_cpu_ns(zero_copy: bool, joins: u32, chunk: usize) -> f64 {
     let geo = GeoIpService::new();
-    let mut s = ab_server(fast);
+    let mut s = ab_server();
     // Warm membership: every measured join is introduced to a full
     // neighbor set.
     let seeders: Vec<(Addr, Bytes)> = (1..=64u32)
@@ -477,6 +478,7 @@ fn per_join_cpu_ns(fast: bool, joins: u32, chunk: usize) -> f64 {
     let mut out = Vec::new();
     let mut batch = AdmissionBatch::new();
     s.handle_frames_batch_into(&seeders, SimTime::ZERO, &geo, &mut batch, &mut out);
+    let mut replies = Vec::new();
 
     let mut best = f64::INFINITY;
     for pass in 0..3u32 {
@@ -488,8 +490,17 @@ fn per_join_cpu_ns(fast: bool, joins: u32, chunk: usize) -> f64 {
         let t = Instant::now();
         for c in frames.chunks(chunk) {
             out.clear();
-            batch.clear();
-            s.handle_frames_batch_into(c, now, &geo, &mut batch, &mut out);
+            if zero_copy {
+                batch.clear();
+                s.handle_frames_batch_into(c, now, &geo, &mut batch, &mut out);
+            } else {
+                for (from, frame) in c {
+                    let msg = SignalMsg::decode(frame).expect("join frames decode");
+                    replies.clear();
+                    s.handle_into(*from, msg, now, &geo, &mut replies);
+                    out.extend(replies.iter().map(|(a, m)| (*a, m.encode())));
+                }
+            }
             std::hint::black_box(&out);
         }
         let ns = t.elapsed().as_nanos() as f64 / joins as f64;
@@ -498,8 +509,8 @@ fn per_join_cpu_ns(fast: bool, joins: u32, chunk: usize) -> f64 {
     best
 }
 
-/// Per-join CPU A/B: the zero-copy batched path vs the legacy owned
-/// `SignalMsg` assembly, identical traffic. Returns (fast ns, legacy ns).
+/// Per-join CPU A/B: the zero-copy batched path vs the public owned
+/// path, identical traffic. Returns (fast ns, legacy ns).
 fn per_join_cpu_ab(joins: u32) -> (f64, f64) {
     // Tick-sized chunks: the harness drains ~budget/4 joins per tick.
     let chunk = 32;

@@ -1,8 +1,8 @@
 //! # pdn-bench
 //!
 //! The reproduction harness: one entry point per table and figure of the
-//! *Stealthy Peers* paper. The `tables` binary prints them; the criterion
-//! benches in `benches/` time them.
+//! *Stealthy Peers* paper. The `tables` binary prints them; `perfbench`
+//! times them.
 //!
 //! | artifact | function |
 //! |----------|----------|

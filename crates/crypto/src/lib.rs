@@ -11,8 +11,6 @@
 //! - [`hmac`] — HMAC-SHA256 (RFC 2104), for JWT HS256 and SIM signatures;
 //!   [`hmac::HmacKey`] caches the ipad/opad midstates so repeated MACs under
 //!   one key skip the key schedule.
-//! - [`reference`] — the pre-fast-path SHA-256/HMAC, kept as the
-//!   differential-test and benchmark baseline.
 //! - [`base64url`] — unpadded base64url (RFC 4648 §5), for JWT transport.
 //! - [`jwt`] — compact HS256 JSON Web Tokens (RFC 7515/7519), implementing
 //!   the paper's disposable video-binding token (§V-A, Listing 1).
@@ -47,7 +45,6 @@ pub mod crc32;
 pub mod hmac;
 pub mod jwt;
 pub mod md5;
-pub mod reference;
 pub mod sha256;
 
 /// Constant-time equality of two byte slices.

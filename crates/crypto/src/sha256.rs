@@ -10,8 +10,9 @@
 //! 16-word window computed in the same pass as the rounds (no separate
 //! 64-entry expansion loop or array). `update` feeds block-aligned input to
 //! the compressor straight from the caller's slice, skipping the staging
-//! buffer. The pre-optimization implementation is preserved verbatim in
-//! [`crate::reference`] for differential tests and benchmarks.
+//! buffer. The pre-optimization implementation lives on as a test oracle
+//! in the `pdn-oracle` crate, which the differential tests and
+//! `crypto_bench` compare against.
 //!
 //! [`Midstate`] exposes the chaining value at a block boundary so callers
 //! with a fixed prefix (HMAC pads, keystream keys) can pay its compressions
@@ -378,104 +379,6 @@ mod ni {
         _mm_storeu_si128(s1.as_mut_ptr().add(4).cast(), hgfe1);
     }
 
-    /// Safe wrapper for the four-block compressor: the caller must have
-    /// seen `available()` return true.
-    #[inline]
-    pub(super) fn compress4(states: &mut [[u32; 8]; 4], blocks: &[[u8; BLOCK_LEN]; 4]) {
-        debug_assert!(available());
-        // SAFETY: callers reach this only after `available()` confirmed the
-        // sha/ssse3/sse4.1 target features at runtime.
-        unsafe { compress_sha_ni_x4(states, blocks) }
-    }
-
-    /// Compresses four independent blocks into four independent states
-    /// with the round streams interleaved.
-    ///
-    /// Four streams are what the SHA unit needs for full occupancy: one
-    /// stream's `sha256rnds2` chain is serial at ~6 cycles of latency per
-    /// instruction against ~2 cycles of throughput, so two interleaved
-    /// streams still leave the unit idle roughly a third of the time and
-    /// four cover the chain completely. Sixteen XMM registers cannot hold
-    /// four streams' schedule windows plus state (4×5 + 4×2), so the
-    /// rolling windows live in an indexed array and the compiler spills a
-    /// few of them — those moves issue on ports the SHA unit never uses
-    /// and disappear into its latency shadow. Unlike the x1/x2 kernels the
-    /// rotation is index arithmetic rather than macro renaming; the
-    /// recurrence per stream is exactly the `schedule_rounds4!` one.
-    /// Bit-identical to four [`compress_sha_ni`] calls.
-    // Every loop indexes lane `s` uniformly; rewriting the two that touch
-    // only `w` as iterators would break the kernel's visual symmetry.
-    #[allow(clippy::needless_range_loop)]
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    unsafe fn compress_sha_ni_x4(states: &mut [[u32; 8]; 4], blocks: &[[u8; BLOCK_LEN]; 4]) {
-        let be_shuffle = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-
-        let mut abef = [_mm_setzero_si128(); 4];
-        let mut cdgh = [_mm_setzero_si128(); 4];
-        for s in 0..4 {
-            let dcba = _mm_loadu_si128(states[s].as_ptr().cast());
-            let hgfe = _mm_loadu_si128(states[s].as_ptr().add(4).cast());
-            let badc = _mm_shuffle_epi32(dcba, 0xB1);
-            let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-            abef[s] = _mm_alignr_epi8(badc, efgh, 8);
-            cdgh[s] = _mm_blend_epi16(efgh, badc, 0xF0);
-        }
-        let abef_save = abef;
-        let cdgh_save = cdgh;
-
-        let mut w = [[_mm_setzero_si128(); 5]; 4];
-        for s in 0..4 {
-            for q in 0..4 {
-                w[s][q] = _mm_shuffle_epi8(
-                    _mm_loadu_si128(blocks[s].as_ptr().add(16 * q).cast()),
-                    be_shuffle,
-                );
-            }
-        }
-
-        for step in 0..16 {
-            // The window slot feeding this 4-round group; the first four
-            // groups read the message words directly, later groups extend
-            // the schedule into the slot about to be consumed.
-            let p = step % 5;
-            if step >= 4 {
-                let p0 = (step + 1) % 5;
-                let p1 = (step + 2) % 5;
-                let p2 = (step + 3) % 5;
-                let p3 = (step + 4) % 5;
-                for s in 0..4 {
-                    let t = _mm_sha256msg1_epu32(w[s][p0], w[s][p1]);
-                    let t = _mm_add_epi32(t, _mm_alignr_epi8(w[s][p3], w[s][p2], 4));
-                    w[s][p] = _mm_sha256msg2_epu32(t, w[s][p3]);
-                }
-            }
-            // Loading K[4*step..] gives lanes (K[4i], .., K[4i+3]) — the
-            // same lane order `rounds4!` builds with `_mm_set_epi32`.
-            let kv = _mm_loadu_si128(K.as_ptr().add(4 * step).cast());
-            let mut wk = [_mm_setzero_si128(); 4];
-            for s in 0..4 {
-                wk[s] = _mm_add_epi32(w[s][p], kv);
-            }
-            for s in 0..4 {
-                cdgh[s] = _mm_sha256rnds2_epu32(cdgh[s], abef[s], wk[s]);
-            }
-            for s in 0..4 {
-                abef[s] = _mm_sha256rnds2_epu32(abef[s], cdgh[s], _mm_shuffle_epi32(wk[s], 0x0E));
-            }
-        }
-
-        for s in 0..4 {
-            let abef = _mm_add_epi32(abef[s], abef_save[s]);
-            let cdgh = _mm_add_epi32(cdgh[s], cdgh_save[s]);
-            let feba = _mm_shuffle_epi32(abef, 0x1B);
-            let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-            let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
-            let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-            _mm_storeu_si128(states[s].as_mut_ptr().cast(), dcba);
-            _mm_storeu_si128(states[s].as_mut_ptr().add(4).cast(), hgfe);
-        }
-    }
-
     #[allow(unused_assignments)]
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     unsafe fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
@@ -637,160 +540,6 @@ impl Midstate {
     }
 }
 
-/// Compresses two independent blocks into two independent midstates.
-///
-/// The slice-shaped sibling of [`Midstate::raw_compress2`], used by
-/// [`compress_wide`] for batch tails. Bit-identical to two
-/// [`Midstate::compress_in_place`] calls.
-#[inline]
-pub fn compress2(states: &mut [Midstate; 2], blocks: &[[u8; BLOCK_LEN]; 2]) {
-    #[cfg(target_arch = "x86_64")]
-    if ni::available() {
-        let [s0, s1] = states;
-        ni::compress2(&mut s0.state, &mut s1.state, &blocks[0], &blocks[1]);
-        return;
-    }
-    for (st, b) in states.iter_mut().zip(blocks.iter()) {
-        compress_block(&mut st.state, b);
-    }
-}
-
-/// Compresses four independent blocks into four independent midstates,
-/// interleaved on the SHA-NI backend so one stream's round latency hides
-/// behind the other three; the portable backend runs them back to back.
-/// Bit-identical to four [`Midstate::compress_in_place`] calls.
-#[inline]
-pub fn compress4(states: &mut [Midstate; 4], blocks: &[[u8; BLOCK_LEN]; 4]) {
-    #[cfg(target_arch = "x86_64")]
-    if ni::available() {
-        // Midstate's layout is private to this module; gather the chaining
-        // values into the plain array shape the kernel wants, scatter back.
-        let mut s = states.map(|m| m.state);
-        ni::compress4(&mut s, blocks);
-        for (st, ns) in states.iter_mut().zip(s) {
-            st.state = ns;
-        }
-        return;
-    }
-    for (st, b) in states.iter_mut().zip(blocks.iter()) {
-        compress_block(&mut st.state, b);
-    }
-}
-
-/// Compresses eight independent blocks into eight independent midstates.
-///
-/// Eight-wide runs as two four-wide kernel calls: four streams already
-/// saturate the SHA unit, and doubling the live schedule windows would
-/// only add register spills. The eight-lane arity exists because it is the
-/// group shape the batched DTLS record engine holds.
-/// Bit-identical to eight [`Midstate::compress_in_place`] calls.
-#[inline]
-pub fn compress8(states: &mut [Midstate; 8], blocks: &[[u8; BLOCK_LEN]; 8]) {
-    let (s_lo, s_hi) = states.split_at_mut(4);
-    let (b_lo, b_hi) = blocks.split_at(4);
-    compress4(
-        s_lo.try_into().expect("four states"),
-        b_lo.try_into().expect("four blocks"),
-    );
-    compress4(
-        s_hi.try_into().expect("four states"),
-        b_hi.try_into().expect("four blocks"),
-    );
-}
-
-/// Compresses `states.len()` independent blocks into as many midstates,
-/// dispatching greedily to the widest compressor (8, then 4, 2, 1).
-///
-/// This is the multi-buffer entry point the batched DTLS record engine
-/// feeds: keystream lanes and HMAC chain blocks from *different* records
-/// are packed into one slice so a single pass amortizes the SHA round
-/// latency across all of them. Bit-identical to a serial
-/// [`Midstate::compress_in_place`] loop on every backend.
-///
-/// # Panics
-///
-/// Panics if `states` and `blocks` have different lengths.
-pub fn compress_wide(states: &mut [Midstate], blocks: &[[u8; BLOCK_LEN]]) {
-    assert_eq!(states.len(), blocks.len(), "one block per midstate");
-    let mut states = states;
-    let mut blocks = blocks;
-    while states.len() >= 8 {
-        let (s, rest) = std::mem::take(&mut states).split_at_mut(8);
-        let (b, rest_b) = blocks.split_at(8);
-        compress8(
-            s.try_into().expect("eight states"),
-            b.try_into().expect("eight blocks"),
-        );
-        states = rest;
-        blocks = rest_b;
-    }
-    if states.len() >= 4 {
-        let (s, rest) = std::mem::take(&mut states).split_at_mut(4);
-        let (b, rest_b) = blocks.split_at(4);
-        compress4(
-            s.try_into().expect("four states"),
-            b.try_into().expect("four blocks"),
-        );
-        states = rest;
-        blocks = rest_b;
-    }
-    if states.len() >= 2 {
-        let (s, rest) = std::mem::take(&mut states).split_at_mut(2);
-        let (b, rest_b) = blocks.split_at(2);
-        compress2(
-            s.try_into().expect("two states"),
-            b.try_into().expect("two blocks"),
-        );
-        states = rest;
-        blocks = rest_b;
-    }
-    if let Some(st) = states.first_mut() {
-        st.compress_in_place(&blocks[0]);
-    }
-}
-
-/// Whether the multi-buffer compressors actually beat a serial compression
-/// loop on this CPU, probed once with a short microbenchmark.
-///
-/// SHA-NI units differ by microarchitecture: on latency-bound cores
-/// (where `sha256rnds2` has multi-cycle latency but pipelines) four
-/// interleaved streams approach 4x serial throughput, while on
-/// throughput-bound cores the extra register pressure and gather/scatter
-/// traffic make the wide kernels *slower* than back-to-back serial
-/// compression. Batch engines branch on this instead of assuming either
-/// shape; results are bit-identical down both paths.
-pub fn multibuffer_profitable() -> bool {
-    static PROBE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PROBE.get_or_init(|| {
-        const BLOCKS: usize = 4096;
-        const REPS: usize = 3;
-        let block = [0x5cu8; BLOCK_LEN];
-        let mut wide_best = u128::MAX;
-        let mut serial_best = u128::MAX;
-        for _ in 0..REPS {
-            let mut states = [Sha256::new().midstate(); 4];
-            let blocks = [block; 4];
-            let t0 = std::time::Instant::now();
-            for _ in 0..BLOCKS / 4 {
-                compress4(&mut states, &blocks);
-            }
-            wide_best = wide_best.min(t0.elapsed().as_nanos());
-            std::hint::black_box(&states);
-
-            let mut st = Sha256::new().midstate();
-            let t0 = std::time::Instant::now();
-            for _ in 0..BLOCKS {
-                st.compress_in_place(&block);
-            }
-            serial_best = serial_best.min(t0.elapsed().as_nanos());
-            std::hint::black_box(&st);
-        }
-        // Demand a clear win before restructuring work around the wide
-        // kernels: their gather/scatter overhead in callers is real.
-        wide_best.saturating_mul(100) < serial_best.saturating_mul(85)
-    })
-}
-
 #[inline]
 fn state_to_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
     let mut out = [0u8; DIGEST_LEN];
@@ -946,8 +695,7 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// A midstate with a seed-dependent chaining value (test helper shared by
-/// the unit and differential test modules below).
+/// A seed-dependent non-initial midstate (test helper).
 #[cfg(test)]
 fn test_state(seed: u8) -> Midstate {
     let mut h = Sha256::new();
@@ -1028,22 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_across_lengths() {
-        // Cross-check the unrolled compressor against the preserved naive
-        // implementation around every buffer/padding boundary.
-        let data: Vec<u8> = (0..300u32)
-            .map(|i| (i.wrapping_mul(31) % 256) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(
-                digest(&data[..len]),
-                crate::reference::digest(&data[..len]),
-                "length {len}"
-            );
-        }
-    }
-
-    #[test]
     fn midstate_resume_matches_full_hash() {
         let prefix: Vec<u8> = (0..128u8).collect(); // two whole blocks
         let suffix = b"tail that is not block aligned";
@@ -1091,46 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_compressors_match_serial_raw_compress() {
-        // Every length 0..=21 exercises each dispatch tail (8/4/2/1) of
-        // compress_wide at least once.
-        for n in 0..=21usize {
-            let mut states: Vec<Midstate> = (0..n).map(|i| test_state(i as u8)).collect();
-            let blocks: Vec<[u8; BLOCK_LEN]> = (0..n).map(|i| test_block(i as u8 ^ 0x5a)).collect();
-            let expect: Vec<[u8; DIGEST_LEN]> = states
-                .iter()
-                .zip(&blocks)
-                .map(|(s, b)| s.raw_compress(b))
-                .collect();
-            compress_wide(&mut states, &blocks);
-            for (i, (s, e)) in states.iter().zip(&expect).enumerate() {
-                assert_eq!(s.to_bytes(), *e, "lane {i} of {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_compressors_match_soft_backend_chained() {
-        // Chain eight lanes through many rounds so a carry or repacking bug
-        // in the x4 kernel cannot cancel out, comparing against the
-        // portable compressor directly: on an SHA-NI host this pins the
-        // hardware wide path to the software backend.
-        let mut wide: [Midstate; 8] = std::array::from_fn(|i| test_state(i as u8));
-        let mut soft: Vec<[u32; 8]> = wide.iter().map(|m| m.state).collect();
-        for round in 0..16u8 {
-            let blocks: [[u8; BLOCK_LEN]; 8] =
-                std::array::from_fn(|i| test_block((i as u8) ^ round.wrapping_mul(29)));
-            compress8(&mut wide, &blocks);
-            for (s, b) in soft.iter_mut().zip(&blocks) {
-                compress_block_soft(s, b);
-            }
-            for (i, (w, s)) in wide.iter().zip(&soft).enumerate() {
-                assert_eq!(w.state, *s, "lane {i} diverged at round {round}");
-            }
-        }
-    }
-
-    #[test]
     fn raw_compress_matches_manual_chain() {
         // raw_compress from the midstate after one block must equal the
         // state after absorbing two blocks (no padding involved).
@@ -1145,69 +837,114 @@ mod tests {
         h2.update(&b1);
         assert_eq!(out, state_to_bytes(&h2.state));
     }
+
+    #[test]
+    fn paired_compressions_match_single() {
+        // The interleaved two-stream kernel must equal two single-stream
+        // compressions on whichever backend the host selects.
+        let mid = Sha256::new().midstate();
+        let (b0, b1) = ([0x11u8; BLOCK_LEN], [0x7eu8; BLOCK_LEN]);
+        assert_eq!(
+            mid.raw_compress2(&b0, &b1),
+            (mid.raw_compress(&b0), mid.raw_compress(&b1))
+        );
+        let mut chained = mid;
+        let other = chained.compress2_mixed(&b0, &mid, &b1);
+        let mut serial = mid;
+        serial.compress_in_place(&b0);
+        assert_eq!((chained, other), (serial, mid.raw_compress(&b1)));
+    }
+
+    #[test]
+    fn wide_compressors_match_serial_raw_compress() {
+        // The two-stream kernels from many distinct midstates and blocks
+        // must equal single-stream compressions lane for lane.
+        for i in 0..=21u8 {
+            let (mid, other) = (test_state(i), test_state(i ^ 0xc3));
+            let (b0, b1) = (test_block(i ^ 0x5a), test_block(i.wrapping_mul(7)));
+            assert_eq!(
+                mid.raw_compress2(&b0, &b1),
+                (mid.raw_compress(&b0), mid.raw_compress(&b1)),
+                "raw_compress2 from state {i}"
+            );
+            let mut chained = mid;
+            let out = chained.compress2_mixed(&b0, &other, &b1);
+            assert_eq!(chained.to_bytes(), mid.raw_compress(&b0), "chain {i}");
+            assert_eq!(out, other.raw_compress(&b1), "other lane {i}");
+        }
+    }
+
+    #[test]
+    fn wide_compressors_match_soft_backend_chained() {
+        // Chain two lanes through many rounds so a carry or repacking bug
+        // in the two-stream kernel cannot cancel out, comparing against the
+        // portable compressor directly: on an SHA-NI host this pins the
+        // hardware two-stream path to the software backend.
+        let mut chain = test_state(1);
+        let mut side = test_state(2);
+        let mut soft_chain = chain.state;
+        let mut soft_side = side.state;
+        for round in 0..16u8 {
+            let b0 = test_block(round.wrapping_mul(29));
+            let b1 = test_block(round.wrapping_mul(29) ^ 0xff);
+            let next_side = chain.compress2_mixed(&b0, &side, &b1);
+            compress_block_soft(&mut soft_chain, &b0);
+            compress_block_soft(&mut soft_side, &b1);
+            assert_eq!(chain.state, soft_chain, "chained lane at round {round}");
+            assert_eq!(
+                next_side,
+                state_to_bytes(&soft_side),
+                "side lane at round {round}"
+            );
+            side = Midstate { state: soft_side };
+        }
+    }
 }
 
 #[cfg(test)]
 mod wide_diff_tests {
-    //! Differential proptests: the wide multi-buffer compressors must be
+    //! Differential proptests: the two-stream compressors must be
     //! bit-identical to serial [`Midstate::raw_compress`] on whichever
-    //! backend the host selects, and the fixed arities must match the
-    //! portable compressor directly (cross-backend on SHA-NI hosts).
+    //! backend the host selects, and to the portable compressor directly
+    //! (cross-backend on SHA-NI hosts).
 
     use super::*;
     use proptest::prelude::*;
 
+    fn block_of(bytes: &[u8]) -> [u8; BLOCK_LEN] {
+        bytes.try_into().expect("64 bytes")
+    }
+
     proptest! {
         #[test]
-        fn compress_wide_matches_serial(
-            lanes in proptest::collection::vec(
-                (any::<u8>(), proptest::collection::vec(any::<u8>(), BLOCK_LEN)),
-                0..20,
-            ),
+        fn raw_compress2_matches_serial(
+            seed in any::<u8>(),
+            b0 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
+            b1 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
         ) {
-            let mut states: Vec<Midstate> = Vec::new();
-            let mut blocks: Vec<[u8; BLOCK_LEN]> = Vec::new();
-            for (seed, block) in &lanes {
-                states.push(test_state(*seed));
-                blocks.push(block.as_slice().try_into().expect("64 bytes"));
-            }
-            let expect: Vec<[u8; DIGEST_LEN]> = states
-                .iter()
-                .zip(&blocks)
-                .map(|(s, b)| s.raw_compress(b))
-                .collect();
-            compress_wide(&mut states, &blocks);
-            for (s, e) in states.iter().zip(&expect) {
-                prop_assert_eq!(s.to_bytes(), *e);
-            }
+            let mid = test_state(seed);
+            let (b0, b1) = (block_of(&b0), block_of(&b1));
+            prop_assert_eq!(
+                mid.raw_compress2(&b0, &b1),
+                (mid.raw_compress(&b0), mid.raw_compress(&b1))
+            );
         }
 
         #[test]
-        fn compress4_and_8_match_portable(
-            flat in proptest::collection::vec(any::<u8>(), BLOCK_LEN * 8),
-            seed in any::<u8>(),
+        fn compress2_mixed_matches_portable(
+            seeds in (any::<u8>(), any::<u8>()),
+            b0 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
+            b1 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
         ) {
-            let blocks: [[u8; BLOCK_LEN]; 8] = std::array::from_fn(|i| {
-                flat[i * BLOCK_LEN..(i + 1) * BLOCK_LEN]
-                    .try_into()
-                    .expect("64 bytes")
-            });
-            let mut wide8: [Midstate; 8] =
-                std::array::from_fn(|i| test_state(seed.wrapping_add(i as u8)));
-            let mut wide4: [Midstate; 4] = wide8[..4].try_into().expect("four states");
-            let mut soft: Vec<[u32; 8]> = wide8.iter().map(|m| m.state).collect();
-
-            compress8(&mut wide8, &blocks);
-            compress4(&mut wide4, blocks[..4].try_into().expect("four blocks"));
-            for (s, b) in soft.iter_mut().zip(&blocks) {
-                compress_block_soft(s, b);
-            }
-            for (w, s) in wide8.iter().zip(&soft) {
-                prop_assert_eq!(w.state, *s);
-            }
-            for (w, s) in wide4.iter().zip(&soft) {
-                prop_assert_eq!(w.state, *s);
-            }
+            let (mut chain, other) = (test_state(seeds.0), test_state(seeds.1));
+            let (b0, b1) = (block_of(&b0), block_of(&b1));
+            let mut soft_chain = chain.state;
+            let mut soft_other = other.state;
+            let out = chain.compress2_mixed(&b0, &other, &b1);
+            compress_block_soft(&mut soft_chain, &b0);
+            compress_block_soft(&mut soft_other, &b1);
+            prop_assert_eq!(chain.state, soft_chain);
+            prop_assert_eq!(out, state_to_bytes(&soft_other));
         }
     }
 }

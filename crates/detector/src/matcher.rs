@@ -31,7 +31,7 @@
 //! keys, APK namespaces) behind the same semantics as the naive
 //! [`crate::signatures::match_page`]/[`crate::signatures::match_apk`],
 //! which are kept as the reference implementation for the equivalence
-//! property tests and the `matcher_vs_naive` bench.
+//! property tests and the `scan_bench` baseline.
 
 use crate::signatures::{ProviderTag, Signature, SignatureKind};
 

@@ -454,7 +454,7 @@ pub fn builtin_signatures() -> Vec<Signature> {
 /// with per-call lowercasing. The scan hot path uses the precompiled
 /// [`crate::matcher::SignatureMatcher`] instead; this function is kept as
 /// the specification the automaton is property-tested against (and as the
-/// baseline for the `matcher_vs_naive` bench).
+/// baseline `scan_bench` times the matcher against).
 pub fn match_page(signatures: &[Signature], content: &str) -> Vec<ProviderTag> {
     // ASCII folding to match the byte-level automaton; the needles are all
     // ASCII, so Unicode-only case mappings cannot change the outcome on

@@ -10,8 +10,7 @@
 //!   free-riding attack inflates;
 //! - [`profiles`] — per-provider security postures (Table V's switches);
 //! - [`proto`] — signaling / HTTP / P2P wire formats;
-//! - [`wire`] — the versioned zero-copy binary codec behind [`proto`]'s
-//!   hot paths (JSON/legacy formats kept as a differential baseline);
+//! - [`wire`] — the versioned zero-copy binary codec behind [`proto`];
 //! - [`signaling`] — the tracker: swarms, neighbor introduction, metering,
 //!   §V-B integrity checking with blacklist, §V-C peer matching;
 //! - [`sdk`] — the client agent a customer embeds (sans-IO state machine);
@@ -42,7 +41,6 @@ pub mod sdk;
 pub mod service;
 pub mod signaling;
 pub mod state;
-pub mod state_baseline;
 pub mod swarm;
 pub mod wire;
 pub mod world;

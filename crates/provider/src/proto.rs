@@ -12,16 +12,16 @@
 //!    DTLS data-channel records — request/offer/deliver segments, plus the
 //!    signed-integrity-metadata extension of the §V-B defense.
 //!
-//! The signaling and P2P hot paths encode via the versioned binary codec
-//! in [`crate::wire`] (varint-framed, zero-copy decode); the pre-binary
-//! JSON / fixed-width formats survive as [`crate::wire::json_baseline`]
-//! and both decoders here accept either format transparently.
+//! The signaling and P2P planes encode via the versioned binary codec in
+//! [`crate::wire`] (varint-framed, zero-copy decode). The decoders accept
+//! only that format: the retired JSON / fixed-width formats live on as test
+//! oracles outside the production crates.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_media::VideoId;
 use pdn_webrtc::SessionDescription;
 
-use crate::wire::{self, InternTable, WireMode};
+use crate::wire::{self, InternTable};
 
 /// Marker prefix for TLS-protected signaling frames.
 pub const TLS_MARKER: &[u8; 4] = b"TLS|";
@@ -108,23 +108,15 @@ pub enum SignalMsg {
 }
 
 impl SignalMsg {
-    /// Encodes into a TLS-marked signaling frame using the codec selected
-    /// by [`crate::wire::set_wire_mode`] (binary by default).
+    /// Encodes into a TLS-marked binary signaling frame.
     pub fn encode(&self) -> Bytes {
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_signal(self),
-            WireMode::JsonBaseline => wire::json_baseline::encode_signal(self),
-        }
+        wire::encode_signal(self)
     }
 
-    /// Decodes a TLS-marked signaling frame — binary or JSON baseline,
-    /// distinguished by the version byte after the marker.
+    /// Decodes a TLS-marked binary signaling frame; `None` for anything
+    /// else, including the retired JSON format.
     pub fn decode(frame: &[u8]) -> Option<SignalMsg> {
-        if frame.get(4) == Some(&wire::SIGNAL_BIN_VERSION) {
-            wire::decode_signal(frame)
-        } else {
-            wire::json_baseline::decode_signal(frame)
-        }
+        wire::decode_signal(frame)
     }
 
     /// Whether `frame` is a signaling frame (without decoding it) — what a
@@ -403,19 +395,15 @@ pub enum P2pMsg {
 }
 
 impl P2pMsg {
-    /// Encodes to channel-message bytes using the codec selected by
-    /// [`crate::wire::set_wire_mode`]. The SDK hot path skips this owned
-    /// entry point entirely and encodes [`crate::wire::P2pRef`] views into
-    /// a reusable scratch with its per-channel intern table.
+    /// Encodes to binary channel-message bytes. The SDK hot path skips
+    /// this owned entry point entirely and encodes [`crate::wire::P2pRef`]
+    /// views into a reusable scratch with its per-channel intern table.
     pub fn encode(&self) -> Bytes {
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_p2p(self, &InternTable::EMPTY),
-            WireMode::JsonBaseline => wire::json_baseline::encode_p2p(self),
-        }
+        wire::encode_p2p(self, &InternTable::EMPTY)
     }
 
-    /// Decodes channel-message bytes (binary or legacy format); the
-    /// segment payload is a zero-copy slice of `frame`.
+    /// Decodes binary channel-message bytes; the segment payload is a
+    /// zero-copy slice of `frame`.
     pub fn decode(frame: &Bytes) -> Option<P2pMsg> {
         wire::decode_p2p(frame, &InternTable::EMPTY)
     }

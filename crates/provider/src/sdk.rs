@@ -23,7 +23,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use pdn_media::{DeliverySource, MediaPlaylist, Player, Segment, SegmentId, VideoId};
 use pdn_simnet::{Addr, SimRng, SimTime};
 use pdn_webrtc::{
@@ -33,7 +33,7 @@ use pdn_webrtc::{
 use crate::proto::{HttpRequest, HttpResponse, P2pMsg, SignalMsg};
 use crate::signaling::compute_im;
 use crate::state::{AvailMap, VecMap};
-use crate::wire::{self, InternTable, P2pRef, P2pView, WireMode};
+use crate::wire::{self, InternTable, P2pRef, P2pView};
 
 /// Well-known local ports of a peer.
 pub mod ports {
@@ -1572,13 +1572,7 @@ impl P2pTx<'_> {
             return;
         };
         self.scratch.clear();
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_p2p_into(msg, self.intern, self.scratch),
-            WireMode::JsonBaseline => {
-                let frame = wire::json_baseline::encode_p2p(&msg.to_owned_msg());
-                self.scratch.put_slice(&frame);
-            }
-        }
+        wire::encode_p2p_into(msg, self.intern, self.scratch);
         let records = match chan.send_message(&self.scratch[..]) {
             Ok(records) => records,
             Err(_) => return,

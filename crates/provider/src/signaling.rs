@@ -27,8 +27,8 @@
 //!   caps) so attack-driven reports cannot grow server memory without
 //!   bound; evictions are counted in [`DefenseStats::im_evictions`].
 //!
-//! The pre-refactor implementation is preserved as
-//! [`crate::state_baseline::BaselineSignalingServer`] and differential
+//! The pre-refactor generic-collection server lives on as a test oracle
+//! in the `pdn-oracle` crate, and the `state_differential` integration
 //! tests pin the two to byte-identical reply streams.
 
 use std::collections::VecDeque;
@@ -247,11 +247,6 @@ pub struct SignalingServer {
     reply_scratch: Vec<(Addr, SignalMsg)>,
     /// Reused neighbor-pick buffer for the zero-copy join path.
     neighbor_scratch: Vec<(u64, Addr, bytes::Bytes)>,
-    /// Whether binary join frames take the zero-copy borrowed path
-    /// (`JoinView` + spliced replies). Disabled only by the A/B bench to
-    /// measure the win over the owned `SignalMsg` assembly; replies and
-    /// state are byte-identical either way.
-    join_fast_path: bool,
 }
 
 impl std::fmt::Debug for SignalingServer {
@@ -301,15 +296,7 @@ impl SignalingServer {
             rng: SimRng::seed(seed ^ 0x51_6e_a1),
             reply_scratch: Vec::new(),
             neighbor_scratch: Vec::new(),
-            join_fast_path: true,
         }
-    }
-
-    /// Enables/disables the zero-copy borrowed join path (default on).
-    /// Only the A/B bench turns it off, to measure the spliced assembly
-    /// against the owned `SignalMsg` assembly it replaced.
-    pub fn set_join_fast_path(&mut self, enabled: bool) {
-        self.join_fast_path = enabled;
     }
 
     /// The provider profile this server runs.
@@ -433,11 +420,9 @@ impl SignalingServer {
         geoip: &GeoIpService,
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
-        if self.join_fast_path && crate::wire::wire_mode() == crate::wire::WireMode::Binary {
-            if let Some(view) = crate::wire::decode_join_view(frame) {
-                self.on_join_frame(from, &view, frame, now, geoip, None, out);
-                return;
-            }
+        if let Some(view) = crate::wire::decode_join_view(frame) {
+            self.on_join_frame(from, &view, frame, now, geoip, None, out);
+            return;
         }
         let Some(msg) = SignalMsg::decode(frame) else {
             return;
@@ -477,16 +462,13 @@ impl SignalingServer {
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
         batch.clear();
-        let fast = self.join_fast_path && crate::wire::wire_mode() == crate::wire::WireMode::Binary;
         let mut replies = std::mem::take(&mut self.reply_scratch);
         for (from, frame) in frames {
-            if fast {
-                if let Some(view) = crate::wire::decode_join_view(frame) {
-                    self.on_join_frame(*from, &view, frame, now, geoip, Some(batch), out);
-                    continue;
-                }
+            if let Some(view) = crate::wire::decode_join_view(frame) {
+                self.on_join_frame(*from, &view, frame, now, geoip, Some(batch), out);
+                continue;
             }
-            // Anything that is not a fast-path join may mutate membership
+            // Anything that is not a zero-copy join may mutate membership
             // (leave, blacklist via IM report), so the rolling neighbor
             // window cannot survive it.
             batch.neighbor_memo = None;
@@ -725,7 +707,7 @@ impl SignalingServer {
     /// The zero-copy borrowed join path for binary frames.
     ///
     /// Admission semantics are identical to [`SignalingServer::on_join`]
-    /// (the `fast_path_matches_legacy_assembly` test pins reply bytes and
+    /// (the `zero_copy_join_matches_owned_path` test pins reply bytes and
     /// state), but nothing is materialised: credentials stay `&str` views
     /// into the frame, the joiner's SDP is interned as a zero-copy slice of
     /// the datagram, and replies are assembled by splicing the stored SDP
@@ -1825,10 +1807,11 @@ mod tests {
     }
 
     /// The zero-copy borrowed join path (JoinView + spliced replies +
-    /// interned frame-slice SDPs) must be byte-identical to the owned
-    /// `SignalMsg` assembly it replaced — replies, order, and state.
+    /// interned frame-slice SDPs) must be byte-identical to the public
+    /// owned path — `SignalMsg::decode`, `handle_into`, `encode` per
+    /// reply — in replies, order, and state.
     #[test]
-    fn fast_path_matches_legacy_assembly() {
+    fn zero_copy_join_matches_owned_path() {
         let frames: Vec<(Addr, bytes::Bytes)> = {
             let mut f: Vec<(Addr, bytes::Bytes)> = Vec::new();
             for d in 1..=20u8 {
@@ -1848,35 +1831,29 @@ mod tests {
         };
         let now = SimTime::from_secs(5);
 
-        // Per-frame: fast vs legacy.
+        // Per-frame: zero-copy vs owned.
         let (mut fast, geo) = server();
-        let (mut legacy, _) = server();
-        legacy.set_join_fast_path(false);
-        let (mut fast_out, mut legacy_out) = (Vec::new(), Vec::new());
+        let (mut owned, _) = server();
+        let (mut fast_out, mut owned_out) = (Vec::new(), Vec::new());
+        let mut replies = Vec::new();
         for (from, frame) in &frames {
             fast.handle_frame_into(*from, frame, now, &geo, &mut fast_out);
-            legacy.handle_frame_into(*from, frame, now, &geo, &mut legacy_out);
+            let msg = SignalMsg::decode(frame).expect("test frames decode");
+            replies.clear();
+            owned.handle_into(*from, msg, now, &geo, &mut replies);
+            owned_out.extend(replies.iter().map(|(a, m)| (*a, m.encode())));
         }
-        assert_eq!(fast_out, legacy_out, "per-frame reply streams diverged");
-        assert_eq!(fast.peer_count(), legacy.peer_count());
-        assert_eq!(fast.meter("victim"), legacy.meter("victim"));
+        assert_eq!(fast_out, owned_out, "per-frame reply streams diverged");
+        assert_eq!(fast.peer_count(), owned.peer_count());
+        assert_eq!(fast.meter("victim"), owned.meter("victim"));
 
-        // Batched: fast (with neighbor memo) vs legacy.
+        // Batched (with neighbor memo) vs the same owned stream.
         let (mut fast_b, _) = server();
-        let (mut legacy_b, _) = server();
-        legacy_b.set_join_fast_path(false);
-        let (mut fb_out, mut lb_out) = (Vec::new(), Vec::new());
+        let mut fb_out = Vec::new();
         let mut batch = AdmissionBatch::new();
         fast_b.handle_frames_batch_into(&frames, now, &geo, &mut batch, &mut fb_out);
-        let mut batch2 = AdmissionBatch::new();
-        legacy_b.handle_frames_batch_into(&frames, now, &geo, &mut batch2, &mut lb_out);
-        assert_eq!(fb_out, lb_out, "batched reply streams diverged");
-        assert_eq!(fb_out, fast_out, "batched vs per-frame diverged");
-        assert_eq!(fast_b.meter("victim"), legacy_b.meter("victim"));
-        assert!(
-            batch.hits() > batch2.hits(),
-            "neighbor memo should add hits"
-        );
+        assert_eq!(fb_out, owned_out, "batched vs owned diverged");
+        assert_eq!(fast_b.meter("victim"), owned.meter("victim"));
     }
 
     /// The rolling neighbor window must survive a join burst (each joiner

@@ -3,8 +3,8 @@
 //! path (borrowed `JoinView` decode, spliced replies, frame-slice SDP
 //! interning, batched neighbor memo) must allocate a small constant per
 //! join — independent of how many neighbors each `JoinOk` carries —
-//! while the legacy owned-`SignalMsg` assembly pays per-neighbor
-//! `SessionDescription` clones.
+//! while the public owned path (`SignalMsg::decode`, `handle_into`,
+//! `encode`) pays per-neighbor `SessionDescription` clones.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,9 +70,8 @@ fn join_frame(seed: u64) -> Bytes {
     .encode()
 }
 
-fn server(fast: bool) -> SignalingServer {
+fn server() -> SignalingServer {
     let mut s = SignalingServer::new(ProviderProfile::peer5(), 1);
-    s.set_join_fast_path(fast);
     s.accounts_mut().register(CustomerAccount::new(
         "svc",
         "key-svc",
@@ -85,25 +84,51 @@ fn addr(i: u32) -> Addr {
     Addr::new(40, (i >> 16) as u8, (i >> 8) as u8, i as u8, 6000)
 }
 
+/// Admits `frames` through the public owned path: decode each frame to a
+/// `SignalMsg`, handle it, encode each reply.
+fn owned_joins(
+    s: &mut SignalingServer,
+    frames: &[(Addr, Bytes)],
+    now: SimTime,
+    geo: &GeoIpService,
+    replies: &mut Vec<(Addr, SignalMsg)>,
+    out: &mut Vec<(Addr, Bytes)>,
+) {
+    for (from, frame) in frames {
+        let msg = SignalMsg::decode(frame).expect("join frames decode");
+        replies.clear();
+        s.handle_into(*from, msg, now, geo, replies);
+        out.extend(replies.iter().map(|(a, m)| (*a, m.encode())));
+    }
+}
+
 /// Runs `n` warm joins (server already has a full neighbor pool and hot
-/// memos) through the batched path and returns total allocations inside
-/// the `handle_frames_batch_into` call alone.
-fn warm_join_allocs(s: &mut SignalingServer, n: u32, first: u32) -> u64 {
+/// memos) through the batched zero-copy path, or the owned path, and
+/// returns total allocations inside the admission calls alone.
+fn warm_join_allocs(s: &mut SignalingServer, zero_copy: bool, n: u32, first: u32) -> u64 {
     let geo = GeoIpService::new();
     let frames: Vec<(Addr, Bytes)> = (first..first + n)
         .map(|i| (addr(i), join_frame(i as u64)))
         .collect();
     let mut batch = AdmissionBatch::new();
     let mut out: Vec<(Addr, Bytes)> = Vec::with_capacity(frames.len() * 8);
-    // One throwaway batch warms the per-tick memos and the reply vec.
+    let mut replies = Vec::with_capacity(8);
+    // One throwaway batch warms the per-tick memos and the reply vecs.
     let warm: Vec<(Addr, Bytes)> = (0..32u32)
         .map(|i| (addr(first + n + i), join_frame((first + n + i) as u64)))
         .collect();
-    s.handle_frames_batch_into(&warm, SimTime::from_secs(1), &geo, &mut batch, &mut out);
+    let mut admit = |frames: &[(Addr, Bytes)], now, out: &mut Vec<(Addr, Bytes)>| {
+        if zero_copy {
+            batch.clear();
+            s.handle_frames_batch_into(frames, now, &geo, &mut batch, out);
+        } else {
+            owned_joins(s, frames, now, &geo, &mut replies, out);
+        }
+    };
+    admit(&warm, SimTime::from_secs(1), &mut out);
     out.clear();
-    batch.clear();
     allocs(|| {
-        s.handle_frames_batch_into(&frames, SimTime::from_secs(2), &geo, &mut batch, &mut out);
+        admit(&frames, SimTime::from_secs(2), &mut out);
         std::hint::black_box(&out);
     })
 }
@@ -114,8 +139,8 @@ fn warm_join_path_allocates_a_small_constant_per_join() {
 
     // Seed both servers with an identical membership so every measured
     // join is introduced to a full neighbor set (max_neighbors of them).
-    let mut fast = server(true);
-    let mut legacy = server(false);
+    let mut fast = server();
+    let mut legacy = server();
     {
         let geo = GeoIpService::new();
         let seeders: Vec<(Addr, Bytes)> = (1..=64u32)
@@ -129,14 +154,14 @@ fn warm_join_path_allocates_a_small_constant_per_join() {
         legacy.handle_frames_batch_into(&seeders, SimTime::ZERO, &geo, &mut batch2, &mut out);
     }
 
-    let fast_total = warm_join_allocs(&mut fast, N, 1_000);
-    let legacy_total = warm_join_allocs(&mut legacy, N, 1_000);
+    let fast_total = warm_join_allocs(&mut fast, true, N, 1_000);
+    let legacy_total = warm_join_allocs(&mut legacy, false, N, 1_000);
     let fast_per_join = fast_total as f64 / N as f64;
     let legacy_per_join = legacy_total as f64 / N as f64;
 
-    // The zero-copy path must beat the owned assembly by a clear margin —
-    // the legacy path clones a SessionDescription (strings + candidate
-    // vec) per neighbor per join, the fast path slices the request frame.
+    // The zero-copy path must beat the owned path by a clear margin — the
+    // owned path clones a SessionDescription (strings + candidate vec) per
+    // neighbor per join, the fast path slices the request frame.
     assert!(
         fast_per_join * 1.5 <= legacy_per_join,
         "zero-copy join path no longer pays off: fast {fast_per_join:.1} \

@@ -1,5 +1,5 @@
 //! Differential tests: the interned/slab/bitmap swarm-state engine vs the
-//! preserved generic-collection baseline (`state_baseline`).
+//! generic-collection baseline oracle (`pdn_oracle::state_baseline`).
 //!
 //! Both servers are driven with the same message sequences and must produce
 //! identical reply streams — same destinations, same messages, same order —
@@ -8,10 +8,10 @@
 //! field, so structural equality here pins byte-identical encodings.
 
 use pdn_media::{OriginServer, VideoSource};
+use pdn_oracle::state_baseline::{BaselineAvail, BaselineSignalingServer};
 use pdn_provider::proto::SignalMsg;
 use pdn_provider::signaling::{MatchingPolicy, SignalingServer};
 use pdn_provider::state::AvailMap;
-use pdn_provider::state_baseline::{BaselineAvail, BaselineSignalingServer};
 use pdn_provider::{compute_im, CustomerAccount, ProviderProfile};
 use pdn_simnet::{Addr, GeoInfo, GeoIpService, SimRng, SimTime};
 use pdn_webrtc::{Candidate, CandidateKind, Certificate, SessionDescription};

@@ -63,7 +63,7 @@ pub use net::{
     CaptureFilter, CapturedFrame, Datagram, DropReason, Event, LinkSpec, NatId, Network, NodeId,
     SendOutcome, TapDirection, TapFn, TapVerdict, TimerId, Transport, DEFAULT_CAPTURE_LIMIT,
 };
-pub use queue::{CalendarQueue, EventId, EventQueue, EventQueueStats, HeapMapQueue};
+pub use queue::{CalendarQueue, EventId, EventQueue, EventQueueStats};
 pub use resources::{series_to_csv, ResourceModel, ResourceSample, ResourceSummary};
 pub use rng::SimRng;
 pub use route::RouteTable;

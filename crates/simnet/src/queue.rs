@@ -24,9 +24,9 @@
 //!
 //! Pop order is strictly `(time, sequence)`. With [`CalendarQueue::push`]
 //! the sequence is an internal schedule counter — identical to the old
-//! scheduler, which the differential tests against [`HeapMapQueue`] (the
-//! old design, kept as the reference implementation and the `sim_bench`
-//! baseline) pin down. [`CalendarQueue::push_keyed`] instead takes the
+//! scheduler, which the `queue_differential` test pins down against that
+//! design (kept as a test oracle in the `pdn-oracle` crate, and the
+//! `sim_bench` baseline). [`CalendarQueue::push_keyed`] instead takes the
 //! tie-break key from the caller, which is what the sharded runner needs:
 //! a key derived from event *content* (origin node, per-origin counter)
 //! pops in the same order no matter which shard pushed it first, making
@@ -34,7 +34,7 @@
 //! (payload = [`Event`]) is the `Network` scheduler.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::net::Event;
 use crate::time::SimTime;
@@ -413,58 +413,10 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// The original scheduler — a `BinaryHeap` ordering index plus a side
-/// `HashMap` payload store, one heap op **and** one hash insert/remove per
-/// event. Kept as the reference implementation: the differential tests
-/// below prove [`EventQueue`] pops in the identical order, and
-/// `sim_bench` measures the speedup against it.
-#[derive(Debug, Default)]
-pub struct HeapMapQueue {
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    pending: HashMap<u64, Event>,
-    next_seq: u64,
-}
-
-impl HeapMapQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Schedules `ev` at `at`.
-    pub fn push(&mut self, at: SimTime, ev: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq, ev);
-        self.queue.push(Reverse((at.as_nanos(), seq)));
-    }
-
-    /// Pops the earliest event (ties broken by schedule order).
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let Reverse((at, seq)) = self.queue.pop()?;
-        let ev = self
-            .pending
-            .remove(&seq)
-            .expect("queued event has a pending entry");
-        Some((SimTime::from_nanos(at), ev))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::net::NodeId;
-    use crate::rng::SimRng;
 
     fn timer(token: u64) -> Event {
         Event::Timer {
@@ -600,39 +552,5 @@ mod tests {
         assert!(q.cancel(a));
         assert_eq!(q.stats().live, 1);
         assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
-    fn agrees_with_heapmap_reference_under_random_churn() {
-        let mut rng = SimRng::seed(99);
-        let mut new_q = EventQueue::new();
-        let mut old_q = HeapMapQueue::new();
-        let mut now = SimTime::ZERO;
-        let mut token = 0u64;
-        for _ in 0..5_000 {
-            if rng.chance(0.6) || new_q.is_empty() {
-                // Mixed near/far delays exercise both tiers.
-                let delay_ns = if rng.chance(0.8) {
-                    rng.range(0..200_000_000u64)
-                } else {
-                    rng.range(0..5_000_000_000u64)
-                };
-                let at = now + std::time::Duration::from_nanos(delay_ns);
-                new_q.push(at, timer(token));
-                old_q.push(at, timer(token));
-                token += 1;
-            } else {
-                let a = new_q.pop().expect("non-empty");
-                let b = old_q.pop().expect("reference non-empty");
-                assert_eq!(a.0, b.0, "pop times agree");
-                assert_eq!(tok(&a.1), tok(&b.1), "pop payloads agree");
-                now = a.0;
-            }
-        }
-        while let Some(a) = new_q.pop() {
-            let b = old_q.pop().expect("reference drains in step");
-            assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)));
-        }
-        assert!(old_q.pop().is_none());
     }
 }

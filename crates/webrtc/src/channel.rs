@@ -78,8 +78,7 @@ impl DataChannel {
     ///
     /// The whole flush is sealed as one DTLS batch: every chunk frame is
     /// staged first, then a single [`DtlsEndpoint::seal_batch_into`] call
-    /// runs one keystream pipeline and one wide HMAC pass over all records
-    /// instead of N independent seals.
+    /// seals all records with the endpoint's reused batch scratch.
     ///
     /// # Errors
     ///
@@ -130,8 +129,7 @@ impl DataChannel {
     /// appended to `msgs` in record order.
     ///
     /// All records are opened with one [`DtlsEndpoint::open_batch_into`]
-    /// call (one keystream pipeline, one wide HMAC pass) before any chunk
-    /// is reassembled. Records that fail authentication, replay, or chunk
+    /// call before any chunk is reassembled. Records that fail authentication, replay, or chunk
     /// framing are skipped — the same outcome as the per-record receive
     /// path, where the harness drops erroring records.
     pub fn receive_batch(&mut self, records: &[Bytes], msgs: &mut Vec<Bytes>) {

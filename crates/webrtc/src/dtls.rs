@@ -31,14 +31,10 @@
 //!   write key into a SHA-256 midstate once per connection and then emits
 //!   64-byte blocks with raw compressions — no per-block key re-absorption,
 //!   hasher construction, or Merkle–Damgård padding. The original
-//!   one-full-hash-per-32-bytes design is preserved as
-//!   [`apply_keystream_v1`] and the old/new keystreams are distinguishable
-//!   in tests.
-//!
-//! The pre-fast-path record path survives as
-//! [`DtlsEndpoint::seal_baseline`] / [`DtlsEndpoint::open_baseline`]
-//! (running on [`pdn_crypto::reference`]) so `crypto_bench` can measure old
-//! vs new in one process.
+//!   one-full-hash-per-32-bytes design (version 1) lives on, with the rest
+//!   of the pre-fast-path record path, as a test oracle in the
+//!   `pdn-oracle` crate, so `crypto_bench` can measure old vs new in one
+//!   process.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_crypto::hmac::{hmac_sha256_keyed, HmacKey};
@@ -297,7 +293,7 @@ mod fused {
     use super::{KeystreamKey, HEADER_LEN, TAG_LEN};
     use bytes::{Bytes, BytesMut};
     use pdn_crypto::hmac::HmacKey;
-    use pdn_crypto::sha256::{self, compress_wide, Midstate};
+    use pdn_crypto::sha256::Midstate;
 
     /// The keystream input block for `(seq, block_idx, lane)` — layout
     /// identical to [`KeystreamKey::apply`].
@@ -472,180 +468,19 @@ mod fused {
     /// the largest batch seen and are never shrunk.
     #[derive(Debug, Default)]
     pub(super) struct BatchScratch {
-        /// Per-record inner-hash chain states.
-        states: Vec<Midstate>,
         /// Structural validity per record of an open batch (filled by the
-        /// endpoint; invalid records are skipped by every engine phase).
+        /// endpoint; invalid records are skipped).
         pub(super) valid: Vec<bool>,
-        /// Per-record inner digests feeding the wide outer pass.
-        digests: Vec<[u8; 32]>,
         /// Per-record untruncated tags (produced for seal, expected for
         /// open).
         pub(super) tags: Vec<[u8; 32]>,
     }
 
-    /// Accumulates `(record, block)` pairs and folds each block into that
-    /// record's chain state through the wide compressor, up to eight chains
-    /// per pass.
-    ///
-    /// A chain's next block depends on its previous one, so the caller must
-    /// `flush` between rounds that could feed the same record twice; within
-    /// one round every record appears at most once and groups pack freely.
-    struct WideChain<'a> {
-        states: &'a mut [Midstate],
-        g_states: [Midstate; 8],
-        g_blocks: [[u8; 64]; 8],
-        g_idx: [usize; 8],
-        filled: usize,
-    }
-
-    impl<'a> WideChain<'a> {
-        fn new(states: &'a mut [Midstate], fill: Midstate) -> Self {
-            WideChain {
-                states,
-                g_states: [fill; 8],
-                g_blocks: [[0u8; 64]; 8],
-                g_idx: [0; 8],
-                filled: 0,
-            }
-        }
-
-        fn push(&mut self, i: usize, block: &[u8; 64]) {
-            self.g_states[self.filled] = self.states[i];
-            self.g_blocks[self.filled] = *block;
-            self.g_idx[self.filled] = i;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.flush();
-            }
-        }
-
-        fn flush(&mut self) {
-            if self.filled == 0 {
-                return;
-            }
-            let n = self.filled;
-            compress_wide(&mut self.g_states[..n], &self.g_blocks[..n]);
-            for j in 0..n {
-                self.states[self.g_idx[j]] = self.g_states[j];
-            }
-            self.filled = 0;
-        }
-    }
-
-    /// Generates one group of keystream lanes through the wide compressor
-    /// and XORs each into its record's body at `offset` (the header length
-    /// when encrypting in place, zero for a detached ciphertext copy).
-    fn apply_keystream_group(
-        ks: &KeystreamKey,
-        blocks: &[[u8; 64]],
-        slots: &[(usize, usize)],
-        bodies: &mut [BytesMut],
-        offset: usize,
-    ) {
-        let mut states = [ks.mid; 8];
-        compress_wide(&mut states[..blocks.len()], blocks);
-        for (st, &(i, lane)) in states.iter().zip(slots) {
-            xor_lane(&mut bodies[i][offset..], lane, &st.to_bytes());
-        }
-    }
-
-    /// Phases B–C of a batch: drives every record's MAC chain one block per
-    /// wide pass, finalizes each with Merkle–Damgård padding, and computes
-    /// all outer tags through [`HmacKey::outer_tags_into`]. `msg_of(i)`
-    /// returns the MAC input (header + ciphertext) of record `i`, or `None`
-    /// to skip a structurally invalid record.
-    ///
-    /// Unlike the single-record [`seal_record`], no greedy keystream/MAC
-    /// pairing is needed: the caller runs the whole keystream phase first,
-    /// so every ciphertext byte already exists and MAC chains from
-    /// *different* records fill the wide lanes instead.
-    fn wide_mac_pass<'a, F>(mac: &HmacKey, n: usize, msg_of: F, scratch: &mut BatchScratch)
-    where
-        F: Fn(usize) -> Option<&'a [u8]>,
-    {
-        let BatchScratch {
-            states,
-            digests,
-            tags,
-            ..
-        } = scratch;
-        states.clear();
-        states.resize(n, mac.inner_midstate());
-        let max_blocks = (0..n)
-            .filter_map(|i| msg_of(i).map(|m| m.len() / 64))
-            .max()
-            .unwrap_or(0);
-        let mut chain = WideChain::new(&mut states[..], mac.inner_midstate());
-        for k in 0..max_blocks {
-            for i in 0..n {
-                let Some(msg) = msg_of(i) else { continue };
-                if msg.len() / 64 > k {
-                    let mb: &[u8; 64] = msg[64 * k..64 * k + 64].try_into().expect("full block");
-                    chain.push(i, mb);
-                }
-            }
-            chain.flush();
-        }
-        // Padding pass: one block per record, then the spill block for
-        // tails of 56+ bytes — the same two shapes `finalize_inner` emits.
-        for i in 0..n {
-            let Some(msg) = msg_of(i) else { continue };
-            let tail = &msg[(msg.len() / 64) * 64..];
-            let bit_len = (((64 + msg.len()) as u64).wrapping_mul(8)).to_be_bytes();
-            let mut block = [0u8; 64];
-            block[..tail.len()].copy_from_slice(tail);
-            block[tail.len()] = 0x80;
-            if tail.len() < 56 {
-                block[56..].copy_from_slice(&bit_len);
-            }
-            chain.push(i, &block);
-        }
-        chain.flush();
-        for i in 0..n {
-            let Some(msg) = msg_of(i) else { continue };
-            if msg.len() % 64 >= 56 {
-                let mut last = [0u8; 64];
-                last[56..]
-                    .copy_from_slice(&(((64 + msg.len()) as u64).wrapping_mul(8)).to_be_bytes());
-                chain.push(i, &last);
-            }
-        }
-        chain.flush();
-        digests.clear();
-        digests.extend(states.iter().map(|s| s.to_bytes()));
-        tags.clear();
-        tags.resize(n, [0u8; 32]);
-        mac.outer_tags_into(digests, tags);
-    }
-
     /// Seals a whole batch in place: encrypts every `outs[i][HEADER_LEN..]`
-    /// with the v2 keystream and leaves each record's untruncated tag in
-    /// `scratch.tags`. Record `i` uses sequence number `first_seq + i`.
-    ///
-    /// Dispatches on [`sha256::multibuffer_profitable`]: where the wide
-    /// compressors win, one keystream pipeline serves the whole flush and
-    /// one wide HMAC pass walks every chain in lockstep; on hosts whose
-    /// SHA unit is throughput-bound the gather/scatter restructuring is a
-    /// measured net loss, so each record runs through the fused
-    /// [`seal_record`] kernel instead. Both paths are bit-identical.
+    /// with the v2 keystream through the fused [`seal_record`] kernel and
+    /// leaves each record's untruncated tag in `scratch.tags`. Record `i`
+    /// uses sequence number `first_seq + i`.
     pub(super) fn seal_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        if sha256::multibuffer_profitable() {
-            seal_batch_wide(mac, ks, first_seq, outs, scratch);
-        } else {
-            seal_batch_serial(mac, ks, first_seq, outs, scratch);
-        }
-    }
-
-    /// Per-record engine behind [`seal_batch`]: the fused [`seal_record`]
-    /// kernel in a loop, tags into `scratch.tags`.
-    pub(super) fn seal_batch_serial(
         mac: &HmacKey,
         ks: &KeystreamKey,
         first_seq: u64,
@@ -659,75 +494,13 @@ mod fused {
         }
     }
 
-    /// Wide-lane engine behind [`seal_batch`] (phases A then B–C).
-    pub(super) fn seal_batch_wide(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        // Phase A: every keystream lane of the batch, eight per wide pass.
-        let mut g_blocks = [[0u8; 64]; 8];
-        let mut g_slots = [(0usize, 0usize); 8];
-        let mut filled = 0usize;
-        for i in 0..outs.len() {
-            let body_len = outs[i].len() - HEADER_LEN;
-            let seq = first_seq + i as u64;
-            for lane in 0..total_lanes(body_len) {
-                g_blocks[filled] = lane_block(seq, lane);
-                g_slots[filled] = (i, lane);
-                filled += 1;
-                if filled == 8 {
-                    apply_keystream_group(ks, &g_blocks[..], &g_slots[..], outs, HEADER_LEN);
-                    filled = 0;
-                }
-            }
-        }
-        if filled > 0 {
-            apply_keystream_group(
-                ks,
-                &g_blocks[..filled],
-                &g_slots[..filled],
-                outs,
-                HEADER_LEN,
-            );
-        }
-        // Phases B–C: MAC chains over header + ciphertext.
-        let outs: &[BytesMut] = outs;
-        wide_mac_pass(mac, outs.len(), |i| Some(&outs[i][..]), scratch);
-    }
-
     /// Opens a whole batch: XORs the keystream over every `bodies[i]` (a
-    /// copy of record `i`'s ciphertext) and leaves each record's expected
-    /// untruncated tag in `scratch.tags`. Records flagged invalid in
-    /// `scratch.valid` are skipped by every phase (their body and tag are
-    /// left untouched).
-    ///
-    /// Dispatches on [`sha256::multibuffer_profitable`] like [`seal_batch`];
-    /// the wide path packs keystream and MAC lanes unconditionally (the MAC
-    /// covers the *received* ciphertext, so the phases are independent),
-    /// the serial path runs the fused [`open_record`] kernel per record.
-    /// Both are bit-identical.
+    /// copy of record `i`'s ciphertext) through the fused [`open_record`]
+    /// kernel and leaves each record's expected untruncated tag in
+    /// `scratch.tags`. Records flagged invalid in `scratch.valid` are
+    /// skipped: their body stays untouched and their tag slot is
+    /// unspecified (the caller rejects them before ever reading it).
     pub(super) fn open_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        if sha256::multibuffer_profitable() {
-            open_batch_wide(mac, ks, records, bodies, scratch);
-        } else {
-            open_batch_serial(mac, ks, records, bodies, scratch);
-        }
-    }
-
-    /// Per-record engine behind [`open_batch`]: the fused [`open_record`]
-    /// kernel over every structurally valid record. Invalid records keep
-    /// their body untouched; their tag slot is unspecified (the caller
-    /// rejects them before ever reading it, in both engines).
-    pub(super) fn open_batch_serial(
         mac: &HmacKey,
         ks: &KeystreamKey,
         records: &[Bytes],
@@ -750,58 +523,10 @@ mod fused {
             );
         }
     }
-
-    /// Wide-lane engine behind [`open_batch`] (phases A then B–C).
-    pub(super) fn open_batch_wide(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        // Phase A: keystream lanes for every valid record, eight wide.
-        let mut g_blocks = [[0u8; 64]; 8];
-        let mut g_slots = [(0usize, 0usize); 8];
-        let mut filled = 0usize;
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("validated header"));
-            for lane in 0..total_lanes(bodies[i].len()) {
-                g_blocks[filled] = lane_block(seq, lane);
-                g_slots[filled] = (i, lane);
-                filled += 1;
-                if filled == 8 {
-                    apply_keystream_group(ks, &g_blocks[..], &g_slots[..], bodies, 0);
-                    filled = 0;
-                }
-            }
-        }
-        if filled > 0 {
-            apply_keystream_group(ks, &g_blocks[..filled], &g_slots[..filled], bodies, 0);
-        }
-        // Phases B–C: MAC chains over the received header + ciphertext.
-        let valid = std::mem::take(&mut scratch.valid);
-        wide_mac_pass(
-            mac,
-            records.len(),
-            |i| {
-                let rec = &records[i];
-                valid[i].then(|| &rec[..rec.len() - TAG_LEN])
-            },
-            scratch,
-        );
-        scratch.valid = valid;
-    }
 }
 
 #[derive(Debug)]
 struct SessionKeys {
-    /// Raw subkeys, kept for the baseline (pre-fast-path) record path.
-    client_write: [u8; 32],
-    server_write: [u8; 32],
-    mac_raw: [u8; 32],
     /// Precomputed per-direction keystream midstates.
     client_ks: KeystreamKey,
     server_ks: KeystreamKey,
@@ -1140,10 +865,9 @@ impl DtlsEndpoint {
     /// `outs[i]` receives record `i`. With warm buffers the path performs
     /// zero heap allocations.
     ///
-    /// One keystream pipeline plus one wide HMAC pass serve the whole
-    /// flush ([`fused`]'s batch engine over the 4/8-wide SHA compressor),
-    /// replacing N independent [`Self::seal_into`] calls; the records
-    /// produced are byte-identical to that sequential loop.
+    /// Every record runs through the fused single-record kernel, with the
+    /// batch's scratch reused across calls; the records produced are
+    /// byte-identical to N sequential [`Self::seal_into`] calls.
     ///
     /// # Errors
     ///
@@ -1201,9 +925,9 @@ impl DtlsEndpoint {
     /// before replay-reject per record, replay-window evolution in batch
     /// order, and implicit handshake completion on the first record that
     /// authenticates. Only the crypto schedule differs: expected tags for
-    /// the whole batch are computed in one keystream pipeline plus one wide
-    /// HMAC pass before any verdict is applied (MAC verification does not
-    /// depend on replay state, so hoisting it preserves the semantics).
+    /// the whole batch are computed before any verdict is applied (MAC
+    /// verification does not depend on replay state, so hoisting it
+    /// preserves the semantics).
     pub fn open_batch_into(
         &mut self,
         records: &[Bytes],
@@ -1277,92 +1001,6 @@ impl DtlsEndpoint {
         }
         self.batch = scratch;
     }
-
-    /// Pre-fast-path `seal`, preserved for in-process benchmarking: per-call
-    /// payload/header/MAC-input `Vec`s, a full HMAC key schedule per record
-    /// (via [`pdn_crypto::reference`]), and the version-1 keystream.
-    ///
-    /// Baseline records use the v1 keystream, so they can only be opened by
-    /// [`Self::open_baseline`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::seal`].
-    pub fn seal_baseline(&mut self, plaintext: &[u8]) -> Result<Bytes, DtlsError> {
-        if !self.is_established() {
-            return Err(DtlsError::NotEstablished);
-        }
-        if plaintext.len() > MAX_RECORD_PLAINTEXT {
-            return Err(DtlsError::Oversize);
-        }
-        let keys = self.keys.as_ref().expect("established implies keys");
-        let write_key = match self.role {
-            Role::Client => &keys.client_write,
-            Role::Server => &keys.server_write,
-        };
-        let seq = self.send_seq;
-        self.send_seq += 1;
-
-        let mut header = BytesMut::with_capacity(HEADER_LEN);
-        header.put_u8(CT_APPDATA);
-        header.put_slice(&VERSION);
-        header.put_u64(seq);
-        header.put_u16((plaintext.len() + TAG_LEN) as u16);
-
-        let mut ct = plaintext.to_vec();
-        apply_keystream_v1(write_key, seq, &mut ct);
-        let mut mac_input = header.to_vec();
-        mac_input.extend_from_slice(&ct);
-        let tag = pdn_crypto::reference::hmac_sha256(&keys.mac_raw, &mac_input);
-
-        let mut out = BytesMut::with_capacity(HEADER_LEN + ct.len() + TAG_LEN);
-        out.put_slice(&header);
-        out.put_slice(&ct);
-        out.put_slice(&tag[..TAG_LEN]);
-        Ok(out.freeze())
-    }
-
-    /// Pre-fast-path `open`, preserved for in-process benchmarking; the
-    /// counterpart of [`Self::seal_baseline`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::open`].
-    pub fn open_baseline(&mut self, record: &[u8]) -> Result<Bytes, DtlsError> {
-        let awaiting_finished =
-            matches!(self.state, State::AwaitClientFinished { .. }) && self.keys.is_some();
-        if !self.is_established() && !awaiting_finished {
-            return Err(DtlsError::NotEstablished);
-        }
-        if record.len() < HEADER_LEN + TAG_LEN || record[0] != CT_APPDATA || record[1..3] != VERSION
-        {
-            return Err(DtlsError::BadRecord);
-        }
-        let keys = self
-            .keys
-            .as_ref()
-            .expect("established or awaiting implies keys");
-        let read_key = match self.role {
-            Role::Client => &keys.server_write,
-            Role::Server => &keys.client_write,
-        };
-        let seq = u64::from_be_bytes(record[3..11].try_into().expect("length checked"));
-        let body_end = record.len() - TAG_LEN;
-        let (header_and_ct, tag) = record.split_at(body_end);
-        let expect = pdn_crypto::reference::hmac_sha256(&keys.mac_raw, header_and_ct);
-        if !pdn_crypto::ct_eq(&expect[..TAG_LEN], tag) {
-            return Err(DtlsError::BadRecord);
-        }
-        if !self.replay.check_and_update(seq) {
-            return Err(DtlsError::Replay);
-        }
-        if awaiting_finished {
-            self.state = State::Established;
-        }
-        let mut pt = header_and_ct[HEADER_LEN..].to_vec();
-        apply_keystream_v1(read_key, seq, &mut pt);
-        Ok(Bytes::from(pt))
-    }
 }
 
 fn fill(buf: &mut [u8], rng: &mut SimRng) {
@@ -1389,27 +1027,6 @@ fn derive_keys(shared: u64, client_random: &[u8; 32], server_random: &[u8; 32]) 
         client_ks: KeystreamKey::new(&client_write),
         server_ks: KeystreamKey::new(&server_write),
         mac: HmacKey::new(&mac_raw),
-        client_write,
-        server_write,
-        mac_raw,
-    }
-}
-
-/// XORs `buf` with the version-1 keystream derived from `(key, seq)`: one
-/// full SHA-256 (fresh hasher, key re-absorbed, padded finalization) per 32
-/// bytes of output, computed with the [`pdn_crypto::reference`]
-/// implementation. Preserved as the benchmark baseline and to pin down that
-/// the v2 keystream is a deliberate format change.
-pub fn apply_keystream_v1(key: &[u8; 32], seq: u64, buf: &mut [u8]) {
-    for (block_idx, block) in buf.chunks_mut(32).enumerate() {
-        let mut h = pdn_crypto::reference::Sha256::new();
-        h.update(key);
-        h.update(&seq.to_be_bytes());
-        h.update(&(block_idx as u64).to_be_bytes());
-        let ks = h.finalize();
-        for (b, k) in block.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
     }
 }
 
@@ -1545,86 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_wide_and_serial_engines_agree() {
-        // `seal_batch`/`open_batch` dispatch on the hardware probe, so on
-        // any one host only one engine runs through the public API. Pin
-        // the two engines against each other directly so both stay
-        // correct no matter what the probe selects.
-        let (c, _s) = pair(true);
-        let keys = c.keys.as_ref().unwrap();
-        let (ks, mac) = (keys.client_ks.clone(), keys.mac);
-        let sizes = [0usize, 1, 31, 32, 51, 64, 115, 200, 1200, 4096];
-        let first_seq = 7u64;
-
-        let build = |sizes: &[usize]| -> Vec<BytesMut> {
-            sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| {
-                    let mut out = BytesMut::new();
-                    out.put_u8(CT_APPDATA);
-                    out.put_slice(&VERSION);
-                    out.put_u64(first_seq + i as u64);
-                    out.put_u16((n + TAG_LEN) as u16);
-                    for j in 0..n {
-                        out.put_u8((j * 13 % 251) as u8);
-                    }
-                    out
-                })
-                .collect()
-        };
-
-        let mut wide = build(&sizes);
-        let mut serial = build(&sizes);
-        let mut sc_w = fused::BatchScratch::default();
-        let mut sc_s = fused::BatchScratch::default();
-        fused::seal_batch_wide(&mac, &ks, first_seq, &mut wide, &mut sc_w);
-        fused::seal_batch_serial(&mac, &ks, first_seq, &mut serial, &mut sc_s);
-        assert_eq!(sc_w.tags, sc_s.tags, "seal tags");
-        for (i, (w, s)) in wide.iter().zip(&serial).enumerate() {
-            assert_eq!(&w[..], &s[..], "sealed record {i}");
-        }
-
-        // Open the sealed batch, with one record flagged structurally
-        // invalid: bodies and tags of valid slots must agree (invalid
-        // slots' tags are never read by the caller and may differ).
-        let records: Vec<Bytes> = wide
-            .iter()
-            .zip(&sc_w.tags)
-            .map(|(w, t)| {
-                let mut v = w.to_vec();
-                v.extend_from_slice(&t[..TAG_LEN]);
-                Bytes::from(v)
-            })
-            .collect();
-        let bodies = |recs: &[Bytes]| -> Vec<BytesMut> {
-            recs.iter()
-                .map(|r| {
-                    let mut b = BytesMut::new();
-                    b.extend_from_slice(&r[HEADER_LEN..r.len() - TAG_LEN]);
-                    b
-                })
-                .collect()
-        };
-        let mut b_w = bodies(&records);
-        let mut b_s = bodies(&records);
-        for sc in [&mut sc_w, &mut sc_s] {
-            sc.valid.clear();
-            sc.valid.extend((0..records.len()).map(|i| i != 3));
-        }
-        fused::open_batch_wide(&mac, &ks, &records, &mut b_w, &mut sc_w);
-        fused::open_batch_serial(&mac, &ks, &records, &mut b_s, &mut sc_s);
-        for i in 0..records.len() {
-            if i == 3 {
-                continue;
-            }
-            assert_eq!(sc_w.tags[i], sc_s.tags[i], "open tag {i}");
-            assert_eq!(&b_w[i][..], &b_s[i][..], "opened body {i}");
-        }
-        assert_eq!(&b_w[3][..], &b_s[3][..], "invalid body untouched");
-    }
-
-    #[test]
     fn batch_seal_open_matches_sequential() {
         // `pair` is seed-deterministic, so two pairs share identical keys
         // and the batch path can be pinned byte-for-byte against the
@@ -1659,6 +1196,82 @@ mod tests {
             let want = s_seq.open_into(r, &mut pt);
             assert_eq!(results[i], want, "verdict {i}");
             assert_eq!(&pts[i][..], &pt[..], "plaintext {i}");
+        }
+    }
+
+    #[test]
+    fn batch_engine_matches_record_engine() {
+        // Pin the batch engine to the per-record kernel directly, from a
+        // non-zero first sequence number, and check that a record flagged
+        // structurally invalid is skipped with its body left untouched.
+        let (c, _s) = pair(true);
+        let keys = c.keys.as_ref().unwrap();
+        let (ks, mac) = (keys.client_ks.clone(), keys.mac);
+        let sizes = [0usize, 1, 31, 32, 51, 64, 115, 200, 1200, 4096];
+        let first_seq = 7u64;
+        let build = |i: usize, n: usize| -> BytesMut {
+            let mut out = BytesMut::new();
+            out.put_u8(CT_APPDATA);
+            out.put_slice(&VERSION);
+            out.put_u64(first_seq + i as u64);
+            out.put_u16((n + TAG_LEN) as u16);
+            for j in 0..n {
+                out.put_u8((j * 13 % 251) as u8);
+            }
+            out
+        };
+
+        let mut batch: Vec<BytesMut> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| build(i, n))
+            .collect();
+        let mut scratch = fused::BatchScratch::default();
+        fused::seal_batch(&mac, &ks, first_seq, &mut batch, &mut scratch);
+        for (i, &n) in sizes.iter().enumerate() {
+            let mut single = build(i, n);
+            let tag = fused::seal_record(&mac, &ks, first_seq + i as u64, &mut single[..]);
+            assert_eq!(scratch.tags[i], tag, "seal tag {i}");
+            assert_eq!(&batch[i][..], &single[..], "sealed record {i}");
+        }
+
+        let records: Vec<Bytes> = batch
+            .iter()
+            .zip(&scratch.tags)
+            .map(|(r, t)| {
+                let mut v = r.to_vec();
+                v.extend_from_slice(&t[..TAG_LEN]);
+                Bytes::from(v)
+            })
+            .collect();
+        let mut bodies: Vec<BytesMut> = records
+            .iter()
+            .map(|r| {
+                let mut b = BytesMut::new();
+                b.extend_from_slice(&r[HEADER_LEN..r.len() - TAG_LEN]);
+                b
+            })
+            .collect();
+        scratch.valid.clear();
+        scratch.valid.extend((0..records.len()).map(|i| i != 3));
+        fused::open_batch(&mac, &ks, &records, &mut bodies, &mut scratch);
+        for (i, rec) in records.iter().enumerate() {
+            let mut body = rec[HEADER_LEN..rec.len() - TAG_LEN].to_vec();
+            if i == 3 {
+                assert_eq!(&bodies[i][..], &body[..], "invalid body untouched");
+                continue;
+            }
+            let seq = first_seq + i as u64;
+            let tag = fused::open_record(&mac, &ks, seq, &rec[..rec.len() - TAG_LEN], &mut body);
+            assert_eq!(scratch.tags[i], tag, "open tag {i}");
+            assert_eq!(
+                &tag[..TAG_LEN],
+                &rec[rec.len() - TAG_LEN..],
+                "tag verifies {i}"
+            );
+            assert_eq!(&bodies[i][..], &body[..], "opened body {i}");
+            let want: Vec<u8> = (0..sizes[i]).map(|j| (j * 13 % 251) as u8).collect();
+            assert_eq!(body, want, "plaintext {i}");
         }
     }
 
@@ -1820,29 +1433,25 @@ mod tests {
     }
 
     #[test]
-    fn baseline_path_roundtrips() {
-        let (mut c, mut s) = pair(true);
-        let rec = c.seal_baseline(b"baseline payload").unwrap();
-        assert!(is_dtls(&rec));
-        assert_eq!(&s.open_baseline(&rec).unwrap()[..], b"baseline payload");
-    }
-
-    #[test]
     fn keystream_v2_differs_from_v1() {
         // The versioned keystream really is a new keystream: same key, same
         // seq, same data must encrypt differently under v1 and v2.
+        // Version 1 is one full SHA-256 of `key || seq || block_idx` per
+        // 32 output bytes.
         let key = [0x42u8; 32];
         let mut v1 = [0u8; 100];
-        apply_keystream_v1(&key, 7, &mut v1);
+        for (block_idx, block) in v1.chunks_mut(32).enumerate() {
+            let mut h = Sha256::new();
+            h.update(&key);
+            h.update(&7u64.to_be_bytes());
+            h.update(&(block_idx as u64).to_be_bytes());
+            for (b, k) in block.iter_mut().zip(h.finalize()) {
+                *b ^= k;
+            }
+        }
         let mut v2 = [0u8; 100];
         KeystreamKey::new(&key).apply(7, &mut v2);
         assert_ne!(v1, v2);
-        // The record MAC covers ciphertext regardless of keystream version,
-        // so a baseline-sealed record authenticates — but decrypting it with
-        // the v2 keystream must NOT yield the original plaintext.
-        let (mut c, mut s) = pair(true);
-        let rec = c.seal_baseline(b"cross-version").unwrap();
-        assert_ne!(&s.open(&rec).unwrap()[..], b"cross-version");
     }
 
     #[test]

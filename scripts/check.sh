@@ -34,16 +34,18 @@ run_gate "determinism gate (worker counts 1/2/4/8)" \
 run_gate "shard determinism gate (shard counts 1/2/4/8, inline + threaded)" \
   cargo test --offline -p pdn-bench --test shard_determinism --quiet
 
-run_gate "crypto differential tests (HMAC vs baseline)" \
-  cargo test --offline -p pdn-crypto --quiet diff_tests
+# Selected by test target, not by name filter: cargo exits 0 when a name
+# filter matches nothing, which would pass this gate with zero tests.
+run_gate "crypto differential tests (SHA-256/HMAC vs the reference oracle)" \
+  cargo test --offline -p pdn-crypto --test reference_diff --quiet
 run_gate "crypto gate (fast-path speedup/alloc asserts)" \
-  cargo run --release --offline -p pdn-bench --bin crypto_bench -- --quick
+  cargo run --release --offline -p pdn-oracle --bin crypto_bench -- --quick
 
 run_gate "wire gate (binary vs JSON codec speedup + zero-alloc asserts)" \
-  cargo run --release --offline -p pdn-bench --bin wire_bench -- --quick
+  cargo run --release --offline -p pdn-oracle --bin wire_bench -- --quick
 
 run_gate "sim workload gate (serial workload within 10% of committed BENCH_sim.json)" \
-  cargo run --release --offline -p pdn-bench --bin sim_bench -- --quick
+  cargo run --release --offline -p pdn-oracle --bin sim_bench -- --quick
 
 run_gate "swarm scale gate (10k-peer tables identical at shards 1/2/4/8, peers/GB floor, ev/s within 10% of committed BENCH_swarm.json)" \
   cargo run --release --offline -p pdn-bench --bin swarm_scale_bench -- --quick
@@ -51,18 +53,63 @@ run_gate "swarm scale gate (10k-peer tables identical at shards 1/2/4/8, peers/G
 run_gate "service SLO gate (p999 JTFS under budget, knee within 10% of committed BENCH_service.json, goodput plateau at 2x, federation K=4 knee >= 3x K=1 with shard-mode identity, per-join CPU speedup)" \
   cargo run --release --offline -p pdn-bench --bin service_bench -- --quick
 
-run_gate "cargo bench --no-run (benches stay compiling)" \
-  cargo bench --offline --workspace --no-run
+# The perfbench checkout builds the library crates from source against its
+# own lockfile; a new normal dependency anywhere in its graph would make
+# that lockfile stale. Dev-dependencies are outside it.
+perfbench_lock_valid() {
+  cargo metadata --offline --locked --format-version 1 \
+    --manifest-path perfbench/Cargo.toml >/dev/null
+}
+run_gate "perfbench lockfile valid (cargo metadata --locked)" perfbench_lock_valid
+
+# Oracles are dev-only: no production crate (nor pdn-bench) may link
+# pdn-oracle as a normal dependency, so each production type exists once.
+no_oracle_in_normal_deps() {
+  local crate tree
+  for crate in pdn-crypto pdn-simnet pdn-media pdn-webrtc pdn-provider \
+    pdn-detector pdn-core pdn-bench; do
+    tree=$(cargo tree --offline -e normal -p "${crate}") || return 1
+    if grep -q "pdn-oracle" <<<"${tree}"; then
+      echo "pdn-oracle is a normal dependency of ${crate}; oracles are dev-dependencies only" >&2
+      return 1
+    fi
+  done
+}
+run_gate "dependency direction (pdn-oracle never a normal dependency)" no_oracle_in_normal_deps
+
+# Process-global mutable switches make behaviour depend on hidden state;
+# production code takes its configuration through values. The allowlist
+# is the profiler's counters and enable flag (perfbench's traced run turns
+# profiling on) and the shard runner's cached host parallelism.
+no_global_switches() {
+  local allowed=(
+    crates/simnet/src/profile.rs:ENABLED
+    crates/simnet/src/profile.rs:NANOS
+    crates/simnet/src/profile.rs:COUNTS
+    crates/simnet/src/profile.rs:PROBE_COST_NANOS
+    crates/simnet/src/shard.rs:HOST
+  )
+  local found bad=0 entry
+  found=$(grep -rnoE \
+    'static +(mut +)?[A-Za-z_0-9]+ *: *\[? *([a-z_]+::)*(Atomic[A-Za-z0-9]*|OnceLock)' \
+    crates/{crypto,simnet,media,webrtc,provider,detector,core}/src \
+    | sed -E 's/^([^:]+):[0-9]+:static +(mut +)?([A-Za-z_0-9]+).*/\1:\3/')
+  for entry in ${found}; do
+    if [[ " ${allowed[*]} " != *" ${entry} "* ]]; then
+      echo "global static outside the allowlist: ${entry}" >&2
+      bad=1
+    fi
+  done
+  return "${bad}"
+}
+run_gate "no global switches (static Atomic*/OnceLock only on the allowlist)" no_global_switches
 
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
-# The swarm-state engine (PR 5) moved the signaling server, SDK scheduler,
-# and simnet router onto FxHash/slab/bitmap structures, the batched
-# record engine (PR 6) extends the same stance to the DTLS record layer
-# and data channel, and the service plane (PR 9) to the bounded inboxes
-# and open-loop harness; the federated tracker plane (PR 10) keeps the
-# same stance in the region-shard router. SipHash maps must not creep
-# back into those files; the preserved baseline (state_baseline.rs) and
-# test code are exempt by not being listed here.
+# The signaling server, SDK scheduler, simnet router and shard runner, the
+# DTLS record layer and data channel, the bounded inboxes and open-loop
+# harness, and the region-shard router all run on FxHash/slab/bitmap
+# structures. SipHash maps must not creep back into those files; test
+# code and the oracles in pdn-oracle are exempt by not being listed here.
 hot_paths=(
   crates/provider/src/sdk.rs
   crates/provider/src/signaling.rs
