@@ -66,7 +66,6 @@ pub use net::{
 pub use queue::{CalendarQueue, EventId, EventQueue, EventQueueStats};
 pub use resources::{series_to_csv, ResourceModel, ResourceSample, ResourceSummary};
 pub use rng::SimRng;
-pub use route::RouteTable;
 pub use time::SimTime;
 #[cfg(test)]
 mod prop_tests {

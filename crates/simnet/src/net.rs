@@ -23,12 +23,12 @@ use bytes::Bytes;
 
 use crate::addr::Addr;
 use crate::fxhash::FxHashMap;
-use crate::geo::{continent_of, GeoInfo, GeoIpService};
+use crate::geo::{GeoInfo, GeoIpService, GeoKey, RegId};
 use crate::nat::{Nat, NatKind};
 use crate::queue::{EventId, EventQueue, EventQueueStats};
 use crate::resources::ResourceModel;
 use crate::rng::SimRng;
-use crate::route::RouteTable;
+use crate::route::{Route, RouteTable};
 use crate::time::SimTime;
 
 /// Identifier of a simulated host.
@@ -273,15 +273,28 @@ impl SendOutcome {
     }
 }
 
-struct NodeInfo {
-    addr_ip: Ipv4Addr,
-    nat: Option<usize>,
-    link: LinkSpec,
-    geo: GeoInfo,
+/// The per-node record the frame path reads and writes. Everything else
+/// about a node lives in cold side tables: its [`GeoInfo`] in the
+/// registry (by `reg`), its [`LinkSpec`] in the deduplicated link table
+/// (by `link`), its [`ResourceModel`] in `Network::res`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
     up_free_at: SimTime,
     down_free_at: SimTime,
-    res: ResourceModel,
+    ip: Ipv4Addr,
+    nat: Option<u32>,
+    link: u32,
+    reg: RegId,
+    geo: GeoKey,
     alive: bool,
+    tapped: bool,
+}
+
+/// Bit-exact identity of a [`LinkSpec`], for deduplicating the link table.
+type LinkBits = (Duration, Duration, u64, u64, u64);
+
+fn link_bits(l: &LinkSpec) -> LinkBits {
+    (l.latency, l.jitter, l.up_bps, l.down_bps, l.loss.to_bits())
 }
 
 /// Default cap on the capture ring (frames); see
@@ -320,7 +333,10 @@ pub struct Network {
     now: SimTime,
     rng: SimRng,
     geoip: GeoIpService,
-    nodes: Vec<NodeInfo>,
+    nodes: Vec<Node>,
+    res: Vec<ResourceModel>,
+    links: Vec<LinkSpec>,
+    link_ids: FxHashMap<LinkBits, u32>,
     nats: Vec<Nat>,
     // wire IP -> owner
     public_routes: RouteTable<Route>,
@@ -329,12 +345,6 @@ pub struct Network {
     queue: EventQueue,
     taps: FxHashMap<NodeId, TapFn>,
     capture: CaptureRing,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Route {
-    Host(NodeId),
-    Nat(usize),
 }
 
 impl std::fmt::Debug for Network {
@@ -356,6 +366,9 @@ impl Network {
             rng: SimRng::seed(seed),
             geoip: GeoIpService::new(),
             nodes: Vec::new(),
+            res: Vec::new(),
+            links: Vec::new(),
+            link_ids: FxHashMap::default(),
             nats: Vec::new(),
             public_routes: RouteTable::new(),
             private_routes: RouteTable::new(),
@@ -384,18 +397,9 @@ impl Network {
 
     /// Adds a host with its own public IP.
     pub fn add_public_host(&mut self, geo: GeoInfo, link: LinkSpec) -> NodeId {
-        let ip = self.geoip.allocate(&geo);
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeInfo {
-            addr_ip: ip,
-            nat: None,
-            link,
-            geo,
-            up_free_at: SimTime::ZERO,
-            down_free_at: SimTime::ZERO,
-            res: ResourceModel::new(),
-            alive: true,
-        });
+        let reg = self.geoip.register(geo);
+        let ip = self.geoip.allocate_in(reg);
+        let id = self.push_node(ip, None, reg, link);
         self.public_routes.insert(ip, Route::Host(id));
         id
     }
@@ -403,10 +407,32 @@ impl Network {
     /// Adds a NAT box with a public IP in `geo`.
     pub fn add_nat(&mut self, kind: NatKind, geo: &GeoInfo) -> NatId {
         let ip = self.geoip.allocate(geo);
-        let idx = self.nats.len();
+        let idx = self.nats.len() as u32;
         self.nats.push(Nat::new(kind, ip));
         self.public_routes.insert(ip, Route::Nat(idx));
-        NatId(idx as u32)
+        NatId(idx)
+    }
+
+    fn push_node(&mut self, ip: Ipv4Addr, nat: Option<u32>, reg: RegId, link: LinkSpec) -> NodeId {
+        let next_link = self.links.len() as u32;
+        let link_id = *self.link_ids.entry(link_bits(&link)).or_insert(next_link);
+        if link_id == next_link {
+            self.links.push(link);
+        }
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(Node {
+            up_free_at: SimTime::ZERO,
+            down_free_at: SimTime::ZERO,
+            ip,
+            nat,
+            link: link_id,
+            reg,
+            geo: self.geoip.key(reg),
+            alive: true,
+            tapped: false,
+        });
+        self.res.push(ResourceModel::new());
+        id
     }
 
     /// Adds a host behind `nat`, with a unique RFC 1918 address.
@@ -425,32 +451,23 @@ impl Network {
             ((n >> 8) & 0xff) as u8,
             (n & 0xff) as u8,
         );
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeInfo {
-            addr_ip: ip,
-            nat: Some(nat.0 as usize),
-            link,
-            geo,
-            up_free_at: SimTime::ZERO,
-            down_free_at: SimTime::ZERO,
-            res: ResourceModel::new(),
-            alive: true,
-        });
+        let reg = self.geoip.register(geo);
+        let id = self.push_node(ip, Some(nat.0), reg, link);
         self.private_routes.insert(ip, id);
         id
     }
 
     /// The node's own IP (private when behind NAT).
     pub fn ip(&self, node: NodeId) -> Ipv4Addr {
-        self.node(node).addr_ip
+        self.node(node).ip
     }
 
     /// The node's public wire IP: its own IP, or its NAT's public IP.
     pub fn public_ip(&self, node: NodeId) -> Ipv4Addr {
         let info = self.node(node);
         match info.nat {
-            Some(idx) => self.nats[idx].public_ip(),
-            None => info.addr_ip,
+            Some(idx) => self.nats[idx as usize].public_ip(),
+            None => info.ip,
         }
     }
 
@@ -461,29 +478,29 @@ impl Network {
 
     /// The NAT kind in front of the node, if any.
     pub fn nat_kind(&self, node: NodeId) -> Option<NatKind> {
-        self.node(node).nat.map(|i| self.nats[i].kind())
+        self.node(node).nat.map(|i| self.nats[i as usize].kind())
     }
 
     /// Geographic registration of the node.
     pub fn geo(&self, node: NodeId) -> &GeoInfo {
-        &self.node(node).geo
+        self.geoip.registration(self.node(node).reg)
     }
 
     /// Immutable resource counters of the node.
     pub fn resources(&self, node: NodeId) -> &ResourceModel {
-        &self.node(node).res
+        &self.res[node.0 as usize]
     }
 
     /// Mutable resource counters (application layers charge CPU/memory here).
     pub fn resources_mut(&mut self, node: NodeId) -> &mut ResourceModel {
-        &mut self.nodes[node.0 as usize].res
+        &mut self.res[node.0 as usize]
     }
 
     /// Takes a resource sample of every node at the current time.
     pub fn sample_resources(&mut self) {
         let now = self.now;
-        for n in &mut self.nodes {
-            n.res.sample(now);
+        for r in &mut self.res {
+            r.sample(now);
         }
     }
 
@@ -499,11 +516,13 @@ impl Network {
 
     /// Installs (or replaces) the middlebox tap on `node`.
     pub fn install_tap(&mut self, node: NodeId, tap: TapFn) {
+        self.nodes[node.0 as usize].tapped = true;
         self.taps.insert(node, tap);
     }
 
     /// Removes the tap on `node`.
     pub fn remove_tap(&mut self, node: NodeId) {
+        self.nodes[node.0 as usize].tapped = false;
         self.taps.remove(&node);
     }
 
@@ -590,7 +609,7 @@ impl Network {
         transport: Transport,
         payload: Bytes,
     ) -> SendOutcome {
-        let sender_has_tap = self.taps.contains_key(&node);
+        let sender_has_tap = self.node(node).tapped;
         self.send_inner(
             node,
             src_port,
@@ -626,7 +645,7 @@ impl Network {
         transport: Transport,
         frames: Vec<Bytes>,
     ) -> Vec<SendOutcome> {
-        let sender_has_tap = self.taps.contains_key(&node);
+        let sender_has_tap = self.node(node).tapped;
         let mut route_cache = None;
         let mut pending: Vec<(SimTime, NodeId, Datagram)> = Vec::new();
         let outcomes: Vec<SendOutcome> = frames
@@ -684,10 +703,11 @@ impl Network {
         route_cache: &mut Option<(NodeId, Addr)>,
         burst_buf: Option<&mut Vec<(SimTime, NodeId, Datagram)>>,
     ) -> SendOutcome {
-        if !self.node(node).alive {
+        let src = *self.node(node);
+        if !src.alive {
             return SendOutcome::Dropped(DropReason::NodeDown);
         }
-        let src_internal = Addr::from_ip(self.node(node).addr_ip, src_port);
+        let src_internal = Addr::from_ip(src.ip, src_port);
         let mut dgram = Datagram {
             src: src_internal,
             dst,
@@ -715,8 +735,8 @@ impl Network {
         // NAT egress: rewrite the wire source. Runs per frame even in a
         // burst — the NAT records every contacted remote (its filtering
         // state), so skipping calls would diverge from sequential sends.
-        if let Some(nat_idx) = self.node(node).nat {
-            dgram.src = self.nats[nat_idx].egress(src_internal, dgram.dst);
+        if let Some(nat_idx) = src.nat {
+            dgram.src = self.nats[nat_idx as usize].egress(src_internal, dgram.dst);
         }
 
         let len = dgram.payload.len().max(64) as u64; // 64-byte minimum frame
@@ -741,56 +761,59 @@ impl Network {
                 }
             },
         };
-        if !self.node(dest_node).alive {
+        let dst = *self.node(dest_node);
+        if !dst.alive {
             self.capture_frame(&dgram);
             return SendOutcome::Dropped(DropReason::NodeDown);
         }
 
         self.capture_frame(&dgram);
 
+        let src_link = self.links[src.link as usize];
+        let dst_link = self.links[dst.link as usize];
         // Loss applies to UDP only (TCP models retransmission).
-        if dgram.transport == Transport::Udp {
-            let loss = self.node(node).link.loss + self.node(dest_node).link.loss;
-            if self.rng.chance(loss) {
-                return SendOutcome::Dropped(DropReason::Loss);
-            }
+        if dgram.transport == Transport::Udp && self.rng.chance(src_link.loss + dst_link.loss) {
+            return SendOutcome::Dropped(DropReason::Loss);
         }
 
-        // Receiver-side tap. The clone is a refcount bump on the payload
-        // `Bytes`, not a copy; only a rewriting tap allocates.
+        // Receiver-side tap. The wire frame becomes the delivered one (the
+        // payload `Bytes` moves, it is not copied); only a rewriting tap
+        // allocates.
         let mut delivered_dgram = Datagram {
             dst: final_dst,
-            ..dgram.clone()
+            ..dgram
         };
-        if let Some(verdict) = self.apply_tap(dest_node, TapDirection::Inbound, &delivered_dgram) {
-            if verdict.drop {
-                return SendOutcome::Dropped(DropReason::Tapped);
-            }
-            if let Some(p) = verdict.new_payload {
-                delivered_dgram.payload = p;
+        if dst.tapped {
+            if let Some(verdict) =
+                self.apply_tap(dest_node, TapDirection::Inbound, &delivered_dgram)
+            {
+                if verdict.drop {
+                    return SendOutcome::Dropped(DropReason::Tapped);
+                }
+                if let Some(p) = verdict.new_payload {
+                    delivered_dgram.payload = p;
+                }
             }
         }
 
         // Transmission + propagation + reception scheduling.
-        let src_link = self.node(node).link;
-        let dst_link = self.node(dest_node).link;
-        let tx_start = self.now.max(self.node(node).up_free_at);
+        let tx_start = self.now.max(src.up_free_at);
         let tx_dur = Self::serialization(len, src_link.up_bps);
         let tx_end = tx_start + tx_dur;
         self.nodes[node.0 as usize].up_free_at = tx_end;
 
         let prop = src_link.latency
             + dst_link.latency
-            + self.backbone_latency(node, dest_node)
+            + src.geo.backbone_latency(dst.geo)
             + self.jitter(src_link.jitter + dst_link.jitter);
 
-        let rx_start = (tx_end + prop).max(self.node(dest_node).down_free_at);
+        let rx_start = (tx_end + prop).max(dst.down_free_at);
         let rx_dur = Self::serialization(len, dst_link.down_bps);
         let deliver_at = rx_start + rx_dur;
         self.nodes[dest_node.0 as usize].down_free_at = deliver_at;
 
-        self.nodes[node.0 as usize].res.record_tx(len);
-        self.nodes[dest_node.0 as usize].res.record_rx(len);
+        self.res[node.0 as usize].record_tx(len);
+        self.res[dest_node.0 as usize].record_rx(len);
 
         match burst_buf {
             // Burst sends defer enqueueing so the caller can aggregate
@@ -860,7 +883,7 @@ impl Network {
         self.queue.next_at()
     }
 
-    fn node(&self, id: NodeId) -> &NodeInfo {
+    fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
     }
 
@@ -875,27 +898,11 @@ impl Network {
         Duration::from_nanos(self.rng.range(0..max.as_nanos() as u64))
     }
 
-    fn backbone_latency(&self, a: NodeId, b: NodeId) -> Duration {
-        let ga = &self.node(a).geo;
-        let gb = &self.node(b).geo;
-        if ga.country == gb.country {
-            if ga.city == gb.city {
-                Duration::from_millis(3)
-            } else {
-                Duration::from_millis(12)
-            }
-        } else if continent_of(&ga.country) == continent_of(&gb.country) {
-            Duration::from_millis(35)
-        } else {
-            Duration::from_millis(110)
-        }
-    }
-
     fn route(&self, dgram: &Datagram, src_node: NodeId) -> Result<(NodeId, Addr), DropReason> {
         match self.public_routes.get(dgram.dst.ip).copied() {
             Some(Route::Host(id)) => Ok((id, dgram.dst)),
             Some(Route::Nat(idx)) => {
-                let internal = self.nats[idx]
+                let internal = self.nats[idx as usize]
                     .ingress(dgram.dst.port, dgram.src)
                     .ok_or(DropReason::NatFiltered)?;
                 let node = *self
@@ -967,6 +974,25 @@ mod tests {
         let a = net.add_public_host(geo("US"), LinkSpec::residential());
         let b = net.add_public_host(geo("US"), LinkSpec::residential());
         (a, b)
+    }
+
+    #[test]
+    fn hot_node_record_fits_a_cache_line() {
+        assert!(
+            std::mem::size_of::<Node>() <= 64,
+            "Node is {} B; the frame path reads two per send",
+            std::mem::size_of::<Node>()
+        );
+    }
+
+    #[test]
+    fn links_are_deduplicated() {
+        let mut net = Network::new(1);
+        for _ in 0..3 {
+            net.add_public_host(geo("US"), LinkSpec::residential());
+            net.add_public_host(geo("DE"), LinkSpec::datacenter());
+        }
+        assert_eq!(net.links.len(), 2);
     }
 
     #[test]

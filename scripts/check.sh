@@ -105,10 +105,10 @@ no_global_switches() {
 run_gate "no global switches (static Atomic*/OnceLock only on the allowlist)" no_global_switches
 
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
-# The signaling server, SDK scheduler, simnet router and shard runner, the
-# DTLS record layer and data channel, the bounded inboxes and open-loop
-# harness, and the region-shard router all run on FxHash/slab/bitmap
-# structures. SipHash maps must not creep back into those files; test
+# The signaling server, SDK scheduler, simnet router, route table, address
+# registry and shard runner, the DTLS record layer and data channel, the
+# bounded inboxes and open-loop harness, and the region-shard router all run
+# on FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
 # code and the oracles in pdn-oracle are exempt by not being listed here.
 hot_paths=(
   crates/provider/src/sdk.rs
@@ -118,6 +118,8 @@ hot_paths=(
   crates/provider/src/service/harness.rs
   crates/provider/src/service/federation.rs
   crates/simnet/src/net.rs
+  crates/simnet/src/route.rs
+  crates/simnet/src/geo.rs
   crates/simnet/src/shard.rs
   crates/webrtc/src/dtls.rs
   crates/webrtc/src/channel.rs
