@@ -4,8 +4,17 @@
 //! (§IV-A). PDN economics — the 95% bandwidth-offload claim, the free-riding
 //! overcharge, the refetch cost of the IM-conflict defense — all hinge on
 //! *who pays for which byte*, so the CDN tracks egress bytes and dollars.
+//!
+//! Like a real edge, the cache keeps whole response objects: the first
+//! [`Cdn::serve_segment_frame`] of a cached segment encodes its response
+//! frame once, the entry's `Segment.data` is re-pointed into that frame, and
+//! every later request sends a refcounted clone of it. The encoder is the
+//! caller's, so this crate stays unaware of the wire format. Evicting the
+//! entry drops the edge's hold on the frame; billing, hit/miss counts and
+//! eviction order do not depend on whether a frame was built.
 
-use std::collections::HashMap;
+use bytes::Bytes;
+use pdn_simnet::FxHashMap;
 
 use crate::manifest::{MasterPlaylist, MediaPlaylist};
 use crate::source::{Segment, SegmentId, VideoId, VideoSource};
@@ -13,7 +22,7 @@ use crate::source::{Segment, SegmentId, VideoId, VideoSource};
 /// Stores authoritative video sources (the Wowza role).
 #[derive(Debug, Default)]
 pub struct OriginServer {
-    sources: HashMap<VideoId, VideoSource>,
+    sources: FxHashMap<VideoId, VideoSource>,
 }
 
 impl OriginServer {
@@ -38,13 +47,37 @@ impl OriginServer {
     }
 }
 
+/// Encodes a segment's response frame, returning the frame and the offset
+/// of the segment's bytes inside it.
+pub type FrameEncoder<'a> = &'a dyn Fn(&Segment) -> (Bytes, usize);
+
+/// One cached segment.
+#[derive(Debug)]
+struct EdgeEntry {
+    /// The segment; once `frame` is built, `segment.data` is a slice of it.
+    segment: Segment,
+    /// The encoded response frame, built on the first frame request.
+    frame: Option<Bytes>,
+    /// Clock value of the last use (unique, so it alone picks the LRU).
+    used: u64,
+}
+
+/// Encodes `segment`'s frame and re-points `segment.data` into it, so the
+/// pair holds one buffer.
+fn attach_frame(segment: &mut Segment, encode: FrameEncoder<'_>) -> Bytes {
+    let (frame, body) = encode(segment);
+    let data = frame.slice(body..body + segment.len());
+    debug_assert_eq!(data, segment.data, "frame body must be the segment");
+    segment.data = data;
+    frame
+}
+
 /// An LRU edge cache keyed by segment, with byte-capacity eviction.
 #[derive(Debug)]
 pub struct EdgeCache {
     capacity_bytes: usize,
     used_bytes: usize,
-    // Values: (segment, last-use counter)
-    entries: HashMap<SegmentId, (Segment, u64)>,
+    entries: FxHashMap<SegmentId, EdgeEntry>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -56,21 +89,21 @@ impl EdgeCache {
         EdgeCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
             clock: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Fetches from cache, recording a hit or miss.
-    pub fn get(&mut self, id: &SegmentId) -> Option<Segment> {
+    /// Looks `id` up, recording a hit or miss and refreshing its LRU stamp.
+    fn touch(&mut self, id: &SegmentId) -> Option<&mut EdgeEntry> {
         self.clock += 1;
         match self.entries.get_mut(id) {
-            Some((seg, used)) => {
-                *used = self.clock;
+            Some(entry) => {
+                entry.used = self.clock;
                 self.hits += 1;
-                Some(seg.clone())
+                Some(entry)
             }
             None => {
                 self.misses += 1;
@@ -79,31 +112,71 @@ impl EdgeCache {
         }
     }
 
+    /// Fetches from cache, recording a hit or miss.
+    pub fn get(&mut self, id: &SegmentId) -> Option<Segment> {
+        self.touch(id).map(|entry| entry.segment.clone())
+    }
+
+    /// Fetches the response frame of a cached segment, recording a hit or
+    /// miss. A hit on an entry without a frame encodes it once with
+    /// `encode`. Returns the frame and the segment's length.
+    fn get_frame(&mut self, id: &SegmentId, encode: FrameEncoder<'_>) -> Option<(Bytes, usize)> {
+        let entry = self.touch(id)?;
+        let frame = match &entry.frame {
+            Some(frame) => frame.clone(),
+            None => {
+                let frame = attach_frame(&mut entry.segment, encode);
+                entry.frame = Some(frame.clone());
+                frame
+            }
+        };
+        Some((frame, entry.segment.len()))
+    }
+
     /// Inserts a segment, evicting least-recently-used entries as needed.
     ///
     /// Segments larger than the whole cache are not cached.
     pub fn put(&mut self, segment: Segment) {
+        self.insert(segment, None);
+    }
+
+    /// Encodes `segment`'s response frame with `encode` and returns it,
+    /// caching the segment and its frame as one buffer as `put` would cache
+    /// the segment alone.
+    fn put_frame(&mut self, mut segment: Segment, encode: FrameEncoder<'_>) -> Bytes {
+        let frame = attach_frame(&mut segment, encode);
+        self.insert(segment, Some(frame.clone()));
+        frame
+    }
+
+    fn insert(&mut self, segment: Segment, frame: Option<Bytes>) {
         let size = segment.len();
         if size > self.capacity_bytes {
             return;
         }
         self.clock += 1;
-        if let Some((old, _)) = self.entries.remove(&segment.id) {
-            self.used_bytes -= old.len();
+        if let Some(old) = self.entries.remove(&segment.id) {
+            self.used_bytes -= old.segment.len();
         }
         while self.used_bytes + size > self.capacity_bytes {
             let lru = self
                 .entries
                 .iter()
-                .min_by_key(|(_, (_, used))| *used)
+                .min_by_key(|(_, entry)| entry.used)
                 .map(|(k, _)| k.clone())
                 .expect("cache over capacity implies at least one entry");
-            let (seg, _) = self.entries.remove(&lru).expect("lru key exists");
-            self.used_bytes -= seg.len();
+            let evicted = self.entries.remove(&lru).expect("lru key exists");
+            self.used_bytes -= evicted.segment.len();
         }
         self.used_bytes += size;
-        self.entries
-            .insert(segment.id.clone(), (segment, self.clock));
+        self.entries.insert(
+            segment.id.clone(),
+            EdgeEntry {
+                segment,
+                frame,
+                used: self.clock,
+            },
+        );
     }
 
     /// `(hits, misses)` so far.
@@ -178,10 +251,37 @@ impl Cdn {
                 seg
             }
         };
-        self.bill.requests += 1;
-        self.bill.egress_bytes += seg.len() as u64;
-        self.bill.cost_usd += seg.len() as f64 / 1e9 * self.cost_per_gb;
+        self.bill_segment(seg.len());
         Some(seg)
+    }
+
+    /// Serves a segment request as its encoded response frame, billing
+    /// egress exactly as [`Cdn::serve_segment`] does.
+    ///
+    /// A cached segment's frame is encoded once and then cloned per
+    /// request; a miss populates the edge with the segment and its frame.
+    /// Only a segment larger than the whole cache is encoded per request.
+    pub fn serve_segment_frame(
+        &mut self,
+        id: &SegmentId,
+        encode: FrameEncoder<'_>,
+    ) -> Option<Bytes> {
+        let (frame, len) = match self.edge.get_frame(id, encode) {
+            Some(hit) => hit,
+            None => {
+                let seg = self.origin.segment(id)?;
+                let len = seg.len();
+                (self.edge.put_frame(seg, encode), len)
+            }
+        };
+        self.bill_segment(len);
+        Some(frame)
+    }
+
+    fn bill_segment(&mut self, len: usize) {
+        self.bill.requests += 1;
+        self.bill.egress_bytes += len as u64;
+        self.bill.cost_usd += len as f64 / 1e9 * self.cost_per_gb;
     }
 
     /// Serves the master playlist of `video`.
@@ -320,5 +420,249 @@ mod tests {
         let parsed = MediaPlaylist::parse(&media).unwrap();
         assert_eq!(parsed.entries.len(), 20);
         assert!(parsed.ended);
+    }
+
+    /// A stand-in for the HTTP encoder: a header naming the segment, then
+    /// its bytes.
+    fn test_encode(seg: &Segment) -> (Bytes, usize) {
+        let mut frame = format!("hdr:{}|", seg.id).into_bytes();
+        let body = frame.len();
+        frame.extend_from_slice(&seg.data);
+        (Bytes::from(frame), body)
+    }
+
+    /// Whether `inner` is a view into the allocation of `outer`.
+    fn points_inside(inner: &Bytes, outer: &Bytes) -> bool {
+        let (start, end) = (
+            outer.as_ptr() as usize,
+            outer.as_ptr() as usize + outer.len(),
+        );
+        let p = inner.as_ptr() as usize;
+        start <= p && p + inner.len() <= end
+    }
+
+    fn cached(c: &Cdn, seq: u64) -> &EdgeEntry {
+        c.edge.entries.get(&sid(seq)).expect("segment is cached")
+    }
+
+    #[test]
+    fn repeat_requests_share_one_frame() {
+        let mut c = cdn();
+        let first = c.serve_segment_frame(&sid(3), &test_encode).unwrap();
+        let second = c.serve_segment_frame(&sid(3), &test_encode).unwrap();
+        assert_eq!(first.as_ptr(), second.as_ptr(), "one frame, cloned");
+        let authentic = c.origin().segment(&sid(3)).unwrap();
+        assert_eq!(first, test_encode(&authentic).0);
+        let entry = cached(&c, 3);
+        assert_eq!(entry.frame.as_ref().unwrap().as_ptr(), first.as_ptr());
+        assert!(
+            points_inside(&entry.segment.data, &first),
+            "the cached segment is a slice of its frame, not a second buffer"
+        );
+        assert_eq!(entry.segment, authentic);
+        assert_eq!(c.cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn frame_is_built_once_for_a_segment_cached_without_one() {
+        let mut c = cdn();
+        let seg = c.serve_segment(&sid(0)).unwrap();
+        assert!(cached(&c, 0).frame.is_none());
+        let first = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        let second = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        assert_eq!(first.as_ptr(), second.as_ptr());
+        assert_eq!(first, test_encode(&seg).0);
+        assert!(points_inside(&cached(&c, 0).segment.data, &first));
+        // The plain path now hands out the same bytes from the frame.
+        let again = c.serve_segment(&sid(0)).unwrap();
+        assert_eq!(again, seg);
+        assert!(points_inside(&again.data, &first));
+        assert_eq!(c.cache_stats(), (3, 1));
+    }
+
+    #[test]
+    fn evicted_frame_is_rebuilt_on_refill() {
+        let seg_size = cdn().origin().segment(&sid(0)).unwrap().len();
+        let mut origin = OriginServer::new();
+        origin.publish(VideoSource::vod(
+            "v",
+            vec![800_000],
+            Duration::from_secs(4),
+            20,
+        ));
+        let mut c = Cdn::new(origin, seg_size * 2);
+        let before = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        c.serve_segment_frame(&sid(1), &test_encode);
+        c.serve_segment_frame(&sid(2), &test_encode); // evicts 0
+        assert!(!c.edge.entries.contains_key(&sid(0)));
+        let after = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        assert_ne!(
+            before.as_ptr(),
+            after.as_ptr(),
+            "a fresh frame after refill"
+        );
+        assert_eq!(before, after);
+        assert!(points_inside(&cached(&c, 0).segment.data, &after));
+        assert_eq!(c.edge.used_bytes(), seg_size * 2);
+    }
+
+    #[test]
+    fn oversize_segment_is_encoded_per_request_and_never_cached() {
+        let seg_size = cdn().origin().segment(&sid(0)).unwrap().len();
+        let mut origin = OriginServer::new();
+        origin.publish(VideoSource::vod(
+            "v",
+            vec![800_000],
+            Duration::from_secs(4),
+            20,
+        ));
+        let mut c = Cdn::new(origin, seg_size - 1);
+        let a = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        let b = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        assert_eq!(a, b);
+        assert_ne!(a.as_ptr(), b.as_ptr(), "no shared frame when uncached");
+        assert_eq!(c.edge.used_bytes(), 0);
+        assert_eq!(c.cache_stats(), (0, 2));
+        assert_eq!(c.bill().egress_bytes, seg_size as u64 * 2);
+    }
+
+    /// The LRU edge as a recency-ordered list (front = least recent): the
+    /// reference the frame cache's accounting is compared against.
+    #[derive(Default)]
+    struct LruModel {
+        order: Vec<SegmentId>,
+        used: usize,
+        hits: u64,
+        misses: u64,
+        bill: CdnBill,
+    }
+
+    impl LruModel {
+        fn serve(&mut self, origin: &OriginServer, cap: usize, id: &SegmentId) -> Option<usize> {
+            if let Some(at) = self.order.iter().position(|k| k == id) {
+                self.hits += 1;
+                let k = self.order.remove(at);
+                self.order.push(k);
+            } else {
+                self.misses += 1;
+                let size = origin.segment(id)?.len();
+                if size <= cap {
+                    while self.used + size > cap {
+                        let lru = self.order.remove(0);
+                        self.used -= origin.segment(&lru).unwrap().len();
+                    }
+                    self.used += size;
+                    self.order.push(id.clone());
+                }
+            }
+            let len = origin.segment(id).unwrap().len();
+            self.bill.requests += 1;
+            self.bill.egress_bytes += len as u64;
+            self.bill.cost_usd += len as f64 / 1e9 * Cdn::DEFAULT_COST_PER_GB;
+            Some(len)
+        }
+    }
+
+    fn two_rendition_origin() -> OriginServer {
+        let mut origin = OriginServer::new();
+        origin.publish(VideoSource::vod(
+            "v",
+            vec![200_000, 500_000],
+            Duration::from_secs(2),
+            8,
+        ));
+        origin
+    }
+
+    /// A scripted request mix with two segment sizes: the frame path and
+    /// the plain path share one bill, hit/miss count, byte count and
+    /// eviction order, all equal to the reference LRU.
+    #[test]
+    fn scripted_requests_keep_bill_stats_and_eviction_order() {
+        let small = two_rendition_origin().segment(&sid(0)).unwrap().len();
+        let cap = small * 6;
+        let mut c = Cdn::new(two_rendition_origin(), cap);
+        let mut model = LruModel::default();
+        let reference = two_rendition_origin();
+        let script: [(u8, u64, bool); 12] = [
+            (0, 0, true),
+            (0, 1, false),
+            (1, 0, true),
+            (0, 0, true),
+            (0, 2, true),
+            (1, 1, false),
+            (0, 1, true),
+            (0, 0, false),
+            (1, 0, true),
+            (0, 9, true),
+            (0, 3, true),
+            (0, 0, true),
+        ];
+        for (rendition, seq, framed) in script {
+            let id = SegmentId {
+                video: VideoId::new("v"),
+                rendition,
+                seq,
+            };
+            let expect = model.serve(&reference, cap, &id);
+            let got = if framed {
+                c.serve_segment_frame(&id, &test_encode).map(|f| f.len())
+            } else {
+                c.serve_segment(&id).map(|s| s.len())
+            };
+            assert_eq!(got.is_some(), expect.is_some());
+            assert_eq!(c.bill(), model.bill);
+            assert_eq!(c.cache_stats(), (model.hits, model.misses));
+            assert_eq!(c.edge.used_bytes(), model.used);
+            let mut resident: Vec<_> = c.edge.entries.iter().collect();
+            resident.sort_by_key(|(_, e)| e.used);
+            let resident: Vec<SegmentId> = resident.into_iter().map(|(k, _)| k.clone()).collect();
+            assert_eq!(resident, model.order, "LRU order after {id}");
+        }
+        assert_eq!(c.cache_stats(), (3, 9));
+    }
+
+    mod lru_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Any mix of plain and framed requests over two segment sizes
+            /// keeps the reference LRU's accounting, and every frame is the
+            /// encoding of the authentic segment.
+            #[test]
+            fn framed_requests_match_reference_lru(
+                ops in proptest::collection::vec((0u8..2, 0u64..10, any::<bool>()), 1..80),
+                cap_small in 1usize..8,
+            ) {
+                let small = two_rendition_origin().segment(&sid(0)).unwrap().len();
+                let cap = small * cap_small;
+                let mut c = Cdn::new(two_rendition_origin(), cap);
+                let mut model = LruModel::default();
+                let reference = two_rendition_origin();
+                for (rendition, seq, framed) in ops {
+                    let id = SegmentId { video: VideoId::new("v"), rendition, seq };
+                    let expect = model.serve(&reference, cap, &id);
+                    if framed {
+                        let frame = c.serve_segment_frame(&id, &test_encode);
+                        let authentic = reference.segment(&id).map(|s| test_encode(&s).0);
+                        prop_assert_eq!(frame, authentic);
+                    } else {
+                        prop_assert_eq!(c.serve_segment(&id), reference.segment(&id));
+                    }
+                    prop_assert_eq!(expect.is_some(), reference.segment(&id).is_some());
+                    prop_assert_eq!(c.bill(), model.bill);
+                    prop_assert_eq!(c.cache_stats(), (model.hits, model.misses));
+                    prop_assert_eq!(c.edge.used_bytes(), model.used);
+                    let mut resident: Vec<_> = c.edge.entries.iter().collect();
+                    resident.sort_by_key(|(_, e)| e.used);
+                    let resident: Vec<SegmentId> =
+                        resident.into_iter().map(|(k, _)| k.clone()).collect();
+                    prop_assert_eq!(&resident, &model.order);
+                }
+            }
+        }
     }
 }

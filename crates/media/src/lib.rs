@@ -36,7 +36,7 @@ mod manifest;
 mod player;
 mod source;
 
-pub use cdn::{Cdn, CdnBill, EdgeCache, OriginServer};
+pub use cdn::{Cdn, CdnBill, EdgeCache, FrameEncoder, OriginServer};
 pub use manifest::{ManifestEntry, MasterPlaylist, MediaPlaylist, ParseManifestError};
 pub use player::{content_fingerprint, DeliverySource, PlaybackRecord, Player, StallEvent};
 pub use source::{Segment, SegmentId, VideoId, VideoSource};

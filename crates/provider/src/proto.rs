@@ -18,7 +18,7 @@
 //! oracles outside the production crates.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use pdn_media::VideoId;
+use pdn_media::{Segment, VideoId};
 use pdn_webrtc::SessionDescription;
 
 use crate::wire::{self, InternTable};
@@ -284,6 +284,29 @@ impl HttpRequest {
     }
 }
 
+/// Encodes a `Segment` response frame in one exact-size allocation and
+/// returns it with the offset of `data` inside it.
+fn encode_segment_frame(
+    video: &VideoId,
+    rendition: u8,
+    seq: u64,
+    duration_ms: u32,
+    data: &[u8],
+) -> (Bytes, usize) {
+    let body = HTTP_MARKER.len() + 1 + 2 + video.0.len() + 1 + 8 + 4 + 4;
+    let mut out = BytesMut::with_capacity(body + data.len());
+    out.put_slice(HTTP_MARKER);
+    out.put_u8(102);
+    put_str(&mut out, &video.0);
+    out.put_u8(rendition);
+    out.put_u64(seq);
+    out.put_u32(duration_ms);
+    out.put_u32(data.len() as u32);
+    debug_assert_eq!(out.len(), body);
+    out.put_slice(data);
+    (out.freeze(), body)
+}
+
 impl HttpResponse {
     /// Encodes into an HTTP-marked frame.
     pub fn encode(&self) -> Bytes {
@@ -301,20 +324,25 @@ impl HttpResponse {
                 seq,
                 duration_ms,
                 data,
-            } => {
-                out.put_u8(102);
-                put_str(&mut out, &video.0);
-                out.put_u8(*rendition);
-                out.put_u64(*seq);
-                out.put_u32(*duration_ms);
-                out.put_u32(data.len() as u32);
-                out.put_slice(data);
-            }
+            } => return encode_segment_frame(video, *rendition, *seq, *duration_ms, data).0,
             HttpResponse::NotFound => {
                 out.put_u8(104);
             }
         }
         out.freeze()
+    }
+
+    /// Encodes the `Segment` response carrying `seg`, returning the frame
+    /// and the offset of the segment's bytes inside it — the encoder the
+    /// CDN edge caches frames with ([`pdn_media::Cdn::serve_segment_frame`]).
+    pub fn encode_segment(seg: &Segment) -> (Bytes, usize) {
+        encode_segment_frame(
+            &seg.id.video,
+            seg.id.rendition,
+            seg.id.seq,
+            seg.duration.as_millis() as u32,
+            &seg.data,
+        )
     }
 
     /// Decodes an HTTP-marked response frame. Takes the whole datagram as
@@ -526,6 +554,92 @@ mod tests {
         for r in resps {
             assert_eq!(HttpResponse::decode(&r.encode()), Some(r));
         }
+    }
+
+    /// The response the edge answers `id` with, built from the origin.
+    fn expected_response(cdn: &pdn_media::Cdn, id: &pdn_media::SegmentId) -> HttpResponse {
+        let seg = cdn.origin().segment(id).unwrap();
+        HttpResponse::Segment {
+            video: seg.id.video,
+            rendition: seg.id.rendition,
+            seq: seg.id.seq,
+            duration_ms: seg.duration.as_millis() as u32,
+            data: seg.data,
+        }
+    }
+
+    /// Every frame the CDN edge serves — first encode, cached clone,
+    /// rebuilt after eviction, and the uncached oversize path — is
+    /// byte-identical to `HttpResponse::Segment { .. }.encode()`, and
+    /// decodes to a zero-copy slice of itself.
+    #[test]
+    fn cdn_segment_frames_match_response_encode() {
+        use pdn_media::{Cdn, OriginServer, SegmentId, VideoSource};
+        use std::time::Duration;
+
+        let long_id = format!("https://cdn.example/{}/master.m3u8", "x".repeat(3000));
+        let cdn_with = |cache_bytes: usize| {
+            let mut origin = OriginServer::new();
+            for id in ["v", long_id.as_str()] {
+                origin.publish(VideoSource::vod(
+                    id,
+                    vec![300_000, 900_000],
+                    Duration::from_millis(2_500),
+                    5,
+                ));
+            }
+            Cdn::new(origin, cache_bytes)
+        };
+        let ids: Vec<SegmentId> = ["v", long_id.as_str()]
+            .iter()
+            .flat_map(|video| {
+                (0..2u8).flat_map(move |rendition| {
+                    (0..5).map(move |seq| SegmentId {
+                        video: VideoId::new(*video),
+                        rendition,
+                        seq,
+                    })
+                })
+            })
+            .collect();
+        let seg_len = |cdn: &Cdn, i: usize| cdn.origin().segment(&ids[i]).unwrap().len();
+
+        let check = |cdn: &mut Cdn, id: &SegmentId| -> Bytes {
+            let frame = cdn
+                .serve_segment_frame(id, &HttpResponse::encode_segment)
+                .unwrap();
+            let expected = expected_response(cdn, id);
+            assert_eq!(frame, expected.encode(), "frame of {id}");
+            let decoded = HttpResponse::decode(&frame);
+            assert_eq!(decoded.as_ref(), Some(&expected), "decoded frame of {id}");
+            let Some(HttpResponse::Segment { data, .. }) = decoded else {
+                unreachable!("checked above");
+            };
+            let offset = data.as_ptr() as usize - frame.as_ptr() as usize;
+            assert_eq!(offset + data.len(), frame.len(), "zero-copy body of {id}");
+            frame
+        };
+
+        // A cache that holds everything: first encodes, then cached clones.
+        let mut roomy = cdn_with(64 << 20);
+        let first: Vec<Bytes> = ids.iter().map(|id| check(&mut roomy, id)).collect();
+        for (id, frame) in ids.iter().zip(&first) {
+            assert_eq!(check(&mut roomy, id).as_ptr(), frame.as_ptr());
+        }
+
+        // A cache of two high-rendition segments: refills rebuild frames.
+        let mut tight = cdn_with(2 * seg_len(&roomy, 5));
+        for id in ids.iter().chain(ids.iter().rev()) {
+            check(&mut tight, id);
+        }
+
+        // A cache smaller than any segment: encoded on every request.
+        let mut tiny = cdn_with(seg_len(&roomy, 0) - 1);
+        for id in &ids {
+            let a = check(&mut tiny, id);
+            assert_ne!(a.as_ptr(), check(&mut tiny, id).as_ptr());
+        }
+        assert_eq!(tiny.cache_stats(), (0, 2 * ids.len() as u64));
     }
 
     #[test]

@@ -379,11 +379,12 @@ impl PdnWorld {
         let Some(req) = HttpRequest::decode(&dgram.payload) else {
             return;
         };
-        let resp = match req {
+        let frame = match req {
             HttpRequest::GetMaster { video } => match self.cdn.serve_master(&video) {
                 Some(text) => HttpResponse::Playlist { text },
                 None => HttpResponse::NotFound,
-            },
+            }
+            .encode(),
             HttpRequest::GetPlaylist {
                 video,
                 rendition,
@@ -411,6 +412,7 @@ impl PdnWorld {
                     }
                     None => HttpResponse::NotFound,
                 }
+                .encode()
             }
             HttpRequest::GetSegment {
                 video,
@@ -422,20 +424,18 @@ impl PdnWorld {
                     rendition,
                     seq,
                 };
-                match self.cdn.serve_segment(&id) {
-                    Some(seg) => HttpResponse::Segment {
-                        video: seg.id.video,
-                        rendition: seg.id.rendition,
-                        seq: seg.id.seq,
-                        duration_ms: seg.duration.as_millis() as u32,
-                        data: seg.data,
-                    },
-                    None => HttpResponse::NotFound,
+                // Cached segments answer with the edge's shared frame.
+                match self
+                    .cdn
+                    .serve_segment_frame(&id, &HttpResponse::encode_segment)
+                {
+                    Some(frame) => frame,
+                    None => HttpResponse::NotFound.encode(),
                 }
             }
         };
         self.net
-            .send(self.cdn_node, 80, dgram.src, Transport::Tcp, resp.encode());
+            .send(self.cdn_node, 80, dgram.src, Transport::Tcp, frame);
     }
 
     fn on_turn(&mut self, dgram: pdn_simnet::Datagram) {

@@ -224,16 +224,18 @@ impl KeystreamKey {
         h.update(&block);
         KeystreamKey { mid: h.midstate() }
     }
+}
 
+#[cfg(test)]
+impl KeystreamKey {
     /// XORs `buf` with the version-2 keystream for record `seq`. Encryption
     /// and decryption are the same operation. Keystream is produced in
     /// 64-byte blocks, two raw-compression lanes per block.
     ///
-    /// The record path now runs through [`fused`], which pairs these same
-    /// lane compressions with the record-MAC chain; this standalone pass is
-    /// kept as the reference the fused engine is differentially tested
+    /// The record path runs through [`fused`], which pairs these same lane
+    /// compressions with the record-MAC chain; this standalone pass is the
+    /// test-only reference the fused engine is differentially tested
     /// against.
-    #[cfg_attr(not(test), allow(dead_code))]
     fn apply(&self, seq: u64, buf: &mut [u8]) {
         let mut block = [0u8; 64];
         block[..8].copy_from_slice(&seq.to_be_bytes());
@@ -283,9 +285,10 @@ impl KeystreamKey {
 /// latency shadow of the (embarrassingly parallel) keystream lanes instead
 /// of costing its own slot per block.
 ///
-/// Done separately — [`KeystreamKey::apply`] then an HMAC pass — a record
-/// costs one pair-compression per 64-byte block (keystream) *plus* one
-/// serial compression per block (MAC). Fused, each MAC block pairs with a
+/// Done separately — the keystream pass (the test-only
+/// `KeystreamKey::apply` reference) then an HMAC pass — a record costs one
+/// pair-compression per 64-byte block (keystream) *plus* one serial
+/// compression per block (MAC). Fused, each MAC block pairs with a
 /// keystream lane, bringing the steady state from 2 to 1.5 slot-times per
 /// block. Both streams are bit-identical to the unfused paths: the same
 /// lane blocks, the same Merkle–Damgård padding, the same tag.
@@ -296,7 +299,7 @@ mod fused {
     use pdn_crypto::sha256::Midstate;
 
     /// The keystream input block for `(seq, block_idx, lane)` — layout
-    /// identical to [`KeystreamKey::apply`].
+    /// identical to the test-only `KeystreamKey::apply` reference.
     #[inline]
     fn lane_block(seq: u64, lane: usize) -> [u8; 64] {
         let mut b = [0u8; 64];

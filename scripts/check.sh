@@ -107,13 +107,15 @@ run_gate "no global switches (static Atomic*/OnceLock only on the allowlist)" no
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
 # The signaling server, SDK scheduler, simnet router, route table, address
 # registry and shard runner, the DTLS record layer and data channel, the
-# bounded inboxes and open-loop harness, and the region-shard router all run
-# on FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
+# bounded inboxes and open-loop harness, the region-shard router, and the CDN
+# edge and paper-world loop all run on FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
 # code and the oracles in pdn-oracle are exempt by not being listed here.
 hot_paths=(
+  crates/media/src/cdn.rs
   crates/provider/src/sdk.rs
   crates/provider/src/signaling.rs
   crates/provider/src/swarm.rs
+  crates/provider/src/world.rs
   crates/provider/src/service/inbox.rs
   crates/provider/src/service/harness.rs
   crates/provider/src/service/federation.rs
