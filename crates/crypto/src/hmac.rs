@@ -9,9 +9,10 @@
 //! opad blocks exactly once, caching both SHA-256 midstates. Every MAC under
 //! that key afterwards ([`HmacSha256::from_key`], [`hmac_sha256_keyed`])
 //! clones a midstate instead of re-running the key schedule, cutting two of
-//! the four compressions a short one-shot MAC costs. Hot callers — DTLS
-//! record tags, the STUN connectivity-check storm, JWT validation, SIM
-//! verification — hold one `HmacKey` per secret and reuse it.
+//! the four compressions a short one-shot MAC costs. Hot callers — the STUN
+//! connectivity-check storm, JWT validation, SIM verification, DTLS key
+//! derivation and Finished MACs — hold one `HmacKey` per secret and reuse
+//! it.
 
 use crate::sha256::{Midstate, Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -40,8 +41,9 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
 /// One-shot HMAC-SHA256 over scatter-gather input under a precomputed key.
 ///
 /// MACs the concatenation of `parts` without materializing it, so callers
-/// composing a message from header + body + trailer (DTLS records, JWT
-/// `head.body` signing input, STUN attributes) need no intermediate buffer.
+/// composing a message from several parts (DTLS Finished label +
+/// transcript, JWT `head.body` signing input, STUN attributes) need no
+/// intermediate buffer.
 ///
 /// # Examples
 ///
@@ -111,20 +113,6 @@ impl HmacKey {
             inner: inner.midstate(),
             outer: outer.midstate(),
         }
-    }
-
-    /// The midstate after absorbing the ipad block — the starting chain
-    /// value for the inner hash. Building block for callers fusing the
-    /// HMAC chain with other compression work (the DTLS record engine);
-    /// everyone else should use [`HmacSha256::from_key`].
-    pub fn inner_midstate(&self) -> Midstate {
-        self.inner
-    }
-
-    /// The midstate after absorbing the opad block — the starting chain
-    /// value for the outer hash. See [`Self::inner_midstate`].
-    pub fn outer_midstate(&self) -> Midstate {
-        self.outer
     }
 }
 
@@ -278,26 +266,6 @@ mod tests {
             hmac_sha256_keyed(&key, &[b"a", b"", b"bcd", b"efghi", b"j"]),
             whole
         );
-    }
-
-    #[test]
-    fn midstates_rebuild_keyed_hmac() {
-        // Callers that run the HMAC chain by hand (the DTLS record engine)
-        // resume from the ipad/opad midstates; the result must equal the
-        // keyed MAC for message lengths around the block and pad edges.
-        let key = HmacKey::new(b"batch-key");
-        for n in [0usize, 1, 10, 55, 56, 63, 64, 65, 119, 120, 128, 300] {
-            let msg: Vec<u8> = (0..n).map(|i| (i * 13 % 251) as u8).collect();
-            let mut inner = Sha256::from_midstate(key.inner_midstate(), BLOCK_LEN as u64);
-            inner.update(&msg);
-            let mut outer = Sha256::from_midstate(key.outer_midstate(), BLOCK_LEN as u64);
-            outer.update(&inner.finalize());
-            assert_eq!(
-                outer.finalize(),
-                hmac_sha256_keyed(&key, &[&msg]),
-                "len {n}"
-            );
-        }
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! framework, implemented from scratch (no crypto crates are available in
 //! the offline dependency set):
 //!
+//! - [`aes_gcm`] — AES-128-GCM (FIPS 197, SP 800-38D), the DTLS record
+//!   cipher of WebRTC's mandatory suite, with a runtime-detected
+//!   AES-NI/PCLMULQDQ path and a portable table-based path.
 //! - [`sha256`] — SHA-256 (FIPS 180-4) with an unrolled compression function,
 //!   a runtime-detected SHA-NI hardware path, and midstate capture, for
-//!   integrity metadata and HMAC.
+//!   integrity metadata, HMAC and DTLS key derivation.
 //! - [`md5`] — MD5 (RFC 1321), modeling Viblast's segment-hash plugin.
 //! - [`hmac`] — HMAC-SHA256 (RFC 2104), for JWT HS256 and SIM signatures;
 //!   [`hmac::HmacKey`] caches the ipad/opad midstates so repeated MACs under
@@ -34,12 +37,15 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the SHA-NI backend in `sha256::ni` is the one
-// sanctioned exception (CPU intrinsics require `unsafe`) and opts in with a
-// scoped `#[allow(unsafe_code)]`.
+// `deny`, not `forbid`: the hardware backends in `sha256::ni` (SHA-NI) and
+// `aes_gcm::ni` (AES-NI + PCLMULQDQ) are the two sanctioned exceptions (CPU
+// intrinsics require `unsafe`); each opts in with a scoped
+// `#[allow(unsafe_code)]`, and `scripts/check.sh` rejects the attribute
+// anywhere else.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aes_gcm;
 pub mod base64url;
 pub mod crc32;
 pub mod hmac;

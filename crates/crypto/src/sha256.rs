@@ -2,7 +2,7 @@
 //!
 //! Used for integrity metadata (IM) hashes in the peer-assisted integrity
 //! checking defense, for JWT HS256 signatures (via [`crate::hmac`]), and for
-//! key derivation and the record keystream in the simulated DTLS layer.
+//! key derivation and the handshake transcript in the simulated DTLS layer.
 //!
 //! The compression function is fully unrolled: the 64 rounds are expanded by
 //! macro with the working variables rotated by renaming (no eight-way
@@ -15,7 +15,7 @@
 //! `crypto_bench` compare against.
 //!
 //! [`Midstate`] exposes the chaining value at a block boundary so callers
-//! with a fixed prefix (HMAC pads, keystream keys) can pay its compressions
+//! with a fixed prefix (the HMAC pads) can pay its compressions
 //! once and resume hashing many times — see [`crate::hmac::HmacKey`].
 
 /// Output size of SHA-256 in bytes.
@@ -174,9 +174,10 @@ fn compress_block_soft(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// RFC 4231 vectors in [`crate::hmac`] exercise whichever backend the host
 /// selects.
 ///
-/// This is the crate's only unsafe code: the intrinsics require `unsafe`
-/// plus a `target_feature` gate, and every entry point first checks CPU
-/// support at runtime (cached by `is_x86_feature_detected!`).
+/// This and the hardware backend of [`crate::aes_gcm`] are the crate's only
+/// unsafe code: the intrinsics require `unsafe` plus a `target_feature`
+/// gate, and every entry point first checks CPU support at runtime (cached
+/// by `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni {
@@ -230,153 +231,6 @@ mod ni {
             $w4 = _mm_sha256msg2_epu32(t, $w3);
             rounds4!($abef, $cdgh, $w4, $i);
         }};
-    }
-
-    /// Safe wrapper for the two-block compressor: the caller must have seen
-    /// `available()` return true.
-    #[inline]
-    pub(super) fn compress2(
-        s0: &mut [u32; 8],
-        s1: &mut [u32; 8],
-        b0: &[u8; BLOCK_LEN],
-        b1: &[u8; BLOCK_LEN],
-    ) {
-        debug_assert!(available());
-        // SAFETY: callers reach this only after `available()` confirmed the
-        // sha/ssse3/sse4.1 target features at runtime.
-        unsafe { compress_sha_ni_x2(s0, s1, b0, b1) }
-    }
-
-    /// Four rounds of two independent hash streams, interleaved. The
-    /// `sha256rnds2` chain within one stream is serial (each result feeds
-    /// the next round), so a single stream leaves the SHA unit idle for
-    /// most of each instruction's latency; issuing the second stream's
-    /// round in between fills those dead cycles and nearly doubles
-    /// throughput on two-block workloads like the record keystream.
-    macro_rules! rounds4_x2 {
-        ($abef0:ident, $cdgh0:ident, $w0:expr,
-         $abef1:ident, $cdgh1:ident, $w1:expr, $i:expr) => {{
-            let kv = _mm_set_epi32(
-                K[4 * $i + 3] as i32,
-                K[4 * $i + 2] as i32,
-                K[4 * $i + 1] as i32,
-                K[4 * $i] as i32,
-            );
-            let wk0 = _mm_add_epi32($w0, kv);
-            let wk1 = _mm_add_epi32($w1, kv);
-            $cdgh0 = _mm_sha256rnds2_epu32($cdgh0, $abef0, wk0);
-            $cdgh1 = _mm_sha256rnds2_epu32($cdgh1, $abef1, wk1);
-            let wk0_hi = _mm_shuffle_epi32(wk0, 0x0E);
-            let wk1_hi = _mm_shuffle_epi32(wk1, 0x0E);
-            $abef0 = _mm_sha256rnds2_epu32($abef0, $cdgh0, wk0_hi);
-            $abef1 = _mm_sha256rnds2_epu32($abef1, $cdgh1, wk1_hi);
-        }};
-    }
-
-    /// Schedule extension + four rounds for two interleaved streams.
-    macro_rules! schedule_rounds4_x2 {
-        ($abef0:ident, $cdgh0:ident,
-         $a0:ident, $a1:ident, $a2:ident, $a3:ident, $a4:ident,
-         $abef1:ident, $cdgh1:ident,
-         $b0:ident, $b1:ident, $b2:ident, $b3:ident, $b4:ident, $i:expr) => {{
-            let t0 = _mm_sha256msg1_epu32($a0, $a1);
-            let t1 = _mm_sha256msg1_epu32($b0, $b1);
-            let t0 = _mm_add_epi32(t0, _mm_alignr_epi8($a3, $a2, 4));
-            let t1 = _mm_add_epi32(t1, _mm_alignr_epi8($b3, $b2, 4));
-            $a4 = _mm_sha256msg2_epu32(t0, $a3);
-            $b4 = _mm_sha256msg2_epu32(t1, $b3);
-            rounds4_x2!($abef0, $cdgh0, $a4, $abef1, $cdgh1, $b4, $i);
-        }};
-    }
-
-    /// Compresses two independent blocks into two independent states with
-    /// the round streams interleaved. Bit-identical to two
-    /// [`compress_sha_ni`] calls — only the instruction scheduling differs.
-    #[allow(unused_assignments)]
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    unsafe fn compress_sha_ni_x2(
-        s0: &mut [u32; 8],
-        s1: &mut [u32; 8],
-        b0: &[u8; BLOCK_LEN],
-        b1: &[u8; BLOCK_LEN],
-    ) {
-        let be_shuffle = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-
-        let dcba0 = _mm_loadu_si128(s0.as_ptr().cast());
-        let hgfe0 = _mm_loadu_si128(s0.as_ptr().add(4).cast());
-        let badc0 = _mm_shuffle_epi32(dcba0, 0xB1);
-        let efgh0 = _mm_shuffle_epi32(hgfe0, 0x1B);
-        let mut abef0 = _mm_alignr_epi8(badc0, efgh0, 8);
-        let mut cdgh0 = _mm_blend_epi16(efgh0, badc0, 0xF0);
-        let abef0_save = abef0;
-        let cdgh0_save = cdgh0;
-
-        let dcba1 = _mm_loadu_si128(s1.as_ptr().cast());
-        let hgfe1 = _mm_loadu_si128(s1.as_ptr().add(4).cast());
-        let badc1 = _mm_shuffle_epi32(dcba1, 0xB1);
-        let efgh1 = _mm_shuffle_epi32(hgfe1, 0x1B);
-        let mut abef1 = _mm_alignr_epi8(badc1, efgh1, 8);
-        let mut cdgh1 = _mm_blend_epi16(efgh1, badc1, 0xF0);
-        let abef1_save = abef1;
-        let cdgh1_save = cdgh1;
-
-        let mut a0 = _mm_shuffle_epi8(_mm_loadu_si128(b0.as_ptr().cast()), be_shuffle);
-        let mut a1 = _mm_shuffle_epi8(_mm_loadu_si128(b0.as_ptr().add(16).cast()), be_shuffle);
-        let mut a2 = _mm_shuffle_epi8(_mm_loadu_si128(b0.as_ptr().add(32).cast()), be_shuffle);
-        let mut a3 = _mm_shuffle_epi8(_mm_loadu_si128(b0.as_ptr().add(48).cast()), be_shuffle);
-        let mut a4 = _mm_setzero_si128();
-        let mut c0 = _mm_shuffle_epi8(_mm_loadu_si128(b1.as_ptr().cast()), be_shuffle);
-        let mut c1 = _mm_shuffle_epi8(_mm_loadu_si128(b1.as_ptr().add(16).cast()), be_shuffle);
-        let mut c2 = _mm_shuffle_epi8(_mm_loadu_si128(b1.as_ptr().add(32).cast()), be_shuffle);
-        let mut c3 = _mm_shuffle_epi8(_mm_loadu_si128(b1.as_ptr().add(48).cast()), be_shuffle);
-        let mut c4 = _mm_setzero_si128();
-
-        rounds4_x2!(abef0, cdgh0, a0, abef1, cdgh1, c0, 0);
-        rounds4_x2!(abef0, cdgh0, a1, abef1, cdgh1, c1, 1);
-        rounds4_x2!(abef0, cdgh0, a2, abef1, cdgh1, c2, 2);
-        rounds4_x2!(abef0, cdgh0, a3, abef1, cdgh1, c3, 3);
-        schedule_rounds4_x2!(abef0, cdgh0, a0, a1, a2, a3, a4, abef1, cdgh1, c0, c1, c2, c3, c4, 4);
-        schedule_rounds4_x2!(abef0, cdgh0, a1, a2, a3, a4, a0, abef1, cdgh1, c1, c2, c3, c4, c0, 5);
-        schedule_rounds4_x2!(abef0, cdgh0, a2, a3, a4, a0, a1, abef1, cdgh1, c2, c3, c4, c0, c1, 6);
-        schedule_rounds4_x2!(abef0, cdgh0, a3, a4, a0, a1, a2, abef1, cdgh1, c3, c4, c0, c1, c2, 7);
-        schedule_rounds4_x2!(abef0, cdgh0, a4, a0, a1, a2, a3, abef1, cdgh1, c4, c0, c1, c2, c3, 8);
-        schedule_rounds4_x2!(abef0, cdgh0, a0, a1, a2, a3, a4, abef1, cdgh1, c0, c1, c2, c3, c4, 9);
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a1, a2, a3, a4, a0, abef1, cdgh1, c1, c2, c3, c4, c0, 10
-        );
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a2, a3, a4, a0, a1, abef1, cdgh1, c2, c3, c4, c0, c1, 11
-        );
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a3, a4, a0, a1, a2, abef1, cdgh1, c3, c4, c0, c1, c2, 12
-        );
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a4, a0, a1, a2, a3, abef1, cdgh1, c4, c0, c1, c2, c3, 13
-        );
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a0, a1, a2, a3, a4, abef1, cdgh1, c0, c1, c2, c3, c4, 14
-        );
-        schedule_rounds4_x2!(
-            abef0, cdgh0, a1, a2, a3, a4, a0, abef1, cdgh1, c1, c2, c3, c4, c0, 15
-        );
-
-        let abef0 = _mm_add_epi32(abef0, abef0_save);
-        let cdgh0 = _mm_add_epi32(cdgh0, cdgh0_save);
-        let abef1 = _mm_add_epi32(abef1, abef1_save);
-        let cdgh1 = _mm_add_epi32(cdgh1, cdgh1_save);
-
-        let feba0 = _mm_shuffle_epi32(abef0, 0x1B);
-        let dchg0 = _mm_shuffle_epi32(cdgh0, 0xB1);
-        let dcba0 = _mm_blend_epi16(feba0, dchg0, 0xF0);
-        let hgfe0 = _mm_alignr_epi8(dchg0, feba0, 8);
-        _mm_storeu_si128(s0.as_mut_ptr().cast(), dcba0);
-        _mm_storeu_si128(s0.as_mut_ptr().add(4).cast(), hgfe0);
-        let feba1 = _mm_shuffle_epi32(abef1, 0x1B);
-        let dchg1 = _mm_shuffle_epi32(cdgh1, 0xB1);
-        let dcba1 = _mm_blend_epi16(feba1, dchg1, 0xF0);
-        let hgfe1 = _mm_alignr_epi8(dchg1, feba1, 8);
-        _mm_storeu_si128(s1.as_mut_ptr().cast(), dcba1);
-        _mm_storeu_si128(s1.as_mut_ptr().add(4).cast(), hgfe1);
     }
 
     #[allow(unused_assignments)]
@@ -436,9 +290,8 @@ mod ni {
 /// A midstate is the hash state after absorbing some whole number of
 /// 64-byte blocks. Cloning one and resuming via [`Sha256::from_midstate`]
 /// replays that prefix for free, which is what makes amortized HMAC keys
-/// ([`crate::hmac::HmacKey`]) and the DTLS keystream cheap: the expensive
-/// prefix compressions run once per key instead of once per MAC or per
-/// keystream block.
+/// ([`crate::hmac::HmacKey`]) cheap: the expensive prefix compressions run
+/// once per key instead of once per MAC.
 ///
 /// # Examples
 ///
@@ -461,83 +314,6 @@ mod ni {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Midstate {
     state: [u32; 8],
-}
-
-impl Midstate {
-    /// Runs a single raw compression of `block` from this midstate and
-    /// returns the resulting chaining value as 32 big-endian bytes.
-    ///
-    /// This is the Davies–Meyer core with **no** Merkle–Damgård padding —
-    /// a building block for fixed-input-length constructions like the DTLS
-    /// record keystream, not a general-purpose hash.
-    #[inline]
-    pub fn raw_compress(&self, block: &[u8; BLOCK_LEN]) -> [u8; DIGEST_LEN] {
-        let mut state = self.state;
-        compress_block(&mut state, block);
-        state_to_bytes(&state)
-    }
-
-    /// Two independent raw compressions from this midstate, interleaved on
-    /// the SHA-NI backend so the serial `sha256rnds2` latency of one stream
-    /// hides behind the other. Bit-identical to two [`Self::raw_compress`]
-    /// calls; the software backend simply runs them back to back.
-    #[inline]
-    pub fn raw_compress2(
-        &self,
-        b0: &[u8; BLOCK_LEN],
-        b1: &[u8; BLOCK_LEN],
-    ) -> ([u8; DIGEST_LEN], [u8; DIGEST_LEN]) {
-        #[cfg(target_arch = "x86_64")]
-        if ni::available() {
-            let mut s0 = self.state;
-            let mut s1 = self.state;
-            ni::compress2(&mut s0, &mut s1, b0, b1);
-            return (state_to_bytes(&s0), state_to_bytes(&s1));
-        }
-        (self.raw_compress(b0), self.raw_compress(b1))
-    }
-
-    /// Advances this midstate in place by one raw compression of `block`.
-    ///
-    /// This is the serial chaining step of Merkle–Damgård with no padding —
-    /// callers drive block splitting and padding themselves (e.g. a fused
-    /// DTLS record engine running an HMAC chain by hand).
-    #[inline]
-    pub fn compress_in_place(&mut self, block: &[u8; BLOCK_LEN]) {
-        compress_block(&mut self.state, block);
-    }
-
-    /// Advances this midstate by `my_block` while compressing the
-    /// *independent* `other_block` from the `other` midstate, interleaved
-    /// on the SHA-NI backend; returns `other`'s chaining value as bytes.
-    ///
-    /// The two streams share nothing, so a serial chain (an HMAC over a
-    /// record) can ride in the latency shadow of throughput work (the
-    /// record keystream) at no extra slot cost. Bit-identical to
-    /// [`Self::compress_in_place`] + [`Self::raw_compress`].
-    #[inline]
-    pub fn compress2_mixed(
-        &mut self,
-        my_block: &[u8; BLOCK_LEN],
-        other: &Midstate,
-        other_block: &[u8; BLOCK_LEN],
-    ) -> [u8; DIGEST_LEN] {
-        #[cfg(target_arch = "x86_64")]
-        if ni::available() {
-            let mut s1 = other.state;
-            ni::compress2(&mut self.state, &mut s1, my_block, other_block);
-            return state_to_bytes(&s1);
-        }
-        compress_block(&mut self.state, my_block);
-        other.raw_compress(other_block)
-    }
-
-    /// The chaining value as 32 big-endian bytes (the digest of the exact
-    /// block-aligned prefix absorbed so far, with no padding).
-    #[inline]
-    pub fn to_bytes(&self) -> [u8; DIGEST_LEN] {
-        state_to_bytes(&self.state)
-    }
 }
 
 #[inline]
@@ -695,24 +471,6 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// A seed-dependent non-initial midstate (test helper).
-#[cfg(test)]
-fn test_state(seed: u8) -> Midstate {
-    let mut h = Sha256::new();
-    h.update(&[seed; BLOCK_LEN]);
-    h.midstate()
-}
-
-/// A seed-dependent 64-byte block (test helper).
-#[cfg(test)]
-fn test_block(seed: u8) -> [u8; BLOCK_LEN] {
-    let mut b = [0u8; BLOCK_LEN];
-    for (i, x) in b.iter_mut().enumerate() {
-        *x = (i as u8).wrapping_mul(37).wrapping_add(seed);
-    }
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,132 +577,6 @@ mod tests {
             compress_block_soft(&mut soft, &block);
             ni::compress(&mut hard, &block);
             assert_eq!(soft, hard, "diverged at block {round}");
-        }
-    }
-
-    #[test]
-    fn raw_compress_matches_manual_chain() {
-        // raw_compress from the midstate after one block must equal the
-        // state after absorbing two blocks (no padding involved).
-        let b0 = [0xa5u8; BLOCK_LEN];
-        let b1 = [0x3cu8; BLOCK_LEN];
-        let mut h = Sha256::new();
-        h.update(&b0);
-        let out = h.midstate().raw_compress(&b1);
-
-        let mut h2 = Sha256::new();
-        h2.update(&b0);
-        h2.update(&b1);
-        assert_eq!(out, state_to_bytes(&h2.state));
-    }
-
-    #[test]
-    fn paired_compressions_match_single() {
-        // The interleaved two-stream kernel must equal two single-stream
-        // compressions on whichever backend the host selects.
-        let mid = Sha256::new().midstate();
-        let (b0, b1) = ([0x11u8; BLOCK_LEN], [0x7eu8; BLOCK_LEN]);
-        assert_eq!(
-            mid.raw_compress2(&b0, &b1),
-            (mid.raw_compress(&b0), mid.raw_compress(&b1))
-        );
-        let mut chained = mid;
-        let other = chained.compress2_mixed(&b0, &mid, &b1);
-        let mut serial = mid;
-        serial.compress_in_place(&b0);
-        assert_eq!((chained, other), (serial, mid.raw_compress(&b1)));
-    }
-
-    #[test]
-    fn wide_compressors_match_serial_raw_compress() {
-        // The two-stream kernels from many distinct midstates and blocks
-        // must equal single-stream compressions lane for lane.
-        for i in 0..=21u8 {
-            let (mid, other) = (test_state(i), test_state(i ^ 0xc3));
-            let (b0, b1) = (test_block(i ^ 0x5a), test_block(i.wrapping_mul(7)));
-            assert_eq!(
-                mid.raw_compress2(&b0, &b1),
-                (mid.raw_compress(&b0), mid.raw_compress(&b1)),
-                "raw_compress2 from state {i}"
-            );
-            let mut chained = mid;
-            let out = chained.compress2_mixed(&b0, &other, &b1);
-            assert_eq!(chained.to_bytes(), mid.raw_compress(&b0), "chain {i}");
-            assert_eq!(out, other.raw_compress(&b1), "other lane {i}");
-        }
-    }
-
-    #[test]
-    fn wide_compressors_match_soft_backend_chained() {
-        // Chain two lanes through many rounds so a carry or repacking bug
-        // in the two-stream kernel cannot cancel out, comparing against the
-        // portable compressor directly: on an SHA-NI host this pins the
-        // hardware two-stream path to the software backend.
-        let mut chain = test_state(1);
-        let mut side = test_state(2);
-        let mut soft_chain = chain.state;
-        let mut soft_side = side.state;
-        for round in 0..16u8 {
-            let b0 = test_block(round.wrapping_mul(29));
-            let b1 = test_block(round.wrapping_mul(29) ^ 0xff);
-            let next_side = chain.compress2_mixed(&b0, &side, &b1);
-            compress_block_soft(&mut soft_chain, &b0);
-            compress_block_soft(&mut soft_side, &b1);
-            assert_eq!(chain.state, soft_chain, "chained lane at round {round}");
-            assert_eq!(
-                next_side,
-                state_to_bytes(&soft_side),
-                "side lane at round {round}"
-            );
-            side = Midstate { state: soft_side };
-        }
-    }
-}
-
-#[cfg(test)]
-mod wide_diff_tests {
-    //! Differential proptests: the two-stream compressors must be
-    //! bit-identical to serial [`Midstate::raw_compress`] on whichever
-    //! backend the host selects, and to the portable compressor directly
-    //! (cross-backend on SHA-NI hosts).
-
-    use super::*;
-    use proptest::prelude::*;
-
-    fn block_of(bytes: &[u8]) -> [u8; BLOCK_LEN] {
-        bytes.try_into().expect("64 bytes")
-    }
-
-    proptest! {
-        #[test]
-        fn raw_compress2_matches_serial(
-            seed in any::<u8>(),
-            b0 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
-            b1 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
-        ) {
-            let mid = test_state(seed);
-            let (b0, b1) = (block_of(&b0), block_of(&b1));
-            prop_assert_eq!(
-                mid.raw_compress2(&b0, &b1),
-                (mid.raw_compress(&b0), mid.raw_compress(&b1))
-            );
-        }
-
-        #[test]
-        fn compress2_mixed_matches_portable(
-            seeds in (any::<u8>(), any::<u8>()),
-            b0 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
-            b1 in proptest::collection::vec(any::<u8>(), BLOCK_LEN),
-        ) {
-            let (mut chain, other) = (test_state(seeds.0), test_state(seeds.1));
-            let (b0, b1) = (block_of(&b0), block_of(&b1));
-            let mut soft_chain = chain.state;
-            let mut soft_other = other.state;
-            let out = chain.compress2_mixed(&b0, &other, &b1);
-            compress_block_soft(&mut soft_chain, &b0);
-            compress_block_soft(&mut soft_other, &b1);
-            prop_assert_eq!(chain.state, soft_chain);
-            prop_assert_eq!(out, state_to_bytes(&soft_other));
         }
     }
 }

@@ -4,9 +4,10 @@
 //! Every call allocates its header, ciphertext and MAC-input buffers, runs
 //! a full HMAC key schedule through [`crate::reference`], and derives the
 //! keystream with one fresh, padded SHA-256 per 32 output bytes. The record
-//! layout is the production one (`pdn_webrtc::dtls`), so `crypto_bench` can
-//! time old against new on identical traffic. Version-1 records only open
-//! under [`open_v1`]: production endpoints use the version-2 keystream.
+//! layout (header ‖ ciphertext ‖ 16-byte tag) is the production one
+//! (`pdn_webrtc::dtls`), so `crypto_bench` can time old against new on
+//! records of identical size. Version-1 records only open under
+//! [`open_v1`]: production endpoints use AES-128-GCM.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_webrtc::dtls::MAX_RECORD_PLAINTEXT;

@@ -78,7 +78,7 @@ impl DataChannel {
     ///
     /// The whole flush is sealed as one DTLS batch: every chunk frame is
     /// staged first, then a single [`DtlsEndpoint::seal_batch_into`] call
-    /// seals all records with the endpoint's reused batch scratch.
+    /// seals all records into the channel's reused record buffers.
     ///
     /// # Errors
     ///
@@ -307,6 +307,32 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert_eq!(&msgs[0][..], b"first");
         assert_eq!(&msgs[1][..], b"third");
+    }
+
+    #[test]
+    fn receive_batch_drops_segment_with_one_flipped_ciphertext_byte() {
+        // A 3 MB segment (Table VI size) through the burst path: one flipped
+        // ciphertext byte in one record fails that record's GCM tag, so the
+        // message never completes and nothing is delivered.
+        let (mut a, mut b) = channel_pair();
+        let payload: Vec<u8> = (0..3_000_000u32).map(|i| (i % 251) as u8).collect();
+        let records = a.send_message(&payload).unwrap();
+        assert!(records.len() > 100);
+        let mut wire = records.clone();
+        let victim = records.len() / 2;
+        let mut bad = wire[victim].to_vec();
+        bad[13 + 1000] ^= 0x40;
+        wire[victim] = Bytes::from(bad);
+        let mut msgs = Vec::new();
+        b.receive_batch(&wire, &mut msgs);
+        assert!(msgs.is_empty(), "damaged segment must not be delivered");
+        assert_eq!(b.pending_messages(), 1);
+
+        // The undamaged burst, on a fresh receiver, delivers the segment.
+        let (_, mut fresh) = channel_pair();
+        fresh.receive_batch(&records, &mut msgs);
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(&msgs[0][..], payload.as_slice());
     }
 
     #[test]

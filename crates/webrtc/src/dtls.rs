@@ -1,5 +1,5 @@
 //! A simulated DTLS layer: fingerprint-authenticated handshake and an
-//! encrypted, MAC'd record layer.
+//! AES-128-GCM record layer.
 //!
 //! **This is not real DTLS.** It reproduces the *security properties* the
 //! paper's analysis depends on (RFC 8826, §IV-C of the paper):
@@ -13,32 +13,60 @@
 //! - records are integrity-protected and replay-rejected.
 //!
 //! Key agreement is a toy Diffie-Hellman over the Mersenne prime `2^61-1`
-//! and the cipher is a hash-derived XOR keystream — adequate for a
-//! simulation whose adversaries are *inside* the model, never for real use.
+//! — adequate for a simulation whose adversaries are *inside* the model,
+//! never for real use. The record cipher is the real one: AES-128-GCM
+//! ([`pdn_crypto::aes_gcm`]), the AEAD of WebRTC's mandatory cipher suite
+//! `TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256` (RFC 8827 §6.5).
+//!
+//! # Record layer
+//!
+//! An application-data record is `header ‖ ciphertext ‖ tag`: a 13-byte
+//! header (content type, version, 8-byte sequence number, length), the
+//! ciphertext (as long as the plaintext) and the full 16-byte GCM tag.
+//!
+//! - **Keys, one per direction.** Key derivation yields a 32-byte
+//!   `"client write"` and `"server write"` secret; bytes 0..16 of each are
+//!   that direction's AES-128 key and bytes 16..20 its 4-byte salt. An
+//!   endpoint seals under its own direction's key and opens under its
+//!   peer's, so a record reflected back to its sender fails authentication.
+//! - **Nonce** = salt ‖ the record's 8-byte big-endian sequence number.
+//! - **AAD** = the 13-byte header exactly as sent, so type, version,
+//!   sequence number and length are all authenticated.
+//! - **No explicit nonce.** Real DTLS 1.2 GCM records (RFC 5288 §3) carry
+//!   an 8-byte explicit nonce after the header. Here the header's sequence
+//!   number, never reused within a direction, is the per-record part of
+//!   the nonce, so a record stays `13 + plaintext + 16` bytes: the record
+//!   sizes every simulated delivery time, and so every paper table, is
+//!   computed from.
+//! - The `"record mac"` HMAC key authenticates only the Finished messages.
+//!
+//! Opening decrypts speculatively into the caller's buffer and releases the
+//! plaintext only after the tag (compared in constant time) and the
+//! anti-replay window both pass.
 //!
 //! # Record fast path
 //!
-//! Every peer-served byte crosses this layer, so the record path is built to
-//! run allocation-free at steady state:
+//! Every peer-served byte crosses this layer, so the record path runs
+//! allocation-free at steady state:
 //!
 //! - [`DtlsEndpoint::seal_into`] / [`DtlsEndpoint::open_into`] encrypt and
-//!   decrypt in place into a caller-owned reusable [`BytesMut`] — no
-//!   per-record `Vec`s (the original `seal` copied the payload three times).
-//! - Record tags use a per-session precomputed
-//!   [`HmacKey`](pdn_crypto::hmac::HmacKey), so no HMAC key schedule runs
-//!   per record.
-//! - The keystream (version 2, tagged [`KEYSTREAM_V2_TAG`]) absorbs the
-//!   write key into a SHA-256 midstate once per connection and then emits
-//!   64-byte blocks with raw compressions — no per-block key re-absorption,
-//!   hasher construction, or Merkle–Damgård padding. The original
-//!   one-full-hash-per-32-bytes design (version 1) lives on, with the rest
-//!   of the pre-fast-path record path, as a test oracle in the
-//!   `pdn-oracle` crate, so `crypto_bench` can measure old vs new in one
-//!   process.
+//!   decrypt in place in a caller-owned reusable [`BytesMut`];
+//! - the AES key schedule and the GHASH key material are expanded once per
+//!   session, into boxed session keys (one allocation per handshake, none
+//!   per record, and the endpoint stays small inline);
+//! - on CPUs with AES-NI and PCLMULQDQ the cipher keeps eight blocks in
+//!   flight and reduces GHASH once per 128 bytes;
+//! - [`DtlsEndpoint::seal_batch_into`] / [`DtlsEndpoint::open_batch_into`]
+//!   loop over the same one-record kernel.
+//!
+//! The pre-AES record path (a SHA-256 keystream plus a per-record HMAC)
+//! lives on as a test oracle in the `pdn-oracle` crate, the baseline
+//! `crypto_bench` times this layer against.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use pdn_crypto::aes_gcm::{self, Aes128Gcm};
 use pdn_crypto::hmac::{hmac_sha256_keyed, HmacKey};
-use pdn_crypto::sha256::{Midstate, Sha256};
+use pdn_crypto::sha256::Sha256;
 use pdn_simnet::SimRng;
 
 use crate::cert::{Certificate, Fingerprint};
@@ -57,17 +85,12 @@ const HS_CLIENT_FINISHED: u8 = 20;
 /// Application-data record header: type (1) + version (2) + seq (8) + len (2).
 const HEADER_LEN: usize = 13;
 
-/// Truncated record-MAC length appended to each record.
-const TAG_LEN: usize = 16;
+/// GCM tag length appended to each record.
+const TAG_LEN: usize = aes_gcm::TAG_LEN;
 
 /// Maximum plaintext bytes per record (TLS limit; larger messages are
 /// chunked by the data-channel layer).
 pub const MAX_RECORD_PLAINTEXT: usize = 16_384;
-
-/// Domain-separation tag absorbed into the version-2 keystream key block.
-/// Changing the keystream layout must change this tag so old and new
-/// keystreams never collide (asserted in tests).
-pub const KEYSTREAM_V2_TAG: [u8; 8] = *b"pdn-ks2\0";
 
 fn modpow(mut base: u128, mut exp: u64, modulus: u128) -> u128 {
     let mut acc = 1u128;
@@ -147,8 +170,9 @@ pub struct DtlsEndpoint {
     expected_peer: Option<Fingerprint>,
     dh_secret: u64,
     state: State,
-    /// Keys: (enc send, enc recv, mac send, mac recv) once established.
-    keys: Option<SessionKeys>,
+    /// Session keys once derived; boxed so the expanded AES-GCM contexts
+    /// stay off the endpoint's inline size.
+    keys: Option<Box<SessionKeys>>,
     send_seq: u64,
     replay: ReplayWindow,
     peer_fingerprint: Option<Fingerprint>,
@@ -157,9 +181,6 @@ pub struct DtlsEndpoint {
     last_flight: Option<Bytes>,
     /// Reusable record buffer backing the allocating `seal`/`open` wrappers.
     scratch: BytesMut,
-    /// Reusable buffers for the batch record engine
-    /// ([`Self::seal_batch_into`] / [`Self::open_batch_into`]).
-    batch: fused::BatchScratch,
 }
 
 /// Anti-replay sliding window (RFC 6347 §4.1.2.6 style): accepts reordered
@@ -205,336 +226,94 @@ impl ReplayWindow {
     }
 }
 
-/// A per-connection keystream key: the SHA-256 midstate after absorbing one
-/// block of `write_key || KEYSTREAM_V2_TAG || zeros`. Generating keystream
-/// is then one raw compression per 32 output bytes with only the 17
-/// per-position bytes (seq, block index, lane) varying — the key is never
-/// re-absorbed.
-#[derive(Debug, Clone)]
-struct KeystreamKey {
-    mid: Midstate,
+/// One direction's record key: the expanded AES-128-GCM key and the
+/// 4-byte salt that prefixes every nonce.
+#[derive(Debug)]
+struct RecordKey {
+    gcm: Aes128Gcm,
+    salt: [u8; 4],
 }
 
-impl KeystreamKey {
-    fn new(write_key: &[u8; 32]) -> Self {
-        let mut block = [0u8; 64];
-        block[..32].copy_from_slice(write_key);
-        block[32..40].copy_from_slice(&KEYSTREAM_V2_TAG);
-        let mut h = Sha256::new();
-        h.update(&block);
-        KeystreamKey { mid: h.midstate() }
-    }
-}
-
-#[cfg(test)]
-impl KeystreamKey {
-    /// XORs `buf` with the version-2 keystream for record `seq`. Encryption
-    /// and decryption are the same operation. Keystream is produced in
-    /// 64-byte blocks, two raw-compression lanes per block.
-    ///
-    /// The record path runs through [`fused`], which pairs these same lane
-    /// compressions with the record-MAC chain; this standalone pass is the
-    /// test-only reference the fused engine is differentially tested
-    /// against.
-    fn apply(&self, seq: u64, buf: &mut [u8]) {
-        let mut block = [0u8; 64];
-        block[..8].copy_from_slice(&seq.to_be_bytes());
-        let mut idx: u64 = 0;
-        // Full 64-byte blocks: both lanes are needed, and they are
-        // independent compressions from the same midstate — generate them
-        // as one interleaved pair.
-        let mut chunks = buf.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            block[8..16].copy_from_slice(&idx.to_be_bytes());
-            block[16] = 0;
-            let mut block1 = block;
-            block1[16] = 1;
-            let (k0, k1) = self.mid.raw_compress2(&block, &block1);
-            let (lo, hi) = chunk.split_at_mut(32);
-            for (b, k) in lo.iter_mut().zip(k0.iter()) {
-                *b ^= k;
-            }
-            for (b, k) in hi.iter_mut().zip(k1.iter()) {
-                *b ^= k;
-            }
-            idx += 1;
-        }
-        let chunk = chunks.into_remainder();
-        if !chunk.is_empty() {
-            block[8..16].copy_from_slice(&idx.to_be_bytes());
-            block[16] = 0;
-            let ks = self.mid.raw_compress(&block);
-            let split = chunk.len().min(32);
-            let (lo, hi) = chunk.split_at_mut(split);
-            for (b, k) in lo.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            if !hi.is_empty() {
-                block[16] = 1;
-                let ks = self.mid.raw_compress(&block);
-                for (b, k) in hi.iter_mut().zip(ks.iter()) {
-                    *b ^= k;
-                }
-            }
-        }
-    }
-}
-
-/// Fused record engine: drives the record HMAC chain and the v2 keystream
-/// through *paired* compressions, so the serial HMAC chain rides in the
-/// latency shadow of the (embarrassingly parallel) keystream lanes instead
-/// of costing its own slot per block.
-///
-/// Done separately — the keystream pass (the test-only
-/// `KeystreamKey::apply` reference) then an HMAC pass — a record costs one
-/// pair-compression per 64-byte block (keystream) *plus* one serial
-/// compression per block (MAC). Fused, each MAC block pairs with a
-/// keystream lane, bringing the steady state from 2 to 1.5 slot-times per
-/// block. Both streams are bit-identical to the unfused paths: the same
-/// lane blocks, the same Merkle–Damgård padding, the same tag.
-mod fused {
-    use super::{KeystreamKey, HEADER_LEN, TAG_LEN};
-    use bytes::{Bytes, BytesMut};
-    use pdn_crypto::hmac::HmacKey;
-    use pdn_crypto::sha256::Midstate;
-
-    /// The keystream input block for `(seq, block_idx, lane)` — layout
-    /// identical to the test-only `KeystreamKey::apply` reference.
-    #[inline]
-    fn lane_block(seq: u64, lane: usize) -> [u8; 64] {
-        let mut b = [0u8; 64];
-        b[..8].copy_from_slice(&seq.to_be_bytes());
-        b[8..16].copy_from_slice(&((lane / 2) as u64).to_be_bytes());
-        b[16] = (lane % 2) as u8;
-        b
-    }
-
-    /// Number of 32-byte keystream lanes a body of `n` bytes consumes.
-    #[inline]
-    fn total_lanes(n: usize) -> usize {
-        n.div_ceil(32)
-    }
-
-    /// XORs keystream lane `lane` into `body` (clamped at the tail).
-    #[inline]
-    fn xor_lane(body: &mut [u8], lane: usize, ks: &[u8; 32]) {
-        let start = lane * 32;
-        let end = (start + 32).min(body.len());
-        for (b, k) in body[start..end].iter_mut().zip(ks.iter()) {
-            *b ^= k;
+impl RecordKey {
+    /// Splits a 32-byte write secret into key (bytes 0..16) and salt
+    /// (bytes 16..20).
+    fn new(write: &[u8; 32]) -> Self {
+        RecordKey {
+            gcm: Aes128Gcm::new(write[..16].try_into().expect("16-byte key")),
+            salt: write[16..20].try_into().expect("4-byte salt"),
         }
     }
 
-    /// How many keystream *blocks* are fully applied once `consumed` lanes
-    /// have been XORed (the tail block may only have one lane).
-    #[inline]
-    fn blocks_applied(consumed: usize, lanes: usize, blocks: usize) -> usize {
-        if consumed == lanes {
-            blocks
-        } else {
-            consumed / 2
-        }
+    /// The nonce of record `seq`: salt ‖ seq (big-endian).
+    fn nonce(&self, seq: u64) -> [u8; aes_gcm::NONCE_LEN] {
+        let mut n = [0u8; aes_gcm::NONCE_LEN];
+        n[..4].copy_from_slice(&self.salt);
+        n[4..].copy_from_slice(&seq.to_be_bytes());
+        n
     }
 
-    /// Absorbs the sub-block message tail plus Merkle–Damgård padding into
-    /// `h`. `total_absorbed` counts every byte the inner hash has seen,
-    /// including the ipad block.
-    fn finalize_inner(h: &mut Midstate, tail: &[u8], total_absorbed: usize) {
-        let bit_len = ((total_absorbed as u64).wrapping_mul(8)).to_be_bytes();
-        let mut block = [0u8; 64];
-        block[..tail.len()].copy_from_slice(tail);
-        block[tail.len()] = 0x80;
-        if tail.len() < 56 {
-            block[56..].copy_from_slice(&bit_len);
-            h.compress_in_place(&block);
-        } else {
-            h.compress_in_place(&block);
-            let mut last = [0u8; 64];
-            last[56..].copy_from_slice(&bit_len);
-            h.compress_in_place(&last);
-        }
+    /// Writes record `seq` carrying `plaintext` into `out` (cleared first):
+    /// header, plaintext encrypted in place, tag.
+    fn seal_record(&self, seq: u64, plaintext: &[u8], out: &mut BytesMut) {
+        out.clear();
+        out.reserve(HEADER_LEN + plaintext.len() + TAG_LEN);
+        out.put_u8(CT_APPDATA);
+        out.put_slice(&VERSION);
+        out.put_u64(seq);
+        out.put_u16((plaintext.len() + TAG_LEN) as u16);
+        out.put_slice(plaintext);
+        let (header, body) = out.split_at_mut(HEADER_LEN);
+        let tag = self.gcm.seal_in_place(&self.nonce(seq), header, body);
+        out.put_slice(&tag);
     }
 
-    /// The outer HMAC pass over the finished inner chain.
-    fn outer_tag(mac: &HmacKey, h: &Midstate) -> [u8; 32] {
-        let mut block = [0u8; 64];
-        block[..32].copy_from_slice(&h.to_bytes());
-        block[32] = 0x80;
-        block[56..].copy_from_slice(&((64u64 + 32) * 8).to_be_bytes());
-        mac.outer_midstate().raw_compress(&block)
-    }
-
-    /// Seals a record in place: encrypts `out[HEADER_LEN..]` with the v2
-    /// keystream and returns the untruncated HMAC tag over the whole of
-    /// `out` (header + ciphertext).
-    ///
-    /// The MAC covers ciphertext the keystream is still producing, so MAC
-    /// block `k` is only compressed once keystream block `k` has been
-    /// applied; the greedy schedule below settles into three paired
-    /// compressions per two blocks.
-    pub(super) fn seal_record(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        seq: u64,
-        out: &mut [u8],
-    ) -> [u8; 32] {
-        let n = out.len() - HEADER_LEN;
-        let lanes = total_lanes(n);
-        let blocks = n.div_ceil(64);
-        let full_msg_blocks = out.len() / 64;
-        let mut h = mac.inner_midstate();
-        let mut lane = 0usize;
-        let mut applied = 0usize;
-        let mut k = 0usize;
-        while k < full_msg_blocks || lane < lanes {
-            // MAC block k covers out[64k..64k+64): its last ciphertext byte
-            // sits in keystream block k (the header offsets ciphertext by
-            // 13 < 64 bytes), clamped at the end of the body.
-            let need = ((64 * k + 63).min(out.len() - 1).saturating_sub(HEADER_LEN)) / 64 + 1;
-            if k < full_msg_blocks && applied >= need.min(blocks) {
-                let mb: [u8; 64] = out[64 * k..64 * k + 64].try_into().expect("full block");
-                if lane < lanes {
-                    let lb = lane_block(seq, lane);
-                    let ksd = h.compress2_mixed(&mb, &ks.mid, &lb);
-                    xor_lane(&mut out[HEADER_LEN..], lane, &ksd);
-                    lane += 1;
-                    applied = blocks_applied(lane, lanes, blocks);
-                } else {
-                    h.compress_in_place(&mb);
-                }
-                k += 1;
-            } else if lane + 1 < lanes {
-                let (k0, k1) = ks
-                    .mid
-                    .raw_compress2(&lane_block(seq, lane), &lane_block(seq, lane + 1));
-                xor_lane(&mut out[HEADER_LEN..], lane, &k0);
-                xor_lane(&mut out[HEADER_LEN..], lane + 1, &k1);
-                lane += 2;
-                applied = blocks_applied(lane, lanes, blocks);
-            } else {
-                let k0 = ks.mid.raw_compress(&lane_block(seq, lane));
-                xor_lane(&mut out[HEADER_LEN..], lane, &k0);
-                lane += 1;
-                applied = blocks;
-            }
+    /// Authenticates and decrypts `record` into `out`, returning its
+    /// sequence number. Decryption is speculative: on a bad tag `out` is
+    /// cleared; a structurally invalid record leaves `out` untouched. The
+    /// replay window is the caller's.
+    fn open_record(&self, record: &[u8], out: &mut BytesMut) -> Result<u64, DtlsError> {
+        if record.len() < HEADER_LEN + TAG_LEN || record[0] != CT_APPDATA || record[1..3] != VERSION
+        {
+            return Err(DtlsError::BadRecord);
         }
-        finalize_inner(&mut h, &out[full_msg_blocks * 64..], 64 + out.len());
-        outer_tag(mac, &h)
-    }
-
-    /// Opens a record: XORs the keystream over `body` (a copy of the
-    /// ciphertext) while computing the HMAC over `msg` (the *received*
-    /// header + ciphertext), and returns the untruncated expected tag.
-    ///
-    /// Here the MAC reads the received bytes, not the keystream output, so
-    /// the two streams are fully independent: every MAC block pairs with a
-    /// keystream lane outright.
-    pub(super) fn open_record(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        seq: u64,
-        msg: &[u8],
-        body: &mut [u8],
-    ) -> [u8; 32] {
-        let lanes = total_lanes(body.len());
-        let full_msg_blocks = msg.len() / 64;
-        let mut h = mac.inner_midstate();
-        let mut lane = 0usize;
-        for k in 0..full_msg_blocks {
-            let mb: [u8; 64] = msg[64 * k..64 * k + 64].try_into().expect("full block");
-            if lane < lanes {
-                let ksd = h.compress2_mixed(&mb, &ks.mid, &lane_block(seq, lane));
-                xor_lane(body, lane, &ksd);
-                lane += 1;
-            } else {
-                h.compress_in_place(&mb);
-            }
+        let seq = u64::from_be_bytes(record[3..11].try_into().expect("length checked"));
+        let (header, rest) = record.split_at(HEADER_LEN);
+        let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+        out.clear();
+        out.reserve(ciphertext.len());
+        out.put_slice(ciphertext);
+        if !self.gcm.open_in_place(&self.nonce(seq), header, out, tag) {
+            out.clear();
+            return Err(DtlsError::BadRecord);
         }
-        while lane + 1 < lanes {
-            let (k0, k1) = ks
-                .mid
-                .raw_compress2(&lane_block(seq, lane), &lane_block(seq, lane + 1));
-            xor_lane(body, lane, &k0);
-            xor_lane(body, lane + 1, &k1);
-            lane += 2;
-        }
-        if lane < lanes {
-            let k0 = ks.mid.raw_compress(&lane_block(seq, lane));
-            xor_lane(body, lane, &k0);
-        }
-        finalize_inner(&mut h, &msg[full_msg_blocks * 64..], 64 + msg.len());
-        outer_tag(mac, &h)
-    }
-
-    /// Reusable buffers for the batch record engine. Lives on the endpoint
-    /// so a warm batch path performs zero heap allocations; vectors grow to
-    /// the largest batch seen and are never shrunk.
-    #[derive(Debug, Default)]
-    pub(super) struct BatchScratch {
-        /// Structural validity per record of an open batch (filled by the
-        /// endpoint; invalid records are skipped).
-        pub(super) valid: Vec<bool>,
-        /// Per-record untruncated tags (produced for seal, expected for
-        /// open).
-        pub(super) tags: Vec<[u8; 32]>,
-    }
-
-    /// Seals a whole batch in place: encrypts every `outs[i][HEADER_LEN..]`
-    /// with the v2 keystream through the fused [`seal_record`] kernel and
-    /// leaves each record's untruncated tag in `scratch.tags`. Record `i`
-    /// uses sequence number `first_seq + i`.
-    pub(super) fn seal_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        scratch.tags.clear();
-        scratch.tags.resize(outs.len(), [0u8; 32]);
-        for (i, out) in outs.iter_mut().enumerate() {
-            scratch.tags[i] = seal_record(mac, ks, first_seq + i as u64, &mut out[..]);
-        }
-    }
-
-    /// Opens a whole batch: XORs the keystream over every `bodies[i]` (a
-    /// copy of record `i`'s ciphertext) through the fused [`open_record`]
-    /// kernel and leaves each record's expected untruncated tag in
-    /// `scratch.tags`. Records flagged invalid in `scratch.valid` are
-    /// skipped: their body stays untouched and their tag slot is
-    /// unspecified (the caller rejects them before ever reading it).
-    pub(super) fn open_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        scratch.tags.clear();
-        scratch.tags.resize(records.len(), [0u8; 32]);
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("validated header"));
-            scratch.tags[i] = open_record(
-                mac,
-                ks,
-                seq,
-                &rec[..rec.len() - TAG_LEN],
-                &mut bodies[i][..],
-            );
-        }
+        Ok(seq)
     }
 }
 
 #[derive(Debug)]
 struct SessionKeys {
-    /// Precomputed per-direction keystream midstates.
-    client_ks: KeystreamKey,
-    server_ks: KeystreamKey,
-    /// Precomputed record-MAC key (ipad/opad midstates cached).
+    client: RecordKey,
+    server: RecordKey,
+    /// Finished-message MAC key (ipad/opad midstates cached).
     mac: HmacKey,
+}
+
+impl SessionKeys {
+    /// The key `role` seals its own records with.
+    fn sealing(&self, role: Role) -> &RecordKey {
+        match role {
+            Role::Client => &self.client,
+            Role::Server => &self.server,
+        }
+    }
+
+    /// The key `role` opens its peer's records with.
+    fn opening(&self, role: Role) -> &RecordKey {
+        match role {
+            Role::Client => &self.server,
+            Role::Server => &self.client,
+        }
+    }
 }
 
 impl DtlsEndpoint {
@@ -576,7 +355,6 @@ impl DtlsEndpoint {
                 peer_fingerprint: None,
                 last_flight: None,
                 scratch: BytesMut::new(),
-                batch: fused::BatchScratch::default(),
             },
             hello,
         )
@@ -597,7 +375,6 @@ impl DtlsEndpoint {
             peer_fingerprint: None,
             last_flight: None,
             scratch: BytesMut::new(),
-            batch: fused::BatchScratch::default(),
         }
     }
 
@@ -660,7 +437,7 @@ impl DtlsEndpoint {
                 out.put_slice(&self.cert.fingerprint().0);
                 out.put_slice(&finished);
 
-                self.keys = Some(keys);
+                self.keys = Some(Box::new(keys));
                 self.state = State::AwaitClientFinished { transcript };
                 let flight = out.freeze();
                 self.last_flight = Some(flight.clone());
@@ -700,7 +477,7 @@ impl DtlsEndpoint {
                 out.put_slice(&client_finished);
 
                 // Stash the transcript for server-side verification symmetry.
-                self.keys = Some(keys);
+                self.keys = Some(Box::new(keys));
                 self.state = State::Established;
                 Ok(Some(out.freeze()))
             }
@@ -756,8 +533,7 @@ impl DtlsEndpoint {
     /// Encrypts `plaintext` into an application-data record written to
     /// `out` (cleared first). With a warm `out`, the steady-state path
     /// performs zero heap allocations: the plaintext is copied once into
-    /// `out`, encrypted in place, and the tag is MAC'd scatter-gather under
-    /// the session's precomputed [`HmacKey`].
+    /// `out` and encrypted there in place, and the tag is appended.
     ///
     /// # Errors
     ///
@@ -771,22 +547,9 @@ impl DtlsEndpoint {
             return Err(DtlsError::Oversize);
         }
         let keys = self.keys.as_ref().expect("established implies keys");
-        let ks = match self.role {
-            Role::Client => &keys.client_ks,
-            Role::Server => &keys.server_ks,
-        };
-        let seq = self.send_seq;
+        keys.sealing(self.role)
+            .seal_record(self.send_seq, plaintext, out);
         self.send_seq += 1;
-
-        out.clear();
-        out.reserve(HEADER_LEN + plaintext.len() + TAG_LEN);
-        out.put_u8(CT_APPDATA);
-        out.put_slice(&VERSION);
-        out.put_u64(seq);
-        out.put_u16((plaintext.len() + TAG_LEN) as u16);
-        out.put_slice(plaintext);
-        let tag = fused::seal_record(&keys.mac, ks, seq, &mut out[..]);
-        out.put_slice(&tag[..TAG_LEN]);
         Ok(())
     }
 
@@ -809,8 +572,9 @@ impl DtlsEndpoint {
 
     /// Decrypts an application-data record into `out` (cleared first).
     /// With a warm `out` the steady-state path performs zero heap
-    /// allocations: the tag is verified over the record in place, then the
-    /// ciphertext is copied once into `out` and decrypted there.
+    /// allocations: the ciphertext is copied once into `out` and decrypted
+    /// there while GHASH runs over it; `out` is cleared again unless both
+    /// the tag and the replay window accept the record.
     ///
     /// # Errors
     ///
@@ -819,40 +583,18 @@ impl DtlsEndpoint {
     pub fn open_into(&mut self, record: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
         // Implicit handshake completion (cf. DTLS epoch semantics): when
         // only the client's Finished is outstanding, a record that passes
-        // MAC verification proves the peer holds the session keys, so the
+        // authentication proves the peer holds the session keys, so the
         // handshake is complete even if the Finished flight was lost.
         let awaiting_finished =
             matches!(self.state, State::AwaitClientFinished { .. }) && self.keys.is_some();
         if !self.is_established() && !awaiting_finished {
             return Err(DtlsError::NotEstablished);
         }
-        if record.len() < HEADER_LEN + TAG_LEN || record[0] != CT_APPDATA || record[1..3] != VERSION
-        {
-            return Err(DtlsError::BadRecord);
-        }
         let keys = self
             .keys
             .as_ref()
             .expect("established or awaiting implies keys");
-        let ks = match self.role {
-            Role::Client => &keys.server_ks,
-            Role::Server => &keys.client_ks,
-        };
-        let seq = u64::from_be_bytes(record[3..11].try_into().expect("length checked"));
-        let body_end = record.len() - TAG_LEN;
-        let (header_and_ct, tag) = record.split_at(body_end);
-        // Decrypt-while-MACing: the MAC reads the received ciphertext, not
-        // the keystream output, so both run as one paired-compression pass.
-        // `out` is speculatively decrypted and discarded if the tag (or the
-        // replay window) rejects the record.
-        out.clear();
-        out.reserve(body_end - HEADER_LEN);
-        out.put_slice(&header_and_ct[HEADER_LEN..]);
-        let expect = fused::open_record(&keys.mac, ks, seq, header_and_ct, &mut out[..]);
-        if !pdn_crypto::ct_eq(&expect[..TAG_LEN], tag) {
-            out.clear();
-            return Err(DtlsError::BadRecord);
-        }
+        let seq = keys.opening(self.role).open_record(record, out)?;
         if !self.replay.check_and_update(seq) {
             out.clear();
             return Err(DtlsError::Replay);
@@ -866,11 +608,8 @@ impl DtlsEndpoint {
     /// Seals all `plaintexts` as one batch of records into `outs`, which is
     /// grown (never shrunk) to at least `plaintexts.len()` reusable buffers;
     /// `outs[i]` receives record `i`. With warm buffers the path performs
-    /// zero heap allocations.
-    ///
-    /// Every record runs through the fused single-record kernel, with the
-    /// batch's scratch reused across calls; the records produced are
-    /// byte-identical to N sequential [`Self::seal_into`] calls.
+    /// zero heap allocations. The records are byte-identical to N
+    /// sequential [`Self::seal_into`] calls.
     ///
     /// # Errors
     ///
@@ -889,32 +628,18 @@ impl DtlsEndpoint {
         if plaintexts.iter().any(|p| p.len() > MAX_RECORD_PLAINTEXT) {
             return Err(DtlsError::Oversize);
         }
-        let n = plaintexts.len();
-        if outs.len() < n {
-            outs.resize_with(n, BytesMut::new);
+        if outs.len() < plaintexts.len() {
+            outs.resize_with(plaintexts.len(), BytesMut::new);
         }
-        let mut scratch = std::mem::take(&mut self.batch);
-        let keys = self.keys.as_ref().expect("established implies keys");
-        let ks = match self.role {
-            Role::Client => &keys.client_ks,
-            Role::Server => &keys.server_ks,
-        };
-        let first_seq = self.send_seq;
-        self.send_seq += n as u64;
-        for (i, (pt, out)) in plaintexts.iter().zip(outs.iter_mut()).enumerate() {
-            out.clear();
-            out.reserve(HEADER_LEN + pt.len() + TAG_LEN);
-            out.put_u8(CT_APPDATA);
-            out.put_slice(&VERSION);
-            out.put_u64(first_seq + i as u64);
-            out.put_u16((pt.len() + TAG_LEN) as u16);
-            out.put_slice(pt);
+        let key = self
+            .keys
+            .as_ref()
+            .expect("established implies keys")
+            .sealing(self.role);
+        for (pt, out) in plaintexts.iter().zip(outs.iter_mut()) {
+            key.seal_record(self.send_seq, pt, out);
+            self.send_seq += 1;
         }
-        fused::seal_batch(&keys.mac, ks, first_seq, &mut outs[..n], &mut scratch);
-        for (out, tag) in outs.iter_mut().zip(&scratch.tags) {
-            out.put_slice(&tag[..TAG_LEN]);
-        }
-        self.batch = scratch;
         Ok(())
     }
 
@@ -924,13 +649,10 @@ impl DtlsEndpoint {
     /// warm buffers the path performs zero heap allocations.
     ///
     /// The verdicts are record-for-record identical to feeding the batch
-    /// through [`Self::open_into`] sequentially — including MAC-reject
+    /// through [`Self::open_into`] sequentially — including tag-reject
     /// before replay-reject per record, replay-window evolution in batch
-    /// order, and implicit handshake completion on the first record that
-    /// authenticates. Only the crypto schedule differs: expected tags for
-    /// the whole batch are computed before any verdict is applied (MAC
-    /// verification does not depend on replay state, so hoisting it
-    /// preserves the semantics).
+    /// order, and implicit handshake completion once a record
+    /// authenticates.
     pub fn open_batch_into(
         &mut self,
         records: &[Bytes],
@@ -951,58 +673,28 @@ impl DtlsEndpoint {
             results.extend((0..n).map(|_| Err(DtlsError::NotEstablished)));
             return;
         }
-        let mut scratch = std::mem::take(&mut self.batch);
-        scratch.valid.clear();
-        for (rec, out) in records.iter().zip(outs.iter_mut()) {
-            let ok =
-                rec.len() >= HEADER_LEN + TAG_LEN && rec[0] == CT_APPDATA && rec[1..3] == VERSION;
-            scratch.valid.push(ok);
-            out.clear();
-            if ok {
-                // Speculative ciphertext copy, decrypted in place by the
-                // engine and discarded below if the tag or replay window
-                // rejects the record (same policy as `open_into`).
-                let body_end = rec.len() - TAG_LEN;
-                out.reserve(body_end - HEADER_LEN);
-                out.put_slice(&rec[HEADER_LEN..body_end]);
-            }
-        }
-        {
-            let keys = self
-                .keys
-                .as_ref()
-                .expect("established or awaiting implies keys");
-            let ks = match self.role {
-                Role::Client => &keys.server_ks,
-                Role::Server => &keys.client_ks,
-            };
-            fused::open_batch(&keys.mac, ks, records, &mut outs[..n], &mut scratch);
-        }
+        let key = self
+            .keys
+            .as_ref()
+            .expect("established or awaiting implies keys")
+            .opening(self.role);
         let mut any_authenticated = false;
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                results.push(Err(DtlsError::BadRecord));
-                continue;
-            }
-            let tag = &rec[rec.len() - TAG_LEN..];
-            if !pdn_crypto::ct_eq(&scratch.tags[i][..TAG_LEN], tag) {
-                outs[i].clear();
-                results.push(Err(DtlsError::BadRecord));
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("length checked"));
-            if !self.replay.check_and_update(seq) {
-                outs[i].clear();
-                results.push(Err(DtlsError::Replay));
-                continue;
-            }
-            any_authenticated = true;
-            results.push(Ok(()));
+        for (rec, out) in records.iter().zip(outs.iter_mut()) {
+            out.clear();
+            let verdict = key.open_record(rec, out).and_then(|seq| {
+                if self.replay.check_and_update(seq) {
+                    Ok(())
+                } else {
+                    out.clear();
+                    Err(DtlsError::Replay)
+                }
+            });
+            any_authenticated |= verdict.is_ok();
+            results.push(verdict);
         }
         if awaiting_finished && any_authenticated {
             self.state = State::Established;
         }
-        self.batch = scratch;
     }
 }
 
@@ -1012,10 +704,9 @@ fn fill(buf: &mut [u8], rng: &mut SimRng) {
     }
 }
 
-/// Derives the session keys from the DH shared secret and both randoms.
-/// Subkey values are unchanged from the pre-fast-path implementation (the
-/// scatter-gather MACs produce identical bytes); the derived `HmacKey` and
-/// keystream midstates are computed here, once per session.
+/// Derives the session keys from the DH shared secret and both randoms:
+/// the per-direction AES-128-GCM keys and salts and the Finished-MAC key,
+/// each expanded here, once per session.
 fn derive_keys(shared: u64, client_random: &[u8; 32], server_random: &[u8; 32]) -> SessionKeys {
     let mut h = Sha256::new();
     h.update(&shared.to_be_bytes());
@@ -1027,8 +718,8 @@ fn derive_keys(shared: u64, client_random: &[u8; 32], server_random: &[u8; 32]) 
     let server_write = hmac_sha256_keyed(&master_key, &[b"server write"]);
     let mac_raw = hmac_sha256_keyed(&master_key, &[b"record mac"]);
     SessionKeys {
-        client_ks: KeystreamKey::new(&client_write),
-        server_ks: KeystreamKey::new(&server_write),
+        client: RecordKey::new(&client_write),
+        server: RecordKey::new(&server_write),
         mac: HmacKey::new(&mac_raw),
     }
 }
@@ -1126,42 +817,121 @@ mod tests {
         }
     }
 
+    /// Runs the handshake flight by flight and re-derives both directions'
+    /// write secrets from the wire flights and the client's DH secret, the
+    /// way an independent implementation would.
+    fn pair_with_write_secrets() -> (DtlsEndpoint, DtlsEndpoint, [u8; 32], [u8; 32]) {
+        let mut rng = SimRng::seed(33);
+        let ccert = Certificate::generate(&mut rng);
+        let scert = Certificate::generate(&mut rng);
+        let (mut c, hello) = DtlsEndpoint::client(ccert, None, &mut rng);
+        let mut s = DtlsEndpoint::server(scert, None, &mut rng);
+        let sh = s.handle_handshake(&hello, &mut rng).unwrap().unwrap();
+        let fin = c.handle_handshake(&sh, &mut rng).unwrap().unwrap();
+        s.handle_handshake(&fin, &mut rng).unwrap();
+
+        let server_pub = u64::from_be_bytes(sh[36..44].try_into().unwrap());
+        let shared = modpow(server_pub as u128, c.dh_secret, DH_P) as u64;
+        let mut h = Sha256::new();
+        h.update(&shared.to_be_bytes());
+        h.update(&hello[4..36]);
+        h.update(&sh[4..36]);
+        let master = h.finalize();
+        let client_write = pdn_crypto::hmac::hmac_sha256(&master, b"client write");
+        let server_write = pdn_crypto::hmac::hmac_sha256(&master, b"server write");
+        (c, s, client_write, server_write)
+    }
+
     #[test]
-    fn fused_record_matches_unfused_reference() {
-        // The fused MAC+keystream engine must be bit-identical to the
-        // separate passes (`KeystreamKey::apply` + scatter-gather HMAC) for
-        // every block/tail shape: empty, sub-lane, sub-block, exact block
-        // multiples, pad-spill lengths, and the full record size.
-        let (mut c, _s) = pair(true);
-        let keys = c.keys.as_ref().unwrap();
-        let (ks, mac) = (keys.client_ks.clone(), keys.mac);
+    fn seal_into_pins_aes_gcm_record() {
+        // A record is header ‖ AES-128-GCM(key = write[..16],
+        // nonce = write[16..20] ‖ seq, aad = header, pt) — on both backends,
+        // both directions, and every block/tail shape.
+        let (mut c, mut s, client_write, server_write) = pair_with_write_secrets();
+        let mut rec = BytesMut::new();
+        let mut pt_out = BytesMut::new();
         for n in [
-            0usize, 1, 13, 31, 32, 33, 50, 51, 52, 63, 64, 65, 96, 115, 127, 128, 200, 4096,
-            16_383, 16_384,
+            0usize, 1, 13, 15, 16, 17, 64, 127, 128, 129, 200, 1200, 4096, 16_383, 16_384,
         ] {
             let plaintext: Vec<u8> = (0..n).map(|i| (i * 31 % 251) as u8).collect();
-            let seq = c.send_seq;
-            let mut rec = BytesMut::new();
-            c.seal_into(&plaintext, &mut rec).unwrap();
+            for client_sends in [true, false] {
+                let (sender, receiver, write) = if client_sends {
+                    (&mut c, &mut s, &client_write)
+                } else {
+                    (&mut s, &mut c, &server_write)
+                };
+                let seq = sender.send_seq;
+                sender.seal_into(&plaintext, &mut rec).unwrap();
 
-            // Reference seal: header, keystream pass, HMAC pass.
-            let mut want = BytesMut::new();
-            want.put_u8(CT_APPDATA);
-            want.put_slice(&VERSION);
-            want.put_u64(seq);
-            want.put_u16((n + TAG_LEN) as u16);
-            want.put_slice(&plaintext);
-            ks.apply(seq, &mut want[HEADER_LEN..]);
-            let tag = hmac_sha256_keyed(&mac, &[&want[..]]);
-            want.put_slice(&tag[..TAG_LEN]);
-            assert_eq!(&rec[..], &want[..], "seal mismatch at n={n}");
-
-            // Fused open recovers the plaintext and computes the same tag.
-            let mut body = rec[HEADER_LEN..HEADER_LEN + n].to_vec();
-            let expect = fused::open_record(&mac, &ks, seq, &rec[..HEADER_LEN + n], &mut body);
-            assert_eq!(&expect[..TAG_LEN], &rec[HEADER_LEN + n..], "tag at n={n}");
-            assert_eq!(body, plaintext, "open mismatch at n={n}");
+                let mut header = vec![CT_APPDATA, VERSION[0], VERSION[1]];
+                header.extend_from_slice(&seq.to_be_bytes());
+                header.extend_from_slice(&((n + TAG_LEN) as u16).to_be_bytes());
+                let mut nonce = [0u8; 12];
+                nonce[..4].copy_from_slice(&write[16..20]);
+                nonce[4..].copy_from_slice(&seq.to_be_bytes());
+                let key: &[u8; 16] = write[..16].try_into().unwrap();
+                for gcm in [Aes128Gcm::new(key), Aes128Gcm::new_portable(key)] {
+                    let mut body = plaintext.clone();
+                    let tag = gcm.seal_in_place(&nonce, &header, &mut body);
+                    let want = [&header[..], &body, &tag].concat();
+                    assert_eq!(&rec[..], &want[..], "{gcm:?} seal mismatch at n={n}");
+                }
+                receiver.open_into(&rec, &mut pt_out).unwrap();
+                assert_eq!(&pt_out[..], &plaintext[..], "open mismatch at n={n}");
+            }
         }
+    }
+
+    #[test]
+    fn reflected_record_rejected() {
+        // Each direction has its own key, so a record bounced back to its
+        // sender does not authenticate.
+        let (mut c, mut s) = pair(true);
+        let rec = c.seal(b"reflect me").unwrap();
+        assert_eq!(c.open(&rec), Err(DtlsError::BadRecord));
+        let rec = s.seal(b"reflect me too").unwrap();
+        assert_eq!(s.open(&rec), Err(DtlsError::BadRecord));
+        // The same records still open at their real destination.
+        assert_eq!(&c.open(&rec).unwrap()[..], b"reflect me too");
+    }
+
+    #[test]
+    fn record_length_is_header_plus_plaintext_plus_tag() {
+        let (mut c, _s) = pair(true);
+        let mut outs = Vec::new();
+        let sizes = [0usize, 1, 16, 100, 1200, MAX_RECORD_PLAINTEXT];
+        for n in sizes {
+            assert_eq!(c.seal(&vec![7u8; n]).unwrap().len(), 13 + n + 16);
+        }
+        let payloads: Vec<Vec<u8>> = sizes.iter().map(|&n| vec![9u8; n]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+        c.seal_batch_into(&refs, &mut outs).unwrap();
+        for (out, n) in outs.iter().zip(sizes) {
+            assert_eq!(out.len(), 13 + n + 16);
+        }
+    }
+
+    #[test]
+    fn tampered_header_body_or_tag_rejected() {
+        // Type and version fail the structural check; seq and length are
+        // in the AAD; body and tag fail the GCM tag.
+        let (mut c, mut s) = pair(true);
+        let rec = c.seal(b"authenticated payload").unwrap();
+        let len = rec.len();
+        for (what, idx) in [
+            ("type", 0),
+            ("version", 2),
+            ("seq", 10),
+            ("length", 12),
+            ("body", HEADER_LEN + 3),
+            ("tag", len - 1),
+        ] {
+            let mut bad = rec.to_vec();
+            bad[idx] ^= 0x01;
+            assert_eq!(s.open(&bad), Err(DtlsError::BadRecord), "{what}");
+        }
+        // None of the rejects consumed the sequence number.
+        assert_eq!(&s.open(&rec).unwrap()[..], b"authenticated payload");
     }
 
     #[test]
@@ -1199,82 +969,6 @@ mod tests {
             let want = s_seq.open_into(r, &mut pt);
             assert_eq!(results[i], want, "verdict {i}");
             assert_eq!(&pts[i][..], &pt[..], "plaintext {i}");
-        }
-    }
-
-    #[test]
-    fn batch_engine_matches_record_engine() {
-        // Pin the batch engine to the per-record kernel directly, from a
-        // non-zero first sequence number, and check that a record flagged
-        // structurally invalid is skipped with its body left untouched.
-        let (c, _s) = pair(true);
-        let keys = c.keys.as_ref().unwrap();
-        let (ks, mac) = (keys.client_ks.clone(), keys.mac);
-        let sizes = [0usize, 1, 31, 32, 51, 64, 115, 200, 1200, 4096];
-        let first_seq = 7u64;
-        let build = |i: usize, n: usize| -> BytesMut {
-            let mut out = BytesMut::new();
-            out.put_u8(CT_APPDATA);
-            out.put_slice(&VERSION);
-            out.put_u64(first_seq + i as u64);
-            out.put_u16((n + TAG_LEN) as u16);
-            for j in 0..n {
-                out.put_u8((j * 13 % 251) as u8);
-            }
-            out
-        };
-
-        let mut batch: Vec<BytesMut> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| build(i, n))
-            .collect();
-        let mut scratch = fused::BatchScratch::default();
-        fused::seal_batch(&mac, &ks, first_seq, &mut batch, &mut scratch);
-        for (i, &n) in sizes.iter().enumerate() {
-            let mut single = build(i, n);
-            let tag = fused::seal_record(&mac, &ks, first_seq + i as u64, &mut single[..]);
-            assert_eq!(scratch.tags[i], tag, "seal tag {i}");
-            assert_eq!(&batch[i][..], &single[..], "sealed record {i}");
-        }
-
-        let records: Vec<Bytes> = batch
-            .iter()
-            .zip(&scratch.tags)
-            .map(|(r, t)| {
-                let mut v = r.to_vec();
-                v.extend_from_slice(&t[..TAG_LEN]);
-                Bytes::from(v)
-            })
-            .collect();
-        let mut bodies: Vec<BytesMut> = records
-            .iter()
-            .map(|r| {
-                let mut b = BytesMut::new();
-                b.extend_from_slice(&r[HEADER_LEN..r.len() - TAG_LEN]);
-                b
-            })
-            .collect();
-        scratch.valid.clear();
-        scratch.valid.extend((0..records.len()).map(|i| i != 3));
-        fused::open_batch(&mac, &ks, &records, &mut bodies, &mut scratch);
-        for (i, rec) in records.iter().enumerate() {
-            let mut body = rec[HEADER_LEN..rec.len() - TAG_LEN].to_vec();
-            if i == 3 {
-                assert_eq!(&bodies[i][..], &body[..], "invalid body untouched");
-                continue;
-            }
-            let seq = first_seq + i as u64;
-            let tag = fused::open_record(&mac, &ks, seq, &rec[..rec.len() - TAG_LEN], &mut body);
-            assert_eq!(scratch.tags[i], tag, "open tag {i}");
-            assert_eq!(
-                &tag[..TAG_LEN],
-                &rec[rec.len() - TAG_LEN..],
-                "tag verifies {i}"
-            );
-            assert_eq!(&bodies[i][..], &body[..], "opened body {i}");
-            let want: Vec<u8> = (0..sizes[i]).map(|j| (j * 13 % 251) as u8).collect();
-            assert_eq!(body, want, "plaintext {i}");
         }
     }
 
@@ -1433,42 +1127,6 @@ mod tests {
         forged.extend_from_slice(&[0u8; 32]);
         assert!(s.handle_handshake(&forged, &mut rng).is_err());
         assert!(!s.is_established());
-    }
-
-    #[test]
-    fn keystream_v2_differs_from_v1() {
-        // The versioned keystream really is a new keystream: same key, same
-        // seq, same data must encrypt differently under v1 and v2.
-        // Version 1 is one full SHA-256 of `key || seq || block_idx` per
-        // 32 output bytes.
-        let key = [0x42u8; 32];
-        let mut v1 = [0u8; 100];
-        for (block_idx, block) in v1.chunks_mut(32).enumerate() {
-            let mut h = Sha256::new();
-            h.update(&key);
-            h.update(&7u64.to_be_bytes());
-            h.update(&(block_idx as u64).to_be_bytes());
-            for (b, k) in block.iter_mut().zip(h.finalize()) {
-                *b ^= k;
-            }
-        }
-        let mut v2 = [0u8; 100];
-        KeystreamKey::new(&key).apply(7, &mut v2);
-        assert_ne!(v1, v2);
-    }
-
-    #[test]
-    fn keystream_v2_is_deterministic_and_seq_dependent() {
-        let key = [9u8; 32];
-        let ks = KeystreamKey::new(&key);
-        let mut a = [0u8; 96];
-        let mut b = [0u8; 96];
-        ks.apply(3, &mut a);
-        ks.apply(3, &mut b);
-        assert_eq!(a, b);
-        let mut c = [0u8; 96];
-        ks.apply(4, &mut c);
-        assert_ne!(a, c);
     }
 
     #[test]

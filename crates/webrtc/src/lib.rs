@@ -2,7 +2,8 @@
 //!
 //! A from-scratch, sans-IO WebRTC substrate for the `stealthy-peers`
 //! framework: STUN codec (RFC 5389 subset), ICE agent (RFC 8445 subset),
-//! certificate fingerprints + simulated DTLS, message-oriented data
+//! certificate fingerprints + simulated DTLS with an AES-128-GCM record
+//! layer (WebRTC's mandatory cipher, RFC 8827 §6.5), message-oriented data
 //! channels, and a TURN relay (RFC 5766 subset).
 //!
 //! The paper's findings live at exactly these protocol layers:

@@ -36,8 +36,8 @@ run_gate "shard determinism gate (shard counts 1/2/4/8, inline + threaded)" \
 
 # Selected by test target, not by name filter: cargo exits 0 when a name
 # filter matches nothing, which would pass this gate with zero tests.
-run_gate "crypto differential tests (SHA-256/HMAC vs the reference oracle)" \
-  cargo test --offline -p pdn-crypto --test reference_diff --quiet
+run_gate "crypto differential tests (SHA-256/HMAC vs the reference oracle; AES-128-GCM known answers and hardware vs portable)" \
+  cargo test --offline -p pdn-crypto --test reference_diff --test aes_gcm_diff --quiet
 run_gate "crypto gate (fast-path speedup/alloc asserts)" \
   cargo run --release --offline -p pdn-oracle --bin crypto_bench -- --quick
 
@@ -76,6 +76,22 @@ no_oracle_in_normal_deps() {
   done
 }
 run_gate "dependency direction (pdn-oracle never a normal dependency)" no_oracle_in_normal_deps
+
+# pdn-crypto denies `unsafe_code` and the other library crates forbid it;
+# the two CPU-intrinsic backends are the only modules allowed to opt back in.
+unsafe_confined() {
+  local allowed=(crates/crypto/src/sha256.rs crates/crypto/src/aes_gcm.rs)
+  local found bad=0 file
+  found=$(grep -rlE '^\s*#!?\[allow\([^)]*unsafe_code' crates perfbench/src --include='*.rs')
+  for file in ${found}; do
+    if [[ " ${allowed[*]} " != *" ${file} "* ]]; then
+      echo "#[allow(unsafe_code)] outside the hardware crypto backends: ${file}" >&2
+      bad=1
+    fi
+  done
+  return "${bad}"
+}
+run_gate "unsafe confinement (#[allow(unsafe_code)] only in sha256.rs and aes_gcm.rs)" unsafe_confined
 
 # Process-global mutable switches make behaviour depend on hidden state;
 # production code takes its configuration through values. The allowlist
