@@ -11,7 +11,10 @@
 //! - **hardware** (x86-64 with AES-NI and PCLMULQDQ): eight counter blocks
 //!   in flight through the AES rounds, and GHASH aggregated over eight
 //!   blocks with the precomputed powers H¹..H⁸, so each 128 bytes costs one
-//!   polynomial reduction;
+//!   polynomial reduction. When the CPU also has AVX-512 (F and BW), VAES
+//!   and VPCLMULQDQ, whole 256-byte strides run first through a 512-bit
+//!   loop (sixteen blocks, four per instruction, one reduction per stride
+//!   over H¹..H¹⁶) and the eight-block loop finishes the tail;
 //! - **portable**: table AES (the round table is derived at compile time
 //!   from an S-box that a `const fn` computes from the field inverse, not
 //!   typed in) and 4-bit-table (Shoup) GHASH. It is the only path on other
@@ -47,8 +50,8 @@ pub const TAG_LEN: usize = 16;
 
 const BLOCK: usize = 16;
 
-/// Whether [`Aes128Gcm::new`] picks the AES-NI + PCLMULQDQ backend on this
-/// host.
+/// Whether [`Aes128Gcm::new`] picks a hardware backend (`aes-ni` or
+/// `vaes-avx512`, see [`Aes128Gcm::backend`]) on this host.
 ///
 /// Benchmarks use this to annotate results; output is identical either way.
 pub fn hw_accelerated() -> bool {
@@ -77,13 +80,8 @@ enum Backend {
 impl std::fmt::Debug for Aes128Gcm {
     // Key material stays out of debug output.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match self.backend {
-            Backend::Portable(_) => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Backend::Ni(_) => "aes-ni",
-        };
         f.debug_struct("Aes128Gcm")
-            .field("backend", &backend)
+            .field("backend", &self.backend())
             .finish_non_exhaustive()
     }
 }
@@ -109,6 +107,18 @@ impl Aes128Gcm {
     pub fn new_portable(key: &[u8; KEY_LEN]) -> Self {
         Aes128Gcm {
             backend: Backend::Portable(portable::Key::new(expand_key(key))),
+        }
+    }
+
+    /// The backend this key runs on: `"vaes-avx512"` (the 512-bit loop
+    /// plus the AES-NI tail), `"aes-ni"` or `"portable"`.
+    pub fn backend(&self) -> &'static str {
+        match &self.backend {
+            Backend::Portable(_) => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(k) if k.is_wide() => "vaes-avx512",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(_) => "aes-ni",
         }
     }
 
@@ -410,6 +420,12 @@ mod portable {
 /// Both the shift and the reduction are linear, so eight products can be
 /// summed unreduced and reduced once.
 ///
+/// On CPUs with AVX-512 F/BW, VAES and VPCLMULQDQ the same arithmetic also
+/// runs four blocks per instruction: a 512-bit register holds four 128-bit
+/// lanes, `vaesenc` and `vpclmulqdq` work lane by lane, and whole 256-byte
+/// strides (sixteen blocks) go through [`crypt_wide`] before the eight-block
+/// xmm loop finishes the tail.
+///
 /// Besides `sha256::ni` this is the crate's only unsafe code: the
 /// intrinsics need `unsafe` plus a `target_feature` gate. A [`Key`] is
 /// only ever built after `available()` confirmed the CPU features, so
@@ -420,8 +436,11 @@ mod ni {
     use super::{length_block, padded, BLOCK, NONCE_LEN};
     use core::arch::x86_64::*;
 
-    /// Blocks in flight per main-loop iteration.
+    /// Blocks in flight per xmm main-loop iteration.
     const LANES: usize = 8;
+
+    /// Blocks per stride of the 512-bit loop: four zmm registers of four.
+    const WIDE_BLOCKS: usize = 16;
 
     /// Whether this CPU has AES-NI, PCLMULQDQ and the SSSE3 byte shuffle.
     /// Cached by the standard library after the first call.
@@ -431,15 +450,31 @@ mod ni {
             && std::arch::is_x86_feature_detected!("ssse3")
     }
 
+    /// Whether this CPU also runs the 512-bit loop: AVX-512 F (zmm
+    /// registers, masks) and BW (the byte shuffle), VAES and VPCLMULQDQ.
+    fn wide_available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
+    }
+
     pub(super) struct Key {
         rk: [__m128i; 11],
-        /// `hpow[i]` = H^(i+1), byte-reversed.
-        hpow: [__m128i; LANES],
+        /// H¹⁶..H¹ byte-reversed, highest first: `hdesc[j]` = H^(16-j).
+        /// Block `j` of a run of `n` blocks aggregated at once is multiplied
+        /// by `hdesc[16 - n + j]` (n = 16 in a zmm stride, 8 in the xmm
+        /// loop), so four consecutive entries load as one zmm vector.
+        hdesc: [__m128i; WIDE_BLOCKS],
+        /// Whether `wide_available()` held at construction: the proof
+        /// [`crypt_wide`]'s caller cites.
+        wide: bool,
     }
 
     impl Key {
-        /// Loads the round keys and precomputes H¹..H⁸; `None` when the CPU
-        /// lacks the instructions.
+        /// Loads the round keys and precomputes H¹..H⁸ (and H¹..H¹⁶ for the
+        /// 512-bit loop when the CPU has it); `None` when the CPU lacks
+        /// AES-NI or PCLMULQDQ.
         pub(super) fn new(round_keys: &[u32; 44]) -> Option<Self> {
             if !available() {
                 return None;
@@ -451,7 +486,13 @@ mod ni {
                 }
             }
             // SAFETY: `available()` just confirmed aes/pclmulqdq/ssse3.
-            Some(unsafe { build(&bytes) })
+            let mut key = unsafe { build(&bytes) };
+            key.wide = wide_available();
+            Some(key)
+        }
+
+        pub(super) fn is_wide(&self) -> bool {
+            self.wide
         }
 
         pub(super) fn crypt(
@@ -477,11 +518,15 @@ mod ni {
             *r = load(b);
         }
         let h = bswap(encrypt(&rk, _mm_setzero_si128()));
-        let mut hpow = [h; LANES];
-        for i in 1..LANES {
-            hpow[i] = gfmul(hpow[i - 1], h);
+        let mut hdesc = [h; WIDE_BLOCKS];
+        for j in (0..WIDE_BLOCKS - 1).rev() {
+            hdesc[j] = gfmul(hdesc[j + 1], h);
         }
-        Key { rk, hpow }
+        Key {
+            rk,
+            hdesc,
+            wide: false,
+        }
     }
 
     // The helpers carry the same target features as `crypt`, so they inline
@@ -599,6 +644,114 @@ mod ni {
         reduce(mul_wide(a, b))
     }
 
+    /// XOR of a zmm register's four 128-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fold_lanes(x: __m512i) -> __m128i {
+        _mm_xor_si128(
+            _mm_xor_si128(_mm512_castsi512_si128(x), _mm512_extracti32x4_epi32::<1>(x)),
+            _mm_xor_si128(
+                _mm512_extracti32x4_epi32::<2>(x),
+                _mm512_extracti32x4_epi32::<3>(x),
+            ),
+        )
+    }
+
+    /// Runs the whole 256-byte strides of `buf` (its length a multiple of
+    /// 256) through the 512-bit loop, counters from block 2 on (J0 + 1),
+    /// and returns the GHASH state `y` advanced over their ciphertext.
+    ///
+    /// Per stride: four zmm counter vectors of four blocks, ten
+    /// `vaesenc` rounds on each, then the sixteen GHASH products
+    /// (Y ⊕ C₀)·H¹⁶ ⊕ C₁·H¹⁵ ⊕ … ⊕ C₁₅·H¹ summed unreduced across lanes
+    /// and vectors and reduced once.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support aes, pclmulqdq, ssse3, avx512f, avx512bw, vaes
+    /// and vpclmulqdq.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3,avx512f,avx512bw,vaes,vpclmulqdq")]
+    unsafe fn crypt_wide(
+        rk: &[__m128i; 11],
+        hdesc: &[__m128i; WIDE_BLOCKS],
+        j0_rev: __m128i,
+        mut y: __m128i,
+        buf: &mut [u8],
+        seal: bool,
+    ) -> __m128i {
+        let mut rkw = [_mm512_setzero_si512(); 11];
+        for (w, k) in rkw.iter_mut().zip(rk) {
+            *w = _mm512_broadcast_i32x4(*k);
+        }
+        // Lane `l` of `hpow[v]` is H^(16-4v-l), the power block `4v+l` of a
+        // stride is multiplied by.
+        let mut hpow = [_mm512_setzero_si512(); 4];
+        for (v, h) in hpow.iter_mut().enumerate() {
+            // SAFETY: `hdesc[4v..4v+4]` is 64 readable bytes; the load is
+            // unaligned.
+            *h = unsafe { _mm512_loadu_si512(hdesc[4 * v..].as_ptr().cast()) };
+        }
+        let bswap_w = _mm512_broadcast_i32x4(_mm_set_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        ));
+        // J0 byte-reversed in every lane with its counter dword (element 0
+        // of each lane) cleared, and the per-lane block offsets 1..4 in
+        // that dword.
+        let nonce = _mm512_broadcast_i32x4(_mm_and_si128(j0_rev, _mm_set_epi32(-1, -1, -1, 0)));
+        let lane_step = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1);
+        let mut next = 1u32;
+        for stride in buf.chunks_exact_mut(WIDE_BLOCKS * BLOCK) {
+            let mut ks = [_mm512_setzero_si512(); 4];
+            for (v, k) in ks.iter_mut().enumerate() {
+                // GCM's inc32 per lane: `next + 4v + l + 1` lands in the
+                // counter dword of lane `l` only, and `add_epi32` wraps
+                // within it exactly as `counter()` does.
+                let base = _mm512_maskz_set1_epi32(0x1111, next.wrapping_add(4 * v as u32) as i32);
+                let ctr = _mm512_add_epi32(nonce, _mm512_add_epi32(base, lane_step));
+                *k = _mm512_xor_si512(_mm512_shuffle_epi8(ctr, bswap_w), rkw[0]);
+            }
+            next = next.wrapping_add(WIDE_BLOCKS as u32);
+            for r in &rkw[1..10] {
+                for k in ks.iter_mut() {
+                    *k = _mm512_aesenc_epi128(*k, *r);
+                }
+            }
+            let (mut lo, mut mid, mut hi) = (
+                _mm512_setzero_si512(),
+                _mm512_setzero_si512(),
+                _mm512_setzero_si512(),
+            );
+            let quads = stride.chunks_exact_mut(4 * BLOCK);
+            for (v, (k, quad)) in ks.iter().zip(quads).enumerate() {
+                // SAFETY: `quad` is 64 readable and writable bytes; both
+                // accesses are unaligned.
+                let src = unsafe { _mm512_loadu_si512(quad.as_ptr().cast()) };
+                let dst = _mm512_xor_si512(src, _mm512_aesenclast_epi128(*k, rkw[10]));
+                unsafe { _mm512_storeu_si512(quad.as_mut_ptr().cast(), dst) };
+                let mut c = _mm512_shuffle_epi8(if seal { dst } else { src }, bswap_w);
+                if v == 0 {
+                    c = _mm512_xor_si512(c, _mm512_zextsi128_si512(y));
+                }
+                let h = hpow[v];
+                lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128::<0x00>(c, h));
+                mid = _mm512_xor_si512(
+                    mid,
+                    _mm512_xor_si512(
+                        _mm512_clmulepi64_epi128::<0x10>(c, h),
+                        _mm512_clmulepi64_epi128::<0x01>(c, h),
+                    ),
+                );
+                hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128::<0x11>(c, h));
+            }
+            y = reduce(Wide {
+                lo: fold_lanes(lo),
+                mid: fold_lanes(mid),
+                hi: fold_lanes(hi),
+            });
+        }
+        y
+    }
+
     /// # Safety
     ///
     /// The CPU must support aes, pclmulqdq and ssse3.
@@ -611,7 +764,7 @@ mod ni {
         seal: bool,
     ) -> [u8; BLOCK] {
         let rk = &key.rk;
-        let h1 = key.hpow[0];
+        let h1 = key.hdesc[WIDE_BLOCKS - 1];
         let mut y = _mm_setzero_si128();
         for chunk in aad.chunks(BLOCK) {
             y = gfmul(_mm_xor_si128(y, bswap(load(&padded(chunk)))), h1);
@@ -624,7 +777,19 @@ mod ni {
         let j0_rev = bswap(j0);
         let mut next = 1u32;
 
-        let mut chunks = buf.chunks_exact_mut(LANES * BLOCK);
+        let ct_len = buf.len();
+        let mut tail = buf;
+        // Below one stride the 512-bit loop has nothing to do.
+        if key.wide && ct_len >= WIDE_BLOCKS * BLOCK {
+            let (strides, rest) = tail.split_at_mut(ct_len - ct_len % (WIDE_BLOCKS * BLOCK));
+            // SAFETY: `wide` is set only when `wide_available()` confirmed
+            // the 512-bit features; the caller guarantees the rest.
+            y = unsafe { crypt_wide(rk, &key.hdesc, j0_rev, y, strides, seal) };
+            next = next.wrapping_add((strides.len() / BLOCK) as u32);
+            tail = rest;
+        }
+
+        let mut chunks = tail.chunks_exact_mut(LANES * BLOCK);
         for chunk in &mut chunks {
             let mut ks = [_mm_setzero_si128(); LANES];
             for (i, k) in ks.iter_mut().enumerate() {
@@ -647,9 +812,10 @@ mod ni {
                 *c = bswap(if seal { dst } else { src });
             }
             // Y ← (Y ⊕ C₀)·H⁸ ⊕ C₁·H⁷ ⊕ … ⊕ C₇·H¹, one reduction.
-            let mut acc = mul_wide(_mm_xor_si128(ct[0], y), key.hpow[LANES - 1]);
-            for (i, c) in ct.iter().enumerate().skip(1) {
-                add_wide(&mut acc, mul_wide(*c, key.hpow[LANES - 1 - i]));
+            let h8 = &key.hdesc[WIDE_BLOCKS - LANES..];
+            let mut acc = mul_wide(_mm_xor_si128(ct[0], y), h8[0]);
+            for (c, h) in ct.iter().zip(h8).skip(1) {
+                add_wide(&mut acc, mul_wide(*c, *h));
             }
             y = reduce(acc);
         }
@@ -666,7 +832,8 @@ mod ni {
             y = gfmul(_mm_xor_si128(y, bswap(c)), h1);
         }
 
-        let len = load(&length_block(aad.len(), buf.len()));
+        // The length block covers the whole buffer, strides and tail.
+        let len = load(&length_block(aad.len(), ct_len));
         y = gfmul(_mm_xor_si128(y, bswap(len)), h1);
         store(_mm_xor_si128(bswap(y), encrypt(rk, j0)))
     }
@@ -729,8 +896,9 @@ mod tests {
 
     #[test]
     fn new_picks_the_backend_hw_accelerated_reports() {
-        let gcm = format!("{:?}", Aes128Gcm::new(&[1; 16]));
-        assert_eq!(gcm.contains("aes-ni"), hw_accelerated(), "{gcm}");
+        let gcm = Aes128Gcm::new(&[1; 16]);
+        assert_eq!(gcm.backend() != "portable", hw_accelerated(), "{gcm:?}");
+        assert!(format!("{gcm:?}").contains(gcm.backend()), "{gcm:?}");
     }
 
     #[test]

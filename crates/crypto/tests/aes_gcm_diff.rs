@@ -6,7 +6,9 @@
 //!
 //! On a host without AES-NI and PCLMULQDQ, [`Aes128Gcm::new`] already
 //! picks the portable backend and the differential half compares it with
-//! itself.
+//! itself. On a host with AVX-512, VAES and VPCLMULQDQ it picks the
+//! `vaes-avx512` backend, checked below, so the differential tests cover
+//! the 512-bit stride loop and the xmm tail after it.
 
 use pdn_crypto::aes_gcm::{Aes128Gcm, NONCE_LEN};
 use pdn_crypto::hex;
@@ -111,6 +113,54 @@ fn wrong_tag_aad_or_nonce_rejected() {
     buf.copy_from_slice(&sealed);
     assert!(gcm.open_in_place(&nonce, b"aad", &mut buf, &tag));
     assert_eq!(buf, vec![0x5au8; 300]);
+}
+
+#[test]
+fn new_reports_vaes_avx512_when_the_cpu_has_it() {
+    let backend = Aes128Gcm::new(&[5u8; 16]).backend();
+    #[cfg(target_arch = "x86_64")]
+    {
+        let wide = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq");
+        let ni = std::arch::is_x86_feature_detected!("aes")
+            && std::arch::is_x86_feature_detected!("pclmulqdq");
+        if wide && ni {
+            assert_eq!(backend, "vaes-avx512");
+            return;
+        }
+    }
+    assert_ne!(backend, "vaes-avx512", "512-bit loop without the CPU flags");
+}
+
+/// Hardware vs portable at the 512-bit loop's stride edges (255/256/257,
+/// 511), a stride count with a 15-byte tail past an 8-block xmm pass
+/// (4,111 = 16·256 + 128 + 15) and a full record, each with no AAD and
+/// with a 13-byte (DTLS header sized) AAD.
+#[test]
+fn hardware_matches_portable_at_stride_edges() {
+    let key = [0x42u8; 16];
+    let nonce = [0x17u8; NONCE_LEN];
+    let (hw, soft) = (Aes128Gcm::new(&key), Aes128Gcm::new_portable(&key));
+    for len in [255usize, 256, 257, 511, 4_111, 16_384] {
+        for aad in [&[][..], &[0xa5u8; 13][..]] {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let (mut c_hw, mut c_soft) = (pt.clone(), pt.clone());
+            let t_hw = hw.seal_in_place(&nonce, aad, &mut c_hw);
+            let t_soft = soft.seal_in_place(&nonce, aad, &mut c_soft);
+            let what = format!("len {len}, aad {}", aad.len());
+            assert_eq!(c_hw, c_soft, "{what}: ciphertext");
+            assert_eq!(t_hw, t_soft, "{what}: tag");
+            assert!(
+                hw.open_in_place(&nonce, aad, &mut c_soft, &t_soft),
+                "{what}"
+            );
+            assert_eq!(c_soft, pt, "{what}: hardware open");
+            assert!(soft.open_in_place(&nonce, aad, &mut c_hw, &t_hw), "{what}");
+            assert_eq!(c_hw, pt, "{what}: portable open");
+        }
+    }
 }
 
 proptest! {

@@ -1,8 +1,10 @@
 //! Emits `BENCH_crypto.json`: wall-clock numbers for the crypto fast path —
 //! the zero-copy AES-128-GCM DTLS record layer against the naive baseline
-//! oracles (`pdn_oracle::reference` + `pdn_oracle::dtls_v1`),
-//! plus STUN MESSAGE-INTEGRITY checks/sec and JWT verifies/sec old vs new,
-//! all measured in the same process.
+//! oracles (`pdn_oracle::reference` + `pdn_oracle::dtls_v1`), a 3 MB
+//! segment's round trip through a `DataChannel`, plus STUN
+//! MESSAGE-INTEGRITY checks/sec and JWT verifies/sec old vs new, all
+//! measured in the same process. The AES-GCM backend in use (`aes-ni`,
+//! `vaes-avx512` or `portable`) is recorded with the numbers.
 //!
 //! ```text
 //! cargo run --release -p pdn-oracle --bin crypto_bench [-- --quick]
@@ -19,14 +21,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
+use pdn_crypto::aes_gcm::Aes128Gcm;
 use pdn_crypto::hmac::HmacKey;
 use pdn_crypto::{base64url, ct_eq, jwt};
 use pdn_oracle::{dtls_v1, reference};
 use pdn_simnet::SimRng;
 use pdn_webrtc::dtls::{handshake, DtlsEndpoint};
 use pdn_webrtc::stun::Message;
-use pdn_webrtc::Certificate;
+use pdn_webrtc::{Certificate, DataChannel};
 
 /// Wraps the system allocator, counting every allocation. The DTLS
 /// steady-state gate reads the counter around a seal+open loop.
@@ -108,69 +111,38 @@ fn run_baseline(payload: &[u8], iters: usize) -> f64 {
     dt
 }
 
-/// One timed batch run: `iters` flushes of `batch` records, each flush one
-/// `seal_batch_into` + one `open_batch_into` (the channel's multi-record
-/// message path). Returns records/sec.
-fn run_batch(payload: &[u8], batch: usize, iters: usize) -> f64 {
-    let (mut c, mut s) = dtls_pair(17);
-    let plaintexts: Vec<&[u8]> = vec![payload; batch];
-    let mut outs = Vec::new();
-    let mut records: Vec<Bytes> = Vec::new();
-    let mut opens = Vec::new();
-    let mut results = Vec::new();
-    let mut flush = |c: &mut DtlsEndpoint, s: &mut DtlsEndpoint| {
-        c.seal_batch_into(&plaintexts, &mut outs).expect("seal");
-        records.clear();
-        for o in &mut outs[..batch] {
-            records.push(std::mem::take(o).freeze());
-        }
-        s.open_batch_into(&records, &mut opens, &mut results);
-        for r in &results {
-            r.as_ref().expect("open");
-        }
+/// Size of the segment the channel row sends: Table VI's 3 MB.
+const SEGMENT_BYTES: usize = 3_000_000;
+
+/// One timed channel run: `iters` 3 MB messages, each sent as a header part
+/// plus a segment part and received as one burst, as the PDN SDK does.
+/// Returns (messages/sec, records per message).
+fn run_channel(segment: &[u8], iters: usize) -> (f64, usize) {
+    let (c, s) = dtls_pair(17);
+    let (mut tx, mut rx) = (DataChannel::new(c), DataChannel::new(s));
+    let header = [0xc1u8; 24];
+    let mut msgs = Vec::new();
+    let mut round = |tx: &mut DataChannel, rx: &mut DataChannel| -> usize {
+        let records = tx.send_message(&[&header, segment]).expect("send");
+        msgs.clear();
+        rx.receive_batch(&records, &mut msgs);
+        assert_eq!(msgs.len(), 1, "one message per burst");
+        records.len()
     };
-    flush(&mut c, &mut s); // warm the buffers
+    let records = round(&mut tx, &mut rx); // warm the scratch
     let t = Instant::now();
     for _ in 0..iters {
-        flush(&mut c, &mut s);
+        round(&mut tx, &mut rx);
     }
-    (iters * batch) as f64 / t.elapsed().as_secs_f64()
+    let dt = t.elapsed().as_secs_f64();
+    assert_eq!(&msgs[0][header.len()..], segment, "channel roundtrip");
+    (iters as f64 / dt, records)
 }
 
-/// Allocations per record across a warm burst receive: only the
-/// `open_batch_into` calls are counted (sealing fresh records each flush
-/// happens outside the counted windows).
-fn batch_open_allocs(payload: &[u8], batch: usize, iters: usize) -> f64 {
-    let (mut c, mut s) = dtls_pair(23);
-    let plaintexts: Vec<&[u8]> = vec![payload; batch];
-    let mut outs = Vec::new();
-    let mut opens = Vec::new();
-    let mut results = Vec::new();
-    let seal = |c: &mut DtlsEndpoint, outs: &mut Vec<BytesMut>| -> Vec<Bytes> {
-        c.seal_batch_into(&plaintexts, outs).expect("seal");
-        outs[..batch]
-            .iter_mut()
-            .map(|o| std::mem::take(o).freeze())
-            .collect()
-    };
-    // Warm: the first open sizes the plaintext buffers.
-    let records = seal(&mut c, &mut outs);
-    s.open_batch_into(&records, &mut opens, &mut results);
-    let mut counted = 0u64;
-    for _ in 0..iters {
-        let records = seal(&mut c, &mut outs);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        s.open_batch_into(&records, &mut opens, &mut results);
-        counted += ALLOCS.load(Ordering::Relaxed) - before;
-        for r in &results {
-            r.as_ref().expect("open");
-        }
-    }
-    counted as f64 / (iters * batch) as f64
-}
-
-/// Allocations per record across a steady-state seal+open loop.
-fn allocs_per_record(payload: &[u8], iters: usize) -> f64 {
+/// Allocations per record across a steady-state loop, counted separately
+/// for `seal_into` and `open_into` (the data channel's per-record calls):
+/// returns (seal, open).
+fn allocs_per_record(payload: &[u8], iters: usize) -> (f64, f64) {
     let (mut c, mut s) = dtls_pair(23);
     let mut record = BytesMut::new();
     let mut plain = BytesMut::new();
@@ -178,13 +150,16 @@ fn allocs_per_record(payload: &[u8], iters: usize) -> f64 {
         c.seal_into(payload, &mut record).expect("seal");
         s.open_into(&record, &mut plain).expect("open");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (mut seal, mut open) = (0u64, 0u64);
     for _ in 0..iters {
+        let before = ALLOCS.load(Ordering::Relaxed);
         c.seal_into(payload, &mut record).expect("seal");
+        let mid = ALLOCS.load(Ordering::Relaxed);
         s.open_into(&record, &mut plain).expect("open");
+        open += ALLOCS.load(Ordering::Relaxed) - mid;
+        seal += mid - before;
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    (after - before) as f64 / iters as f64
+    (seal as f64 / iters as f64, open as f64 / iters as f64)
 }
 
 fn main() {
@@ -222,35 +197,21 @@ fn main() {
     dtls_rows.pop();
     dtls_rows.pop(); // trailing ",\n"
 
-    let alloc_rate = allocs_per_record(&vec![7u8; 1200], (4000 / scale).max(50));
+    let (seal_allocs, open_allocs) = allocs_per_record(&vec![7u8; 1200], (4000 / scale).max(50));
 
-    // --- Batched record engine: records/sec per batch size, one
-    // seal_batch_into + open_batch_into per flush. ---
-    let batch_payload: Vec<u8> = (0..1200).map(|i| (i % 251) as u8).collect();
-    let batch_sizes = [1usize, 4, 8, 16];
-    // Interleave the batch sizes within each round (as the dtls rows do)
-    // so frequency scaling drifts hit every size equally.
-    let mut batch_samples: Vec<Vec<f64>> = vec![Vec::new(); batch_sizes.len()];
+    // --- A 3 MB segment through the data channel: gathered send plus
+    // burst receive with in-place reassembly. ---
+    let segment: Vec<u8> = (0..SEGMENT_BYTES).map(|i| (i % 251) as u8).collect();
+    let mut channel_s = Vec::new();
+    let mut records_per_msg = 0;
     for _ in 0..RUNS {
-        for (bi, &batch) in batch_sizes.iter().enumerate() {
-            let iters = (3000 / scale / batch).max(10);
-            batch_samples[bi].push(run_batch(&batch_payload, batch, iters));
-        }
+        let (rate, records) = run_channel(&segment, (40 / scale).max(3));
+        channel_s.push(rate);
+        records_per_msg = records;
     }
-    let mut batch_rows = String::new();
-    let mut batch_rps = Vec::new();
-    for (bi, &batch) in batch_sizes.iter().enumerate() {
-        let rps = median(batch_samples[bi].clone());
-        let mbps = rps * batch_payload.len() as f64 / 1e6;
-        batch_rows.push_str(&format!(
-            "    {{\"batch\": {batch}, \"records_per_sec\": {rps:.0}, \
-             \"mb_per_sec\": {mbps:.1}}},\n"
-        ));
-        batch_rps.push(rps);
-    }
-    batch_rows.pop();
-    batch_rows.pop(); // trailing ",\n"
-    let batch_alloc_rate = batch_open_allocs(&batch_payload, 8, (400 / scale).max(20));
+    let channel_msgs = median(channel_s);
+    let channel_mbps = channel_msgs * SEGMENT_BYTES as f64 / 1e6;
+    let channel_ms = 1e3 / channel_msgs;
 
     // --- STUN MESSAGE-INTEGRITY: checks/sec, per-check key schedule vs
     // cached HmacKey. ---
@@ -319,13 +280,17 @@ fn main() {
 
     let sha_hw = pdn_crypto::sha256::hw_accelerated();
     let hw = pdn_crypto::aes_gcm::hw_accelerated();
+    let backend = Aes128Gcm::new(&[0; 16]).backend();
     let json = format!(
         "{{\n  \"quick\": {quick},\n  \"sha_hw_accelerated\": {sha_hw},\n  \
          \"aes_gcm_hw_accelerated\": {hw},\n  \
+         \"aes_gcm_backend\": \"{backend}\",\n  \
          \"dtls_seal_open\": [\n{dtls_rows}\n  ],\n  \
-         \"dtls_allocs_per_record_steady_state\": {alloc_rate:.3},\n  \
-         \"dtls_batch_roundtrip\": [\n{batch_rows}\n  ],\n  \
-         \"dtls_batch_open_allocs_per_record\": {batch_alloc_rate:.3},\n  \
+         \"dtls_seal_into_allocs_per_record\": {seal_allocs:.3},\n  \
+         \"dtls_open_into_allocs_per_record\": {open_allocs:.3},\n  \
+         \"channel_3mb_roundtrip\": {{\"message_bytes\": {SEGMENT_BYTES}, \
+         \"records\": {records_per_msg}, \"ms_per_message\": {channel_ms:.3}, \
+         \"mb_per_sec\": {channel_mbps:.1}}},\n  \
          \"stun_checks_per_sec_new\": {stun_new:.0},\n  \
          \"stun_checks_per_sec_old\": {stun_old:.0},\n  \
          \"stun_speedup\": {:.2},\n  \
@@ -342,23 +307,12 @@ fn main() {
     print!("{json}");
 
     assert!(
-        alloc_rate == 0.0,
-        "steady-state seal+open must not allocate (got {alloc_rate:.3} allocs/record)"
+        seal_allocs == 0.0,
+        "steady-state seal_into must not allocate (got {seal_allocs:.3} allocs/record)"
     );
     assert!(
-        batch_alloc_rate == 0.0,
-        "warm burst receive (open_batch_into) must not allocate \
-         (got {batch_alloc_rate:.3} allocs/record)"
-    );
-    // The batch engine loops over the one-record kernel into reused
-    // buffers, so batching a flush must never cost more than measurement
-    // noise over sealing record by record.
-    assert!(
-        batch_rps[2] >= 0.92 * batch_rps[0],
-        "batch-8 round trip must not lose to per-record \
-         ({:.0} vs {:.0} records/sec)",
-        batch_rps[2],
-        batch_rps[0]
+        open_allocs == 0.0,
+        "steady-state open_into must not allocate (got {open_allocs:.3} allocs/record)"
     );
     // The fast path's margin at large payloads comes from running
     // AES-128-GCM on the CPU's AES-NI and PCLMULQDQ units. Without them the

@@ -527,10 +527,12 @@ impl PdnAgent {
     /// When the whole burst is DTLS application data from a peer with an
     /// established data channel, it is opened as one batch: a single CPU
     /// charge for the summed record bytes (the cost model is linear, so
-    /// this equals the per-record charges) and one wide keystream + HMAC
-    /// pass over every record, with decoded messages running through the
-    /// normal P2P frame handler. Anything else — handshake flights, STUN,
-    /// unknown peers — falls back to the per-frame [`PdnAgent::on_udp`].
+    /// this equals the per-record charges) and one
+    /// [`DataChannel::receive_batch`] pass that opens every record and
+    /// places its chunk straight into the message buffer, with decoded
+    /// messages running through the normal P2P frame handler. Anything
+    /// else — handshake flights, STUN, unknown peers — falls back to the
+    /// per-frame [`PdnAgent::on_udp`].
     pub fn on_udp_burst(&mut self, from: Addr, frames: &[Bytes], now: SimTime) -> Vec<AgentOut> {
         let conn_idx = self
             .conns
@@ -1081,7 +1083,7 @@ impl PdnAgent {
                 debug_assert!(ep.is_established(), "open promotes the endpoint");
                 let ep = conn.dtls.take().expect("checked");
                 let mut chan = DataChannel::new(ep);
-                let msg = chan.ingest_plaintext(frame).ok().flatten();
+                let msg = chan.ingest_plaintext(&frame).ok().flatten();
                 conn.chan = Some(chan);
                 // The retransmit loop skips established connections, so
                 // the saved ClientHello can never be needed again.
@@ -1559,9 +1561,11 @@ struct P2pTx<'a> {
 }
 
 impl P2pTx<'_> {
-    /// Encodes `msg` into the reused scratch and frames it onto the
-    /// channel; multi-record messages leave as one [`AgentOut::UdpBurst`].
-    /// Queues an owned copy if the channel is not established yet.
+    /// Encodes `msg`'s header into the reused scratch and frames it, with
+    /// the segment bytes as a second part, onto the channel: the segment is
+    /// copied only into the sealed records. Multi-record messages leave as
+    /// one [`AgentOut::UdpBurst`]. Queues an owned copy if the channel is
+    /// not established yet.
     fn send(&mut self, msg: &P2pRef<'_>, out: &mut Vec<AgentOut>) {
         let Some(remote) = self.conn.remote_media else {
             self.conn.queued.push(msg.to_owned_msg());
@@ -1572,15 +1576,18 @@ impl P2pTx<'_> {
             return;
         };
         self.scratch.clear();
-        wire::encode_p2p_into(msg, self.intern, self.scratch);
-        let records = match chan.send_message(&self.scratch[..]) {
+        let tail = wire::encode_p2p_header_into(msg, self.intern, self.scratch);
+        let records = match chan.send_message(&[&self.scratch[..], tail]) {
             Ok(records) => records,
             Err(_) => return,
         };
         if let P2pRef::SegmentData { data, .. } = msg {
             *self.p2p_up += data.len() as u64;
         }
-        out.push(AgentOut::ChargeCpu(crypto_cost(self.scratch.len())));
+        // Charged on the whole encoded message, header and payload.
+        out.push(AgentOut::ChargeCpu(crypto_cost(
+            self.scratch.len() + tail.len(),
+        )));
         push_media_records(self.relay, self.rng, remote, records, out);
     }
 }

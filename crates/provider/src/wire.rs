@@ -685,6 +685,20 @@ impl P2pRef<'_> {
 /// Encodes a P2P message in the binary format, appending to `out`.
 /// Allocation-free once `out` has warmed to the message size.
 pub fn encode_p2p_into(msg: &P2pRef<'_>, table: &InternTable, out: &mut BytesMut) {
+    let tail = encode_p2p_header_into(msg, table, out);
+    out.put_slice(tail);
+}
+
+/// Encodes all of a P2P message but its trailing payload, appending to
+/// `out`, and returns that payload: the segment bytes of a `SegmentData`,
+/// empty otherwise. `out` followed by the returned slice is exactly the
+/// [`encode_p2p_into`] frame, so a sender can hand both to the data
+/// channel as parts and never copy the segment into a frame buffer.
+pub fn encode_p2p_header_into<'m>(
+    msg: &P2pRef<'m>,
+    table: &InternTable,
+    out: &mut BytesMut,
+) -> &'m [u8] {
     out.put_u8(P2P_BIN_VERSION);
     match *msg {
         P2pRef::Have {
@@ -699,6 +713,7 @@ pub fn encode_p2p_into(msg: &P2pRef<'_>, table: &InternTable, out: &mut BytesMut
             for s in seqs {
                 put_uvarint(out, *s);
             }
+            &[]
         }
         P2pRef::RequestSegment {
             video,
@@ -709,6 +724,7 @@ pub fn encode_p2p_into(msg: &P2pRef<'_>, table: &InternTable, out: &mut BytesMut
             put_str_field(out, video, table);
             out.put_u8(rendition);
             put_uvarint(out, seq);
+            &[]
         }
         P2pRef::SegmentData {
             video,
@@ -732,7 +748,7 @@ pub fn encode_p2p_into(msg: &P2pRef<'_>, table: &InternTable, out: &mut BytesMut
                 None => out.put_u8(0),
             }
             put_uvarint(out, data.len() as u64);
-            out.put_slice(data);
+            data
         }
     }
 }
@@ -1101,6 +1117,24 @@ mod tests {
         // resolving to the wrong video.
         assert_eq!(decode_p2p(&interned, &InternTable::EMPTY), None);
         assert_eq!(decode_p2p(&interned, &table), Some(msg));
+    }
+
+    #[test]
+    fn header_and_tail_concatenate_to_the_frame() {
+        let mut table = InternTable::new();
+        table.intern("v.m3u8");
+        for msg in every_p2p_variant() {
+            let r = P2pRef::from(&msg);
+            let mut header = BytesMut::new();
+            let tail = encode_p2p_header_into(&r, &table, &mut header);
+            let whole = [&header[..], tail].concat();
+            assert_eq!(&whole[..], &encode_p2p(&msg, &table)[..], "{msg:?}");
+            let payload_len = match &msg {
+                P2pMsg::SegmentData { data, .. } => data.len(),
+                _ => 0,
+            };
+            assert_eq!(tail.len(), payload_len, "{msg:?}");
+        }
     }
 
     #[test]

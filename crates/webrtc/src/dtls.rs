@@ -55,9 +55,11 @@
 //!   session, into boxed session keys (one allocation per handshake, none
 //!   per record, and the endpoint stays small inline);
 //! - on CPUs with AES-NI and PCLMULQDQ the cipher keeps eight blocks in
-//!   flight and reduces GHASH once per 128 bytes;
-//! - [`DtlsEndpoint::seal_batch_into`] / [`DtlsEndpoint::open_batch_into`]
-//!   loop over the same one-record kernel.
+//!   flight and reduces GHASH once per 128 bytes; with AVX-512, VAES and
+//!   VPCLMULQDQ it runs sixteen blocks per 256-byte stride first;
+//! - the data channel seals each record straight from the message's parts
+//!   (the crate-private `DtlsEndpoint::seal_with` appends the plaintext
+//!   into the record buffer), so a multi-record message is never staged.
 //!
 //! The pre-AES record path (a SHA-256 keystream plus a per-record HMAC)
 //! lives on as a test oracle in the `pdn-oracle` crate, the baseline
@@ -252,16 +254,28 @@ impl RecordKey {
         n
     }
 
-    /// Writes record `seq` carrying `plaintext` into `out` (cleared first):
-    /// header, plaintext encrypted in place, tag.
-    fn seal_record(&self, seq: u64, plaintext: &[u8], out: &mut BytesMut) {
+    /// Writes record `seq` carrying a `len`-byte plaintext into `out`
+    /// (cleared first, then sized to the record): header, the plaintext
+    /// `write` appends, encrypted in place, tag.
+    fn seal_record(
+        &self,
+        seq: u64,
+        len: usize,
+        out: &mut BytesMut,
+        write: impl FnOnce(&mut BytesMut),
+    ) {
         out.clear();
-        out.reserve(HEADER_LEN + plaintext.len() + TAG_LEN);
+        out.reserve(HEADER_LEN + len + TAG_LEN);
         out.put_u8(CT_APPDATA);
         out.put_slice(&VERSION);
         out.put_u64(seq);
-        out.put_u16((plaintext.len() + TAG_LEN) as u16);
-        out.put_slice(plaintext);
+        out.put_u16((len + TAG_LEN) as u16);
+        write(out);
+        assert_eq!(
+            out.len(),
+            HEADER_LEN + len,
+            "the plaintext writer must append exactly {len} bytes"
+        );
         let (header, body) = out.split_at_mut(HEADER_LEN);
         let tag = self.gcm.seal_in_place(&self.nonce(seq), header, body);
         out.put_slice(&tag);
@@ -540,15 +554,29 @@ impl DtlsEndpoint {
     /// Returns [`DtlsError::NotEstablished`] before the handshake
     /// completes, [`DtlsError::Oversize`] beyond [`MAX_RECORD_PLAINTEXT`].
     pub fn seal_into(&mut self, plaintext: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
+        self.seal_with(plaintext.len(), out, |o| o.put_slice(plaintext))
+    }
+
+    /// [`Self::seal_into`] for a plaintext that `write` appends to `out`
+    /// (after the record header) instead of one contiguous slice: the
+    /// data channel gathers a chunk header and a chunk body from the
+    /// message's parts straight into the record buffer. `write` must
+    /// append exactly `len` bytes.
+    pub(crate) fn seal_with(
+        &mut self,
+        len: usize,
+        out: &mut BytesMut,
+        write: impl FnOnce(&mut BytesMut),
+    ) -> Result<(), DtlsError> {
         if !self.is_established() {
             return Err(DtlsError::NotEstablished);
         }
-        if plaintext.len() > MAX_RECORD_PLAINTEXT {
+        if len > MAX_RECORD_PLAINTEXT {
             return Err(DtlsError::Oversize);
         }
         let keys = self.keys.as_ref().expect("established implies keys");
         keys.sealing(self.role)
-            .seal_record(self.send_seq, plaintext, out);
+            .seal_record(self.send_seq, len, out, write);
         self.send_seq += 1;
         Ok(())
     }
@@ -603,98 +631,6 @@ impl DtlsEndpoint {
             self.state = State::Established;
         }
         Ok(())
-    }
-
-    /// Seals all `plaintexts` as one batch of records into `outs`, which is
-    /// grown (never shrunk) to at least `plaintexts.len()` reusable buffers;
-    /// `outs[i]` receives record `i`. With warm buffers the path performs
-    /// zero heap allocations. The records are byte-identical to N
-    /// sequential [`Self::seal_into`] calls.
-    ///
-    /// # Errors
-    ///
-    /// All-or-nothing, checked before any sequence number is consumed:
-    /// [`DtlsError::NotEstablished`] before the handshake completes,
-    /// [`DtlsError::Oversize`] if *any* plaintext exceeds
-    /// [`MAX_RECORD_PLAINTEXT`].
-    pub fn seal_batch_into(
-        &mut self,
-        plaintexts: &[&[u8]],
-        outs: &mut Vec<BytesMut>,
-    ) -> Result<(), DtlsError> {
-        if !self.is_established() {
-            return Err(DtlsError::NotEstablished);
-        }
-        if plaintexts.iter().any(|p| p.len() > MAX_RECORD_PLAINTEXT) {
-            return Err(DtlsError::Oversize);
-        }
-        if outs.len() < plaintexts.len() {
-            outs.resize_with(plaintexts.len(), BytesMut::new);
-        }
-        let key = self
-            .keys
-            .as_ref()
-            .expect("established implies keys")
-            .sealing(self.role);
-        for (pt, out) in plaintexts.iter().zip(outs.iter_mut()) {
-            key.seal_record(self.send_seq, pt, out);
-            self.send_seq += 1;
-        }
-        Ok(())
-    }
-
-    /// Opens all `records` as one batch: `outs[i]` receives record `i`'s
-    /// plaintext (cleared on failure) and `results[i]` its verdict. `outs`
-    /// is grown (never shrunk) to at least `records.len()` buffers; with
-    /// warm buffers the path performs zero heap allocations.
-    ///
-    /// The verdicts are record-for-record identical to feeding the batch
-    /// through [`Self::open_into`] sequentially — including tag-reject
-    /// before replay-reject per record, replay-window evolution in batch
-    /// order, and implicit handshake completion once a record
-    /// authenticates.
-    pub fn open_batch_into(
-        &mut self,
-        records: &[Bytes],
-        outs: &mut Vec<BytesMut>,
-        results: &mut Vec<Result<(), DtlsError>>,
-    ) {
-        let n = records.len();
-        results.clear();
-        if outs.len() < n {
-            outs.resize_with(n, BytesMut::new);
-        }
-        let awaiting_finished =
-            matches!(self.state, State::AwaitClientFinished { .. }) && self.keys.is_some();
-        if !self.is_established() && !awaiting_finished {
-            for out in outs.iter_mut().take(n) {
-                out.clear();
-            }
-            results.extend((0..n).map(|_| Err(DtlsError::NotEstablished)));
-            return;
-        }
-        let key = self
-            .keys
-            .as_ref()
-            .expect("established or awaiting implies keys")
-            .opening(self.role);
-        let mut any_authenticated = false;
-        for (rec, out) in records.iter().zip(outs.iter_mut()) {
-            out.clear();
-            let verdict = key.open_record(rec, out).and_then(|seq| {
-                if self.replay.check_and_update(seq) {
-                    Ok(())
-                } else {
-                    out.clear();
-                    Err(DtlsError::Replay)
-                }
-            });
-            any_authenticated |= verdict.is_ok();
-            results.push(verdict);
-        }
-        if awaiting_finished && any_authenticated {
-            self.state = State::Established;
-        }
     }
 }
 
@@ -898,16 +834,8 @@ mod tests {
     #[test]
     fn record_length_is_header_plus_plaintext_plus_tag() {
         let (mut c, _s) = pair(true);
-        let mut outs = Vec::new();
-        let sizes = [0usize, 1, 16, 100, 1200, MAX_RECORD_PLAINTEXT];
-        for n in sizes {
+        for n in [0usize, 1, 16, 100, 1200, MAX_RECORD_PLAINTEXT] {
             assert_eq!(c.seal(&vec![7u8; n]).unwrap().len(), 13 + n + 16);
-        }
-        let payloads: Vec<Vec<u8>> = sizes.iter().map(|&n| vec![9u8; n]).collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        c.seal_batch_into(&refs, &mut outs).unwrap();
-        for (out, n) in outs.iter().zip(sizes) {
-            assert_eq!(out.len(), 13 + n + 16);
         }
     }
 
@@ -932,105 +860,6 @@ mod tests {
         }
         // None of the rejects consumed the sequence number.
         assert_eq!(&s.open(&rec).unwrap()[..], b"authenticated payload");
-    }
-
-    #[test]
-    fn batch_seal_open_matches_sequential() {
-        // `pair` is seed-deterministic, so two pairs share identical keys
-        // and the batch path can be pinned byte-for-byte against the
-        // sequential one.
-        let (mut c_seq, mut s_seq) = pair(true);
-        let (mut c_batch, mut s_batch) = pair(true);
-        let payloads: Vec<Vec<u8>> = [0usize, 1, 63, 64, 65, 100, 4096, 16_384, 51, 13]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7 % 251) as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-
-        let mut sequential = Vec::new();
-        let mut rec = BytesMut::new();
-        for p in &payloads {
-            c_seq.seal_into(p, &mut rec).unwrap();
-            sequential.push(Bytes::copy_from_slice(&rec));
-        }
-        let mut outs = Vec::new();
-        c_batch.seal_batch_into(&refs, &mut outs).unwrap();
-        assert_eq!(c_batch.send_seq, c_seq.send_seq);
-        for (i, (batch, seq)) in outs.iter().zip(&sequential).enumerate() {
-            assert_eq!(&batch[..], &seq[..], "record {i}");
-        }
-
-        // Open side: batch verdicts and plaintexts match sequential opens.
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        s_batch.open_batch_into(&sequential, &mut pts, &mut results);
-        let mut pt = BytesMut::new();
-        for (i, r) in sequential.iter().enumerate() {
-            let want = s_seq.open_into(r, &mut pt);
-            assert_eq!(results[i], want, "verdict {i}");
-            assert_eq!(&pts[i][..], &pt[..], "plaintext {i}");
-        }
-    }
-
-    #[test]
-    fn batch_open_completes_handshake_implicitly() {
-        // Lose the client Finished: the server is AwaitClientFinished, and
-        // a batch whose first record authenticates must establish it (same
-        // implicit-completion rule as `open_into`).
-        let mut rng = SimRng::seed(33);
-        let ccert = Certificate::generate(&mut rng);
-        let scert = Certificate::generate(&mut rng);
-        let (mut c, hello) = DtlsEndpoint::client(ccert, None, &mut rng);
-        let mut s = DtlsEndpoint::server(scert, None, &mut rng);
-        let sh = s.handle_handshake(&hello, &mut rng).unwrap().unwrap();
-        let _client_finished = c.handle_handshake(&sh, &mut rng).unwrap().unwrap();
-        assert!(!s.is_established());
-
-        let mut outs = Vec::new();
-        c.seal_batch_into(&[b"first".as_slice(), b"second"], &mut outs)
-            .unwrap();
-        let records: Vec<Bytes> = outs.iter().map(|o| Bytes::copy_from_slice(o)).collect();
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        s.open_batch_into(&records, &mut pts, &mut results);
-        assert_eq!(results, vec![Ok(()), Ok(())]);
-        assert!(s.is_established());
-        assert_eq!(&pts[0][..], b"first");
-        assert_eq!(&pts[1][..], b"second");
-    }
-
-    #[test]
-    fn batch_seal_is_all_or_nothing() {
-        let (mut c, _s) = pair(true);
-        let big = vec![0u8; MAX_RECORD_PLAINTEXT + 1];
-        let mut outs = Vec::new();
-        assert_eq!(
-            c.seal_batch_into(&[b"ok".as_slice(), &big], &mut outs),
-            Err(DtlsError::Oversize)
-        );
-        // No sequence number was consumed by the failed batch.
-        assert_eq!(c.send_seq, 0);
-    }
-
-    #[test]
-    fn batch_open_before_establishment_fails_every_record() {
-        let mut rng = SimRng::seed(5);
-        let cert = Certificate::generate(&mut rng);
-        let (mut c, _hello) = DtlsEndpoint::client(cert, None, &mut rng);
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        c.open_batch_into(
-            &[Bytes::from_static(b"junk"), Bytes::from_static(b"junk2")],
-            &mut pts,
-            &mut results,
-        );
-        assert_eq!(
-            results,
-            vec![
-                Err(DtlsError::NotEstablished),
-                Err(DtlsError::NotEstablished)
-            ]
-        );
     }
 
     #[test]
@@ -1222,81 +1051,6 @@ mod prop_tests {
             let rec = c.seal(&payload).unwrap();
             prop_assert!(s.open(&rec).is_ok());
             prop_assert_eq!(s.open(&rec), Err(DtlsError::Replay));
-        }
-
-        #[test]
-        fn batch_seal_matches_sequential_for_any_payloads(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..2048),
-                0..10,
-            ),
-        ) {
-            // `pair` is seed-deterministic: two pairs share identical keys.
-            let (mut c_seq, _) = pair();
-            let (mut c_batch, _) = pair();
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let mut outs = Vec::new();
-            c_batch.seal_batch_into(&refs, &mut outs).unwrap();
-            let mut rec = BytesMut::new();
-            for (i, p) in payloads.iter().enumerate() {
-                c_seq.seal_into(p, &mut rec).unwrap();
-                prop_assert_eq!(&outs[i][..], &rec[..], "record {}", i);
-            }
-        }
-
-        #[test]
-        fn batch_open_fails_record_for_record_like_sequential(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..1024),
-                1..10,
-            ),
-            muts in proptest::collection::vec((0u8..4, any::<u32>()), 10),
-        ) {
-            // Seal a batch, then damage it: per record either keep,
-            // truncate mid-batch, flip one bit, or replace with a copy of
-            // the previous wire record (an intra-batch replay). The batch
-            // open must return exactly the verdicts and plaintexts of
-            // opening the damaged records one by one.
-            let (mut c, mut s_seq) = pair();
-            let (_, mut s_batch) = pair();
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let mut outs = Vec::new();
-            c.seal_batch_into(&refs, &mut outs).unwrap();
-
-            let mut wire: Vec<Bytes> = Vec::new();
-            for (i, out) in outs.iter().take(payloads.len()).enumerate() {
-                let rec = Bytes::copy_from_slice(out);
-                let (m, p) = muts[i];
-                let p = p as usize;
-                match m {
-                    1 => {
-                        let cut = (p % rec.len()).max(1);
-                        wire.push(rec.slice(..rec.len() - cut));
-                    }
-                    2 => {
-                        let mut v = rec.to_vec();
-                        let bit = p % (v.len() * 8);
-                        v[bit / 8] ^= 1 << (bit % 8);
-                        wire.push(Bytes::from(v));
-                    }
-                    3 if i > 0 => wire.push(wire[i - 1].clone()),
-                    _ => wire.push(rec),
-                }
-            }
-
-            let mut pts = Vec::new();
-            let mut results = Vec::new();
-            s_batch.open_batch_into(&wire, &mut pts, &mut results);
-            let mut pt = BytesMut::new();
-            for (i, rec) in wire.iter().enumerate() {
-                // Structural failures return before `open_into` touches its
-                // output buffer; clear between records so "untouched" and the
-                // batch path's "cleared" compare equal.
-                pt.clear();
-                let want = s_seq.open_into(rec, &mut pt);
-                prop_assert_eq!(&results[i], &want, "verdict {}", i);
-                prop_assert_eq!(&pts[i][..], &pt[..], "plaintext {}", i);
-            }
         }
     }
 }

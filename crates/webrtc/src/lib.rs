@@ -153,7 +153,7 @@ mod prop_tests {
             let mut tx = DataChannel::new(c);
             let mut rx = DataChannel::new(s);
             let payload: Vec<u8> = (0..len).map(|i| (i % 255) as u8).collect();
-            let recs = tx.send_message(&payload).unwrap();
+            let recs = tx.send_message(&[&payload]).unwrap();
             let mut out = None;
             for r in &recs {
                 if let Some(m) = rx.receive_record(r).unwrap() {
