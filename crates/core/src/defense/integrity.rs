@@ -87,7 +87,12 @@ const VIDEO: &str = "table6-video";
 const SEGMENT_SECS: u64 = 10;
 const BITRATE: u64 = 2_400_000;
 
-fn group_world(pdn: bool, im: bool, seed: u64) -> (PdnWorld, Vec<pdn_simnet::NodeId>) {
+fn group_world(
+    pdn: bool,
+    im: bool,
+    segments: u64,
+    seed: u64,
+) -> (PdnWorld, Vec<pdn_simnet::NodeId>) {
     let mut profile = if im {
         ProviderProfile::hardened(&ProviderProfile::peer5())
     } else {
@@ -104,7 +109,7 @@ fn group_world(pdn: bool, im: bool, seed: u64) -> (PdnWorld, Vec<pdn_simnet::Nod
         VIDEO,
         vec![BITRATE],
         Duration::from_secs(SEGMENT_SECS),
-        60,
+        segments,
     ));
     let mut cfg = AgentConfig::new(VIDEO, "k", "site.tv");
     cfg.pdn_enabled = pdn;
@@ -112,7 +117,7 @@ fn group_world(pdn: bool, im: bool, seed: u64) -> (PdnWorld, Vec<pdn_simnet::Nod
     if im {
         cfg.sim_key = b"pdn-server-sim-key".to_vec();
     }
-    cfg.vod_end = Some(60);
+    cfg.vod_end = Some(segments);
 
     // 3 senders seed first (eager CDN fetchers, so with IM checking on all
     // three report and the reporter quorum is met), 3 receivers follow.
@@ -130,7 +135,7 @@ fn group_world(pdn: bool, im: bool, seed: u64) -> (PdnWorld, Vec<pdn_simnet::Nod
 }
 
 fn run_group(label: &'static str, pdn: bool, im: bool, secs: u64, seed: u64) -> TableVIRow {
-    let (mut world, nodes) = group_world(pdn, im, seed);
+    let (mut world, nodes) = group_world(pdn, im, 60, seed);
     world.run_until(SimTime::from_secs(secs));
     let n = nodes.len() as f64;
     let mean_cpu = nodes
@@ -346,6 +351,33 @@ mod tests {
             "IM adds hash-scale latency, got {extra:?}"
         );
         assert!(t.render().contains("TABLE VI"));
+    }
+
+    /// SHA-256 runs once per segment in a Table-VI-shaped world: the
+    /// reporters' CDN copies share one edge frame and every receiver's P2P
+    /// copy is byte-equal, so each segment the CDN served is hashed once
+    /// and every other IM lookup is answered by the world's memo.
+    #[test]
+    fn integrity_world_hashes_each_segment_once() {
+        const SEGMENTS: u64 = 8;
+        let (mut world, nodes) = group_world(true, true, SEGMENTS, 5);
+        world.run_until(SimTime::from_secs(300));
+        for &x in &nodes {
+            assert_eq!(
+                world.agent(x).player().played().len() as u64,
+                SEGMENTS,
+                "every viewer plays the whole video"
+            );
+        }
+        let (_, cdn_misses) = world.cdn().cache_stats();
+        assert_eq!(cdn_misses, SEGMENTS, "one distinct byte string per id");
+        let im = world.digest_stats().im;
+        assert_eq!(im.computed, SEGMENTS, "SHA-256 once per segment: {im:?}");
+        assert_eq!(im.mismatches, 0);
+        // Every viewer looked up the IM of every segment it received, as
+        // a reporter of its CDN copy or to verify its P2P copy.
+        assert!(im.lookups() >= nodes.len() as u64 * SEGMENTS, "{im:?}");
+        assert!(im.identity_hits > 0 && im.equal_hits > 0, "{im:?}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use pdn_media::VideoSource;
+use pdn_media::{DigestStats, VideoSource};
 use pdn_provider::sdk::ports;
 use pdn_provider::world::{PdnWorld, ViewerSpec};
 use pdn_provider::{AgentConfig, CustomerAccount, HttpResponse, ProviderProfile};
@@ -52,6 +52,8 @@ pub struct PollutionResult {
     pub victim_rejections: u64,
     /// Whether the server blacklisted the attacker (defense active).
     pub attacker_blacklisted: bool,
+    /// How the world's segment-digest memo answered its lookups.
+    pub digests: DigestStats,
 }
 
 impl PollutionResult {
@@ -226,6 +228,7 @@ pub fn run_pollution(
         attacker_isolated,
         victim_rejections: rejections,
         attacker_blacklisted,
+        digests: world.digest_stats(),
     }
 }
 
@@ -373,6 +376,23 @@ mod tests {
             r.victim_total_played > 0,
             "victims still play (CDN fallback)"
         );
+    }
+
+    /// The attacker reports first, so the memo's first-seen copy of each
+    /// polluted segment is the polluted one: every authentic copy a victim
+    /// verifies or refetches afterwards differs from it and is hashed
+    /// directly, at least once per rejection.
+    #[test]
+    fn integrity_memo_hashes_every_differing_copy() {
+        let mut hardened = ProviderProfile::hardened(&ProviderProfile::peer5());
+        hardened.auth = pdn_provider::AuthScheme::StaticApiKey;
+        let from = hardened.slow_start_segments;
+        let r = run_pollution(&hardened, PollutionMode::FromSeq(from), 2, 12);
+        // The victims' rejection count before the memo existed.
+        assert_eq!(r.victim_rejections, 11);
+        let im = r.digests.im;
+        assert!(im.mismatches >= r.victim_rejections, "{im:?}");
+        assert!(im.mismatches <= im.computed);
     }
 
     #[test]

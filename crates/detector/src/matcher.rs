@@ -29,9 +29,8 @@
 //!
 //! [`SignatureMatcher`] wraps three automatons (page content, manifest
 //! keys, APK namespaces) behind the same semantics as the naive
-//! [`crate::signatures::match_page`]/[`crate::signatures::match_apk`],
-//! which are kept as the reference implementation for the equivalence
-//! property tests and the `scan_bench` baseline.
+//! per-needle matcher in `pdn-oracle` (`naive_scan`), the reference its
+//! equivalence property tests and the `scan_bench` baseline use.
 
 use crate::signatures::{ProviderTag, Signature, SignatureKind};
 
@@ -291,8 +290,8 @@ impl SignatureMatcher {
         }
     }
 
-    /// Matches page content; same semantics as the reference
-    /// [`crate::signatures::match_page`]: case-insensitive substring
+    /// Matches page content; same semantics as the naive reference
+    /// matcher in `pdn-oracle`: case-insensitive substring
     /// search, known-provider hits subsume [`ProviderTag::GenericWebRtc`],
     /// result sorted and deduplicated.
     ///
@@ -333,8 +332,8 @@ impl SignatureMatcher {
         self.page.match_mask(folded.as_bytes())
     }
 
-    /// Matches APK artifacts; same semantics as the reference
-    /// [`crate::signatures::match_apk`]: substring match on manifest keys,
+    /// Matches APK artifacts; same semantics as the naive reference
+    /// matcher in `pdn-oracle`: substring match on manifest keys,
     /// prefix match on namespaces, case-sensitive.
     pub fn match_apk(&self, manifest_keys: &[String], namespaces: &[String]) -> Vec<ProviderTag> {
         let mut manifest_mask = 0u64;
@@ -386,7 +385,7 @@ fn apply_generic_subsumption(hits: &mut Vec<ProviderTag>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signatures::{builtin_signatures, match_apk, match_page};
+    use crate::signatures::builtin_signatures;
     use proptest::prelude::*;
 
     #[test]
@@ -446,106 +445,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn matches_reference_on_builtin_corpus_samples() {
-        let sigs = builtin_signatures();
-        let m = SignatureMatcher::new(&sigs);
-        for content in [
-            r#"<script src="https://api.peer5.com/peer5.js?id=abc123"></script>"#,
-            r#"<script src="https://cdn.streamroot.io/dna/latest.js"></script>"#,
-            "new RTCPeerConnection(); api.peer5.com/peer5.js?id=x",
-            "pc = new RTCPeerConnection(); pc.createDataChannel('x')",
-            "<html>plain page</html>",
-            "WINDOW.PEER5 viblast( STREAMROOTKEY",
-        ] {
-            assert_eq!(
-                m.match_page(content),
-                match_page(&sigs, content),
-                "{content}"
-            );
-        }
-        for (keys, namespaces) in [
-            (vec!["io.streamroot.dna.StreamrootKey".to_string()], vec![]),
-            (vec![], vec!["com.viblast.android.player".to_string()]),
-            (vec![], vec!["app.com.viblast.android".to_string()]),
-            (
-                vec!["com.peer5.ApiKey".to_string()],
-                vec![
-                    "io.streamroot.dna".to_string(),
-                    "com.peer5.sdk.x".to_string(),
-                ],
-            ),
-            (vec![], vec![]),
-        ] {
-            assert_eq!(
-                m.match_apk(&keys, &namespaces),
-                match_apk(&sigs, &keys, &namespaces),
-                "{keys:?} {namespaces:?}"
-            );
-        }
-    }
-
-    /// Builds arbitrary content biased to contain needle fragments, so the
-    /// property tests actually exercise hits, near-misses, and overlaps
-    /// rather than random noise that never matches.
-    fn salted_content(words: &[String], salts: &[usize]) -> String {
-        let sigs = builtin_signatures();
-        let mut out = String::new();
-        for (i, w) in words.iter().enumerate() {
-            out.push_str(w);
-            if let Some(&salt) = salts.get(i) {
-                let s = &sigs[salt % sigs.len()];
-                // Sometimes the full needle, sometimes a truncated tease.
-                let cut = (salt / sigs.len()) % s.needle.len() + 1;
-                out.push_str(&s.needle[..if salt % 3 == 0 { s.needle.len() } else { cut }]);
-            }
-        }
-        out
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The automaton agrees with the naive `contains` reference on
-        /// arbitrary (needle-salted) content.
-        fn page_matcher_equals_reference(
-            words in proptest::collection::vec("[ -~]{0,12}", 0..8),
-            salts in proptest::collection::vec(0usize..4096, 0..8),
-        ) {
-            let sigs = builtin_signatures();
-            let m = SignatureMatcher::new(&sigs);
-            let content = salted_content(&words, &salts);
-            prop_assert_eq!(m.match_page(&content), match_page(&sigs, &content));
-        }
-
-        /// Same for the APK side (manifest substring + namespace prefix).
-        fn apk_matcher_equals_reference(
-            keys in proptest::collection::vec("[ -~]{0,40}", 0..4),
-            namespaces in proptest::collection::vec("[a-z.]{0,30}", 0..4),
-            salts in proptest::collection::vec(0usize..4096, 0..4),
-        ) {
-            let sigs = builtin_signatures();
-            let m = SignatureMatcher::new(&sigs);
-            // Salt some entries with real needles so anchored/substring
-            // paths are exercised.
-            let mut keys = keys;
-            let mut namespaces = namespaces;
-            for (i, &salt) in salts.iter().enumerate() {
-                let s = &sigs[salt % sigs.len()];
-                if i % 2 == 0 {
-                    if let Some(k) = keys.get_mut(i / 2) {
-                        k.push_str(s.needle);
-                    }
-                } else if let Some(n) = namespaces.get_mut(i / 2) {
-                    let pos = salt % (n.len() + 1);
-                    n.insert_str(pos, s.needle);
-                }
-            }
-            prop_assert_eq!(
-                m.match_apk(&keys, &namespaces),
-                match_apk(&sigs, &keys, &namespaces)
-            );
-        }
 
         /// Raw automaton vs naive substring search over arbitrary patterns.
         fn automaton_equals_contains(

@@ -14,9 +14,7 @@
 
 use crate::corpus::{AndroidApp, Ecosystem, Website};
 use crate::matcher::{Scratch, SignatureMatcher};
-use crate::signatures::{
-    builtin_signatures, extract_api_key, match_apk, match_page, ProviderTag, Signature,
-};
+use crate::signatures::{builtin_signatures, extract_api_key, ProviderTag, Signature};
 
 /// Maximum crawl depth (the paper's "within a depth of 3").
 pub const MAX_DEPTH: u32 = 3;
@@ -292,68 +290,6 @@ impl Scanner {
         let (sites, apps, stats) = self.scan_shard(&eco.websites, &eco.apps);
         ScanOutcome { sites, apps, stats }
     }
-
-    /// Serial scan through the naive reference matcher
-    /// ([`match_page`]/[`match_apk`], O(signatures × content) with per-page
-    /// lowercasing) — the baseline the `scan_throughput` bench measures the
-    /// compiled + sharded hot path against. Must produce the same outcome
-    /// as [`Scanner::scan`].
-    pub fn scan_naive(&self, eco: &Ecosystem) -> ScanOutcome {
-        let mut stats = ScanStats::default();
-        let mut sites = Vec::new();
-        for site in &eco.websites {
-            if site.video_category || site.in_source_index {
-                stats.domains_scanned += 1;
-            }
-            if !site.video_category && !site.in_source_index {
-                continue;
-            }
-            let homepage = site.page_content(0);
-            stats.pages_fetched += 1;
-            let descend = homepage.contains("<video") || site.in_source_index;
-            let depths: &[u32] = if descend { &[0, 1, 2, 3] } else { &[0] };
-            let mut best = None;
-            for &d in depths {
-                let fetched;
-                let content: &str = if d == 0 {
-                    &homepage
-                } else {
-                    stats.pages_fetched += 1;
-                    fetched = site.page_content(d);
-                    &fetched
-                };
-                let hits = match_page(&self.signatures, content);
-                if !hits.is_empty() {
-                    best = Some((d, hits, extract_api_key(content)));
-                    break;
-                }
-            }
-            if let Some((matched_depth, providers, extracted_key)) = best {
-                sites.push(SiteDetection {
-                    domain: site.domain.clone(),
-                    providers,
-                    extracted_key,
-                    rank: site.rank,
-                    monthly_visits: site.monthly_visits,
-                    matched_depth,
-                });
-            }
-        }
-        let mut apps = Vec::new();
-        for app in &eco.apps {
-            stats.apks_scanned += 1;
-            let providers = match_apk(&self.signatures, &app.manifest_keys, &app.namespaces);
-            if !providers.is_empty() {
-                apps.push(AppDetection {
-                    package: app.package.clone(),
-                    providers,
-                    apk_versions: app.apk_versions,
-                    downloads: app.downloads,
-                });
-            }
-        }
-        ScanOutcome { sites, apps, stats }
-    }
 }
 
 #[cfg(test)]
@@ -459,13 +395,6 @@ mod tests {
                 assert_eq!(serial, parallel, "seed {seed}, {workers} workers");
             }
         }
-    }
-
-    #[test]
-    fn naive_scan_agrees_with_hot_path() {
-        let (eco, out) = outcome();
-        let naive = Scanner::new().scan_naive(&eco);
-        assert_eq!(naive, out);
     }
 
     #[test]

@@ -448,64 +448,6 @@ pub fn builtin_signatures() -> Vec<Signature> {
     ]
 }
 
-/// Result of matching `content` against the database.
-///
-/// This is the naive reference implementation — O(signatures × content)
-/// with per-call lowercasing. The scan hot path uses the precompiled
-/// [`crate::matcher::SignatureMatcher`] instead; this function is kept as
-/// the specification the automaton is property-tested against (and as the
-/// baseline `scan_bench` times the matcher against).
-pub fn match_page(signatures: &[Signature], content: &str) -> Vec<ProviderTag> {
-    // ASCII folding to match the byte-level automaton; the needles are all
-    // ASCII, so Unicode-only case mappings cannot change the outcome on
-    // either side.
-    let lower = content.to_ascii_lowercase();
-    let mut hits: Vec<ProviderTag> = signatures
-        .iter()
-        .filter(|s| s.kind == SignatureKind::PageContent)
-        .filter(|s| lower.contains(&s.needle.to_ascii_lowercase()))
-        .map(|s| s.provider.clone())
-        .collect();
-    // Known-provider hits subsume generic WebRTC hits.
-    if hits.iter().any(|p| *p != ProviderTag::GenericWebRtc) {
-        hits.retain(|p| *p != ProviderTag::GenericWebRtc);
-    }
-    // Sort before dedup: `dedup` only removes *adjacent* duplicates, so a
-    // page matching one provider via two non-adjacent signatures would
-    // otherwise report it twice.
-    hits.sort_unstable();
-    hits.dedup();
-    hits
-}
-
-/// Matches APK artifacts (manifest keys + namespaces).
-///
-/// Reference implementation; see [`match_page`] and
-/// [`crate::matcher::SignatureMatcher::match_apk`].
-pub fn match_apk(
-    signatures: &[Signature],
-    manifest_keys: &[String],
-    namespaces: &[String],
-) -> Vec<ProviderTag> {
-    let mut hits: Vec<ProviderTag> = signatures
-        .iter()
-        .filter_map(|s| match s.kind {
-            SignatureKind::AndroidManifest => manifest_keys
-                .iter()
-                .any(|k| k.contains(s.needle))
-                .then(|| s.provider.clone()),
-            SignatureKind::AndroidNamespace => namespaces
-                .iter()
-                .any(|n| n.starts_with(s.needle))
-                .then(|| s.provider.clone()),
-            SignatureKind::PageContent => None,
-        })
-        .collect();
-    hits.sort_unstable();
-    hits.dedup();
-    hits
-}
-
 /// Extracts a Peer5/Streamroot/Viblast-style API key from page content via
 /// the regular-expression-like prefix matching of §IV-B. Returns `None`
 /// for obfuscated or dynamically-loaded keys.
@@ -528,39 +470,6 @@ pub fn extract_api_key(content: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_matching_attributes_providers() {
-        let sigs = builtin_signatures();
-        let html = r#"<script src="https://api.peer5.com/peer5.js?id=abc123"></script>"#;
-        assert_eq!(match_page(&sigs, html), vec![ProviderTag::Peer5]);
-        let html = r#"<script src="https://cdn.streamroot.io/dna/latest.js"></script>"#;
-        assert_eq!(match_page(&sigs, html), vec![ProviderTag::Streamroot]);
-        assert!(match_page(&sigs, "<html>plain page</html>").is_empty());
-    }
-
-    #[test]
-    fn known_provider_subsumes_generic() {
-        let sigs = builtin_signatures();
-        let html = "new RTCPeerConnection(); api.peer5.com/peer5.js?id=x";
-        assert_eq!(match_page(&sigs, html), vec![ProviderTag::Peer5]);
-        let html = "pc = new RTCPeerConnection(); pc.createDataChannel('x')";
-        assert_eq!(match_page(&sigs, html), vec![ProviderTag::GenericWebRtc]);
-    }
-
-    #[test]
-    fn apk_matching() {
-        let sigs = builtin_signatures();
-        let tags = match_apk(
-            &sigs,
-            &["io.streamroot.dna.StreamrootKey".to_string()],
-            &["com.example.app".to_string()],
-        );
-        assert_eq!(tags, vec![ProviderTag::Streamroot]);
-        let tags = match_apk(&sigs, &[], &["com.viblast.android.player".to_string()]);
-        assert_eq!(tags, vec![ProviderTag::Viblast]);
-        assert!(match_apk(&sigs, &[], &[]).is_empty());
-    }
 
     #[test]
     fn key_extraction() {

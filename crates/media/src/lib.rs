@@ -32,13 +32,15 @@
 #![warn(missing_docs)]
 
 mod cdn;
+mod digest;
 mod manifest;
 mod player;
 mod source;
 
 pub use cdn::{Cdn, CdnBill, EdgeCache, FrameEncoder, OriginServer};
+pub use digest::{compute_im, content_fingerprint, DigestCounts, DigestStats, SegmentDigests};
 pub use manifest::{ManifestEntry, MasterPlaylist, MediaPlaylist, ParseManifestError};
-pub use player::{content_fingerprint, DeliverySource, PlaybackRecord, Player, StallEvent};
+pub use player::{DeliverySource, PlaybackRecord, Player, StallEvent};
 pub use source::{Segment, SegmentId, VideoId, VideoSource};
 
 #[cfg(test)]
@@ -117,13 +119,14 @@ mod prop_tests {
             use pdn_simnet::SimTime;
             let src = VideoSource::vod("v", vec![100_000], Duration::from_secs(4), 20);
             let mut p = Player::new(0);
+            let mut d = SegmentDigests::new();
             let mut sorted = arrivals.clone();
             sorted.sort_by_key(|(_, t)| *t);
             for (seq, t) in sorted {
                 let seg = src.segment(0, seq).unwrap();
-                p.deliver(SimTime::from_secs(t), seg, DeliverySource::Cdn);
+                p.deliver(SimTime::from_secs(t), seg, DeliverySource::Cdn, &mut d);
             }
-            p.tick(SimTime::from_secs(1000));
+            p.tick(SimTime::from_secs(1000), &mut d);
             let seqs: Vec<u64> = p.played().iter().map(|r| r.id.seq).collect();
             let expect: Vec<u64> = (0..seqs.len() as u64).collect();
             prop_assert_eq!(seqs, expect, "contiguous in-order playback");

@@ -11,58 +11,8 @@ use std::time::Duration;
 
 use pdn_simnet::SimTime;
 
+use crate::digest::SegmentDigests;
 use crate::source::{Segment, SegmentId};
-
-/// A fast 256-bit content fingerprint of segment bytes.
-///
-/// Pollution analysis only ever compares the fingerprint of *played* bytes
-/// against the fingerprint of the *authentic* bytes (both recomputed with
-/// this same function), so the analyzer needs collision resistance against
-/// accidental and attack-model corruption — not against an adversary
-/// targeting the hash itself. Four independent multiply-rotate lanes with a
-/// murmur-style finalizer give that at memory-bandwidth speed, where a
-/// cryptographic hash per played segment used to dominate the player's
-/// tick cost.
-pub fn content_fingerprint(data: &[u8]) -> [u8; 32] {
-    const MUL: u64 = 0x2545_f491_4f6c_dd1d;
-    let mut lanes: [u64; 4] = [
-        0x9e37_79b9_7f4a_7c15,
-        0x6a09_e667_f3bc_c909,
-        0xbb67_ae85_84ca_a73b,
-        0x3c6e_f372_fe94_f82b,
-    ];
-    let absorb = |stripe: &[u8; 32], lanes: &mut [u64; 4]| {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let w = u64::from_le_bytes(stripe[i * 8..i * 8 + 8].try_into().expect("8-byte word"));
-            *lane = (*lane ^ w).wrapping_mul(MUL).rotate_left(27);
-        }
-    };
-    let mut stripes = data.chunks_exact(32);
-    for stripe in &mut stripes {
-        absorb(stripe.try_into().expect("32-byte stripe"), &mut lanes);
-    }
-    let rest = stripes.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 32];
-        tail[..rest.len()].copy_from_slice(rest);
-        absorb(&tail, &mut lanes);
-    }
-    // Cross-mix the lanes (plus the length, so padding in the tail stripe
-    // cannot alias a shorter input) through a murmur-style finalizer.
-    let mut acc = (data.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut out = [0u8; 32];
-    for i in 0..4 {
-        acc = acc.rotate_left(31) ^ lanes[i];
-        let mut x = acc.wrapping_add(lanes[(i + 1) % 4]);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        x ^= x >> 33;
-        out[i * 8..i * 8 + 8].copy_from_slice(&x.to_le_bytes());
-    }
-    out
-}
 
 /// Where a delivered segment came from, for offload accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -82,8 +32,9 @@ pub struct PlaybackRecord {
     pub started_at: SimTime,
     /// Where the bytes came from.
     pub source: DeliverySource,
-    /// [`content_fingerprint`] of the bytes actually played (pollution
-    /// checks compare this against the authentic fingerprint).
+    /// [`content_fingerprint`](crate::content_fingerprint) of the bytes
+    /// actually played (pollution checks compare this against the
+    /// authentic fingerprint).
     pub content_hash: [u8; 32],
 }
 
@@ -127,21 +78,28 @@ impl Player {
     /// Delivers a segment to the player buffer at time `at`.
     ///
     /// Out-of-order arrivals are fine; stale (already played) segments are
-    /// dropped.
-    pub fn deliver(&mut self, at: SimTime, segment: Segment, source: DeliverySource) {
+    /// dropped. Segments that start playing are fingerprinted through the
+    /// world's `digests`.
+    pub fn deliver(
+        &mut self,
+        at: SimTime,
+        segment: Segment,
+        source: DeliverySource,
+        digests: &mut SegmentDigests,
+    ) {
         if segment.id.seq < self.next_play_seq {
             return;
         }
         self.buffer.insert(segment.id.seq, (segment, source));
-        self.advance(at);
+        self.advance(at, digests);
     }
 
     /// Advances playback to time `now`, consuming buffered segments.
-    pub fn tick(&mut self, now: SimTime) {
-        self.advance(now);
+    pub fn tick(&mut self, now: SimTime, digests: &mut SegmentDigests) {
+        self.advance(now, digests);
     }
 
-    fn advance(&mut self, now: SimTime) {
+    fn advance(&mut self, now: SimTime, digests: &mut SegmentDigests) {
         // Consume contiguous segments whose play-out fits before `now`.
         loop {
             let head_ready = self.buffer.contains_key(&self.next_play_seq);
@@ -173,7 +131,7 @@ impl Player {
                 .buffer
                 .remove(&self.next_play_seq)
                 .expect("checked contains_key");
-            let hash = content_fingerprint(&seg.data);
+            let hash = digests.fingerprint(&seg);
             self.played.push(PlaybackRecord {
                 id: seg.id.clone(),
                 started_at: start_at,
@@ -224,6 +182,7 @@ impl Player {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content_fingerprint;
     use crate::source::VideoSource;
 
     fn seg(seq: u64) -> Segment {
@@ -235,12 +194,13 @@ mod tests {
     #[test]
     fn plays_in_order() {
         let mut p = Player::new(0);
-        p.deliver(SimTime::from_secs(1), seg(1), DeliverySource::Cdn);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::from_secs(1), seg(1), DeliverySource::Cdn, &mut d);
         assert!(p.played().is_empty(), "cannot start at seq 1");
-        p.deliver(SimTime::from_secs(2), seg(0), DeliverySource::Cdn);
+        p.deliver(SimTime::from_secs(2), seg(0), DeliverySource::Cdn, &mut d);
         // Segment 0 starts immediately; segment 1 starts when 0 finishes.
         assert_eq!(p.played().len(), 1);
-        p.tick(SimTime::from_secs(10));
+        p.tick(SimTime::from_secs(10), &mut d);
         assert_eq!(p.played().len(), 2);
         assert_eq!(p.played()[0].id.seq, 0);
         assert_eq!(p.played()[1].id.seq, 1);
@@ -249,9 +209,10 @@ mod tests {
     #[test]
     fn stale_segments_dropped() {
         let mut p = Player::new(0);
-        p.deliver(SimTime::from_secs(1), seg(0), DeliverySource::Cdn);
-        p.tick(SimTime::from_secs(10));
-        p.deliver(SimTime::from_secs(11), seg(0), DeliverySource::Peer);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::from_secs(1), seg(0), DeliverySource::Cdn, &mut d);
+        p.tick(SimTime::from_secs(10), &mut d);
+        p.deliver(SimTime::from_secs(11), seg(0), DeliverySource::Peer, &mut d);
         assert_eq!(p.played().len(), 1);
         assert_eq!(p.buffered_media(), Duration::ZERO);
     }
@@ -259,10 +220,11 @@ mod tests {
     #[test]
     fn stall_detected_and_resolved() {
         let mut p = Player::new(0);
-        p.deliver(SimTime::from_secs(0), seg(0), DeliverySource::Cdn);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::from_secs(0), seg(0), DeliverySource::Cdn, &mut d);
         // Segment 0 plays 0..4s. Nothing arrives until t=10: stall at 4s.
-        p.tick(SimTime::from_secs(10));
-        p.deliver(SimTime::from_secs(10), seg(1), DeliverySource::Cdn);
+        p.tick(SimTime::from_secs(10), &mut d);
+        p.deliver(SimTime::from_secs(10), seg(1), DeliverySource::Cdn, &mut d);
         assert_eq!(p.stalls().len(), 1);
         let stall = p.stalls()[0];
         assert_eq!(stall.at, SimTime::from_secs(4));
@@ -275,10 +237,11 @@ mod tests {
     #[test]
     fn no_stall_when_buffer_keeps_up() {
         let mut p = Player::new(0);
+        let mut d = SegmentDigests::new();
         for i in 0..5 {
-            p.deliver(SimTime::from_secs(i), seg(i), DeliverySource::Cdn);
+            p.deliver(SimTime::from_secs(i), seg(i), DeliverySource::Cdn, &mut d);
         }
-        p.tick(SimTime::from_secs(19));
+        p.tick(SimTime::from_secs(19), &mut d);
         assert!(p.stalls().is_empty());
         assert_eq!(p.played().len(), 5);
     }
@@ -286,16 +249,18 @@ mod tests {
     #[test]
     fn offload_ratio() {
         let mut p = Player::new(0);
-        p.deliver(SimTime::from_secs(0), seg(0), DeliverySource::Cdn);
-        p.deliver(SimTime::from_secs(1), seg(1), DeliverySource::Peer);
-        p.deliver(SimTime::from_secs(2), seg(2), DeliverySource::Peer);
-        p.tick(SimTime::from_secs(8));
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::from_secs(0), seg(0), DeliverySource::Cdn, &mut d);
+        p.deliver(SimTime::from_secs(1), seg(1), DeliverySource::Peer, &mut d);
+        p.deliver(SimTime::from_secs(2), seg(2), DeliverySource::Peer, &mut d);
+        p.tick(SimTime::from_secs(8), &mut d);
         assert!((p.p2p_offload_ratio() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn content_hash_distinguishes_pollution() {
         let mut p = Player::new(0);
+        let mut d = SegmentDigests::new();
         let authentic = seg(0);
         let mut polluted_data = authentic.data.to_vec();
         polluted_data[100] ^= 0xff;
@@ -303,7 +268,7 @@ mod tests {
             data: polluted_data.into(),
             ..authentic.clone()
         };
-        p.deliver(SimTime::ZERO, polluted, DeliverySource::Peer);
+        p.deliver(SimTime::ZERO, polluted, DeliverySource::Peer, &mut d);
         let played_hash = p.played()[0].content_hash;
         assert_ne!(played_hash, content_fingerprint(&authentic.data));
     }
@@ -311,8 +276,9 @@ mod tests {
     #[test]
     fn buffered_media_accounts_pending() {
         let mut p = Player::new(0);
-        p.deliver(SimTime::ZERO, seg(2), DeliverySource::Cdn);
-        p.deliver(SimTime::ZERO, seg(3), DeliverySource::Cdn);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::ZERO, seg(2), DeliverySource::Cdn, &mut d);
+        p.deliver(SimTime::ZERO, seg(3), DeliverySource::Cdn, &mut d);
         assert_eq!(p.buffered_media(), Duration::from_secs(8));
         assert_eq!(p.next_needed_seq(), 0);
     }

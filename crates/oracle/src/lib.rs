@@ -12,17 +12,19 @@
 //! | [`reference`](mod@reference) | `pdn-crypto`'s `reference_diff` tests, `crypto_bench` |
 //! | [`dtls_v1`] | `crypto_bench`'s DTLS seal+open speedup gate |
 //! | [`json_baseline`] | `pdn-provider`'s `wire_differential` and `retired_formats` tests, `wire_bench` |
+//! | [`naive_scan`] | `pdn-detector`'s `matcher_differential` tests, `scan_bench` |
 //! | [`queue::HeapMapQueue`] | `pdn-simnet`'s `queue_differential` test, `sim_bench` |
 //! | [`state_baseline`] | `pdn-provider`'s `state_differential` tests |
 //!
-//! The `crypto_bench`, `wire_bench` and `sim_bench` binaries live here
-//! because they time production code against these oracles.
+//! The `crypto_bench`, `wire_bench`, `sim_bench` and `scan_bench` binaries
+//! live here because they time production code against these oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dtls_v1;
 pub mod json_baseline;
+pub mod naive_scan;
 pub mod queue;
 pub mod reference;
 pub mod state_baseline;

@@ -9,7 +9,10 @@
 //!
 //! The agent is sans-IO: every entry point returns a list of [`AgentOut`]
 //! actions that the world harness carries out. That keeps the agent
-//! testable in isolation and the whole simulation deterministic.
+//! testable in isolation and the whole simulation deterministic. Entry
+//! points that can receive or play a segment also borrow the world's
+//! [`SegmentDigests`]: every IM the agent reports or verifies, and every
+//! fingerprint its player takes, is looked up there.
 //!
 //! Security posture notes:
 //! - the agent is *honest*: attacks in `pdn-core` are mounted by MITM'ing
@@ -24,14 +27,15 @@ use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use pdn_media::{DeliverySource, MediaPlaylist, Player, Segment, SegmentId, VideoId};
+use pdn_media::{
+    DeliverySource, MediaPlaylist, Player, Segment, SegmentDigests, SegmentId, VideoId,
+};
 use pdn_simnet::{Addr, SimRng, SimTime};
 use pdn_webrtc::{
     dtls, stun, Certificate, DataChannel, DtlsEndpoint, IceAgent, IceEvent, SessionDescription,
 };
 
 use crate::proto::{HttpRequest, HttpResponse, P2pMsg, SignalMsg};
-use crate::signaling::compute_im;
 use crate::state::{AvailMap, VecMap};
 use crate::wire::{self, InternTable, P2pRef, P2pView};
 
@@ -392,7 +396,12 @@ impl PdnAgent {
     }
 
     /// Handles an HTTP response from the CDN plane.
-    pub fn on_http(&mut self, resp: HttpResponse, now: SimTime) -> Vec<AgentOut> {
+    pub fn on_http(
+        &mut self,
+        resp: HttpResponse,
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         match resp {
             HttpResponse::Playlist { text } => {
                 let Ok(playlist) = MediaPlaylist::parse(&text) else {
@@ -439,7 +448,7 @@ impl PdnAgent {
                 // §V-B: CDN-fetched segments get their IM computed and
                 // reported (reporter selection is enforced server-side).
                 if self.config.integrity_check && self.config.pdn_enabled {
-                    let im = compute_im(&segment.data, &self.config.video.0, rendition, seq);
+                    let im = digests.im(&segment);
                     out.push(AgentOut::ChargeCpu(hash_cost(segment.len())));
                     out.push(AgentOut::Signal(SignalMsg::ImReport {
                         video: self.config.video.0.clone(),
@@ -448,7 +457,7 @@ impl PdnAgent {
                         im: pdn_crypto::hex(&im),
                     }));
                 }
-                out.extend(self.accept_segment(segment, DeliverySource::Cdn, now));
+                out.extend(self.accept_segment(segment, DeliverySource::Cdn, now, digests));
                 out
             }
             HttpResponse::NotFound => Vec::new(),
@@ -456,7 +465,12 @@ impl PdnAgent {
     }
 
     /// Handles a signaling message from the PDN server.
-    pub fn on_signal(&mut self, msg: SignalMsg, now: SimTime) -> Vec<AgentOut> {
+    pub fn on_signal(
+        &mut self,
+        msg: SignalMsg,
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         match msg {
             SignalMsg::JoinOk { peer_id, neighbors } => {
                 self.peer_id = Some(peer_id);
@@ -494,7 +508,7 @@ impl PdnAgent {
                     .is_some_and(|(seg, _)| seg.id.rendition == rendition)
                 {
                     let (segment, _since) = self.held.remove(seq).expect("checked");
-                    return self.verify_and_accept_peer_segment(segment, now);
+                    return self.verify_and_accept_peer_segment(segment, now, digests);
                 }
                 Vec::new()
             }
@@ -507,17 +521,23 @@ impl PdnAgent {
     }
 
     /// Handles a UDP packet on the media port.
-    pub fn on_udp(&mut self, from: Addr, data: &[u8], now: SimTime) -> Vec<AgentOut> {
+    pub fn on_udp(
+        &mut self,
+        from: Addr,
+        data: &[u8],
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         if stun::is_stun(data) {
             if self.config.relay.is_some() {
-                if let Some(out) = self.on_turn(data, now) {
+                if let Some(out) = self.on_turn(data, now, digests) {
                     return out;
                 }
             }
             return self.on_stun(from, data);
         }
         if dtls::is_dtls(data) {
-            return self.on_dtls(from, data, now);
+            return self.on_dtls(from, data, now, digests);
         }
         Vec::new()
     }
@@ -533,7 +553,13 @@ impl PdnAgent {
     /// messages running through the normal P2P frame handler. Anything
     /// else — handshake flights, STUN, unknown peers — falls back to the
     /// per-frame [`PdnAgent::on_udp`].
-    pub fn on_udp_burst(&mut self, from: Addr, frames: &[Bytes], now: SimTime) -> Vec<AgentOut> {
+    pub fn on_udp_burst(
+        &mut self,
+        from: Addr,
+        frames: &[Bytes],
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         let conn_idx = self
             .conns
             .iter()
@@ -543,7 +569,7 @@ impl PdnAgent {
         if !batchable {
             let mut out = Vec::new();
             for f in frames {
-                out.extend(self.on_udp(from, f, now));
+                out.extend(self.on_udp(from, f, now, digests));
             }
             return out;
         }
@@ -558,14 +584,19 @@ impl PdnAgent {
             .receive_batch(frames, &mut msgs);
         let remote_peer = self.conns[idx].remote_peer;
         for m in &msgs {
-            out.extend(self.on_p2p_frame(remote_peer, m, now));
+            out.extend(self.on_p2p_frame(remote_peer, m, now, digests));
         }
         out
     }
 
     /// Relay-mode TURN handling: Allocate responses and Data indications.
     /// Returns `None` for STUN messages that are not TURN traffic.
-    fn on_turn(&mut self, data: &[u8], now: SimTime) -> Option<Vec<AgentOut>> {
+    fn on_turn(
+        &mut self,
+        data: &[u8],
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Option<Vec<AgentOut>> {
         use pdn_webrtc::stun::{Attribute, Class, Message, Method};
         let msg = Message::decode(data).ok()?;
         match (msg.class, msg.method) {
@@ -594,7 +625,7 @@ impl PdnAgent {
                 // The logical source is the sender's *relayed* address —
                 // the only identity relay-mode peers ever see.
                 if dtls::is_dtls(&payload) {
-                    return Some(self.on_dtls(peer, &payload, now));
+                    return Some(self.on_dtls(peer, &payload, now, digests));
                 }
                 Some(Vec::new())
             }
@@ -604,9 +635,9 @@ impl PdnAgent {
 
     /// Scheduler tick: drive playback, request segments, handle timeouts,
     /// emit stats.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<AgentOut> {
+    pub fn on_tick(&mut self, now: SimTime, digests: &mut SegmentDigests) -> Vec<AgentOut> {
         let mut out = Vec::new();
-        self.player.tick(now);
+        self.player.tick(now, digests);
 
         // Playback CPU baseline while media is flowing.
         if !self.player.played().is_empty() {
@@ -708,7 +739,7 @@ impl PdnAgent {
         for seq in expired_holds {
             let (segment, _) = self.held.remove(seq).expect("collected above");
             if self.sims.contains_key((segment.id.rendition, seq)) {
-                out.extend(self.verify_and_accept_peer_segment(segment, now));
+                out.extend(self.verify_and_accept_peer_segment(segment, now, digests));
             } else {
                 self.requested.insert(seq, (RequestVia::Cdn, now));
                 out.push(AgentOut::Http(HttpRequest::GetSegment {
@@ -1053,7 +1084,13 @@ impl PdnAgent {
         out
     }
 
-    fn on_dtls(&mut self, from: Addr, data: &[u8], now: SimTime) -> Vec<AgentOut> {
+    fn on_dtls(
+        &mut self,
+        from: Addr,
+        data: &[u8],
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         let Some(idx) = self.conns.iter().position(|c| {
             c.remote_media == Some(from)
                 || (c.remote_media.is_none() && c.remote_sdp.candidate_addrs().any(|a| a == from))
@@ -1091,7 +1128,7 @@ impl PdnAgent {
                 out.extend(self.flush_conn(idx, now));
                 if let Some(bytes) = msg {
                     let remote_peer = self.conns[idx].remote_peer;
-                    out.extend(self.on_p2p_frame(remote_peer, &bytes, now));
+                    out.extend(self.on_p2p_frame(remote_peer, &bytes, now, digests));
                 }
                 return out;
             }
@@ -1122,7 +1159,7 @@ impl PdnAgent {
         };
         if let Some(bytes) = bytes {
             let remote_peer = conn.remote_peer;
-            out.extend(self.on_p2p_frame(remote_peer, &bytes, now));
+            out.extend(self.on_p2p_frame(remote_peer, &bytes, now, digests));
         }
         out
     }
@@ -1191,7 +1228,13 @@ impl PdnAgent {
     /// without materialising a `String`, HAVE sequence numbers stream
     /// straight off the wire, and a delivered segment's payload is a
     /// zero-copy slice of the record.
-    fn on_p2p_frame(&mut self, from_peer: u64, frame: &Bytes, now: SimTime) -> Vec<AgentOut> {
+    fn on_p2p_frame(
+        &mut self,
+        from_peer: u64,
+        frame: &Bytes,
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         let Some(view) = wire::decode_p2p_view(frame) else {
             return Vec::new();
         };
@@ -1233,7 +1276,16 @@ impl PdnAgent {
                 if !video.matches(&self.intern, &self.config.video.0) {
                     return Vec::new();
                 }
-                self.on_segment_data(rendition, seq, duration_ms, data, sim, now)
+                let segment = Segment {
+                    id: SegmentId {
+                        video: self.config.video.clone(),
+                        rendition,
+                        seq,
+                    },
+                    duration: Duration::from_millis(duration_ms as u64),
+                    data,
+                };
+                self.on_segment_data(segment, sim, now, digests)
             }
         }
     }
@@ -1296,40 +1348,30 @@ impl PdnAgent {
 
     fn on_segment_data(
         &mut self,
-        rendition: u8,
-        seq: u64,
-        duration_ms: u32,
-        data: Bytes,
+        segment: Segment,
         sim: Option<([u8; 32], [u8; 32])>,
         now: SimTime,
+        digests: &mut SegmentDigests,
     ) -> Vec<AgentOut> {
+        let (rendition, seq) = (segment.id.rendition, segment.id.seq);
         if let Some((RequestVia::Peer(_), at)) = self.requested.remove(seq) {
             // Request→delivery latency; with the §V-B defense the
             // IM calculation (sender) and verification (receiver)
             // add their hash time on top (Table VI's latency).
             let mut lat = now.saturating_since(at);
             if self.config.integrity_check {
-                lat += hash_cost(data.len()) * 2;
+                lat += hash_cost(segment.len()) * 2;
             }
             self.p2p_lat_sum += lat;
             self.p2p_lat_count += 1;
         }
-        self.p2p_down += data.len() as u64;
-        let segment = Segment {
-            id: SegmentId {
-                video: self.config.video.clone(),
-                rendition,
-                seq,
-            },
-            duration: Duration::from_millis(duration_ms as u64),
-            data,
-        };
+        self.p2p_down += segment.len() as u64;
         if let Some((im, sig)) = sim {
             self.sims.or_insert_with((rendition, seq), || (im, sig));
         }
         if self.config.integrity_check {
             if self.sims.contains_key((rendition, seq)) {
-                self.verify_and_accept_peer_segment(segment, now)
+                self.verify_and_accept_peer_segment(segment, now, digests)
             } else {
                 // Hold until the SIM arrives; the tick handler
                 // falls back to the CDN if none forms in time.
@@ -1339,18 +1381,23 @@ impl PdnAgent {
         } else {
             // The measured behaviour of every provider: accept
             // whatever the peer sent (the pollution vulnerability).
-            self.accept_segment(segment, DeliverySource::Peer, now)
+            self.accept_segment(segment, DeliverySource::Peer, now, digests)
         }
     }
 
-    fn verify_and_accept_peer_segment(&mut self, segment: Segment, now: SimTime) -> Vec<AgentOut> {
+    fn verify_and_accept_peer_segment(
+        &mut self,
+        segment: Segment,
+        now: SimTime,
+        digests: &mut SegmentDigests,
+    ) -> Vec<AgentOut> {
         let seq = segment.id.seq;
         let rendition = segment.id.rendition;
         let mut out = vec![AgentOut::ChargeCpu(hash_cost(segment.len()))];
         let Some((im, sig)) = self.sims.get((rendition, seq)) else {
             return Vec::new();
         };
-        let computed = compute_im(&segment.data, &self.config.video.0, rendition, seq);
+        let computed = digests.im(&segment);
         let sig_ok = crate::signaling::SignalingServer::verify_sim_keyed(&self.sim_hmac, im, sig);
         if !sig_ok || computed != *im {
             // Polluted: reject and refetch from the CDN.
@@ -1363,7 +1410,7 @@ impl PdnAgent {
             }));
             return out;
         }
-        out.extend(self.accept_segment(segment, DeliverySource::Peer, now));
+        out.extend(self.accept_segment(segment, DeliverySource::Peer, now, digests));
         out
     }
 
@@ -1372,11 +1419,12 @@ impl PdnAgent {
         segment: Segment,
         source: DeliverySource,
         now: SimTime,
+        digests: &mut SegmentDigests,
     ) -> Vec<AgentOut> {
         let seq = segment.id.seq;
         let segment_rendition = segment.id.rendition;
         let mut out = Vec::new();
-        self.player.deliver(now, segment.clone(), source);
+        self.player.deliver(now, segment.clone(), source, digests);
 
         if self.config.pdn_enabled && !self.cache.contains_key(seq) {
             let len = segment.len() as u64;
@@ -1718,6 +1766,7 @@ mod tests {
 
     #[test]
     fn join_waits_for_both_playlist_and_gathering() {
+        let mut d = SegmentDigests::new();
         let mut a = agent();
         a.start();
         // Playlist alone is not enough.
@@ -1726,13 +1775,14 @@ mod tests {
                 text: playlist_text(),
             },
             SimTime::ZERO,
+            &mut d,
         );
         assert!(!outs
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::Join { .. }))));
         // Completing gathering triggers the join.
         a.gatherer_complete_for_tests();
-        let outs = a.on_tick(SimTime::from_millis(500));
+        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
         assert!(outs
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::Join { .. }))));
@@ -1740,6 +1790,7 @@ mod tests {
 
     #[test]
     fn slow_start_segments_always_from_cdn() {
+        let mut d = SegmentDigests::new();
         let mut a = agent();
         a.start();
         a.gatherer_complete_for_tests();
@@ -1748,8 +1799,9 @@ mod tests {
                 text: playlist_text(),
             },
             SimTime::ZERO,
+            &mut d,
         );
-        let outs = a.on_tick(SimTime::from_millis(500));
+        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
         let cdn_reqs: Vec<u64> = outs
             .iter()
             .filter_map(|o| match o {
@@ -1762,6 +1814,7 @@ mod tests {
 
     #[test]
     fn pdn_disabled_agent_never_signals() {
+        let mut d = SegmentDigests::new();
         let mut rng = SimRng::seed(2);
         let mut cfg = AgentConfig::new("v", "key", "site.tv");
         cfg.pdn_enabled = false;
@@ -1778,8 +1831,9 @@ mod tests {
                 text: playlist_text(),
             },
             SimTime::ZERO,
+            &mut d,
         );
-        let outs = a.on_tick(SimTime::from_millis(500));
+        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
         assert!(!outs.iter().any(|o| matches!(o, AgentOut::Signal(_))));
         assert!(outs
             .iter()
@@ -1788,6 +1842,7 @@ mod tests {
 
     #[test]
     fn cdn_segment_delivery_reaches_player() {
+        let mut d = SegmentDigests::new();
         let mut a = agent();
         a.start();
         a.on_http(
@@ -1795,8 +1850,9 @@ mod tests {
                 text: playlist_text(),
             },
             SimTime::ZERO,
+            &mut d,
         );
-        a.on_tick(SimTime::from_millis(500));
+        a.on_tick(SimTime::from_millis(500), &mut d);
         let src = pdn_media::VideoSource::vod("v", vec![400_000], Duration::from_secs(4), 10);
         let seg = src.segment(0, 0).unwrap();
         a.on_http(
@@ -1808,6 +1864,7 @@ mod tests {
                 data: seg.data.clone(),
             },
             SimTime::from_secs(1),
+            &mut d,
         );
         assert_eq!(a.player().played().len(), 1);
         let (_, _, cdn) = a.traffic();
@@ -1816,6 +1873,7 @@ mod tests {
 
     #[test]
     fn integrity_check_reports_im_for_cdn_segments() {
+        let mut d = SegmentDigests::new();
         let mut rng = SimRng::seed(3);
         let mut cfg = AgentConfig::new("v", "key", "site.tv");
         cfg.integrity_check = true;
@@ -1832,6 +1890,7 @@ mod tests {
                 text: playlist_text(),
             },
             SimTime::ZERO,
+            &mut d,
         );
         let src = pdn_media::VideoSource::vod("v", vec![400_000], Duration::from_secs(4), 10);
         let outs = a.on_http(
@@ -1843,6 +1902,7 @@ mod tests {
                 data: src.segment(0, 0).unwrap().data,
             },
             SimTime::from_secs(1),
+            &mut d,
         );
         assert!(outs
             .iter()

@@ -34,6 +34,7 @@
 use std::collections::VecDeque;
 
 use pdn_crypto::hmac::{hmac_sha256, hmac_sha256_keyed, HmacKey};
+pub use pdn_media::compute_im;
 use pdn_media::{OriginServer, SegmentId, VideoId};
 use pdn_simnet::{Addr, FxHashMap, FxHashSet, GeoIpService, Interner, SimRng, SimTime};
 
@@ -1276,17 +1277,6 @@ fn slot_key(index: &FxHashMap<(u32, u32), u32>, slot: u32) -> (u32, u32) {
         .iter()
         .find_map(|(k, &s)| (s == slot).then_some(*k))
         .expect("slot registered")
-}
-
-/// Computes integrity metadata for a segment: the hash of the tuple
-/// (content, video identifier, position) — §V-B's replay-resistant IM.
-pub fn compute_im(data: &[u8], video: &str, rendition: u8, seq: u64) -> [u8; 32] {
-    let mut h = pdn_crypto::sha256::Sha256::new();
-    h.update(data);
-    h.update(video.as_bytes());
-    h.update(&[rendition]);
-    h.update(&seq.to_be_bytes());
-    h.finalize()
 }
 
 pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {

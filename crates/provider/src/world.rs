@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use pdn_media::{Cdn, OriginServer, VideoSource};
+use pdn_media::{Cdn, DigestStats, OriginServer, SegmentDigests, VideoSource};
 use pdn_simnet::profile::{phase, Phase};
 use pdn_simnet::{Addr, Event, GeoInfo, LinkSpec, NatKind, Network, NodeId, SimTime, Transport};
 use pdn_webrtc::{stun, turn::TurnServer};
@@ -69,6 +69,9 @@ pub struct PdnWorld {
     viewers: Vec<Option<PdnAgent>>,
     /// Reused reply buffer for signaling frame handling.
     signal_out: Vec<(Addr, bytes::Bytes)>,
+    /// IMs and playback fingerprints of the segments in this world, lent
+    /// to every viewer's agent and player.
+    digests: SegmentDigests,
 }
 
 impl std::fmt::Debug for PdnWorld {
@@ -113,6 +116,7 @@ impl PdnWorld {
             turn_addr,
             viewers: Vec::new(),
             signal_out: Vec::new(),
+            digests: SegmentDigests::new(),
         }
     }
 
@@ -246,6 +250,12 @@ impl PdnWorld {
         self.turn_addr
     }
 
+    /// How the world's segment digests were answered: SHA-256 IMs and
+    /// playback fingerprints computed, and repeats answered from the memo.
+    pub fn digest_stats(&self) -> DigestStats {
+        self.digests.stats()
+    }
+
     /// The TURN relay (allocation counts, relayed-byte cost).
     pub fn turn(&self) -> &TurnServer {
         &self.turn
@@ -323,7 +333,7 @@ impl PdnWorld {
                             .get_mut(to.0 as usize)
                             .and_then(Option::as_mut)
                             .expect("checked above");
-                        agent.on_udp_burst(dgrams[0].src, &frames, at)
+                        agent.on_udp_burst(dgrams[0].src, &frames, at, &mut self.digests)
                     };
                     self.apply_outs(to, outs);
                 } else {
@@ -346,7 +356,7 @@ impl PdnWorld {
                         .get_mut(node.0 as usize)
                         .and_then(Option::as_mut)
                     {
-                        let outs = agent.on_tick(at);
+                        let outs = agent.on_tick(at, &mut self.digests);
                         self.apply_outs(node, outs);
                         self.net
                             .set_timer(node, crate::sdk::costs::TICK, TOKEN_TICK);
@@ -472,20 +482,20 @@ impl PdnWorld {
             ports::SIGNAL => {
                 let _g = phase(Phase::Signal);
                 match SignalMsg::decode(&dgram.payload) {
-                    Some(msg) => agent.on_signal(msg, at),
+                    Some(msg) => agent.on_signal(msg, at, &mut self.digests),
                     None => Vec::new(),
                 }
             }
             ports::HTTP => {
                 let _g = phase(Phase::Http);
                 match HttpResponse::decode(&dgram.payload) {
-                    Some(resp) => agent.on_http(resp, at),
+                    Some(resp) => agent.on_http(resp, at, &mut self.digests),
                     None => Vec::new(),
                 }
             }
             ports::MEDIA => {
                 let _g = phase(Phase::P2p);
-                agent.on_udp(dgram.src, &dgram.payload, at)
+                agent.on_udp(dgram.src, &dgram.payload, at, &mut self.digests)
             }
             _ => Vec::new(),
         };

@@ -94,40 +94,70 @@ unsafe_confined() {
 run_gate "unsafe confinement (#[allow(unsafe_code)] only in sha256.rs and aes_gcm.rs)" unsafe_confined
 
 # Process-global mutable switches make behaviour depend on hidden state;
-# production code takes its configuration through values. The allowlist
-# is the profiler's counters and enable flag (perfbench's traced run turns
-# profiling on) and the shard runner's cached host parallelism.
+# production code takes its configuration through values. A `thread_local!`
+# is the same thing per thread: a memo or switch in one would carry state
+# from one world into the next on the same thread, so worlds own their
+# state instead. The allowlist is the profiler's counters, enable flag and
+# per-thread shard cells (perfbench's traced run turns profiling on) and
+# the shard runner's cached host parallelism.
 no_global_switches() {
   local allowed=(
     crates/simnet/src/profile.rs:ENABLED
     crates/simnet/src/profile.rs:NANOS
     crates/simnet/src/profile.rs:COUNTS
     crates/simnet/src/profile.rs:PROBE_COST_NANOS
+    crates/simnet/src/profile.rs:LOCAL
     crates/simnet/src/shard.rs:HOST
   )
-  local found bad=0 entry
+  local dirs=(crates/{crypto,simnet,media,webrtc,provider,detector,core}/src)
+  local found tls_files bad=0 entry
   found=$(grep -rnoE \
     'static +(mut +)?[A-Za-z_0-9]+ *: *\[? *([a-z_]+::)*(Atomic[A-Za-z0-9]*|OnceLock)' \
-    crates/{crypto,simnet,media,webrtc,provider,detector,core}/src \
+    "${dirs[@]}" \
     | sed -E 's/^([^:]+):[0-9]+:static +(mut +)?([A-Za-z_0-9]+).*/\1:\3/')
+  # Every static declared inside a `thread_local!` invocation, as
+  # file:NAME (comment lines skipped; the invocation ends where its
+  # brackets close).
+  tls_files=$(grep -rl 'thread_local!' "${dirs[@]}")
+  if [[ -n "${tls_files}" ]]; then
+    found+=$'\n'$(awk '
+      /^[[:space:]]*\/\// { next }
+      !inside && /thread_local!/ { inside = 1; depth = 0; opened = 0 }
+      inside {
+        rest = $0
+        while (match(rest, /static +(mut +)?[A-Za-z_0-9]+/)) {
+          name = substr(rest, RSTART, RLENGTH)
+          sub(/static +(mut +)?/, "", name)
+          print FILENAME ":" name
+          rest = substr(rest, RSTART + RLENGTH)
+        }
+        opens = gsub(/[{(]/, "&")
+        depth += opens - gsub(/[})]/, "&")
+        if (opens > 0) opened = 1
+        if (opened && depth <= 0) inside = 0
+      }
+    ' ${tls_files})
+  fi
   for entry in ${found}; do
     if [[ " ${allowed[*]} " != *" ${entry} "* ]]; then
-      echo "global static outside the allowlist: ${entry}" >&2
+      echo "global or thread-local static outside the allowlist: ${entry}" >&2
       bad=1
     fi
   done
   return "${bad}"
 }
-run_gate "no global switches (static Atomic*/OnceLock only on the allowlist)" no_global_switches
+run_gate "no global switches (static Atomic*/OnceLock and thread_local! only on the allowlist)" no_global_switches
 
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
 # The signaling server, SDK scheduler, simnet router, route table, address
 # registry and shard runner, the DTLS record layer and data channel, the
-# bounded inboxes and open-loop harness, the region-shard router, and the CDN
-# edge and paper-world loop all run on FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
+# bounded inboxes and open-loop harness, the region-shard router, the CDN
+# edge, the segment-digest memo and the paper-world loop all run on
+# FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
 # code and the oracles in pdn-oracle are exempt by not being listed here.
 hot_paths=(
   crates/media/src/cdn.rs
+  crates/media/src/digest.rs
   crates/provider/src/sdk.rs
   crates/provider/src/signaling.rs
   crates/provider/src/swarm.rs
