@@ -18,6 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
 use pdn_provider::world::{PdnWorld, ViewerSpec};
 use pdn_provider::{
     AgentConfig, CustomerAccount, MatchingPolicy, ProviderProfile, SignalMsg, SignalingServer,
@@ -208,12 +209,12 @@ pub fn run_wild(
         manifest_hash: "live".into(),
         sdp,
     };
-    // One reused reply buffer across the whole churn loop (the server's
-    // `handle_into` appends instead of allocating per call).
-    let mut replies: Vec<(Addr, SignalMsg)> = Vec::new();
-    server.handle_into(
+    // Each join is encoded once and admitted as a frame; one reply buffer
+    // is reused across the whole churn loop.
+    let mut replies: Vec<(Addr, Bytes)> = Vec::new();
+    server.handle_frame_into(
         observer,
-        join(token, synth_sdp(observer, None, &mut rng)),
+        &join(token, synth_sdp(observer, None, &mut rng)).encode(),
         SimTime::ZERO,
         &geoip,
         &mut replies,
@@ -256,20 +257,21 @@ pub fn run_wild(
         let token = server.mint_temp_token(None);
         let sdp = synth_sdp(wire, Some(host_ip), &mut rng);
         replies.clear();
-        server.handle_into(
+        server.handle_frame_into(
             wire,
-            join(token, sdp.clone()),
+            &join(token, sdp).encode(),
             SimTime::from_secs(now_secs),
             &geoip,
             &mut replies,
         );
-        // Whatever reaches the observer is harvested.
-        for (to, msg) in &replies {
+        // Whatever reaches the observer is harvested; only those frames
+        // are decoded.
+        for (to, frame) in &replies {
             if *to != observer {
                 continue;
             }
-            if let SignalMsg::PeerJoined { sdp, .. } = msg {
-                harvest_sdp(sdp, &mut harvested);
+            if let Some(SignalMsg::PeerJoined { sdp, .. }) = SignalMsg::decode(frame) {
+                harvest_sdp(&sdp, &mut harvested);
             }
         }
         // And whatever the newcomer was told about the observer leaks the
@@ -475,6 +477,61 @@ mod tests {
         );
         // Only same-country peers remain visible.
         assert!(mitigated.countries.keys().all(|c| c == "US"));
+    }
+
+    /// Pins the harvest itself, not only its shape: the exact counts a
+    /// short run yields at the bench seed (`pdn_bench::SEED`) for both
+    /// audiences, under open and same-country matching. Any change to how
+    /// joins reach the tracker or how introductions reach the observer
+    /// moves at least one of these.
+    #[test]
+    fn short_harvest_counts_are_pinned_at_the_bench_seed() {
+        const SEED: u64 = 20_240_624;
+        // (arrivals, unique, public, bogons, private, cgnat, reserved,
+        // countries, cities)
+        let pin = |r: &IpLeakWildResult| {
+            (
+                r.arrivals,
+                r.unique_ips,
+                r.public_ips,
+                r.bogons,
+                r.bogon_private,
+                r.bogon_cgnat,
+                r.bogon_reserved,
+                r.countries.len(),
+                r.cities,
+            )
+        };
+        let huya = run_wild(&huya_population(), MatchingPolicy::Global, "US", 1.0, SEED);
+        assert_eq!(
+            pin(&huya),
+            (1236, 1665, 1161, 504, 497, 7, 0, 4, 99),
+            "Huya TV"
+        );
+        let rt = run_wild(
+            &rt_news_population(),
+            MatchingPolicy::Global,
+            "US",
+            3.0,
+            SEED,
+        );
+        assert_eq!(
+            pin(&rt),
+            (349, 610, 349, 261, 255, 6, 0, 51, 111),
+            "RT News"
+        );
+        let rt_us = run_wild(
+            &rt_news_population(),
+            MatchingPolicy::SameCountry,
+            "US",
+            3.0,
+            SEED,
+        );
+        assert_eq!(
+            pin(&rt_us),
+            (349, 247, 129, 118, 116, 2, 0, 1, 5),
+            "RT News, same country"
+        );
     }
 
     #[test]

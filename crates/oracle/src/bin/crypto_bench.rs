@@ -115,7 +115,7 @@ fn run_baseline(payload: &[u8], iters: usize) -> f64 {
 const SEGMENT_BYTES: usize = 3_000_000;
 
 /// One timed channel run: `iters` 3 MB messages, each sent as a header part
-/// plus a segment part and received as one burst, as the PDN SDK does.
+/// plus a segment part and received record by record, as the PDN SDK does.
 /// Returns (messages/sec, records per message).
 fn run_channel(segment: &[u8], iters: usize) -> (f64, usize) {
     let (c, s) = dtls_pair(17);
@@ -125,8 +125,12 @@ fn run_channel(segment: &[u8], iters: usize) -> (f64, usize) {
     let mut round = |tx: &mut DataChannel, rx: &mut DataChannel| -> usize {
         let records = tx.send_message(&[&header, segment]).expect("send");
         msgs.clear();
-        rx.receive_batch(&records, &mut msgs);
-        assert_eq!(msgs.len(), 1, "one message per burst");
+        for r in &records {
+            if let Some(m) = rx.receive_record(r).expect("open") {
+                msgs.push(m);
+            }
+        }
+        assert_eq!(msgs.len(), 1, "one message per send");
         records.len()
     };
     let records = round(&mut tx, &mut rx); // warm the scratch
@@ -200,7 +204,7 @@ fn main() {
     let (seal_allocs, open_allocs) = allocs_per_record(&vec![7u8; 1200], (4000 / scale).max(50));
 
     // --- A 3 MB segment through the data channel: gathered send plus
-    // burst receive with in-place reassembly. ---
+    // per-record receive with in-place reassembly. ---
     let segment: Vec<u8> = (0..SEGMENT_BYTES).map(|i| (i % 251) as u8).collect();
     let mut channel_s = Vec::new();
     let mut records_per_msg = 0;

@@ -183,7 +183,7 @@ impl BaselineSignalingServer {
                 video,
                 manifest_hash,
                 sdp,
-            } => self.on_join(
+            } => self.admit_join(
                 from,
                 api_key,
                 token,
@@ -216,7 +216,7 @@ impl BaselineSignalingServer {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_join(
+    fn admit_join(
         &mut self,
         from: Addr,
         api_key: Option<String>,

@@ -542,53 +542,6 @@ impl PdnAgent {
         Vec::new()
     }
 
-    /// Handles a burst of media-port datagrams arriving as one unit.
-    ///
-    /// When the whole burst is DTLS application data from a peer with an
-    /// established data channel, it is opened as one batch: a single CPU
-    /// charge for the summed record bytes (the cost model is linear, so
-    /// this equals the per-record charges) and one
-    /// [`DataChannel::receive_batch`] pass that opens every record and
-    /// places its chunk straight into the message buffer, with decoded
-    /// messages running through the normal P2P frame handler. Anything
-    /// else — handshake flights, STUN, unknown peers — falls back to the
-    /// per-frame [`PdnAgent::on_udp`].
-    pub fn on_udp_burst(
-        &mut self,
-        from: Addr,
-        frames: &[Bytes],
-        now: SimTime,
-        digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
-        let conn_idx = self
-            .conns
-            .iter()
-            .position(|c| c.remote_media == Some(from) && c.chan.is_some());
-        let batchable =
-            frames.len() > 1 && conn_idx.is_some() && frames.iter().all(|f| f.first() == Some(&23));
-        if !batchable {
-            let mut out = Vec::new();
-            for f in frames {
-                out.extend(self.on_udp(from, f, now, digests));
-            }
-            return out;
-        }
-        let idx = conn_idx.expect("checked above");
-        let total: usize = frames.iter().map(Bytes::len).sum();
-        let mut out = vec![AgentOut::ChargeCpu(crypto_cost(total))];
-        let mut msgs = Vec::new();
-        self.conns[idx]
-            .chan
-            .as_mut()
-            .expect("checked above")
-            .receive_batch(frames, &mut msgs);
-        let remote_peer = self.conns[idx].remote_peer;
-        for m in &msgs {
-            out.extend(self.on_p2p_frame(remote_peer, m, now, digests));
-        }
-        out
-    }
-
     /// Relay-mode TURN handling: Allocate responses and Data indications.
     /// Returns `None` for STUN messages that are not TURN traffic.
     fn on_turn(

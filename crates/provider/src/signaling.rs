@@ -27,9 +27,18 @@
 //!   caps) so attack-driven reports cannot grow server memory without
 //!   bound; evictions are counted in [`DefenseStats::im_evictions`].
 //!
+//! # One path per frame
+//!
+//! Every entry point runs one per-frame body: a binary join goes to the
+//! zero-copy admission in `on_join_frame`, anything else is decoded and
+//! handled. [`SignalingServer::handle_frame_into`] runs it per frame,
+//! [`SignalingServer::handle_frames_batch_into`] per burst with an
+//! [`AdmissionBatch`], and the owned [`SignalingServer::handle`] encodes
+//! its message and decodes the replies around `handle_frame_into`.
+//!
 //! The pre-refactor generic-collection server lives on as a test oracle
 //! in the `pdn-oracle` crate, and the `state_differential` integration
-//! tests pin the two to byte-identical reply streams.
+//! tests pin all three entry points to its reply streams, byte for byte.
 
 use std::collections::VecDeque;
 
@@ -143,8 +152,11 @@ pub struct DefenseStats {
 /// stream). The batch caches the last swarm resolution and the last
 /// *successful* static-key authentication so the burst costs one
 /// interner/registry pass instead of one per frame. Purely an
-/// accelerator: replies and server state are byte-identical with and
-/// without a batch (see `batch_matches_sequential` in the tests).
+/// accelerator: a batch rides the same per-frame body as
+/// [`SignalingServer::handle_frame_into`], and replies and server state
+/// are byte-identical with and without one (`batch_matches_sequential`
+/// here; `state_differential` checks both against the baseline oracle
+/// under random batch splits).
 #[derive(Debug, Default)]
 pub struct AdmissionBatch {
     /// (video, manifest_hash) -> swarm slot.
@@ -412,7 +424,7 @@ impl SignalingServer {
     /// broadcast (e.g. §V-B [`SignalMsg::SimBroadcast`]) fans one identical
     /// message out to the whole swarm, so a reply equal to the previous one
     /// reuses its encoded frame — a refcount bump instead of a
-    /// per-recipient re-encode.
+    /// per-recipient re-encode. Undecodable frames are skipped.
     pub fn handle_frame_into(
         &mut self,
         from: Addr,
@@ -421,16 +433,78 @@ impl SignalingServer {
         geoip: &GeoIpService,
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
+        self.frame_into(from, frame, now, geoip, None, out);
+    }
+
+    /// Handles a burst of raw frames as one admission batch.
+    ///
+    /// Frames are processed strictly in order with batch-local memos
+    /// ([`AdmissionBatch`]) carrying swarm resolution and static-key
+    /// authentication across the burst. Reply bytes and server state are
+    /// identical to calling [`SignalingServer::handle_frame_into`] once per
+    /// frame; only the cost differs.
+    pub fn handle_frames_batch_into(
+        &mut self,
+        frames: &[(Addr, bytes::Bytes)],
+        now: SimTime,
+        geoip: &GeoIpService,
+        batch: &mut AdmissionBatch,
+        out: &mut Vec<(Addr, bytes::Bytes)>,
+    ) {
+        batch.clear();
+        for (from, frame) in frames {
+            self.frame_into(*from, frame, now, geoip, Some(batch), out);
+        }
+    }
+
+    /// Owned convenience over [`SignalingServer::handle_frame_into`]:
+    /// encodes `msg`, handles the frame, and decodes the replies.
+    pub fn handle(
+        &mut self,
+        from: Addr,
+        msg: SignalMsg,
+        now: SimTime,
+        geoip: &GeoIpService,
+    ) -> Vec<(Addr, SignalMsg)> {
+        let mut out = Vec::new();
+        self.handle_frame_into(from, &msg.encode(), now, geoip, &mut out);
+        out.into_iter()
+            .map(|(addr, frame)| {
+                let reply = SignalMsg::decode(&frame).expect("server replies decode");
+                (addr, reply)
+            })
+            .collect()
+    }
+
+    /// The per-frame body of both frame entry points. A binary join takes
+    /// the zero-copy admission path; any other frame is decoded, handled,
+    /// and its replies encoded, a reply equal to its predecessor reusing
+    /// the predecessor's frame.
+    fn frame_into(
+        &mut self,
+        from: Addr,
+        frame: &bytes::Bytes,
+        now: SimTime,
+        geoip: &GeoIpService,
+        batch: Option<&mut AdmissionBatch>,
+        out: &mut Vec<(Addr, bytes::Bytes)>,
+    ) {
         if let Some(view) = crate::wire::decode_join_view(frame) {
-            self.on_join_frame(from, &view, frame, now, geoip, None, out);
+            self.on_join_frame(from, &view, frame, now, geoip, batch, out);
             return;
+        }
+        // Anything that is not a join may mutate membership (leave,
+        // blacklist via IM report), so the rolling neighbor window cannot
+        // survive it.
+        if let Some(b) = batch {
+            b.neighbor_memo = None;
         }
         let Some(msg) = SignalMsg::decode(frame) else {
             return;
         };
         let mut replies = std::mem::take(&mut self.reply_scratch);
         replies.clear();
-        self.handle_into(from, msg, now, geoip, &mut replies);
+        self.handle_msg(from, msg, now, &mut replies);
         let mut prev: Option<bytes::Bytes> = None;
         for i in 0..replies.len() {
             let (addr, reply) = &replies[i];
@@ -445,110 +519,17 @@ impl SignalingServer {
         self.reply_scratch = replies;
     }
 
-    /// Handles a burst of raw frames as one admission batch.
-    ///
-    /// Frames are processed strictly in order with batch-local memos
-    /// ([`AdmissionBatch`]) carrying swarm resolution and static-key
-    /// authentication across the burst, and replies use the same
-    /// adjacent-duplicate encode reuse as
-    /// [`SignalingServer::handle_frame_into`]. Reply bytes and server
-    /// state are identical to calling `handle_frame_into` once per frame;
-    /// only the cost differs. Undecodable frames are skipped.
-    pub fn handle_frames_batch_into(
-        &mut self,
-        frames: &[(Addr, bytes::Bytes)],
-        now: SimTime,
-        geoip: &GeoIpService,
-        batch: &mut AdmissionBatch,
-        out: &mut Vec<(Addr, bytes::Bytes)>,
-    ) {
-        batch.clear();
-        let mut replies = std::mem::take(&mut self.reply_scratch);
-        for (from, frame) in frames {
-            if let Some(view) = crate::wire::decode_join_view(frame) {
-                self.on_join_frame(*from, &view, frame, now, geoip, Some(batch), out);
-                continue;
-            }
-            // Anything that is not a zero-copy join may mutate membership
-            // (leave, blacklist via IM report), so the rolling neighbor
-            // window cannot survive it.
-            batch.neighbor_memo = None;
-            let Some(msg) = SignalMsg::decode(frame) else {
-                continue;
-            };
-            replies.clear();
-            self.handle_msg(*from, msg, now, geoip, Some(batch), &mut replies);
-            let mut prev: Option<bytes::Bytes> = None;
-            for i in 0..replies.len() {
-                let (addr, reply) = &replies[i];
-                let encoded = match (&prev, i.checked_sub(1)) {
-                    (Some(bytes), Some(j)) if replies[j].1 == *reply => bytes.clone(),
-                    _ => reply.encode(),
-                };
-                prev = Some(encoded.clone());
-                out.push((*addr, encoded));
-            }
-        }
-        replies.clear();
-        self.reply_scratch = replies;
-    }
-
-    /// Allocating wrapper around [`SignalingServer::handle_frame_into`].
-    pub fn handle_frame(
-        &mut self,
-        from: Addr,
-        frame: &bytes::Bytes,
-        now: SimTime,
-        geoip: &GeoIpService,
-    ) -> Vec<(Addr, bytes::Bytes)> {
-        let mut out = Vec::new();
-        self.handle_frame_into(from, frame, now, geoip, &mut out);
-        out
-    }
-
-    /// Handles one signaling message, appending `(destination, reply)`
-    /// pairs to `out`.
-    pub fn handle_into(
-        &mut self,
-        from: Addr,
-        msg: SignalMsg,
-        now: SimTime,
-        geoip: &GeoIpService,
-        out: &mut Vec<(Addr, SignalMsg)>,
-    ) {
-        self.handle_msg(from, msg, now, geoip, None, out)
-    }
-
+    /// Handles a decoded non-join message, appending `(destination,
+    /// reply)` pairs to `out`. Joins never get here: every binary join
+    /// frame is admitted by [`SignalingServer::on_join_frame`].
     fn handle_msg(
         &mut self,
         from: Addr,
         msg: SignalMsg,
         now: SimTime,
-        geoip: &GeoIpService,
-        batch: Option<&mut AdmissionBatch>,
         out: &mut Vec<(Addr, SignalMsg)>,
     ) {
         match msg {
-            SignalMsg::Join {
-                api_key,
-                token,
-                origin,
-                video,
-                manifest_hash,
-                sdp,
-            } => self.on_join(
-                from,
-                api_key,
-                token,
-                origin,
-                video,
-                manifest_hash,
-                sdp,
-                now,
-                geoip,
-                batch,
-                out,
-            ),
             SignalMsg::StatsReport {
                 p2p_up_bytes,
                 p2p_down_bytes,
@@ -565,153 +546,15 @@ impl SignalingServer {
         }
     }
 
-    /// Allocating wrapper around [`SignalingServer::handle_into`].
-    pub fn handle(
-        &mut self,
-        from: Addr,
-        msg: SignalMsg,
-        now: SimTime,
-        geoip: &GeoIpService,
-    ) -> Vec<(Addr, SignalMsg)> {
-        let mut out = Vec::new();
-        self.handle_into(from, msg, now, geoip, &mut out);
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_join(
-        &mut self,
-        from: Addr,
-        api_key: Option<String>,
-        token: Option<String>,
-        origin: String,
-        video: String,
-        manifest_hash: String,
-        sdp: pdn_webrtc::SessionDescription,
-        now: SimTime,
-        geoip: &GeoIpService,
-        mut batch: Option<&mut AdmissionBatch>,
-        out: &mut Vec<(Addr, SignalMsg)>,
-    ) {
-        // §V-B: peer identity binds to the transport address so expelled
-        // peers cannot simply rejoin.
-        if self.blacklist_addrs.contains(&from) {
-            out.push((
-                from,
-                SignalMsg::JoinDenied {
-                    reason: "peer is blacklisted".into(),
-                },
-            ));
-            return;
-        }
-
-        // Private platforms: only registered video sources participate.
-        if let Some(reg) = &self.registered_sources {
-            if !reg.contains(&video) {
-                out.push((
-                    from,
-                    SignalMsg::JoinDenied {
-                        reason: "video source not registered".into(),
-                    },
-                ));
-                return;
-            }
-        }
-
-        let customer_id = match self.authenticate_memo(
-            api_key.as_deref(),
-            token.as_deref(),
-            &origin,
-            &video,
-            now,
-            batch.as_deref_mut(),
-        ) {
-            Ok(id) => id,
-            Err(e) => {
-                out.push((
-                    from,
-                    SignalMsg::JoinDenied {
-                        reason: e.to_string(),
-                    },
-                ));
-                return;
-            }
-        };
-
-        let peer_id = self.next_peer_id;
-        self.next_peer_id += 1;
-
-        let geo = geoip.lookup(from.ip);
-        let (country, isp) = match geo {
-            Some(g) => (
-                Some(self.geos.intern(&g.country)),
-                Some(self.geos.intern(&g.isp)),
-            ),
-            None => (None, None),
-        };
-
-        let slot = self.resolve_swarm(&video, &manifest_hash, batch);
-
-        // Candidate neighbors under the matching policy: walking members
-        // youngest-first with an early cap is exactly the old
-        // filter → reverse → truncate, without the intermediate Vec. The
-        // compat path materialises each neighbor's SDP from its interned
-        // wire fragment (the frame path splices the fragment instead).
-        let members = &self.swarms[slot as usize].members;
-        let mut neighbors: Vec<(u64, pdn_webrtc::SessionDescription)> =
-            Vec::with_capacity(self.max_neighbors.min(members.len()));
-        let mut notify: Vec<Addr> = Vec::with_capacity(neighbors.capacity());
-        for m in members.iter().rev().flatten() {
-            if neighbors.len() == self.max_neighbors {
-                break;
-            }
-            if self.blacklist.contains(&m.peer_id) {
-                continue;
-            }
-            let matches = match self.matching {
-                MatchingPolicy::Global => true,
-                MatchingPolicy::SameCountry => m.country.is_some() && m.country == country,
-                MatchingPolicy::SameIsp => m.isp.is_some() && m.isp == isp,
-            };
-            if !matches {
-                continue;
-            }
-            let sdp = crate::wire::decode_sdp(&m.sdp_wire).expect("interned SDP decodes");
-            neighbors.push((m.peer_id, sdp));
-            notify.push(m.addr);
-        }
-
-        let sdp_wire = crate::wire::encode_sdp(&sdp);
-        self.insert_member(
-            from,
-            peer_id,
-            sdp_wire,
-            country,
-            isp,
-            slot,
-            &customer_id,
-            now,
-        );
-
-        out.push((from, SignalMsg::JoinOk { peer_id, neighbors }));
-        for addr in notify {
-            out.push((
-                addr,
-                SignalMsg::PeerJoined {
-                    peer_id,
-                    sdp: sdp.clone(),
-                },
-            ));
-        }
-    }
-
-    /// The zero-copy borrowed join path for binary frames.
+    /// Join admission, the only one: a blacklisted address, an
+    /// unregistered source or failed authentication is denied; otherwise
+    /// the joiner is introduced to up to `max_neighbors` live members
+    /// youngest-first under the matching policy, and each of them is told
+    /// about the joiner.
     ///
-    /// Admission semantics are identical to [`SignalingServer::on_join`]
-    /// (the `zero_copy_join_matches_owned_path` test pins reply bytes and
-    /// state), but nothing is materialised: credentials stay `&str` views
-    /// into the frame, the joiner's SDP is interned as a zero-copy slice of
-    /// the datagram, and replies are assembled by splicing the stored SDP
+    /// Nothing is materialised: credentials stay `&str` views into the
+    /// frame, the joiner's SDP is interned as a zero-copy slice of the
+    /// datagram, and replies are assembled by splicing the stored SDP
     /// fragments of the selected neighbors straight into the output frame.
     /// With a batch, neighbor selection additionally rides the rolling
     /// [`NeighborMemo`] — one slab walk per `(swarm, tick)` instead of one
@@ -728,10 +571,13 @@ impl SignalingServer {
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
         let deny = |reason: String| SignalMsg::JoinDenied { reason }.encode();
+        // §V-B: peer identity binds to the transport address so expelled
+        // peers cannot simply rejoin.
         if self.blacklist_addrs.contains(&from) {
             out.push((from, deny("peer is blacklisted".into())));
             return;
         }
+        // Private platforms: only registered video sources participate.
         if let Some(reg) = &self.registered_sources {
             if !reg.contains(view.video) {
                 out.push((from, deny("video source not registered".into())));
@@ -809,19 +655,32 @@ impl SignalingServer {
             }
         }
 
-        // Intern the joiner's SDP as a zero-copy slice of the frame (the
-        // fragment was validated by `decode_join_view`).
+        // Register the joiner: swarm membership with its SDP interned as a
+        // zero-copy slice of the frame (the fragment was validated by
+        // `decode_join_view`), peer slab, address index, join meter.
         let sdp_wire = frame.slice(view.sdp_range.clone());
-        self.insert_member(
-            from,
+        let swarm = &mut self.swarms[slot as usize];
+        let swarm_pos = swarm.members.len() as u32;
+        swarm.members.push(Some(Member {
             peer_id,
-            sdp_wire.clone(),
+            addr: from,
+            sdp_wire: sdp_wire.clone(),
             country,
             isp,
-            slot,
-            &customer_id,
-            now,
-        );
+        }));
+        swarm.live += 1;
+        let customer = self.customers.intern(&customer_id);
+        debug_assert_eq!(self.peers.len() as u64, peer_id - 1);
+        self.peers.push(Some(PeerSlot {
+            addr: from,
+            customer,
+            last_seen: now,
+            swarm: slot,
+            swarm_pos,
+        }));
+        self.live_peers += 1;
+        self.addr_index.insert(from, peer_id);
+        self.meter_mut(customer).add_join();
         // Roll the joiner into the memo window: it is now the youngest
         // candidate the next join in the burst must see.
         if memo_ok {
@@ -854,45 +713,6 @@ impl SignalingServer {
 
         picked.clear();
         self.neighbor_scratch = picked;
-    }
-
-    /// Registers a freshly admitted peer: swarm membership, peer slab,
-    /// address index, and the customer's join meter. Shared by the compat
-    /// and frame join paths so their state transitions cannot drift.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_member(
-        &mut self,
-        from: Addr,
-        peer_id: u64,
-        sdp_wire: bytes::Bytes,
-        country: Option<u32>,
-        isp: Option<u32>,
-        slot: u32,
-        customer_id: &str,
-        now: SimTime,
-    ) {
-        let swarm = &mut self.swarms[slot as usize];
-        let swarm_pos = swarm.members.len() as u32;
-        swarm.members.push(Some(Member {
-            peer_id,
-            addr: from,
-            sdp_wire,
-            country,
-            isp,
-        }));
-        swarm.live += 1;
-        let customer = self.customers.intern(customer_id);
-        debug_assert_eq!(self.peers.len() as u64, peer_id - 1);
-        self.peers.push(Some(PeerSlot {
-            addr: from,
-            customer,
-            last_seen: now,
-            swarm: slot,
-            swarm_pos,
-        }));
-        self.live_peers += 1;
-        self.addr_index.insert(from, peer_id);
-        self.meter_mut(customer).add_join();
     }
 
     /// Resolves `(video, manifest)` to a swarm slot, creating the swarm on
@@ -1794,56 +1614,6 @@ mod tests {
         assert!(batch.hits() > 0, "burst should hit the memos");
         assert_eq!(seq.peer_count(), bat.peer_count());
         assert_eq!(seq.meter("victim"), bat.meter("victim"));
-    }
-
-    /// The zero-copy borrowed join path (JoinView + spliced replies +
-    /// interned frame-slice SDPs) must be byte-identical to the public
-    /// owned path — `SignalMsg::decode`, `handle_into`, `encode` per
-    /// reply — in replies, order, and state.
-    #[test]
-    fn zero_copy_join_matches_owned_path() {
-        let frames: Vec<(Addr, bytes::Bytes)> = {
-            let mut f: Vec<(Addr, bytes::Bytes)> = Vec::new();
-            for d in 1..=20u8 {
-                f.push((
-                    addr(d),
-                    join("victim.tv", "v", "key-victim", d as u64).encode(),
-                ));
-            }
-            f.push((
-                addr(21),
-                join("victim.tv", "other", "key-victim", 21).encode(),
-            ));
-            f.push((addr(22), join("victim.tv", "v", "wrong-key", 22).encode()));
-            f.push((addr(4), SignalMsg::Leave.encode()));
-            f.push((addr(24), join("victim.tv", "v", "key-victim", 24).encode()));
-            f
-        };
-        let now = SimTime::from_secs(5);
-
-        // Per-frame: zero-copy vs owned.
-        let (mut fast, geo) = server();
-        let (mut owned, _) = server();
-        let (mut fast_out, mut owned_out) = (Vec::new(), Vec::new());
-        let mut replies = Vec::new();
-        for (from, frame) in &frames {
-            fast.handle_frame_into(*from, frame, now, &geo, &mut fast_out);
-            let msg = SignalMsg::decode(frame).expect("test frames decode");
-            replies.clear();
-            owned.handle_into(*from, msg, now, &geo, &mut replies);
-            owned_out.extend(replies.iter().map(|(a, m)| (*a, m.encode())));
-        }
-        assert_eq!(fast_out, owned_out, "per-frame reply streams diverged");
-        assert_eq!(fast.peer_count(), owned.peer_count());
-        assert_eq!(fast.meter("victim"), owned.meter("victim"));
-
-        // Batched (with neighbor memo) vs the same owned stream.
-        let (mut fast_b, _) = server();
-        let mut fb_out = Vec::new();
-        let mut batch = AdmissionBatch::new();
-        fast_b.handle_frames_batch_into(&frames, now, &geo, &mut batch, &mut fb_out);
-        assert_eq!(fb_out, owned_out, "batched vs owned diverged");
-        assert_eq!(fast_b.meter("victim"), owned.meter("victim"));
     }
 
     /// The rolling neighbor window must survive a join burst (each joiner

@@ -10,6 +10,13 @@
 //! come back as `&str` views, sequence lists as an iterator over the frame,
 //! and segment payloads as zero-copy [`Bytes::slice`] handles.
 //!
+//! The tracker reads a join only as a borrowed [`JoinView`]
+//! ([`decode_join_view`], which accepts exactly the frames
+//! [`decode_signal`] reads as a `Join`). The joiner's SDP stays a slice of
+//! its frame, and `JoinOk`/`PeerJoined` replies splice the stored slices
+//! in ([`encode_join_ok_spliced`], [`encode_peer_joined_spliced`]); no SDP
+//! is decoded or re-encoded on the way.
+//!
 //! # Frame layouts
 //!
 //! Binary signaling frame (the `TLS|` marker is kept so passive-sniffer
@@ -470,14 +477,15 @@ pub struct JoinView<'a> {
     /// Manifest hash.
     pub manifest_hash: &'a str,
     /// Byte range of the encoded SDP within the whole frame. The range is
-    /// validated ([`skip_sdp`] applies the same checks as `get_sdp`), so
-    /// [`decode_sdp`] on the slice cannot fail.
+    /// validated (`skip_sdp` applies the same checks as `get_sdp`), so a
+    /// reply that splices the slice in decodes.
     pub sdp_range: std::ops::Range<usize>,
 }
 
 /// Decodes a binary `Join` frame into a borrowed [`JoinView`]. Returns
-/// `None` for any other tag or malformed input — callers fall back to
-/// [`decode_signal`].
+/// `Some` for exactly the frames [`decode_signal`] reads as a
+/// [`SignalMsg::Join`], with the same fields; `None` for any other tag or
+/// malformed input.
 pub fn decode_join_view(frame: &[u8]) -> Option<JoinView<'_>> {
     let body = frame.strip_prefix(TLS_MARKER.as_slice())?;
     let mut off = 0usize;
@@ -500,23 +508,6 @@ pub fn decode_join_view(frame: &[u8]) -> Option<JoinView<'_>> {
         manifest_hash,
         sdp_range: base + sdp_start..base + off,
     })
-}
-
-/// Encodes an SDP into a standalone fragment — the same bytes [`put_sdp`]
-/// embeds in `Join`/`JoinOk`/`PeerJoined` frames. The compat path interns
-/// this when a join arrives as an owned [`SignalMsg`] rather than a frame.
-pub fn encode_sdp(sdp: &SessionDescription) -> Bytes {
-    let mut out = BytesMut::with_capacity(48 + 16 * sdp.candidates.len());
-    put_sdp(&mut out, sdp);
-    out.freeze()
-}
-
-/// Decodes an interned SDP fragment produced by [`encode_sdp`] or sliced
-/// out of a join frame via [`JoinView::sdp_range`].
-pub fn decode_sdp(fragment: &[u8]) -> Option<SessionDescription> {
-    let mut off = 0usize;
-    let sdp = get_sdp(fragment, &mut off)?;
-    (off == fragment.len()).then_some(sdp)
 }
 
 /// Encodes a `JoinOk` by splicing pre-encoded SDP fragments straight into
@@ -956,6 +947,47 @@ mod tests {
         }
     }
 
+    /// An SDP encoded on its own: the fragment a join frame embeds.
+    fn fragment(sdp: &SessionDescription) -> Bytes {
+        let mut out = BytesMut::new();
+        put_sdp(&mut out, sdp);
+        out.freeze()
+    }
+
+    /// Both join decoders on `frame`: the borrowed view must exist exactly
+    /// when the owned decoder reads a `Join`, with equal fields, and its
+    /// SDP range spliced into a reply must carry the owned SDP.
+    fn join_decoders_agree(frame: &[u8]) -> Result<(), TestCaseError> {
+        let view = decode_join_view(frame);
+        let Some(SignalMsg::Join {
+            api_key,
+            token,
+            origin,
+            video,
+            manifest_hash,
+            sdp,
+        }) = decode_signal(frame)
+        else {
+            prop_assert!(view.is_none(), "view of a frame that is no join");
+            return Ok(());
+        };
+        let Some(view) = view else {
+            return Err(TestCaseError::fail("a decodable join has no view"));
+        };
+        prop_assert_eq!(view.api_key, api_key.as_deref());
+        prop_assert_eq!(view.token, token.as_deref());
+        prop_assert_eq!(view.origin, origin.as_str());
+        prop_assert_eq!(view.video, video.as_str());
+        prop_assert_eq!(view.manifest_hash, manifest_hash.as_str());
+        let mut out = BytesMut::new();
+        encode_peer_joined_spliced(1, &frame[view.sdp_range], &mut out);
+        prop_assert_eq!(
+            decode_signal(&out),
+            Some(SignalMsg::PeerJoined { peer_id: 1, sdp })
+        );
+        Ok(())
+    }
+
     fn every_signal_variant() -> Vec<SignalMsg> {
         vec![
             SignalMsg::Join {
@@ -1059,21 +1091,19 @@ mod tests {
         assert_eq!(view.origin, "site.tv");
         assert_eq!(view.video, "v.m3u8");
         assert_eq!(view.manifest_hash, "abcd");
-        // The range covers exactly the trailing SDP fragment and decodes
-        // back to the original SDP.
-        assert_eq!(view.sdp_range.end, frame.len());
-        assert_eq!(decode_sdp(&frame[view.sdp_range.clone()]), Some(sdp(3)));
-        // And it equals the standalone encoding — interning the slice is
+        // The range covers exactly the trailing SDP fragment, which equals
+        // the standalone encoding — interning the slice is
         // indistinguishable from re-encoding.
-        assert_eq!(&frame[view.sdp_range], &encode_sdp(&sdp(3))[..]);
+        assert_eq!(view.sdp_range.end, frame.len());
+        assert_eq!(&frame[view.sdp_range], &fragment(&sdp(3))[..]);
         // Non-join frames fall through.
         assert!(decode_join_view(&encode_signal(&SignalMsg::Leave)).is_none());
     }
 
     #[test]
     fn spliced_replies_match_encode_signal_bytes() {
-        let n1 = encode_sdp(&sdp(2));
-        let n2 = encode_sdp(&sdp(0));
+        let n1 = fragment(&sdp(2));
+        let n2 = fragment(&sdp(0));
         let mut out = BytesMut::new();
         encode_join_ok_spliced(
             1 << 40,
@@ -1088,7 +1118,7 @@ mod tests {
         assert_eq!(&out[..], &reference[..], "spliced JoinOk diverges");
 
         let mut out = BytesMut::new();
-        encode_peer_joined_spliced(7, &encode_sdp(&sdp(1)), &mut out);
+        encode_peer_joined_spliced(7, &fragment(&sdp(1)), &mut out);
         let reference = encode_signal(&SignalMsg::PeerJoined {
             peer_id: 7,
             sdp: sdp(1),
@@ -1236,14 +1266,42 @@ mod tests {
                 let mut bent = frame.to_vec();
                 let i = flip_byte % bent.len();
                 bent[i] ^= 1 << flip_bit;
-                let _ = decode_signal(&bent);
                 let _ = SignalMsg::decode(&bent);
-                if let Some(view) = decode_join_view(&bent) {
-                    // A surviving view's SDP range must still decode — the
-                    // interning contract the tracker relies on.
-                    prop_assert!(decode_sdp(&bent[view.sdp_range]).is_some());
-                }
+                join_decoders_agree(&bent)?;
             }
+        }
+
+        /// The tracker admits only frames the borrowed join decoder
+        /// accepts; that loses no join the owned decoder would read, over
+        /// garbage, bit-flipped and truncated joins, and a join header
+        /// followed by garbage.
+        #[test]
+        fn join_view_accepts_exactly_the_decodable_joins(
+            garbage in proptest::collection::vec(any::<u8>(), 0..256),
+            flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            cut in any::<usize>(),
+            nc in 0usize..5,
+            creds in 0u8..4,
+        ) {
+            let join = encode_signal(&SignalMsg::Join {
+                api_key: (creds & 1 == 1).then(|| "key".into()),
+                token: (creds & 2 == 2).then(|| "tok".into()),
+                origin: "site.tv".into(),
+                video: "v.m3u8".into(),
+                manifest_hash: "abcd".into(),
+                sdp: sdp(nc),
+            });
+            join_decoders_agree(&join)?;
+            join_decoders_agree(&garbage)?;
+            let mut bent = join.to_vec();
+            for &(byte, bit) in &flips {
+                let i = byte % bent.len();
+                bent[i] ^= 1 << bit;
+            }
+            join_decoders_agree(&bent)?;
+            join_decoders_agree(&join[..cut % (join.len() + 1)])?;
+            let header = TLS_MARKER.len() + 2;
+            join_decoders_agree(&[&join[..header], &garbage[..]].concat())?;
         }
     }
 }

@@ -9,7 +9,6 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use pdn_media::{Cdn, DigestStats, OriginServer, SegmentDigests, VideoSource};
 use pdn_simnet::profile::{phase, Phase};
 use pdn_simnet::{Addr, Event, GeoInfo, LinkSpec, NatKind, Network, NodeId, SimTime, Transport};
@@ -312,34 +311,10 @@ impl PdnWorld {
                     self.on_viewer_packet(to, dgram, at);
                 }
             }
+            // One queue event; each datagram is handled like a lone packet.
             Event::Burst { to, dgrams } => {
-                // Burst-in to batch-open in one SDK pass. Only a uniform
-                // media-port burst of DTLS data records from one source
-                // takes the batch path; mixed bursts (handshake flights,
-                // STUN, relay traffic) re-enter the per-packet dispatch.
-                let viewer = self.viewers.get(to.0 as usize).is_some_and(Option::is_some);
-                let batchable = viewer
-                    && dgrams.len() > 1
-                    && dgrams
-                        .iter()
-                        .all(|d| d.dst.port == ports::MEDIA && d.src == dgrams[0].src)
-                    && dgrams.iter().all(|d| d.payload.first() == Some(&23));
-                if batchable {
-                    let outs = {
-                        let _g = phase(Phase::P2p);
-                        let frames: Vec<Bytes> = dgrams.iter().map(|d| d.payload.clone()).collect();
-                        let agent = self
-                            .viewers
-                            .get_mut(to.0 as usize)
-                            .and_then(Option::as_mut)
-                            .expect("checked above");
-                        agent.on_udp_burst(dgrams[0].src, &frames, at, &mut self.digests)
-                    };
-                    self.apply_outs(to, outs);
-                } else {
-                    for dgram in dgrams {
-                        self.dispatch(at, Event::Packet { to, dgram });
-                    }
+                for dgram in dgrams {
+                    self.dispatch(at, Event::Packet { to, dgram });
                 }
             }
             Event::Timer { node, token } => match token {

@@ -5,12 +5,17 @@
 //! identical reply streams — same destinations, same messages, same order —
 //! because the refactor's claim is that only the data-structure costs
 //! changed, never the wire behavior. `SignalMsg` is `PartialEq` over every
-//! field, so structural equality here pins byte-identical encodings.
+//! field, so structural equality here pins byte-identical encodings. The
+//! engine is driven through each of its entry points — the owned `handle`,
+//! per-frame `handle_frame_into` and batched `handle_frames_batch_into` —
+//! and the frame paths are compared byte for byte with the baseline's
+//! replies, encoded.
 
+use bytes::Bytes;
 use pdn_media::{OriginServer, VideoSource};
 use pdn_oracle::state_baseline::{BaselineAvail, BaselineSignalingServer};
 use pdn_provider::proto::SignalMsg;
-use pdn_provider::signaling::{MatchingPolicy, SignalingServer};
+use pdn_provider::signaling::{AdmissionBatch, MatchingPolicy, SignalingServer};
 use pdn_provider::state::AvailMap;
 use pdn_provider::{compute_im, CustomerAccount, ProviderProfile};
 use pdn_simnet::{Addr, GeoInfo, GeoIpService, SimRng, SimTime};
@@ -68,6 +73,116 @@ fn pair_of_servers(
     new_s.accounts_mut().register(account.clone());
     old_s.accounts_mut().register(account);
     (new_s, old_s)
+}
+
+/// The baseline and three engine servers, one per entry point, driven
+/// with the same traffic.
+struct Rig {
+    old_s: BaselineSignalingServer,
+    /// Driven through the owned `handle`.
+    owned_s: SignalingServer,
+    /// Driven through `handle_frame_into`, one frame at a time.
+    frame_s: SignalingServer,
+    /// Driven by [`Rig::replay_batched`] through `handle_frames_batch_into`.
+    batch_s: SignalingServer,
+    /// Every frame sent, with the tick (batch) it belongs to.
+    frames: Vec<(u64, Addr, Bytes)>,
+    /// The baseline's replies, encoded, in order.
+    want: Vec<(Addr, Bytes)>,
+    /// `frame_s`'s replies, in order.
+    frame_out: Vec<(Addr, Bytes)>,
+}
+
+impl Rig {
+    fn new(profile: ProviderProfile, seed: u64, configure: impl Fn(&mut SignalingServer)) -> Self {
+        let (mut owned_s, old_s) = pair_of_servers(profile.clone(), seed);
+        let (mut frame_s, _) = pair_of_servers(profile.clone(), seed);
+        let (mut batch_s, _) = pair_of_servers(profile, seed);
+        for s in [&mut owned_s, &mut frame_s, &mut batch_s] {
+            configure(s);
+        }
+        Rig {
+            old_s,
+            owned_s,
+            frame_s,
+            batch_s,
+            frames: Vec::new(),
+            want: Vec::new(),
+            frame_out: Vec::new(),
+        }
+    }
+
+    /// Sends `msg` in `tick` (its virtual second) through the baseline,
+    /// the owned path and the per-frame path, and asserts all three agree.
+    fn step(
+        &mut self,
+        from: Addr,
+        msg: SignalMsg,
+        tick: u64,
+        geo: &GeoIpService,
+    ) -> Vec<(Addr, SignalMsg)> {
+        let now = SimTime::from_secs(tick);
+        let frame = msg.encode();
+        let want = self.old_s.handle(from, msg.clone(), now, geo);
+        let got = self.owned_s.handle(from, msg, now, geo);
+        assert_eq!(got, want, "owned reply stream diverged");
+        let start = self.want.len();
+        self.want
+            .extend(want.iter().map(|(to, m)| (*to, m.encode())));
+        self.frame_s
+            .handle_frame_into(from, &frame, now, geo, &mut self.frame_out);
+        assert_eq!(
+            self.frame_out[start..],
+            self.want[start..],
+            "per-frame reply bytes diverged"
+        );
+        self.frames.push((tick, from, frame));
+        want
+    }
+
+    /// Replays every frame through `handle_frames_batch_into`, one batch
+    /// per tick, and asserts the reply bytes equal the baseline's.
+    fn replay_batched(&mut self, geo: &GeoIpService) {
+        let mut batch = AdmissionBatch::new();
+        let mut out = Vec::new();
+        for run in self.frames.chunk_by(|a, b| a.0 == b.0) {
+            let frames: Vec<(Addr, Bytes)> = run.iter().map(|(_, a, f)| (*a, f.clone())).collect();
+            let now = SimTime::from_secs(run[0].0);
+            self.batch_s
+                .handle_frames_batch_into(&frames, now, geo, &mut batch, &mut out);
+        }
+        assert_eq!(out, self.want, "batched reply bytes diverged");
+    }
+
+    /// Asserts every engine server ended in the baseline's state.
+    fn assert_same_state(&self, customer: &str) {
+        for s in [&self.owned_s, &self.frame_s, &self.batch_s] {
+            assert_eq!(s.peer_count(), self.old_s.peer_count());
+            assert_eq!(s.defense_stats(), self.old_s.defense_stats());
+            assert_eq!(s.meter(customer), self.old_s.meter(customer));
+        }
+    }
+}
+
+/// A join burst to one stream (the neighbor memo rolls), a second stream,
+/// a bad key (denied, never memoized), a leave, then one more join, at one
+/// tick: the zero-copy frame paths, per frame and batched, against the
+/// baseline.
+#[test]
+fn join_burst_matches_baseline_on_every_entry_point() {
+    let geo = GeoIpService::new();
+    let mut rig = Rig::new(ProviderProfile::peer5(), 5, |_| {});
+    let addr = |d: u8| Addr::new(40, 0, 0, d, 6000);
+    for d in 1..=20u8 {
+        rig.step(addr(d), join("v", "m0", "k", d as u64), 5, &geo);
+    }
+    rig.step(addr(21), join("other", "m0", "k", 21), 5, &geo);
+    rig.step(addr(22), join("v", "m0", "wrong-key", 22), 5, &geo);
+    rig.step(addr(4), SignalMsg::Leave, 5, &geo);
+    rig.step(addr(24), join("v", "m0", "k", 24), 5, &geo);
+    rig.replay_batched(&geo);
+    rig.assert_same_state("c");
+    assert_eq!(rig.owned_s.peer_count(), 21);
 }
 
 /// Satellite (a): 10k peers joining and leaving across 100 swarms. The
@@ -165,19 +280,21 @@ proptest! {
             1..80,
         ),
         policy in 0u8..3,
+        cuts in proptest::collection::vec(any::<bool>(), 80),
     ) {
-        let (mut new_s, mut old_s) = pair_of_servers(integrity_profile(), 7);
         let policy = match policy {
             0 => MatchingPolicy::Global,
             1 => MatchingPolicy::SameCountry,
             _ => MatchingPolicy::SameIsp,
         };
-        new_s.set_matching(policy);
-        old_s.set_matching(policy);
-        new_s.set_im_reporters(3);
-        old_s.set_im_reporters(3);
-        new_s.attach_origin(origin_with_video());
-        old_s.attach_origin(origin_with_video());
+        let mut rig = Rig::new(integrity_profile(), 7, |s| {
+            s.set_matching(policy);
+            s.set_im_reporters(3);
+            s.attach_origin(origin_with_video());
+        });
+        rig.old_s.set_matching(policy);
+        rig.old_s.set_im_reporters(3);
+        rig.old_s.attach_origin(origin_with_video());
 
         // A fixed pool of addresses across two geo registrations plus a few
         // unregistered (geo-unknown) ones, so the country/ISP matching
@@ -213,15 +330,21 @@ proptest! {
         // from a live address is undefined in the baseline too (its linear
         // scan over a randomly-ordered HashMap picks an arbitrary session),
         // so the generator models reconnects rather than double-joins.
+        //
+        // The clock advances where `cuts` says; each tick's frames are one
+        // batch in the batched replay.
         let mut live = [false; 12];
+        let mut tick = 0u64;
         for (t, (op, a, x, y)) in ops.into_iter().enumerate() {
             let from = addrs[a as usize];
             let v = (x >> 4) % 3;
-            let now = SimTime::from_secs(t as u64);
+            if cuts[t] {
+                tick = t as u64;
+            }
             let msg = match op {
                 0 => {
                     if live[a as usize] {
-                        step(&mut new_s, &mut old_s, from, SignalMsg::Leave, now, &geo);
+                        rig.step(from, SignalMsg::Leave, tick, &geo);
                         live[a as usize] = false;
                     }
                     let key = if x % 8 == 7 { "wrong-key" } else { "k" };
@@ -249,7 +372,7 @@ proptest! {
             };
             let is_join = matches!(msg, SignalMsg::Join { .. });
             let is_leave = matches!(msg, SignalMsg::Leave);
-            let out = step(&mut new_s, &mut old_s, from, msg, now, &geo);
+            let out = rig.step(from, msg, tick, &geo);
             if is_join {
                 live[a as usize] = out
                     .iter()
@@ -267,9 +390,8 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(new_s.peer_count(), old_s.peer_count());
-        prop_assert_eq!(new_s.defense_stats(), old_s.defense_stats());
-        prop_assert_eq!(new_s.meter("c"), old_s.meter("c"));
+        rig.replay_batched(&geo);
+        rig.assert_same_state("c");
     }
 
     /// Satellite (c): the bitmap availability map agrees with the old

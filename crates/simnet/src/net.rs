@@ -635,8 +635,8 @@ impl Network {
     /// Delivery is aggregated: the frames surviving to one destination
     /// arrive together as a single [`Event::Burst`] scheduled at the
     /// moment the *last* of them finishes reception (a lone survivor
-    /// degrades to a plain [`Event::Packet`]). The receiver then decodes
-    /// the whole burst in one pass instead of N event dispatches.
+    /// degrades to a plain [`Event::Packet`]). One queue event carries the
+    /// whole burst; the receiver still handles each datagram on its own.
     pub fn send_burst(
         &mut self,
         node: NodeId,

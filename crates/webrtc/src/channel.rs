@@ -263,25 +263,6 @@ impl DataChannel {
         self.reassembly.ingest(&self.scratch)
     }
 
-    /// Feeds a burst of wire records in one pass; completed messages are
-    /// appended to `msgs` in record order.
-    ///
-    /// Records that fail authentication, replay, or chunk framing are
-    /// skipped — the same outcome as the per-record receive path, where the
-    /// harness drops erroring records. The whole burst, opening and
-    /// placement copies alike, runs under one crypto profiler phase.
-    pub fn receive_batch(&mut self, records: &[Bytes], msgs: &mut Vec<Bytes>) {
-        let _g = pdn_simnet::profile::phase(pdn_simnet::profile::Phase::Crypto);
-        for record in records {
-            if self.dtls.open_into(record, &mut self.scratch).is_err() {
-                continue;
-            }
-            if let Ok(Some(msg)) = self.reassembly.ingest(&self.scratch) {
-                msgs.push(msg);
-            }
-        }
-    }
-
     /// Feeds an already-decrypted chunk frame (used when the harness opened
     /// a record on the raw endpoint during implicit handshake completion).
     ///
@@ -349,6 +330,17 @@ mod tests {
             .collect()
     }
 
+    /// Feeds `records` one by one, as the SDK's per-datagram receive path
+    /// does, appending completed messages to `msgs` and skipping records
+    /// the channel refuses.
+    pub(super) fn receive_all(rx: &mut DataChannel, records: &[Bytes], msgs: &mut Vec<Bytes>) {
+        for r in records {
+            if let Ok(Some(m)) = rx.receive_record(r) {
+                msgs.push(m);
+            }
+        }
+    }
+
     #[test]
     fn small_message_single_record() {
         let (mut a, mut b) = channel_pair();
@@ -412,11 +404,11 @@ mod tests {
         let r0 = a.send_message(&[&vec![1u8; CHUNK_DATA * 3]]).unwrap();
         let r1 = a.send_message(&[&vec![2u8; CHUNK_DATA + 9]]).unwrap();
         let mut msgs = Vec::new();
-        b.receive_batch(&[r0[0].clone(), r0[2].clone()], &mut msgs);
+        receive_all(&mut b, &[r0[0].clone(), r0[2].clone()], &mut msgs);
         assert_eq!(b.pending_messages(), 1);
-        b.receive_batch(&r1[..1], &mut msgs);
+        receive_all(&mut b, &r1[..1], &mut msgs);
         assert_eq!(b.pending_messages(), 2, "nothing evicted before completion");
-        b.receive_batch(&r1[1..], &mut msgs);
+        receive_all(&mut b, &r1[1..], &mut msgs);
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0][..], &vec![2u8; CHUNK_DATA + 9][..]);
         assert_eq!(b.pending_messages(), 0);
@@ -424,7 +416,7 @@ mod tests {
         // A single-record message completing evicts nothing.
         let r2 = a.send_message(&[&vec![3u8; CHUNK_DATA * 2]]).unwrap();
         let r3 = a.send_message(&[b"ping"]).unwrap();
-        b.receive_batch(&[r2[0].clone(), r3[0].clone()], &mut msgs);
+        receive_all(&mut b, &[r2[0].clone(), r3[0].clone()], &mut msgs);
         assert_eq!((b.pending_messages(), b.evicted_partials()), (1, 1));
     }
 
@@ -487,26 +479,23 @@ mod tests {
         let records = a.send_message(&[b"after"]).unwrap();
         assert_eq!(&records[0][3..11], &0u64.to_be_bytes(), "record seq 0");
         let mut msgs = Vec::new();
-        b.receive_batch(&records, &mut msgs);
+        receive_all(&mut b, &records, &mut msgs);
         assert_eq!(&msgs[0][..], b"after");
     }
 
     #[test]
-    fn receive_batch_rejects_every_record_of_another_session() {
+    fn receive_rejects_every_record_of_another_session() {
         // A burst sealed under another session's keys authenticates nowhere:
-        // nothing is delivered and nothing is left pending.
+        // every record is refused and nothing is left pending.
         let (mut stranger, _) = channel_pair();
         let mut b = DataChannel::new(endpoints(10).1);
         let records = stranger
             .send_message(&[&vec![5u8; 3 * CHUNK_DATA]])
             .unwrap();
-        let mut msgs = Vec::new();
-        b.receive_batch(&records, &mut msgs);
-        assert!(msgs.is_empty());
-        assert_eq!(b.pending_messages(), 0);
         for r in &records {
             assert_eq!(b.receive_record(r), Err(DtlsError::BadRecord));
         }
+        assert_eq!(b.pending_messages(), 0);
     }
 
     #[test]
@@ -536,20 +525,20 @@ mod tests {
     }
 
     #[test]
-    fn receive_batch_reassembles_multi_record_message() {
+    fn receive_reassembles_multi_record_message() {
         let (mut a, mut b) = channel_pair();
         let payload: Vec<u8> = (0..3 * CHUNK_DATA + 17).map(|i| (i % 251) as u8).collect();
         let records = a.send_message(&[&payload]).unwrap();
         assert_eq!(records.len(), 4);
         let mut msgs = Vec::new();
-        b.receive_batch(&records, &mut msgs);
+        receive_all(&mut b, &records, &mut msgs);
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0][..], payload.as_slice());
         assert_eq!(b.pending_messages(), 0);
     }
 
     #[test]
-    fn receive_batch_skips_damaged_records() {
+    fn receive_skips_damaged_records() {
         let (mut a, mut b) = channel_pair();
         let m1 = a.send_message(&[b"first"]).unwrap();
         let m2 = a.send_message(&[b"second"]).unwrap();
@@ -559,15 +548,15 @@ mod tests {
         bad[n - 1] ^= 1;
         let wire = vec![m1[0].clone(), Bytes::from(bad), m3[0].clone()];
         let mut msgs = Vec::new();
-        b.receive_batch(&wire, &mut msgs);
+        receive_all(&mut b, &wire, &mut msgs);
         assert_eq!(msgs.len(), 2);
         assert_eq!(&msgs[0][..], b"first");
         assert_eq!(&msgs[1][..], b"third");
     }
 
     #[test]
-    fn receive_batch_drops_segment_with_one_flipped_ciphertext_byte() {
-        // A 3 MB segment (Table VI size) through the burst path: one flipped
+    fn receive_drops_segment_with_one_flipped_ciphertext_byte() {
+        // A 3 MB segment (Table VI size), record by record: one flipped
         // ciphertext byte in one record fails that record's GCM tag, so the
         // message never completes and nothing is delivered.
         let (mut a, mut b) = channel_pair();
@@ -580,34 +569,15 @@ mod tests {
         bad[13 + 1000] ^= 0x40;
         wire[victim] = Bytes::from(bad);
         let mut msgs = Vec::new();
-        b.receive_batch(&wire, &mut msgs);
+        receive_all(&mut b, &wire, &mut msgs);
         assert!(msgs.is_empty(), "damaged segment must not be delivered");
         assert_eq!(b.pending_messages(), 1);
 
         // The undamaged burst, on a fresh receiver, delivers the segment.
         let (_, mut fresh) = channel_pair();
-        fresh.receive_batch(&records, &mut msgs);
+        receive_all(&mut fresh, &records, &mut msgs);
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0][..], payload.as_slice());
-    }
-
-    #[test]
-    fn receive_batch_matches_per_record_path() {
-        let (mut a, mut b_batch) = channel_pair();
-        let (mut a2, mut b_seq) = channel_pair();
-        let payload: Vec<u8> = (0..2 * CHUNK_DATA + 5).map(|i| (i % 101) as u8).collect();
-        let records = a.send_message(&[&payload]).unwrap();
-        let records2 = a2.send_message(&[&payload]).unwrap();
-        assert_eq!(records, records2, "seeded pairs seal identically");
-        let mut msgs = Vec::new();
-        b_batch.receive_batch(&records, &mut msgs);
-        let mut seq_msgs = Vec::new();
-        for r in &records {
-            if let Some(m) = b_seq.receive_record(r).unwrap() {
-                seq_msgs.push(m);
-            }
-        }
-        assert_eq!(msgs, seq_msgs);
     }
 
     #[test]
@@ -648,11 +618,11 @@ mod tests {
 mod prop_tests {
     //! Property tests for the send and receive paths: records gathered from
     //! any split into parts match sealing the chunk frames one by one, a
-    //! damaged burst is judged record for record like the per-record path,
+    //! damaged burst delivers exactly its undamaged messages, in order,
     //! and reassembly from any mix of shuffled, duplicated, mis-sized or
     //! forged-total chunk frames yields the exact message or `BadRecord`.
 
-    use super::tests::{endpoints, frame, frames};
+    use super::tests::{endpoints, frame, frames, receive_all};
     use super::*;
     use pdn_simnet::SimRng;
     use proptest::prelude::*;
@@ -688,21 +658,28 @@ mod prop_tests {
         }
 
         #[test]
-        fn receive_batch_matches_per_record_under_damage(
+        fn receive_delivers_exactly_the_undamaged_messages(
             lens in proptest::collection::vec(0usize..2 * CHUNK_DATA + 10, 1..4),
             muts in proptest::collection::vec((0u8..4, any::<u32>()), 12),
         ) {
             // Several messages' bursts, then per record either keep,
             // truncate, flip one bit, or replace with a copy of the previous
-            // wire record (a mid-burst replay). The burst path must deliver
-            // exactly what the per-record path delivers.
+            // wire record (a mid-burst replay). Fed record by record, the
+            // channel must deliver, in order, exactly the messages whose
+            // records all arrived unmodified.
             let (c, _) = endpoints(99);
             let mut tx = DataChannel::new(c);
             let mut wire: Vec<Bytes> = Vec::new();
+            let mut owner: Vec<usize> = Vec::new();
+            let mut messages: Vec<Vec<u8>> = Vec::new();
             for (m, &len) in lens.iter().enumerate() {
                 let message: Vec<u8> = (0..len).map(|i| (i + m) as u8).collect();
-                wire.extend(tx.send_message(&[&message]).unwrap());
+                let records = tx.send_message(&[&message]).unwrap();
+                owner.extend(std::iter::repeat_n(m, records.len()));
+                wire.extend(records);
+                messages.push(message);
             }
+            let mut intact = vec![true; messages.len()];
             for (i, &(m, p)) in muts.iter().enumerate().take(wire.len()) {
                 let p = p as usize;
                 let rec = wire[i].clone();
@@ -715,22 +692,23 @@ mod prop_tests {
                         Bytes::from(v)
                     }
                     3 if i > 0 => wire[i - 1].clone(),
-                    _ => rec,
+                    _ => continue,
                 };
+                intact[owner[i]] = false;
             }
-            let (_, s_batch) = endpoints(99);
-            let (_, s_seq) = endpoints(99);
-            let (mut rx_batch, mut rx_seq) = (DataChannel::new(s_batch), DataChannel::new(s_seq));
-            let mut batch = Vec::new();
-            rx_batch.receive_batch(&wire, &mut batch);
-            let mut seq = Vec::new();
-            for r in &wire {
-                if let Ok(Some(m)) = rx_seq.receive_record(r) {
-                    seq.push(m);
-                }
+            let (_, s) = endpoints(99);
+            let mut rx = DataChannel::new(s);
+            let mut got = Vec::new();
+            receive_all(&mut rx, &wire, &mut got);
+            let want: Vec<&Vec<u8>> = messages
+                .iter()
+                .zip(&intact)
+                .filter_map(|(m, &ok)| ok.then_some(m))
+                .collect();
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                prop_assert_eq!(&g[..], &w[..]);
             }
-            prop_assert_eq!(batch, seq);
-            prop_assert_eq!(rx_batch.pending_messages(), rx_seq.pending_messages());
         }
 
         #[test]

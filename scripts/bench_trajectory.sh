@@ -59,7 +59,6 @@ HEADLINES = {
         ("federation K=4 knee", "federation_k4_knee_joins_ok_per_sec"),
         ("federation scaling", "federation_scaling_x"),
         ("per-join cpu fast ns", "per_join_cpu_fast_ns"),
-        ("per-join cpu speedup", "per_join_cpu_speedup_x"),
     ],
     "BENCH_sim.json": [
         ("queue events/s (fast)", "queue_events_per_sec_new"),

@@ -50,7 +50,7 @@ run_gate "sim workload gate (serial workload within 10% of committed BENCH_sim.j
 run_gate "swarm scale gate (10k-peer tables identical at shards 1/2/4/8, peers/GB floor, ev/s within 10% of committed BENCH_swarm.json)" \
   cargo run --release --offline -p pdn-bench --bin swarm_scale_bench -- --quick
 
-run_gate "service SLO gate (p999 JTFS under budget, knee within 10% of committed BENCH_service.json, goodput plateau at 2x, federation K=4 knee >= 3x K=1 with shard-mode identity, per-join CPU speedup)" \
+run_gate "service SLO gate (p999 JTFS under budget, knee within 10% of committed BENCH_service.json, goodput plateau at 2x, federation K=4 knee >= 3x K=1 with shard-mode identity)" \
   cargo run --release --offline -p pdn-bench --bin service_bench -- --quick
 
 # The perfbench checkout builds the library crates from source against its
@@ -185,5 +185,9 @@ run_gate "cargo clippy -D warnings" \
 
 run_gate "cargo fmt --check" \
   cargo fmt --all -- --check
+
+# Information only, never a gate: non-test lines per production crate.
+echo "==> production non-test lines (information only)"
+./scripts/loc.sh || echo "scripts/loc.sh failed (information only)"
 
 echo "All checks passed."
