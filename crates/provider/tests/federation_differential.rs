@@ -1,17 +1,21 @@
-//! Differential and property coverage for the federated tracker plane.
+//! Differential, golden and property coverage for the federated tracker
+//! plane.
 //!
-//! Two contracts from the ISSUE: (1) a 1-region federation is
-//! *byte-identical* to the single-tracker PR-9 harness on the same seed
-//! and rate plan — the federation layer adds literally nothing to the
-//! serial path; (2) failover handoff conserves sessions — every session
-//! extracted from a dead tracker is admitted, explicitly denied, or
-//! turned away at the pool cap (never silently lost, never duplicated),
-//! and peer ids are never recycled across the migration.
+//! Three contracts: (1) a 1-region federation is *byte-identical* to the
+//! single-tracker harness on the same seed and rate plan — the federation
+//! adds nothing to the serial path; (2) the outcomes of three short
+//! federated runs (K=1 steady, K=2 spill, K=4 failover) match a committed
+//! golden line for line; (3) failover handoff conserves sessions — every
+//! session extracted from a dead tracker is admitted, explicitly denied,
+//! or turned away at the pool cap (never silently lost, never
+//! duplicated), and peer ids are never recycled across the migration.
 
 use std::collections::HashSet;
 use std::time::Duration;
 
-use pdn_provider::service::{run_federation, run_service, FederationConfig, ServiceConfig};
+use pdn_provider::service::{
+    run_federation, run_service, FederationConfig, FederationReport, ServiceConfig,
+};
 use pdn_simnet::shard::ShardMode;
 use pdn_simnet::{RatePlan, SimTime};
 use proptest::prelude::*;
@@ -80,6 +84,130 @@ fn federation_reports_are_reproducible_across_modes_and_runs() {
     assert_eq!(key(&a), key(&b), "double run diverged");
     assert_eq!(key(&a), key(&c), "inline vs threaded diverged");
     assert_eq!(c.mode, "threaded");
+}
+
+/// Committed outcomes of three short federated runs: K=1 steady, K=2
+/// under overload spill, K=4 with a failed region.
+const FEDERATION_GOLDEN: &str = include_str!("goldens/federation.txt");
+
+/// One line per region (every report counter, JTFS p50/p99) and one line
+/// of federation counters, with the hand-off list folded into an FNV-1a
+/// hash. The shard mode is left out: it names the host, not the outcome.
+fn canonical(name: &str, rep: &FederationReport) -> String {
+    let mut out = format!("# {name}\n");
+    for (r, s) in rep.per_region.iter().enumerate() {
+        out += &format!(
+            "region {r} arrivals={} joins_ok={} joins_denied={} first_segments={} \
+             first_segments_measured={} joins_ok_measured={} leaves={} turned_away={} \
+             served_frames={} batch_hits={} peak_clients={} capture_dropped={} \
+             capture_filtered={} capture_kept={} cdn_requests={} cdn_egress_bytes={} \
+             net_events={} shed={:?} jtfs_n={} jtfs_p50={} jtfs_p99={} rtt_p50={}\n",
+            s.arrivals,
+            s.joins_ok,
+            s.joins_denied,
+            s.first_segments,
+            s.first_segments_measured,
+            s.joins_ok_measured,
+            s.leaves,
+            s.turned_away,
+            s.served_frames,
+            s.batch_hits,
+            s.peak_clients,
+            s.capture_dropped,
+            s.capture_filtered,
+            s.capture_kept,
+            s.cdn_requests,
+            s.cdn_egress_bytes,
+            s.net_events,
+            s.shed,
+            s.jtfs.count(),
+            s.jtfs.quantile(0.5),
+            s.jtfs.quantile(0.99),
+            s.rtt.quantile(0.5),
+        );
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for h in &rep.handoffs {
+        for word in [
+            h.old_global,
+            h.new_global,
+            h.migrated_at.as_nanos(),
+            h.completed_at.as_nanos(),
+        ] {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    out += &format!(
+        "federation migrated_out={} migrated_in={} handoffs_denied={} \
+         handoffs_turned_away={} handoffs_stranded={} spilled={} dead_dropped={} \
+         windows={} exchanged={} handoffs={} handoffs_fnv={hash:016x} \
+         handoff_latency_p50={}\n",
+        rep.migrated_out,
+        rep.migrated_in,
+        rep.handoffs_denied,
+        rep.handoffs_turned_away,
+        rep.handoffs_stranded,
+        rep.spilled,
+        rep.dead_dropped,
+        rep.windows,
+        rep.exchanged,
+        rep.handoffs.len(),
+        rep.handoff_latency.quantile(0.5),
+    );
+    out
+}
+
+/// The federation's virtual-time outcomes are pinned, not only "identical
+/// across modes". A mismatch names the first differing line; after a
+/// deliberate change of behaviour, replace
+/// `crates/provider/tests/goldens/federation.txt` with the printed output
+/// and say why it moved.
+#[test]
+fn federation_outcomes_match_golden() {
+    let steady = RatePlan::Steady { per_sec: 400.0 };
+    let mut k1 = FederationConfig::new(1, steady.clone());
+    k1.base = base_cfg(3, steady);
+
+    // Region capacity ~400 joins/s offered 1,500/s: the home join queue
+    // passes the spill point and the router sheds load sideways.
+    let hot = RatePlan::Steady { per_sec: 1_500.0 };
+    let mut k2 = FederationConfig::new(2, hot.clone());
+    k2.base = base_cfg(5, hot);
+    k2.base.tick_budget = 8;
+    k2.spill_threshold = 64;
+
+    let light = RatePlan::Steady { per_sec: 250.0 };
+    let mut k4 = FederationConfig::new(4, light.clone());
+    k4.base = base_cfg(9, light);
+    k4.fail_region = Some((1, Duration::from_secs(2)));
+
+    let mut actual = String::new();
+    for (name, mut fed) in [("k1_steady", k1), ("k2_spill", k2), ("k4_failover", k4)] {
+        fed.mode = ShardMode::Inline;
+        actual += &canonical(name, &run_federation(&fed));
+    }
+    if actual == FEDERATION_GOLDEN {
+        return;
+    }
+    let first = FEDERATION_GOLDEN
+        .lines()
+        .zip(actual.lines())
+        .position(|(w, g)| w != g)
+        .unwrap_or_else(|| {
+            FEDERATION_GOLDEN
+                .lines()
+                .count()
+                .min(actual.lines().count())
+        });
+    panic!(
+        "federation outcomes differ from the golden at line {}:\n  golden: {:?}\n  actual: {:?}\n\
+         full output:\n{actual}",
+        first + 1,
+        FEDERATION_GOLDEN.lines().nth(first),
+        actual.lines().nth(first),
+    );
 }
 
 proptest! {
