@@ -9,7 +9,7 @@ use pdn_core::defense::integrity;
 use pdn_core::defense::privacy;
 use pdn_core::ip_leak::{self, rt_news_population};
 use pdn_core::pollution::{self, PollutionMode};
-use pdn_core::worldpool::{derive_seed, WorldPool};
+use pdn_core::{derive_seed, WorldPool};
 use pdn_provider::{MatchingPolicy, ProviderProfile};
 
 /// Scope of an ablation run.

@@ -163,13 +163,6 @@ pub fn evaluate_relay_world(seed: u64) -> (u64, u64, usize) {
     (p2p_down, world.turn().relayed_bytes(), leaked)
 }
 
-/// Runs one relay-mode world per seed across a [`crate::WorldPool`],
-/// returning `(p2p_bytes, relayed_bytes, leaked_real_ips)` triples in
-/// seed order — identical to calling [`evaluate_relay_world`] serially.
-pub fn relay_world_trials(seeds: &[u64], pool: &crate::WorldPool) -> Vec<(u64, u64, usize)> {
-    pool.run(seeds.len(), |i| evaluate_relay_world(seeds[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

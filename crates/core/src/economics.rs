@@ -15,7 +15,7 @@ use pdn_provider::world::{PdnWorld, ViewerSpec};
 use pdn_provider::{AgentConfig, CustomerAccount, ProviderProfile};
 use pdn_simnet::SimTime;
 
-use crate::worldpool::WorldPool;
+use crate::WorldPool;
 
 const VIDEO: &str = "econ-video";
 const SEGMENTS: u64 = 20;

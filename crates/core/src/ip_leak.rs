@@ -26,7 +26,7 @@ use pdn_provider::{
 use pdn_simnet::{Addr, CountryMix, GeoInfo, GeoIpService, IpClass, SimRng, SimTime};
 use pdn_webrtc::{Candidate, CandidateKind, SessionDescription};
 
-use crate::worldpool::WorldPool;
+use crate::WorldPool;
 
 /// The basic two-peer leak test: do peers learn each other's IPs?
 pub fn ip_leak_basic(profile: &ProviderProfile, seed: u64) -> bool {

@@ -50,11 +50,10 @@ pub mod ip_leak;
 pub mod pollution;
 pub mod riskmatrix;
 pub mod squatting;
-pub mod worldpool;
 
 pub use freeriding::{AuthTestOutcome, FreeRidingResult, KeyFieldStudy};
 pub use ip_leak::{IpLeakWildResult, PopulationSpec};
+pub use pdn_simnet::shard::{derive_seed, WorldPool};
 pub use pollution::{PollutionMode, PollutionResult};
 pub use riskmatrix::{build_matrix, build_matrix_pooled, Cell, RiskMatrix};
 pub use squatting::{BandwidthPoint, ResourceFigure};
-pub use worldpool::{derive_seed, WorldPool};

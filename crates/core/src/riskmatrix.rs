@@ -12,7 +12,7 @@ use crate::freeriding::{self, AuthTestOutcome, FreeRidingResult};
 use crate::ip_leak;
 use crate::pollution::{self, PollutionMode};
 use crate::squatting;
-use crate::worldpool::WorldPool;
+use crate::WorldPool;
 
 /// A Table V cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,7 +19,7 @@ use pdn_provider::world::{PdnWorld, ViewerSpec};
 use pdn_provider::{AgentConfig, CustomerAccount, ProviderProfile};
 use pdn_simnet::{GeoInfo, LinkSpec, NodeId, ResourceSample, ResourceSummary, SimTime};
 
-use crate::worldpool::WorldPool;
+use crate::WorldPool;
 
 const CHANNEL: &str = "live-channel";
 

@@ -9,7 +9,8 @@
 //! verdict is whatever the capture analysis says.
 
 use bytes::Bytes;
-use pdn_simnet::{Addr, CapturedFrame, SimRng, SimTime, Transport};
+use pdn_simnet::shard::WorldPool;
+use pdn_simnet::{splitmix64_finalize, Addr, CapturedFrame, SimRng, SimTime, Transport};
 use pdn_webrtc::stun;
 
 use crate::corpus::{Plant, Trigger, WebRtcUse, Website};
@@ -59,9 +60,8 @@ pub enum DynamicVerdict {
     NoTraffic,
 }
 
-/// Runs watch sessions for a batch of independent candidates, sharded
-/// across `workers` threads (same contiguous-index sharding as
-/// [`crate::scanner::Scanner::scan_with_workers`]).
+/// Runs watch sessions for a batch of independent candidates, one
+/// [`WorldPool`] job per candidate across `workers` threads.
 ///
 /// Each candidate's RNG is derived from `base_seed` and its index, so the
 /// outcomes — including the synthesized addresses — are identical for any
@@ -72,44 +72,16 @@ pub fn watch_sessions(
     base_seed: u64,
     workers: usize,
 ) -> Vec<DynamicOutcome> {
-    let run_one = |(idx, site): (usize, &&Website)| {
+    WorldPool::new(workers).run(sites.len(), |idx| {
         let mut rng = SimRng::seed(session_seed(base_seed, idx));
-        watch_session(site, vantages, &mut rng)
-    };
-    if workers <= 1 || sites.len() <= 1 {
-        return sites.iter().enumerate().map(run_one).collect();
-    }
-    let chunks = crate::scanner::chunk_ranges(sites.len(), workers);
-    let mut out = Vec::with_capacity(sites.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|r| {
-                let start = r.start;
-                let shard = &sites[r.clone()];
-                s.spawn(move || {
-                    shard
-                        .iter()
-                        .enumerate()
-                        .map(|(i, site)| run_one((start + i, site)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("watch worker panicked"));
-        }
-    });
-    out
+        watch_session(sites[idx], vantages, &mut rng)
+    })
 }
 
 /// Mixes `base_seed` with a candidate index into an independent stream
 /// seed (SplitMix64-style finalizer, so neighbouring indices decorrelate).
 fn session_seed(base_seed: u64, index: usize) -> u64 {
-    let mut z = base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64_finalize(base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Runs one simulated watch session against `site`.

@@ -310,11 +310,6 @@ impl SignatureMatcher {
         hits
     }
 
-    /// Whether any page signature matches at all (cheap pre-check).
-    pub fn page_matches(&self, content: &str) -> bool {
-        self.page_mask(&mut Scratch::default(), content) != 0
-    }
-
     fn page_mask(&self, scratch: &mut Scratch, content: &str) -> u64 {
         // Fold once into the reused buffer (in-place ASCII lowercasing is
         // vectorized and keeps the content valid UTF-8).

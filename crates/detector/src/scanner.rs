@@ -8,9 +8,11 @@
 //!
 //! The hot path is built for corpus scale: signatures are compiled once
 //! into a [`SignatureMatcher`] (Aho–Corasick, see [`crate::matcher`]), and
-//! [`Scanner::scan`] shards the corpus across `std::thread::scope` workers.
+//! [`Scanner::scan`] shards the corpus across a [`WorldPool`].
 //! Sharding is by contiguous index ranges and results are concatenated in
 //! shard order, so the outcome is byte-identical for any worker count.
+
+use pdn_simnet::shard::WorldPool;
 
 use crate::corpus::{AndroidApp, Ecosystem, Website};
 use crate::matcher::{Scratch, SignatureMatcher};
@@ -19,17 +21,14 @@ use crate::signatures::{builtin_signatures, extract_api_key, ProviderTag, Signat
 /// Maximum crawl depth (the paper's "within a depth of 3").
 pub const MAX_DEPTH: u32 = 3;
 
-/// Worker count used when the caller doesn't pick one: the available
-/// parallelism, capped to keep shard bookkeeping sensible on huge hosts.
+/// Worker count used when the caller doesn't pick one: the host-sized
+/// [`WorldPool::auto`] count.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(16)
+    WorldPool::auto().workers()
 }
 
 /// Splits `len` items into at most `workers` contiguous index ranges.
-pub(crate) fn chunk_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
+fn chunk_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
     let workers = workers.max(1).min(len.max(1));
     let base = len / workers;
     let extra = len % workers;
@@ -224,27 +223,15 @@ impl Scanner {
     /// summed) in shard order at join. Because every site/app is scanned
     /// independently, the result is identical for any `workers` value.
     pub fn scan_with_workers(&self, eco: &Ecosystem, workers: usize) -> ScanOutcome {
-        if workers <= 1 {
-            return self.scan_serial(eco);
-        }
         let site_chunks = chunk_ranges(eco.websites.len(), workers);
         let app_chunks = chunk_ranges(eco.apps.len(), workers);
         let shards = site_chunks.len().max(app_chunks.len());
-        let mut results: Vec<(Vec<SiteDetection>, Vec<AppDetection>, ScanStats)> =
-            Vec::with_capacity(shards);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|i| {
-                    let sites = site_chunks
-                        .get(i)
-                        .map_or(&[][..], |r| &eco.websites[r.clone()]);
-                    let apps = app_chunks.get(i).map_or(&[][..], |r| &eco.apps[r.clone()]);
-                    s.spawn(move || self.scan_shard(sites, apps))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("scan worker panicked"));
-            }
+        let results = WorldPool::new(workers).run(shards, |i| {
+            let sites = site_chunks
+                .get(i)
+                .map_or(&[][..], |r| &eco.websites[r.clone()]);
+            let apps = app_chunks.get(i).map_or(&[][..], |r| &eco.apps[r.clone()]);
+            self.scan_shard(sites, apps)
         });
         let mut out = ScanOutcome {
             sites: Vec::new(),
@@ -284,11 +271,6 @@ impl Scanner {
             }
         }
         (site_dets, app_dets, stats)
-    }
-
-    fn scan_serial(&self, eco: &Ecosystem) -> ScanOutcome {
-        let (sites, apps, stats) = self.scan_shard(&eco.websites, &eco.apps);
-        ScanOutcome { sites, apps, stats }
     }
 }
 

@@ -207,7 +207,6 @@ pub struct Cdn {
     origin: OriginServer,
     edge: EdgeCache,
     bill: CdnBill,
-    cost_per_gb: f64,
 }
 
 impl Cdn {
@@ -220,13 +219,7 @@ impl Cdn {
             origin,
             edge: EdgeCache::new(cache_bytes),
             bill: CdnBill::default(),
-            cost_per_gb: Self::DEFAULT_COST_PER_GB,
         }
-    }
-
-    /// Overrides the egress price ($/GB).
-    pub fn set_cost_per_gb(&mut self, cost: f64) {
-        self.cost_per_gb = cost;
     }
 
     /// Read access to the origin.
@@ -281,7 +274,7 @@ impl Cdn {
     fn bill_segment(&mut self, len: usize) {
         self.bill.requests += 1;
         self.bill.egress_bytes += len as u64;
-        self.bill.cost_usd += len as f64 / 1e9 * self.cost_per_gb;
+        self.bill.cost_usd += len as f64 / 1e9 * Self::DEFAULT_COST_PER_GB;
     }
 
     /// Serves the master playlist of `video`.

@@ -805,43 +805,6 @@ impl PdnAgent {
         self.cert.fingerprint()
     }
 
-    /// One-line internal state dump for diagnostics.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let conns: Vec<String> = self
-            .conns
-            .iter()
-            .map(|c| {
-                format!(
-                    "(peer={} role={:?} sel={:?} media={:?} dtls={} chan={} checks={})",
-                    c.remote_peer,
-                    c.role,
-                    c.ice.selected_remote(),
-                    c.remote_media,
-                    c.dtls.is_some(),
-                    c.chan.is_some(),
-                    c.ice.checks_sent(),
-                )
-            })
-            .collect();
-        let have: Vec<(u64, usize)> = self
-            .conns
-            .iter()
-            .filter(|c| !c.avail.is_empty())
-            .map(|c| (c.remote_peer, c.avail.len()))
-            .collect();
-        format!(
-            "peer_id={:?} gathered={} cands={} join_sent={} conns=[{}] have={:?} req={:?}",
-            self.peer_id,
-            self.gatherer.is_gathering_complete(),
-            self.gatherer.candidates().len(),
-            self.join_sent,
-            conns.join(", "),
-            have,
-            self.requested.keys().collect::<Vec<_>>(),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------

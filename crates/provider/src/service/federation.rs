@@ -3,11 +3,12 @@
 //!
 //! The paper's providers hang their whole audience off a handful of
 //! signaling trackers — the same single-rendezvous bottleneck that limits
-//! Snowflake's broker. PR 9 measured exactly one tracker's knee; this
-//! module scales the open-loop service harness *out*: each region is a
-//! full [`ServiceWorld`] (signaling server + bounded inboxes + pooled
-//! clients + its own CDN edge), run as a spatial shard under
-//! [`pdn_simnet::shard::run_sharded`]. Regions exchange two kinds of
+//! Snowflake's broker. This module scales the open-loop service harness
+//! *out*: each region is a full [`ServiceWorld`] (signaling server +
+//! bounded inboxes + pooled clients + its own CDN edge), which implements
+//! [`pdn_simnet::shard::ShardWorld`] itself, run under
+//! [`pdn_simnet::shard::run_sharded`]. A single-tracker run and a
+//! federated one differ only in K. Regions exchange two kinds of
 //! cross-shard traffic, both stamped one inter-region latency into the
 //! future so the lookahead invariant holds by construction:
 //!
@@ -25,6 +26,10 @@
 //!   window; the target's `JoinOk` closes the handoff and its latency is
 //!   recorded from the failover instant.
 //!
+//! This module holds the public configuration and report and builds the
+//! K worlds; the routing itself lives in the world's one dispatcher, and
+//! each region's counters come back through one end-of-run summary.
+//!
 //! Global peer ids are `(region << 56) | local_id`; locals are monotone
 //! per tracker and regions are fixed, so no id is ever recycled — the
 //! handoff property test pins that, along with conservation (every
@@ -40,30 +45,10 @@
 
 use std::time::Duration;
 
-use pdn_simnet::shard::{run_sharded, ShardMode, ShardWorld};
-use pdn_simnet::{Event, LatencyHistogram, RatePlan, SimTime};
+use pdn_simnet::shard::{run_sharded, ShardMode};
+use pdn_simnet::{LatencyHistogram, RatePlan, SimTime};
 
-use super::harness::{CarriedSession, ServiceConfig, ServiceReport, ServiceWorld, TOK_ARRIVAL};
-
-/// Failover trigger timer on the region's server node (tokens 0–2 belong
-/// to the harness dispatcher).
-const TOK_FED_FAIL: u64 = 3;
-/// Cross-region delivery timer: `token & 7 == TOK_FED_DELIVER`, slab slot
-/// in the high bits.
-const TOK_FED_DELIVER: u64 = 4;
-
-/// Region tag bits in a global peer id: `(region << 56) | local`.
-const REGION_SHIFT: u32 = 56;
-
-/// Turns a region-local peer id into a global one (0 stays 0: "session
-/// had no id yet").
-fn globalize(region: usize, local: u64) -> u64 {
-    if local == 0 {
-        0
-    } else {
-        ((region as u64) << REGION_SHIFT) | local
-    }
-}
+use super::harness::{ServiceConfig, ServiceReport, ServiceWorld};
 
 /// Everything one federated run needs to know.
 #[derive(Debug, Clone)]
@@ -113,200 +98,6 @@ impl FederationConfig {
             .seed
             .wrapping_add((r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         cfg
-    }
-}
-
-/// A cross-region message: a routed arrival or a session handoff, stamped
-/// with its arrival time at the destination tracker.
-#[derive(Debug, Clone, Copy)]
-struct FedMsg {
-    at: SimTime,
-    payload: FedPayload,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum FedPayload {
-    /// A fresh viewer spilled from an overloaded (or dead) home region.
-    Arrival,
-    /// A live session migrating off a failed tracker. `old_global` is
-    /// already globalized by the source region.
-    Handoff(CarriedSession),
-}
-
-/// One regional tracker as a spatial shard: wraps a [`ServiceWorld`] and
-/// intercepts exactly three event kinds — fresh arrivals (to route),
-/// failover triggers, and cross-region deliveries. Everything else goes
-/// straight to the world's dispatcher, which is what makes the K=1
-/// differential byte-exact.
-struct RegionShard {
-    index: usize,
-    k: usize,
-    world: ServiceWorld,
-    latency: Duration,
-    spill_threshold: usize,
-    /// Payloads parked between [`ShardWorld::deliver`] and their delivery
-    /// timer firing; slot-addressed so stamps, not insertion order, decide
-    /// processing order.
-    slab: Vec<Option<FedPayload>>,
-    free_slots: Vec<usize>,
-    spilled_out: u64,
-    spilled_in: u64,
-    migrated_out: u64,
-    handoffs_turned_away: u64,
-    handoffs_stranded: u64,
-}
-
-impl RegionShard {
-    fn new(cfg: &FederationConfig, index: usize) -> Self {
-        let mut world = ServiceWorld::new(&cfg.region_cfg(index));
-        if let Some((r, at)) = cfg.fail_region {
-            if r == index {
-                world.net.set_timer(world.server, at, TOK_FED_FAIL);
-            }
-        }
-        RegionShard {
-            index,
-            k: cfg.regions,
-            world,
-            latency: cfg.inter_region_latency,
-            spill_threshold: cfg.spill_threshold,
-            slab: Vec::new(),
-            free_slots: Vec::new(),
-            spilled_out: 0,
-            spilled_in: 0,
-            migrated_out: 0,
-            handoffs_turned_away: 0,
-            handoffs_stranded: 0,
-        }
-    }
-
-    fn next_region(&self) -> usize {
-        (self.index + 1) % self.k
-    }
-
-    /// Globalizes and ships one migrating session to the next region. A
-    /// 1-region federation has no live sibling: the session strands (the
-    /// honest K=1 failover outcome — re-joining the dead tracker itself
-    /// would recycle client slots under stale in-flight replies).
-    fn route_handoff(
-        &mut self,
-        mut h: CarriedSession,
-        now: SimTime,
-        outbox: &mut Vec<(usize, FedMsg)>,
-    ) {
-        self.migrated_out += 1;
-        if self.k == 1 {
-            self.handoffs_stranded += 1;
-            return;
-        }
-        h.old_global = globalize(self.index, h.old_global);
-        outbox.push((
-            self.next_region(),
-            FedMsg {
-                at: now + self.latency,
-                payload: FedPayload::Handoff(h),
-            },
-        ));
-    }
-
-    fn handle(&mut self, now: SimTime, ev: Event, outbox: &mut Vec<(usize, FedMsg)>) {
-        match ev {
-            Event::Timer { node, token } if node == self.world.server && token == TOK_ARRIVAL => {
-                self.world.report.net_events += 1;
-                self.world.report.arrivals += 1;
-                // Region-affinity routing: home tracker unless its join
-                // queue is past the spill point or it is dead.
-                let spill = self.k > 1
-                    && (self.world.tracker_dead
-                        || self.world.inbox.join_depth() >= self.spill_threshold);
-                if spill {
-                    self.spilled_out += 1;
-                    outbox.push((
-                        self.next_region(),
-                        FedMsg {
-                            at: now + self.latency,
-                            payload: FedPayload::Arrival,
-                        },
-                    ));
-                } else {
-                    self.world.start_session(now, None);
-                }
-                self.world.schedule_next_arrival(now);
-            }
-            Event::Timer { node, token } if node == self.world.server && token == TOK_FED_FAIL => {
-                self.world.report.net_events += 1;
-                for h in self.world.fail_tracker(now) {
-                    self.route_handoff(h, now, outbox);
-                }
-            }
-            Event::Timer { node, token }
-                if node == self.world.server && token & 7 == TOK_FED_DELIVER =>
-            {
-                self.world.report.net_events += 1;
-                let slot = (token >> 3) as usize;
-                let payload = self.slab[slot].take().expect("federation delivery slot");
-                self.free_slots.push(slot);
-                match payload {
-                    FedPayload::Arrival => {
-                        // Counted as an arrival at the home region;
-                        // routed arrivals never re-spill.
-                        self.spilled_in += 1;
-                        self.world.start_session(now, None);
-                    }
-                    FedPayload::Handoff(h) => {
-                        if !self.world.start_session(now, Some(h)) {
-                            self.handoffs_turned_away += 1;
-                        }
-                    }
-                }
-            }
-            _ => self.world.dispatch(now, ev),
-        }
-        // Fetch-completion migrations surface after any event (the CDN
-        // reply lands post-failover); ship them in the same window.
-        if !self.world.pending_handoffs.is_empty() {
-            for h in std::mem::take(&mut self.world.pending_handoffs) {
-                self.route_handoff(h, now, outbox);
-            }
-        }
-    }
-}
-
-impl ShardWorld for RegionShard {
-    type Msg = FedMsg;
-
-    fn next_at(&self) -> Option<SimTime> {
-        self.world.net.next_event_at()
-    }
-
-    fn run_window(&mut self, end: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
-        while let Some(at) = self.world.net.next_event_at() {
-            if at >= end {
-                break;
-            }
-            let (now, ev) = self.world.net.step().expect("peeked event exists");
-            self.handle(now, ev, outbox);
-        }
-    }
-
-    fn deliver(&mut self, msg: FedMsg) {
-        // Park the payload in a slot and burn a timer for it; the stamp
-        // decides processing order, not barrier insertion order.
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.slab.push(None);
-            self.slab.len() - 1
-        });
-        self.slab[slot] = Some(msg.payload);
-        let delay = msg.at.saturating_since(self.world.net.now());
-        self.world.net.set_timer(
-            self.world.server,
-            delay,
-            ((slot as u64) << 3) | TOK_FED_DELIVER,
-        );
-    }
-
-    fn stamp(msg: &FedMsg) -> SimTime {
-        msg.at
     }
 }
 
@@ -366,38 +157,31 @@ pub struct FederationReport {
 /// differential test compares debug-formatted reports).
 pub fn run_federation(cfg: &FederationConfig) -> FederationReport {
     assert!(cfg.regions >= 1, "a federation needs at least one region");
-    let mut shards: Vec<RegionShard> = (0..cfg.regions).map(|r| RegionShard::new(cfg, r)).collect();
-    let deadline = shards[0].world.hard_end;
-    let run = run_sharded(&mut shards, cfg.inter_region_latency, deadline, cfg.mode);
+    let mut worlds: Vec<ServiceWorld> = (0..cfg.regions)
+        .map(|r| ServiceWorld::region(cfg, r))
+        .collect();
+    let deadline = worlds[0].deadline();
+    let run = run_sharded(&mut worlds, cfg.inter_region_latency, deadline, cfg.mode);
 
+    let mut per_region = Vec::with_capacity(cfg.regions);
     let mut handoffs = Vec::new();
     let mut handoff_latency = LatencyHistogram::new();
-    let mut per_region = Vec::with_capacity(cfg.regions);
-    let mut migrated_out = 0;
-    let mut handoffs_denied = 0;
-    let mut handoffs_turned_away = 0;
-    let mut handoffs_stranded = 0;
-    let mut spilled = 0;
-    let mut dead_dropped = 0;
-    for shard in &mut shards {
-        shard.world.finalize();
-        for &(old_global, new_local, t0, done) in &shard.world.handoffs_done {
-            let rec = HandoffRecord {
-                old_global,
-                new_global: globalize(shard.index, new_local),
-                migrated_at: t0,
-                completed_at: done,
-            };
-            handoff_latency.record(done.saturating_since(t0).as_nanos() as u64);
-            handoffs.push(rec);
+    let (mut migrated_out, mut handoffs_denied, mut handoffs_turned_away) = (0, 0, 0);
+    let (mut handoffs_stranded, mut spilled, mut dead_dropped) = (0, 0, 0);
+    for world in worlds {
+        let (report, ledger) = world.finish();
+        for h in &ledger.handoffs {
+            handoff_latency
+                .record(h.completed_at.saturating_since(h.migrated_at).as_nanos() as u64);
         }
-        migrated_out += shard.migrated_out;
-        handoffs_denied += shard.world.handoffs_denied;
-        handoffs_turned_away += shard.handoffs_turned_away;
-        handoffs_stranded += shard.handoffs_stranded;
-        spilled += shard.spilled_out;
-        dead_dropped += shard.world.dead_dropped;
-        per_region.push(shard.world.report.clone());
+        handoffs.extend(ledger.handoffs);
+        migrated_out += ledger.migrated_out;
+        handoffs_denied += ledger.handoffs_denied;
+        handoffs_turned_away += ledger.handoffs_turned_away;
+        handoffs_stranded += ledger.handoffs_stranded;
+        spilled += ledger.spilled_out;
+        dead_dropped += ledger.dead_dropped;
+        per_region.push(report);
     }
     let mut aggregate = per_region[0].clone();
     for r in &per_region[1..] {

@@ -22,6 +22,15 @@
 //! - optionally a **greeter flood** (§IV-B): attacker nodes spraying
 //!   undecodable junk the inbox must classify and shed.
 //!
+//! The same world is one region of a federation
+//! ([`super::run_federation`]): it implements [`ShardWorld`], so K regions
+//! run as conservative-PDES shards. Its [`Region`] state routes fresh
+//! arrivals past an overloaded (or dead) tracker to the next region, kills
+//! the tracker at a failover instant, hands its live sessions off, and
+//! takes in what its neighbor sends. A plain [`run_service`] world is
+//! region 0 of 1, where none of that ever acts; single-tracker and
+//! federated runs share one dispatcher.
+//!
 //! Everything is virtual-time deterministic: the same
 //! [`ServiceConfig`] always produces the same [`ServiceReport`], down to
 //! every histogram bucket.
@@ -30,28 +39,72 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pdn_media::{Cdn, OriginServer, SegmentId, VideoId, VideoSource};
+use pdn_simnet::shard::ShardWorld;
 use pdn_simnet::{
     Addr, Event, GeoInfo, LatencyHistogram, LinkSpec, Network, NodeId, PoissonArrivals, RatePlan,
     SimRng, SimTime, Transport,
 };
 use pdn_webrtc::{Candidate, CandidateKind, Certificate, SessionDescription};
 
+use super::federation::{FederationConfig, HandoffRecord};
 use super::inbox::{is_leave_frame, Admit, BoundedInboxes, InboxConfig, MsgClass, ShedStats};
 use crate::auth::CustomerAccount;
 use crate::profiles::ProviderProfile;
 use crate::proto::SignalMsg;
 use crate::signaling::{AdmissionBatch, SignalingServer};
 
-/// Timer tokens on the server node. Tokens ≥ 3 are reserved for the
-/// federation layer (failover trigger, cross-region deliveries); the
-/// dispatcher ignores them so a plain [`run_service`] never sees any.
-pub(crate) const TOK_TICK: u64 = 0;
-pub(crate) const TOK_ARRIVAL: u64 = 1;
-pub(crate) const TOK_GREETER: u64 = 2;
-/// Timer token kinds on client nodes (low bits; high bits carry the
-/// session generation so a recycled node ignores stale timers).
-const TOK_SESSION_END: u64 = 1;
-const TOK_STATS: u64 = 2;
+/// Every timer the world sets, on the server node or a client node. The
+/// network carries it as an opaque `u64` token: the kind in the low
+/// [`Timer::KIND_BITS`] bits, its argument above them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Timer {
+    /// Server drain period.
+    Tick,
+    /// The next plan arrival.
+    Arrival,
+    /// The next greeter-flood frame.
+    Greeter,
+    /// The failover instant: this region's tracker dies.
+    Fail,
+    /// A cross-region message parked in this slab slot is due.
+    Deliver(usize),
+    /// A watching client's session ends. The argument is the session
+    /// generation, so a recycled node ignores its predecessor's timers.
+    SessionEnd(u64),
+    /// A watching client's gossip period (same generation argument).
+    Stats(u64),
+}
+
+impl Timer {
+    const KIND_BITS: u32 = 3;
+
+    fn encode(self) -> u64 {
+        let (kind, arg) = match self {
+            Timer::Tick => (0, 0),
+            Timer::Arrival => (1, 0),
+            Timer::Greeter => (2, 0),
+            Timer::Fail => (3, 0),
+            Timer::Deliver(slot) => (4, slot as u64),
+            Timer::SessionEnd(session) => (5, session),
+            Timer::Stats(session) => (6, session),
+        };
+        (arg << Self::KIND_BITS) | kind
+    }
+
+    fn decode(token: u64) -> Self {
+        let arg = token >> Self::KIND_BITS;
+        match token & ((1 << Self::KIND_BITS) - 1) {
+            0 => Timer::Tick,
+            1 => Timer::Arrival,
+            2 => Timer::Greeter,
+            3 => Timer::Fail,
+            4 => Timer::Deliver(arg as usize),
+            5 => Timer::SessionEnd(arg),
+            6 => Timer::Stats(arg),
+            kind => unreachable!("timer kind {kind} is never encoded"),
+        }
+    }
+}
 
 /// Number of attacker nodes sourcing the greeter flood.
 const ATTACKERS: usize = 4;
@@ -261,10 +314,10 @@ enum ClientState {
 /// old global id, the failover instant (handoff-latency origin), and the
 /// remaining watch time, if the session had already drawn one.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CarriedSession {
-    pub(crate) old_global: u64,
-    pub(crate) t0: SimTime,
-    pub(crate) remaining: Option<Duration>,
+struct CarriedSession {
+    old_global: u64,
+    t0: SimTime,
+    remaining: Option<Duration>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -290,23 +343,120 @@ const IDLE_CLIENT: Client = Client {
     carried: None,
 };
 
-/// A completed handoff admission: `(old_global, new_local_peer_id, t0,
-/// completed_at)`. The federation layer maps local ids to global ones.
-pub(crate) type HandoffDone = (u64, u64, SimTime, SimTime);
+/// Region tag bits in a global peer id: `(region << 56) | local`.
+const REGION_SHIFT: u32 = 56;
+
+/// Turns a region-local peer id into a global one (0 stays 0: "session
+/// had no id yet"). Locals are monotone per tracker and regions are
+/// fixed, so no global id is ever recycled.
+fn globalize(region: usize, local: u64) -> u64 {
+    if local == 0 {
+        0
+    } else {
+        ((region as u64) << REGION_SHIFT) | local
+    }
+}
+
+/// A cross-region message: a spilled arrival or a session handoff, stamped
+/// with its arrival time at the destination tracker.
+#[derive(Debug, Clone, Copy)]
+pub struct FedMsg {
+    at: SimTime,
+    payload: FedPayload,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum FedPayload {
+    /// A fresh viewer spilled from an overloaded (or dead) home region.
+    Arrival,
+    /// A live session migrating off a failed tracker. `old_global` is
+    /// already globalized by the source region.
+    Handoff(CarriedSession),
+}
+
+/// Spill and hand-off counters of one region, read once at run end.
+#[derive(Debug, Default)]
+pub(super) struct RegionLedger {
+    /// Fresh arrivals this region routed to its neighbor.
+    pub(super) spilled_out: u64,
+    /// Sessions extracted from this (failed) tracker.
+    pub(super) migrated_out: u64,
+    /// Handoff re-joins this tracker admitted, in admission order.
+    pub(super) handoffs: Vec<HandoffRecord>,
+    /// Handoff re-joins denied here (an explicit answer, not a loss).
+    pub(super) handoffs_denied: u64,
+    /// Handoff re-joins dropped here at the client-pool cap.
+    pub(super) handoffs_turned_away: u64,
+    /// Sessions that migrated with no live sibling to go to (K=1).
+    pub(super) handoffs_stranded: u64,
+    /// Server-bound frames dropped because the tracker is dead.
+    pub(super) dead_dropped: u64,
+}
+
+/// This world's place in a federation: index, sibling count, the routing
+/// parameters, the slab of parked deliveries and the ledger. Region 0 of 1
+/// (a plain [`run_service`]) never spills, never fails and is never
+/// delivered to.
+#[derive(Default)]
+struct Region {
+    index: usize,
+    k: usize,
+    /// Every cross-region message is stamped exactly this far ahead (the
+    /// conservative lookahead).
+    latency: Duration,
+    /// Home join-queue depth at which a fresh arrival spills.
+    spill_threshold: usize,
+    /// Payloads parked between [`ShardWorld::deliver`] and their delivery
+    /// timer firing; slot-addressed so stamps, not insertion order, decide
+    /// processing order.
+    slab: Vec<Option<FedPayload>>,
+    free_slots: Vec<usize>,
+    /// Set at the failover instant: the tracker stops draining, inbound
+    /// server traffic is dropped and counted, live sessions migrate.
+    dead: bool,
+    ledger: RegionLedger,
+}
+
+impl Region {
+    /// Ships `payload` to the next region, one inter-region latency ahead.
+    fn send(&self, now: SimTime, payload: FedPayload, outbox: &mut Vec<(usize, FedMsg)>) {
+        let next = (self.index + 1) % self.k;
+        outbox.push((
+            next,
+            FedMsg {
+                at: now + self.latency,
+                payload,
+            },
+        ));
+    }
+
+    /// Globalizes and ships one migrating session to the next region. A
+    /// lone region has no live sibling: the session strands (the honest
+    /// K=1 failover outcome — re-joining the dead tracker itself would
+    /// recycle client slots under stale in-flight replies).
+    fn hand_off(&mut self, mut h: CarriedSession, now: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
+        self.ledger.migrated_out += 1;
+        if self.k == 1 {
+            self.ledger.handoffs_stranded += 1;
+            return;
+        }
+        h.old_global = globalize(self.index, h.old_global);
+        self.send(now, FedPayload::Handoff(h), outbox);
+    }
+}
 
 /// One open-loop service world: the tracker + CDN + client pool of
-/// [`run_service`], held as a struct so the federation layer can run K of
-/// them as conservative-PDES shards and intercept individual events
-/// (arrival routing, failover migration) without duplicating the
-/// lifecycle logic. [`run_service`] is now a thin wrapper: construct,
-/// pump the network, finalize — behavior is unchanged.
+/// [`run_service`], and one region of a federation (see the
+/// [module docs](self)). [`ServiceWorld::run`] pumps its network serially;
+/// the shard runner drives it through [`ShardWorld`]. Both route every
+/// event through the same dispatcher.
 pub struct ServiceWorld {
-    pub(crate) cfg: ServiceConfig,
-    pub(crate) net: Network,
-    pub(crate) server: NodeId,
+    cfg: ServiceConfig,
+    net: Network,
+    server: NodeId,
     cdn_node: NodeId,
     attackers: Vec<NodeId>,
-    pub(crate) server_addr: Addr,
+    server_addr: Addr,
     cdn_addr: Addr,
     first_client: u32,
     sig: SignalingServer,
@@ -317,7 +467,7 @@ pub struct ServiceWorld {
     leave_frame: Bytes,
     stats_frame: Bytes,
     greeter_frame: Bytes,
-    pub(crate) inbox: BoundedInboxes,
+    inbox: BoundedInboxes,
     batch: AdmissionBatch,
     arrivals: PoissonArrivals,
     greeters: Option<PoissonArrivals>,
@@ -325,35 +475,50 @@ pub struct ServiceWorld {
     clients: Vec<Client>,
     free: Vec<u32>,
     im_seq: u64,
-    pub(crate) report: ServiceReport,
-    pub(crate) run_end: SimTime,
-    pub(crate) hard_end: SimTime,
+    report: ServiceReport,
+    run_end: SimTime,
+    hard_end: SimTime,
     ramp_end: SimTime,
     // Reused tick scratch.
     tick_joins: Vec<(Addr, Bytes)>,
     tick_other: Vec<(Addr, Bytes)>,
     tick_out: Vec<(Addr, Bytes)>,
-    // --- federation hooks (inert in single-tracker runs) ---
-    /// Set at the failover instant: the tracker stops draining, inbound
-    /// server traffic is dropped and counted, live sessions migrate.
-    pub(crate) tracker_dead: bool,
-    /// Server-bound frames dropped because the tracker is dead.
-    pub(crate) dead_dropped: u64,
-    /// Sessions whose fetch completed after tracker death: they must
-    /// migrate instead of watching against a dead tracker. Drained by the
-    /// federation shard after every event.
-    pub(crate) pending_handoffs: Vec<CarriedSession>,
-    /// Handoff re-joins that completed admission here (target side).
-    pub(crate) handoffs_done: Vec<HandoffDone>,
-    /// Handoff re-joins denied here (explicit answer, not a lost session).
-    pub(crate) handoffs_denied: u64,
+    region: Region,
 }
 
 impl ServiceWorld {
-    /// Builds the world: nodes, server state, pre-encoded frames, primed
-    /// timers. `region` namespaces nothing here — single-tracker runs use
-    /// the config as-is.
+    /// Builds a single-tracker world: nodes, server state, pre-encoded
+    /// frames, primed timers.
     pub fn new(cfg: &ServiceConfig) -> Self {
+        Self::build(
+            cfg,
+            Region {
+                k: 1,
+                ..Region::default()
+            },
+        )
+    }
+
+    /// Builds region `index` of the federation `fed`, with its failover
+    /// timer set if it is the region that fails.
+    pub(super) fn region(fed: &FederationConfig, index: usize) -> Self {
+        let region = Region {
+            index,
+            k: fed.regions,
+            latency: fed.inter_region_latency,
+            spill_threshold: fed.spill_threshold,
+            ..Region::default()
+        };
+        let mut world = Self::build(&fed.region_cfg(index), region);
+        if let Some((r, at)) = fed.fail_region {
+            if r == index {
+                world.net.set_timer(world.server, at, Timer::Fail.encode());
+            }
+        }
+        world
+    }
+
+    fn build(cfg: &ServiceConfig, region: Region) -> Self {
         let mut net = Network::new(cfg.seed);
         net.set_capture(true);
         net.set_capture_limit(cfg.capture_limit);
@@ -463,15 +628,23 @@ impl ServiceWorld {
         let ramp_end = SimTime::ZERO + cfg.ramp;
 
         // Prime the self-rescheduling timers.
-        net.set_timer(server, cfg.tick, TOK_TICK);
+        net.set_timer(server, cfg.tick, Timer::Tick.encode());
         let first = arrivals.next_arrival();
         if first <= run_end {
-            net.set_timer(server, first.saturating_since(SimTime::ZERO), TOK_ARRIVAL);
+            net.set_timer(
+                server,
+                first.saturating_since(SimTime::ZERO),
+                Timer::Arrival.encode(),
+            );
         }
         if let Some(g) = greeters.as_mut() {
             let at = g.next_arrival();
             if at <= run_end {
-                net.set_timer(server, at.saturating_since(SimTime::ZERO), TOK_GREETER);
+                net.set_timer(
+                    server,
+                    at.saturating_since(SimTime::ZERO),
+                    Timer::Greeter.encode(),
+                );
             }
         }
 
@@ -511,42 +684,43 @@ impl ServiceWorld {
             tick_joins: Vec::new(),
             tick_other: Vec::new(),
             tick_out: Vec::new(),
-            tracker_dead: false,
-            dead_dropped: 0,
-            pending_handoffs: Vec::new(),
-            handoffs_done: Vec::new(),
-            handoffs_denied: 0,
+            region,
         }
     }
 
     /// Pumps the network to completion and returns the report.
     pub fn run(mut self) -> ServiceReport {
+        // A lone region never spills or hands off, so this stays empty.
+        let mut outbox = Vec::new();
         while let Some((now, ev)) = self.net.step() {
             if now > self.hard_end {
                 break;
             }
-            self.dispatch(now, ev);
+            self.dispatch(now, ev, &mut outbox);
         }
-        self.finalize();
-        self.report
+        debug_assert!(outbox.is_empty());
+        self.finish().0
     }
 
-    /// Routes one event to its handler. The federation shard calls this
-    /// for everything it does not intercept.
-    pub(crate) fn dispatch(&mut self, now: SimTime, ev: Event) {
+    /// The last instant the world processes events: `run_for` plus a
+    /// grace period for in-flight sessions.
+    pub(super) fn deadline(&self) -> SimTime {
+        self.hard_end
+    }
+
+    /// Routes one event to its handler. Messages for other regions (spilled
+    /// arrivals, hand-offs) go to `outbox` as they arise.
+    fn dispatch(&mut self, now: SimTime, ev: Event, outbox: &mut Vec<(usize, FedMsg)>) {
         self.report.net_events += 1;
         match ev {
-            Event::Timer { node, token } if node == self.server => match token {
-                TOK_TICK => self.on_tick(now),
-                TOK_ARRIVAL => {
-                    self.report.arrivals += 1;
-                    self.start_session(now, None);
-                    self.schedule_next_arrival(now);
-                }
-                TOK_GREETER => self.on_greeter(now),
-                _ => {}
+            Event::Timer { node, token } => match Timer::decode(token) {
+                Timer::Tick => self.on_tick(now),
+                Timer::Arrival => self.on_arrival(now, outbox),
+                Timer::Greeter => self.on_greeter(now),
+                Timer::Fail => self.fail_tracker(now, outbox),
+                Timer::Deliver(slot) => self.on_delivery(now, slot),
+                timer => self.on_client_timer(node, timer),
             },
-            Event::Timer { node, token } => self.on_client_timer(node, token),
             Event::Packet { to, dgram } if to == self.server => self.on_server_packet(now, dgram),
             Event::Packet { to, dgram } if to == self.cdn_node => {
                 if let Some(seg) = self.cdn.serve_segment(&self.seg_id) {
@@ -559,14 +733,14 @@ impl ServiceWorld {
                     );
                 }
             }
-            Event::Packet { to, dgram } => self.on_client_packet(now, to, dgram),
+            Event::Packet { to, dgram } => self.on_client_packet(now, to, dgram, outbox),
             Event::Burst { .. } => {}
         }
     }
 
     /// Folds end-of-run state (inbox, batch, capture, CDN bill) into the
-    /// report. Idempotent enough for exactly-once use at run end.
-    pub(crate) fn finalize(&mut self) {
+    /// report and returns it with the region's ledger.
+    pub(super) fn finish(mut self) -> (ServiceReport, RegionLedger) {
         self.report.shed = self.inbox.stats();
         self.report.batch_hits = self.batch.hits();
         self.report.peak_clients = self.clients.len() as u64;
@@ -576,10 +750,11 @@ impl ServiceWorld {
         let bill = self.cdn.bill();
         self.report.cdn_requests = bill.requests;
         self.report.cdn_egress_bytes = bill.egress_bytes;
+        (self.report, self.region.ledger)
     }
 
-    pub(crate) fn on_tick(&mut self, now: SimTime) {
-        if self.tracker_dead {
+    fn on_tick(&mut self, now: SimTime) {
+        if self.region.dead {
             return; // dead tracker: no drain, no reschedule
         }
         self.tick_joins.clear();
@@ -606,24 +781,59 @@ impl ServiceWorld {
             self.net.send(self.server, 443, dst, Transport::Tcp, frame);
         }
         if now < self.hard_end {
-            self.net.set_timer(self.server, self.cfg.tick, TOK_TICK);
+            self.net
+                .set_timer(self.server, self.cfg.tick, Timer::Tick.encode());
         }
     }
 
-    /// Reschedules the arrival timer for the next plan arrival (if it
-    /// lands before `run_end`).
-    pub(crate) fn schedule_next_arrival(&mut self, now: SimTime) {
+    /// One plan arrival, routed by region affinity: the home tracker takes
+    /// it unless its join queue is past the spill point or it is dead, and
+    /// then the viewer goes to the next region (a lone region keeps
+    /// everyone). Re-arms the arrival timer if the next plan arrival lands
+    /// before `run_end`.
+    fn on_arrival(&mut self, now: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
+        self.report.arrivals += 1;
+        let r = &mut self.region;
+        if r.k > 1 && (r.dead || self.inbox.join_depth() >= r.spill_threshold) {
+            r.ledger.spilled_out += 1;
+            r.send(now, FedPayload::Arrival, outbox);
+        } else {
+            self.start_session(now, None);
+        }
         let at = self.arrivals.next_arrival();
         if at <= self.run_end {
-            self.net
-                .set_timer(self.server, at.saturating_since(now), TOK_ARRIVAL);
+            self.net.set_timer(
+                self.server,
+                at.saturating_since(now),
+                Timer::Arrival.encode(),
+            );
+        }
+    }
+
+    /// A parked cross-region message is due: a spilled viewer (counted as
+    /// an arrival at its home region) joins here without re-spilling, or a
+    /// hand-off re-joins.
+    fn on_delivery(&mut self, now: SimTime, slot: usize) {
+        let payload = self.region.slab[slot]
+            .take()
+            .expect("federation delivery slot");
+        self.region.free_slots.push(slot);
+        match payload {
+            FedPayload::Arrival => {
+                self.start_session(now, None);
+            }
+            FedPayload::Handoff(h) => {
+                if !self.start_session(now, Some(h)) {
+                    self.region.ledger.handoffs_turned_away += 1;
+                }
+            }
         }
     }
 
     /// Starts one viewer session: allocate/recycle a client slot and send
     /// the join. `carried` marks a failover handoff re-join. Returns
     /// `false` when the pool is exhausted (counted as turned away).
-    pub(crate) fn start_session(&mut self, now: SimTime, carried: Option<CarriedSession>) -> bool {
+    fn start_session(&mut self, now: SimTime, carried: Option<CarriedSession>) -> bool {
         let slot = self.free.pop().or_else(|| {
             (self.clients.len() < self.cfg.max_clients).then(|| {
                 self.clients.push(IDLE_CLIENT);
@@ -659,7 +869,7 @@ impl ServiceWorld {
         }
     }
 
-    pub(crate) fn on_greeter(&mut self, now: SimTime) {
+    fn on_greeter(&mut self, now: SimTime) {
         if let Some(g) = self.greeters.as_mut() {
             let attacker = self.attackers[(g.now().as_secs_f64() * 1e3) as usize % ATTACKERS];
             self.net.send(
@@ -671,23 +881,28 @@ impl ServiceWorld {
             );
             let at = g.next_arrival();
             if at <= self.run_end {
-                self.net
-                    .set_timer(self.server, at.saturating_since(now), TOK_GREETER);
+                self.net.set_timer(
+                    self.server,
+                    at.saturating_since(now),
+                    Timer::Greeter.encode(),
+                );
             }
         }
     }
 
-    fn on_client_timer(&mut self, node: NodeId, token: u64) {
-        // Client timers; high bits carry the session generation.
+    /// A session-end or gossip timer on a client node.
+    fn on_client_timer(&mut self, node: NodeId, timer: Timer) {
+        let (Timer::SessionEnd(session) | Timer::Stats(session)) = timer else {
+            unreachable!("{timer:?} is a server timer");
+        };
         let idx = (node.0 - self.first_client) as usize;
-        let (kind, session) = (token & 0b11, token >> 2);
         let c = &mut self.clients[idx];
         if c.session != session || c.state != ClientState::Watching {
             return; // stale timer from a recycled session
         }
-        match kind {
-            TOK_SESSION_END => {
-                if !self.tracker_dead {
+        match timer {
+            Timer::SessionEnd(_) => {
+                if !self.region.dead {
                     self.net.send(
                         node,
                         CLIENT_PORT,
@@ -700,8 +915,8 @@ impl ServiceWorld {
                 c.state = ClientState::Idle;
                 self.free.push(idx as u32);
             }
-            TOK_STATS => {
-                if !self.tracker_dead {
+            _ => {
+                if !self.region.dead {
                     self.net.send(
                         node,
                         CLIENT_PORT,
@@ -711,15 +926,14 @@ impl ServiceWorld {
                     );
                 }
                 self.net
-                    .set_timer(node, self.cfg.stats_every, (session << 2) | TOK_STATS);
+                    .set_timer(node, self.cfg.stats_every, Timer::Stats(session).encode());
             }
-            _ => {}
         }
     }
 
-    pub(crate) fn on_server_packet(&mut self, now: SimTime, dgram: pdn_simnet::Datagram) {
-        if self.tracker_dead {
-            self.dead_dropped += 1;
+    fn on_server_packet(&mut self, now: SimTime, dgram: pdn_simnet::Datagram) {
+        if self.region.dead {
+            self.region.ledger.dead_dropped += 1;
             return;
         }
         match self.inbox.offer(dgram.src, dgram.payload.clone()) {
@@ -742,7 +956,13 @@ impl ServiceWorld {
         }
     }
 
-    fn on_client_packet(&mut self, now: SimTime, to: NodeId, dgram: pdn_simnet::Datagram) {
+    fn on_client_packet(
+        &mut self,
+        now: SimTime,
+        to: NodeId,
+        dgram: pdn_simnet::Datagram,
+        outbox: &mut Vec<(usize, FedMsg)>,
+    ) {
         if to.0 < self.first_client {
             return; // attacker nodes ignore replies
         }
@@ -760,7 +980,12 @@ impl ServiceWorld {
                         .record(now.saturating_since(sent).as_nanos() as u64);
                     c.peer_id = peer_id;
                     if let Some(h) = c.carried.take() {
-                        self.handoffs_done.push((h.old_global, peer_id, h.t0, now));
+                        self.region.ledger.handoffs.push(HandoffRecord {
+                            old_global: h.old_global,
+                            new_global: globalize(self.region.index, peer_id),
+                            migrated_at: h.t0,
+                            completed_at: now,
+                        });
                     }
                     c.state = ClientState::Fetching { sent };
                     self.net.send(
@@ -774,7 +999,7 @@ impl ServiceWorld {
                 Some(SignalMsg::JoinDenied { .. }) => {
                     self.report.joins_denied += 1;
                     if c.carried.take().is_some() {
-                        self.handoffs_denied += 1;
+                        self.region.ledger.handoffs_denied += 1;
                     }
                     c.state = ClientState::Idle;
                     self.free.push(idx as u32);
@@ -795,25 +1020,26 @@ impl ServiceWorld {
                         Some(len) => len,
                         None => self.cfg.mean_session.mul_f64(self.rng.range(0.5..1.5)),
                     };
-                    if self.tracker_dead {
+                    if self.region.dead {
                         // The fetch outlived the tracker: the session
                         // must re-home instead of watching against a
                         // dead rendezvous.
                         let peer_id = c.peer_id;
                         c.state = ClientState::Idle;
                         self.free.push(idx as u32);
-                        self.pending_handoffs.push(CarriedSession {
+                        let h = CarriedSession {
                             old_global: peer_id,
                             t0: now,
                             remaining: Some(len),
-                        });
+                        };
+                        self.region.hand_off(h, now, outbox);
                         return;
                     }
                     c.state = ClientState::Watching;
                     self.net
-                        .set_timer(to, len, (session << 2) | TOK_SESSION_END);
+                        .set_timer(to, len, Timer::SessionEnd(session).encode());
                     self.net
-                        .set_timer(to, self.cfg.stats_every, (session << 2) | TOK_STATS);
+                        .set_timer(to, self.cfg.stats_every, Timer::Stats(session).encode());
                     // One integrity report per session (distinct seq:
                     // exercises the class without quorums).
                     self.im_seq += 1;
@@ -836,45 +1062,71 @@ impl ServiceWorld {
         }
     }
 
-    /// Marks the tracker dead (failover instant) and extracts every live
-    /// session for migration: joining and watching sessions hand off
-    /// immediately; fetching sessions hand off when their CDN reply lands
-    /// (see [`ServiceWorld::on_client_packet`]). Returns the extracted
-    /// sessions; the caller (the federation shard) routes them.
-    pub(crate) fn fail_tracker(&mut self, now: SimTime) -> Vec<CarriedSession> {
-        self.tracker_dead = true;
-        let mut migrated = Vec::new();
-        for idx in 0..self.clients.len() {
-            let c = &mut self.clients[idx];
-            match c.state {
+    /// The failover instant: marks the tracker dead and hands off every
+    /// live session. Joining and watching sessions leave now; fetching
+    /// sessions leave when their CDN reply lands (see
+    /// [`ServiceWorld::on_client_packet`]).
+    fn fail_tracker(&mut self, now: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
+        self.region.dead = true;
+        for (idx, c) in self.clients.iter_mut().enumerate() {
+            let old_global = match c.state {
+                // The join is sitting in (or flying toward) a dead inbox;
+                // it will never be answered. Re-home with no peer id and
+                // no drawn length.
                 ClientState::Joining { .. } => {
-                    // The join is sitting in (or flying toward) a dead
-                    // inbox; it will never be answered. Re-home with no
-                    // peer id and no drawn length.
-                    c.state = ClientState::Idle;
                     c.carried = None;
-                    self.free.push(idx as u32);
-                    migrated.push(CarriedSession {
-                        old_global: 0,
-                        t0: now,
-                        remaining: None,
-                    });
+                    0
                 }
-                ClientState::Watching => {
-                    // Remaining watch time is re-drawn at the target:
-                    // session-end timers are not introspectable here.
-                    c.state = ClientState::Idle;
-                    self.free.push(idx as u32);
-                    migrated.push(CarriedSession {
-                        old_global: c.peer_id,
-                        t0: now,
-                        remaining: None,
-                    });
-                }
-                ClientState::Fetching { .. } | ClientState::Idle => {}
-            }
+                // Remaining watch time is re-drawn at the target:
+                // session-end timers are not introspectable here.
+                ClientState::Watching => c.peer_id,
+                ClientState::Fetching { .. } | ClientState::Idle => continue,
+            };
+            c.state = ClientState::Idle;
+            self.free.push(idx as u32);
+            let h = CarriedSession {
+                old_global,
+                t0: now,
+                remaining: None,
+            };
+            self.region.hand_off(h, now, outbox);
         }
-        migrated
+    }
+}
+
+impl ShardWorld for ServiceWorld {
+    type Msg = FedMsg;
+
+    fn next_at(&self) -> Option<SimTime> {
+        self.net.next_event_at()
+    }
+
+    fn run_window(&mut self, end: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
+        while let Some(at) = self.net.next_event_at() {
+            if at >= end {
+                break;
+            }
+            let (now, ev) = self.net.step().expect("peeked event exists");
+            self.dispatch(now, ev, outbox);
+        }
+    }
+
+    fn deliver(&mut self, msg: FedMsg) {
+        // Park the payload in a slot and burn a timer for it; the stamp
+        // decides processing order, not barrier insertion order.
+        let r = &mut self.region;
+        let slot = r.free_slots.pop().unwrap_or_else(|| {
+            r.slab.push(None);
+            r.slab.len() - 1
+        });
+        r.slab[slot] = Some(msg.payload);
+        let delay = msg.at.saturating_since(self.net.now());
+        self.net
+            .set_timer(self.server, delay, Timer::Deliver(slot).encode());
+    }
+
+    fn stamp(msg: &FedMsg) -> SimTime {
+        msg.at
     }
 }
 

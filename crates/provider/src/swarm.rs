@@ -49,7 +49,7 @@
 use std::time::Duration;
 
 use pdn_simnet::shard::{run_sharded, ShardMode, ShardRunReport, ShardWorld};
-use pdn_simnet::{CalendarQueue, SimTime};
+use pdn_simnet::{splitmix64_finalize, CalendarQueue, SimTime};
 
 /// Neighbor slots per peer. Fixed so [`CompactPeer`] stays heap-free.
 pub const MAX_NEIGHBORS: usize = 6;
@@ -77,10 +77,7 @@ const UP_BACKLOG_CAP_NS: u64 = 2_000_000_000;
 /// which shard evaluates them or in which window.
 fn mix(seed: u64, origin: u32, ctr: u32) -> u64 {
     let ident = ((origin as u64) << 32) | ctr as u64;
-    let mut z = seed ^ ident.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_finalize(seed ^ ident.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Nanoseconds to serialize `bytes` at `bps` (ceiling, min 1 ns).

@@ -214,11 +214,6 @@ impl PdnWorld {
         &self.cdn
     }
 
-    /// Mutable CDN access.
-    pub fn cdn_mut(&mut self) -> &mut Cdn {
-        &mut self.cdn
-    }
-
     /// The network fabric (taps, captures, resources).
     pub fn net(&self) -> &Network {
         &self.net
@@ -258,27 +253,6 @@ impl PdnWorld {
     /// The TURN relay (allocation counts, relayed-byte cost).
     pub fn turn(&self) -> &TurnServer {
         &self.turn
-    }
-
-    /// All viewer node IDs (ascending — the slab is indexed by node id).
-    pub fn viewer_nodes(&self) -> Vec<NodeId> {
-        self.viewers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|_| NodeId(i as u32)))
-            .collect()
-    }
-
-    /// Sends a raw signaling message from a viewer's node (used by attack
-    /// code in `pdn-core` to forge reports the SDK would never send).
-    pub fn send_raw_signal(&mut self, node: NodeId, msg: SignalMsg) {
-        self.net.send(
-            node,
-            ports::SIGNAL,
-            self.signal_addr,
-            Transport::Tcp,
-            msg.encode(),
-        );
     }
 
     fn dispatch(&mut self, at: SimTime, ev: Event) {

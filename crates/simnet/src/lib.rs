@@ -65,7 +65,7 @@ pub use net::{
 };
 pub use queue::{CalendarQueue, EventId, EventQueue, EventQueueStats};
 pub use resources::{series_to_csv, ResourceModel, ResourceSample, ResourceSummary};
-pub use rng::SimRng;
+pub use rng::{splitmix64_finalize, SimRng};
 pub use time::SimTime;
 #[cfg(test)]
 mod prop_tests {

@@ -509,21 +509,10 @@ impl Network {
         self.nodes[node.0 as usize].alive = alive;
     }
 
-    /// Whether the node is currently up.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.node(node).alive
-    }
-
     /// Installs (or replaces) the middlebox tap on `node`.
     pub fn install_tap(&mut self, node: NodeId, tap: TapFn) {
         self.nodes[node.0 as usize].tapped = true;
         self.taps.insert(node, tap);
-    }
-
-    /// Removes the tap on `node`.
-    pub fn remove_tap(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].tapped = false;
-        self.taps.remove(&node);
     }
 
     /// Enables or disables frame capture. Enabling preallocates the ring
@@ -842,26 +831,6 @@ impl Network {
         Some((at, ev))
     }
 
-    /// Pops events until the queue is empty or the next event is after
-    /// `deadline`; advances time to `deadline` at the end.
-    ///
-    /// Returns the drained events. Use [`Network::step`] in a loop when the
-    /// application must react to each event (most protocol code does).
-    pub fn drain_until(&mut self, deadline: SimTime) -> Vec<(SimTime, Event)> {
-        let mut out = Vec::new();
-        while let Some(at) = self.queue.next_at() {
-            if at > deadline {
-                break;
-            }
-            out.push(self.step().expect("peeked event exists"));
-        }
-        if self.now < deadline {
-            self.now = deadline;
-            self.queue.advance_time(deadline);
-        }
-        out
-    }
-
     /// Advances time to `at` without processing events.
     ///
     /// # Panics
@@ -871,11 +840,6 @@ impl Network {
         assert!(at >= self.now, "cannot advance into the past");
         self.now = at;
         self.queue.advance_time(at);
-    }
-
-    /// Whether any events remain queued.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
     }
 
     /// Time of the next queued event, if any (without popping it).
@@ -1265,18 +1229,6 @@ mod tests {
             o => panic!("{o:?}"),
         };
         assert!(t_cn.saturating_since(SimTime::ZERO) > t_us.saturating_since(SimTime::ZERO));
-    }
-
-    #[test]
-    fn drain_until_advances_clock() {
-        let mut net = Network::new(1);
-        let (a, _) = two_public_hosts(&mut net);
-        net.set_timer(a, Duration::from_secs(1), 1);
-        net.set_timer(a, Duration::from_secs(5), 2);
-        let evs = net.drain_until(SimTime::from_secs(2));
-        assert_eq!(evs.len(), 1);
-        assert_eq!(net.now(), SimTime::from_secs(2));
-        assert!(net.has_pending_events());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! worker count grows (keeping `probe_cost_ns` calibration valid under
 //! sharding). Worker totals merge into the global counters via
 //! [`flush_thread_local`], which the shard runner calls as each worker's
-//! last act before the barrier join — `std::thread::scope` releases the
+//! last act before the barrier join — a thread scope releases the
 //! joiner when the closure *returns*, which can be before the thread's
 //! TLS destructors run, so only an explicit in-closure flush is
 //! guaranteed visible to the coordinator. (Thread exit still flushes as a
@@ -171,11 +171,12 @@ pub fn reset() {
 
 /// Merges the calling thread's pending counts into the global totals.
 ///
-/// Scoped shard workers **must** call this before returning from their
-/// closure: `std::thread::scope` unblocks the joiner as soon as the
-/// closure returns, without waiting for the worker's TLS destructors, so
-/// counts left to the exit-time flush can land after the coordinator has
-/// already snapshotted. The shard runner does this for its workers.
+/// Scoped workers **must** call this before returning from their
+/// closure: a thread scope unblocks the joiner as soon as the closure
+/// returns, without waiting for the worker's TLS destructors, so counts
+/// left to the exit-time flush can land after the coordinator has
+/// already snapshotted. The shard runner and `WorldPool` do this for
+/// their workers.
 pub fn flush_thread_local() {
     LOCAL.with(|l| l.flush());
 }

@@ -1,7 +1,9 @@
-//! Conservative parallel discrete-event execution across spatial shards.
+//! The workspace's two thread executors, side by side so they share one
+//! host probe ([`host_parallelism`]) and one profiler-flush discipline.
 //!
-//! `WorldPool` parallelizes across *independent* worlds; this module
-//! parallelizes *inside* one world. The world is partitioned into K
+//! [`WorldPool`] fans out across *independent* jobs (paper worlds, scan
+//! shards, watch sessions); [`run_sharded`] parallelizes *inside* one
+//! world by conservative parallel discrete-event execution. The world is partitioned into K
 //! spatial shards, each owning a subset of agents and their calendar
 //! queue ([`crate::CalendarQueue`]). Shards advance in lockstep through
 //! **lookahead windows**: with L = the minimum latency of any cross-shard
@@ -34,9 +36,11 @@
 //! be delivered into a window that already ran), which the proptests lean
 //! on with randomized latency configurations.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use crate::rng::splitmix64_finalize;
 use crate::time::SimTime;
 
 /// The host's available parallelism, probed once. Spawning scoped threads
@@ -50,6 +54,125 @@ pub fn host_parallelism() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+/// The fan-out executor across *independent* jobs: paper worlds, scan
+/// shards, watch sessions. Each job is a pure function of its index (and a
+/// seed from [`derive_seed`], never thread identity or completion order),
+/// so `run(jobs, f)` returns exactly `(0..jobs).map(f).collect()` at every
+/// worker count, byte for byte. Workers pull indices from a shared atomic
+/// cursor (an early-bound job can't stall a long tail) and results are
+/// sorted back into index order after the join.
+#[derive(Debug, Clone, Copy)]
+pub struct WorldPool {
+    workers: usize,
+}
+
+impl WorldPool {
+    /// A pool with an explicit worker count (clamped to at least 1).
+    pub fn new(workers: usize) -> Self {
+        WorldPool {
+            workers: workers.max(1),
+        }
+    }
+
+    /// A pool sized to the host: `available_parallelism`, capped at 16.
+    pub fn auto() -> Self {
+        let n = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        WorldPool::new(n.min(16))
+    }
+
+    /// A single-worker pool that runs jobs inline on the calling thread.
+    pub fn serial() -> Self {
+        WorldPool::new(1)
+    }
+
+    /// Number of workers this pool was configured with (the requested
+    /// count, before the 1-core inline fallback is applied).
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Number of workers [`run`](Self::run) will actually use: the
+    /// requested count, collapsed to 1 on hosts without real parallelism
+    /// where spawning threads can only lose time.
+    pub fn effective_workers(&self) -> usize {
+        if host_parallelism() <= 1 {
+            1
+        } else {
+            self.workers
+        }
+    }
+
+    /// Execution mode `run` will pick: `"inline"` (calling thread, no
+    /// spawn/merge) or `"threaded"` (scoped worker threads). Recorded in
+    /// BENCH_sim.json so a benchmark result names the path it measured.
+    pub fn mode(&self) -> &'static str {
+        if self.effective_workers() <= 1 {
+            "inline"
+        } else {
+            "threaded"
+        }
+    }
+
+    /// Runs `f(0), f(1), …, f(jobs - 1)` across the pool and returns the
+    /// results in index order, identical to a serial loop at any worker
+    /// count.
+    pub fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let effective = self.effective_workers();
+        if effective <= 1 || jobs <= 1 {
+            return (0..jobs).map(f).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let workers = effective.min(jobs);
+        let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= jobs {
+                                break;
+                            }
+                            out.push((i, f(i)));
+                        }
+                        // As in `run_sharded`: the scope unblocks on
+                        // closure return, before TLS destructors run.
+                        crate::profile::flush_thread_local();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("world worker panicked"))
+                .collect()
+        });
+        indexed.sort_unstable_by_key(|(i, _)| *i);
+        indexed.into_iter().map(|(_, v)| v).collect()
+    }
+}
+
+impl Default for WorldPool {
+    fn default() -> Self {
+        WorldPool::auto()
+    }
+}
+
+/// Derives the seed for world `index` from a base seed.
+///
+/// SplitMix64 finalizer over `base ^ GOLDEN·(index+1)` — a pure function
+/// of `(base, index)`, so a world's randomness is fixed the moment the
+/// job list is laid out, independent of which worker runs it or when.
+pub fn derive_seed(base: u64, index: u64) -> u64 {
+    splitmix64_finalize(base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1)))
 }
 
 /// One spatial shard of a partitioned world.
@@ -202,6 +325,53 @@ pub fn run_sharded<W: ShardWorld + Send>(
 mod tests {
     use super::*;
     use crate::queue::CalendarQueue;
+
+    #[test]
+    fn results_are_index_ordered_at_any_worker_count() {
+        let expect: Vec<usize> = (0..97).map(|i| i * i).collect();
+        for workers in [1, 2, 4, 8] {
+            let pool = WorldPool::new(workers);
+            assert_eq!(pool.run(97, |i| i * i), expect, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn empty_and_single_job_edge_cases() {
+        let pool = WorldPool::new(8);
+        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.run(1, |i| i + 41), vec![41]);
+    }
+
+    #[test]
+    fn derived_seeds_are_stable_and_distinct() {
+        let s0 = derive_seed(7, 0);
+        assert_eq!(s0, derive_seed(7, 0), "pure function of (base, index)");
+        let seeds: std::collections::HashSet<u64> = (0..1_000).map(|i| derive_seed(7, i)).collect();
+        assert_eq!(seeds.len(), 1_000, "no collisions over a realistic sweep");
+        assert_ne!(derive_seed(7, 1), derive_seed(8, 1), "base matters");
+    }
+
+    #[test]
+    fn workers_clamped_and_reported() {
+        assert_eq!(WorldPool::new(0).workers(), 1);
+        assert_eq!(WorldPool::serial().workers(), 1);
+        assert!(WorldPool::auto().workers() >= 1);
+    }
+
+    #[test]
+    fn one_core_hosts_collapse_to_inline_mode() {
+        let pool = WorldPool::new(8);
+        if host_parallelism() <= 1 {
+            assert_eq!(pool.effective_workers(), 1, "no threads on a 1-core host");
+            assert_eq!(pool.mode(), "inline");
+        } else {
+            assert_eq!(pool.effective_workers(), 8);
+            assert_eq!(pool.mode(), "threaded");
+        }
+        // The requested count is still reported either way.
+        assert_eq!(pool.workers(), 8);
+        assert_eq!(WorldPool::serial().mode(), "inline");
+    }
 
     /// A minimal token-passing world: each shard holds counters that ping
     /// a fixed partner (possibly on another shard) with a constant

@@ -62,6 +62,24 @@ perfbench_lock_valid() {
 }
 run_gate "perfbench lockfile valid (cargo metadata --locked)" perfbench_lock_valid
 
+# perfbench's own checks: every workload's golden output at its default
+# seed must match the committed file byte for byte, and the replay-parity
+# tests (a hand-written mirror of the service harness) must pass.
+perfbench_goldens() {
+  local manifest=perfbench/Cargo.toml workload bin actual
+  cargo build --release --offline --quiet --manifest-path "${manifest}" || return 1
+  bin=perfbench/target/release/perfbench
+  for workload in paper_repro tracker_knee tracker_overload swarm_100k; do
+    actual=$("${bin}" --workload "${workload}" --print-golden) || return 1
+    if ! diff -u "perfbench/goldens/${workload}.txt" - <<<"${actual}"; then
+      echo "perfbench ${workload}: --print-golden differs from perfbench/goldens/${workload}.txt" >&2
+      return 1
+    fi
+  done
+  cargo test --release --offline --quiet --manifest-path "${manifest}"
+}
+run_gate "perfbench goldens (--print-golden for all four workloads) and replay-parity tests" perfbench_goldens
+
 # Oracles are dev-only: no production crate (nor pdn-bench) may link
 # pdn-oracle as a normal dependency, so each production type exists once.
 no_oracle_in_normal_deps() {
@@ -151,7 +169,7 @@ run_gate "no global switches (static Atomic*/OnceLock and thread_local! only on 
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
 # The signaling server, SDK scheduler, simnet router, route table, address
 # registry and shard runner, the DTLS record layer and data channel, the
-# bounded inboxes and open-loop harness, the region-shard router, the CDN
+# bounded inboxes and open-loop harness, the federation config, the CDN
 # edge, the segment-digest memo and the paper-world loop all run on
 # FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
 # code and the oracles in pdn-oracle are exempt by not being listed here.
