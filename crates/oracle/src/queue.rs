@@ -41,6 +41,17 @@ impl HeapMapQueue {
         self.queue.push(Reverse((at.as_nanos(), seq)));
     }
 
+    /// Pops the earliest event only if it is scheduled strictly before
+    /// `end`.
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+        let &Reverse((at, _)) = self.queue.peek()?;
+        if at < end.as_nanos() {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// Pops the earliest event (ties broken by schedule order).
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         let Reverse((at, seq)) = self.queue.pop()?;

@@ -54,9 +54,8 @@ use crate::proto::SignalMsg;
 use crate::signaling::{AdmissionBatch, SignalingServer};
 
 /// Every timer the world sets, on the server node or a client node. The
-/// network carries it as an opaque `u64` token: the kind in the low
-/// [`Timer::KIND_BITS`] bits, its argument above them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// network carries it by value, payload included.
+#[derive(Debug, Clone, Copy)]
 enum Timer {
     /// Server drain period.
     Tick,
@@ -66,8 +65,8 @@ enum Timer {
     Greeter,
     /// The failover instant: this region's tracker dies.
     Fail,
-    /// A cross-region message parked in this slab slot is due.
-    Deliver(usize),
+    /// A cross-region message is due.
+    Deliver(FedPayload),
     /// A watching client's session ends. The argument is the session
     /// generation, so a recycled node ignores its predecessor's timers.
     SessionEnd(u64),
@@ -75,36 +74,9 @@ enum Timer {
     Stats(u64),
 }
 
-impl Timer {
-    const KIND_BITS: u32 = 3;
-
-    fn encode(self) -> u64 {
-        let (kind, arg) = match self {
-            Timer::Tick => (0, 0),
-            Timer::Arrival => (1, 0),
-            Timer::Greeter => (2, 0),
-            Timer::Fail => (3, 0),
-            Timer::Deliver(slot) => (4, slot as u64),
-            Timer::SessionEnd(session) => (5, session),
-            Timer::Stats(session) => (6, session),
-        };
-        (arg << Self::KIND_BITS) | kind
-    }
-
-    fn decode(token: u64) -> Self {
-        let arg = token >> Self::KIND_BITS;
-        match token & ((1 << Self::KIND_BITS) - 1) {
-            0 => Timer::Tick,
-            1 => Timer::Arrival,
-            2 => Timer::Greeter,
-            3 => Timer::Fail,
-            4 => Timer::Deliver(arg as usize),
-            5 => Timer::SessionEnd(arg),
-            6 => Timer::Stats(arg),
-            kind => unreachable!("timer kind {kind} is never encoded"),
-        }
-    }
-}
+// The payload rides in the queue slot itself; it must not make every
+// queued event (packets included) larger than a `u64`-token event.
+const _: () = assert!(std::mem::size_of::<Event<Timer>>() <= std::mem::size_of::<Event>());
 
 /// Number of attacker nodes sourcing the greeter flood.
 const ATTACKERS: usize = 4;
@@ -197,7 +169,7 @@ impl ServiceConfig {
 
 /// Counters and latency histograms from one service run. Deterministic
 /// per [`ServiceConfig`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
     /// Viewer arrivals offered by the plan (including turned-away ones).
     pub arrivals: u64,
@@ -394,9 +366,8 @@ pub(super) struct RegionLedger {
 }
 
 /// This world's place in a federation: index, sibling count, the routing
-/// parameters, the slab of parked deliveries and the ledger. Region 0 of 1
-/// (a plain [`run_service`]) never spills, never fails and is never
-/// delivered to.
+/// parameters and the ledger. Region 0 of 1 (a plain [`run_service`])
+/// never spills, never fails and is never delivered to.
 #[derive(Default)]
 struct Region {
     index: usize,
@@ -406,11 +377,6 @@ struct Region {
     latency: Duration,
     /// Home join-queue depth at which a fresh arrival spills.
     spill_threshold: usize,
-    /// Payloads parked between [`ShardWorld::deliver`] and their delivery
-    /// timer firing; slot-addressed so stamps, not insertion order, decide
-    /// processing order.
-    slab: Vec<Option<FedPayload>>,
-    free_slots: Vec<usize>,
     /// Set at the failover instant: the tracker stops draining, inbound
     /// server traffic is dropped and counted, live sessions migrate.
     dead: bool,
@@ -447,12 +413,12 @@ impl Region {
 
 /// One open-loop service world: the tracker + CDN + client pool of
 /// [`run_service`], and one region of a federation (see the
-/// [module docs](self)). [`ServiceWorld::run`] pumps its network serially;
-/// the shard runner drives it through [`ShardWorld`]. Both route every
-/// event through the same dispatcher.
+/// [module docs](self)). [`ServiceWorld::run`] is one
+/// [`ShardWorld::run_window`] through the deadline; the shard runner calls
+/// the same window in lockstep with the sibling regions.
 pub struct ServiceWorld {
     cfg: ServiceConfig,
-    net: Network,
+    net: Network<Timer>,
     server: NodeId,
     cdn_node: NodeId,
     attackers: Vec<NodeId>,
@@ -512,7 +478,7 @@ impl ServiceWorld {
         let mut world = Self::build(&fed.region_cfg(index), region);
         if let Some((r, at)) = fed.fail_region {
             if r == index {
-                world.net.set_timer(world.server, at, Timer::Fail.encode());
+                world.net.set_timer(world.server, at, Timer::Fail);
             }
         }
         world
@@ -600,51 +566,24 @@ impl ServiceWorld {
         });
         let rng = SimRng::seed(cfg.seed ^ 0x5e71_1ce5);
 
-        let report = ServiceReport {
-            arrivals: 0,
-            joins_ok: 0,
-            joins_denied: 0,
-            first_segments: 0,
-            first_segments_measured: 0,
-            joins_ok_measured: 0,
-            leaves: 0,
-            turned_away: 0,
-            served_frames: 0,
-            batch_hits: 0,
-            jtfs: LatencyHistogram::new(),
-            rtt: LatencyHistogram::new(),
-            shed: ShedStats::default(),
-            peak_clients: 0,
-            capture_dropped: 0,
-            capture_filtered: 0,
-            capture_kept: 0,
-            cdn_requests: 0,
-            cdn_egress_bytes: 0,
-            net_events: 0,
-        };
-
         let run_end = SimTime::ZERO + cfg.run_for;
         let hard_end = run_end + cfg.mean_session * 2 + Duration::from_secs(5);
         let ramp_end = SimTime::ZERO + cfg.ramp;
 
         // Prime the self-rescheduling timers.
-        net.set_timer(server, cfg.tick, Timer::Tick.encode());
+        net.set_timer(server, cfg.tick, Timer::Tick);
         let first = arrivals.next_arrival();
         if first <= run_end {
             net.set_timer(
                 server,
                 first.saturating_since(SimTime::ZERO),
-                Timer::Arrival.encode(),
+                Timer::Arrival,
             );
         }
         if let Some(g) = greeters.as_mut() {
             let at = g.next_arrival();
             if at <= run_end {
-                net.set_timer(
-                    server,
-                    at.saturating_since(SimTime::ZERO),
-                    Timer::Greeter.encode(),
-                );
+                net.set_timer(server, at.saturating_since(SimTime::ZERO), Timer::Greeter);
             }
         }
 
@@ -677,7 +616,7 @@ impl ServiceWorld {
             clients: Vec::new(),
             free: Vec::new(),
             im_seq: 0,
-            report,
+            report: ServiceReport::default(),
             run_end,
             hard_end,
             ramp_end,
@@ -688,16 +627,11 @@ impl ServiceWorld {
         }
     }
 
-    /// Pumps the network to completion and returns the report.
+    /// Pumps the network through its deadline and returns the report.
     pub fn run(mut self) -> ServiceReport {
         // A lone region never spills or hands off, so this stays empty.
         let mut outbox = Vec::new();
-        while let Some((now, ev)) = self.net.step() {
-            if now > self.hard_end {
-                break;
-            }
-            self.dispatch(now, ev, &mut outbox);
-        }
+        self.run_window(self.hard_end + Duration::from_nanos(1), &mut outbox);
         debug_assert!(outbox.is_empty());
         self.finish().0
     }
@@ -710,16 +644,17 @@ impl ServiceWorld {
 
     /// Routes one event to its handler. Messages for other regions (spilled
     /// arrivals, hand-offs) go to `outbox` as they arise.
-    fn dispatch(&mut self, now: SimTime, ev: Event, outbox: &mut Vec<(usize, FedMsg)>) {
+    fn dispatch(&mut self, now: SimTime, ev: Event<Timer>, outbox: &mut Vec<(usize, FedMsg)>) {
         self.report.net_events += 1;
         match ev {
-            Event::Timer { node, token } => match Timer::decode(token) {
+            Event::Timer { node, token } => match token {
                 Timer::Tick => self.on_tick(now),
                 Timer::Arrival => self.on_arrival(now, outbox),
                 Timer::Greeter => self.on_greeter(now),
                 Timer::Fail => self.fail_tracker(now, outbox),
-                Timer::Deliver(slot) => self.on_delivery(now, slot),
-                timer => self.on_client_timer(node, timer),
+                Timer::Deliver(payload) => self.on_delivery(now, payload),
+                Timer::SessionEnd(session) => self.on_session_end(node, session),
+                Timer::Stats(session) => self.on_stats(node, session),
             },
             Event::Packet { to, dgram } if to == self.server => self.on_server_packet(now, dgram),
             Event::Packet { to, dgram } if to == self.cdn_node => {
@@ -781,8 +716,7 @@ impl ServiceWorld {
             self.net.send(self.server, 443, dst, Transport::Tcp, frame);
         }
         if now < self.hard_end {
-            self.net
-                .set_timer(self.server, self.cfg.tick, Timer::Tick.encode());
+            self.net.set_timer(self.server, self.cfg.tick, Timer::Tick);
         }
     }
 
@@ -802,22 +736,15 @@ impl ServiceWorld {
         }
         let at = self.arrivals.next_arrival();
         if at <= self.run_end {
-            self.net.set_timer(
-                self.server,
-                at.saturating_since(now),
-                Timer::Arrival.encode(),
-            );
+            self.net
+                .set_timer(self.server, at.saturating_since(now), Timer::Arrival);
         }
     }
 
-    /// A parked cross-region message is due: a spilled viewer (counted as
-    /// an arrival at its home region) joins here without re-spilling, or a
+    /// A cross-region message is due: a spilled viewer (counted as an
+    /// arrival at its home region) joins here without re-spilling, or a
     /// hand-off re-joins.
-    fn on_delivery(&mut self, now: SimTime, slot: usize) {
-        let payload = self.region.slab[slot]
-            .take()
-            .expect("federation delivery slot");
-        self.region.free_slots.push(slot);
+    fn on_delivery(&mut self, now: SimTime, payload: FedPayload) {
         match payload {
             FedPayload::Arrival => {
                 self.start_session(now, None);
@@ -881,54 +808,55 @@ impl ServiceWorld {
             );
             let at = g.next_arrival();
             if at <= self.run_end {
-                self.net.set_timer(
-                    self.server,
-                    at.saturating_since(now),
-                    Timer::Greeter.encode(),
-                );
+                self.net
+                    .set_timer(self.server, at.saturating_since(now), Timer::Greeter);
             }
         }
     }
 
-    /// A session-end or gossip timer on a client node.
-    fn on_client_timer(&mut self, node: NodeId, timer: Timer) {
-        let (Timer::SessionEnd(session) | Timer::Stats(session)) = timer else {
-            unreachable!("{timer:?} is a server timer");
-        };
+    /// The client slot behind `node` if it is still watching `session`;
+    /// `None` for a stale timer from a recycled session.
+    fn watching(&self, node: NodeId, session: u64) -> Option<usize> {
         let idx = (node.0 - self.first_client) as usize;
-        let c = &mut self.clients[idx];
-        if c.session != session || c.state != ClientState::Watching {
-            return; // stale timer from a recycled session
+        let c = &self.clients[idx];
+        (c.session == session && c.state == ClientState::Watching).then_some(idx)
+    }
+
+    /// A watching client's session ends: it leaves and frees its slot.
+    fn on_session_end(&mut self, node: NodeId, session: u64) {
+        let Some(idx) = self.watching(node, session) else {
+            return;
+        };
+        if !self.region.dead {
+            self.net.send(
+                node,
+                CLIENT_PORT,
+                self.server_addr,
+                Transport::Tcp,
+                self.leave_frame.clone(),
+            );
         }
-        match timer {
-            Timer::SessionEnd(_) => {
-                if !self.region.dead {
-                    self.net.send(
-                        node,
-                        CLIENT_PORT,
-                        self.server_addr,
-                        Transport::Tcp,
-                        self.leave_frame.clone(),
-                    );
-                }
-                self.report.leaves += 1;
-                c.state = ClientState::Idle;
-                self.free.push(idx as u32);
-            }
-            _ => {
-                if !self.region.dead {
-                    self.net.send(
-                        node,
-                        CLIENT_PORT,
-                        self.server_addr,
-                        Transport::Tcp,
-                        self.stats_frame.clone(),
-                    );
-                }
-                self.net
-                    .set_timer(node, self.cfg.stats_every, Timer::Stats(session).encode());
-            }
+        self.report.leaves += 1;
+        self.clients[idx].state = ClientState::Idle;
+        self.free.push(idx as u32);
+    }
+
+    /// A watching client's gossip period: report stats and re-arm.
+    fn on_stats(&mut self, node: NodeId, session: u64) {
+        if self.watching(node, session).is_none() {
+            return;
         }
+        if !self.region.dead {
+            self.net.send(
+                node,
+                CLIENT_PORT,
+                self.server_addr,
+                Transport::Tcp,
+                self.stats_frame.clone(),
+            );
+        }
+        self.net
+            .set_timer(node, self.cfg.stats_every, Timer::Stats(session));
     }
 
     fn on_server_packet(&mut self, now: SimTime, dgram: pdn_simnet::Datagram) {
@@ -1036,10 +964,9 @@ impl ServiceWorld {
                         return;
                     }
                     c.state = ClientState::Watching;
+                    self.net.set_timer(to, len, Timer::SessionEnd(session));
                     self.net
-                        .set_timer(to, len, Timer::SessionEnd(session).encode());
-                    self.net
-                        .set_timer(to, self.cfg.stats_every, Timer::Stats(session).encode());
+                        .set_timer(to, self.cfg.stats_every, Timer::Stats(session));
                     // One integrity report per session (distinct seq:
                     // exercises the class without quorums).
                     self.im_seq += 1;
@@ -1102,27 +1029,17 @@ impl ShardWorld for ServiceWorld {
     }
 
     fn run_window(&mut self, end: SimTime, outbox: &mut Vec<(usize, FedMsg)>) {
-        while let Some(at) = self.net.next_event_at() {
-            if at >= end {
-                break;
-            }
-            let (now, ev) = self.net.step().expect("peeked event exists");
+        while let Some((now, ev)) = self.net.step_before(end) {
             self.dispatch(now, ev, outbox);
         }
     }
 
     fn deliver(&mut self, msg: FedMsg) {
-        // Park the payload in a slot and burn a timer for it; the stamp
-        // decides processing order, not barrier insertion order.
-        let r = &mut self.region;
-        let slot = r.free_slots.pop().unwrap_or_else(|| {
-            r.slab.push(None);
-            r.slab.len() - 1
-        });
-        r.slab[slot] = Some(msg.payload);
+        // The payload rides in its timer; the stamp decides processing
+        // order, not barrier insertion order.
         let delay = msg.at.saturating_since(self.net.now());
         self.net
-            .set_timer(self.server, delay, Timer::Deliver(slot).encode());
+            .set_timer(self.server, delay, Timer::Deliver(msg.payload));
     }
 
     fn stamp(msg: &FedMsg) -> SimTime {

@@ -19,10 +19,14 @@ use crate::proto::{HttpRequest, HttpResponse, SignalMsg};
 use crate::sdk::{ports, AgentConfig, AgentOut, PdnAgent};
 use crate::signaling::SignalingServer;
 
-/// Timer token: per-viewer scheduler tick.
-const TOKEN_TICK: u64 = 1;
-/// Timer token: global per-second resource sampling.
-const TOKEN_SAMPLE: u64 = 2;
+/// Every timer a [`PdnWorld`] sets on its network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorldTimer {
+    /// Per-viewer scheduler tick.
+    Tick,
+    /// Global per-second resource sampling.
+    Sample,
+}
 
 /// Specification of one viewer to spawn.
 #[derive(Debug, Clone)]
@@ -51,7 +55,7 @@ impl ViewerSpec {
 
 /// The assembled simulation world. See the [module docs](self).
 pub struct PdnWorld {
-    net: Network,
+    net: Network<WorldTimer>,
     server: SignalingServer,
     cdn: Cdn,
     turn: TurnServer,
@@ -99,7 +103,7 @@ impl PdnWorld {
         let server = SignalingServer::new(profile, seed);
         let cdn = Cdn::new(OriginServer::new(), 256 << 20);
         // Arm the per-second resource sampler.
-        net.set_timer(stun_node, Duration::from_secs(1), TOKEN_SAMPLE);
+        net.set_timer(stun_node, Duration::from_secs(1), WorldTimer::Sample);
         PdnWorld {
             net,
             server,
@@ -158,17 +162,15 @@ impl PdnWorld {
         self.viewers[idx] = Some(agent);
         self.apply_outs(node, outs);
         self.net
-            .set_timer(node, crate::sdk::costs::TICK, TOKEN_TICK);
+            .set_timer(node, crate::sdk::costs::TICK, WorldTimer::Tick);
         node
     }
 
-    /// Runs the event loop until virtual time `deadline`.
+    /// Runs the event loop until virtual time `deadline`, including
+    /// events stamped exactly on it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(at) = self.net.next_event_at() {
-            if at > deadline {
-                break;
-            }
-            let (at, ev) = self.net.step().expect("peeked event exists");
+        let end = deadline + Duration::from_nanos(1);
+        while let Some((at, ev)) = self.net.step_before(end) {
             self.dispatch(at, ev);
         }
         if self.net.now() < deadline {
@@ -215,12 +217,12 @@ impl PdnWorld {
     }
 
     /// The network fabric (taps, captures, resources).
-    pub fn net(&self) -> &Network {
+    pub fn net(&self) -> &Network<WorldTimer> {
         &self.net
     }
 
     /// Mutable network access (install taps, capture, inject faults).
-    pub fn net_mut(&mut self) -> &mut Network {
+    pub fn net_mut(&mut self) -> &mut Network<WorldTimer> {
         &mut self.net
     }
 
@@ -255,7 +257,7 @@ impl PdnWorld {
         &self.turn
     }
 
-    fn dispatch(&mut self, at: SimTime, ev: Event) {
+    fn dispatch(&mut self, at: SimTime, ev: Event<WorldTimer>) {
         match ev {
             Event::Packet { to, dgram } => {
                 if to == self.stun_node {
@@ -291,28 +293,30 @@ impl PdnWorld {
                     self.dispatch(at, Event::Packet { to, dgram });
                 }
             }
-            Event::Timer { node, token } => match token {
-                TOKEN_SAMPLE => {
-                    self.net.sample_resources();
+            Event::Timer {
+                token: WorldTimer::Sample,
+                ..
+            } => {
+                self.net.sample_resources();
+                self.net
+                    .set_timer(self.stun_node, Duration::from_secs(1), WorldTimer::Sample);
+            }
+            Event::Timer {
+                node,
+                token: WorldTimer::Tick,
+            } => {
+                let _g = phase(Phase::Tick);
+                if let Some(agent) = self
+                    .viewers
+                    .get_mut(node.0 as usize)
+                    .and_then(Option::as_mut)
+                {
+                    let outs = agent.on_tick(at, &mut self.digests);
+                    self.apply_outs(node, outs);
                     self.net
-                        .set_timer(self.stun_node, Duration::from_secs(1), TOKEN_SAMPLE);
-                    let _ = node;
+                        .set_timer(node, crate::sdk::costs::TICK, WorldTimer::Tick);
                 }
-                TOKEN_TICK => {
-                    let _g = phase(Phase::Tick);
-                    if let Some(agent) = self
-                        .viewers
-                        .get_mut(node.0 as usize)
-                        .and_then(Option::as_mut)
-                    {
-                        let outs = agent.on_tick(at, &mut self.digests);
-                        self.apply_outs(node, outs);
-                        self.net
-                            .set_timer(node, crate::sdk::costs::TICK, TOKEN_TICK);
-                    }
-                }
-                _ => {}
-            },
+            }
         }
     }
 

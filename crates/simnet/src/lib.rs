@@ -21,7 +21,7 @@
 //! use bytes::Bytes;
 //! use pdn_simnet::{Addr, GeoInfo, LinkSpec, Network, Event, Transport};
 //!
-//! let mut net = Network::new(42);
+//! let mut net: Network = Network::new(42);
 //! let a = net.add_public_host(GeoInfo::new("US", 1, "AS1"), LinkSpec::residential());
 //! let b = net.add_public_host(GeoInfo::new("US", 1, "AS1"), LinkSpec::residential());
 //!
@@ -61,9 +61,9 @@ pub use hist::{LatencyHistogram, RELATIVE_ERROR, SUB_BUCKETS};
 pub use nat::{Nat, NatKind};
 pub use net::{
     CaptureFilter, CapturedFrame, Datagram, DropReason, Event, LinkSpec, NatId, Network, NodeId,
-    SendOutcome, TapDirection, TapFn, TapVerdict, TimerId, Transport, DEFAULT_CAPTURE_LIMIT,
+    SendOutcome, TapDirection, TapFn, TapVerdict, Transport, DEFAULT_CAPTURE_LIMIT,
 };
-pub use queue::{CalendarQueue, EventId, EventQueue, EventQueueStats};
+pub use queue::{CalendarQueue, EventQueue, EventQueueStats};
 pub use resources::{series_to_csv, ResourceModel, ResourceSample, ResourceSummary};
 pub use rng::{splitmix64_finalize, SimRng};
 pub use time::SimTime;
@@ -85,7 +85,7 @@ mod prop_tests {
             up in 1_000_000u64..1_000_000_000,
             down in 1_000_000u64..1_000_000_000,
         ) {
-            let mut net = Network::new(seed);
+            let mut net: Network = Network::new(seed);
             let link = LinkSpec { up_bps: up, down_bps: down, loss: 0.0, ..LinkSpec::residential() };
             let a = net.add_public_host(GeoInfo::new("US", 1, "AS1"), link);
             let b = net.add_public_host(GeoInfo::new("US", 1, "AS1"), link);
@@ -103,7 +103,7 @@ mod prop_tests {
         /// Events always pop in non-decreasing time order.
         #[test]
         fn event_order_monotone(seed in any::<u64>(), n in 1usize..50) {
-            let mut net = Network::new(seed);
+            let mut net: Network = Network::new(seed);
             let a = net.add_public_host(GeoInfo::new("US", 1, "AS1"), LinkSpec::residential());
             let b = net.add_public_host(GeoInfo::new("DE", 1, "AS2"), LinkSpec::residential());
             let dst = Addr::from_ip(net.ip(b), 80);
@@ -143,7 +143,7 @@ mod prop_tests {
         /// NAT'd hosts never expose their private IP on the wire.
         #[test]
         fn natted_wire_source_is_public(seed in any::<u64>()) {
-            let mut net = Network::new(seed);
+            let mut net: Network = Network::new(seed);
             let geo = GeoInfo::new("CN", 1, "AS4134");
             let server = net.add_public_host(geo.clone(), LinkSpec::datacenter());
             let nat = net.add_nat(NatKind::FullCone, &geo);

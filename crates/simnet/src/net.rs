@@ -25,7 +25,7 @@ use crate::addr::Addr;
 use crate::fxhash::FxHashMap;
 use crate::geo::{GeoInfo, GeoIpService, GeoKey, RegId};
 use crate::nat::{Nat, NatKind};
-use crate::queue::{EventId, EventQueue, EventQueueStats};
+use crate::queue::CalendarQueue;
 use crate::resources::ResourceModel;
 use crate::rng::SimRng;
 use crate::route::{Route, RouteTable};
@@ -187,11 +187,6 @@ pub type TapFn = Box<dyn FnMut(TapDirection, &Datagram) -> TapVerdict + Send>;
 /// and memory costs for the traffic they would post-filter away.
 pub type CaptureFilter = Box<dyn FnMut(SimTime, &Datagram) -> bool + Send>;
 
-/// Handle returned by [`Network::set_timer`], usable with
-/// [`Network::cancel_timer`]. Stale after the timer fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId(EventId);
-
 /// A frame recorded by the capture facility (one `tcpdump` line).
 #[derive(Debug, Clone)]
 pub struct CapturedFrame {
@@ -207,9 +202,10 @@ pub struct CapturedFrame {
     pub payload: Bytes,
 }
 
-/// An event delivered by [`Network::step`].
+/// An event delivered by [`Network::step`]. `T` is the world's timer
+/// type, carried by value in the queue (see [`Network`]).
 #[derive(Debug, Clone)]
-pub enum Event {
+pub enum Event<T = u64> {
     /// A datagram arriving at a node.
     Packet {
         /// Receiving node.
@@ -234,8 +230,8 @@ pub enum Event {
     Timer {
         /// The node the timer belongs to.
         node: NodeId,
-        /// Caller-chosen token.
-        token: u64,
+        /// The timer the world set.
+        token: T,
     },
 }
 
@@ -329,7 +325,12 @@ impl CaptureRing {
 
 /// The simulated network fabric. See the crate-level documentation for the
 /// overall model.
-pub struct Network {
+///
+/// `T` is the world's timer type: [`Network::set_timer`] schedules a `T`
+/// and [`Event::Timer`] hands it back, so a world matches on its own enum
+/// (payload included) instead of packing timers into integers. The `u64`
+/// default serves worlds with plain numeric tokens.
+pub struct Network<T = u64> {
     now: SimTime,
     rng: SimRng,
     geoip: GeoIpService,
@@ -342,12 +343,12 @@ pub struct Network {
     public_routes: RouteTable<Route>,
     private_routes: RouteTable<NodeId>,
     next_private: u32,
-    queue: EventQueue,
+    queue: CalendarQueue<Event<T>>,
     taps: FxHashMap<NodeId, TapFn>,
     capture: CaptureRing,
 }
 
-impl std::fmt::Debug for Network {
+impl<T> std::fmt::Debug for Network<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("now", &self.now)
@@ -358,7 +359,7 @@ impl std::fmt::Debug for Network {
     }
 }
 
-impl Network {
+impl<T> Network<T> {
     /// Creates an empty network seeded deterministically.
     pub fn new(seed: u64) -> Self {
         Network {
@@ -373,7 +374,7 @@ impl Network {
             public_routes: RouteTable::new(),
             private_routes: RouteTable::new(),
             next_private: 1,
-            queue: EventQueue::new(),
+            queue: CalendarQueue::new(),
             taps: FxHashMap::default(),
             capture: CaptureRing::new(),
         }
@@ -538,11 +539,6 @@ impl Network {
         self.capture.filter = Some(filter);
     }
 
-    /// Removes the capture filter; every frame is recorded again.
-    pub fn clear_capture_filter(&mut self) {
-        self.capture.filter = None;
-    }
-
     /// Frames rejected by the capture filter so far.
     pub fn capture_filtered(&self) -> u64 {
         self.capture.filtered
@@ -558,30 +554,11 @@ impl Network {
         &self.capture.buf
     }
 
-    /// Clears the capture buffer (capacity is kept) and resets the
-    /// filtered/dropped counters.
-    pub fn clear_capture(&mut self) {
-        self.capture.buf.clear();
-        self.capture.filtered = 0;
-        self.capture.dropped = 0;
-    }
-
-    /// Schedules `token` to fire at `node` after `delay`.
-    pub fn set_timer(&mut self, node: NodeId, delay: Duration, token: u64) -> TimerId {
+    /// Schedules `token` to fire at `node` after `delay`. A set timer
+    /// always fires; a world ignores one it no longer wants.
+    pub fn set_timer(&mut self, node: NodeId, delay: Duration, token: T) {
         let at = self.now + delay;
-        TimerId(self.queue.push(at, Event::Timer { node, token }))
-    }
-
-    /// Cancels a pending timer. The queue slot is reclaimed immediately;
-    /// returns `false` if the timer already fired or was cancelled.
-    pub fn cancel_timer(&mut self, timer: TimerId) -> bool {
-        self.queue.cancel(timer.0)
-    }
-
-    /// Occupancy counters of the event queue (live events, slab
-    /// high-water mark, tier sizes).
-    pub fn queue_stats(&self) -> EventQueueStats {
-        self.queue.stats()
+        self.queue.push(at, Event::Timer { node, token });
     }
 
     /// Sends `payload` from `node` (source port `src_port`) to `dst`.
@@ -824,8 +801,21 @@ impl Network {
     /// Pops the next event, advancing virtual time to it.
     ///
     /// Returns `None` when the queue is empty.
-    pub fn step(&mut self) -> Option<(SimTime, Event)> {
+    pub fn step(&mut self) -> Option<(SimTime, Event<T>)> {
         let (at, ev) = self.queue.pop()?;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        Some((at, ev))
+    }
+
+    /// Pops the next event only if it is scheduled strictly before `end`,
+    /// advancing virtual time to it; otherwise leaves the queue and the
+    /// clock untouched. The one event pump of every world: drain with
+    /// `while let Some((at, ev)) = net.step_before(end)`. Exclusive like
+    /// [`crate::CalendarQueue::pop_before`]; pass `deadline + 1 ns` to
+    /// include events stamped exactly on a deadline.
+    pub fn step_before(&mut self, end: SimTime) -> Option<(SimTime, Event<T>)> {
+        let (at, ev) = self.queue.pop_before(end)?;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         Some((at, ev))
@@ -934,7 +924,7 @@ mod tests {
         GeoInfo::new(c, 1, "AS1")
     }
 
-    fn two_public_hosts(net: &mut Network) -> (NodeId, NodeId) {
+    fn two_public_hosts<T>(net: &mut Network<T>) -> (NodeId, NodeId) {
         let a = net.add_public_host(geo("US"), LinkSpec::residential());
         let b = net.add_public_host(geo("US"), LinkSpec::residential());
         (a, b)
@@ -951,7 +941,7 @@ mod tests {
 
     #[test]
     fn links_are_deduplicated() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         for _ in 0..3 {
             net.add_public_host(geo("US"), LinkSpec::residential());
             net.add_public_host(geo("DE"), LinkSpec::datacenter());
@@ -961,7 +951,7 @@ mod tests {
 
     #[test]
     fn basic_delivery() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
         let out = net.send(a, 5000, dst, Transport::Tcp, Bytes::from_static(b"hi"));
@@ -984,7 +974,7 @@ mod tests {
         // The payload `Bytes` must be shared by refcount from send through
         // capture to delivery: same backing allocation, zero copies, as
         // long as no tap rewrites it.
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         net.set_capture(true);
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
@@ -1011,7 +1001,7 @@ mod tests {
 
     #[test]
     fn unroutable_dropped() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, _) = two_public_hosts(&mut net);
         let out = net.send(
             a,
@@ -1025,7 +1015,7 @@ mod tests {
 
     #[test]
     fn dead_nodes_cannot_send_or_receive() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
         net.set_alive(a, false);
@@ -1043,7 +1033,7 @@ mod tests {
 
     #[test]
     fn nat_egress_rewrites_source_and_filters_ingress() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let server = net.add_public_host(geo("US"), LinkSpec::datacenter());
         let nat = net.add_nat(NatKind::PortRestrictedCone, &geo("US"));
         let client = net.add_host_behind(nat, geo("US"), LinkSpec::residential());
@@ -1096,7 +1086,7 @@ mod tests {
 
     #[test]
     fn bandwidth_serializes_back_to_back_sends() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let slow = LinkSpec {
             up_bps: 8_000_000, // 1 MB/s
             ..LinkSpec::residential()
@@ -1120,7 +1110,7 @@ mod tests {
 
     #[test]
     fn events_ordered_by_time() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
         net.set_timer(a, Duration::from_secs(10), 42);
@@ -1134,7 +1124,7 @@ mod tests {
 
     #[test]
     fn capture_records_wire_addresses() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let server = net.add_public_host(geo("US"), LinkSpec::datacenter());
         let nat = net.add_nat(NatKind::FullCone, &geo("US"));
         let client = net.add_host_behind(nat, geo("US"), LinkSpec::residential());
@@ -1145,13 +1135,11 @@ mod tests {
         let f = &net.capture()[0];
         assert_eq!(f.src.ip, net.public_ip(client));
         assert_eq!(f.dst, dst);
-        net.clear_capture();
-        assert!(net.capture().is_empty());
     }
 
     #[test]
     fn outbound_tap_can_redirect_and_rewrite() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let a = net.add_public_host(geo("US"), LinkSpec::residential());
         let real = net.add_public_host(geo("US"), LinkSpec::datacenter());
         let fake = net.add_public_host(geo("US"), LinkSpec::datacenter());
@@ -1184,7 +1172,7 @@ mod tests {
 
     #[test]
     fn inbound_tap_can_drop() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         net.install_tap(
             b,
@@ -1204,7 +1192,7 @@ mod tests {
 
     #[test]
     fn resource_io_counters_update() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
         net.send(a, 1, dst, Transport::Tcp, Bytes::from(vec![0u8; 5000]));
@@ -1214,7 +1202,7 @@ mod tests {
 
     #[test]
     fn cross_continent_latency_exceeds_domestic() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let us1 = net.add_public_host(geo("US"), LinkSpec::datacenter());
         let us2 = net.add_public_host(geo("US"), LinkSpec::datacenter());
         let cn = net.add_public_host(geo("CN"), LinkSpec::datacenter());
@@ -1233,7 +1221,7 @@ mod tests {
 
     #[test]
     fn capture_filter_rejects_at_capture_time() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         net.set_capture(true);
         // Keep only UDP frames; TCP signaling never enters the ring.
@@ -1244,14 +1232,20 @@ mod tests {
         assert_eq!(net.capture().len(), 1);
         assert_eq!(net.capture()[0].transport, Transport::Udp);
         assert_eq!(net.capture_filtered(), 1);
-        net.clear_capture_filter();
+        // Without a filter (a fresh network) every frame is recorded.
+        let mut net: Network = Network::new(1);
+        let (a, b) = two_public_hosts(&mut net);
+        net.set_capture(true);
+        let dst = Addr::from_ip(net.ip(b), 80);
         net.send(a, 1, dst, Transport::Tcp, Bytes::from_static(b"http"));
+        net.send(a, 1, dst, Transport::Udp, Bytes::from_static(b"media"));
         assert_eq!(net.capture().len(), 2);
+        assert_eq!(net.capture_filtered(), 0);
     }
 
     #[test]
     fn capture_ring_drops_when_full() {
-        let mut net = Network::new(1);
+        let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         net.set_capture(true);
         net.set_capture_limit(3);
@@ -1261,32 +1255,61 @@ mod tests {
         }
         assert_eq!(net.capture().len(), 3);
         assert_eq!(net.capture_dropped(), 2);
-        net.clear_capture();
-        assert_eq!(net.capture_dropped(), 0);
     }
 
     #[test]
-    fn cancelled_timer_never_fires() {
+    fn timers_fire_in_order_with_typed_tokens() {
+        #[derive(Debug, PartialEq)]
+        enum Tick {
+            Early,
+            Late(&'static str),
+        }
         let mut net = Network::new(1);
         let (a, _) = two_public_hosts(&mut net);
-        let keep = net.set_timer(a, Duration::from_secs(1), 1);
-        let cancel = net.set_timer(a, Duration::from_secs(2), 2);
-        assert!(net.cancel_timer(cancel));
-        assert!(!net.cancel_timer(cancel), "handle is stale after cancel");
-        let fired: Vec<u64> = std::iter::from_fn(|| net.step())
+        net.set_timer(a, Duration::from_secs(2), Tick::Late("payload"));
+        net.set_timer(a, Duration::from_secs(1), Tick::Early);
+        let fired: Vec<Tick> = std::iter::from_fn(|| net.step())
             .map(|(_, ev)| match ev {
                 Event::Timer { token, .. } => token,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(fired, vec![1]);
-        assert!(!net.cancel_timer(keep), "fired handle is stale too");
+        assert_eq!(fired, vec![Tick::Early, Tick::Late("payload")]);
+    }
+
+    #[test]
+    fn step_before_is_exclusive_and_only_moves_time_to_popped_events() {
+        let mut net: Network = Network::new(1);
+        let (a, _) = two_public_hosts(&mut net);
+        net.set_timer(a, Duration::from_millis(3), 1);
+        net.set_timer(a, Duration::from_millis(5), 2);
+        let end = SimTime::from_millis(5);
+        let (at, ev) = net.step_before(end).expect("3 ms timer is before the end");
+        assert_eq!(at, SimTime::from_millis(3));
+        assert!(matches!(ev, Event::Timer { token: 1, .. }));
+        assert_eq!(net.now(), at);
+        assert!(
+            net.step_before(end).is_none(),
+            "an event stamped exactly at `end` stays queued"
+        );
+        assert_eq!(
+            net.now(),
+            SimTime::from_millis(3),
+            "a refused pop leaves the clock"
+        );
+        assert_eq!(net.next_event_at(), Some(end));
+        let (at, _) = net
+            .step_before(end + Duration::from_nanos(1))
+            .expect("one nanosecond past the stamp includes it");
+        assert_eq!((at, net.now()), (end, end));
+        assert!(net.step_before(SimTime::from_secs(60)).is_none());
+        assert_eq!(net.now(), end, "an empty queue leaves the clock too");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let mut net = Network::new(seed);
+            let mut net: Network = Network::new(seed);
             let (a, b) = two_public_hosts(&mut net);
             let dst = Addr::from_ip(net.ip(b), 80);
             let mut times = Vec::new();
@@ -1310,7 +1333,7 @@ mod tests {
     #[test]
     fn burst_delivery_is_byte_identical_to_sequential_sends() {
         let build = |seed| {
-            let mut net = Network::new(seed);
+            let mut net: Network = Network::new(seed);
             let geo = GeoInfo::new("US", 1, "AS1");
             let server = net.add_public_host(geo.clone(), LinkSpec::datacenter());
             let nat = net.add_nat(NatKind::PortRestrictedCone, &geo);
@@ -1380,7 +1403,7 @@ mod tests {
 
     #[test]
     fn single_survivor_burst_degrades_to_packet() {
-        let mut net = Network::new(7);
+        let mut net: Network = Network::new(7);
         let geo = GeoInfo::new("US", 1, "AS1");
         let a = net.add_public_host(geo.clone(), LinkSpec::datacenter());
         let b = net.add_public_host(geo, LinkSpec::datacenter());

@@ -14,13 +14,17 @@
 //!   in a small binary heap and migrate into the wheel as the cursor
 //!   advances. Long timers pay two cheap moves instead of O(log n) sift
 //!   costs against the whole near-term population.
-//! - **Slab slot reuse.** Payloads live in a slab indexed by the queue
-//!   keys; freed slots are recycled through a free list, so steady-state
-//!   churn allocates nothing and — unlike the old `pending` map, which
-//!   kept tombstones until popped — cancelled events release their slot
-//!   (and the payload's heap memory) eagerly.
+//! - **Slab slot reuse.** Payloads live in a slab of `Option<T>` slots;
+//!   only a 24-byte key (time, tie-break, slot) moves through the wheel
+//!   and overflow tiers, so bucket sorts and migrations never move a
+//!   payload. Popped slots are recycled through a free list, so
+//!   steady-state churn allocates nothing.
 //! - **Zero per-event hashing.** No `HashMap` anywhere: every lookup is an
 //!   array index.
+//!
+//! A queued event always pops: a world that no longer wants a timer
+//! ignores it when it fires (the service harness tags client timers with
+//! a session generation for exactly this).
 //!
 //! Pop order is strictly `(time, sequence)`. With [`CalendarQueue::push`]
 //! the sequence is an internal schedule counter — identical to the old
@@ -31,7 +35,8 @@
 //! a key derived from event *content* (origin node, per-origin counter)
 //! pops in the same order no matter which shard pushed it first, making
 //! merge results independent of shard count. The [`EventQueue`] alias
-//! (payload = [`Event`]) is the `Network` scheduler.
+//! (payload = [`Event`] with `u64` timer tokens) is the default `Network`
+//! scheduler.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -45,18 +50,8 @@ const BUCKET_SHIFT: u32 = 19;
 /// Number of calendar buckets (wheel horizon ≈ 1.07 s).
 const WHEEL_BUCKETS: usize = 2048;
 
-/// Handle to a scheduled event, for cancellation.
-///
-/// Generation-tagged: a handle becomes stale once the event fires or is
-/// cancelled, and [`CalendarQueue::cancel`] on a stale handle is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
-
 /// Ordering key of one queued event. Payloads stay in the slab; only this
-/// 20-byte key moves through the wheel and overflow tiers.
+/// 24-byte key moves through the wheel and overflow tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     at: u64,
@@ -76,27 +71,10 @@ impl PartialOrd for Key {
     }
 }
 
-/// Where a live event's key currently sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// In the wheel bucket with this absolute index.
-    Wheel(u64),
-    /// In the overflow heap.
-    Overflow,
-}
-
-#[derive(Debug)]
-struct Slot<T> {
-    gen: u32,
-    seq: u64,
-    loc: Loc,
-    ev: Option<T>,
-}
-
 /// Occupancy counters of the queue, exposed for capacity assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventQueueStats {
-    /// Live (scheduled, uncancelled) events.
+    /// Scheduled events not yet popped.
     pub live: usize,
     /// Slab slots ever allocated — bounds the queue's memory footprint.
     /// Stays at the high-water mark of concurrent events, not the total
@@ -112,7 +90,7 @@ pub struct EventQueueStats {
 /// docs for the design.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    slots: Vec<Slot<T>>,
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
     wheel: Vec<Vec<Key>>,
     wheel_len: usize,
@@ -174,7 +152,7 @@ impl<T> CalendarQueue<T> {
     /// (slab, wheel buckets, overflow heap; excludes heap memory owned by
     /// payloads). Used by the scale bench's per-peer accounting.
     pub fn mem_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
+        self.slots.capacity() * std::mem::size_of::<Option<T>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
             + self
                 .wheel
@@ -186,8 +164,8 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Schedules `ev` at `at` with an internally assigned tie-break
-    /// sequence (schedule order), returning a cancellation handle.
-    pub fn push(&mut self, at: SimTime, ev: T) -> EventId {
+    /// sequence (schedule order).
+    pub fn push(&mut self, at: SimTime, ev: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.push_with_seq(at, seq, ev)
@@ -201,21 +179,19 @@ impl<T> CalendarQueue<T> {
     /// the property the sharded runner's determinism rests on. Do not mix
     /// `push` and `push_keyed` on one queue: the internal sequence counter
     /// and caller keys share the tie-break space.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, ev: T) -> EventId {
+    pub fn push_keyed(&mut self, at: SimTime, key: u64, ev: T) {
         self.push_with_seq(at, key, ev)
     }
 
-    fn push_with_seq(&mut self, at: SimTime, seq: u64, ev: T) -> EventId {
+    fn push_with_seq(&mut self, at: SimTime, seq: u64, ev: T) {
         let at_ns = at.as_nanos();
         let slot_idx = match self.free.pop() {
-            Some(i) => i,
+            Some(i) => {
+                self.slots[i as usize] = Some(ev);
+                i
+            }
             None => {
-                self.slots.push(Slot {
-                    gen: 0,
-                    seq: 0,
-                    loc: Loc::Overflow,
-                    ev: None,
-                });
+                self.slots.push(Some(ev));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -228,7 +204,7 @@ impl<T> CalendarQueue<T> {
         // An event never schedules before the cursor (time is monotone);
         // clamp defensively so a misuse degrades to FIFO, not a panic.
         let bucket = (at_ns >> BUCKET_SHIFT).max(self.cursor);
-        let loc = if bucket - self.cursor < WHEEL_BUCKETS as u64 {
+        if bucket - self.cursor < WHEEL_BUCKETS as u64 {
             let idx = (bucket % WHEEL_BUCKETS as u64) as usize;
             if bucket == self.cursor && self.cursor_sorted {
                 // Keep the draining bucket sorted descending.
@@ -238,21 +214,10 @@ impl<T> CalendarQueue<T> {
                 self.wheel[idx].push(key);
             }
             self.wheel_len += 1;
-            Loc::Wheel(bucket)
         } else {
             self.overflow.push(Reverse(key));
-            Loc::Overflow
-        };
-
-        let slot = &mut self.slots[slot_idx as usize];
-        slot.seq = seq;
-        slot.loc = loc;
-        slot.ev = Some(ev);
-        self.len += 1;
-        EventId {
-            slot: slot_idx,
-            gen: slot.gen,
         }
+        self.len += 1;
     }
 
     /// Pops the earliest event (ties broken by ascending tie-break key,
@@ -272,9 +237,9 @@ impl<T> CalendarQueue<T> {
         let key = self.wheel[idx].pop().expect("first_bucket is non-empty");
         self.wheel_len -= 1;
         self.len -= 1;
-        let slot = &mut self.slots[key.slot as usize];
-        let ev = slot.ev.take().expect("live key has a payload");
-        slot.gen = slot.gen.wrapping_add(1);
+        let ev = self.slots[key.slot as usize]
+            .take()
+            .expect("live key has a payload");
         self.free.push(key.slot);
         Some((SimTime::from_nanos(key.at), ev))
     }
@@ -314,45 +279,6 @@ impl<T> CalendarQueue<T> {
             }
             b += 1;
         }
-    }
-
-    /// Cancels a scheduled event, releasing its slot (and payload memory)
-    /// immediately. Returns `false` if the handle is stale — the event
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.slot as usize) else {
-            return false;
-        };
-        if slot.gen != id.gen || slot.ev.is_none() {
-            return false;
-        }
-        slot.ev = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        let seq = slot.seq;
-        let loc = slot.loc;
-        self.free.push(id.slot);
-        self.len -= 1;
-        match loc {
-            Loc::Wheel(bucket) => {
-                let v = &mut self.wheel[(bucket % WHEEL_BUCKETS as u64) as usize];
-                let pos = v
-                    .iter()
-                    .position(|k| k.seq == seq)
-                    .expect("wheel location is current");
-                // `remove` keeps a sorted cursor bucket sorted.
-                v.remove(pos);
-                self.wheel_len -= 1;
-            }
-            Loc::Overflow => {
-                // Rare (cancellations target near-term timers); rebuilding
-                // the far-future tier keeps every remaining key live so
-                // peeks never have to skip tombstones.
-                let mut keys = std::mem::take(&mut self.overflow).into_vec();
-                keys.retain(|Reverse(k)| k.seq != seq);
-                self.overflow = BinaryHeap::from(keys);
-            }
-        }
-        true
     }
 
     /// Informs the queue that simulation time jumped to `now` without
@@ -406,7 +332,6 @@ impl<T> CalendarQueue<T> {
             let Reverse(k) = self.overflow.pop().expect("peeked");
             let b = k.at >> BUCKET_SHIFT;
             debug_assert!(b >= self.cursor, "overflow key behind cursor");
-            self.slots[k.slot as usize].loc = Loc::Wheel(b);
             self.wheel[(b % WHEEL_BUCKETS as u64) as usize].push(k);
             self.wheel_len += 1;
         }
@@ -455,21 +380,6 @@ mod tests {
         let (at, _) = q.pop().unwrap();
         assert_eq!(at, SimTime::from_millis(1));
         assert_eq!(q.next_at(), Some(SimTime::from_secs(3)));
-    }
-
-    #[test]
-    fn cancel_is_eager_and_exactly_once() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_millis(1), timer(1));
-        let b = q.push(SimTime::from_millis(2), timer(2));
-        let far = q.push(SimTime::from_secs(30), timer(3));
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "second cancel is a no-op");
-        assert!(q.cancel(far), "overflow-tier cancel works");
-        assert_eq!(q.len(), 1);
-        assert_eq!(tok(&q.pop().unwrap().1), 2);
-        assert!(q.pop().is_none());
-        assert!(!q.cancel(b), "fired events cannot be cancelled");
     }
 
     #[test]
@@ -545,11 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn generic_payloads_work_with_cancel_and_stats() {
+    fn generic_payloads_work_with_stats() {
         let mut q: CalendarQueue<String> = CalendarQueue::new();
-        let a = q.push(SimTime::from_millis(1), "a".into());
+        q.push(SimTime::from_millis(1), "a".into());
         q.push(SimTime::from_millis(2), "b".into());
-        assert!(q.cancel(a));
+        assert_eq!(q.stats().live, 2);
+        assert_eq!(q.pop().unwrap().1, "a");
         assert_eq!(q.stats().live, 1);
         assert_eq!(q.pop().unwrap().1, "b");
     }

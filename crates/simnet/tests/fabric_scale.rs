@@ -36,7 +36,7 @@ fn untag(payload: &[u8]) -> NodeId {
 
 #[test]
 fn every_host_of_a_100k_world_gets_its_frame() {
-    let mut net = Network::new(5);
+    let mut net: Network = Network::new(5);
     let server = net.add_public_host(GeoInfo::new("US", 1, "AS-SRV"), LinkSpec::datacenter());
     let public: Vec<NodeId> = (0..PUBLIC_HOSTS)
         .map(|i| net.add_public_host(registration(i), LinkSpec::residential()))

@@ -1,6 +1,8 @@
 //! Differential test: the calendar queue pops in exactly the order of the
 //! original heap-plus-map scheduler, kept as a test oracle in `pdn-oracle`.
 
+use std::time::Duration;
+
 use pdn_oracle::queue::HeapMapQueue;
 use pdn_simnet::{Event, EventQueue, NodeId, SimRng, SimTime};
 
@@ -33,7 +35,7 @@ fn agrees_with_heapmap_reference_under_random_churn() {
             } else {
                 rng.range(0..5_000_000_000u64)
             };
-            let at = now + std::time::Duration::from_nanos(delay_ns);
+            let at = now + Duration::from_nanos(delay_ns);
             new_q.push(at, timer(token));
             old_q.push(at, timer(token));
             token += 1;
@@ -45,6 +47,80 @@ fn agrees_with_heapmap_reference_under_random_churn() {
             now = a.0;
         }
     }
+    while let Some(a) = new_q.pop() {
+        let b = old_q.pop().expect("reference drains in step");
+        assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)));
+    }
+    assert!(old_q.pop().is_none());
+}
+
+/// A delay mixing the wheel band, the overflow tier, and whole-millisecond
+/// stamps (so ties at one instant are common).
+fn delay(rng: &mut SimRng) -> Duration {
+    match rng.range(0..10u64) {
+        0..=5 => Duration::from_nanos(rng.range(0..200_000_000u64)),
+        6..=7 => Duration::from_millis(rng.range(0..20u64)),
+        _ => Duration::from_nanos(rng.range(0..5_000_000_000u64)),
+    }
+}
+
+/// The world pump's contract: drain a window with `pop_before(end)`
+/// (exclusive), scheduling follow-ups at or after each popped event while
+/// draining, then take a batch of pushes stamped at or after the window
+/// end (a shard barrier's deliveries). Both queues must agree event for
+/// event, including which events a window refuses; events stamped
+/// exactly on a window's end are common.
+#[test]
+fn windowed_pops_agree_with_heapmap_reference() {
+    let mut rng = SimRng::seed(7);
+    let mut new_q = EventQueue::new();
+    let mut old_q = HeapMapQueue::new();
+    let mut end = SimTime::ZERO;
+    let mut token = 0u64;
+    let mut push = |at: SimTime, new_q: &mut EventQueue, old_q: &mut HeapMapQueue| {
+        new_q.push(at, timer(token));
+        old_q.push(at, timer(token));
+        token += 1;
+    };
+    let mut popped = 0usize;
+    for _ in 0..600 {
+        let next_end = end + Duration::from_nanos(rng.range(0..300_000_000u64));
+        for _ in 0..rng.range(0..16u64) {
+            // Some land exactly on the coming window's end, which must
+            // refuse them.
+            let at = if rng.chance(0.1) {
+                next_end
+            } else {
+                end + delay(&mut rng)
+            };
+            push(at, &mut new_q, &mut old_q);
+        }
+        end = next_end;
+        loop {
+            match (new_q.pop_before(end), old_q.pop_before(end)) {
+                (None, None) => break,
+                (Some(a), Some(b)) => {
+                    assert!(a.0 < end, "a window never pops at or past its end");
+                    assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)), "window pops agree");
+                    popped += 1;
+                    if rng.chance(0.3) {
+                        let at = if rng.chance(0.2) {
+                            end
+                        } else {
+                            a.0 + delay(&mut rng)
+                        };
+                        push(at, &mut new_q, &mut old_q);
+                    }
+                }
+                (a, b) => panic!("queues disagree at window end {end:?}: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(new_q.len(), old_q.len(), "refused events stay queued");
+    }
+    assert!(
+        popped > 1_000,
+        "windows must actually drain events: {popped}"
+    );
     while let Some(a) = new_q.pop() {
         let b = old_q.pop().expect("reference drains in step");
         assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)));

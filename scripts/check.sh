@@ -2,11 +2,15 @@
 # Full local CI gate: build, tests, lints, formatting.
 # Run from the repo root: ./scripts/check.sh
 #
-# Every gate runs through run_gate so a failure names the gate that
-# tripped (and its exit code) instead of dying silently mid-script; the
-# expected-vs-actual detail is in the gate's own output just above.
+# Every gate runs through run_gate, which names a failed gate (and its
+# exit code) and records it, then goes on to the next gate: one run
+# reports every failed gate, and the script exits non-zero at the end if
+# any failed. The expected-vs-actual detail is in the gate's own output
+# just above its failure line.
 set -uo pipefail
 cd "$(dirname "$0")/.."
+
+failed=()
 
 run_gate() {
   local name="$1"
@@ -19,7 +23,7 @@ run_gate() {
   echo "FAILED gate: ${name}" >&2
   echo "  command : $*" >&2
   echo "  expected: exit 0, actual: exit ${code} (expected-vs-actual detail in the output above)" >&2
-  exit "${code}"
+  failed+=("${name} (exit ${code})")
 }
 
 run_gate "cargo build --release" \
@@ -166,37 +170,38 @@ no_global_switches() {
 }
 run_gate "no global switches (static Atomic*/OnceLock and thread_local! only on the allowlist)" no_global_switches
 
-echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
 # The signaling server, SDK scheduler, simnet router, route table, address
 # registry and shard runner, the DTLS record layer and data channel, the
 # bounded inboxes and open-loop harness, the federation config, the CDN
 # edge, the segment-digest memo and the paper-world loop all run on
 # FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
 # code and the oracles in pdn-oracle are exempt by not being listed here.
-hot_paths=(
-  crates/media/src/cdn.rs
-  crates/media/src/digest.rs
-  crates/provider/src/sdk.rs
-  crates/provider/src/signaling.rs
-  crates/provider/src/swarm.rs
-  crates/provider/src/world.rs
-  crates/provider/src/service/inbox.rs
-  crates/provider/src/service/harness.rs
-  crates/provider/src/service/federation.rs
-  crates/simnet/src/net.rs
-  crates/simnet/src/route.rs
-  crates/simnet/src/geo.rs
-  crates/simnet/src/shard.rs
-  crates/webrtc/src/dtls.rs
-  crates/webrtc/src/channel.rs
-)
-if grep -n "std::collections::HashMap" "${hot_paths[@]}"; then
-  echo "" >&2
-  echo "FAILED gate: hot-path hash lint" >&2
-  echo "  expected: no std::collections::HashMap in the files above, actual: the matches listed" >&2
-  echo "  (use FxHashMap/slab/bitmap structures)" >&2
-  exit 1
-fi
+no_std_hashmap_on_hot_paths() {
+  local hot_paths=(
+    crates/media/src/cdn.rs
+    crates/media/src/digest.rs
+    crates/provider/src/sdk.rs
+    crates/provider/src/signaling.rs
+    crates/provider/src/swarm.rs
+    crates/provider/src/world.rs
+    crates/provider/src/service/inbox.rs
+    crates/provider/src/service/harness.rs
+    crates/provider/src/service/federation.rs
+    crates/simnet/src/net.rs
+    crates/simnet/src/route.rs
+    crates/simnet/src/geo.rs
+    crates/simnet/src/shard.rs
+    crates/webrtc/src/dtls.rs
+    crates/webrtc/src/channel.rs
+  )
+  if grep -n "std::collections::HashMap" "${hot_paths[@]}"; then
+    echo "expected: no std::collections::HashMap in the files above, actual: the matches listed" >&2
+    echo "  (use FxHashMap/slab/bitmap structures)" >&2
+    return 1
+  fi
+}
+run_gate "hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)" \
+  no_std_hashmap_on_hot_paths
 
 run_gate "cargo clippy -D warnings" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -208,4 +213,10 @@ run_gate "cargo fmt --check" \
 echo "==> production non-test lines (information only)"
 ./scripts/loc.sh || echo "scripts/loc.sh failed (information only)"
 
+if ((${#failed[@]} > 0)); then
+  echo "" >&2
+  echo "${#failed[@]} gate(s) failed:" >&2
+  printf '  - %s\n' "${failed[@]}" >&2
+  exit 1
+fi
 echo "All checks passed."

@@ -89,56 +89,6 @@ fn swarm_run_is_deterministic() {
 }
 
 #[test]
-fn event_queue_capacity_stays_bounded_under_timer_churn() {
-    // The old scheduler's `pending` map kept cancelled timers as
-    // tombstones until their pop time arrived; under churn (schedule a
-    // batch, cancel half, repeat) its footprint tracked the *total* ever
-    // scheduled. The calendar queue reclaims slots eagerly, so the slab
-    // must stay at the high-water mark of concurrent events.
-    let mut net = pdn_simnet::Network::new(17);
-    let node = net.add_public_host(GeoInfo::new("US", 1, "AS1"), LinkSpec::residential());
-    const BATCH: u64 = 64;
-    const ROUNDS: u64 = 500;
-    let mut fired = Vec::new();
-    let mut cancelled_tokens = Vec::new();
-    for round in 0..ROUNDS {
-        let ids: Vec<_> = (0..BATCH)
-            .map(|i| {
-                let token = round * BATCH + i;
-                (
-                    token,
-                    net.set_timer(node, Duration::from_millis(1 + i % 7), token),
-                )
-            })
-            .collect();
-        // Cancel every other timer before draining.
-        for (token, id) in ids.into_iter().filter(|(t, _)| t % 2 == 0) {
-            assert!(net.cancel_timer(id), "live timer cancels");
-            cancelled_tokens.push(token);
-        }
-        while let Some((_, ev)) = net.step() {
-            if let pdn_simnet::Event::Timer { token, .. } = ev {
-                fired.push(token);
-            }
-        }
-    }
-    assert_eq!(fired.len() as u64, ROUNDS * BATCH / 2);
-    let cancelled: std::collections::HashSet<u64> = cancelled_tokens.into_iter().collect();
-    assert!(
-        fired.iter().all(|t| !cancelled.contains(t)),
-        "cancelled timers must never fire"
-    );
-    let stats = net.queue_stats();
-    assert_eq!(stats.live, 0);
-    assert!(
-        stats.slots as u64 <= BATCH,
-        "slab bounded by the per-round high-water mark, not the {} total scheduled (got {})",
-        ROUNDS * BATCH,
-        stats.slots
-    );
-}
-
-#[test]
 fn offload_reduces_cdn_egress() {
     // The economic premise of PDN (§I: Peer5 claims 95% offload): CDN
     // egress with P2P must be well below the pure-CDN control.
