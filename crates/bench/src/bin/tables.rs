@@ -8,152 +8,8 @@
 //! Artifacts: `table1 table2 table3 table4 table5 table6 fig4 fig5
 //! freeriding ipleak token mitigation`.
 
-use pdn_bench::*;
-use pdn_detector::DetectionReport;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    let seed = SEED;
-
-    if ["table1", "table2", "table3", "table4"]
-        .iter()
-        .any(|t| want(t))
-    {
-        let (_, report) = detection_report(seed);
-        if want("table1") {
-            println!("{}", report.render_table1());
-        }
-        if want("table2") {
-            println!(
-                "{}",
-                DetectionReport::render_confirmed(
-                    &report.table2,
-                    "TABLE II: Confirmed PDN websites"
-                )
-            );
-        }
-        if want("table3") {
-            println!(
-                "{}",
-                DetectionReport::render_confirmed(&report.table3, "TABLE III: Confirmed PDN apps")
-            );
-        }
-        if want("table4") {
-            println!("{}", report.render_table4());
-        }
-    }
-
-    if want("freeriding") {
-        let s = freeriding_study(seed);
-        println!(
-            "§IV-B field study: {} keys extracted, {} valid, {} expired",
-            s.tested, s.valid, s.expired
-        );
-        println!(
-            "  cross-domain vulnerable: {} / {}    domain-spoofing vulnerable: {} / {}\n",
-            s.cross_domain_vulnerable, s.valid, s.spoof_vulnerable, s.valid
-        );
-    }
-
-    if want("table5") {
-        println!("{}", table5(seed).render());
-    }
-
-    if want("table6") {
-        println!("{}", table6(300, seed).render());
-    }
-
-    if want("fig4") {
-        let fig = figure4(120, seed);
-        println!("FIGURE 4: Resource consumption of serving as a PDN peer");
-        println!(
-            "{:<9} {:>8} {:>10} {:>10} {:>10}",
-            "viewer", "cpu", "mem MB", "rx MB", "tx MB"
-        );
-        for m in [&fig.no_peer, &fig.peer_a, &fig.peer_b] {
-            println!(
-                "{:<9} {:>7.1}% {:>10.1} {:>10.1} {:>10.1}",
-                m.label,
-                m.summary.mean_cpu * 100.0,
-                m.summary.mean_mem_bytes / 1e6,
-                m.summary.total_rx as f64 / 1e6,
-                m.summary.total_tx as f64 / 1e6
-            );
-        }
-        println!(
-            "overhead vs no-peer: +{:.0}% CPU, +{:.0}% memory (paper: +15% / +10%)\n",
-            fig.cpu_overhead() * 100.0,
-            fig.mem_overhead() * 100.0
-        );
-    }
-
-    if want("fig5") {
-        println!("FIGURE 5: Bandwidth consumption of serving multiple peers");
-        println!(
-            "{:>9} {:>12} {:>12} {:>9}",
-            "neighbors", "upload MB", "download MB", "up/down"
-        );
-        for p in figure5(5, 90, seed) {
-            println!(
-                "{:>9} {:>12.1} {:>12.1} {:>8.2}x",
-                p.neighbors,
-                p.seeder_tx as f64 / 1e6,
-                p.seeder_rx as f64 / 1e6,
-                p.upload_ratio()
-            );
-        }
-        println!();
-    }
-
-    if want("ipleak") {
-        let (huya, rt) = ip_leak_wild(7.0, seed);
-        println!("§IV-D IP leak in the wild (one week, single controlled peer):");
-        for r in [&huya, &rt] {
-            println!(
-                "  {:<10} unique {:>6} (public {:>6}, bogons {:>4}: {} private / {} nat / {} reserved)  \
-                 countries {:>3}  cities {:>4}  top share {:.0}%",
-                r.name, r.unique_ips, r.public_ips, r.bogons, r.bogon_private, r.bogon_cgnat,
-                r.bogon_reserved, r.countries.len(), r.cities, r.top_country_share() * 100.0
-            );
-        }
-        println!(
-            "  total: {} unique IPs (paper: 7,740)\n",
-            huya.unique_ips + rt.unique_ips
-        );
-    }
-
-    if want("token") {
-        let t = token_defense(seed);
-        println!(
-            "§V-A token defense: legit={} cross-video-rejected={} replay-rejected={} \
-             ttl-rejected={} token={}B (paper: 283B)\n",
-            t.legit_flow_works,
-            t.cross_video_rejected,
-            t.replay_rejected,
-            t.expired_rejected,
-            t.token_bytes
-        );
-    }
-
-    if want("mitigation") {
-        let (huya_b, rt_b) = ip_leak_wild(2.0, seed);
-        let (huya_m, rt_m) = privacy_mitigation(2.0, seed);
-        println!("§V-C same-country matching (2-day runs, US observer):");
-        println!(
-            "  Huya TV : {} → {} visible IPs (paper: none visible)",
-            huya_b.unique_ips, huya_m.public_ips
-        );
-        println!(
-            "  RT News : {} → {} visible IPs (paper: 35% remain)",
-            rt_b.unique_ips, rt_m.unique_ips
-        );
-        let (p2p, relayed, leaked) = pdn_core::defense::privacy::evaluate_relay_world(seed);
-        println!(
-            "  TURN relay world: {} KB P2P through the relay ({} KB relayed), \
-             real IPs leaked: {leaked}\n",
-            p2p / 1000,
-            relayed / 1000
-        );
-    }
+    print!("{}", pdn_bench::render_tables(pdn_bench::SEED, want));
 }

@@ -1,8 +1,8 @@
 //! # pdn-bench
 //!
 //! The reproduction harness: one entry point per table and figure of the
-//! *Stealthy Peers* paper. The `tables` binary prints them; `perfbench`
-//! times them.
+//! *Stealthy Peers* paper. The `tables` binary prints them as
+//! [`render_tables`] renders them; `perfbench` times them.
 //!
 //! | artifact | function |
 //! |----------|----------|
@@ -20,6 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+mod render;
+
+pub use render::render_tables;
 
 use pdn_core::ip_leak::{huya_population, rt_news_population, run_wild_trials, WildTrial};
 use pdn_core::riskmatrix::{build_matrix_pooled, ProviderKeyCounts, RiskMatrix};

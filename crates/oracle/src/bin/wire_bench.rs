@@ -26,8 +26,9 @@ use pdn_bench::{table5_pooled, SEED};
 use pdn_core::WorldPool;
 use pdn_media::VideoId;
 use pdn_oracle::json_baseline;
-use pdn_provider::wire::{self, InternTable, P2pRef, P2pView};
-use pdn_provider::{P2pMsg, SignalMsg};
+use pdn_oracle::p2p::{self, P2pMsg};
+use pdn_provider::wire::{self, P2pRef, P2pView};
+use pdn_provider::SignalMsg;
 use pdn_simnet::Addr;
 use pdn_webrtc::{Candidate, CandidateKind, Fingerprint, SessionDescription};
 
@@ -210,31 +211,34 @@ fn run_signal_json(corpus: &[SignalMsg], iters: usize) -> f64 {
 }
 
 /// One timed binary-P2P run: the SDK hot path — borrowed [`P2pRef`] views
-/// encoded into a warm scratch with an interned video id, borrowed
-/// [`P2pView`] decodes of pre-encoded frames.
-fn run_p2p_binary(corpus: &[P2pMsg], table: &InternTable, iters: usize) -> u64 {
-    let refs: Vec<P2pRef<'_>> = corpus.iter().map(P2pRef::from).collect();
-    let frames: Vec<Bytes> = corpus.iter().map(|m| wire::encode_p2p(m, table)).collect();
+/// encoded into a warm scratch on a channel of their own video (a one-byte
+/// video id), borrowed [`P2pView`] decodes of pre-encoded frames.
+fn run_p2p_binary(corpus: &[P2pMsg], channel_video: &str, iters: usize) -> u64 {
+    let refs: Vec<P2pRef<'_>> = corpus.iter().map(P2pMsg::borrowed).collect();
+    let frames: Vec<Bytes> = corpus
+        .iter()
+        .map(|m| p2p::encode_p2p(m, channel_video))
+        .collect();
     let mut scratch = BytesMut::with_capacity(2048);
     let mut sum = 0u64;
     for (r, frame) in refs.iter().zip(&frames) {
         scratch.clear();
-        wire::encode_p2p_into(r, table, &mut scratch);
+        p2p::encode_p2p_into(r, channel_video, &mut scratch);
         sum += consume_view(&wire::decode_p2p_view(frame).expect("valid frame"));
     }
     for _ in 0..iters {
         for (r, frame) in refs.iter().zip(&frames) {
             scratch.clear();
-            wire::encode_p2p_into(std::hint::black_box(r), table, &mut scratch);
+            p2p::encode_p2p_into(std::hint::black_box(r), channel_video, &mut scratch);
             sum += consume_view(&wire::decode_p2p_view(std::hint::black_box(frame)).expect("ok"));
         }
     }
     sum
 }
 
-fn time_p2p_binary(corpus: &[P2pMsg], table: &InternTable, iters: usize) -> f64 {
+fn time_p2p_binary(corpus: &[P2pMsg], channel_video: &str, iters: usize) -> f64 {
     let t = Instant::now();
-    std::hint::black_box(run_p2p_binary(corpus, table, iters));
+    std::hint::black_box(run_p2p_binary(corpus, channel_video, iters));
     t.elapsed().as_secs_f64()
 }
 
@@ -257,10 +261,18 @@ fn run_p2p_legacy(corpus: &[P2pMsg], iters: usize) -> f64 {
 
 /// Allocations per message across the steady-state binary hot path:
 /// signaling encodes into a warm scratch plus P2P encode+view-decode.
-fn allocs_per_msg(signals: &[SignalMsg], p2p: &[P2pMsg], table: &InternTable, iters: usize) -> f64 {
+fn allocs_per_msg(
+    signals: &[SignalMsg],
+    corpus: &[P2pMsg],
+    channel_video: &str,
+    iters: usize,
+) -> f64 {
     let mut scratch = BytesMut::with_capacity(4096);
-    let refs: Vec<P2pRef<'_>> = p2p.iter().map(P2pRef::from).collect();
-    let frames: Vec<Bytes> = p2p.iter().map(|m| wire::encode_p2p(m, table)).collect();
+    let refs: Vec<P2pRef<'_>> = corpus.iter().map(P2pMsg::borrowed).collect();
+    let frames: Vec<Bytes> = corpus
+        .iter()
+        .map(|m| p2p::encode_p2p(m, channel_video))
+        .collect();
     let mut sum = 0u64;
     let pass = |sum: &mut u64, scratch: &mut BytesMut| {
         for msg in signals {
@@ -269,7 +281,7 @@ fn allocs_per_msg(signals: &[SignalMsg], p2p: &[P2pMsg], table: &InternTable, it
         }
         for (r, frame) in refs.iter().zip(&frames) {
             scratch.clear();
-            wire::encode_p2p_into(r, table, scratch);
+            p2p::encode_p2p_into(r, channel_video, scratch);
             *sum += consume_view(&wire::decode_p2p_view(frame).expect("valid frame"));
         }
     };
@@ -282,7 +294,7 @@ fn allocs_per_msg(signals: &[SignalMsg], p2p: &[P2pMsg], table: &InternTable, it
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     std::hint::black_box(sum);
-    (after - before) as f64 / (iters * (signals.len() + p2p.len())) as f64
+    (after - before) as f64 / (iters * (signals.len() + corpus.len())) as f64
 }
 
 fn main() {
@@ -290,9 +302,8 @@ fn main() {
     let scale = if quick { 8 } else { 1 };
 
     let signals = signal_corpus();
-    let p2p = p2p_corpus();
-    let mut table = InternTable::new();
-    table.intern("https://cdn.example/v/master.m3u8");
+    let corpus = p2p_corpus();
+    let channel_video = "https://cdn.example/v/master.m3u8";
 
     // --- Signaling: binary vs JSON roundtrip, interleaved runs. ---
     let sig_iters = (4_000 / scale).max(100);
@@ -312,15 +323,15 @@ fn main() {
     let mut bin_s = Vec::new();
     let mut old_s = Vec::new();
     for _ in 0..RUNS {
-        bin_s.push(time_p2p_binary(&p2p, &table, p2p_iters));
-        old_s.push(run_p2p_legacy(&p2p, p2p_iters));
+        bin_s.push(time_p2p_binary(&corpus, channel_video, p2p_iters));
+        old_s.push(run_p2p_legacy(&corpus, p2p_iters));
     }
-    let n_p2p = (p2p_iters * p2p.len()) as f64;
+    let n_p2p = (p2p_iters * corpus.len()) as f64;
     let p2p_bin_mps = n_p2p / median(bin_s);
     let p2p_old_mps = n_p2p / median(old_s);
     let p2p_speedup = p2p_bin_mps / p2p_old_mps;
 
-    let alloc_rate = allocs_per_msg(&signals, &p2p, &table, (2_000 / scale).max(50));
+    let alloc_rate = allocs_per_msg(&signals, &corpus, channel_video, (2_000 / scale).max(50));
 
     // --- End-to-end: table5 at several worker counts. Skipped in --quick
     // (sim_bench --quick owns the workload regression gate there).

@@ -12,7 +12,9 @@ use bytes::{BufMut, Bytes, BytesMut};
 use pdn_media::VideoId;
 use pdn_provider::proto::TLS_MARKER;
 use pdn_provider::wire::SIGNAL_BIN_VERSION;
-use pdn_provider::{P2pMsg, SignalMsg};
+use pdn_provider::SignalMsg;
+
+use crate::p2p::P2pMsg;
 
 /// Encodes a signaling message as `TLS|` + JSON (the old hot path).
 pub fn encode_signal(msg: &SignalMsg) -> Bytes {

@@ -12,6 +12,7 @@
 //! | [`reference`](mod@reference) | `pdn-crypto`'s `reference_diff` tests, `crypto_bench` |
 //! | [`dtls_v1`] | `crypto_bench`'s DTLS seal+open speedup gate |
 //! | [`json_baseline`] | `pdn-provider`'s `wire_differential` and `retired_formats` tests, `wire_bench` |
+//! | [`p2p::P2pMsg`] | the same tests and `wire_bench`, through the owned P2P codec |
 //! | [`naive_scan`] | `pdn-detector`'s `matcher_differential` tests, `scan_bench` |
 //! | [`queue::HeapMapQueue`] | `pdn-simnet`'s `queue_differential` test, `sim_bench` |
 //! | [`state_baseline`] | `pdn-provider`'s `state_differential` tests |
@@ -25,6 +26,7 @@
 pub mod dtls_v1;
 pub mod json_baseline;
 pub mod naive_scan;
+pub mod p2p;
 pub mod queue;
 pub mod reference;
 pub mod state_baseline;

@@ -48,7 +48,7 @@ pub mod world;
 pub use auth::{AccountRegistry, AuthError, CustomerAccount, PdnToken, TokenValidator};
 pub use billing::{BillingModel, UsageMeter};
 pub use profiles::{AuthScheme, CellularPolicy, ProviderKind, ProviderProfile};
-pub use proto::{HttpRequest, HttpResponse, P2pMsg, SignalMsg};
+pub use proto::{HttpRequest, HttpResponse, SignalMsg};
 pub use sdk::{AgentConfig, AgentOut, PdnAgent};
 pub use signaling::{compute_im, AdmissionBatch, DefenseStats, MatchingPolicy, SignalingServer};
 pub use swarm::{RegionStats, SwarmConfig, SwarmWorld};

@@ -13,15 +13,17 @@
 //!    signed-integrity-metadata extension of the §V-B defense.
 //!
 //! The signaling and P2P planes encode via the versioned binary codec in
-//! [`crate::wire`] (varint-framed, zero-copy decode). The decoders accept
-//! only that format: the retired JSON / fixed-width formats live on as test
-//! oracles outside the production crates.
+//! [`crate::wire`] (varint-framed, zero-copy decode), which also holds the
+//! P2P message forms: the borrowed [`crate::wire::P2pRef`] the SDK sends
+//! and the [`crate::wire::P2pView`] it decodes. The decoders accept only
+//! that format: the retired JSON / fixed-width formats and the owned P2P
+//! message type live on as test oracles outside the production crates.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_media::{Segment, VideoId};
 use pdn_webrtc::SessionDescription;
 
-use crate::wire::{self, InternTable};
+use crate::wire;
 
 /// Marker prefix for TLS-protected signaling frames.
 pub const TLS_MARKER: &[u8; 4] = b"TLS|";
@@ -383,60 +385,6 @@ impl HttpResponse {
     }
 }
 
-/// Peer-to-peer messages carried inside DTLS data-channel records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum P2pMsg {
-    /// Advertise possession of segments.
-    Have {
-        /// Video.
-        video: VideoId,
-        /// Rendition.
-        rendition: u8,
-        /// Sequence numbers held.
-        seqs: Vec<u64>,
-    },
-    /// Request one segment.
-    RequestSegment {
-        /// Video.
-        video: VideoId,
-        /// Rendition.
-        rendition: u8,
-        /// Sequence.
-        seq: u64,
-    },
-    /// Deliver one segment, optionally with its signed integrity metadata
-    /// (the §V-B defense).
-    SegmentData {
-        /// Video.
-        video: VideoId,
-        /// Rendition.
-        rendition: u8,
-        /// Sequence.
-        seq: u64,
-        /// Play duration in milliseconds.
-        duration_ms: u32,
-        /// Media payload.
-        data: Bytes,
-        /// `(im, server_sig)` if SIM is attached.
-        sim: Option<([u8; 32], [u8; 32])>,
-    },
-}
-
-impl P2pMsg {
-    /// Encodes to binary channel-message bytes. The SDK hot path skips
-    /// this owned entry point entirely and encodes [`crate::wire::P2pRef`]
-    /// views into a reusable scratch with its per-channel intern table.
-    pub fn encode(&self) -> Bytes {
-        wire::encode_p2p(self, &InternTable::EMPTY)
-    }
-
-    /// Decodes binary channel-message bytes; the segment payload is a
-    /// zero-copy slice of `frame`.
-    pub fn decode(frame: &Bytes) -> Option<P2pMsg> {
-        wire::decode_p2p(frame, &InternTable::EMPTY)
-    }
-}
-
 #[cfg(test)]
 mod prop_tests {
     use super::*;
@@ -466,25 +414,6 @@ mod prop_tests {
             prop_assert_eq!(HttpResponse::decode(&r.encode()), Some(r));
         }
 
-        #[test]
-        fn p2p_roundtrip(
-            video in "[a-zA-Z0-9:/._-]{1,60}",
-            rendition in any::<u8>(),
-            seqs in proptest::collection::vec(any::<u64>(), 0..200),
-            with_sim in any::<bool>(),
-            data in proptest::collection::vec(any::<u8>(), 0..4096),
-        ) {
-            let vid = VideoId::new(video);
-            let have = P2pMsg::Have { video: vid.clone(), rendition, seqs };
-            prop_assert_eq!(P2pMsg::decode(&have.encode()), Some(have));
-            let seg = P2pMsg::SegmentData {
-                video: vid, rendition, seq: 9, duration_ms: 4000,
-                data: Bytes::from(data),
-                sim: with_sim.then_some(([1u8; 32], [2u8; 32])),
-            };
-            prop_assert_eq!(P2pMsg::decode(&seg.encode()), Some(seg));
-        }
-
         /// Arbitrary byte garbage never panics any decoder.
         #[test]
         fn decoders_are_total(garbage in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -492,7 +421,6 @@ mod prop_tests {
             let _ = HttpRequest::decode(&garbage);
             let frame = Bytes::from(garbage);
             let _ = HttpResponse::decode(&frame);
-            let _ = P2pMsg::decode(&frame);
         }
     }
 }
@@ -643,54 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn p2p_roundtrips() {
-        let msgs = [
-            P2pMsg::Have {
-                video: VideoId::new("v"),
-                rendition: 0,
-                seqs: vec![1, 2, 3],
-            },
-            P2pMsg::RequestSegment {
-                video: VideoId::new("v"),
-                rendition: 0,
-                seq: 9,
-            },
-            P2pMsg::SegmentData {
-                video: VideoId::new("v"),
-                rendition: 0,
-                seq: 9,
-                duration_ms: 4000,
-                data: Bytes::from_static(b"\x47data"),
-                sim: None,
-            },
-            P2pMsg::SegmentData {
-                video: VideoId::new("v"),
-                rendition: 0,
-                seq: 9,
-                duration_ms: 4000,
-                data: Bytes::from_static(b"\x47data"),
-                sim: Some(([1u8; 32], [2u8; 32])),
-            },
-        ];
-        for m in msgs {
-            assert_eq!(P2pMsg::decode(&m.encode()), Some(m));
-        }
-    }
-
-    #[test]
     fn truncated_frames_rejected() {
-        let m = P2pMsg::SegmentData {
-            video: VideoId::new("v"),
-            rendition: 0,
-            seq: 9,
-            duration_ms: 4000,
-            data: Bytes::from_static(b"payload-bytes"),
-            sim: None,
-        };
-        let enc = m.encode();
-        for cut in [1, 5, 10, enc.len() - 1] {
-            assert!(P2pMsg::decode(&enc.slice(..cut)).is_none(), "cut at {cut}");
-        }
         assert!(HttpRequest::decode(
             &HttpRequest::GetMaster {
                 video: VideoId::new("v")

@@ -7,9 +7,10 @@
 //! the CDN or a peer — with the provider's *slow start* (first K segments
 //! always from the CDN) and optional §V-B integrity verification.
 //!
-//! The agent is sans-IO: every entry point returns a list of [`AgentOut`]
-//! actions that the world harness carries out. That keeps the agent
-//! testable in isolation and the whole simulation deterministic. Entry
+//! The agent is sans-IO: every entry point appends [`AgentOut`] actions to
+//! a buffer the caller owns (and reuses), and the world harness carries
+//! them out. That keeps the agent testable in isolation and the whole
+//! simulation deterministic. Entry
 //! points that can receive or play a segment also borrow the world's
 //! [`SegmentDigests`]: every IM the agent reports or verifies, and every
 //! fingerprint its player takes, is looked up there.
@@ -35,9 +36,10 @@ use pdn_webrtc::{
     dtls, stun, Certificate, DataChannel, DtlsEndpoint, IceAgent, IceEvent, SessionDescription,
 };
 
-use crate::proto::{HttpRequest, HttpResponse, P2pMsg, SignalMsg};
+use crate::proto::{HttpRequest, HttpResponse, SignalMsg};
+use crate::signaling::parse_hex32;
 use crate::state::{AvailMap, VecMap};
-use crate::wire::{self, InternTable, P2pRef, P2pView};
+use crate::wire::{self, P2pRef, P2pView};
 
 /// Well-known local ports of a peer.
 pub mod ports {
@@ -76,6 +78,8 @@ pub mod costs {
     pub const STATS_INTERVAL: Duration = Duration::from_secs(5);
     /// Peer request timeout before falling back to the CDN.
     pub const P2P_TIMEOUT: Duration = Duration::from_secs(3);
+    /// Segments of look-ahead buffer the scheduler maintains.
+    pub const BUFFER_TARGET: u64 = 3;
 }
 
 /// Static configuration of one viewer's SDK instance.
@@ -103,8 +107,6 @@ pub struct AgentConfig {
     pub sim_key: Vec<u8>,
     /// Whether this peer uploads to others (leech mode / cellular policy).
     pub upload_enabled: bool,
-    /// Segments of look-ahead buffer to maintain.
-    pub buffer_target: u64,
     /// Highest sequence number available (VOD length), if known.
     pub vod_end: Option<u64>,
     /// How long to wait for a peer to advertise a segment before paying
@@ -140,7 +142,6 @@ impl AgentConfig {
             integrity_check: false,
             sim_key: Vec::new(),
             upload_enabled: true,
-            buffer_target: 3,
             vod_end: None,
             cdn_patience: Duration::from_millis(1500),
             relay: None,
@@ -203,7 +204,6 @@ struct Conn {
     remote_media: Option<Addr>,
     dtls: Option<DtlsEndpoint>,
     chan: Option<DataChannel>,
-    queued: Vec<P2pMsg>,
     check_retries: u32,
     /// ClientHello bytes kept for loss-recovery retransmission.
     client_hello: Option<Bytes>,
@@ -214,6 +214,12 @@ struct Conn {
 impl Conn {
     fn is_established(&self) -> bool {
         self.chan.is_some()
+    }
+
+    /// The remote media address and the data channel, once the DTLS
+    /// handshake completed: the only state a P2P message is sent on.
+    fn established(&mut self) -> Option<(Addr, &mut DataChannel)> {
+        Some((self.remote_media?, self.chan.as_mut()?))
     }
 }
 
@@ -280,15 +286,11 @@ pub struct PdnAgent {
     last_stats: SimTime,
     polluted_rejections: u64,
     blacklisted: bool,
-    started_playback_charging: bool,
     last_playlist_fetch: SimTime,
-    /// Reusable encode scratch for outgoing P2P frames (the PR 3
-    /// `seal_into` pattern): zero allocations per message steady-state.
+    /// Reusable encode scratch for outgoing P2P frames (the crypto fast
+    /// path's `seal_into` pattern): zero allocations per message
+    /// steady-state.
     wire_scratch: BytesMut,
-    /// Deterministic intern table for P2P frames, seeded with this agent's
-    /// own video id at construction (both ends of any data channel watch
-    /// the same video, so the tables always agree; see [`crate::wire`]).
-    intern: InternTable,
 }
 
 impl std::fmt::Debug for PdnAgent {
@@ -307,8 +309,6 @@ impl PdnAgent {
     pub fn new(config: AgentConfig, host_addr: Addr, stun_server: Addr, rng: &mut SimRng) -> Self {
         let mut rng = rng.fork(u32::from(host_addr.ip) as u64);
         let config_rendition = config.rendition;
-        let mut intern = InternTable::new();
-        intern.intern(&config.video.0);
         let cert = Certificate::generate(&mut rng);
         let mut gatherer = IceAgent::new(ports::MEDIA, &mut rng);
         if config.relay.is_none() {
@@ -350,49 +350,37 @@ impl PdnAgent {
             last_stats: SimTime::ZERO,
             polluted_rejections: 0,
             blacklisted: false,
-            started_playback_charging: false,
             last_playlist_fetch: SimTime::ZERO,
             wire_scratch: BytesMut::with_capacity(256),
-            intern,
             rng,
         }
     }
 
     /// Starts the session: fetch the playlist; begin ICE gathering.
-    pub fn start(&mut self) -> Vec<AgentOut> {
-        let mut out = vec![
-            AgentOut::AllocMem(costs::BASE_MEM),
-            AgentOut::Http(HttpRequest::GetPlaylist {
-                video: self.config.video.clone(),
-                rendition: self.config.rendition,
-                from: 0,
-                to: self.config.vod_end.unwrap_or(u64::MAX),
-            }),
-        ];
+    pub fn start(&mut self, out: &mut Vec<AgentOut>) {
+        out.push(AgentOut::AllocMem(costs::BASE_MEM));
+        out.push(AgentOut::Http(HttpRequest::GetPlaylist {
+            video: self.config.video.clone(),
+            rendition: self.config.rendition,
+            from: 0,
+            to: self.config.vod_end.unwrap_or(u64::MAX),
+        }));
         if self.config.pdn_enabled {
             out.push(AgentOut::AllocMem(costs::SDK_MEM));
             match self.config.relay {
                 Some(turn) => {
                     // Relay mode: allocate a relayed address; never gather
                     // host/srflx candidates (nothing to leak).
-                    let mut txid = [0u8; 12];
-                    txid[..8].copy_from_slice(&self.rng.next_u64().to_le_bytes());
+                    let txid = turn_txid(&mut self.rng);
                     self.allocate_txid = Some(txid);
                     out.push(AgentOut::UdpSend {
                         to: turn,
                         data: pdn_webrtc::turn::allocate_request(txid),
                     });
                 }
-                None => {
-                    for ev in self.gatherer.gather_srflx(self.stun_server) {
-                        if let IceEvent::SendTo { to, data } = ev {
-                            out.push(AgentOut::UdpSend { to, data });
-                        }
-                    }
-                }
+                None => push_ice_sends(self.gatherer.gather_srflx(self.stun_server), out),
             }
         }
-        out
     }
 
     /// Handles an HTTP response from the CDN plane.
@@ -401,11 +389,12 @@ impl PdnAgent {
         resp: HttpResponse,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         match resp {
             HttpResponse::Playlist { text } => {
                 let Ok(playlist) = MediaPlaylist::parse(&text) else {
-                    return Vec::new();
+                    return;
                 };
                 // VOD swarms group by manifest content (the consistency
                 // check that isolates direct pollution); live playlists
@@ -421,7 +410,7 @@ impl PdnAgent {
                     self.session_start_seq = Some(start);
                     self.player = Player::new(start);
                 }
-                self.maybe_join()
+                self.maybe_join(out);
             }
             HttpResponse::Segment {
                 video,
@@ -431,7 +420,7 @@ impl PdnAgent {
                 data,
             } => {
                 if video != self.config.video {
-                    return Vec::new();
+                    return;
                 }
                 self.requested.remove(seq);
                 let segment = Segment {
@@ -444,7 +433,6 @@ impl PdnAgent {
                     data,
                 };
                 self.cdn_down += segment.len() as u64;
-                let mut out = Vec::new();
                 // §V-B: CDN-fetched segments get their IM computed and
                 // reported (reporter selection is enforced server-side).
                 if self.config.integrity_check && self.config.pdn_enabled {
@@ -457,10 +445,9 @@ impl PdnAgent {
                         im: pdn_crypto::hex(&im),
                     }));
                 }
-                out.extend(self.accept_segment(segment, DeliverySource::Cdn, now, digests));
-                out
+                self.accept_segment(segment, DeliverySource::Cdn, now, digests, out);
             }
-            HttpResponse::NotFound => Vec::new(),
+            HttpResponse::NotFound => {}
         }
     }
 
@@ -470,19 +457,17 @@ impl PdnAgent {
         msg: SignalMsg,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         match msg {
             SignalMsg::JoinOk { peer_id, neighbors } => {
                 self.peer_id = Some(peer_id);
-                let mut out = Vec::new();
                 for (remote_id, sdp) in neighbors {
-                    out.extend(self.open_conn(remote_id, sdp, ConnRole::Initiator));
+                    self.open_conn(remote_id, sdp, ConnRole::Initiator, out);
                 }
-                out
             }
-            SignalMsg::JoinDenied { .. } => Vec::new(),
             SignalMsg::PeerJoined { peer_id, sdp } => {
-                self.open_conn(peer_id, sdp, ConnRole::Responder)
+                self.open_conn(peer_id, sdp, ConnRole::Responder, out);
             }
             SignalMsg::SimBroadcast {
                 video,
@@ -492,13 +477,13 @@ impl PdnAgent {
                 sig,
             } => {
                 if video != self.config.video.0 {
-                    return Vec::new();
+                    return;
                 }
                 let (Some(im), Some(sig)) = (parse_hex32(&im), parse_hex32(&sig)) else {
-                    return Vec::new();
+                    return;
                 };
                 if !crate::signaling::SignalingServer::verify_sim_keyed(&self.sim_hmac, &im, &sig) {
-                    return Vec::new();
+                    return;
                 }
                 self.sims.insert((rendition, seq), (im, sig));
                 // Process any held segment awaiting this SIM.
@@ -508,15 +493,11 @@ impl PdnAgent {
                     .is_some_and(|(seg, _)| seg.id.rendition == rendition)
                 {
                     let (segment, _since) = self.held.remove(seq).expect("checked");
-                    return self.verify_and_accept_peer_segment(segment, now, digests);
+                    self.verify_and_accept_peer_segment(segment, now, digests, out);
                 }
-                Vec::new()
             }
-            SignalMsg::Blacklisted { .. } => {
-                self.blacklisted = true;
-                Vec::new()
-            }
-            _ => Vec::new(),
+            SignalMsg::Blacklisted { .. } => self.blacklisted = true,
+            _ => {}
         }
     }
 
@@ -527,83 +508,84 @@ impl PdnAgent {
         data: &[u8],
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         if stun::is_stun(data) {
-            if self.config.relay.is_some() {
-                if let Some(out) = self.on_turn(data, now, digests) {
-                    return out;
-                }
+            if self.config.relay.is_none() || !self.on_turn(data, now, digests, out) {
+                self.on_stun(from, data, out);
             }
-            return self.on_stun(from, data);
+        } else if dtls::is_dtls(data) {
+            self.on_dtls(from, data, now, digests, out);
         }
-        if dtls::is_dtls(data) {
-            return self.on_dtls(from, data, now, digests);
-        }
-        Vec::new()
     }
 
     /// Relay-mode TURN handling: Allocate responses and Data indications.
-    /// Returns `None` for STUN messages that are not TURN traffic.
+    /// Returns `false` for STUN messages that are not TURN traffic.
     fn on_turn(
         &mut self,
         data: &[u8],
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Option<Vec<AgentOut>> {
+        out: &mut Vec<AgentOut>,
+    ) -> bool {
         use pdn_webrtc::stun::{Attribute, Class, Message, Method};
-        let msg = Message::decode(data).ok()?;
+        let Ok(msg) = Message::decode(data) else {
+            return false;
+        };
         match (msg.class, msg.method) {
             (Class::Success, Method::Allocate) => {
                 if self.allocate_txid != Some(msg.transaction_id) {
-                    return Some(Vec::new());
+                    return true;
                 }
                 self.allocate_txid = None;
-                let relayed = msg.attributes.iter().find_map(|a| match a {
+                let Some(relayed) = msg.attributes.iter().find_map(|a| match a {
                     Attribute::XorRelayedAddress(r) => Some(*r),
                     _ => None,
-                })?;
+                }) else {
+                    return false;
+                };
                 self.gatherer.add_relay_candidate(relayed);
                 self.gatherer.finish_gathering();
-                Some(self.maybe_join())
+                self.maybe_join(out);
+                true
             }
             (Class::Indication, Method::Data) => {
                 let peer = msg.attributes.iter().find_map(|a| match a {
                     Attribute::XorPeerAddress(p) => Some(*p),
                     _ => None,
-                })?;
+                });
                 let payload = msg.attributes.iter().find_map(|a| match a {
                     Attribute::Data(d) => Some(d.clone()),
                     _ => None,
-                })?;
+                });
+                let (Some(peer), Some(payload)) = (peer, payload) else {
+                    return false;
+                };
                 // The logical source is the sender's *relayed* address —
                 // the only identity relay-mode peers ever see.
                 if dtls::is_dtls(&payload) {
-                    return Some(self.on_dtls(peer, &payload, now, digests));
+                    self.on_dtls(peer, &payload, now, digests, out);
                 }
-                Some(Vec::new())
+                true
             }
-            _ => None,
+            _ => false,
         }
     }
 
     /// Scheduler tick: drive playback, request segments, handle timeouts,
     /// emit stats.
-    pub fn on_tick(&mut self, now: SimTime, digests: &mut SegmentDigests) -> Vec<AgentOut> {
-        let mut out = Vec::new();
+    pub fn on_tick(&mut self, now: SimTime, digests: &mut SegmentDigests, out: &mut Vec<AgentOut>) {
         self.player.tick(now, digests);
 
         // Playback CPU baseline while media is flowing.
         if !self.player.played().is_empty() {
-            if !self.started_playback_charging {
-                self.started_playback_charging = true;
-            }
             out.push(AgentOut::ChargeCpu(Duration::from_secs_f64(
                 costs::TICK.as_secs_f64() * costs::PLAYBACK_CPU,
             )));
         }
 
         // Retry gathering → join if the playlist raced ahead of STUN.
-        out.extend(self.maybe_join());
+        self.maybe_join(out);
 
         // ICE check retransmission for pending connections (hole punching
         // through restricted NATs needs retries), and DTLS ClientHello
@@ -620,11 +602,7 @@ impl PdnAgent {
                     continue;
                 }
                 conn.check_retries += 1;
-                for ev in conn.ice.retransmit_checks() {
-                    if let IceEvent::SendTo { to, data } = ev {
-                        out.push(AgentOut::UdpSend { to, data });
-                    }
-                }
+                push_ice_sends(conn.ice.retransmit_checks(), out);
             } else if conn.role == ConnRole::Initiator && conn.dtls.is_some() {
                 if let (Some(hello), Some(remote)) = (conn.client_hello.clone(), conn.remote_media)
                 {
@@ -633,8 +611,7 @@ impl PdnAgent {
             }
         }
         for (remote, hello) in retransmits {
-            let action = self.udp_out(remote, hello);
-            out.push(action);
+            self.udp_out(remote, hello, out);
         }
 
         // Adaptive bitrate (§II): down on a fresh stall, up after 10
@@ -651,7 +628,7 @@ impl PdnAgent {
                     self.abr_backoff = (self.abr_backoff * 2).min(600);
                 }
             } else if self.player.buffered_media()
-                >= Duration::from_secs(4) * self.config.buffer_target as u32 / 2
+                >= Duration::from_secs(4) * costs::BUFFER_TARGET as u32 / 2
             {
                 self.abr_healthy_ticks += 1;
                 if self.abr_healthy_ticks >= self.abr_backoff && self.current_rendition < max {
@@ -677,7 +654,7 @@ impl PdnAgent {
         }
 
         // Request scheduling.
-        out.extend(self.schedule_requests(now));
+        self.schedule_requests(now, out);
 
         // Held segments whose SIM never formed → verify-or-CDN fallback.
         // `held` iterates ascending by sequence, so no post-sort is needed
@@ -692,7 +669,7 @@ impl PdnAgent {
         for seq in expired_holds {
             let (segment, _) = self.held.remove(seq).expect("collected above");
             if self.sims.contains_key((segment.id.rendition, seq)) {
-                out.extend(self.verify_and_accept_peer_segment(segment, now, digests));
+                self.verify_and_accept_peer_segment(segment, now, digests, out);
             } else {
                 self.requested.insert(seq, (RequestVia::Cdn, now));
                 out.push(AgentOut::Http(HttpRequest::GetSegment {
@@ -736,7 +713,6 @@ impl PdnAgent {
                 p2p_down_bytes: down,
             }));
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -809,24 +785,24 @@ impl PdnAgent {
     // Internals
     // ------------------------------------------------------------------
 
-    fn maybe_join(&mut self) -> Vec<AgentOut> {
+    fn maybe_join(&mut self, out: &mut Vec<AgentOut>) {
         if !self.config.pdn_enabled
             || self.join_sent
             || self.manifest.is_none()
             || !self.gatherer.is_gathering_complete()
         {
-            return Vec::new();
+            return;
         }
         self.join_sent = true;
         let sdp = self.gatherer.local_description(self.cert.fingerprint());
-        vec![AgentOut::Signal(SignalMsg::Join {
+        out.push(AgentOut::Signal(SignalMsg::Join {
             api_key: self.config.api_key.clone(),
             token: self.config.token.clone(),
             origin: self.config.origin.clone(),
             video: self.config.video.0.clone(),
             manifest_hash: self.manifest_hash.clone(),
             sdp,
-        })]
+        }));
     }
 
     fn open_conn(
@@ -834,13 +810,13 @@ impl PdnAgent {
         remote_peer: u64,
         sdp: SessionDescription,
         role: ConnRole,
-    ) -> Vec<AgentOut> {
-        let slot = match self
+        out: &mut Vec<AgentOut>,
+    ) {
+        let Err(slot) = self
             .conns_by_peer
             .binary_search_by_key(&remote_peer, |&i| self.conns[i as usize].remote_peer)
-        {
-            Ok(_) => return Vec::new(),
-            Err(slot) => slot,
+        else {
+            return;
         };
         let (ufrag, pwd) = self.gatherer.credentials();
         let mut ice = IceAgent::with_credentials(
@@ -853,7 +829,6 @@ impl PdnAgent {
             ice.add_candidate(*cand);
         }
         ice.set_remote(sdp.clone());
-        let mut out = Vec::new();
         let relay_remote = self.config.relay.and_then(|_| {
             sdp.candidates
                 .iter()
@@ -863,11 +838,7 @@ impl PdnAgent {
         if relay_remote.is_none() {
             // Both sides run checks (full ICE): the responder's checks are
             // what open its NAT mapping toward the initiator for cone NATs.
-            for ev in ice.start_checks() {
-                if let IceEvent::SendTo { to, data } = ev {
-                    out.push(AgentOut::UdpSend { to, data });
-                }
-            }
+            push_ice_sends(ice.start_checks(), out);
         }
         self.conns_by_peer.insert(slot, self.conns.len() as u32);
         self.conns.push(Conn {
@@ -878,7 +849,6 @@ impl PdnAgent {
             remote_media: relay_remote,
             dtls: None,
             chan: None,
-            queued: Vec::new(),
             check_retries: 0,
             client_hello: None,
             avail: AvailMap::new(),
@@ -886,12 +856,11 @@ impl PdnAgent {
         if relay_remote.is_some() {
             // Relay mode skips ICE entirely: the relayed addresses are
             // already reachable, so go straight to DTLS.
-            out.extend(self.on_ice_connected(self.conns.len() - 1));
+            self.on_ice_connected(self.conns.len() - 1, out);
         }
-        out
     }
 
-    fn on_stun(&mut self, from: Addr, data: &[u8]) -> Vec<AgentOut> {
+    fn on_stun(&mut self, from: Addr, data: &[u8], out: &mut Vec<AgentOut>) {
         // Peer-reflexive learning: an inbound check's USERNAME is
         // "local_ufrag:remote_ufrag", so the sender's connection can be
         // identified even when the packet arrives from an address it never
@@ -912,15 +881,14 @@ impl PdnAgent {
         // Gathering responses first.
         let evs = self.gatherer.handle_packet(from, data);
         if !evs.is_empty() {
-            let mut out = Vec::new();
             for ev in evs {
                 match ev {
                     IceEvent::SendTo { to, data } => out.push(AgentOut::UdpSend { to, data }),
-                    IceEvent::GatheringComplete => out.extend(self.maybe_join()),
+                    IceEvent::GatheringComplete => self.maybe_join(out),
                     IceEvent::Connected { .. } => {}
                 }
             }
-            return out;
+            return;
         }
         // Then per-connection agents: prefer the conn that signaled `from`
         // as a candidate, fall back to the first conn that reacts.
@@ -940,7 +908,6 @@ impl PdnAgent {
             });
             idx
         };
-        let mut out = Vec::new();
         for i in order {
             let evs = self.conns[i].ice.handle_packet(from, data);
             if evs.is_empty() {
@@ -958,19 +925,17 @@ impl PdnAgent {
                 }
             }
             if connected {
-                out.extend(self.on_ice_connected(i));
+                self.on_ice_connected(i, out);
             }
             break;
         }
-        out
     }
 
-    fn on_ice_connected(&mut self, idx: usize) -> Vec<AgentOut> {
+    fn on_ice_connected(&mut self, idx: usize, out: &mut Vec<AgentOut>) {
         let conn = &mut self.conns[idx];
         if conn.dtls.is_some() {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         let mut hello_to_send: Option<(Addr, Bytes)> = None;
         match conn.role {
             ConnRole::Initiator => {
@@ -995,9 +960,8 @@ impl PdnAgent {
             }
         }
         if let Some((remote, hello)) = hello_to_send {
-            out.push(self.udp_out(remote, hello));
+            self.udp_out(remote, hello, out);
         }
-        out
     }
 
     fn on_dtls(
@@ -1006,32 +970,35 @@ impl PdnAgent {
         data: &[u8],
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         let Some(idx) = self.conns.iter().position(|c| {
             c.remote_media == Some(from)
                 || (c.remote_media.is_none() && c.remote_sdp.candidate_addrs().any(|a| a == from))
         }) else {
-            return Vec::new();
+            return;
         };
         // A responder may see the ClientHello before its own ICE agent
         // processed the final check response; set up the endpoint lazily.
         if self.conns[idx].dtls.is_none() {
             self.conns[idx].remote_media = Some(from);
-            let _ = self.on_ice_connected(idx);
+            // Also runs on the first data record of an established channel
+            // (its endpoint moved into `chan`), building an endpoint whose
+            // output is dropped: ROADMAP item 3 gates it on `chan.is_none()`.
+            self.on_ice_connected(idx, &mut Vec::new());
         }
         let conn = &mut self.conns[idx];
         conn.remote_media.get_or_insert(from);
 
-        let mut out = Vec::new();
         if conn.chan.is_none() {
             let Some(ep) = conn.dtls.as_mut() else {
-                return out;
+                return;
             };
             // Implicit completion: a responder whose Finished never arrived
             // can complete the handshake from a valid data record.
             if data.first() == Some(&23) {
                 let Ok(frame) = ep.open(data) else {
-                    return out;
+                    return;
                 };
                 debug_assert!(ep.is_established(), "open promotes the endpoint");
                 let ep = conn.dtls.take().expect("checked");
@@ -1041,50 +1008,43 @@ impl PdnAgent {
                 // The retransmit loop skips established connections, so
                 // the saved ClientHello can never be needed again.
                 conn.client_hello = None;
-                out.extend(self.flush_conn(idx, now));
+                self.announce_cache(idx, out);
                 if let Some(bytes) = msg {
                     let remote_peer = self.conns[idx].remote_peer;
-                    out.extend(self.on_p2p_frame(remote_peer, &bytes, now, digests));
+                    self.on_p2p_frame(remote_peer, &bytes, now, digests, out);
                 }
-                return out;
+                return;
             }
             // Handshake phase.
-            let flight = match ep.handle_handshake(data, &mut self.rng) {
-                Ok(f) => f,
-                Err(_) => return out,
+            let Ok(flight) = ep.handle_handshake(data, &mut self.rng) else {
+                return;
             };
             if conn.dtls.as_ref().is_some_and(DtlsEndpoint::is_established) {
                 let ep = conn.dtls.take().expect("checked");
                 conn.chan = Some(DataChannel::new(ep));
                 conn.client_hello = None; // established; no retransmit ahead
                 if let Some(f) = flight {
-                    out.push(self.udp_out(from, f));
+                    self.udp_out(from, f, out);
                 }
-                out.extend(self.flush_conn(idx, now));
+                self.announce_cache(idx, out);
             } else if let Some(f) = flight {
-                out.push(self.udp_out(from, f));
+                self.udp_out(from, f, out);
             }
-            return out;
+            return;
         }
         // Data phase.
         let chan = conn.chan.as_mut().expect("data phase");
         out.push(AgentOut::ChargeCpu(crypto_cost(data.len())));
-        let bytes = match chan.receive_record(data) {
-            Ok(Some(bytes)) => Some(bytes),
-            Ok(None) | Err(_) => None,
-        };
-        if let Some(bytes) = bytes {
+        if let Ok(Some(bytes)) = chan.receive_record(data) {
             let remote_peer = conn.remote_peer;
-            out.extend(self.on_p2p_frame(remote_peer, &bytes, now, digests));
+            self.on_p2p_frame(remote_peer, &bytes, now, digests, out);
         }
-        out
     }
 
-    fn flush_conn(&mut self, idx: usize, _now: SimTime) -> Vec<AgentOut> {
-        let mut out = Vec::new();
-        // Announce our cache to the new neighbor, grouped by rendition.
-        // The cache iterates ascending by sequence, so each bucket is born
-        // sorted; the rendition list itself is a tiny sorted Vec.
+    /// Announces the cache to a newly established neighbor, one HAVE per
+    /// rendition. The cache iterates ascending by sequence, so each bucket
+    /// is born sorted; the rendition list itself is a tiny sorted Vec.
+    fn announce_cache(&mut self, idx: usize, out: &mut Vec<AgentOut>) {
         let mut by_rendition: Vec<(u8, Vec<u64>)> = Vec::new();
         for seg in self.cache.values() {
             let i = match by_rendition.binary_search_by_key(&seg.id.rendition, |(r, _)| *r) {
@@ -1096,51 +1056,22 @@ impl PdnAgent {
             };
             by_rendition[i].1.push(seg.id.seq);
         }
-        let queued = std::mem::take(&mut self.conns[idx].queued);
-        let PdnAgent {
-            conns,
-            wire_scratch,
-            intern,
-            rng,
-            config,
-            p2p_up,
-            ..
-        } = self;
-        let conn = &mut conns[idx];
+        let (conns, mut tx) = self.p2p_tx();
+        let Some((remote, chan)) = conns[idx].established() else {
+            return;
+        };
         for (rendition, seqs) in by_rendition {
-            P2pTx {
-                conn,
-                scratch: wire_scratch,
-                intern,
-                relay: config.relay,
-                rng,
-                p2p_up,
-            }
-            .send(
-                &P2pRef::Have {
-                    video: &config.video.0,
-                    rendition,
-                    seqs: &seqs,
-                },
-                &mut out,
-            );
+            let have = P2pRef::Have {
+                video: tx.video,
+                rendition,
+                seqs: &seqs,
+            };
+            tx.send(remote, chan, &have, out);
         }
-        for msg in &queued {
-            P2pTx {
-                conn,
-                scratch: wire_scratch,
-                intern,
-                relay: config.relay,
-                rng,
-                p2p_up,
-            }
-            .send(&P2pRef::from(msg), &mut out);
-        }
-        out
     }
 
     /// Handles one P2P frame from an established channel. Decoding borrows
-    /// from the frame: the video id is checked against the intern table
+    /// from the frame: the video id is checked against the channel's video
     /// without materialising a `String`, HAVE sequence numbers stream
     /// straight off the wire, and a delivered segment's payload is a
     /// zero-copy slice of the record.
@@ -1150,9 +1081,10 @@ impl PdnAgent {
         frame: &Bytes,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         let Some(view) = wire::decode_p2p_view(frame) else {
-            return Vec::new();
+            return;
         };
         match view {
             P2pView::Have {
@@ -1160,7 +1092,7 @@ impl PdnAgent {
                 rendition,
                 seqs,
             } => {
-                if video.matches(&self.intern, &self.config.video.0) {
+                if video.matches(&self.config.video.0) {
                     if let Some(i) = self.conn_idx_by_peer(from_peer) {
                         let avail = &mut self.conns[i].avail;
                         for s in seqs {
@@ -1168,18 +1100,15 @@ impl PdnAgent {
                         }
                     }
                 }
-                Vec::new()
             }
             P2pView::RequestSegment {
                 video,
                 rendition,
                 seq,
             } => {
-                if !self.config.upload_enabled || !video.matches(&self.intern, &self.config.video.0)
-                {
-                    return Vec::new();
+                if self.config.upload_enabled && video.matches(&self.config.video.0) {
+                    self.reply_segment(from_peer, rendition, seq, out);
                 }
-                self.reply_segment(from_peer, rendition, seq)
             }
             P2pView::SegmentData {
                 video,
@@ -1189,8 +1118,8 @@ impl PdnAgent {
                 data,
                 sim,
             } => {
-                if !video.matches(&self.intern, &self.config.video.0) {
-                    return Vec::new();
+                if !video.matches(&self.config.video.0) {
+                    return;
                 }
                 let segment = Segment {
                     id: SegmentId {
@@ -1201,7 +1130,7 @@ impl PdnAgent {
                     duration: Duration::from_millis(duration_ms as u64),
                     data,
                 };
-                self.on_segment_data(segment, sim, now, digests)
+                self.on_segment_data(segment, sim, now, digests, out);
             }
         }
     }
@@ -1216,50 +1145,32 @@ impl PdnAgent {
     }
 
     /// Serves a cached segment to a requesting neighbor; the payload is
-    /// borrowed all the way into the encode scratch (no segment clone).
-    fn reply_segment(&mut self, from_peer: u64, rendition: u8, seq: u64) -> Vec<AgentOut> {
+    /// borrowed all the way into the sealed records (no segment copy).
+    fn reply_segment(&mut self, from_peer: u64, rendition: u8, seq: u64, out: &mut Vec<AgentOut>) {
         let Some(segment) = self.cache.get(seq) else {
-            return Vec::new();
+            return;
         };
         if segment.id.rendition != rendition {
-            return Vec::new();
+            return;
         }
         let Some(idx) = self.conn_idx_by_peer(from_peer) else {
-            return Vec::new();
+            return;
         };
         let duration_ms = segment.duration.as_millis() as u32;
         let data = segment.data.clone();
         let sim = self.sims.get((rendition, seq)).copied();
-        let mut out = Vec::new();
-        let PdnAgent {
-            conns,
-            wire_scratch,
-            intern,
-            rng,
-            config,
-            p2p_up,
-            ..
-        } = self;
-        P2pTx {
-            conn: &mut conns[idx],
-            scratch: wire_scratch,
-            intern,
-            relay: config.relay,
-            rng,
-            p2p_up,
-        }
-        .send(
-            &P2pRef::SegmentData {
-                video: &config.video.0,
+        let (conns, mut tx) = self.p2p_tx();
+        if let Some((remote, chan)) = conns[idx].established() {
+            let segment = P2pRef::SegmentData {
+                video: tx.video,
                 rendition,
                 seq,
                 duration_ms,
                 data: &data,
                 sim,
-            },
-            &mut out,
-        );
-        out
+            };
+            tx.send(remote, chan, &segment, out);
+        }
     }
 
     fn on_segment_data(
@@ -1268,7 +1179,8 @@ impl PdnAgent {
         sim: Option<([u8; 32], [u8; 32])>,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         let (rendition, seq) = (segment.id.rendition, segment.id.seq);
         if let Some((RequestVia::Peer(_), at)) = self.requested.remove(seq) {
             // Request→delivery latency; with the §V-B defense the
@@ -1285,19 +1197,16 @@ impl PdnAgent {
         if let Some((im, sig)) = sim {
             self.sims.or_insert_with((rendition, seq), || (im, sig));
         }
-        if self.config.integrity_check {
-            if self.sims.contains_key((rendition, seq)) {
-                self.verify_and_accept_peer_segment(segment, now, digests)
-            } else {
-                // Hold until the SIM arrives; the tick handler
-                // falls back to the CDN if none forms in time.
-                self.held.insert(seq, (segment, now));
-                Vec::new()
-            }
-        } else {
+        if !self.config.integrity_check {
             // The measured behaviour of every provider: accept
             // whatever the peer sent (the pollution vulnerability).
-            self.accept_segment(segment, DeliverySource::Peer, now, digests)
+            self.accept_segment(segment, DeliverySource::Peer, now, digests, out);
+        } else if self.sims.contains_key((rendition, seq)) {
+            self.verify_and_accept_peer_segment(segment, now, digests, out);
+        } else {
+            // Hold until the SIM arrives; the tick handler
+            // falls back to the CDN if none forms in time.
+            self.held.insert(seq, (segment, now));
         }
     }
 
@@ -1306,13 +1215,14 @@ impl PdnAgent {
         segment: Segment,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         let seq = segment.id.seq;
         let rendition = segment.id.rendition;
-        let mut out = vec![AgentOut::ChargeCpu(hash_cost(segment.len()))];
         let Some((im, sig)) = self.sims.get((rendition, seq)) else {
-            return Vec::new();
+            return;
         };
+        out.push(AgentOut::ChargeCpu(hash_cost(segment.len())));
         let computed = digests.im(&segment);
         let sig_ok = crate::signaling::SignalingServer::verify_sim_keyed(&self.sim_hmac, im, sig);
         if !sig_ok || computed != *im {
@@ -1324,10 +1234,9 @@ impl PdnAgent {
                 rendition: self.current_rendition,
                 seq,
             }));
-            return out;
+            return;
         }
-        out.extend(self.accept_segment(segment, DeliverySource::Peer, now, digests));
-        out
+        self.accept_segment(segment, DeliverySource::Peer, now, digests, out);
     }
 
     fn accept_segment(
@@ -1336,73 +1245,54 @@ impl PdnAgent {
         source: DeliverySource,
         now: SimTime,
         digests: &mut SegmentDigests,
-    ) -> Vec<AgentOut> {
+        out: &mut Vec<AgentOut>,
+    ) {
         let seq = segment.id.seq;
         let segment_rendition = segment.id.rendition;
-        let mut out = Vec::new();
         self.player.deliver(now, segment.clone(), source, digests);
 
-        if self.config.pdn_enabled && !self.cache.contains_key(seq) {
-            let len = segment.len() as u64;
-            self.cache.insert(seq, segment);
-            self.cache_order.push_back(seq);
-            self.cache_bytes += len;
-            out.push(AgentOut::AllocMem(len));
-            while self.cache_bytes > costs::CACHE_CAP && self.cache_order.len() > 1 {
-                let evict = self.cache_order.pop_front().expect("len > 1");
-                if let Some(old) = self.cache.remove(evict) {
-                    self.cache_bytes -= old.len() as u64;
-                    out.push(AgentOut::FreeMem(old.len() as u64));
-                }
-            }
-            // Leech-mode peers never serve, so advertising would only
-            // waste their neighbors' request timeouts.
-            if !self.config.upload_enabled {
-                return out;
-            }
-            // Advertise to established neighbors (no video clone: the
-            // HAVE borrows the config's id, interned to one byte).
-            let seqs = [seq];
-            let PdnAgent {
-                conns,
-                wire_scratch,
-                intern,
-                rng,
-                config,
-                p2p_up,
-                ..
-            } = self;
-            for conn in conns.iter_mut().filter(|c| c.is_established()) {
-                P2pTx {
-                    conn,
-                    scratch: wire_scratch,
-                    intern,
-                    relay: config.relay,
-                    rng,
-                    p2p_up,
-                }
-                .send(
-                    &P2pRef::Have {
-                        video: &config.video.0,
-                        rendition: segment_rendition,
-                        seqs: &seqs,
-                    },
-                    &mut out,
-                );
+        if !self.config.pdn_enabled || self.cache.contains_key(seq) {
+            return;
+        }
+        let len = segment.len() as u64;
+        self.cache.insert(seq, segment);
+        self.cache_order.push_back(seq);
+        self.cache_bytes += len;
+        out.push(AgentOut::AllocMem(len));
+        while self.cache_bytes > costs::CACHE_CAP && self.cache_order.len() > 1 {
+            let evict = self.cache_order.pop_front().expect("len > 1");
+            if let Some(old) = self.cache.remove(evict) {
+                self.cache_bytes -= old.len() as u64;
+                out.push(AgentOut::FreeMem(old.len() as u64));
             }
         }
-        out
+        // Leech-mode peers never serve, so advertising would only
+        // waste their neighbors' request timeouts.
+        if !self.config.upload_enabled {
+            return;
+        }
+        // Advertise to established neighbors (no video clone: the HAVE
+        // borrows the config's id, which encodes as one byte).
+        let seqs = [seq];
+        let (conns, mut tx) = self.p2p_tx();
+        for (remote, chan) in conns.iter_mut().filter_map(Conn::established) {
+            let have = P2pRef::Have {
+                video: tx.video,
+                rendition: segment_rendition,
+                seqs: &seqs,
+            };
+            tx.send(remote, chan, &have, out);
+        }
     }
 
-    fn schedule_requests(&mut self, now: SimTime) -> Vec<AgentOut> {
+    fn schedule_requests(&mut self, now: SimTime, out: &mut Vec<AgentOut>) {
         let Some(manifest) = &self.manifest else {
-            return Vec::new();
+            return;
         };
         let start = self.session_start_seq.unwrap_or(0);
         let end = manifest.media_sequence + manifest.entries.len() as u64;
         let next = self.player.next_needed_seq();
-        let mut out = Vec::new();
-        for seq in next..(next + self.config.buffer_target).min(end) {
+        for seq in next..(next + costs::BUFFER_TARGET).min(end) {
             if self.cache.contains_key(seq)
                 || self.requested.contains_key(seq)
                 || self.held.contains_key(seq)
@@ -1434,31 +1324,15 @@ impl PdnAgent {
                     self.first_wanted.remove(seq);
                     self.requested.insert(seq, (RequestVia::Peer(peer), now));
                     let idx = self.conn_idx_by_peer(peer).expect("holder is connected");
-                    let PdnAgent {
-                        conns,
-                        wire_scratch,
-                        intern,
-                        rng,
-                        config,
-                        p2p_up,
-                        ..
-                    } = &mut *self;
-                    P2pTx {
-                        conn: &mut conns[idx],
-                        scratch: wire_scratch,
-                        intern,
-                        relay: config.relay,
-                        rng,
-                        p2p_up,
-                    }
-                    .send(
-                        &P2pRef::RequestSegment {
-                            video: &config.video.0,
+                    let (conns, mut tx) = self.p2p_tx();
+                    if let Some((remote, chan)) = conns[idx].established() {
+                        let request = P2pRef::RequestSegment {
+                            video: tx.video,
                             rendition,
                             seq,
-                        },
-                        &mut out,
-                    );
+                        };
+                        tx.send(remote, chan, &request, out);
+                    }
                 }
                 None => {
                     // P2P patience: with live neighbors connected, wait a
@@ -1499,26 +1373,44 @@ impl PdnAgent {
                 }
             }
         }
-        out
+    }
+
+    /// Emits a media-plane datagram (see [`via_relay`]).
+    fn udp_out(&mut self, to: Addr, data: Bytes, out: &mut Vec<AgentOut>) {
+        let (to, data) = via_relay(self.config.relay, &mut self.rng, to, data);
+        out.push(AgentOut::UdpSend { to, data });
+    }
+
+    /// Splits the agent into its connections and the P2P send path, so a
+    /// message can borrow the config's video id while a connection's
+    /// channel and the encode scratch are mutated.
+    fn p2p_tx(&mut self) -> (&mut [Conn], P2pTx<'_>) {
+        let PdnAgent {
+            conns,
+            wire_scratch,
+            rng,
+            config,
+            p2p_up,
+            ..
+        } = self;
+        let tx = P2pTx {
+            scratch: wire_scratch,
+            video: &config.video.0,
+            relay: config.relay,
+            rng,
+            p2p_up,
+        };
+        (&mut conns[..], tx)
     }
 }
 
-impl PdnAgent {
-    /// Emits a media-plane send, wrapping it in a TURN Send indication when
-    /// the provider relays P2P traffic (§V-C).
-    fn udp_out(&mut self, to: Addr, data: Bytes) -> AgentOut {
-        media_out(self.config.relay, &mut self.rng, to, data)
-    }
-}
-
-/// The disjoint borrows of [`PdnAgent`] the P2P send path needs. Built by
-/// destructuring `&mut self`, which lets the message borrow *other* agent
-/// fields (the config's video id, a cached segment's payload) while the
-/// scratch and connection are mutated.
+/// The P2P send path: the agent fields every message send touches,
+/// borrowed apart from its connections (see [`PdnAgent::p2p_tx`]).
 struct P2pTx<'a> {
-    conn: &'a mut Conn,
     scratch: &'a mut BytesMut,
-    intern: &'a InternTable,
+    /// The channel video: this agent's own, which both ends of every
+    /// channel watch.
+    video: &'a str,
     relay: Option<Addr>,
     rng: &'a mut SimRng,
     p2p_up: &'a mut u64,
@@ -1526,24 +1418,19 @@ struct P2pTx<'a> {
 
 impl P2pTx<'_> {
     /// Encodes `msg`'s header into the reused scratch and frames it, with
-    /// the segment bytes as a second part, onto the channel: the segment is
-    /// copied only into the sealed records. Multi-record messages leave as
-    /// one [`AgentOut::UdpBurst`]. Queues an owned copy if the channel is
-    /// not established yet.
-    fn send(&mut self, msg: &P2pRef<'_>, out: &mut Vec<AgentOut>) {
-        let Some(remote) = self.conn.remote_media else {
-            self.conn.queued.push(msg.to_owned_msg());
-            return;
-        };
-        let Some(chan) = self.conn.chan.as_mut() else {
-            self.conn.queued.push(msg.to_owned_msg());
-            return;
-        };
+    /// the segment bytes as a second part, onto the established channel to
+    /// `remote`: the segment is copied only into the sealed records.
+    fn send(
+        &mut self,
+        remote: Addr,
+        chan: &mut DataChannel,
+        msg: &P2pRef<'_>,
+        out: &mut Vec<AgentOut>,
+    ) {
         self.scratch.clear();
-        let tail = wire::encode_p2p_header_into(msg, self.intern, self.scratch);
-        let records = match chan.send_message(&[&self.scratch[..], tail]) {
-            Ok(records) => records,
-            Err(_) => return,
+        let tail = wire::encode_p2p_header_into(msg, self.video, self.scratch);
+        let Ok(records) = chan.send_message(&[&self.scratch[..], tail]) else {
+            return;
         };
         if let P2pRef::SegmentData { data, .. } = msg {
             *self.p2p_up += data.len() as u64;
@@ -1556,18 +1443,31 @@ impl P2pTx<'_> {
     }
 }
 
-/// One media-plane datagram, TURN-wrapped when the provider relays.
-fn media_out(relay: Option<Addr>, rng: &mut SimRng, to: Addr, data: Bytes) -> AgentOut {
-    match relay {
-        Some(turn) => {
-            let mut txid = [0u8; 12];
-            txid[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
-            AgentOut::UdpSend {
-                to: turn,
-                data: pdn_webrtc::turn::send_indication(txid, to, data),
-            }
+fn push_ice_sends(events: Vec<IceEvent>, out: &mut Vec<AgentOut>) {
+    for ev in events {
+        if let IceEvent::SendTo { to, data } = ev {
+            out.push(AgentOut::UdpSend { to, data });
         }
-        None => AgentOut::UdpSend { to, data },
+    }
+}
+
+/// A fresh TURN transaction id: one RNG draw.
+fn turn_txid(rng: &mut SimRng) -> [u8; 12] {
+    let mut txid = [0u8; 12];
+    txid[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+    txid
+}
+
+/// Where a media-plane datagram for `to` goes, and its bytes: wrapped in a
+/// TURN Send indication to the relay when the provider relays P2P traffic
+/// (§V-C), untouched otherwise.
+fn via_relay(relay: Option<Addr>, rng: &mut SimRng, to: Addr, data: Bytes) -> (Addr, Bytes) {
+    match relay {
+        Some(turn) => (
+            turn,
+            pdn_webrtc::turn::send_indication(turn_txid(rng), to, data),
+        ),
+        None => (to, data),
     }
 }
 
@@ -1583,27 +1483,19 @@ fn push_media_records(
 ) {
     if records.len() <= 1 {
         for r in records {
-            out.push(media_out(relay, rng, to, r));
+            let (to, data) = via_relay(relay, rng, to, r);
+            out.push(AgentOut::UdpSend { to, data });
         }
         return;
     }
-    match relay {
-        Some(turn) => {
-            let frames = records
-                .into_iter()
-                .map(|r| {
-                    let mut txid = [0u8; 12];
-                    txid[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
-                    pdn_webrtc::turn::send_indication(txid, to, r)
-                })
-                .collect();
-            out.push(AgentOut::UdpBurst { to: turn, frames });
-        }
-        None => out.push(AgentOut::UdpBurst {
-            to,
-            frames: records,
-        }),
-    }
+    let frames = records
+        .into_iter()
+        .map(|r| via_relay(relay, rng, to, r).1)
+        .collect();
+    out.push(AgentOut::UdpBurst {
+        to: relay.unwrap_or(to),
+        frames,
+    });
 }
 
 fn crypto_cost(bytes: usize) -> Duration {
@@ -1612,17 +1504,6 @@ fn crypto_cost(bytes: usize) -> Duration {
 
 fn hash_cost(bytes: usize) -> Duration {
     Duration::from_nanos(bytes as u64 * costs::HASH_NS_PER_BYTE)
-}
-
-fn parse_hex32(s: &str) -> Option<[u8; 32]> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1637,6 +1518,13 @@ mod tests {
             Addr::new(30, 0, 0, 1, 3478),
             &mut rng,
         )
+    }
+
+    /// The actions one entry point appends to an empty buffer.
+    fn run(f: impl FnOnce(&mut Vec<AgentOut>)) -> Vec<AgentOut> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
     }
 
     fn playlist_text() -> String {
@@ -1672,7 +1560,7 @@ mod tests {
     #[test]
     fn start_emits_playlist_fetch_and_gathering() {
         let mut a = agent();
-        let outs = a.start();
+        let outs = run(|o| a.start(o));
         assert!(outs
             .iter()
             .any(|o| matches!(o, AgentOut::Http(HttpRequest::GetPlaylist { .. }))));
@@ -1684,21 +1572,24 @@ mod tests {
     fn join_waits_for_both_playlist_and_gathering() {
         let mut d = SegmentDigests::new();
         let mut a = agent();
-        a.start();
+        a.start(&mut Vec::new());
         // Playlist alone is not enough.
-        let outs = a.on_http(
-            HttpResponse::Playlist {
-                text: playlist_text(),
-            },
-            SimTime::ZERO,
-            &mut d,
-        );
+        let outs = run(|o| {
+            a.on_http(
+                HttpResponse::Playlist {
+                    text: playlist_text(),
+                },
+                SimTime::ZERO,
+                &mut d,
+                o,
+            )
+        });
         assert!(!outs
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::Join { .. }))));
         // Completing gathering triggers the join.
         a.gatherer_complete_for_tests();
-        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
+        let outs = run(|o| a.on_tick(SimTime::from_millis(500), &mut d, o));
         assert!(outs
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::Join { .. }))));
@@ -1708,7 +1599,7 @@ mod tests {
     fn slow_start_segments_always_from_cdn() {
         let mut d = SegmentDigests::new();
         let mut a = agent();
-        a.start();
+        a.start(&mut Vec::new());
         a.gatherer_complete_for_tests();
         a.on_http(
             HttpResponse::Playlist {
@@ -1716,8 +1607,9 @@ mod tests {
             },
             SimTime::ZERO,
             &mut d,
+            &mut Vec::new(),
         );
-        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
+        let outs = run(|o| a.on_tick(SimTime::from_millis(500), &mut d, o));
         let cdn_reqs: Vec<u64> = outs
             .iter()
             .filter_map(|o| match o {
@@ -1725,7 +1617,11 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(cdn_reqs, vec![0, 1, 2], "buffer_target=3 all in slow start");
+        assert_eq!(
+            cdn_reqs,
+            vec![0, 1, 2],
+            "BUFFER_TARGET = 3, all in slow start"
+        );
     }
 
     #[test]
@@ -1740,7 +1636,7 @@ mod tests {
             Addr::new(30, 0, 0, 1, 3478),
             &mut rng,
         );
-        let outs = a.start();
+        let outs = run(|o| a.start(o));
         assert!(!outs.iter().any(|o| matches!(o, AgentOut::UdpSend { .. })));
         a.on_http(
             HttpResponse::Playlist {
@@ -1748,8 +1644,9 @@ mod tests {
             },
             SimTime::ZERO,
             &mut d,
+            &mut Vec::new(),
         );
-        let outs = a.on_tick(SimTime::from_millis(500), &mut d);
+        let outs = run(|o| a.on_tick(SimTime::from_millis(500), &mut d, o));
         assert!(!outs.iter().any(|o| matches!(o, AgentOut::Signal(_))));
         assert!(outs
             .iter()
@@ -1760,15 +1657,16 @@ mod tests {
     fn cdn_segment_delivery_reaches_player() {
         let mut d = SegmentDigests::new();
         let mut a = agent();
-        a.start();
+        a.start(&mut Vec::new());
         a.on_http(
             HttpResponse::Playlist {
                 text: playlist_text(),
             },
             SimTime::ZERO,
             &mut d,
+            &mut Vec::new(),
         );
-        a.on_tick(SimTime::from_millis(500), &mut d);
+        a.on_tick(SimTime::from_millis(500), &mut d, &mut Vec::new());
         let src = pdn_media::VideoSource::vod("v", vec![400_000], Duration::from_secs(4), 10);
         let seg = src.segment(0, 0).unwrap();
         a.on_http(
@@ -1781,6 +1679,7 @@ mod tests {
             },
             SimTime::from_secs(1),
             &mut d,
+            &mut Vec::new(),
         );
         assert_eq!(a.player().played().len(), 1);
         let (_, _, cdn) = a.traffic();
@@ -1800,29 +1699,69 @@ mod tests {
             Addr::new(30, 0, 0, 1, 3478),
             &mut rng,
         );
-        a.start();
+        a.start(&mut Vec::new());
         a.on_http(
             HttpResponse::Playlist {
                 text: playlist_text(),
             },
             SimTime::ZERO,
             &mut d,
+            &mut Vec::new(),
         );
         let src = pdn_media::VideoSource::vod("v", vec![400_000], Duration::from_secs(4), 10);
-        let outs = a.on_http(
-            HttpResponse::Segment {
-                video: VideoId::new("v"),
-                rendition: 0,
-                seq: 0,
-                duration_ms: 4000,
-                data: src.segment(0, 0).unwrap().data,
-            },
-            SimTime::from_secs(1),
-            &mut d,
-        );
+        let outs = run(|o| {
+            a.on_http(
+                HttpResponse::Segment {
+                    video: VideoId::new("v"),
+                    rendition: 0,
+                    seq: 0,
+                    duration_ms: 4000,
+                    data: src.segment(0, 0).unwrap().data,
+                },
+                SimTime::from_secs(1),
+                &mut d,
+                o,
+            )
+        });
         assert!(outs
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::ImReport { seq: 0, .. }))));
+    }
+
+    /// A SIM broadcast whose IM is 64 bytes but not 64 characters is
+    /// dropped without a panic and without recording a SIM.
+    #[test]
+    fn sim_broadcast_with_multibyte_im_is_ignored() {
+        let mut d = SegmentDigests::new();
+        let mut rng = SimRng::seed(4);
+        let mut cfg = AgentConfig::new("v", "key", "site.tv");
+        cfg.integrity_check = true;
+        cfg.sim_key = b"k".to_vec();
+        let mut a = PdnAgent::new(
+            cfg,
+            Addr::new(10, 0, 0, 4, ports::MEDIA),
+            Addr::new(30, 0, 0, 1, 3478),
+            &mut rng,
+        );
+        a.start(&mut Vec::new());
+        let im = format!("€{}", "0".repeat(61));
+        assert_eq!(im.len(), 64);
+        let outs = run(|o| {
+            a.on_signal(
+                SignalMsg::SimBroadcast {
+                    video: "v".into(),
+                    rendition: 0,
+                    seq: 0,
+                    im,
+                    sig: "00".repeat(32),
+                },
+                SimTime::ZERO,
+                &mut d,
+                o,
+            )
+        });
+        assert!(outs.is_empty());
+        assert!(a.sims.is_empty());
     }
 
     impl PdnAgent {

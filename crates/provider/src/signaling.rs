@@ -1099,13 +1099,16 @@ fn slot_key(index: &FxHashMap<(u32, u32), u32>, slot: u32) -> (u32, u32) {
         .expect("slot registered")
 }
 
+/// Parses 64 hex digits into 32 bytes; `None` on any other input. Total:
+/// a peer-supplied string with a multi-byte character yields `None`, never
+/// a panic on a non-boundary slice.
 pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {
     if s.len() != 64 {
         return None;
     }
     let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = u8::from_str_radix(s.get(i * 2..i * 2 + 2)?, 16).ok()?;
     }
     Some(out)
 }
@@ -1372,6 +1375,45 @@ mod tests {
         assert_eq!(sims, 2);
         assert_eq!(s.defense_stats().sims_issued, 1);
         assert_eq!(s.defense_stats().im_conflicts, 0);
+    }
+
+    /// 64 bytes that are not 64 characters: a multi-byte character first.
+    fn multibyte_hex() -> String {
+        let s = format!("€{}", "0".repeat(61));
+        assert_eq!(s.len(), 64);
+        s
+    }
+
+    #[test]
+    fn parse_hex32_is_total() {
+        assert_eq!(parse_hex32(&multibyte_hex()), None);
+        assert_eq!(parse_hex32(&format!("{}€", "0".repeat(61))), None);
+        assert_eq!(parse_hex32(&"0g".repeat(32)), None);
+        assert_eq!(parse_hex32(&"ab".repeat(31)), None);
+        assert_eq!(parse_hex32(&"ab".repeat(32)), Some([0xab; 32]));
+    }
+
+    /// Any joined peer can put any string in an IM report: a frame whose
+    /// IM is not hex is dropped without a panic and without touching the
+    /// integrity state.
+    #[test]
+    fn im_report_with_multibyte_im_is_ignored() {
+        let (mut s, geo, _) = hardened_server_with_origin();
+        s.handle(addr(1), join("x", "v", "k", 1), SimTime::ZERO, &geo);
+        let frame = SignalMsg::ImReport {
+            video: "v".into(),
+            rendition: 0,
+            seq: 5,
+            im: multibyte_hex(),
+        }
+        .encode();
+        let before = s.defense_stats();
+        let mut out = Vec::new();
+        s.handle_frame_into(addr(1), &frame, SimTime::ZERO, &geo, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(s.defense_stats(), before);
+        assert!(s.im_state.is_empty() && s.im_order.is_empty());
+        assert!(!s.is_blacklisted(1));
     }
 
     #[test]

@@ -43,29 +43,30 @@
 //! +----------+-----+--------------+------------------------------+
 //! ```
 //!
-//! # Intern-table semantics
+//! # The channel video (`video*` fields)
 //!
-//! A P2P *str-field* starts with a varint discriminant: `0` means an inline
-//! literal follows (varint length + UTF-8 bytes); `n > 0` means slot `n-1`
-//! of the channel's [`InternTable`]. Tables are **deterministic and seeded
-//! out-of-band**: each agent interns its own swarm's video id at
-//! construction, and both ends of a data channel watch the same video
-//! because the signaling server only introduces same-swarm neighbors.
-//! Received frames never grow the table — UDP loss and reordering therefore
-//! cannot desynchronise the two ends, unlike HPACK-style dynamic tables.
-//! Peer ids need no table: they are varints and small by construction.
+//! A P2P frame's video field starts with a varint discriminant: `0` means
+//! an inline literal follows (varint length + UTF-8 bytes); `1` names the
+//! channel's own video, the one both ends watch (the signaling server only
+//! introduces same-swarm neighbors). An encoder writes `1` for its own
+//! video — one byte — and any other id inline. A decoder compares inline
+//! ids against its own video; `1` always matches it, and any larger
+//! discriminant is well-formed but names no video, so it never matches.
+//! Nothing is negotiated or learned from received frames, so UDP loss and
+//! reordering cannot desynchronise the two ends. Peer ids need no such
+//! rule: they are varints and small by construction.
 //!
-//! The old codecs live on as test oracles in the `pdn-oracle` crate:
-//! integration tests assert binary↔oracle equivalence for every message
-//! variant, and `wire_bench` measures the binary codec against them.
+//! The old codecs live on as test oracles in the `pdn-oracle` crate, with
+//! the owned P2P message type (`pdn_oracle::p2p`): integration tests assert
+//! binary↔oracle equivalence for every message variant, and `wire_bench`
+//! measures the binary codec against them.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use pdn_media::VideoId;
 use pdn_simnet::wire::{get_uvarint, put_uvarint};
 use pdn_simnet::Addr;
 use pdn_webrtc::{Candidate, CandidateKind, Fingerprint, SessionDescription};
 
-use crate::proto::{P2pMsg, SignalMsg, TLS_MARKER};
+use crate::proto::{SignalMsg, TLS_MARKER};
 
 /// Version byte of binary signaling frames (follows the `TLS|` marker).
 /// Distinct from `{` (0x7B), the first byte of a retired JSON body.
@@ -76,88 +77,38 @@ pub const SIGNAL_BIN_VERSION: u8 = 0xB1;
 pub const P2P_BIN_VERSION: u8 = 0xC1;
 
 // ---------------------------------------------------------------------
-// Intern table
-// ---------------------------------------------------------------------
-
-/// Deterministic string intern table for P2P frames (see the
-/// [module docs](self) for the desynchronisation argument).
-#[derive(Debug, Clone, Default)]
-pub struct InternTable {
-    entries: Vec<String>,
-}
-
-impl InternTable {
-    /// A table with no entries; every str-field encodes inline.
-    pub const EMPTY: InternTable = InternTable {
-        entries: Vec::new(),
-    };
-
-    /// An empty table.
-    pub fn new() -> Self {
-        InternTable::default()
-    }
-
-    /// Adds `s` (deduplicating) and returns its slot.
-    pub fn intern(&mut self, s: &str) -> u16 {
-        if let Some(slot) = self.slot_of(s) {
-            return slot;
-        }
-        assert!(self.entries.len() < u16::MAX as usize, "intern table full");
-        self.entries.push(s.to_string());
-        (self.entries.len() - 1) as u16
-    }
-
-    /// Slot of `s`, if interned. Linear scan: tables hold a handful of ids.
-    pub fn slot_of(&self, s: &str) -> Option<u16> {
-        self.entries.iter().position(|e| e == s).map(|i| i as u16)
-    }
-
-    /// The string stored in `slot`.
-    pub fn resolve(&self, slot: u16) -> Option<&str> {
-        self.entries.get(slot as usize).map(String::as_str)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Field helpers
 // ---------------------------------------------------------------------
 
-/// A borrowed string field of a decoded P2P frame: either an inline
-/// literal view into the datagram or an intern-table slot.
+/// The video field of a decoded P2P frame: an inline literal view into the
+/// datagram, or a slot (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrRef<'a> {
     /// Literal bytes borrowed from the frame.
     Inline(&'a str),
-    /// Slot into the receiver's [`InternTable`].
+    /// Slot `n`, wire discriminant `n + 1`. Slot 0 is the channel's video;
+    /// no other slot names a video.
     Slot(u16),
 }
 
-impl<'a> StrRef<'a> {
-    /// Whether this field denotes `other` under `table` — the hot-path
-    /// check (`video == config.video`) without materialising a `String`.
-    pub fn matches(&self, table: &InternTable, other: &str) -> bool {
-        match self {
-            StrRef::Inline(s) => *s == other,
-            StrRef::Slot(n) => table.resolve(*n) == Some(other),
-        }
-    }
-
-    /// Resolves to a `&str`, borrowing from the frame or the table.
-    pub fn resolve<'t: 'a>(&self, table: &'t InternTable) -> Option<&'a str> {
-        match self {
-            StrRef::Inline(s) => Some(s),
-            StrRef::Slot(n) => table.resolve(*n),
+impl StrRef<'_> {
+    /// Whether this field names `channel_video`, the video this end of the
+    /// channel watches — the hot-path check without materialising a
+    /// `String`.
+    pub fn matches(&self, channel_video: &str) -> bool {
+        match *self {
+            StrRef::Inline(s) => s == channel_video,
+            StrRef::Slot(n) => n == 0,
         }
     }
 }
 
-fn put_str_field<B: BufMut>(buf: &mut B, s: &str, table: &InternTable) {
-    match table.slot_of(s) {
-        Some(slot) => put_uvarint(buf, u64::from(slot) + 1),
-        None => {
-            put_uvarint(buf, 0);
-            put_inline_str(buf, s);
-        }
+fn put_video_field<B: BufMut>(buf: &mut B, video: &str, channel_video: &str) {
+    if video == channel_video {
+        put_uvarint(buf, 1);
+    } else {
+        put_uvarint(buf, 0);
+        put_inline_str(buf, video);
     }
 }
 
@@ -552,8 +503,8 @@ const P2P_HAVE: u8 = 1;
 const P2P_REQUEST: u8 = 2;
 const P2P_SEGMENT: u8 = 3;
 
-/// Borrowed form of [`P2pMsg`]: what the SDK hot path encodes without
-/// cloning video ids, sequence lists, or segment payloads.
+/// A P2P message as the SDK sends it: borrowed, so video ids, sequence
+/// lists and segment payloads are never cloned.
 #[derive(Debug, Clone, Copy)]
 pub enum P2pRef<'a> {
     /// Advertise possession of segments.
@@ -574,7 +525,8 @@ pub enum P2pRef<'a> {
         /// Sequence.
         seq: u64,
     },
-    /// Deliver one segment.
+    /// Deliver one segment, optionally with its signed integrity metadata
+    /// (the §V-B defense).
     SegmentData {
         /// Video id.
         video: &'a str,
@@ -591,103 +543,16 @@ pub enum P2pRef<'a> {
     },
 }
 
-impl<'a> From<&'a P2pMsg> for P2pRef<'a> {
-    fn from(msg: &'a P2pMsg) -> Self {
-        match msg {
-            P2pMsg::Have {
-                video,
-                rendition,
-                seqs,
-            } => P2pRef::Have {
-                video: &video.0,
-                rendition: *rendition,
-                seqs,
-            },
-            P2pMsg::RequestSegment {
-                video,
-                rendition,
-                seq,
-            } => P2pRef::RequestSegment {
-                video: &video.0,
-                rendition: *rendition,
-                seq: *seq,
-            },
-            P2pMsg::SegmentData {
-                video,
-                rendition,
-                seq,
-                duration_ms,
-                data,
-                sim,
-            } => P2pRef::SegmentData {
-                video: &video.0,
-                rendition: *rendition,
-                seq: *seq,
-                duration_ms: *duration_ms,
-                data,
-                sim: *sim,
-            },
-        }
-    }
-}
-
-impl P2pRef<'_> {
-    /// Clones into an owned [`P2pMsg`] (only the rare queued-send path
-    /// pays this).
-    pub fn to_owned_msg(&self) -> P2pMsg {
-        match *self {
-            P2pRef::Have {
-                video,
-                rendition,
-                seqs,
-            } => P2pMsg::Have {
-                video: VideoId::new(video),
-                rendition,
-                seqs: seqs.to_vec(),
-            },
-            P2pRef::RequestSegment {
-                video,
-                rendition,
-                seq,
-            } => P2pMsg::RequestSegment {
-                video: VideoId::new(video),
-                rendition,
-                seq,
-            },
-            P2pRef::SegmentData {
-                video,
-                rendition,
-                seq,
-                duration_ms,
-                data,
-                sim,
-            } => P2pMsg::SegmentData {
-                video: VideoId::new(video),
-                rendition,
-                seq,
-                duration_ms,
-                data: data.clone(),
-                sim,
-            },
-        }
-    }
-}
-
-/// Encodes a P2P message in the binary format, appending to `out`.
-/// Allocation-free once `out` has warmed to the message size.
-pub fn encode_p2p_into(msg: &P2pRef<'_>, table: &InternTable, out: &mut BytesMut) {
-    let tail = encode_p2p_header_into(msg, table, out);
-    out.put_slice(tail);
-}
-
 /// Encodes all of a P2P message but its trailing payload, appending to
 /// `out`, and returns that payload: the segment bytes of a `SegmentData`,
-/// empty otherwise. `out` followed by the returned slice is exactly the
-/// [`encode_p2p_into`] frame, so a sender can hand both to the data
-/// channel as parts and never copy the segment into a frame buffer.
+/// empty otherwise. `out` followed by the returned slice is the whole
+/// frame, so a sender hands both to the data channel as parts and never
+/// copies the segment into a frame buffer. The video field is one byte
+/// when it is `channel_video`. Allocation-free once `out` has warmed to
+/// the header size.
 pub fn encode_p2p_header_into<'m>(
     msg: &P2pRef<'m>,
-    table: &InternTable,
+    channel_video: &str,
     out: &mut BytesMut,
 ) -> &'m [u8] {
     out.put_u8(P2P_BIN_VERSION);
@@ -698,7 +563,7 @@ pub fn encode_p2p_header_into<'m>(
             seqs,
         } => {
             out.put_u8(P2P_HAVE);
-            put_str_field(out, video, table);
+            put_video_field(out, video, channel_video);
             out.put_u8(rendition);
             put_uvarint(out, seqs.len() as u64);
             for s in seqs {
@@ -712,7 +577,7 @@ pub fn encode_p2p_header_into<'m>(
             seq,
         } => {
             out.put_u8(P2P_REQUEST);
-            put_str_field(out, video, table);
+            put_video_field(out, video, channel_video);
             out.put_u8(rendition);
             put_uvarint(out, seq);
             &[]
@@ -726,7 +591,7 @@ pub fn encode_p2p_header_into<'m>(
             sim,
         } => {
             out.put_u8(P2P_SEGMENT);
-            put_str_field(out, video, table);
+            put_video_field(out, video, channel_video);
             out.put_u8(rendition);
             put_uvarint(out, seq);
             put_uvarint(out, u64::from(duration_ms));
@@ -742,13 +607,6 @@ pub fn encode_p2p_header_into<'m>(
             data
         }
     }
-}
-
-/// Encodes a P2P message into a fresh binary frame using `table`.
-pub fn encode_p2p(msg: &P2pMsg, table: &InternTable) -> Bytes {
-    let mut out = BytesMut::with_capacity(32);
-    encode_p2p_into(&P2pRef::from(msg), table, &mut out);
-    out.freeze()
 }
 
 /// Iterator over the sequence numbers of a decoded `Have` frame; borrows
@@ -882,47 +740,6 @@ pub fn decode_p2p_view(frame: &Bytes) -> Option<P2pView<'_>> {
     }
 }
 
-/// Decodes a binary P2P frame into an owned [`P2pMsg`], resolving
-/// intern-table slots against `table`. The segment payload stays a
-/// zero-copy slice of `frame`.
-pub fn decode_p2p(frame: &Bytes, table: &InternTable) -> Option<P2pMsg> {
-    match decode_p2p_view(frame)? {
-        P2pView::Have {
-            video,
-            rendition,
-            seqs,
-        } => Some(P2pMsg::Have {
-            video: VideoId::new(video.resolve(table)?),
-            rendition,
-            seqs: seqs.collect(),
-        }),
-        P2pView::RequestSegment {
-            video,
-            rendition,
-            seq,
-        } => Some(P2pMsg::RequestSegment {
-            video: VideoId::new(video.resolve(table)?),
-            rendition,
-            seq,
-        }),
-        P2pView::SegmentData {
-            video,
-            rendition,
-            seq,
-            duration_ms,
-            data,
-            sim,
-        } => Some(P2pMsg::SegmentData {
-            video: VideoId::new(video.resolve(table)?),
-            rendition,
-            seq,
-            duration_ms,
-            data,
-            sim,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,35 +850,51 @@ mod tests {
         ]
     }
 
-    fn every_p2p_variant() -> Vec<P2pMsg> {
-        vec![
-            P2pMsg::Have {
-                video: VideoId::new("v.m3u8"),
+    const VIDEO: &str = "v.m3u8";
+
+    /// Calls `f` with one message of every P2P variant (segments with and
+    /// without SIM), each naming [`VIDEO`].
+    fn every_p2p_variant(mut f: impl FnMut(&P2pRef<'_>)) {
+        let payload = Bytes::from_static(b"\x47segment-bytes");
+        let empty = Bytes::new();
+        for msg in [
+            P2pRef::Have {
+                video: VIDEO,
                 rendition: 1,
-                seqs: vec![0, 1, 127, 128, 1 << 40],
+                seqs: &[0, 1, 127, 128, 1 << 40],
             },
-            P2pMsg::RequestSegment {
-                video: VideoId::new("v.m3u8"),
+            P2pRef::RequestSegment {
+                video: VIDEO,
                 rendition: 0,
                 seq: 42,
             },
-            P2pMsg::SegmentData {
-                video: VideoId::new("v.m3u8"),
+            P2pRef::SegmentData {
+                video: VIDEO,
                 rendition: 3,
                 seq: 9,
                 duration_ms: 4000,
-                data: Bytes::from_static(b"\x47segment-bytes"),
+                data: &payload,
                 sim: Some(([1u8; 32], [2u8; 32])),
             },
-            P2pMsg::SegmentData {
-                video: VideoId::new("v.m3u8"),
+            P2pRef::SegmentData {
+                video: VIDEO,
                 rendition: 0,
                 seq: 10,
                 duration_ms: 4000,
-                data: Bytes::from_static(b""),
+                data: &empty,
                 sim: None,
             },
-        ]
+        ] {
+            f(&msg);
+        }
+    }
+
+    /// The whole frame of `msg` sent on a channel watching `channel_video`.
+    fn p2p_frame(msg: &P2pRef<'_>, channel_video: &str) -> Bytes {
+        let mut out = BytesMut::new();
+        let tail = encode_p2p_header_into(msg, channel_video, &mut out);
+        out.put_slice(tail);
+        out.freeze()
     }
 
     #[test]
@@ -1127,58 +960,64 @@ mod tests {
     }
 
     #[test]
-    fn interned_video_encodes_as_one_slot_byte() {
-        let mut table = InternTable::new();
-        assert_eq!(table.intern("v.m3u8"), 0);
-        assert_eq!(table.intern("v.m3u8"), 0, "dedup");
-        let msg = P2pMsg::RequestSegment {
-            video: VideoId::new("v.m3u8"),
+    fn channel_video_encodes_as_one_slot_byte() {
+        let msg = P2pRef::RequestSegment {
+            video: VIDEO,
             rendition: 0,
             seq: 5,
         };
-        let interned = encode_p2p(&msg, &table);
-        let inline = encode_p2p(&msg, &InternTable::EMPTY);
+        let own = p2p_frame(&msg, VIDEO);
+        let foreign = p2p_frame(&msg, "other.m3u8");
+        assert_eq!(own[2], 1, "slot 0 of the channel, discriminant 1");
         assert_eq!(
-            inline.len() - interned.len(),
-            "v.m3u8".len() + 1,
+            foreign.len() - own.len(),
+            VIDEO.len() + 1,
             "slot replaces the literal and its length byte"
         );
-        // A slot against the wrong table fails closed rather than
-        // resolving to the wrong video.
-        assert_eq!(decode_p2p(&interned, &InternTable::EMPTY), None);
-        assert_eq!(decode_p2p(&interned, &table), Some(msg));
+        fn video_of(frame: &Bytes) -> StrRef<'_> {
+            match decode_p2p_view(frame) {
+                Some(P2pView::RequestSegment { video, .. }) => video,
+                other => panic!("decodes as a request: {other:?}"),
+            }
+        }
+        assert_eq!(video_of(&own), StrRef::Slot(0));
+        assert_eq!(video_of(&foreign), StrRef::Inline(VIDEO));
+        assert!(video_of(&own).matches(VIDEO));
+        assert!(video_of(&foreign).matches(VIDEO));
+        assert!(!video_of(&foreign).matches("other.m3u8"));
     }
 
     #[test]
-    fn header_and_tail_concatenate_to_the_frame() {
-        let mut table = InternTable::new();
-        table.intern("v.m3u8");
-        for msg in every_p2p_variant() {
-            let r = P2pRef::from(&msg);
+    fn header_is_the_frame_before_its_payload() {
+        every_p2p_variant(|msg| {
             let mut header = BytesMut::new();
-            let tail = encode_p2p_header_into(&r, &table, &mut header);
-            let whole = [&header[..], tail].concat();
-            assert_eq!(&whole[..], &encode_p2p(&msg, &table)[..], "{msg:?}");
-            let payload_len = match &msg {
-                P2pMsg::SegmentData { data, .. } => data.len(),
-                _ => 0,
-            };
-            assert_eq!(tail.len(), payload_len, "{msg:?}");
-        }
+            let tail = encode_p2p_header_into(msg, VIDEO, &mut header);
+            match msg {
+                // The payload is handed back, not copied.
+                P2pRef::SegmentData { data, .. } => assert_eq!(tail.as_ptr(), data.as_ptr()),
+                _ => assert!(tail.is_empty(), "{msg:?}"),
+            }
+            let whole = Bytes::from([&header[..], tail].concat());
+            assert!(decode_p2p_view(&whole).is_some(), "{msg:?}");
+            assert!(
+                decode_p2p_view(&whole.slice(..header.len() - 1)).is_none(),
+                "{msg:?}"
+            );
+        });
     }
 
     #[test]
     fn segment_payload_decodes_zero_copy() {
         let payload = Bytes::from(vec![0x47u8; 4096]);
-        let msg = P2pMsg::SegmentData {
-            video: VideoId::new("v"),
+        let msg = P2pRef::SegmentData {
+            video: "v",
             rendition: 0,
             seq: 1,
             duration_ms: 4000,
-            data: payload,
+            data: &payload,
             sim: None,
         };
-        let frame = encode_p2p(&msg, &InternTable::EMPTY);
+        let frame = p2p_frame(&msg, "other");
         let Some(P2pView::SegmentData { data, .. }) = decode_p2p_view(&frame) else {
             panic!("decodes");
         };
@@ -1191,15 +1030,13 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_and_streams_without_table_access() {
-        let mut table = InternTable::new();
-        table.intern("v");
-        let msg = P2pMsg::Have {
-            video: VideoId::new("v"),
+    fn view_matches_and_streams_the_frame() {
+        let msg = P2pRef::Have {
+            video: "v",
             rendition: 2,
-            seqs: vec![5, 6, 700],
+            seqs: &[5, 6, 700],
         };
-        let frame = encode_p2p(&msg, &table);
+        let frame = p2p_frame(&msg, "v");
         let Some(P2pView::Have {
             video,
             rendition,
@@ -1208,8 +1045,9 @@ mod tests {
         else {
             panic!("decodes");
         };
-        assert!(video.matches(&table, "v"));
-        assert!(!video.matches(&InternTable::EMPTY, "v"), "fails closed");
+        assert!(video.matches("v"));
+        assert!(!StrRef::Slot(1).matches("v"), "only slot 0 names a video");
+        assert!(!StrRef::Inline("w").matches("v"));
         assert_eq!(rendition, 2);
         assert_eq!(seqs.len(), 3);
         assert_eq!(seqs.collect::<Vec<_>>(), vec![5, 6, 700]);
@@ -1228,14 +1066,15 @@ mod tests {
                 prop_assert_eq!(decode_signal(&frame[..cut]), None, "signal cut at {}", cut);
                 prop_assert!(decode_join_view(&frame[..cut]).is_none(), "join view cut at {}", cut);
             }
-            let mut table = InternTable::new();
-            table.intern("v.m3u8");
-            for msg in every_p2p_variant() {
-                let frame = encode_p2p(&msg, &table);
-                if frame.len() < 2 { continue; }
+            let mut cut_decodes = None;
+            every_p2p_variant(|msg| {
+                let frame = p2p_frame(msg, VIDEO);
                 let cut = 1 + (cut_seed as usize % (frame.len() - 1));
-                prop_assert_eq!(decode_p2p(&frame.slice(..cut), &table), None, "p2p cut at {}", cut);
-            }
+                if decode_p2p_view(&frame.slice(..cut)).is_some() {
+                    cut_decodes.get_or_insert(cut);
+                }
+            });
+            prop_assert_eq!(cut_decodes, None, "p2p frame cut decodes");
         }
 
         /// Fuzz: arbitrary garbage and bit-flipped frames never panic any
@@ -1251,16 +1090,14 @@ mod tests {
             let _ = decode_signal(&garbage);
             let _ = SignalMsg::decode(&garbage);
             let _ = decode_p2p_view(&Bytes::from(garbage.clone()));
-            let _ = P2pMsg::decode(&Bytes::from(garbage.clone()));
-            for msg in every_p2p_variant() {
-                let frame = encode_p2p(&msg, &InternTable::EMPTY);
-                let mut bent = frame.to_vec();
-                let i = flip_byte % bent.len();
-                bent[i] ^= 1 << flip_bit;
-                let bent = Bytes::from(bent);
-                let _ = decode_p2p_view(&bent);
-                let _ = P2pMsg::decode(&bent);
-            }
+            every_p2p_variant(|msg| {
+                for channel_video in [VIDEO, "other.m3u8"] {
+                    let mut bent = p2p_frame(msg, channel_video).to_vec();
+                    let i = flip_byte % bent.len();
+                    bent[i] ^= 1 << flip_bit;
+                    let _ = decode_p2p_view(&Bytes::from(bent));
+                }
+            });
             for msg in every_signal_variant() {
                 let frame = encode_signal(&msg);
                 let mut bent = frame.to_vec();

@@ -72,6 +72,8 @@ pub struct PdnWorld {
     viewers: Vec<Option<PdnAgent>>,
     /// Reused reply buffer for signaling frame handling.
     signal_out: Vec<(Addr, bytes::Bytes)>,
+    /// Reused action buffer every agent entry point appends to.
+    agent_out: Vec<AgentOut>,
     /// IMs and playback fingerprints of the segments in this world, lent
     /// to every viewer's agent and player.
     digests: SegmentDigests,
@@ -119,6 +121,7 @@ impl PdnWorld {
             turn_addr,
             viewers: Vec::new(),
             signal_out: Vec::new(),
+            agent_out: Vec::new(),
             digests: SegmentDigests::new(),
         }
     }
@@ -154,7 +157,8 @@ impl PdnWorld {
         let stun_addr = self.stun_addr;
         let mut rng = self.net.rng().fork(node.0 as u64 ^ 0xa6e47);
         let mut agent = PdnAgent::new(spec.config, host_addr, stun_addr, &mut rng);
-        let outs = agent.start();
+        let mut outs = std::mem::take(&mut self.agent_out);
+        agent.start(&mut outs);
         let idx = node.0 as usize;
         if idx >= self.viewers.len() {
             self.viewers.resize_with(idx + 1, || None);
@@ -311,7 +315,8 @@ impl PdnWorld {
                     .get_mut(node.0 as usize)
                     .and_then(Option::as_mut)
                 {
-                    let outs = agent.on_tick(at, &mut self.digests);
+                    let mut outs = std::mem::take(&mut self.agent_out);
+                    agent.on_tick(at, &mut self.digests, &mut outs);
                     self.apply_outs(node, outs);
                     self.net
                         .set_timer(node, crate::sdk::costs::TICK, WorldTimer::Tick);
@@ -431,32 +436,33 @@ impl PdnWorld {
             .get_mut(node.0 as usize)
             .and_then(Option::as_mut)
             .expect("checked by caller");
-        let outs = match dgram.dst.port {
+        let mut outs = std::mem::take(&mut self.agent_out);
+        match dgram.dst.port {
             ports::SIGNAL => {
                 let _g = phase(Phase::Signal);
-                match SignalMsg::decode(&dgram.payload) {
-                    Some(msg) => agent.on_signal(msg, at, &mut self.digests),
-                    None => Vec::new(),
+                if let Some(msg) = SignalMsg::decode(&dgram.payload) {
+                    agent.on_signal(msg, at, &mut self.digests, &mut outs);
                 }
             }
             ports::HTTP => {
                 let _g = phase(Phase::Http);
-                match HttpResponse::decode(&dgram.payload) {
-                    Some(resp) => agent.on_http(resp, at, &mut self.digests),
-                    None => Vec::new(),
+                if let Some(resp) = HttpResponse::decode(&dgram.payload) {
+                    agent.on_http(resp, at, &mut self.digests, &mut outs);
                 }
             }
             ports::MEDIA => {
                 let _g = phase(Phase::P2p);
-                agent.on_udp(dgram.src, &dgram.payload, at, &mut self.digests)
+                agent.on_udp(dgram.src, &dgram.payload, at, &mut self.digests, &mut outs);
             }
-            _ => Vec::new(),
-        };
+            _ => {}
+        }
         self.apply_outs(node, outs);
     }
 
-    fn apply_outs(&mut self, node: NodeId, outs: Vec<AgentOut>) {
-        for out in outs {
+    /// Carries out an agent's actions in order, then keeps the emptied
+    /// buffer for the next entry point.
+    fn apply_outs(&mut self, node: NodeId, mut outs: Vec<AgentOut>) {
+        for out in outs.drain(..) {
             match out {
                 AgentOut::Signal(msg) => {
                     self.net.send(
@@ -488,6 +494,7 @@ impl PdnWorld {
                 AgentOut::FreeMem(b) => self.net.resources_mut(node).free_mem(b),
             }
         }
+        self.agent_out = outs;
     }
 }
 

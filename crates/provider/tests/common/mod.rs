@@ -4,7 +4,8 @@
 
 use bytes::Bytes;
 use pdn_media::VideoId;
-use pdn_provider::{P2pMsg, SignalMsg};
+use pdn_oracle::p2p::P2pMsg;
+use pdn_provider::SignalMsg;
 use pdn_simnet::Addr;
 use pdn_webrtc::{Candidate, CandidateKind, Fingerprint, SessionDescription};
 
@@ -74,21 +75,25 @@ pub fn every_signal_variant() -> Vec<SignalMsg> {
     ]
 }
 
-/// One message of every P2P variant (segments with and without SIM).
+/// The video every fixture P2P message names.
+pub const VIDEO: &str = "v.m3u8";
+
+/// One message of every P2P variant (segments with and without SIM), each
+/// naming [`VIDEO`].
 pub fn every_p2p_variant() -> Vec<P2pMsg> {
     vec![
         P2pMsg::Have {
-            video: VideoId::new("v.m3u8"),
+            video: VideoId::new(VIDEO),
             rendition: 1,
             seqs: vec![0, 1, 127, 128, 1 << 40],
         },
         P2pMsg::RequestSegment {
-            video: VideoId::new("v.m3u8"),
+            video: VideoId::new(VIDEO),
             rendition: 0,
             seq: 42,
         },
         P2pMsg::SegmentData {
-            video: VideoId::new("v.m3u8"),
+            video: VideoId::new(VIDEO),
             rendition: 3,
             seq: 9,
             duration_ms: 4000,
@@ -96,7 +101,7 @@ pub fn every_p2p_variant() -> Vec<P2pMsg> {
             sim: Some(([1u8; 32], [2u8; 32])),
         },
         P2pMsg::SegmentData {
-            video: VideoId::new("v.m3u8"),
+            video: VideoId::new(VIDEO),
             rendition: 0,
             seq: 10,
             duration_ms: 4000,

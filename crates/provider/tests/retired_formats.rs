@@ -10,18 +10,16 @@ use bytes::Bytes;
 use common::{every_p2p_variant, every_signal_variant, sdp};
 use pdn_media::VideoId;
 use pdn_oracle::json_baseline;
+use pdn_oracle::p2p::P2pMsg;
 use pdn_provider::service::MsgClass;
 use pdn_provider::wire::{decode_join_view, decode_p2p_view};
-use pdn_provider::{P2pMsg, SignalMsg};
+use pdn_provider::SignalMsg;
 use proptest::prelude::*;
 
 /// Why `frame` is not rejected by every production decoder, if it is not.
 fn accepted_by_production(frame: &Bytes) -> Option<&'static str> {
     if SignalMsg::decode(frame).is_some() {
         return Some("SignalMsg::decode");
-    }
-    if P2pMsg::decode(frame).is_some() {
-        return Some("P2pMsg::decode");
     }
     if decode_p2p_view(frame).is_some() {
         return Some("decode_p2p_view");

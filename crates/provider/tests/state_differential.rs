@@ -271,8 +271,9 @@ proptest! {
     /// Satellite (c): random interleavings of every client-originated
     /// `SignalMsg` variant — joins (valid and denied), leaves, stats
     /// reports, IM reports reaching consensus, conflict resolution against
-    /// the origin, and blacklisting — agree reply-for-reply between the new
-    /// engine and the baseline, under every matching policy.
+    /// the origin, malformed IMs, and blacklisting — agree reply-for-reply
+    /// between the new engine and the baseline, under every matching
+    /// policy.
     #[test]
     fn signaling_differential_over_message_variants(
         ops in proptest::collection::vec(
@@ -357,16 +358,19 @@ proptest! {
                 },
                 _ => {
                     let seq = y % 4;
-                    let im = match x % 3 {
-                        0 => authentic[seq as usize],
-                        1 => [0xAA; 32],
-                        _ => [0xBB; 32],
+                    let im = match x % 4 {
+                        0 => pdn_crypto::hex(&authentic[seq as usize]),
+                        1 => pdn_crypto::hex(&[0xAA; 32]),
+                        2 => pdn_crypto::hex(&[0xBB; 32]),
+                        // 64 bytes but not 64 hex digits: both engines
+                        // drop it without touching the IM state.
+                        _ => format!("€{}", "0".repeat(61)),
                     };
                     SignalMsg::ImReport {
                         video: "v0".into(),
                         rendition: 0,
                         seq,
-                        im: pdn_crypto::hex(&im),
+                        im,
                     }
                 }
             };

@@ -1,14 +1,18 @@
-//! Committed goldens for the paper tables whose outputs depend on segment
-//! hashing: Table V (pollution verdicts) and Table VI (IM checking), each
-//! rendered at the default seed exactly as the `tables` binary prints it.
+//! Committed goldens for the paper's artifacts at the default seed: every
+//! table and figure the `tables` binary prints (`tables.txt`, the text of
+//! [`pdn_bench::render_tables`]), and on their own Table V (pollution
+//! verdicts) and Table VI (IM checking), whose outputs depend on segment
+//! hashing and which perfbench pins by hash.
 //!
 //! A mismatch names the first differing line. After a deliberate change
 //! of output, regenerate a golden from the repository root with
-//! `cargo run --release --offline -p pdn-bench --bin tables -- table5 > tests/goldens/table5.txt`
-//! (likewise `table6`), and say why it moved.
+//! `cargo run --release --offline -p pdn-bench --bin tables > tests/goldens/tables.txt`
+//! (likewise `-- table5 > tests/goldens/table5.txt` and `table6`), and say
+//! why it moved.
 
-use pdn_bench::{table5, table6, SEED};
+use pdn_bench::{render_tables, table5, table6, SEED};
 
+const TABLES: &str = include_str!("goldens/tables.txt");
 const TABLE5: &str = include_str!("goldens/table5.txt");
 const TABLE6: &str = include_str!("goldens/table6.txt");
 
@@ -32,6 +36,12 @@ fn assert_matches_golden(name: &str, golden: &str, actual: &str) {
         golden.lines().nth(first),
         actual.lines().nth(first),
     );
+}
+
+/// Tables I–VI, Fig. 4–5 and the §IV-B/D and §V-A/C studies, in full.
+#[test]
+fn tables_match_golden() {
+    assert_matches_golden("tables", TABLES, &render_tables(SEED, |_| true));
 }
 
 #[test]
