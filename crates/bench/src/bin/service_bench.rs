@@ -27,17 +27,21 @@
 //!
 //! `--quick` runs a small three-point suite plus the federation gate
 //! (K=4 aggregate knee >= 3x K=1, shard-mode identity; per-join CPU is
-//! printed, not gated) and fails on SLO breach or regression against the committed
-//! `BENCH_service.json`. No JSON is written in quick mode — this is the
-//! `scripts/check.sh` guard. `--federation` runs only the federation
+//! printed, not gated). It fails on an SLO breach, on a goodput collapse
+//! at 2x, or when the three deterministic rows differ from
+//! `tests/goldens/service_quick.txt` — an exact check, so a knee that
+//! moves by one join fails it. No JSON is written in quick mode — this is
+//! the `scripts/check.sh` guard. `--federation` runs only the federation
 //! sweep and prints it (no JSON write — the focused dev loop).
 //!
 //! `--seed N` reruns everything under a different world seed (default 1;
-//! the committed JSON is seed 1).
+//! the committed JSON and the quick golden are seed 1, so at any other
+//! seed the quick rows are printed and not compared).
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use pdn_bench::assert_matches_golden;
 use pdn_provider::service::{
     run_federation, run_service, CaptureScope, FederationConfig, FederationReport, InboxConfig,
     ServiceConfig, ServiceReport,
@@ -63,6 +67,11 @@ const PLATEAU_2X_VS_KNEE: f64 = 0.6;
 /// virtual time (shared-nothing regions; spill and handoff are the only
 /// couplings).
 const FED_K4_SCALING_FLOOR: f64 = 3.0;
+
+/// The three `--quick` rows at the default seed, one JSON row per line.
+const QUICK_GOLDEN_PATH: &str = "tests/goldens/service_quick.txt";
+const QUICK_GOLDEN: &str = include_str!("../../../../tests/goldens/service_quick.txt");
+const QUICK_GOLDEN_SEED: u64 = 1;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -201,7 +210,7 @@ fn base(seed: u64) -> ServiceConfig {
 }
 
 /// The small suite `--quick` gates on; full mode runs it too so its
-/// numbers land in the committed JSON for future gating.
+/// rows land in the committed JSON beside the full-length ones.
 fn quick_suite(seed: u64) -> (Row, Row, Row) {
     let mut cfg = base(seed);
     cfg.run_for = Duration::from_secs(4);
@@ -527,18 +536,6 @@ fn quick_federation_gate(seed: u64) {
     per_join_cpu_ns(2_000);
 }
 
-/// Extracts the number following `key` in a flat JSON text.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(key)? + key.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn committed_quick_knee() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_service.json").ok()?;
-    json_f64(&text, "\"quick_knee_joins_ok_per_sec\": ")
-}
-
 /// Value of a `--flag value` or `--flag=value` argument.
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -580,17 +577,18 @@ fn main() {
             PLATEAU_2X_VS_KNEE * 100.0,
             knee.goodput()
         );
-        match committed_quick_knee() {
-            Some(committed) => {
-                let now = knee.joins_ok_per_sec();
-                assert!(
-                    now >= committed * 0.9,
-                    "knee throughput regressed: {now:.0} joins-ok/s vs committed {committed:.0} \
-                     (>10%)"
-                );
-                println!("  within 10% of committed {committed:.0} joins-ok/s");
-            }
-            None => println!("  no committed BENCH_service.json; skipping regression gate"),
+        let work = [&light, &knee, &over]
+            .map(|r| format!("{}\n", r.json))
+            .concat();
+        if seed == QUICK_GOLDEN_SEED {
+            assert_matches_golden(QUICK_GOLDEN_PATH, QUICK_GOLDEN, &work);
+            println!("  quick rows match {QUICK_GOLDEN_PATH}");
+        } else {
+            print!("{work}");
+            println!(
+                "  no golden applies at seed {seed} ({QUICK_GOLDEN_PATH} is seed \
+                 {QUICK_GOLDEN_SEED}); quick rows not compared"
+            );
         }
         quick_federation_gate(seed);
         return;
@@ -708,8 +706,7 @@ fn main() {
     rows.push(row2x);
     rows.push(row10x);
 
-    // The quick suite, so its reference numbers are committed for the
-    // `--quick` CI gate.
+    // The quick suite, so its rows sit in the JSON beside the full runs.
     let (q_light, q_knee, q_over) = quick_suite(seed);
 
     // The federated plane: K=1/2/4 x steady/flash/failover, with the

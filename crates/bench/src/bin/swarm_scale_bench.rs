@@ -8,10 +8,13 @@
 //! ```
 //!
 //! `--quick` runs the 10k-peer world at shard counts 1/2/4/8, fails on
-//! any table divergence, gates events/sec against the committed
-//! `BENCH_swarm.json` (>10% regression) and enforces the peers/GB floor.
-//! No JSON is written in quick mode — this is the `scripts/check.sh`
-//! guard.
+//! any table divergence, enforces the peers/GB floor, and compares the
+//! exact work (events and bytes/peer per shard count, then the result
+//! table) with `tests/goldens/swarm_quick.txt`, which holds seed 1; at
+//! any other `--seed` it prints the work and says no golden applies.
+//! Events/sec is wall-clock and printed for information only: perfbench's
+//! `swarm_100k` is the timing referee. No JSON is written in quick mode —
+//! this is the `scripts/check.sh` guard.
 //!
 //! The recorded `mode` ("inline" or "threaded") is the path the shard
 //! runner actually took on this host: 1-core containers collapse to the
@@ -20,12 +23,19 @@
 
 use std::time::Instant;
 
+use pdn_bench::assert_matches_golden;
 use pdn_provider::swarm::{SwarmConfig, SwarmWorld};
 use pdn_simnet::shard::{host_parallelism, ShardMode};
 
 /// The peers/GB floor: the per-peer diet target is <1 KB steady-state,
 /// i.e. at least ~10^6 peers per GiB of world footprint.
 const PEERS_PER_GB_FLOOR: f64 = 1_000_000.0;
+
+/// The `--quick` work summary at the default seed: events and bytes/peer
+/// at each shard count, then the shared result table.
+const QUICK_GOLDEN_PATH: &str = "tests/goldens/swarm_quick.txt";
+const QUICK_GOLDEN: &str = include_str!("../../../../tests/goldens/swarm_quick.txt");
+const QUICK_GOLDEN_SEED: u64 = 1;
 
 /// One measured scale point.
 struct Point {
@@ -73,20 +83,6 @@ fn run_point(label: &'static str, cfg: SwarmConfig, shards: usize) -> (Point, St
     (point, world.table())
 }
 
-/// Extracts the number following `key` in a flat JSON text.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(key)? + key.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The committed 10k-peer events/sec from a previously written
-/// `BENCH_swarm.json`, if one exists in the working directory.
-fn committed_eps_10k() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_swarm.json").ok()?;
-    json_f64(&text, "\"events_per_sec_10k\": ")
-}
-
 /// Value of a `--flag value` or `--flag=value` argument.
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -114,8 +110,8 @@ fn main() {
         // at every shard count (the sharded engine's core contract).
         let mut cfg = SwarmConfig::quick(10_000);
         cfg.seed = seed;
-        let mut reference = None;
-        let mut point = None;
+        let mut reference: Option<String> = None;
+        let mut work = String::new();
         for k in [1usize, 2, 4, 8] {
             let (p, table) = run_point("10k", cfg.clone(), k);
             match &reference {
@@ -125,39 +121,33 @@ fn main() {
                     "result table diverged between 1 and {k} shards"
                 ),
             }
-            if k == 1 {
-                point = Some(p);
-            }
+            println!(
+                "swarm 10k x{k}: {:.0} ev/s (wall clock, information only), {:.0} peers/GB, \
+                 offload {:.1}%, mode {}",
+                p.events_per_sec, p.peers_per_gb, p.offload_pct, p.mode
+            );
+            assert!(
+                p.peers_per_gb >= PEERS_PER_GB_FLOOR,
+                "peers/GB fell below the floor ({:.0} < {PEERS_PER_GB_FLOOR:.0}; \
+                 {:.0} bytes/peer)",
+                p.peers_per_gb,
+                p.bytes_per_peer
+            );
+            work.push_str(&format!(
+                "shards {k}: {} events, {:.0} B/peer\n",
+                p.events, p.bytes_per_peer
+            ));
         }
-        let p = point.expect("k=1 ran");
-        println!(
-            "swarm 10k: {:.0} ev/s, {:.0} B/peer, {:.0} peers/GB, offload {:.1}%, mode {}",
-            p.events_per_sec, p.bytes_per_peer, p.peers_per_gb, p.offload_pct, p.mode
-        );
-        assert!(
-            p.peers_per_gb >= PEERS_PER_GB_FLOOR,
-            "peers/GB fell below the floor ({:.0} < {PEERS_PER_GB_FLOOR:.0}; \
-             {:.0} bytes/peer)",
-            p.peers_per_gb,
-            p.bytes_per_peer
-        );
-        match committed_eps_10k() {
-            Some(committed) => {
-                println!(
-                    "events_per_sec_10k: {:.0} (committed {committed:.0}, ratio {:.2})",
-                    p.events_per_sec,
-                    p.events_per_sec / committed
-                );
-                assert!(
-                    p.events_per_sec >= committed * 0.90,
-                    "swarm event throughput regressed >10% vs committed \
-                     BENCH_swarm.json ({:.0} vs {committed:.0} ev/s)",
-                    p.events_per_sec
-                );
-            }
-            None => {
-                eprintln!("note: no committed BENCH_swarm.json; skipping the regression gate");
-            }
+        work.push_str(&reference.expect("four shard counts ran"));
+        if seed == QUICK_GOLDEN_SEED {
+            assert_matches_golden(QUICK_GOLDEN_PATH, QUICK_GOLDEN, &work);
+            println!("work summary matches {QUICK_GOLDEN_PATH}");
+        } else {
+            print!("{work}");
+            println!(
+                "no golden applies at seed {seed} ({QUICK_GOLDEN_PATH} is seed \
+                 {QUICK_GOLDEN_SEED}); work summary not compared"
+            );
         }
         return;
     }

@@ -11,5 +11,6 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    print!("{}", pdn_bench::render_tables(pdn_bench::SEED, want));
+    let pool = pdn_core::WorldPool::auto();
+    print!("{}", pdn_bench::render_tables(pdn_bench::SEED, &pool, want));
 }

@@ -7,14 +7,17 @@
 //! | artifact | function |
 //! |----------|----------|
 //! | Table I–IV | [`detection_report`] |
-//! | Table V | [`table5`] |
+//! | Table V | [`table5_pooled`] |
 //! | Table VI | [`table6`] |
 //! | Figure 4 | [`figure4`] |
 //! | Figure 5 | [`figure5`] |
 //! | §IV-B field study | [`freeriding_study`] |
-//! | §IV-D wild harvest | [`ip_leak_wild`] |
+//! | §IV-D wild harvest | [`ip_leak_wild_pooled`] |
 //! | §V-A token | [`token_defense`] |
-//! | §V-C mitigations | [`privacy_mitigation`] |
+//! | §V-C mitigations | [`privacy_mitigation_pooled`] |
+//!
+//! The entry points that fan independent worlds out take a
+//! [`WorldPool`]; their output is byte-identical at any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,13 +52,7 @@ pub fn freeriding_study(seed: u64) -> pdn_core::KeyFieldStudy {
 }
 
 /// Builds Table V for the three public providers, with field-study key
-/// counts.
-pub fn table5(seed: u64) -> RiskMatrix {
-    table5_pooled(seed, &WorldPool::auto())
-}
-
-/// [`table5`] with an explicit [`WorldPool`]: each provider×test cell
-/// runs as an independent world, byte-identical at any worker count.
+/// counts. Each provider×test cell runs as an independent world on `pool`.
 pub fn table5_pooled(seed: u64, pool: &WorldPool) -> RiskMatrix {
     let study = freeriding_study(seed);
     let profiles = [
@@ -95,9 +92,20 @@ pub fn figure4(secs: u64, seed: u64) -> pdn_core::ResourceFigure {
     pdn_core::squatting::resource_consumption(&ProviderProfile::peer5(), secs, seed)
 }
 
-/// Runs the Figure 5 sweep.
-pub fn figure5(max_neighbors: usize, secs: u64, seed: u64) -> Vec<pdn_core::BandwidthPoint> {
-    pdn_core::squatting::bandwidth_scaling(&ProviderProfile::peer5(), max_neighbors, secs, seed)
+/// Runs the Figure 5 sweep, one world per neighbor count on `pool`.
+pub fn figure5(
+    max_neighbors: usize,
+    secs: u64,
+    seed: u64,
+    pool: &WorldPool,
+) -> Vec<pdn_core::BandwidthPoint> {
+    pdn_core::squatting::bandwidth_scaling_pooled(
+        &ProviderProfile::peer5(),
+        max_neighbors,
+        secs,
+        seed,
+        pool,
+    )
 }
 
 /// The two measured channels as a trial pair under one matching policy,
@@ -121,16 +129,8 @@ fn channel_pair(matching: MatchingPolicy, days: f64, seed: u64) -> [WildTrial; 2
     ]
 }
 
-/// Runs the §IV-D wild harvest for both measured channels.
-pub fn ip_leak_wild(
-    days: f64,
-    seed: u64,
-) -> (pdn_core::IpLeakWildResult, pdn_core::IpLeakWildResult) {
-    ip_leak_wild_pooled(days, seed, &WorldPool::auto())
-}
-
-/// [`ip_leak_wild`] with an explicit [`WorldPool`]: the two channel
-/// harvests are independent worlds.
+/// Runs the §IV-D wild harvest for both measured channels, as two
+/// independent worlds on `pool`.
 pub fn ip_leak_wild_pooled(
     days: f64,
     seed: u64,
@@ -142,15 +142,7 @@ pub fn ip_leak_wild_pooled(
     (huya, rt)
 }
 
-/// Runs the §V-C same-country mitigation pair.
-pub fn privacy_mitigation(
-    days: f64,
-    seed: u64,
-) -> (pdn_core::IpLeakWildResult, pdn_core::IpLeakWildResult) {
-    privacy_mitigation_pooled(days, seed, &WorldPool::auto())
-}
-
-/// [`privacy_mitigation`] with an explicit [`WorldPool`].
+/// Runs the §V-C same-country mitigation pair on `pool`.
 pub fn privacy_mitigation_pooled(
     days: f64,
     seed: u64,
@@ -160,6 +152,29 @@ pub fn privacy_mitigation_pooled(
     let rt = r.pop().expect("two trials");
     let huya = r.pop().expect("two trials");
     (huya, rt)
+}
+
+/// Panics unless `actual` equals the committed `golden` text (read from
+/// `path`, relative to the repository root). The message names the
+/// first differing line, golden vs actual, and ends with the full actual
+/// text to paste into `path` after a deliberate change.
+pub fn assert_matches_golden(path: &str, golden: &str, actual: &str) {
+    if golden == actual {
+        return;
+    }
+    let (want, got) = (golden.lines(), actual.lines());
+    let first = want
+        .clone()
+        .zip(got.clone())
+        .position(|(w, g)| w != g)
+        .unwrap_or_else(|| want.clone().count().min(got.clone().count()));
+    panic!(
+        "{path} differs at line {}:\n  golden: {:?}\n  actual: {:?}\n\
+         if the change is deliberate, replace {path} with:\n{actual}",
+        first + 1,
+        golden.lines().nth(first),
+        actual.lines().nth(first),
+    );
 }
 
 /// Runs the §V-A token-defense evaluation.

@@ -3,24 +3,31 @@
 
 use std::fmt::Write;
 
+use pdn_core::WorldPool;
 use pdn_detector::DetectionReport;
 
 use crate::{
-    detection_report, figure4, figure5, freeriding_study, ip_leak_wild, privacy_mitigation, table5,
-    table6, token_defense,
+    detection_report, figure4, figure5, freeriding_study, ip_leak_wild_pooled,
+    privacy_mitigation_pooled, table5_pooled, table6, token_defense,
 };
 
 /// Renders the artifacts `want` selects at `seed`, each followed by a
 /// blank line, in this order: `table1 table2 table3 table4 freeriding
-/// table5 table6 fig4 fig5 ipleak token mitigation`.
-pub fn render_tables(seed: u64, want: impl Fn(&str) -> bool) -> String {
+/// table5 table6 fig4 fig5 ipleak token mitigation`. The pooled artifacts
+/// run on `pool`; the text is the same at any worker count.
+pub fn render_tables(seed: u64, pool: &WorldPool, want: impl Fn(&str) -> bool) -> String {
     let mut s = String::new();
     // Writing into a `String` cannot fail.
-    render_into(&mut s, seed, want).expect("fmt::Write for String");
+    render_into(&mut s, seed, pool, want).expect("fmt::Write for String");
     s
 }
 
-fn render_into(s: &mut String, seed: u64, want: impl Fn(&str) -> bool) -> std::fmt::Result {
+fn render_into(
+    s: &mut String,
+    seed: u64,
+    pool: &WorldPool,
+    want: impl Fn(&str) -> bool,
+) -> std::fmt::Result {
     if ["table1", "table2", "table3", "table4"]
         .iter()
         .any(|t| want(t))
@@ -65,7 +72,7 @@ fn render_into(s: &mut String, seed: u64, want: impl Fn(&str) -> bool) -> std::f
     }
 
     if want("table5") {
-        writeln!(s, "{}", table5(seed).render())?;
+        writeln!(s, "{}", table5_pooled(seed, pool).render())?;
     }
 
     if want("table6") {
@@ -109,7 +116,7 @@ fn render_into(s: &mut String, seed: u64, want: impl Fn(&str) -> bool) -> std::f
             "{:>9} {:>12} {:>12} {:>9}",
             "neighbors", "upload MB", "download MB", "up/down"
         )?;
-        for p in figure5(5, 90, seed) {
+        for p in figure5(5, 90, seed, pool) {
             writeln!(
                 s,
                 "{:>9} {:>12.1} {:>12.1} {:>8.2}x",
@@ -123,7 +130,7 @@ fn render_into(s: &mut String, seed: u64, want: impl Fn(&str) -> bool) -> std::f
     }
 
     if want("ipleak") {
-        let (huya, rt) = ip_leak_wild(7.0, seed);
+        let (huya, rt) = ip_leak_wild_pooled(7.0, seed, pool);
         writeln!(
             s,
             "§IV-D IP leak in the wild (one week, single controlled peer):"
@@ -159,8 +166,8 @@ fn render_into(s: &mut String, seed: u64, want: impl Fn(&str) -> bool) -> std::f
     }
 
     if want("mitigation") {
-        let (huya_b, rt_b) = ip_leak_wild(2.0, seed);
-        let (huya_m, rt_m) = privacy_mitigation(2.0, seed);
+        let (huya_b, rt_b) = ip_leak_wild_pooled(2.0, seed, pool);
+        let (huya_m, rt_m) = privacy_mitigation_pooled(2.0, seed, pool);
         writeln!(s, "§V-C same-country matching (2-day runs, US observer):")?;
         writeln!(
             s,

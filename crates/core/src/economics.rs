@@ -62,14 +62,9 @@ fn run_swarm(profile: &ProviderProfile, viewers: usize, pdn: bool, seed: u64) ->
     world.cdn().bill().egress_bytes
 }
 
-/// Measures the offload curve for swarm sizes in `sizes`.
-pub fn offload_curve(profile: &ProviderProfile, sizes: &[usize], seed: u64) -> Vec<OffloadPoint> {
-    offload_curve_pooled(profile, sizes, seed, &WorldPool::auto())
-}
-
-/// [`offload_curve`] with an explicit [`WorldPool`]: each (size, pdn/control)
-/// swarm is an independent world, fanned out and merged in index order so
-/// the curve is identical to the serial sweep at any worker count.
+/// Measures the offload curve for swarm sizes in `sizes`. Each (size,
+/// pdn/control) swarm is an independent world on `pool`, merged in index
+/// order, so the curve is identical at any worker count.
 pub fn offload_curve_pooled(
     profile: &ProviderProfile,
     sizes: &[usize],
@@ -107,17 +102,8 @@ pub struct AmplificationPoint {
 }
 
 /// Sweeps the §IV-B cost amplification: 2..=`max_peers` attacker peers
-/// streaming the attacker's video under the victim's subscription.
-pub fn cost_amplification(
-    profile: &ProviderProfile,
-    max_peers: usize,
-    seed: u64,
-) -> Vec<AmplificationPoint> {
-    cost_amplification_pooled(profile, max_peers, seed, &WorldPool::auto())
-}
-
-/// [`cost_amplification`] with an explicit [`WorldPool`]: one world per
-/// fleet size, merged in index order.
+/// streaming the attacker's video under the victim's subscription. One
+/// world per fleet size on `pool`, merged in index order.
 pub fn cost_amplification_pooled(
     profile: &ProviderProfile,
     max_peers: usize,
@@ -161,7 +147,8 @@ mod tests {
 
     #[test]
     fn offload_grows_with_swarm_size() {
-        let curve = offload_curve(&ProviderProfile::peer5(), &[2, 5], 500);
+        let curve =
+            offload_curve_pooled(&ProviderProfile::peer5(), &[2, 5], 500, &WorldPool::auto());
         for p in &curve {
             assert!(
                 p.offload_ratio() > 0.3,
@@ -183,7 +170,8 @@ mod tests {
 
     #[test]
     fn amplification_grows_with_attacker_fleet() {
-        let points = cost_amplification(&ProviderProfile::peer5(), 4, 501);
+        let points =
+            cost_amplification_pooled(&ProviderProfile::peer5(), 4, 501, &WorldPool::auto());
         assert!(points.iter().all(|p| p.victim_metered_bytes > 0));
         assert!(points.iter().all(|p| p.victim_bill_usd > 0.0));
         let first = points.first().expect("non-empty");

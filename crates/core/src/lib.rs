@@ -55,5 +55,5 @@ pub use freeriding::{AuthTestOutcome, FreeRidingResult, KeyFieldStudy};
 pub use ip_leak::{IpLeakWildResult, PopulationSpec};
 pub use pdn_simnet::shard::{derive_seed, WorldPool};
 pub use pollution::{PollutionMode, PollutionResult};
-pub use riskmatrix::{build_matrix, build_matrix_pooled, Cell, RiskMatrix};
+pub use riskmatrix::{build_matrix_pooled, Cell, RiskMatrix};
 pub use squatting::{BandwidthPoint, ResourceFigure};

@@ -105,19 +105,6 @@ pub struct ProviderKeyCounts {
     pub cross_domain_vulnerable: usize,
 }
 
-/// Builds the full matrix by running every test against every profile.
-///
-/// `key_counts` supplies the field-study numbers per provider name
-/// (compute them with [`crate::freeriding::key_field_study`] over a
-/// detector corpus); pass an empty closure result for boolean cells.
-pub fn build_matrix(
-    profiles: &[ProviderProfile],
-    key_counts: impl Fn(&str) -> Option<ProviderKeyCounts>,
-    seed: u64,
-) -> RiskMatrix {
-    build_matrix_pooled(profiles, key_counts, seed, &WorldPool::auto())
-}
-
 /// One evaluated matrix cell, before Cell classification.
 enum CellRun {
     Auth(FreeRidingResult),
@@ -127,7 +114,11 @@ enum CellRun {
 /// Number of independent test worlds per provider column.
 const TESTS_PER_PROVIDER: usize = 5;
 
-/// [`build_matrix`] with an explicit [`WorldPool`].
+/// Builds the full matrix by running every test against every profile.
+///
+/// `key_counts` supplies the field-study numbers per provider name
+/// (compute them with [`crate::freeriding::key_field_study`] over a
+/// detector corpus); pass an empty closure result for boolean cells.
 ///
 /// Every provider×test cell is an independent simulated world; the pool
 /// runs them concurrently and merges in index order, so the matrix is
@@ -238,7 +229,7 @@ mod tests {
                 _ => None,
             }
         };
-        let matrix = build_matrix(&profiles, counts, 777);
+        let matrix = build_matrix_pooled(&profiles, counts, 777, &WorldPool::auto());
         for col in &matrix.columns {
             // Everyone is spoofable, pollutes on segments, leaks IPs, and
             // squats resources; nobody falls to direct pollution.

@@ -137,18 +137,8 @@ impl BandwidthPoint {
 /// leech-mode peers on a live channel for `secs` per point.
 ///
 /// Peer A's uplink is limited (8 Mbps) so that the degradation past ~4
-/// neighbors the paper observed reproduces.
-pub fn bandwidth_scaling(
-    profile: &ProviderProfile,
-    max_neighbors: usize,
-    secs: u64,
-    seed: u64,
-) -> Vec<BandwidthPoint> {
-    bandwidth_scaling_pooled(profile, max_neighbors, secs, seed, &WorldPool::auto())
-}
-
-/// [`bandwidth_scaling`] with an explicit [`WorldPool`]: one world per
-/// neighbor count, merged in index order.
+/// neighbors the paper observed reproduces. One world per neighbor count
+/// on `pool`, merged in index order.
 pub fn bandwidth_scaling_pooled(
     profile: &ProviderProfile,
     max_neighbors: usize,
@@ -237,7 +227,8 @@ mod tests {
 
     #[test]
     fn figure5_upload_grows_with_neighbors() {
-        let points = bandwidth_scaling(&ProviderProfile::peer5(), 4, 90, 43);
+        let points =
+            bandwidth_scaling_pooled(&ProviderProfile::peer5(), 4, 90, 43, &WorldPool::auto());
         assert_eq!(points.len(), 4);
         // Upload ratio grows with neighbor count…
         assert!(

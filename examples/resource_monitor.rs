@@ -6,7 +6,8 @@
 //! cargo run --release --example resource_monitor
 //! ```
 
-use pdn_core::squatting::{bandwidth_scaling, resource_consumption};
+use pdn_core::squatting::{bandwidth_scaling_pooled, resource_consumption};
+use pdn_core::WorldPool;
 use pdn_provider::ProviderProfile;
 
 fn main() {
@@ -57,7 +58,7 @@ fn main() {
         "{:>9} {:>12} {:>12} {:>9} {:>8} {:>8}",
         "neighbors", "upload MB", "download MB", "up/down", "stalls", "offload"
     );
-    for p in bandwidth_scaling(&profile, 5, 90, 2) {
+    for p in bandwidth_scaling_pooled(&profile, 5, 90, 2, &WorldPool::auto()) {
         println!(
             "{:>9} {:>12.1} {:>12.1} {:>8.2}x {:>8} {:>7.0}%",
             p.neighbors,

@@ -48,13 +48,18 @@ run_gate "crypto gate (fast-path speedup/alloc asserts)" \
 run_gate "wire gate (binary vs JSON codec speedup + zero-alloc asserts)" \
   cargo run --release --offline -p pdn-oracle --bin wire_bench -- --quick
 
-run_gate "sim workload gate (serial workload within 10% of committed BENCH_sim.json)" \
+# The three work gates compare exact, host-independent counts with the
+# goldens under tests/goldens/. Each binary embeds its golden and prints
+# golden vs actual on a mismatch through pdn_bench::assert_matches_golden,
+# the helper the paper-golden tests use. Wall time is printed, never
+# gated: perfbench's A/B run is the only wall-clock referee.
+run_gate "sim work gate (table5+ablations output hash and profiler phase entries equal tests/goldens/sim_quick.txt)" \
   cargo run --release --offline -p pdn-oracle --bin sim_bench -- --quick
 
-run_gate "swarm scale gate (10k-peer tables identical at shards 1/2/4/8, peers/GB floor, ev/s within 10% of committed BENCH_swarm.json)" \
+run_gate "swarm work gate (10k-peer table identical at shards 1/2/4/8, peers/GB floor, events, bytes/peer and table equal tests/goldens/swarm_quick.txt)" \
   cargo run --release --offline -p pdn-bench --bin swarm_scale_bench -- --quick
 
-run_gate "service SLO gate (p999 JTFS under budget, knee within 10% of committed BENCH_service.json, goodput plateau at 2x, federation K=4 knee >= 3x K=1 with shard-mode identity)" \
+run_gate "service SLO and work gate (p999 JTFS under budget, goodput plateau at 2x, quick rows equal tests/goldens/service_quick.txt, federation K=4 knee >= 3x K=1 with shard-mode identity)" \
   cargo run --release --offline -p pdn-bench --bin service_bench -- --quick
 
 # The perfbench checkout builds the library crates from source against its

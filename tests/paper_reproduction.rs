@@ -3,6 +3,7 @@
 //! numbers; this test pins the *shapes* so regressions are caught in CI.
 
 use pdn_bench::*;
+use pdn_core::WorldPool;
 
 #[test]
 fn tables_1_to_4_counts() {
@@ -57,14 +58,14 @@ fn figure4_overheads() {
 
 #[test]
 fn figure5_scaling() {
-    let pts = figure5(3, 60, SEED);
+    let pts = figure5(3, 60, SEED, &WorldPool::auto());
     assert!(pts[2].upload_ratio() > pts[0].upload_ratio() * 1.8);
     assert!(pts[2].upload_ratio() > 1.2, "≥200%-of-download ballpark");
 }
 
 #[test]
 fn section_4d_wild_harvest() {
-    let (huya, rt) = ip_leak_wild(2.0, SEED);
+    let (huya, rt) = ip_leak_wild_pooled(2.0, SEED, &WorldPool::auto());
     assert!(huya.unique_ips > 1_000);
     assert!(huya.top_country_share() > 0.9, "Huya ≈98% CN");
     assert!(rt.countries.len() > 20, "RT spreads across many countries");
@@ -80,7 +81,7 @@ fn section_5a_token() {
 
 #[test]
 fn section_5c_mitigation() {
-    let (huya_m, rt_m) = privacy_mitigation(1.0, SEED);
+    let (huya_m, rt_m) = privacy_mitigation_pooled(1.0, SEED, &WorldPool::auto());
     assert_eq!(huya_m.public_ips, 0, "US observer sees no CN viewers");
     assert!(rt_m.countries.keys().all(|c| c == "US"));
 }
