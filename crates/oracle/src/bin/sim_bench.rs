@@ -8,13 +8,13 @@
 //! ```
 //!
 //! `--quick` runs the pooled workload once, serially, with the profiler
-//! on, and compares its exact work — a hash of the rendered output and
-//! each phase's entry count — with `tests/goldens/sim_quick.txt`; on a
-//! mismatch it prints golden vs actual and the text to paste. It is the
-//! CI guard `scripts/check.sh` uses. Its wall time is printed for
-//! information only: perfbench's `paper_repro` is the timing referee, and
-//! the same work done by slower code passes this gate. No JSON is written
-//! in quick mode.
+//! on, and compares its exact work — a hash of the rendered output, each
+//! phase's entry count and the events its worlds popped — with
+//! `tests/goldens/sim_quick.txt`; on a mismatch it prints golden vs
+//! actual and the text to paste. It is the CI guard `scripts/check.sh`
+//! uses. Its wall time is printed for information only: perfbench's
+//! `paper_repro` is the timing referee, and the same work done by slower
+//! code passes this gate. No JSON is written in quick mode.
 //!
 //! `--profile` runs the workload once, serially, with the simnet per-phase
 //! profiler on, and prints the tick/signal/p2p/http/crypto/capture
@@ -93,22 +93,22 @@ fn churn<Q>(
 }
 
 /// Runs one profiled serial workload pass and returns its wall ms, its
-/// output and the phase totals.
+/// output, the phase totals and the events its worlds popped.
 fn profiled_pass(
     workload: &impl Fn(&WorldPool) -> String,
-) -> (f64, String, [profile::PhaseTotals; 6]) {
+) -> (f64, String, [profile::PhaseTotals; 6], u64) {
     profile::reset();
     profile::set_enabled(true);
     let t = Instant::now();
     let out = workload(&WorldPool::serial());
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     profile::set_enabled(false);
-    (wall_ms, out, profile::snapshot())
+    (wall_ms, out, profile::snapshot(), profile::events_popped())
 }
 
 /// The `--quick` work summary: the first 16 hex digits of the output's
-/// SHA-256, then each profiler phase's entry count.
-fn work_summary(out: &str, snap: &[profile::PhaseTotals; 6]) -> String {
+/// SHA-256, each profiler phase's entry count, then the events popped.
+fn work_summary(out: &str, snap: &[profile::PhaseTotals; 6], events: u64) -> String {
     let hash: String = pdn_crypto::sha256::digest(out.as_bytes())[..8]
         .iter()
         .map(|b| format!("{b:02x}"))
@@ -117,6 +117,7 @@ fn work_summary(out: &str, snap: &[profile::PhaseTotals; 6]) -> String {
     for t in snap {
         work.push_str(&format!("phase {} entries {}\n", t.phase.label(), t.count));
     }
+    work.push_str(&format!("events popped {events}\n"));
     work
 }
 
@@ -131,7 +132,7 @@ fn main() {
     // self-inclusive per phase (crypto nests inside tick/p2p).
     if std::env::args().any(|a| a == "--profile") {
         let probe_ns = profile::calibrate_probe_cost();
-        let (wall_ms, _, snap) = profiled_pass(&workload);
+        let (wall_ms, _, snap, _) = profiled_pass(&workload);
         let overhead_ms = snap
             .iter()
             .map(|t| t.count)
@@ -156,9 +157,13 @@ fn main() {
     // `--quick`: one profiled serial pass; its exact work is the gate and
     // its wall time is information only.
     if std::env::args().any(|a| a == "--quick") {
-        let (wall_ms, out, snap) = profiled_pass(&workload);
+        let (wall_ms, out, snap, events) = profiled_pass(&workload);
         println!("workload_serial_ms: {wall_ms:.2} (profiled; wall clock, information only)");
-        assert_matches_golden(QUICK_GOLDEN_PATH, QUICK_GOLDEN, &work_summary(&out, &snap));
+        assert_matches_golden(
+            QUICK_GOLDEN_PATH,
+            QUICK_GOLDEN,
+            &work_summary(&out, &snap, events),
+        );
         println!("work summary matches {QUICK_GOLDEN_PATH}");
         return;
     }
@@ -234,7 +239,7 @@ fn main() {
     // with many cheap entries no longer overstate their share. Entry
     // counts are left out: `tests/goldens/sim_quick.txt` owns them.
     let probe_ns = profile::calibrate_probe_cost();
-    let (profiled_ms, _, snap) = profiled_pass(&workload);
+    let (profiled_ms, _, snap, _) = profiled_pass(&workload);
     let overhead_ms = snap
         .iter()
         .map(|t| t.count)

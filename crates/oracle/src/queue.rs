@@ -41,6 +41,16 @@ impl HeapMapQueue {
         self.queue.push(Reverse((at.as_nanos(), seq)));
     }
 
+    /// Schedules `ev` at `at` under a caller-supplied tie-break key, like
+    /// `CalendarQueue::push_keyed`. Keys must be unique on the queue (the
+    /// key also indexes the payload), and `push` and `push_keyed` must not
+    /// be mixed on one queue.
+    pub fn push_keyed(&mut self, at: SimTime, key: u64, ev: Event) {
+        let clash = self.pending.insert(key, ev);
+        assert!(clash.is_none(), "tie-break key {key} queued twice");
+        self.queue.push(Reverse((at.as_nanos(), key)));
+    }
+
     /// Pops the earliest event only if it is scheduled strictly before
     /// `end`.
     pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, Event)> {

@@ -803,6 +803,7 @@ impl<T> Network<T> {
     /// Returns `None` when the queue is empty.
     pub fn step(&mut self) -> Option<(SimTime, Event<T>)> {
         let (at, ev) = self.queue.pop()?;
+        crate::profile::count_event();
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         Some((at, ev))
@@ -816,6 +817,7 @@ impl<T> Network<T> {
     /// include events stamped exactly on a deadline.
     pub fn step_before(&mut self, end: SimTime) -> Option<(SimTime, Event<T>)> {
         let (at, ev) = self.queue.pop_before(end)?;
+        crate::profile::count_event();
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         Some((at, ev))

@@ -28,6 +28,11 @@
 //! Phases may nest (crypto work happens inside tick and P2P handling); the
 //! report therefore states self-inclusive times per phase, and `Crypto` in
 //! particular overlaps its callers rather than partitioning them.
+//!
+//! Beside the phases, one plain counter ([`count_event`], read with
+//! [`events_popped`]) counts the events `Network`'s pump pops while
+//! profiling is on, under the same thread-local discipline: an extra
+//! event whose handler does no profiled work still shows up there.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,6 +57,12 @@ pub enum Phase {
 
 /// Number of phases (array sizing).
 pub const PHASE_COUNT: usize = 6;
+
+/// Counter slot past the phases: events popped by world event pumps.
+const EVENTS: usize = PHASE_COUNT;
+
+/// Counter slots: one entry count per phase, then [`EVENTS`].
+const COUNTERS: usize = PHASE_COUNT + 1;
 
 /// Phase order used by [`snapshot`] and reports.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -95,7 +106,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 const ZERO: AtomicU64 = AtomicU64::new(0);
 /// Merge target: sums of all exited (or flushed) threads' counters.
 static NANOS: [AtomicU64; PHASE_COUNT] = [ZERO; PHASE_COUNT];
-static COUNTS: [AtomicU64; PHASE_COUNT] = [ZERO; PHASE_COUNT];
+static COUNTS: [AtomicU64; COUNTERS] = [ZERO; COUNTERS];
 
 /// Per-thread accumulators. Guard drops touch only these; shard workers
 /// merge them into the globals with an explicit [`flush_thread_local`]
@@ -103,7 +114,7 @@ static COUNTS: [AtomicU64; PHASE_COUNT] = [ZERO; PHASE_COUNT];
 /// backstop for ordinary spawned threads.
 struct LocalCells {
     nanos: [Cell<u64>; PHASE_COUNT],
-    counts: [Cell<u64>; PHASE_COUNT],
+    counts: [Cell<u64>; COUNTERS],
 }
 
 impl LocalCells {
@@ -112,21 +123,18 @@ impl LocalCells {
         const C: Cell<u64> = Cell::new(0);
         LocalCells {
             nanos: [C; PHASE_COUNT],
-            counts: [C; PHASE_COUNT],
+            counts: [C; COUNTERS],
         }
     }
 
     /// Moves this thread's pending counts into the globals, zeroing the
     /// cells so a double flush (explicit + thread exit) adds nothing.
     fn flush(&self) {
-        for i in 0..PHASE_COUNT {
-            let n = self.nanos[i].take();
-            if n != 0 {
-                NANOS[i].fetch_add(n, Ordering::Relaxed);
-            }
-            let c = self.counts[i].take();
-            if c != 0 {
-                COUNTS[i].fetch_add(c, Ordering::Relaxed);
+        let cells = self.nanos.iter().zip(&NANOS);
+        for (cell, global) in cells.chain(self.counts.iter().zip(&COUNTS)) {
+            let v = cell.take();
+            if v != 0 {
+                global.fetch_add(v, Ordering::Relaxed);
             }
         }
     }
@@ -157,14 +165,18 @@ pub fn enabled() -> bool {
 /// unreachable from here; reset between runs from the coordinating thread
 /// while no workers are active.
 pub fn reset() {
-    for i in 0..PHASE_COUNT {
-        NANOS[i].store(0, Ordering::Relaxed);
-        COUNTS[i].store(0, Ordering::Relaxed);
+    for n in &NANOS {
+        n.store(0, Ordering::Relaxed);
+    }
+    for c in &COUNTS {
+        c.store(0, Ordering::Relaxed);
     }
     LOCAL.with(|l| {
-        for i in 0..PHASE_COUNT {
-            l.nanos[i].set(0);
-            l.counts[i].set(0);
+        for n in &l.nanos {
+            n.set(0);
+        }
+        for c in &l.counts {
+            c.set(0);
         }
     });
 }
@@ -202,6 +214,23 @@ pub fn snapshot() -> [PhaseTotals; PHASE_COUNT] {
         nanos: NANOS[p.idx()].load(Ordering::Relaxed),
         count: COUNTS[p.idx()].load(Ordering::Relaxed),
     })
+}
+
+/// Counts one event popped by a world's event pump (`Network::step` and
+/// `step_before`). Like a disabled guard, a single relaxed load when
+/// profiling is off.
+#[inline]
+pub fn count_event() {
+    if ENABLED.load(Ordering::Relaxed) {
+        LOCAL.with(|l| l.counts[EVENTS].set(l.counts[EVENTS].get() + 1));
+    }
+}
+
+/// Events counted by [`count_event`] while profiling was on, taken with
+/// the same flush and visibility rules as [`snapshot`].
+pub fn events_popped() -> u64 {
+    flush_thread_local();
+    COUNTS[EVENTS].load(Ordering::Relaxed)
 }
 
 /// RAII guard accumulating elapsed time into its phase on drop.
@@ -353,6 +382,25 @@ mod tests {
         assert_eq!(snap[2].count, 1);
         assert_eq!(snap[4].count, 1);
         assert_eq!(snap[1].phase.label(), "signal");
+    }
+
+    #[test]
+    fn events_count_only_while_enabled_and_reset_clears_them() {
+        let _l = locked();
+        set_enabled(false);
+        reset();
+        count_event();
+        assert_eq!(events_popped(), 0, "disabled: nothing counted");
+        set_enabled(true);
+        for _ in 0..3 {
+            count_event();
+        }
+        drop(phase(Phase::Tick));
+        set_enabled(false);
+        assert_eq!(events_popped(), 3);
+        assert_eq!(snapshot()[0].count, 1, "phase counts stay separate");
+        reset();
+        assert_eq!(events_popped(), 0);
     }
 
     #[test]

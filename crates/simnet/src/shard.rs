@@ -206,13 +206,15 @@ pub trait ShardWorld {
 /// How [`run_sharded`] maps shards onto OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// Threaded when the host has ≥ 2 cores and there are ≥ 2 shards,
-    /// inline otherwise — the honest default for benches.
+    /// One worker per core, at most one per shard: threaded when the
+    /// host has ≥ 2 cores and there are ≥ 2 shards, inline otherwise —
+    /// the honest default for benches.
     Auto,
     /// Always run shards sequentially on the calling thread.
     Inline,
-    /// Always spawn scoped worker threads, even on a 1-core host — the
-    /// determinism tests use this to compare both paths everywhere.
+    /// Always spawn scoped worker threads (at least two, at most one per
+    /// shard), even on a 1-core host — the determinism tests use this to
+    /// compare both paths everywhere.
     Threaded,
 }
 
@@ -231,6 +233,18 @@ pub struct ShardRunReport {
     pub mode: &'static str,
 }
 
+/// Worker threads [`run_sharded`] uses for `k` shards on a host with
+/// `cores` cores (1 = inline on the calling thread). More workers than
+/// cores would only add spawns and cache hand-offs.
+fn shard_workers(k: usize, mode: ShardMode, cores: usize) -> usize {
+    let cap = match mode {
+        ShardMode::Inline => 1,
+        ShardMode::Threaded => cores.max(2),
+        ShardMode::Auto => cores,
+    };
+    k.min(cap).max(1)
+}
+
 /// Runs `shards` to quiescence at `deadline`: every event stamped at or
 /// before `deadline` is processed, on every shard, at any shard count,
 /// in an order byte-equivalent to the serial K=1 loop.
@@ -238,6 +252,10 @@ pub struct ShardRunReport {
 /// `lookahead` must be at most the minimum cross-shard link latency of
 /// the world (it is clamped to ≥ 1 ns so a degenerate configuration makes
 /// progress one nanosecond at a time instead of spinning).
+///
+/// A threaded run spawns one worker per core at most ([`ShardMode`]);
+/// each drains a contiguous block of shards, and the outboxes still
+/// merge in source shard index order.
 ///
 /// # Panics
 ///
@@ -252,11 +270,9 @@ pub fn run_sharded<W: ShardWorld + Send>(
     mode: ShardMode,
 ) -> ShardRunReport {
     let k = shards.len();
-    let threaded = match mode {
-        ShardMode::Inline => false,
-        ShardMode::Threaded => k > 1,
-        ShardMode::Auto => k > 1 && host_parallelism() >= 2,
-    };
+    let workers = shard_workers(k, mode, host_parallelism());
+    let threaded = workers > 1;
+    let block = k.div_ceil(workers).max(1);
     let lookahead_ns = (lookahead.as_nanos() as u64).max(1);
     // `pop_before` is exclusive, so the final window must end one
     // nanosecond past the deadline to include events stamped exactly on it.
@@ -284,9 +300,11 @@ pub fn run_sharded<W: ShardWorld + Send>(
 
         if threaded {
             std::thread::scope(|scope| {
-                for (shard, outbox) in shards.iter_mut().zip(outboxes.iter_mut()) {
+                for (shards, outboxes) in shards.chunks_mut(block).zip(outboxes.chunks_mut(block)) {
                     scope.spawn(move || {
-                        shard.run_window(end, outbox);
+                        for (shard, outbox) in shards.iter_mut().zip(outboxes.iter_mut()) {
+                            shard.run_window(end, outbox);
+                        }
                         // Merge this worker's profiler counts before the
                         // join: the scope unblocks on closure return,
                         // without waiting for TLS destructors.
@@ -325,6 +343,25 @@ pub fn run_sharded<W: ShardWorld + Send>(
 mod tests {
     use super::*;
     use crate::queue::CalendarQueue;
+
+    #[test]
+    fn shard_workers_never_outnumber_cores_or_shards() {
+        assert_eq!(shard_workers(8, ShardMode::Auto, 2), 2);
+        assert_eq!(shard_workers(2, ShardMode::Auto, 16), 2);
+        assert_eq!(
+            shard_workers(8, ShardMode::Auto, 1),
+            1,
+            "1 core runs inline"
+        );
+        assert_eq!(shard_workers(8, ShardMode::Inline, 16), 1);
+        assert_eq!(
+            shard_workers(8, ShardMode::Threaded, 1),
+            2,
+            "Threaded spawns workers even on one core"
+        );
+        assert_eq!(shard_workers(1, ShardMode::Threaded, 4), 1);
+        assert_eq!(shard_workers(0, ShardMode::Auto, 4), 1);
+    }
 
     #[test]
     fn results_are_index_ordered_at_any_worker_count() {

@@ -1,10 +1,11 @@
-//! Differential test: the calendar queue pops in exactly the order of the
+//! Differential tests: the calendar queue pops in exactly the order of the
 //! original heap-plus-map scheduler, kept as a test oracle in `pdn-oracle`.
 
 use std::time::Duration;
 
 use pdn_oracle::queue::HeapMapQueue;
 use pdn_simnet::{Event, EventQueue, NodeId, SimRng, SimTime};
+use proptest::prelude::*;
 
 fn timer(token: u64) -> Event {
     Event::Timer {
@@ -126,4 +127,113 @@ fn windowed_pops_agree_with_heapmap_reference() {
         assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)));
     }
     assert!(old_q.pop().is_none());
+}
+
+/// Width of one calendar bucket in nanoseconds (the queue's private
+/// `BUCKET_SHIFT` of 19).
+const BUCKET_NS: u64 = 1 << 19;
+
+/// The wheel's horizon in nanoseconds (2,048 buckets).
+const HORIZON_NS: u64 = 2_048 * BUCKET_NS;
+
+/// A push stamp relative to `now` that aims at one of the queue's edge
+/// cases, picked by `kind`.
+fn stamp(kind: u64, now: u64, r: u64) -> SimTime {
+    let bucket_start = now / BUCKET_NS * BUCKET_NS;
+    SimTime::from_nanos(match kind % 6 {
+        // Near term, inside the wheel.
+        0 => now + r % 200_000_000,
+        // Past the wheel horizon: the overflow tier.
+        1 => now + HORIZON_NS - BUCKET_NS + r % (3 * HORIZON_NS),
+        // Exactly on a bucket edge, near or past the horizon.
+        2 => bucket_start + (1 + r % 2_100) * BUCKET_NS,
+        // Inside the bucket being drained (at or after `now`).
+        3 => now + r % (bucket_start + BUCKET_NS - now),
+        // Behind `now`, so behind the cursor: clamped into its bucket.
+        4 => now.saturating_sub(r % (4 * BUCKET_NS)),
+        // A tie: whole milliseconds collide often.
+        _ => (now / 1_000_000 + r % 4) * 1_000_000,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random `push`/`push_keyed`/`pop`/`pop_before`/`advance_time`
+    /// sequences pop exactly what the heap+hashmap reference pops, payload
+    /// for payload. Each case uses either internal sequence numbers or
+    /// caller keys (the two must not be mixed on one queue); the keys are
+    /// a bijection of the payload, so they are unique but not in push
+    /// order.
+    #[test]
+    fn random_operation_sequences_agree_with_heapmap_reference(
+        keyed in any::<bool>(),
+        ops in proptest::collection::vec((0u64..10, any::<u64>(), any::<u64>()), 1..400),
+    ) {
+        let mut new_q = EventQueue::new();
+        let mut old_q = HeapMapQueue::new();
+        let mut now = 0u64;
+        let mut token = 0u64;
+        for (op, a, b) in ops {
+            match op {
+                0..=4 => {
+                    let at = stamp(a, now, b);
+                    if keyed {
+                        let key = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        new_q.push_keyed(at, key, timer(token));
+                        old_q.push_keyed(at, key, timer(token));
+                    } else {
+                        new_q.push(at, timer(token));
+                        old_q.push(at, timer(token));
+                    }
+                    token += 1;
+                }
+                5 | 6 => {
+                    let got = new_q.pop().map(|(at, e)| (at, tok(&e)));
+                    let want = old_q.pop().map(|(at, e)| (at, tok(&e)));
+                    prop_assert_eq!(got, want, "pop");
+                    if let Some((at, _)) = got {
+                        now = now.max(at.as_nanos());
+                    }
+                }
+                7 | 8 => {
+                    // The window ends on a bucket edge, on a stamp drawn
+                    // like a push's, or anywhere near term; it pops one
+                    // event or drains the window.
+                    let end = SimTime::from_nanos(match a % 3 {
+                        0 => (now / BUCKET_NS + b % 8) * BUCKET_NS,
+                        1 => stamp(b, now, a).as_nanos(),
+                        _ => now + b % 50_000_000,
+                    });
+                    loop {
+                        let got = new_q.pop_before(end).map(|(at, e)| (at, tok(&e)));
+                        let want = old_q.pop_before(end).map(|(at, e)| (at, tok(&e)));
+                        prop_assert_eq!(got, want, "pop_before({:?})", end);
+                        match got {
+                            Some((at, _)) => now = now.max(at.as_nanos()),
+                            None => break,
+                        }
+                        if a % 2 == 0 {
+                            break;
+                        }
+                    }
+                }
+                _ => {
+                    // A clock jump, as `Network::advance_to` makes one;
+                    // it may pass queued events, which must still pop.
+                    now += b % (2 * HORIZON_NS);
+                    new_q.advance_time(SimTime::from_nanos(now));
+                }
+            }
+            prop_assert_eq!(new_q.len(), old_q.len(), "live count");
+        }
+        loop {
+            let got = new_q.pop().map(|(at, e)| (at, tok(&e)));
+            let want = old_q.pop().map(|(at, e)| (at, tok(&e)));
+            prop_assert_eq!(got, want, "final drain");
+            if got.is_none() {
+                break;
+            }
+        }
+    }
 }
