@@ -146,6 +146,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn offload_ratio_is_the_saved_share_of_control_egress() {
+        let point = |pdn, control| OffloadPoint {
+            viewers: 1,
+            cdn_egress_pdn: pdn,
+            cdn_egress_control: control,
+        };
+        assert_eq!(point(25, 100).offload_ratio(), 0.75);
+        assert_eq!(point(100, 100).offload_ratio(), 0.0);
+        // An empty control run does not divide by zero.
+        assert_eq!(point(0, 0).offload_ratio(), 1.0);
+    }
+
+    #[test]
     fn offload_grows_with_swarm_size() {
         let curve =
             offload_curve_pooled(&ProviderProfile::peer5(), &[2, 5], 500, &WorldPool::auto());

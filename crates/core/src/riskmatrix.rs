@@ -201,6 +201,45 @@ pub fn build_matrix_pooled(
 mod tests {
     use super::*;
 
+    #[test]
+    fn cells_render_in_the_paper_notation() {
+        assert_eq!(Cell::Vulnerable.to_string(), "vuln");
+        assert_eq!(Cell::Protected.to_string(), "safe");
+        assert_eq!(Cell::Keys(11, 36).to_string(), "11/36");
+    }
+
+    /// One header line, one line per risk, every cell padded to 14
+    /// columns after a 24-column label.
+    #[test]
+    fn render_lays_out_one_row_per_risk() {
+        let column = |name: &str| ProviderColumn {
+            provider: name.into(),
+            cross_domain: Cell::Keys(0, 3),
+            domain_spoofing: Cell::Vulnerable,
+            direct_pollution: Cell::Protected,
+            segment_pollution: Cell::Vulnerable,
+            ip_leak: Cell::Vulnerable,
+            resource_squatting: Cell::Protected,
+        };
+        let matrix = RiskMatrix {
+            columns: vec![column("A"), column("B")],
+        };
+        let text = matrix.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 8);
+        assert_eq!(
+            lines[0],
+            "TABLE V: Security and privacy risks of PDN services"
+        );
+        assert_eq!(lines[1], format!("{:<24}{:<14}{:<14}", "risk", "A", "B"));
+        assert_eq!(
+            lines[2],
+            format!("{:<24}{:<14}{:<14}", "cross-domain attack", "0/3", "0/3")
+        );
+        assert!(lines[7].starts_with("resource squatting"));
+        assert!(lines[7].contains("safe"));
+    }
+
     /// The headline reproduction: Table V's pattern for the three public
     /// providers. (Run time: several simulated worlds.)
     #[test]

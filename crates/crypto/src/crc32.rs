@@ -37,6 +37,15 @@ mod tests {
     }
 
     #[test]
+    fn known_values() {
+        assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+    }
+
+    #[test]
     fn empty_is_zero() {
         assert_eq!(crc32(b""), 0);
     }

@@ -113,6 +113,18 @@ mod tests {
     }
 
     #[test]
+    fn pangram_vectors() {
+        assert_eq!(
+            hex(&digest(b"The quick brown fox jumps over the lazy dog")),
+            "9e107d9d372bb6826bd81d3542a419d6"
+        );
+        assert_eq!(
+            hex(&digest(b"The quick brown fox jumps over the lazy dog.")),
+            "e4d909c290d0fb1ca068ffaddf22cbd0"
+        );
+    }
+
+    #[test]
     fn padding_boundaries() {
         // Lengths straddling the 56-byte padding boundary must not panic and
         // must be distinct.

@@ -444,6 +444,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Raw automaton vs naive substring search over arbitrary patterns.
+        #[test]
         fn automaton_equals_contains(
             hay in "[a-c]{0,64}",
             pats in proptest::collection::vec("[a-c]{1,5}", 1..8),

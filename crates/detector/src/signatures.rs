@@ -484,4 +484,70 @@ mod tests {
         // Obfuscated keys do not match the extractor.
         assert_eq!(extract_api_key("_0x101f38[_0x2c4aeb(0x234)]"), None);
     }
+
+    #[test]
+    fn key_ends_at_the_first_non_key_character() {
+        assert_eq!(
+            extract_api_key("peer5.js?id=k-1_2&auto=1"),
+            Some("k-1".into())
+        );
+        assert_eq!(
+            extract_api_key(r#"<video viblast-key="vb-77">"#),
+            Some("vb-77".into())
+        );
+    }
+
+    /// A marker with an empty value does not end the search: the next
+    /// marker's key is still found.
+    #[test]
+    fn empty_key_falls_through_to_the_next_marker() {
+        let page = r#"peer5.js?id=" data-sr-key="sr-9""#;
+        assert_eq!(extract_api_key(page), Some("sr-9".into()));
+        assert_eq!(extract_api_key("peer5.js?id="), None);
+    }
+
+    #[test]
+    fn every_needle_is_unique() {
+        let sigs = builtin_signatures();
+        let mut needles: Vec<&str> = sigs.iter().map(|s| s.needle).collect();
+        needles.sort_unstable();
+        let before = needles.len();
+        needles.dedup();
+        assert_eq!(needles.len(), before);
+    }
+
+    /// Each public provider is findable both on websites and in APKs.
+    #[test]
+    fn public_providers_have_page_and_android_signatures() {
+        let sigs = builtin_signatures();
+        for tag in [
+            ProviderTag::Peer5,
+            ProviderTag::Streamroot,
+            ProviderTag::Viblast,
+        ] {
+            let kinds: Vec<SignatureKind> = sigs
+                .iter()
+                .filter(|s| s.provider == tag)
+                .map(|s| s.kind)
+                .collect();
+            assert!(kinds.contains(&SignatureKind::PageContent), "{tag}");
+            assert!(
+                kinds.iter().any(|k| *k != SignatureKind::PageContent),
+                "{tag}"
+            );
+        }
+    }
+
+    #[test]
+    fn provider_tags_sort_in_declaration_order() {
+        let mut tags = [
+            ProviderTag::GenericWebRtc,
+            ProviderTag::Viblast,
+            ProviderTag::Peer5,
+            ProviderTag::Streamroot,
+        ];
+        tags.sort();
+        let names: Vec<String> = tags.iter().map(|t| t.to_string()).collect();
+        assert_eq!(names, ["Peer5", "Streamroot", "Viblast", "WebRTC(generic)"]);
+    }
 }

@@ -180,6 +180,62 @@ mod tests {
         assert!(!report.pdn_confirmed);
     }
 
+    fn stun_pair(a: Addr, b: Addr) -> [CapturedFrame; 2] {
+        [
+            frame(a, b, stun::Message::binding_request([1; 12]).encode()),
+            frame(b, a, stun::Message::binding_success([1; 12], a).encode()),
+        ]
+    }
+
+    /// Both directions of one DTLS flow make a single pair.
+    #[test]
+    fn dtls_pairs_are_unordered() {
+        let a = Addr::new(20, 0, 0, 1, 4000);
+        let b = Addr::new(20, 0, 0, 2, 4000);
+        let mut frames = stun_pair(a, b).to_vec();
+        frames.push(frame(b, a, dtls_record()));
+        frames.push(frame(a, b, dtls_record()));
+        let report = analyze_capture(&frames, &[]);
+        assert_eq!(report.dtls_pairs.len(), 1);
+        assert!(report.dtls_pairs.contains(&(a, b)));
+        assert_eq!(report.dtls_frames, 2);
+    }
+
+    /// Relayed WebRTC: DTLS flows only to the TURN server, so frames are
+    /// counted but nothing is confirmed and no peer IP is learned.
+    #[test]
+    fn relayed_dtls_is_counted_but_not_confirmed() {
+        let peer = Addr::new(20, 0, 0, 1, 4000);
+        let turn = Addr::new(50, 0, 0, 1, 3478);
+        let mut frames = stun_pair(peer, turn).to_vec();
+        frames.push(frame(peer, turn, dtls_record()));
+        let report = analyze_capture(&frames, &[turn.ip]);
+        assert_eq!(report.dtls_frames, 1);
+        assert!(!report.pdn_confirmed);
+        assert_eq!(report.peer_ips.into_iter().collect::<Vec<_>>(), [peer.ip]);
+    }
+
+    /// A binding response's mapped address is harvested even when it
+    /// never appears as a frame endpoint (the NAT's public side).
+    #[test]
+    fn mapped_address_is_harvested() {
+        let private = Addr::new(192, 168, 1, 5, 4000);
+        let public = Addr::new(77, 1, 2, 3, 50_000);
+        let stun_srv = Addr::new(30, 0, 0, 1, 3478);
+        let frames = vec![frame(
+            stun_srv,
+            private,
+            stun::Message::binding_success([1; 12], public).encode(),
+        )];
+        let report = analyze_capture(&frames, &[stun_srv.ip]);
+        assert!(report.candidate_peers.contains(&public));
+        assert!(report.peer_ips.contains(&private.ip));
+        assert_eq!(
+            report.stun_binding_requests, 0,
+            "responses are not requests"
+        );
+    }
+
     #[test]
     fn empty_capture() {
         let report = analyze_capture(&[], &[]);

@@ -86,6 +86,7 @@ proptest! {
 
     /// The automaton agrees with the naive `contains` reference on
     /// arbitrary (needle-salted) content.
+    #[test]
     fn page_matcher_equals_reference(
         words in proptest::collection::vec("[ -~]{0,12}", 0..8),
         salts in proptest::collection::vec(0usize..4096, 0..8),
@@ -97,6 +98,7 @@ proptest! {
     }
 
     /// Same for the APK side (manifest substring + namespace prefix).
+    #[test]
     fn apk_matcher_equals_reference(
         keys in proptest::collection::vec("[ -~]{0,40}", 0..4),
         namespaces in proptest::collection::vec("[a-z.]{0,30}", 0..4),

@@ -397,6 +397,7 @@ mod tests {
         /// Every answer equals a direct computation over the same inputs,
         /// whatever mix of shared, copied, altered and resized bytes the
         /// memo sees, and the memo never holds more than its cap.
+        #[test]
         fn answers_equal_direct_computation(
             ops in proptest::collection::vec(
                 ((0u8..6, any::<bool>()), 0u64..CAPACITY as u64 + 40, 0u8..3, any::<u32>()),

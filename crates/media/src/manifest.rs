@@ -312,6 +312,37 @@ mod tests {
     }
 
     #[test]
+    fn extinf_title_and_blank_lines_are_skipped() {
+        let text = "#EXTM3U\n\n#EXTINF:4.5,Opening titles\n\n\nr0/s0.ts\n";
+        let m = MediaPlaylist::parse(text).unwrap();
+        assert_eq!(m.entries.len(), 1);
+        assert_eq!(m.entries[0].duration, Duration::from_millis(4500));
+        assert_eq!(m.entries[0].uri, "r0/s0.ts");
+    }
+
+    #[test]
+    fn vod_window_short_of_the_end_is_not_ended() {
+        assert!(!MediaPlaylist::for_source(&src(), 0, 0, 3).ended);
+        assert!(MediaPlaylist::for_source(&src(), 0, 2, 5).ended);
+    }
+
+    #[test]
+    fn master_parse_rejects_malformed_variants() {
+        assert_eq!(
+            MasterPlaylist::parse("#EXT-X-STREAM-INF:BANDWIDTH=1\na.m3u8\n"),
+            Err(ParseManifestError::MissingHeader)
+        );
+        assert_eq!(
+            MasterPlaylist::parse("#EXTM3U\n#EXT-X-STREAM-INF:RESOLUTION=1x1\na.m3u8\n"),
+            Err(ParseManifestError::BadNumber(2))
+        );
+        assert_eq!(
+            MasterPlaylist::parse("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=5\n#EXT-X-X\n"),
+            Err(ParseManifestError::DanglingInf(2))
+        );
+    }
+
+    #[test]
     fn sequence_numbers_honour_media_sequence_position() {
         // MEDIA-SEQUENCE appearing after the first EXTINF must not renumber
         // already-parsed entries.

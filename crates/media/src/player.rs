@@ -274,6 +274,51 @@ mod tests {
     }
 
     #[test]
+    fn never_started_player_does_not_stall() {
+        let mut p = Player::new(0);
+        let mut d = SegmentDigests::new();
+        p.tick(SimTime::from_secs(100), &mut d);
+        p.deliver(SimTime::from_secs(101), seg(0), DeliverySource::Cdn, &mut d);
+        assert!(p.stalls().is_empty());
+        assert_eq!(p.played()[0].started_at, SimTime::from_secs(101));
+        assert_eq!(p.p2p_offload_ratio(), 0.0);
+    }
+
+    #[test]
+    fn segments_before_the_first_sequence_are_dropped() {
+        let mut p = Player::new(5);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::ZERO, seg(3), DeliverySource::Cdn, &mut d);
+        assert_eq!(p.buffered_media(), Duration::ZERO);
+        p.deliver(SimTime::ZERO, seg(5), DeliverySource::Peer, &mut d);
+        assert_eq!(p.played()[0].id.seq, 5);
+        assert_eq!(p.next_needed_seq(), 6);
+        assert_eq!(p.p2p_offload_ratio(), 1.0);
+    }
+
+    /// A stall is recorded when it ends, once, however many ticks it
+    /// spans.
+    #[test]
+    fn a_stall_spanning_many_ticks_is_recorded_once() {
+        let mut p = Player::new(0);
+        let mut d = SegmentDigests::new();
+        p.deliver(SimTime::ZERO, seg(0), DeliverySource::Cdn, &mut d);
+        for t in [5, 10, 15] {
+            p.tick(SimTime::from_secs(t), &mut d);
+            assert!(p.stalls().is_empty(), "t={t}");
+        }
+        p.deliver(SimTime::from_secs(20), seg(1), DeliverySource::Cdn, &mut d);
+        p.tick(SimTime::from_secs(21), &mut d);
+        assert_eq!(
+            p.stalls(),
+            &[StallEvent {
+                at: SimTime::from_secs(4),
+                duration: Duration::from_secs(16),
+            }]
+        );
+    }
+
+    #[test]
     fn buffered_media_accounts_pending() {
         let mut p = Player::new(0);
         let mut d = SegmentDigests::new();

@@ -11,10 +11,13 @@
 //! on, and compares its exact work — a hash of the rendered output, each
 //! phase's entry count and the events its worlds popped — with
 //! `tests/goldens/sim_quick.txt`; on a mismatch it prints golden vs
-//! actual and the text to paste. It is the CI guard `scripts/check.sh`
-//! uses. Its wall time is printed for information only: perfbench's
-//! `paper_repro` is the timing referee, and the same work done by slower
-//! code passes this gate. No JSON is written in quick mode.
+//! actual and the text to paste. It then runs the queue churn microbench
+//! and asserts the calendar queue is >= 2x the heap+hashmap one: an
+//! in-process ratio of interleaved runs, so both sides see the same host.
+//! It is the CI guard `scripts/check.sh` uses. The workload's wall time
+//! is printed for information only: perfbench's `paper_repro` is the
+//! timing referee, and the same work done by slower code passes the work
+//! gate. No JSON is written in quick mode.
 //!
 //! `--profile` runs the workload once, serially, with the simnet per-phase
 //! profiler on, and prints the tick/signal/p2p/http/crypto/capture
@@ -121,6 +124,43 @@ fn work_summary(out: &str, snap: &[profile::PhaseTotals; 6], events: u64) -> Str
     work
 }
 
+/// The queue churn microbench, EventQueue vs the old heap+hashmap
+/// design: the median events/s of each over `RUNS` runs. Runs interleave
+/// the two queues so slow host phases (this may share a single core)
+/// penalize both sides alike.
+fn queue_rates() -> (f64, f64) {
+    let mut new_samples = Vec::new();
+    let mut old_samples = Vec::new();
+    for _ in 0..RUNS {
+        new_samples.push(time_ms(|| {
+            let mut q = EventQueue::new();
+            churn(
+                &mut q,
+                |q, at, ev| {
+                    q.push(at, ev);
+                },
+                EventQueue::pop,
+            );
+        }));
+        old_samples.push(time_ms(|| {
+            let mut q = HeapMapQueue::new();
+            churn(&mut q, HeapMapQueue::push, HeapMapQueue::pop);
+        }));
+    }
+    let new_eps = CHURN_EVENTS as f64 / (median(new_samples) / 1e3);
+    let old_eps = CHURN_EVENTS as f64 / (median(old_samples) / 1e3);
+    (new_eps, old_eps)
+}
+
+/// The queue gate: the calendar queue must stay >= 2x the heap+hashmap
+/// scheduler on the churn microbench.
+fn assert_queue_speedup(speedup: f64) {
+    assert!(
+        speedup >= 2.0,
+        "calendar queue must be >=2x the heap+hashmap scheduler (got {speedup:.2}x)"
+    );
+}
+
 fn main() {
     let workload = |pool: &WorldPool| {
         let mut out = table5_pooled(SEED, pool).render();
@@ -154,8 +194,8 @@ fn main() {
         return;
     }
 
-    // `--quick`: one profiled serial pass; its exact work is the gate and
-    // its wall time is information only.
+    // `--quick`: one profiled serial pass, whose exact work is a gate and
+    // whose wall time is information only, then the queue ratio gate.
     if std::env::args().any(|a| a == "--quick") {
         let (wall_ms, out, snap, events) = profiled_pass(&workload);
         println!("workload_serial_ms: {wall_ms:.2} (profiled; wall clock, information only)");
@@ -165,34 +205,16 @@ fn main() {
             &work_summary(&out, &snap, events),
         );
         println!("work summary matches {QUICK_GOLDEN_PATH}");
+        let (new_eps, old_eps) = queue_rates();
+        println!(
+            "queue: new {new_eps:.0} ev/s, old {old_eps:.0} ev/s, speedup {:.2}x (gate: >= 2x)",
+            new_eps / old_eps
+        );
+        assert_queue_speedup(new_eps / old_eps);
         return;
     }
 
-    // --- Queue microbench: EventQueue vs the old heap+hashmap design. ---
-    // Runs interleave the two queues so slow host phases (this may share a
-    // single core) penalize both sides alike.
-    let mut new_samples = Vec::new();
-    let mut old_samples = Vec::new();
-    for _ in 0..RUNS {
-        new_samples.push(time_ms(|| {
-            let mut q = EventQueue::new();
-            churn(
-                &mut q,
-                |q, at, ev| {
-                    q.push(at, ev);
-                },
-                EventQueue::pop,
-            );
-        }));
-        old_samples.push(time_ms(|| {
-            let mut q = HeapMapQueue::new();
-            churn(&mut q, HeapMapQueue::push, HeapMapQueue::pop);
-        }));
-    }
-    let new_ms = median(new_samples);
-    let old_ms = median(old_samples);
-    let new_eps = CHURN_EVENTS as f64 / (new_ms / 1e3);
-    let old_eps = CHURN_EVENTS as f64 / (old_ms / 1e3);
+    let (new_eps, old_eps) = queue_rates();
 
     // `sim_bench queue` stops after the microbench (no JSON written).
     if std::env::args().nth(1).as_deref() == Some("queue") {
@@ -281,11 +303,7 @@ fn main() {
         identical,
         "pooled workload must be byte-identical to serial"
     );
-    assert!(
-        new_eps / old_eps >= 2.0,
-        "calendar queue must be >=2x the heap+hashmap scheduler (got {:.2}x)",
-        new_eps / old_eps
-    );
+    assert_queue_speedup(new_eps / old_eps);
     // The 8-worker wall-time gate only means something with cores to run
     // on; on small hosts the pool degrades to threads fighting for one
     // core (same stance as scan_bench's single-core fallback).

@@ -113,4 +113,27 @@ mod tests {
         assert_eq!(m.cost_usd(BillingModel::peer5()), 0.0);
         assert_eq!(m.cost_usd(BillingModel::viblast()), 0.0);
     }
+
+    #[test]
+    fn viewer_time_is_metered_in_whole_seconds() {
+        let mut m = UsageMeter::default();
+        m.add_viewer_time(Duration::from_millis(1999));
+        m.add_viewer_time(Duration::from_millis(999));
+        assert_eq!(m.viewer_seconds, 1);
+    }
+
+    /// Each model reads only its own meter: inflating P2P traffic costs a
+    /// per-viewer-hour customer nothing, and the reverse.
+    #[test]
+    fn each_model_reads_only_its_own_meter() {
+        let mut traffic = UsageMeter::default();
+        traffic.add_p2p_bytes(1_000_000_000_000);
+        let mut viewers = UsageMeter::default();
+        viewers.add_viewer_time(Duration::from_secs(3600));
+        viewers.add_join();
+        assert_eq!(traffic.cost_usd(BillingModel::viblast()), 0.0);
+        assert_eq!(viewers.cost_usd(BillingModel::peer5()), 0.0);
+        assert!((traffic.cost_usd(BillingModel::streamroot()) - 12.0).abs() < 1e-9);
+        assert!((viewers.cost_usd(BillingModel::viblast()) - 0.01).abs() < 1e-12);
+    }
 }

@@ -24,7 +24,7 @@
 //!   [`PdnAgent::harvested_addrs`]; run on an attacker's node, that *is*
 //!   the IP-leak harvest.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -195,31 +195,93 @@ enum RequestVia {
     Peer(u64),
 }
 
-#[derive(Debug)]
 struct Conn {
     remote_peer: u64,
     role: ConnRole,
     ice: IceAgent,
     remote_sdp: SessionDescription,
-    remote_media: Option<Addr>,
-    dtls: Option<DtlsEndpoint>,
-    chan: Option<DataChannel>,
-    check_retries: u32,
-    /// ClientHello bytes kept for loss-recovery retransmission.
-    client_hello: Option<Bytes>,
+    link: Link,
     /// Segments this neighbor has advertised (HAVE), one bit each.
     avail: AvailMap,
 }
 
+/// A connection's media link: ICE checks (`media` may be learned early
+/// from a peer-reflexive check), then the DTLS handshake (an initiator
+/// keeps its ClientHello to retransmit), then the data channel. Only
+/// `Handshaking` holds an endpoint or a ClientHello.
+enum Link {
+    Checking {
+        media: Option<Addr>,
+        retries: u32,
+    },
+    Handshaking {
+        media: Addr,
+        ep: DtlsEndpoint,
+        client_hello: Option<Bytes>,
+    },
+    /// `legacy_draw_due` holds until the first DTLS record arrives (see
+    /// [`Conn::legacy_endpoint_draw`]).
+    Established {
+        media: Addr,
+        chan: DataChannel,
+        legacy_draw_due: bool,
+    },
+}
+
+impl Link {
+    /// A link before its first ICE check.
+    const NEW: Link = Link::Checking {
+        media: None,
+        retries: 0,
+    };
+
+    /// The remote media address, once known.
+    fn media(&self) -> Option<Addr> {
+        match *self {
+            Link::Checking { media, .. } => media,
+            Link::Handshaking { media, .. } | Link::Established { media, .. } => Some(media),
+        }
+    }
+}
+
 impl Conn {
     fn is_established(&self) -> bool {
-        self.chan.is_some()
+        matches!(self.link, Link::Established { .. })
     }
 
     /// The remote media address and the data channel, once the DTLS
     /// handshake completed: the only state a P2P message is sent on.
     fn established(&mut self) -> Option<(Addr, &mut DataChannel)> {
-        Some((self.remote_media?, self.chan.as_mut()?))
+        match &mut self.link {
+            Link::Established { media, chan, .. } => Some((*media, chan)),
+            _ => None,
+        }
+    }
+
+    /// A fresh DTLS endpoint for this connection's role; an initiator's
+    /// comes with its ClientHello.
+    fn new_endpoint(&self, cert: &Certificate, rng: &mut SimRng) -> (DtlsEndpoint, Option<Bytes>) {
+        let peer = Some(self.remote_sdp.fingerprint);
+        match self.role {
+            ConnRole::Initiator => {
+                let (ep, hello) = DtlsEndpoint::client(cert.clone(), peer, rng);
+                (ep, Some(hello))
+            }
+            ConnRole::Responder => (DtlsEndpoint::server(cert.clone(), peer, rng), None),
+        }
+    }
+
+    /// The RNG draws of an endpoint build that every established link
+    /// still makes on its first DTLS record, whatever the record's type:
+    /// a [`Conn::new_endpoint`] whose output is dropped, plus the TURN
+    /// transaction id an initiator's ClientHello takes in relay mode. The
+    /// draws shift every later one, so Table VI, Fig. 4 and Fig. 5 depend
+    /// on them. ROADMAP item 4 deletes its one call.
+    fn legacy_endpoint_draw(&self, cert: &Certificate, relay: Option<Addr>, rng: &mut SimRng) {
+        let (_, hello) = self.new_endpoint(cert, rng);
+        if hello.is_some() && relay.is_some() {
+            turn_txid(rng);
+        }
     }
 }
 
@@ -276,9 +338,7 @@ pub struct PdnAgent {
     p2p_down: u64,
     cdn_down: u64,
     /// Running sum/count of request→delivery latencies for peer-served
-    /// segments. The only consumer (Table VI) needs the mean, so an
-    /// unbounded `Vec<Duration>` here was pure memory growth — ~16 bytes
-    /// per delivered segment per agent, forever.
+    /// segments (Table VI needs only the mean).
     p2p_lat_sum: Duration,
     p2p_lat_count: u64,
     reported_up: u64,
@@ -359,12 +419,7 @@ impl PdnAgent {
     /// Starts the session: fetch the playlist; begin ICE gathering.
     pub fn start(&mut self, out: &mut Vec<AgentOut>) {
         out.push(AgentOut::AllocMem(costs::BASE_MEM));
-        out.push(AgentOut::Http(HttpRequest::GetPlaylist {
-            video: self.config.video.clone(),
-            rendition: self.config.rendition,
-            from: 0,
-            to: self.config.vod_end.unwrap_or(u64::MAX),
-        }));
+        out.push(self.playlist_request());
         if self.config.pdn_enabled {
             out.push(AgentOut::AllocMem(costs::SDK_MEM));
             match self.config.relay {
@@ -378,7 +433,9 @@ impl PdnAgent {
                         data: pdn_webrtc::turn::allocate_request(txid),
                     });
                 }
-                None => push_ice_sends(self.gatherer.gather_srflx(self.stun_server), out),
+                None => {
+                    push_ice_sends(self.gatherer.gather_srflx(self.stun_server), out);
+                }
             }
         }
     }
@@ -587,27 +644,25 @@ impl PdnAgent {
         // Retry gathering → join if the playlist raced ahead of STUN.
         self.maybe_join(out);
 
-        // ICE check retransmission for pending connections (hole punching
-        // through restricted NATs needs retries), and DTLS ClientHello
+        // ICE check retransmission (hole punching through restricted NATs
+        // needs retries; relay mode skips ICE), and ClientHello
         // retransmission for flights lost to UDP drops.
         const MAX_CHECK_RETRIES: u32 = 20;
         let mut retransmits: Vec<(Addr, Bytes)> = Vec::new();
-        for i in 0..self.conns.len() {
-            let conn = &mut self.conns[i];
-            if conn.chan.is_some() {
-                continue;
-            }
-            if conn.ice.selected_remote().is_none() && self.config.relay.is_none() {
-                if conn.check_retries >= MAX_CHECK_RETRIES {
-                    continue;
+        for conn in &mut self.conns {
+            match &mut conn.link {
+                Link::Checking { retries, .. } => {
+                    if self.config.relay.is_none() && *retries < MAX_CHECK_RETRIES {
+                        *retries += 1;
+                        push_ice_sends(conn.ice.retransmit_checks(), out);
+                    }
                 }
-                conn.check_retries += 1;
-                push_ice_sends(conn.ice.retransmit_checks(), out);
-            } else if conn.role == ConnRole::Initiator && conn.dtls.is_some() {
-                if let (Some(hello), Some(remote)) = (conn.client_hello.clone(), conn.remote_media)
-                {
-                    retransmits.push((remote, hello));
-                }
+                Link::Handshaking {
+                    media,
+                    client_hello: Some(hello),
+                    ..
+                } => retransmits.push((*media, hello.clone())),
+                Link::Handshaking { .. } | Link::Established { .. } => {}
             }
         }
         for (remote, hello) in retransmits {
@@ -645,12 +700,7 @@ impl PdnAgent {
             && now.saturating_since(self.last_playlist_fetch) >= Duration::from_secs(2)
         {
             self.last_playlist_fetch = now;
-            out.push(AgentOut::Http(HttpRequest::GetPlaylist {
-                video: self.config.video.clone(),
-                rendition: self.config.rendition,
-                from: 0,
-                to: self.config.vod_end.unwrap_or(u64::MAX),
-            }));
+            out.push(self.playlist_request());
         }
 
         // Request scheduling.
@@ -671,12 +721,7 @@ impl PdnAgent {
             if self.sims.contains_key((segment.id.rendition, seq)) {
                 self.verify_and_accept_peer_segment(segment, now, digests, out);
             } else {
-                self.requested.insert(seq, (RequestVia::Cdn, now));
-                out.push(AgentOut::Http(HttpRequest::GetSegment {
-                    video: self.config.video.clone(),
-                    rendition: self.current_rendition,
-                    seq,
-                }));
+                self.fetch_from_cdn(seq, now, out);
             }
         }
 
@@ -690,12 +735,7 @@ impl PdnAgent {
             .map(|(seq, _)| seq)
             .collect();
         for seq in timed_out {
-            self.requested.insert(seq, (RequestVia::Cdn, now));
-            out.push(AgentOut::Http(HttpRequest::GetSegment {
-                video: self.config.video.clone(),
-                rendition: self.current_rendition,
-                seq,
-            }));
+            self.fetch_from_cdn(seq, now, out);
         }
 
         // Stats reporting.
@@ -766,13 +806,13 @@ impl PdnAgent {
     /// from signaling plus observed STUN sources. On an attacker's node
     /// this is the §IV-D IP harvest.
     pub fn harvested_addrs(&self) -> Vec<Addr> {
-        let mut set = HashSet::new();
+        let mut v = Vec::new();
         for c in &self.conns {
-            set.extend(c.ice.remote_addrs_seen().iter().copied());
-            set.extend(c.remote_sdp.candidate_addrs());
+            v.extend(c.ice.remote_addrs_seen());
+            v.extend(c.remote_sdp.candidate_addrs());
         }
-        let mut v: Vec<Addr> = set.into_iter().collect();
         v.sort_unstable();
+        v.dedup();
         v
     }
 
@@ -846,17 +886,13 @@ impl PdnAgent {
             role,
             ice,
             remote_sdp: sdp,
-            remote_media: relay_remote,
-            dtls: None,
-            chan: None,
-            check_retries: 0,
-            client_hello: None,
+            link: Link::NEW,
             avail: AvailMap::new(),
         });
-        if relay_remote.is_some() {
+        if let Some(remote) = relay_remote {
             // Relay mode skips ICE entirely: the relayed addresses are
             // already reachable, so go straight to DTLS.
-            self.on_ice_connected(self.conns.len() - 1, out);
+            self.on_ice_connected(self.conns.len() - 1, remote, out);
         }
     }
 
@@ -865,17 +901,15 @@ impl PdnAgent {
         // "local_ufrag:remote_ufrag", so the sender's connection can be
         // identified even when the packet arrives from an address it never
         // signaled (symmetric NATs map per-destination).
-        if let Ok(msg) = stun::Message::decode(data) {
-            if msg.class == stun::Class::Request {
-                if let Some(remote_ufrag) = msg.username().and_then(|u| u.split(':').nth(1)) {
-                    if let Some(conn) = self
-                        .conns
-                        .iter_mut()
-                        .find(|c| c.remote_sdp.ice_ufrag == remote_ufrag)
-                    {
-                        conn.remote_media.get_or_insert(from);
-                    }
-                }
+        let msg = stun::Message::decode(data).ok();
+        let check = msg.as_ref().filter(|m| m.class == stun::Class::Request);
+        if let Some(ufrag) = check.and_then(|m| m.username()?.split(':').nth(1)) {
+            let conn = self
+                .conns
+                .iter_mut()
+                .find(|c| c.remote_sdp.ice_ufrag == ufrag);
+            if let Some(Link::Checking { media, .. }) = conn.map(|c| &mut c.link) {
+                media.get_or_insert(from);
             }
         }
         // Gathering responses first.
@@ -890,77 +924,48 @@ impl PdnAgent {
             }
             return;
         }
-        // Then per-connection agents: prefer the conn that signaled `from`
-        // as a candidate, fall back to the first conn that reacts.
-        let order: Vec<usize> = {
-            let mut idx: Vec<usize> = (0..self.conns.len()).collect();
-            idx.sort_by_key(|&i| {
-                let owns = self.conns[i]
-                    .remote_sdp
-                    .candidate_addrs()
-                    .any(|a| a == from)
-                    || self.conns[i].remote_media == Some(from);
-                if owns {
-                    0
-                } else {
-                    1
+        // Then per-connection agents: the conns that own `from` (signaled
+        // it as a candidate, or use it as their media address) first, then
+        // the rest, each group in index order; the first conn that reacts
+        // takes the packet.
+        for owners in [true, false] {
+            for i in 0..self.conns.len() {
+                let conn = &self.conns[i];
+                let owns = conn.remote_sdp.candidate_addrs().any(|a| a == from)
+                    || conn.link.media() == Some(from);
+                if owns != owners {
+                    continue;
                 }
-            });
-            idx
-        };
-        for i in order {
-            let evs = self.conns[i].ice.handle_packet(from, data);
-            if evs.is_empty() {
-                continue;
-            }
-            let mut connected = false;
-            for ev in evs {
-                match ev {
-                    IceEvent::SendTo { to, data } => out.push(AgentOut::UdpSend { to, data }),
-                    IceEvent::Connected { remote } => {
-                        self.conns[i].remote_media = Some(remote);
-                        connected = true;
-                    }
-                    IceEvent::GatheringComplete => {}
+                let evs = self.conns[i].ice.handle_packet(from, data);
+                if evs.is_empty() {
+                    continue;
                 }
+                if let Some(remote) = push_ice_sends(evs, out) {
+                    self.on_ice_connected(i, remote, out);
+                }
+                return;
             }
-            if connected {
-                self.on_ice_connected(i, out);
-            }
-            break;
         }
     }
 
-    fn on_ice_connected(&mut self, idx: usize, out: &mut Vec<AgentOut>) {
+    /// The link to conn `idx` reaches the peer at `remote`: a checking
+    /// link starts its DTLS handshake there (an initiator sends its
+    /// ClientHello), and a later link takes `remote` as its address.
+    fn on_ice_connected(&mut self, idx: usize, remote: Addr, out: &mut Vec<AgentOut>) {
         let conn = &mut self.conns[idx];
-        if conn.dtls.is_some() {
-            return;
-        }
-        let mut hello_to_send: Option<(Addr, Bytes)> = None;
-        match conn.role {
-            ConnRole::Initiator => {
-                let (ep, hello) = DtlsEndpoint::client(
-                    self.cert.clone(),
-                    Some(conn.remote_sdp.fingerprint),
-                    &mut self.rng,
-                );
-                conn.dtls = Some(ep);
-                conn.client_hello = Some(hello.clone());
-                if let Some(remote) = conn.remote_media {
-                    hello_to_send = Some((remote, hello));
+        match &mut conn.link {
+            Link::Checking { .. } => {
+                let (ep, client_hello) = conn.new_endpoint(&self.cert, &mut self.rng);
+                conn.link = Link::Handshaking {
+                    media: remote,
+                    ep,
+                    client_hello: client_hello.clone(),
+                };
+                if let Some(hello) = client_hello {
+                    self.udp_out(remote, hello, out);
                 }
             }
-            ConnRole::Responder => {
-                let ep = DtlsEndpoint::server(
-                    self.cert.clone(),
-                    Some(conn.remote_sdp.fingerprint),
-                    &mut self.rng,
-                );
-                conn.dtls = Some(ep);
-            }
-        }
-        if let Some((remote, hello)) = hello_to_send {
-            self.udp_out(remote, hello, out);
+            Link::Handshaking { media, .. } | Link::Established { media, .. } => *media = remote,
         }
     }
 
@@ -972,112 +977,107 @@ impl PdnAgent {
         digests: &mut SegmentDigests,
         out: &mut Vec<AgentOut>,
     ) {
-        let Some(idx) = self.conns.iter().position(|c| {
-            c.remote_media == Some(from)
-                || (c.remote_media.is_none() && c.remote_sdp.candidate_addrs().any(|a| a == from))
+        let Some(idx) = self.conns.iter().position(|c| match c.link.media() {
+            Some(media) => media == from,
+            None => c.remote_sdp.candidate_addrs().any(|a| a == from),
         }) else {
             return;
         };
         // A responder may see the ClientHello before its own ICE agent
-        // processed the final check response; set up the endpoint lazily.
-        if self.conns[idx].dtls.is_none() {
-            self.conns[idx].remote_media = Some(from);
-            // Also runs on the first data record of an established channel
-            // (its endpoint moved into `chan`), building an endpoint whose
-            // output is dropped: ROADMAP item 3 gates it on `chan.is_none()`.
-            self.on_ice_connected(idx, &mut Vec::new());
+        // processed the final check response: set up the endpoint lazily.
+        // An initiator's ClientHello goes nowhere here; the next tick's
+        // retransmit sends it.
+        if let Link::Checking { .. } = self.conns[idx].link {
+            self.on_ice_connected(idx, from, &mut Vec::new());
         }
         let conn = &mut self.conns[idx];
-        conn.remote_media.get_or_insert(from);
-
-        if conn.chan.is_none() {
-            let Some(ep) = conn.dtls.as_mut() else {
-                return;
-            };
-            // Implicit completion: a responder whose Finished never arrived
-            // can complete the handshake from a valid data record.
-            if data.first() == Some(&23) {
-                let Ok(frame) = ep.open(data) else {
-                    return;
-                };
-                debug_assert!(ep.is_established(), "open promotes the endpoint");
-                let ep = conn.dtls.take().expect("checked");
-                let mut chan = DataChannel::new(ep);
-                let msg = chan.ingest_plaintext(&frame).ok().flatten();
-                conn.chan = Some(chan);
-                // The retransmit loop skips established connections, so
-                // the saved ClientHello can never be needed again.
-                conn.client_hello = None;
-                self.announce_cache(idx, out);
-                if let Some(bytes) = msg {
-                    let remote_peer = self.conns[idx].remote_peer;
-                    self.on_p2p_frame(remote_peer, &bytes, now, digests, out);
+        let ep = match &mut conn.link {
+            Link::Checking { .. } => unreachable!("set up above"),
+            Link::Handshaking { ep, .. } => ep,
+            Link::Established {
+                legacy_draw_due, ..
+            } => {
+                if std::mem::take(legacy_draw_due) {
+                    // ROADMAP item 4: deleting this call is the fix.
+                    conn.legacy_endpoint_draw(&self.cert, self.config.relay, &mut self.rng);
+                }
+                out.push(AgentOut::ChargeCpu(crypto_cost(data.len())));
+                if let Some((_, chan)) = conn.established() {
+                    if let Ok(Some(bytes)) = chan.receive_record(data) {
+                        self.on_p2p_frame(idx, &bytes, now, digests, out);
+                    }
                 }
                 return;
             }
-            // Handshake phase.
+        };
+        // Implicit completion: a responder whose Finished never arrived
+        // can complete the handshake from a valid data record.
+        let (flight, frame) = if data.first() == Some(&23) {
+            (None, ep.open(data).ok())
+        } else {
             let Ok(flight) = ep.handle_handshake(data, &mut self.rng) else {
                 return;
             };
-            if conn.dtls.as_ref().is_some_and(DtlsEndpoint::is_established) {
-                let ep = conn.dtls.take().expect("checked");
-                conn.chan = Some(DataChannel::new(ep));
-                conn.client_hello = None; // established; no retransmit ahead
-                if let Some(f) = flight {
-                    self.udp_out(from, f, out);
-                }
-                self.announce_cache(idx, out);
-            } else if let Some(f) = flight {
-                self.udp_out(from, f, out);
+            (flight, None)
+        };
+        let established = ep.is_established();
+        let mut msg = None;
+        if established {
+            if let Link::Handshaking { media, ep, .. } =
+                std::mem::replace(&mut conn.link, Link::NEW)
+            {
+                let mut chan = DataChannel::new(ep);
+                msg = frame.and_then(|f| chan.ingest_plaintext(&f).ok().flatten());
+                conn.link = Link::Established {
+                    media,
+                    chan,
+                    legacy_draw_due: true,
+                };
             }
-            return;
         }
-        // Data phase.
-        let chan = conn.chan.as_mut().expect("data phase");
-        out.push(AgentOut::ChargeCpu(crypto_cost(data.len())));
-        if let Ok(Some(bytes)) = chan.receive_record(data) {
-            let remote_peer = conn.remote_peer;
-            self.on_p2p_frame(remote_peer, &bytes, now, digests, out);
+        if let Some(f) = flight {
+            self.udp_out(from, f, out);
+        }
+        if established {
+            self.announce_cache(idx, out);
+        }
+        if let Some(bytes) = msg {
+            self.on_p2p_frame(idx, &bytes, now, digests, out);
         }
     }
 
     /// Announces the cache to a newly established neighbor, one HAVE per
-    /// rendition. The cache iterates ascending by sequence, so each bucket
-    /// is born sorted; the rendition list itself is a tiny sorted Vec.
+    /// rendition in ascending order, each listing its sequences ascending.
     fn announce_cache(&mut self, idx: usize, out: &mut Vec<AgentOut>) {
-        let mut by_rendition: Vec<(u8, Vec<u64>)> = Vec::new();
-        for seg in self.cache.values() {
-            let i = match by_rendition.binary_search_by_key(&seg.id.rendition, |(r, _)| *r) {
-                Ok(i) => i,
-                Err(i) => {
-                    by_rendition.insert(i, (seg.id.rendition, Vec::new()));
-                    i
-                }
-            };
-            by_rendition[i].1.push(seg.id.seq);
-        }
+        let mut cached: Vec<(u8, u64)> = self
+            .cache
+            .values()
+            .map(|s| (s.id.rendition, s.id.seq))
+            .collect();
+        cached.sort_unstable();
         let (conns, mut tx) = self.p2p_tx();
         let Some((remote, chan)) = conns[idx].established() else {
             return;
         };
-        for (rendition, seqs) in by_rendition {
+        for run in cached.chunk_by(|a, b| a.0 == b.0) {
+            let seqs: Vec<u64> = run.iter().map(|&(_, seq)| seq).collect();
             let have = P2pRef::Have {
                 video: tx.video,
-                rendition,
+                rendition: run[0].0,
                 seqs: &seqs,
             };
             tx.send(remote, chan, &have, out);
         }
     }
 
-    /// Handles one P2P frame from an established channel. Decoding borrows
+    /// Handles one P2P frame from conn `idx`'s channel. Decoding borrows
     /// from the frame: the video id is checked against the channel's video
     /// without materialising a `String`, HAVE sequence numbers stream
     /// straight off the wire, and a delivered segment's payload is a
     /// zero-copy slice of the record.
     fn on_p2p_frame(
         &mut self,
-        from_peer: u64,
+        idx: usize,
         frame: &Bytes,
         now: SimTime,
         digests: &mut SegmentDigests,
@@ -1093,11 +1093,9 @@ impl PdnAgent {
                 seqs,
             } => {
                 if video.matches(&self.config.video.0) {
-                    if let Some(i) = self.conn_idx_by_peer(from_peer) {
-                        let avail = &mut self.conns[i].avail;
-                        for s in seqs {
-                            avail.insert(rendition, s);
-                        }
+                    let avail = &mut self.conns[idx].avail;
+                    for s in seqs {
+                        avail.insert(rendition, s);
                     }
                 }
             }
@@ -1107,7 +1105,7 @@ impl PdnAgent {
                 seq,
             } => {
                 if self.config.upload_enabled && video.matches(&self.config.video.0) {
-                    self.reply_segment(from_peer, rendition, seq, out);
+                    self.reply_segment(idx, rendition, seq, out);
                 }
             }
             P2pView::SegmentData {
@@ -1135,27 +1133,15 @@ impl PdnAgent {
         }
     }
 
-    /// Resolves the connection to `peer` via the sorted-by-peer index.
-    #[inline]
-    fn conn_idx_by_peer(&self, peer: u64) -> Option<usize> {
-        self.conns_by_peer
-            .binary_search_by_key(&peer, |&i| self.conns[i as usize].remote_peer)
-            .ok()
-            .map(|slot| self.conns_by_peer[slot] as usize)
-    }
-
     /// Serves a cached segment to a requesting neighbor; the payload is
     /// borrowed all the way into the sealed records (no segment copy).
-    fn reply_segment(&mut self, from_peer: u64, rendition: u8, seq: u64, out: &mut Vec<AgentOut>) {
+    fn reply_segment(&mut self, idx: usize, rendition: u8, seq: u64, out: &mut Vec<AgentOut>) {
         let Some(segment) = self.cache.get(seq) else {
             return;
         };
         if segment.id.rendition != rendition {
             return;
         }
-        let Some(idx) = self.conn_idx_by_peer(from_peer) else {
-            return;
-        };
         let duration_ms = segment.duration.as_millis() as u32;
         let data = segment.data.clone();
         let sim = self.sims.get((rendition, seq)).copied();
@@ -1228,12 +1214,7 @@ impl PdnAgent {
         if !sig_ok || computed != *im {
             // Polluted: reject and refetch from the CDN.
             self.polluted_rejections += 1;
-            self.requested.insert(seq, (RequestVia::Cdn, now));
-            out.push(AgentOut::Http(HttpRequest::GetSegment {
-                video: self.config.video.clone(),
-                rendition: self.current_rendition,
-                seq,
-            }));
+            self.fetch_from_cdn(seq, now, out);
             return;
         }
         self.accept_segment(segment, DeliverySource::Peer, now, digests, out);
@@ -1301,29 +1282,28 @@ impl PdnAgent {
             }
             let in_slow_start = seq < start + self.config.slow_start_segments;
             let rendition = self.current_rendition;
-            let peer_with_seg = (!in_slow_start && self.config.pdn_enabled && !self.blacklisted)
+            let p2p = !in_slow_start && self.config.pdn_enabled && !self.blacklisted;
+            let holder = p2p
                 .then(|| {
-                    // `conns_by_peer` walks connections in ascending peer-id
-                    // order and each availability probe is a bitmap test, so
-                    // the candidate list reaches the RNG already sorted — no
-                    // per-segment sort pass.
-                    let holders: Vec<u64> = self
+                    // Ascending peer-id order (`conns_by_peer`): the order
+                    // the RNG pick is pinned to.
+                    let holders: Vec<u32> = self
                         .conns_by_peer
                         .iter()
-                        .filter_map(|&i| {
+                        .copied()
+                        .filter(|&i| {
                             let c = &self.conns[i as usize];
-                            (c.is_established() && c.avail.contains(rendition, seq))
-                                .then_some(c.remote_peer)
+                            c.is_established() && c.avail.contains(rendition, seq)
                         })
                         .collect();
-                    self.rng.choose(&holders).copied()
+                    self.rng.choose(&holders).map(|&i| i as usize)
                 })
                 .flatten();
-            match peer_with_seg {
-                Some(peer) => {
+            match holder {
+                Some(idx) => {
+                    let peer = self.conns[idx].remote_peer;
                     self.first_wanted.remove(seq);
                     self.requested.insert(seq, (RequestVia::Peer(peer), now));
-                    let idx = self.conn_idx_by_peer(peer).expect("holder is connected");
                     let (conns, mut tx) = self.p2p_tx();
                     if let Some((remote, chan)) = conns[idx].established() {
                         let request = P2pRef::RequestSegment {
@@ -1355,24 +1335,36 @@ impl PdnAgent {
                             d
                         }
                     };
-                    let can_wait = !in_slow_start
-                        && self.config.pdn_enabled
-                        && !self.blacklisted
-                        && self.conns.iter().any(Conn::is_established)
-                        && now < deadline;
+                    let can_wait =
+                        p2p && self.conns.iter().any(Conn::is_established) && now < deadline;
                     if can_wait {
                         continue;
                     }
                     self.first_wanted.remove(seq);
-                    self.requested.insert(seq, (RequestVia::Cdn, now));
-                    out.push(AgentOut::Http(HttpRequest::GetSegment {
-                        video: self.config.video.clone(),
-                        rendition,
-                        seq,
-                    }));
+                    self.fetch_from_cdn(seq, now, out);
                 }
             }
         }
+    }
+
+    /// Requests `seq` from the CDN at the current rendition.
+    fn fetch_from_cdn(&mut self, seq: u64, now: SimTime, out: &mut Vec<AgentOut>) {
+        self.requested.insert(seq, (RequestVia::Cdn, now));
+        out.push(AgentOut::Http(HttpRequest::GetSegment {
+            video: self.config.video.clone(),
+            rendition: self.current_rendition,
+            seq,
+        }));
+    }
+
+    /// The (re)fetch of the playlist, whole VOD range.
+    fn playlist_request(&self) -> AgentOut {
+        AgentOut::Http(HttpRequest::GetPlaylist {
+            video: self.config.video.clone(),
+            rendition: self.config.rendition,
+            from: 0,
+            to: self.config.vod_end.unwrap_or(u64::MAX),
+        })
     }
 
     /// Emits a media-plane datagram (see [`via_relay`]).
@@ -1443,12 +1435,18 @@ impl P2pTx<'_> {
     }
 }
 
-fn push_ice_sends(events: Vec<IceEvent>, out: &mut Vec<AgentOut>) {
+/// Emits an ICE agent's sends; returns the remote a `Connected` event
+/// selected, if any.
+fn push_ice_sends(events: Vec<IceEvent>, out: &mut Vec<AgentOut>) -> Option<Addr> {
+    let mut connected = None;
     for ev in events {
-        if let IceEvent::SendTo { to, data } = ev {
-            out.push(AgentOut::UdpSend { to, data });
+        match ev {
+            IceEvent::SendTo { to, data } => out.push(AgentOut::UdpSend { to, data }),
+            IceEvent::Connected { remote } => connected = Some(remote),
+            IceEvent::GatheringComplete => {}
         }
     }
+    connected
 }
 
 /// A fresh TURN transaction id: one RNG draw.
@@ -1509,6 +1507,7 @@ fn hash_cost(bytes: usize) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdn_webrtc::turn::{TurnAction, TurnServer};
 
     fn agent() -> PdnAgent {
         let mut rng = SimRng::seed(1);
@@ -1540,8 +1539,8 @@ mod tests {
     #[test]
     fn hot_struct_sizes_stay_budgeted() {
         assert!(
-            std::mem::size_of::<Conn>() <= 2048,
-            "Conn grew past 2 KB inline (now {}): a full-fidelity agent \
+            std::mem::size_of::<Conn>() <= 960,
+            "Conn grew past 960 B inline (now {}): a full-fidelity agent \
              pays this per neighbor connection",
             std::mem::size_of::<Conn>()
         );
@@ -1762,6 +1761,592 @@ mod tests {
         });
         assert!(outs.is_empty());
         assert!(a.sims.is_empty());
+    }
+
+    /// Two agents paired by hand, `a` (index 0) initiating to `b`, with
+    /// their media datagrams carried FIFO between them, through a TURN
+    /// relay in relay mode. Signaling, HTTP and STUN-server traffic is
+    /// dropped.
+    struct Pair {
+        agents: [PdnAgent; 2],
+        hosts: [Addr; 2],
+        turn: Option<TurnServer>,
+        queue: VecDeque<(usize, AgentOut)>,
+        digests: SegmentDigests,
+    }
+
+    const TURN_ADDR: Addr = Addr::new(50, 0, 0, 1, 3478);
+
+    impl Pair {
+        fn new(relay: bool) -> Pair {
+            let hosts = [
+                Addr::new(10, 0, 0, 1, ports::MEDIA),
+                Addr::new(10, 0, 0, 2, ports::MEDIA),
+            ];
+            let mut rng = SimRng::seed(5);
+            let agents = hosts.map(|host| {
+                let mut cfg = AgentConfig::new("v", "key", "site.tv");
+                cfg.relay = relay.then_some(TURN_ADDR);
+                PdnAgent::new(cfg, host, Addr::new(30, 0, 0, 1, 3478), &mut rng)
+            });
+            let mut pair = Pair {
+                agents,
+                hosts,
+                turn: relay.then(|| TurnServer::new(std::net::Ipv4Addr::new(50, 0, 0, 1))),
+                queue: VecDeque::new(),
+                digests: SegmentDigests::new(),
+            };
+            // Relay mode: start() allocates, and the relayed address is
+            // the agent's only candidate.
+            for i in 0..2 {
+                let mut out = Vec::new();
+                pair.agents[i].start(&mut out);
+                pair.push(i, out);
+            }
+            while pair.step() {}
+            let [sdp_a, sdp_b] = pair
+                .agents
+                .each_ref()
+                .map(|a| a.gatherer.local_description(a.cert.fingerprint()));
+            let mut out = Vec::new();
+            pair.agents[0].open_conn(2, sdp_b, ConnRole::Initiator, &mut out);
+            pair.push(0, out);
+            let mut out = Vec::new();
+            pair.agents[1].open_conn(1, sdp_a, ConnRole::Responder, &mut out);
+            pair.push(1, out);
+            pair
+        }
+
+        fn push(&mut self, from: usize, out: Vec<AgentOut>) {
+            self.queue.extend(out.into_iter().map(|o| (from, o)));
+        }
+
+        /// Carries the next queued datagram; `false` once none is left.
+        fn step(&mut self) -> bool {
+            let Some((from, o)) = self.queue.pop_front() else {
+                return false;
+            };
+            let frames = match o {
+                AgentOut::UdpSend { to, data } => vec![(to, data)],
+                AgentOut::UdpBurst { to, frames } => frames.into_iter().map(|f| (to, f)).collect(),
+                _ => Vec::new(),
+            };
+            for (to, data) in frames {
+                let hops = match &mut self.turn {
+                    Some(turn) if to == TURN_ADDR => turn
+                        .handle_packet(self.hosts[from], &data)
+                        .into_iter()
+                        .map(|TurnAction::SendTo { to, data }| {
+                            // A relayed address hairpins to its owner.
+                            let dest = turn.owner_of(to.port).filter(|_| to.ip == TURN_ADDR.ip);
+                            (TURN_ADDR, dest.unwrap_or(to), data)
+                        })
+                        .collect(),
+                    _ => vec![(self.hosts[from], to, data)],
+                };
+                for (src, dst, data) in hops {
+                    let Some(i) = self.hosts.iter().position(|&h| h == dst) else {
+                        continue;
+                    };
+                    let mut out = Vec::new();
+                    self.agents[i].on_udp(src, &data, SimTime::ZERO, &mut self.digests, &mut out);
+                    self.push(i, out);
+                }
+            }
+            true
+        }
+
+        fn phases(&self) -> [&'static str; 2] {
+            self.agents.each_ref().map(|a| match a.conns[0].link {
+                Link::Checking { .. } => "checking",
+                Link::Handshaking { .. } => "handshaking",
+                Link::Established { .. } => "established",
+            })
+        }
+
+        /// Whether any of `out`'s datagrams carries a DTLS handshake
+        /// record (a TURN Send indication is unwrapped first).
+        fn carries_handshake(out: &[AgentOut]) -> bool {
+            out.iter().any(|o| {
+                let AgentOut::UdpSend { data, .. } = o else {
+                    return false;
+                };
+                let payload = match stun::Message::decode(data) {
+                    Ok(msg) => msg.attributes.into_iter().find_map(|a| match a {
+                        stun::Attribute::Data(d) => Some(d),
+                        _ => None,
+                    }),
+                    Err(_) => Some(data.clone()),
+                };
+                payload.is_some_and(|p| dtls::is_dtls(&p) && p[0] == 22)
+            })
+        }
+
+        fn tick(&mut self, i: usize) -> Vec<AgentOut> {
+            let mut out = Vec::new();
+            self.agents[i].on_tick(SimTime::ZERO, &mut self.digests, &mut out);
+            out
+        }
+
+        /// Queues one HAVE from agent `from` on its established channel.
+        fn send_have(&mut self, from: usize, seq: u64) {
+            let mut out = Vec::new();
+            let (conns, mut tx) = self.agents[from].p2p_tx();
+            let (remote, chan) = conns[0].established().expect("established");
+            let have = P2pRef::Have {
+                video: tx.video,
+                rendition: 0,
+                seqs: &[seq],
+            };
+            tx.send(remote, chan, &have, &mut out);
+            self.push(from, out);
+        }
+    }
+
+    /// Both sides walk checking → handshaking → established (relay mode
+    /// skips ICE, so its links are handshaking as they open); the
+    /// initiator re-sends its ClientHello while handshaking and never
+    /// after; and each side's first DTLS record after establishment, and
+    /// only that one, makes the legacy endpoint draw.
+    fn lifecycle(relay: bool) {
+        let mut pair = Pair::new(relay);
+        let mut seen = vec![pair.phases()];
+        let mut hello_resent = false;
+        while pair.step() {
+            let phases = pair.phases();
+            if phases[0] == "handshaking" && !hello_resent {
+                // Dropped, as if lost: the handshake goes on without it.
+                hello_resent = Pair::carries_handshake(&pair.tick(0));
+                assert!(
+                    hello_resent,
+                    "a handshaking initiator re-sends its ClientHello"
+                );
+            }
+            if seen.last() != Some(&phases) {
+                seen.push(phases);
+            }
+        }
+        for side in 0..2 {
+            let walk: Vec<&str> = seen.iter().map(|p| p[side]).fold(Vec::new(), |mut w, p| {
+                if w.last() != Some(&p) {
+                    w.push(p);
+                }
+                w
+            });
+            let want: &[&str] = if relay {
+                &["handshaking", "established"]
+            } else {
+                &["checking", "handshaking", "established"]
+            };
+            assert_eq!(walk, want, "side {side} (relay {relay})");
+        }
+        for side in 0..2 {
+            assert!(!Pair::carries_handshake(&pair.tick(side)));
+        }
+        for (from, to) in [(0, 1), (1, 0)] {
+            let agent = &pair.agents[to];
+            let conn = &agent.conns[0];
+            let mut want = agent.rng.clone();
+            conn.legacy_endpoint_draw(&agent.cert, agent.config.relay, &mut want);
+            pair.send_have(from, 1);
+            while pair.step() {}
+            let drawn = pair.agents[to].rng.clone();
+            assert_eq!(
+                drawn.clone().next_u64(),
+                want.next_u64(),
+                "first record draws"
+            );
+            pair.send_have(from, 2);
+            while pair.step() {}
+            assert_eq!(
+                pair.agents[to].rng.clone().next_u64(),
+                drawn.clone().next_u64(),
+                "later records draw nothing"
+            );
+            assert!(pair.agents[to].conns[0].avail.contains(0, 2));
+        }
+    }
+
+    #[test]
+    fn direct_link_walks_checking_handshaking_established() {
+        lifecycle(false);
+    }
+
+    #[test]
+    fn relayed_link_walks_handshaking_established() {
+        lifecycle(true);
+    }
+
+    /// A second agent at `10.0.0.2`, gathered (host candidate only in
+    /// direct mode), whose SDP the tests below introduce to `agent()`.
+    fn remote_sdp() -> SessionDescription {
+        let mut b = PdnAgent::new(
+            AgentConfig::new("v", "key", "site.tv"),
+            Addr::new(10, 0, 0, 2, ports::MEDIA),
+            Addr::new(30, 0, 0, 1, 3478),
+            &mut SimRng::seed(9),
+        );
+        b.gatherer_complete_for_tests();
+        b.gatherer.local_description(b.cert.fingerprint())
+    }
+
+    fn udp_targets(out: &[AgentOut]) -> Vec<Addr> {
+        out.iter()
+            .filter_map(|o| match o {
+                AgentOut::UdpSend { to, .. } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn join_ok_records_peer_id_and_initiates_to_neighbors() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let sdp = remote_sdp();
+        let host_b = sdp.candidates[0].addr;
+        let outs = run(|o| {
+            a.on_signal(
+                SignalMsg::JoinOk {
+                    peer_id: 5,
+                    neighbors: vec![(2, sdp)],
+                },
+                SimTime::ZERO,
+                &mut d,
+                o,
+            )
+        });
+        assert_eq!(a.peer_id(), Some(5));
+        assert_eq!(a.conns.len(), 1);
+        assert_eq!(a.conns[0].role, ConnRole::Initiator);
+        assert!(matches!(
+            a.conns[0].link,
+            Link::Checking {
+                media: None,
+                retries: 0
+            }
+        ));
+        assert_eq!(udp_targets(&outs), vec![host_b], "one check per candidate");
+        assert_eq!(a.established_conns(), 0);
+    }
+
+    #[test]
+    fn peer_joined_opens_a_responder_conn() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let outs = run(|o| {
+            a.on_signal(
+                SignalMsg::PeerJoined {
+                    peer_id: 8,
+                    sdp: remote_sdp(),
+                },
+                SimTime::ZERO,
+                &mut d,
+                o,
+            )
+        });
+        assert_eq!(a.conns[0].role, ConnRole::Responder);
+        assert_eq!(a.conns[0].remote_peer, 8);
+        assert_eq!(
+            udp_targets(&outs).len(),
+            1,
+            "full ICE: responders check too"
+        );
+    }
+
+    #[test]
+    fn repeated_introduction_keeps_the_first_conn() {
+        let mut a = agent();
+        let sdp = remote_sdp();
+        a.open_conn(2, sdp.clone(), ConnRole::Initiator, &mut Vec::new());
+        let outs = run(|o| a.open_conn(2, sdp, ConnRole::Responder, o));
+        assert!(outs.is_empty());
+        assert_eq!(a.conns.len(), 1);
+        assert_eq!(a.conns_by_peer, vec![0]);
+        assert_eq!(a.conns[0].role, ConnRole::Initiator);
+    }
+
+    #[test]
+    fn conns_by_peer_stays_sorted_by_remote_id() {
+        let mut a = agent();
+        let sdp = remote_sdp();
+        for peer in [7, 3, 9, 1] {
+            a.open_conn(peer, sdp.clone(), ConnRole::Responder, &mut Vec::new());
+        }
+        let by_peer: Vec<u64> = a
+            .conns_by_peer
+            .iter()
+            .map(|&i| a.conns[i as usize].remote_peer)
+            .collect();
+        assert_eq!(by_peer, vec![1, 3, 7, 9]);
+    }
+
+    #[test]
+    fn checking_link_retransmits_checks_at_most_twenty_ticks() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        a.open_conn(2, remote_sdp(), ConnRole::Initiator, &mut Vec::new());
+        let first = a.conns[0].ice.checks_sent();
+        let host_b = a.conns[0].remote_sdp.candidates[0].addr;
+        for _ in 0..25 {
+            let outs = run(|o| a.on_tick(SimTime::ZERO, &mut d, o));
+            assert!(udp_targets(&outs).iter().all(|&to| to == host_b));
+        }
+        assert_eq!(a.conns[0].ice.checks_sent(), first + 20);
+        assert!(matches!(
+            a.conns[0].link,
+            Link::Checking { retries: 20, .. }
+        ));
+    }
+
+    #[test]
+    fn relay_mode_checking_link_never_retransmits_checks() {
+        let mut d = SegmentDigests::new();
+        let mut cfg = AgentConfig::new("v", "key", "site.tv");
+        cfg.relay = Some(TURN_ADDR);
+        let mut a = PdnAgent::new(
+            cfg,
+            Addr::new(10, 0, 0, 1, ports::MEDIA),
+            Addr::new(30, 0, 0, 1, 3478),
+            &mut SimRng::seed(1),
+        );
+        // The remote offers no relay candidate, so the link checks.
+        let outs = run(|o| a.open_conn(2, remote_sdp(), ConnRole::Initiator, o));
+        assert_eq!(udp_targets(&outs).len(), 1);
+        let first = a.conns[0].ice.checks_sent();
+        for _ in 0..3 {
+            let outs = run(|o| a.on_tick(SimTime::ZERO, &mut d, o));
+            assert!(udp_targets(&outs).is_empty());
+        }
+        assert_eq!(a.conns[0].ice.checks_sent(), first);
+        assert!(matches!(a.conns[0].link, Link::Checking { retries: 0, .. }));
+    }
+
+    /// An inbound check names its sender's ufrag, so a checking link
+    /// learns its media address from it, even from an address the peer
+    /// never signaled; the first address learned sticks.
+    #[test]
+    fn peer_reflexive_check_teaches_a_checking_link_its_media() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let sdp = remote_sdp();
+        let username = format!("{}:{}", a.gatherer.credentials().0, sdp.ice_ufrag);
+        a.open_conn(2, sdp, ConnRole::Responder, &mut Vec::new());
+        let mapped = [Addr::new(99, 0, 0, 9, 5555), Addr::new(99, 0, 0, 9, 6666)];
+        for (i, from) in mapped.into_iter().enumerate() {
+            let check = stun::Message::binding_request([i as u8; 12])
+                .with(stun::Attribute::Username(username.clone()))
+                .encode();
+            a.on_udp(from, &check, SimTime::ZERO, &mut d, &mut Vec::new());
+        }
+        assert!(matches!(a.conns[0].link, Link::Checking { .. }));
+        assert_eq!(a.conns[0].link.media(), Some(mapped[0]));
+    }
+
+    #[test]
+    fn check_naming_an_unknown_ufrag_teaches_nothing() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        a.open_conn(2, remote_sdp(), ConnRole::Responder, &mut Vec::new());
+        let check = stun::Message::binding_request([3; 12])
+            .with(stun::Attribute::Username("x:stranger".into()))
+            .encode();
+        a.on_udp(
+            Addr::new(99, 0, 0, 9, 5555),
+            &check,
+            SimTime::ZERO,
+            &mut d,
+            &mut Vec::new(),
+        );
+        assert_eq!(a.conns[0].link.media(), None);
+    }
+
+    /// A DTLS record that beats ICE to a checking link sets the endpoint
+    /// up there; an initiator's ClientHello is held back and goes out on
+    /// the next tick, to the record's source.
+    #[test]
+    fn dtls_before_ice_defers_the_client_hello_to_the_next_tick() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let sdp = remote_sdp();
+        let host_b = sdp.candidates[0].addr;
+        a.open_conn(2, sdp, ConnRole::Initiator, &mut Vec::new());
+        let mut rng = SimRng::seed(11);
+        let (_, stray) = DtlsEndpoint::client(Certificate::generate(&mut rng), None, &mut rng);
+        let outs = run(|o| a.on_udp(host_b, &stray, SimTime::ZERO, &mut d, o));
+        assert!(!Pair::carries_handshake(&outs));
+        assert!(matches!(
+            a.conns[0].link,
+            Link::Handshaking {
+                client_hello: Some(_),
+                ..
+            }
+        ));
+        assert_eq!(a.conns[0].link.media(), Some(host_b));
+        let outs = run(|o| a.on_tick(SimTime::ZERO, &mut d, o));
+        assert!(Pair::carries_handshake(&outs));
+        assert_eq!(udp_targets(&outs), vec![host_b]);
+    }
+
+    #[test]
+    fn dtls_from_an_unknown_address_is_dropped() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        a.open_conn(2, remote_sdp(), ConnRole::Responder, &mut Vec::new());
+        let mut rng = SimRng::seed(12);
+        let (_, hello) = DtlsEndpoint::client(Certificate::generate(&mut rng), None, &mut rng);
+        let before = a.rng.clone().next_u64();
+        let outs = run(|o| {
+            a.on_udp(
+                Addr::new(77, 0, 0, 7, 4000),
+                &hello,
+                SimTime::ZERO,
+                &mut d,
+                o,
+            )
+        });
+        assert!(outs.is_empty());
+        assert!(matches!(a.conns[0].link, Link::Checking { .. }));
+        assert_eq!(a.rng.clone().next_u64(), before, "no endpoint was built");
+    }
+
+    /// ICE may re-select a pair after the handshake: an established
+    /// link moves to the new address and keeps its channel.
+    #[test]
+    fn ice_connected_moves_an_established_link() {
+        let mut pair = Pair::new(false);
+        while pair.step() {}
+        let moved = Addr::new(10, 0, 0, 2, 4444);
+        let outs = run(|o| pair.agents[0].on_ice_connected(0, moved, o));
+        assert!(outs.is_empty());
+        assert!(pair.agents[0].conns[0].is_established());
+        assert_eq!(pair.agents[0].conns[0].link.media(), Some(moved));
+    }
+
+    #[test]
+    fn established_pair_counts_one_conn_per_side() {
+        let mut pair = Pair::new(false);
+        assert_eq!(
+            pair.agents.each_ref().map(|a| a.established_conns()),
+            [0, 0]
+        );
+        while pair.step() {}
+        assert_eq!(
+            pair.agents.each_ref().map(|a| a.established_conns()),
+            [1, 1]
+        );
+    }
+
+    /// §IV-D: a direct connection hands each side the other's host
+    /// address.
+    #[test]
+    fn direct_pair_harvests_the_peer_host_address() {
+        let mut pair = Pair::new(false);
+        while pair.step() {}
+        assert!(pair.agents[0].harvested_addrs().contains(&pair.hosts[1]));
+        assert!(pair.agents[1].harvested_addrs().contains(&pair.hosts[0]));
+    }
+
+    /// §V-C: through a TURN relay each side learns only relayed
+    /// addresses, never the other's host.
+    #[test]
+    fn relayed_pair_harvests_only_relay_addresses() {
+        let mut pair = Pair::new(true);
+        while pair.step() {}
+        for (side, agent) in pair.agents.iter().enumerate() {
+            let harvest = agent.harvested_addrs();
+            assert!(!harvest.is_empty());
+            assert!(
+                harvest.iter().all(|a| a.ip == TURN_ADDR.ip),
+                "side {side} harvested {harvest:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn blacklisted_signal_marks_the_agent() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        assert!(!a.is_blacklisted());
+        a.on_signal(
+            SignalMsg::Blacklisted {
+                reason: "polluter".into(),
+            },
+            SimTime::ZERO,
+            &mut d,
+            &mut Vec::new(),
+        );
+        assert!(a.is_blacklisted());
+    }
+
+    #[test]
+    fn stats_report_every_interval_once_joined() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let stats_at = |a: &mut PdnAgent, d: &mut SegmentDigests, secs: u64| {
+            run(|o| a.on_tick(SimTime::from_secs(secs), d, o))
+                .iter()
+                .filter(|o| matches!(o, AgentOut::Signal(SignalMsg::StatsReport { .. })))
+                .count()
+        };
+        assert_eq!(stats_at(&mut a, &mut d, 5), 0, "no report before joining");
+        a.on_signal(
+            SignalMsg::JoinOk {
+                peer_id: 1,
+                neighbors: Vec::new(),
+            },
+            SimTime::ZERO,
+            &mut d,
+            &mut Vec::new(),
+        );
+        assert_eq!(stats_at(&mut a, &mut d, 5), 1);
+        assert_eq!(stats_at(&mut a, &mut d, 9), 0);
+        assert_eq!(stats_at(&mut a, &mut d, 10), 1);
+    }
+
+    #[test]
+    fn live_playlist_is_refetched_every_two_seconds() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let src = pdn_media::VideoSource::live("v", vec![400_000], Duration::from_secs(4));
+        let text = MediaPlaylist::for_source(&src, 0, 0, 3).encode();
+        a.on_http(
+            HttpResponse::Playlist { text },
+            SimTime::ZERO,
+            &mut d,
+            &mut Vec::new(),
+        );
+        assert_eq!(a.manifest_hash, "live");
+        let refetches = |a: &mut PdnAgent, d: &mut SegmentDigests, ms: u64| {
+            run(|o| a.on_tick(SimTime::from_millis(ms), d, o))
+                .iter()
+                .filter(|o| matches!(o, AgentOut::Http(HttpRequest::GetPlaylist { .. })))
+                .count()
+        };
+        assert_eq!(refetches(&mut a, &mut d, 1500), 0);
+        assert_eq!(refetches(&mut a, &mut d, 2000), 1);
+        assert_eq!(refetches(&mut a, &mut d, 3500), 0);
+        assert_eq!(refetches(&mut a, &mut d, 4000), 1);
+    }
+
+    #[test]
+    fn segment_for_another_video_is_ignored() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        a.on_http(
+            HttpResponse::Segment {
+                video: VideoId::new("other"),
+                rendition: 0,
+                seq: 0,
+                duration_ms: 4000,
+                data: Bytes::from_static(b"not ours"),
+            },
+            SimTime::ZERO,
+            &mut d,
+            &mut Vec::new(),
+        );
+        assert_eq!(a.traffic(), (0, 0, 0));
+        assert!(a.player().played().is_empty());
     }
 
     impl PdnAgent {

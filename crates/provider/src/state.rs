@@ -305,6 +305,46 @@ mod tests {
     }
 
     #[test]
+    fn vecmap_get_mut_and_values_follow_key_order() {
+        let mut m = VecMap::new();
+        for k in [30u64, 10, 20] {
+            m.insert(k, k * 2);
+        }
+        *m.get_mut(20).unwrap() += 1;
+        assert!(m.get_mut(25).is_none());
+        assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![20, 41, 60]);
+        // `or_insert_with` leaves a present value alone.
+        assert_eq!(*m.or_insert_with(10, || 0), 20);
+        assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn seqbits_duplicate_inserts_count_once() {
+        let mut b = SeqBits::new();
+        for s in [5, 5, 1 << 40, 1 << 40, 6] {
+            b.insert(s);
+        }
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.spill, vec![1 << 40]);
+    }
+
+    /// The dense window holds exactly `MAX_WINDOW_WORDS` words; the first
+    /// sequence past it spills.
+    #[test]
+    fn seqbits_window_stops_at_its_cap() {
+        let last_dense = 64 * MAX_WINDOW_WORDS as u64 - 1;
+        let mut b = SeqBits::new();
+        b.insert(0);
+        b.insert(last_dense);
+        assert_eq!(b.words.len(), MAX_WINDOW_WORDS);
+        assert!(b.spill.is_empty());
+        b.insert(last_dense + 1);
+        assert_eq!(b.words.len(), MAX_WINDOW_WORDS);
+        assert_eq!(b.spill, vec![last_dense + 1]);
+        assert!(b.contains(last_dense) && b.contains(last_dense + 1));
+    }
+
+    #[test]
     fn availmap_tracks_per_rendition() {
         let mut a = AvailMap::new();
         assert!(a.is_empty());

@@ -179,6 +179,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_or_weightless_choices_are_none() {
+        let mut r = SimRng::seed(4);
+        assert_eq!(r.choose::<u8>(&[]), None);
+        assert_eq!(r.choose_weighted(&[]), None);
+        assert_eq!(r.choose_weighted(&[0.0, -1.0]), None);
+        for _ in 0..32 {
+            assert_eq!(r.choose_weighted(&[0.0, 2.5, -3.0]), Some(1));
+        }
+    }
+
+    #[test]
+    fn sample_indices_caps_at_the_population() {
+        let mut r = SimRng::seed(5);
+        let mut all = r.sample_indices(3, 10);
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2]);
+        assert!(r.sample_indices(0, 4).is_empty());
+    }
+
+    #[test]
     fn sample_indices_distinct() {
         let mut r = SimRng::seed(3);
         let s = r.sample_indices(10, 4);

@@ -85,6 +85,21 @@ mod tests {
         assert_eq!(t.get(Ipv4Addr::new(10, 0, 0, 1)), Some(&6));
     }
 
+    /// The first and last host of a /16 share one block; the block
+    /// grows to the highest host inserted and no further.
+    #[test]
+    fn block_edges_route_independently() {
+        let mut t = RouteTable::new();
+        assert_eq!(t.insert(Ipv4Addr::new(10, 7, 255, 255), 2u32), None);
+        assert_eq!(t.insert(Ipv4Addr::new(10, 7, 0, 0), 1), None);
+        assert_eq!(t.get(Ipv4Addr::new(10, 7, 0, 0)), Some(&1));
+        assert_eq!(t.get(Ipv4Addr::new(10, 7, 255, 255)), Some(&2));
+        assert_eq!(t.get(Ipv4Addr::new(10, 7, 128, 0)), None);
+        assert_eq!(t.get(Ipv4Addr::new(10, 8, 0, 0)), None);
+        assert_eq!(t.blocks.len(), 1);
+        assert_eq!(t.blocks[&(10 << 8 | 7)].len(), 65_536);
+    }
+
     #[test]
     fn route_slots_fit_the_old_entry_size() {
         // The sorted-vector table this replaced spent 24 B per route.

@@ -122,4 +122,21 @@ mod tests {
         assert_eq!(b.saturating_since(a), Duration::from_secs(2));
         assert_eq!(a.saturating_since(b), Duration::ZERO);
     }
+
+    #[test]
+    fn add_assign_matches_add() {
+        let mut t = SimTime::from_secs(1);
+        t += Duration::from_micros(1500);
+        assert_eq!(t, SimTime::from_secs(1) + Duration::from_micros(1500));
+        assert_eq!(t.as_nanos(), 1_001_500_000);
+    }
+
+    #[test]
+    fn unit_conversions_truncate_toward_the_epoch() {
+        assert_eq!(SimTime::from_nanos(1_999_999).as_millis(), 1);
+        assert_eq!(SimTime::from_nanos(999_999).as_millis(), 0);
+        assert_eq!(SimTime::from_millis(2500).as_secs_f64(), 2.5);
+        assert_eq!(SimTime::ZERO.to_string(), "0.000s");
+        assert_eq!(SimTime::default(), SimTime::ZERO);
+    }
 }

@@ -109,6 +109,41 @@ mod tests {
         assert_eq!(get_uvarint(&too_big, &mut off), None);
     }
 
+    #[test]
+    fn consecutive_varints_decode_in_order() {
+        let values = [0u64, 300, u64::MAX, 127, 1 << 35];
+        let mut buf = Vec::new();
+        for v in values {
+            put_uvarint(&mut buf, v);
+        }
+        let mut off = 0;
+        for v in values {
+            assert_eq!(get_uvarint(&buf, &mut off), Some(v));
+        }
+        assert_eq!(off, buf.len());
+        assert_eq!(get_uvarint(&buf, &mut off), None, "input exhausted");
+    }
+
+    /// Each further seven bits of magnitude costs one more byte.
+    #[test]
+    fn length_steps_at_each_seven_bit_boundary() {
+        for k in 1..=9u32 {
+            let edge = 1u64 << (7 * k);
+            assert_eq!(uvarint_len(edge - 1), k as usize);
+            assert_eq!(uvarint_len(edge), k as usize + 1);
+        }
+        assert_eq!(uvarint_len(u64::MAX), MAX_UVARINT_LEN);
+    }
+
+    /// The decoder does not insist on the shortest form: a padded zero
+    /// group still reads back the value.
+    #[test]
+    fn padded_encoding_is_accepted() {
+        let mut off = 0;
+        assert_eq!(get_uvarint(&[0x81, 0x80, 0x00], &mut off), Some(1));
+        assert_eq!(off, 3);
+    }
+
     proptest! {
         #[test]
         fn roundtrip(v in any::<u64>()) {

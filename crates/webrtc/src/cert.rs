@@ -64,6 +64,28 @@ mod tests {
     }
 
     #[test]
+    fn same_seed_regenerates_the_same_certificate() {
+        let a = Certificate::generate(&mut SimRng::seed(7));
+        let b = Certificate::generate(&mut SimRng::seed(7));
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// The fingerprint is the SHA-256 of the key material.
+    #[test]
+    fn fingerprint_is_sha256_of_the_secret() {
+        let cert = Certificate::generate(&mut SimRng::seed(8));
+        assert_eq!(cert.fingerprint().0, sha256::digest(&cert.secret));
+    }
+
+    #[test]
+    fn display_is_uppercase_hex() {
+        let fp = Fingerprint([0xab; 32]).to_string();
+        assert!(fp.starts_with("AB:AB:"));
+        assert_eq!(fp.len(), 32 * 3 - 1);
+    }
+
+    #[test]
     fn display_format() {
         let mut rng = SimRng::seed(2);
         let fp = Certificate::generate(&mut rng).fingerprint().to_string();

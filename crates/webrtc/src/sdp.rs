@@ -133,6 +133,66 @@ mod tests {
         assert_eq!(sd.candidate_addrs().count(), 2);
     }
 
+    /// RFC 8445 §5.1.2 with local preference 65535, component 1.
+    #[test]
+    fn priority_follows_the_rfc_formula() {
+        let a = Addr::new(10, 0, 0, 1, 1);
+        assert_eq!(
+            Candidate::new(CandidateKind::Host, a).priority,
+            2_130_706_431
+        );
+        assert_eq!(
+            Candidate::new(CandidateKind::ServerReflexive, a).priority,
+            1_694_498_815
+        );
+        assert_eq!(Candidate::new(CandidateKind::Relay, a).priority, 16_777_215);
+    }
+
+    #[test]
+    fn candidate_line_layout() {
+        let c = Candidate::new(CandidateKind::Relay, Addr::new(50, 0, 0, 1, 49_152));
+        assert_eq!(
+            c.to_sdp_line(),
+            "a=candidate:1 1 udp 16777215 50.0.0.1 49152 typ relay"
+        );
+    }
+
+    /// Kinds order by preference, so sorting puts host candidates last.
+    #[test]
+    fn candidate_kinds_order_by_preference() {
+        let mut kinds = [
+            CandidateKind::Host,
+            CandidateKind::Relay,
+            CandidateKind::ServerReflexive,
+        ];
+        kinds.sort();
+        assert_eq!(
+            kinds,
+            [
+                CandidateKind::Relay,
+                CandidateKind::ServerReflexive,
+                CandidateKind::Host
+            ]
+        );
+    }
+
+    #[test]
+    fn sdp_without_candidates_has_only_the_session_lines() {
+        let mut rng = pdn_simnet::SimRng::seed(3);
+        let cert = crate::cert::Certificate::generate(&mut rng);
+        let sd = SessionDescription {
+            ice_ufrag: "u".into(),
+            ice_pwd: "p".into(),
+            fingerprint: cert.fingerprint(),
+            candidates: Vec::new(),
+        };
+        let sdp = sd.to_sdp();
+        assert_eq!(sdp.lines().count(), 4);
+        assert!(sdp.starts_with("v=0\r\na=ice-ufrag:u\r\na=ice-pwd:p\r\n"));
+        assert!(!sdp.contains("a=candidate"));
+        assert_eq!(sd.candidate_addrs().count(), 0);
+    }
+
     #[test]
     fn serde_roundtrip() {
         let mut rng = pdn_simnet::SimRng::seed(2);

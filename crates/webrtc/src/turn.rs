@@ -260,4 +260,61 @@ mod tests {
         let TurnAction::SendTo { to, .. } = &acts[0];
         assert_eq!(*to, client);
     }
+
+    #[test]
+    fn distinct_clients_get_distinct_ports_mapped_back() {
+        let mut turn = TurnServer::new(Ipv4Addr::new(44, 4, 4, 4));
+        let clients = [Addr::new(9, 9, 9, 9, 6000), Addr::new(9, 9, 9, 9, 6001)];
+        for c in clients {
+            turn.handle_packet(c, &allocate_request([1; 12]));
+        }
+        assert_eq!(turn.allocation_count(), 2);
+        assert_eq!(turn.owner_of(49_152), Some(clients[0]));
+        assert_eq!(turn.owner_of(49_153), Some(clients[1]));
+        assert_eq!(turn.owner_of(49_154), None);
+    }
+
+    #[test]
+    fn relayed_bytes_count_both_directions() {
+        let mut turn = TurnServer::new(Ipv4Addr::new(44, 4, 4, 4));
+        let client = Addr::new(9, 9, 9, 9, 6000);
+        turn.handle_packet(client, &allocate_request([1; 12]));
+        turn.handle_packet(
+            client,
+            &send_indication([2; 12], Addr::new(8, 8, 8, 8, 1), Bytes::from(vec![0; 100])),
+        );
+        turn.handle_relayed(49_152, Addr::new(8, 8, 8, 8, 1), &[0; 40]);
+        assert_eq!(turn.relayed_bytes(), 140);
+    }
+
+    #[test]
+    fn inbound_to_an_unallocated_port_is_dropped() {
+        let mut turn = TurnServer::new(Ipv4Addr::new(44, 4, 4, 4));
+        assert!(turn
+            .handle_relayed(49_152, Addr::new(7, 7, 7, 7, 1), b"x")
+            .is_empty());
+        assert_eq!(turn.relayed_bytes(), 0);
+    }
+
+    #[test]
+    fn send_indication_without_data_is_dropped() {
+        let mut turn = TurnServer::new(Ipv4Addr::new(44, 4, 4, 4));
+        let client = Addr::new(9, 9, 9, 9, 6000);
+        turn.handle_packet(client, &allocate_request([1; 12]));
+        let bare = Message::new(Class::Indication, Method::Send, [2; 12])
+            .with(Attribute::XorPeerAddress(Addr::new(8, 8, 8, 8, 1)))
+            .encode();
+        assert!(turn.handle_packet(client, &bare).is_empty());
+        assert_eq!(turn.relayed_bytes(), 0);
+    }
+
+    #[test]
+    fn non_turn_traffic_gets_no_answer() {
+        let mut turn = TurnServer::new(Ipv4Addr::new(44, 4, 4, 4));
+        let client = Addr::new(9, 9, 9, 9, 6000);
+        let binding = Message::binding_request([1; 12]).encode();
+        assert!(turn.handle_packet(client, &binding).is_empty());
+        assert!(turn.handle_packet(client, b"not stun").is_empty());
+        assert_eq!(turn.allocation_count(), 0);
+    }
 }

@@ -32,6 +32,31 @@ run_gate "cargo build --release" \
 run_gate "cargo test" \
   cargo test --offline --workspace --quiet
 
+# A test registered twice in one binary runs twice and counts twice (a
+# macro that adds its own #[test] beside the caller's does this). Equal
+# names in different binaries are legal, so names are compared within
+# each binary: cargo prints a "Running"/"Doc-tests" header on stderr
+# before each binary's list.
+no_duplicate_tests() {
+  local listing
+  listing=$(cargo test --offline --workspace -- --list 2>&1) || {
+    echo "${listing}" >&2
+    return 1
+  }
+  awk '
+    /^ *(Running|Doc-tests) / { bin = $0; sub(/^ +/, "", bin); next }
+    /: (test|bench)$/ {
+      if (seen[bin, $0]++ == 1) {
+        print "listed twice in " bin ": " $0 > "/dev/stderr"
+        dup = 1
+      }
+    }
+    END { exit dup }
+  ' <<<"${listing}"
+}
+run_gate "duplicate-registration gate (no test name listed twice by one test binary)" \
+  no_duplicate_tests
+
 run_gate "determinism gate (worker counts 1/2/4/8)" \
   cargo test --offline -p pdn-bench --test pool_determinism --quiet
 
@@ -52,8 +77,10 @@ run_gate "wire gate (binary vs JSON codec speedup + zero-alloc asserts)" \
 # goldens under tests/goldens/. Each binary embeds its golden and prints
 # golden vs actual on a mismatch through pdn_bench::assert_matches_golden,
 # the helper the paper-golden tests use. Wall time is printed, never
-# gated: perfbench's A/B run is the only wall-clock referee.
-run_gate "sim work gate (table5+ablations output hash and profiler phase entries equal tests/goldens/sim_quick.txt)" \
+# gated: perfbench's A/B run is the only wall-clock referee. sim_bench
+# also gates the calendar queue at >= 2x the heap+hashmap one, an
+# in-process ratio of interleaved runs like crypto_bench's and wire_bench's.
+run_gate "sim work gate (table5+ablations output hash and profiler phase entries equal tests/goldens/sim_quick.txt; calendar queue >= 2x heap+hashmap on the churn microbench)" \
   cargo run --release --offline -p pdn-oracle --bin sim_bench -- --quick
 
 run_gate "swarm work gate (10k-peer table identical at shards 1/2/4/8, peers/GB floor, events, bytes/peer and table equal tests/goldens/swarm_quick.txt)" \
