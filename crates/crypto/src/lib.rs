@@ -10,7 +10,6 @@
 //! - [`sha256`] — SHA-256 (FIPS 180-4) with an unrolled compression function,
 //!   a runtime-detected SHA-NI hardware path, and midstate capture, for
 //!   integrity metadata, HMAC and DTLS key derivation.
-//! - [`md5`] — MD5 (RFC 1321), modeling Viblast's segment-hash plugin.
 //! - [`hmac`] — HMAC-SHA256 (RFC 2104), for JWT HS256 and SIM signatures;
 //!   [`hmac::HmacKey`] caches the ipad/opad midstates so repeated MACs under
 //!   one key skip the key schedule.
@@ -50,7 +49,6 @@ pub mod base64url;
 pub mod crc32;
 pub mod hmac;
 pub mod jwt;
-pub mod md5;
 pub mod sha256;
 
 /// Constant-time equality of two byte slices.

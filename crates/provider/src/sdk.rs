@@ -33,7 +33,8 @@ use pdn_media::{
 };
 use pdn_simnet::{Addr, SimRng, SimTime};
 use pdn_webrtc::{
-    dtls, stun, Certificate, DataChannel, DtlsEndpoint, IceAgent, IceEvent, SessionDescription,
+    dtls, stun, Certificate, CheckList, DataChannel, DtlsEndpoint, IceAgent, IceEvent,
+    SessionDescription,
 };
 
 use crate::proto::{HttpRequest, HttpResponse, SignalMsg};
@@ -198,8 +199,8 @@ enum RequestVia {
 struct Conn {
     remote_peer: u64,
     role: ConnRole,
-    ice: IceAgent,
-    remote_sdp: SessionDescription,
+    /// The neighbor's signaled description and our checks toward it.
+    checks: CheckList,
     link: Link,
     /// Segments this neighbor has advertised (HAVE), one bit each.
     avail: AvailMap,
@@ -261,7 +262,7 @@ impl Conn {
     /// A fresh DTLS endpoint for this connection's role; an initiator's
     /// comes with its ClientHello.
     fn new_endpoint(&self, cert: &Certificate, rng: &mut SimRng) -> (DtlsEndpoint, Option<Bytes>) {
-        let peer = Some(self.remote_sdp.fingerprint);
+        let peer = Some(self.checks.remote().fingerprint);
         match self.role {
             ConnRole::Initiator => {
                 let (ep, hello) = DtlsEndpoint::client(cert.clone(), peer, rng);
@@ -298,7 +299,9 @@ pub struct PdnAgent {
     manifest_hash: String,
     // Gathering state
     stun_server: Addr,
-    gatherer: IceAgent,
+    /// The viewer's one ICE agent: it gathers, and it answers every
+    /// connection's inbound checks.
+    ice: IceAgent,
     /// Pending TURN Allocate transaction (relay mode).
     allocate_txid: Option<[u8; 12]>,
     join_sent: bool,
@@ -370,9 +373,9 @@ impl PdnAgent {
         let mut rng = rng.fork(u32::from(host_addr.ip) as u64);
         let config_rendition = config.rendition;
         let cert = Certificate::generate(&mut rng);
-        let mut gatherer = IceAgent::new(ports::MEDIA, &mut rng);
+        let mut ice = IceAgent::new(ports::MEDIA, &mut rng);
         if config.relay.is_none() {
-            gatherer.add_host_candidate(host_addr);
+            ice.add_host_candidate(host_addr);
         }
         PdnAgent {
             sim_hmac: pdn_crypto::hmac::HmacKey::new(&config.sim_key),
@@ -382,7 +385,7 @@ impl PdnAgent {
             manifest: None,
             manifest_hash: String::new(),
             stun_server,
-            gatherer,
+            ice,
             allocate_txid: None,
             join_sent: false,
             peer_id: None,
@@ -434,7 +437,7 @@ impl PdnAgent {
                     });
                 }
                 None => {
-                    push_ice_sends(self.gatherer.gather_srflx(self.stun_server), out);
+                    push_udp_sends([self.ice.gather_srflx(self.stun_server)], out);
                 }
             }
         }
@@ -601,8 +604,8 @@ impl PdnAgent {
                 }) else {
                     return false;
                 };
-                self.gatherer.add_relay_candidate(relayed);
-                self.gatherer.finish_gathering();
+                self.ice.add_relay_candidate(relayed);
+                self.ice.finish_gathering();
                 self.maybe_join(out);
                 true
             }
@@ -649,12 +652,13 @@ impl PdnAgent {
         // retransmission for flights lost to UDP drops.
         const MAX_CHECK_RETRIES: u32 = 20;
         let mut retransmits: Vec<(Addr, Bytes)> = Vec::new();
+        let local_ufrag = self.ice.credentials().0;
         for conn in &mut self.conns {
             match &mut conn.link {
                 Link::Checking { retries, .. } => {
                     if self.config.relay.is_none() && *retries < MAX_CHECK_RETRIES {
                         *retries += 1;
-                        push_ice_sends(conn.ice.retransmit_checks(), out);
+                        push_udp_sends(conn.checks.retransmit(local_ufrag), out);
                     }
                 }
                 Link::Handshaking {
@@ -802,14 +806,13 @@ impl PdnAgent {
         self.conns.iter().filter(|c| c.is_established()).count()
     }
 
-    /// Every remote transport address this agent has learned — candidates
-    /// from signaling plus observed STUN sources. On an attacker's node
-    /// this is the §IV-D IP harvest.
+    /// Every remote transport address this agent has learned: the
+    /// candidates its neighbors signaled. On an attacker's node this is
+    /// the §IV-D IP harvest.
     pub fn harvested_addrs(&self) -> Vec<Addr> {
         let mut v = Vec::new();
         for c in &self.conns {
-            v.extend(c.ice.remote_addrs_seen());
-            v.extend(c.remote_sdp.candidate_addrs());
+            v.extend(c.checks.remote().candidate_addrs());
         }
         v.sort_unstable();
         v.dedup();
@@ -829,12 +832,12 @@ impl PdnAgent {
         if !self.config.pdn_enabled
             || self.join_sent
             || self.manifest.is_none()
-            || !self.gatherer.is_gathering_complete()
+            || !self.ice.is_gathering_complete()
         {
             return;
         }
         self.join_sent = true;
-        let sdp = self.gatherer.local_description(self.cert.fingerprint());
+        let sdp = self.ice.local_description(self.cert.fingerprint());
         out.push(AgentOut::Signal(SignalMsg::Join {
             api_key: self.config.api_key.clone(),
             token: self.config.token.clone(),
@@ -858,19 +861,11 @@ impl PdnAgent {
         else {
             return;
         };
-        let (ufrag, pwd) = self.gatherer.credentials();
-        let mut ice = IceAgent::with_credentials(
-            ports::MEDIA,
-            ufrag.to_string(),
-            pwd.to_string(),
-            self.rng.fork(remote_peer),
-        );
-        for cand in self.gatherer.candidates() {
-            ice.add_candidate(*cand);
-        }
-        ice.set_remote(sdp.clone());
+        let mut checks = CheckList::new(sdp, self.rng.fork(remote_peer));
         let relay_remote = self.config.relay.and_then(|_| {
-            sdp.candidates
+            checks
+                .remote()
+                .candidates
                 .iter()
                 .find(|c| c.kind == pdn_webrtc::CandidateKind::Relay)
                 .map(|c| c.addr)
@@ -878,14 +873,13 @@ impl PdnAgent {
         if relay_remote.is_none() {
             // Both sides run checks (full ICE): the responder's checks are
             // what open its NAT mapping toward the initiator for cone NATs.
-            push_ice_sends(ice.start_checks(), out);
+            push_udp_sends(checks.start(self.ice.credentials().0), out);
         }
         self.conns_by_peer.insert(slot, self.conns.len() as u32);
         self.conns.push(Conn {
             remote_peer,
             role,
-            ice,
-            remote_sdp: sdp,
+            checks,
             link: Link::NEW,
             avail: AvailMap::new(),
         });
@@ -901,49 +895,34 @@ impl PdnAgent {
         // "local_ufrag:remote_ufrag", so the sender's connection can be
         // identified even when the packet arrives from an address it never
         // signaled (symmetric NATs map per-destination).
-        let msg = stun::Message::decode(data).ok();
-        let check = msg.as_ref().filter(|m| m.class == stun::Class::Request);
-        if let Some(ufrag) = check.and_then(|m| m.username()?.split(':').nth(1)) {
+        let Ok(msg) = stun::Message::decode(data) else {
+            return;
+        };
+        let sender = msg.username().and_then(|u| u.split(':').nth(1));
+        if let (stun::Class::Request, Some(ufrag)) = (msg.class, sender) {
             let conn = self
                 .conns
                 .iter_mut()
-                .find(|c| c.remote_sdp.ice_ufrag == ufrag);
+                .find(|c| c.checks.remote().ice_ufrag == ufrag);
             if let Some(Link::Checking { media, .. }) = conn.map(|c| &mut c.link) {
                 media.get_or_insert(from);
             }
         }
-        // Gathering responses first.
-        let evs = self.gatherer.handle_packet(from, data);
-        if !evs.is_empty() {
-            for ev in evs {
-                match ev {
-                    IceEvent::SendTo { to, data } => out.push(AgentOut::UdpSend { to, data }),
-                    IceEvent::GatheringComplete => self.maybe_join(out),
-                    IceEvent::Connected { .. } => {}
-                }
-            }
-            return;
-        }
-        // Then per-connection agents: the conns that own `from` (signaled
-        // it as a candidate, or use it as their media address) first, then
-        // the rest, each group in index order; the first conn that reacts
-        // takes the packet.
-        for owners in [true, false] {
-            for i in 0..self.conns.len() {
-                let conn = &self.conns[i];
-                let owns = conn.remote_sdp.candidate_addrs().any(|a| a == from)
-                    || conn.link.media() == Some(from);
-                if owns != owners {
-                    continue;
-                }
-                let evs = self.conns[i].ice.handle_packet(from, data);
-                if evs.is_empty() {
-                    continue;
-                }
-                if let Some(remote) = push_ice_sends(evs, out) {
+        // The viewer's agent answers every check and takes the gathering
+        // response; any other success answers one connection's check, and
+        // only the list that sent its transaction id reacts.
+        match self.ice.handle(from, &msg) {
+            Some(IceEvent::SendTo { to, data }) => out.push(AgentOut::UdpSend { to, data }),
+            Some(IceEvent::GatheringComplete) => self.maybe_join(out),
+            None => {
+                let selected = self
+                    .conns
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(i, c)| Some((i, c.checks.on_response(&msg)?)));
+                if let Some((i, remote)) = selected {
                     self.on_ice_connected(i, remote, out);
                 }
-                return;
             }
         }
     }
@@ -979,7 +958,7 @@ impl PdnAgent {
     ) {
         let Some(idx) = self.conns.iter().position(|c| match c.link.media() {
             Some(media) => media == from,
-            None => c.remote_sdp.candidate_addrs().any(|a| a == from),
+            None => c.checks.remote().candidate_addrs().any(|a| a == from),
         }) else {
             return;
         };
@@ -1435,18 +1414,11 @@ impl P2pTx<'_> {
     }
 }
 
-/// Emits an ICE agent's sends; returns the remote a `Connected` event
-/// selected, if any.
-fn push_ice_sends(events: Vec<IceEvent>, out: &mut Vec<AgentOut>) -> Option<Addr> {
-    let mut connected = None;
-    for ev in events {
-        match ev {
-            IceEvent::SendTo { to, data } => out.push(AgentOut::UdpSend { to, data }),
-            IceEvent::Connected { remote } => connected = Some(remote),
-            IceEvent::GatheringComplete => {}
-        }
+/// Emits the STUN sends of the ICE agent or a check list.
+fn push_udp_sends(sends: impl IntoIterator<Item = (Addr, Bytes)>, out: &mut Vec<AgentOut>) {
+    for (to, data) in sends {
+        out.push(AgentOut::UdpSend { to, data });
     }
-    connected
 }
 
 /// A fresh TURN transaction id: one RNG draw.
@@ -1539,13 +1511,13 @@ mod tests {
     #[test]
     fn hot_struct_sizes_stay_budgeted() {
         assert!(
-            std::mem::size_of::<Conn>() <= 960,
-            "Conn grew past 960 B inline (now {}): a full-fidelity agent \
+            std::mem::size_of::<Conn>() <= 608,
+            "Conn grew past 608 B inline (now {}): a full-fidelity agent \
              pays this per neighbor connection",
             std::mem::size_of::<Conn>()
         );
         assert!(
-            std::mem::size_of::<PdnAgent>() <= 1536,
+            std::mem::size_of::<PdnAgent>() <= 1064,
             "PdnAgent inline size grew (now {})",
             std::mem::size_of::<PdnAgent>()
         );
@@ -1587,7 +1559,7 @@ mod tests {
             .iter()
             .any(|o| matches!(o, AgentOut::Signal(SignalMsg::Join { .. }))));
         // Completing gathering triggers the join.
-        a.gatherer_complete_for_tests();
+        a.gathering_complete_for_tests();
         let outs = run(|o| a.on_tick(SimTime::from_millis(500), &mut d, o));
         assert!(outs
             .iter()
@@ -1599,7 +1571,7 @@ mod tests {
         let mut d = SegmentDigests::new();
         let mut a = agent();
         a.start(&mut Vec::new());
-        a.gatherer_complete_for_tests();
+        a.gathering_complete_for_tests();
         a.on_http(
             HttpResponse::Playlist {
                 text: playlist_text(),
@@ -1807,7 +1779,7 @@ mod tests {
             let [sdp_a, sdp_b] = pair
                 .agents
                 .each_ref()
-                .map(|a| a.gatherer.local_description(a.cert.fingerprint()));
+                .map(|a| a.ice.local_description(a.cert.fingerprint()));
             let mut out = Vec::new();
             pair.agents[0].open_conn(2, sdp_b, ConnRole::Initiator, &mut out);
             pair.push(0, out);
@@ -1986,8 +1958,8 @@ mod tests {
             Addr::new(30, 0, 0, 1, 3478),
             &mut SimRng::seed(9),
         );
-        b.gatherer_complete_for_tests();
-        b.gatherer.local_description(b.cert.fingerprint())
+        b.gathering_complete_for_tests();
+        b.ice.local_description(b.cert.fingerprint())
     }
 
     fn udp_targets(out: &[AgentOut]) -> Vec<Addr> {
@@ -2086,13 +2058,15 @@ mod tests {
         let mut d = SegmentDigests::new();
         let mut a = agent();
         a.open_conn(2, remote_sdp(), ConnRole::Initiator, &mut Vec::new());
-        let first = a.conns[0].ice.checks_sent();
-        let host_b = a.conns[0].remote_sdp.candidates[0].addr;
+        let candidates = &a.conns[0].checks.remote().candidates;
+        let (host_b, per_tick) = (candidates[0].addr, candidates.len());
+        let mut sent = 0;
         for _ in 0..25 {
-            let outs = run(|o| a.on_tick(SimTime::ZERO, &mut d, o));
-            assert!(udp_targets(&outs).iter().all(|&to| to == host_b));
+            let targets = udp_targets(&run(|o| a.on_tick(SimTime::ZERO, &mut d, o)));
+            assert!(targets.iter().all(|&to| to == host_b));
+            sent += targets.len();
         }
-        assert_eq!(a.conns[0].ice.checks_sent(), first + 20);
+        assert_eq!(sent, 20 * per_tick);
         assert!(matches!(
             a.conns[0].link,
             Link::Checking { retries: 20, .. }
@@ -2113,12 +2087,10 @@ mod tests {
         // The remote offers no relay candidate, so the link checks.
         let outs = run(|o| a.open_conn(2, remote_sdp(), ConnRole::Initiator, o));
         assert_eq!(udp_targets(&outs).len(), 1);
-        let first = a.conns[0].ice.checks_sent();
         for _ in 0..3 {
             let outs = run(|o| a.on_tick(SimTime::ZERO, &mut d, o));
             assert!(udp_targets(&outs).is_empty());
         }
-        assert_eq!(a.conns[0].ice.checks_sent(), first);
         assert!(matches!(a.conns[0].link, Link::Checking { retries: 0, .. }));
     }
 
@@ -2130,7 +2102,7 @@ mod tests {
         let mut d = SegmentDigests::new();
         let mut a = agent();
         let sdp = remote_sdp();
-        let username = format!("{}:{}", a.gatherer.credentials().0, sdp.ice_ufrag);
+        let username = format!("{}:{}", a.ice.credentials().0, sdp.ice_ufrag);
         a.open_conn(2, sdp, ConnRole::Responder, &mut Vec::new());
         let mapped = [Addr::new(99, 0, 0, 9, 5555), Addr::new(99, 0, 0, 9, 6666)];
         for (i, from) in mapped.into_iter().enumerate() {
@@ -2159,6 +2131,54 @@ mod tests {
             &mut Vec::new(),
         );
         assert_eq!(a.conns[0].link.media(), None);
+    }
+
+    /// The viewer's one ICE agent answers a check meant for any of its
+    /// connections, reflecting the address the check came from.
+    #[test]
+    fn viewer_agent_answers_a_conns_check_with_the_mapped_address() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let sdp = remote_sdp();
+        let (ufrag, pwd) = a.ice.credentials();
+        let check = stun::Message::binding_request([5; 12])
+            .with(stun::Attribute::Username(format!(
+                "{ufrag}:{}",
+                sdp.ice_ufrag
+            )))
+            .with_integrity(&pdn_crypto::hmac::HmacKey::new(pwd.as_bytes()))
+            .encode();
+        a.open_conn(2, sdp, ConnRole::Responder, &mut Vec::new());
+        let from = Addr::new(99, 0, 0, 9, 5555);
+        let outs = run(|o| a.on_udp(from, &check, SimTime::ZERO, &mut d, o));
+        let [AgentOut::UdpSend { to, data }] = &outs[..] else {
+            panic!("expected one reply, got {outs:?}");
+        };
+        let reply = stun::Message::decode(data).unwrap();
+        assert_eq!(*to, from);
+        assert_eq!(reply.class, stun::Class::Success);
+        assert_eq!(reply.mapped_address(), Some(from));
+    }
+
+    /// A check response moves only the connection whose check list sent
+    /// its transaction id, whichever connection comes first.
+    #[test]
+    fn check_response_selects_only_the_conn_that_sent_it() {
+        let mut d = SegmentDigests::new();
+        let mut a = agent();
+        let mut other = remote_sdp();
+        other.ice_ufrag = "u-other".into();
+        other.candidates[0].addr = Addr::new(10, 0, 0, 3, ports::MEDIA);
+        a.open_conn(2, remote_sdp(), ConnRole::Initiator, &mut Vec::new());
+        let outs = run(|o| a.open_conn(3, other, ConnRole::Initiator, o));
+        let [AgentOut::UdpSend { to, data }] = &outs[..] else {
+            panic!("expected one check, got {outs:?}");
+        };
+        let txid = stun::Message::decode(data).unwrap().transaction_id;
+        let resp = stun::Message::binding_success(txid, Addr::new(99, 0, 0, 9, 5555)).encode();
+        a.on_udp(*to, &resp, SimTime::ZERO, &mut d, &mut Vec::new());
+        assert!(matches!(a.conns[0].link, Link::Checking { .. }));
+        assert!(matches!(a.conns[1].link, Link::Handshaking { media, .. } if media == *to));
     }
 
     /// A DTLS record that beats ICE to a checking link sets the endpoint
@@ -2351,8 +2371,8 @@ mod tests {
 
     impl PdnAgent {
         /// Test helper: mark gathering finished without a STUN roundtrip.
-        pub fn gatherer_complete_for_tests(&mut self) {
-            self.gatherer.finish_gathering();
+        pub fn gathering_complete_for_tests(&mut self) {
+            self.ice.finish_gathering();
         }
     }
 }

@@ -76,12 +76,9 @@ impl WorldPool {
         }
     }
 
-    /// A pool sized to the host: `available_parallelism`, capped at 16.
+    /// A pool sized to the host: [`host_parallelism`], capped at 16.
     pub fn auto() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        WorldPool::new(n.min(16))
+        WorldPool::new(host_parallelism().min(16))
     }
 
     /// A single-worker pool that runs jobs inline on the calling thread.

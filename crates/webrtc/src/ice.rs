@@ -1,18 +1,20 @@
-//! A sans-IO ICE agent (RFC 8445 subset).
+//! Sans-IO ICE (RFC 8445 subset): one agent per viewer, one check list
+//! per neighbor connection.
 //!
-//! The agent gathers host and server-reflexive candidates, exchanges them
-//! via signaling (the PDN server's job in Figure 1), and runs STUN
-//! connectivity checks until a pair validates. It is *sans-IO*: it never
-//! touches the network itself — callers feed it incoming packets and carry
-//! out the [`IceEvent::SendTo`] actions it emits, which is what lets the
+//! The [`IceAgent`] owns the viewer's credentials and local candidates: it
+//! gathers host and server-reflexive candidates, which signaling (the PDN
+//! server's job in Figure 1) carries to every neighbor, and it answers
+//! every inbound connectivity check, whichever connection it belongs to —
+//! WebRTC shares one ufrag/pwd per session, so one responder suffices.
+//! A [`CheckList`] holds one neighbor's signaled description and runs the
+//! outbound checks toward it until a pair validates. Neither touches the
+//! network: callers feed them decoded STUN messages and send the
+//! `(destination, STUN payload)` pairs they return, which is what lets the
 //! whole protocol run inside the deterministic simulator.
 //!
-//! Privacy note (§IV-D of the paper): every candidate the agent learns from
-//! its peer is recorded and available via [`IceAgent::remote_addrs_seen`] —
-//! run by an honest peer this is bookkeeping, run by a malicious peer it is
-//! the IP-harvesting attack.
-
-use std::collections::HashMap;
+//! Privacy note (§IV-D of the paper): a check list keeps the neighbor's
+//! candidates ([`CheckList::remote`]) — run by an honest peer this is
+//! bookkeeping, run by a malicious peer it is the IP-harvesting attack.
 
 use bytes::Bytes;
 use pdn_crypto::hmac::HmacKey;
@@ -22,10 +24,10 @@ use crate::cert::Fingerprint;
 use crate::sdp::{Candidate, CandidateKind, SessionDescription};
 use crate::stun::{Attribute, Class, Message, Method};
 
-/// Action or notification emitted by the agent.
+/// What [`IceAgent::handle`] makes of an inbound STUN message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IceEvent {
-    /// Transmit `data` to `to` from the agent's local port.
+    /// Transmit `data` to `to` from the viewer's media port.
     SendTo {
         /// Destination address.
         to: Addr,
@@ -34,20 +36,9 @@ pub enum IceEvent {
     },
     /// Server-reflexive gathering finished (candidate list is final).
     GatheringComplete,
-    /// A candidate pair validated; the connection is usable.
-    Connected {
-        /// The remote address of the selected pair.
-        remote: Addr,
-    },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxPurpose {
-    GatherSrflx,
-    Check { remote: Addr },
-}
-
-/// ICE agent state. See the [module docs](self).
+/// The viewer's ICE agent. See the [module docs](self).
 #[derive(Debug)]
 pub struct IceAgent {
     local_ufrag: String,
@@ -55,18 +46,10 @@ pub struct IceAgent {
     /// Precomputed HMAC key of `local_pwd`, shared by every incoming-check
     /// verification.
     local_key: HmacKey,
-    local_port: u16,
     candidates: Vec<Candidate>,
-    remote: Option<SessionDescription>,
-    /// Precomputed HMAC key of the remote password, set with the remote
-    /// description and reused across the whole connectivity-check storm.
-    remote_key: Option<HmacKey>,
-    in_flight: HashMap<[u8; 12], TxPurpose>,
-    selected: Option<Addr>,
+    /// The server-reflexive gathering request in flight.
+    gather_txid: Option<[u8; 12]>,
     gathering_done: bool,
-    remote_addrs_seen: Vec<Addr>,
-    checked_remotes: std::collections::HashSet<Addr>,
-    checks_sent: u32,
     rng: SimRng,
 }
 
@@ -74,39 +57,17 @@ impl IceAgent {
     /// Creates an agent listening on `local_port`, with fresh credentials.
     pub fn new(local_port: u16, rng: &mut SimRng) -> Self {
         let mut rng = rng.fork(local_port as u64 | 0x1ce0_0000);
-        let ufrag = format!("u{:08x}", rng.next_u64() as u32);
-        let pwd = format!("p{:016x}", rng.next_u64());
-        Self::with_credentials(local_port, ufrag, pwd, rng)
-    }
-
-    /// Creates an agent with caller-provided credentials.
-    ///
-    /// WebRTC shares one ufrag/pwd per peer session; the PDN SDK runs one
-    /// connection agent per neighbor but signals a single SDP, so all of a
-    /// peer's agents must answer to the same credentials.
-    pub fn with_credentials(local_port: u16, ufrag: String, pwd: String, rng: SimRng) -> Self {
-        let local_key = HmacKey::new(pwd.as_bytes());
+        let local_ufrag = format!("u{:08x}", rng.next_u64() as u32);
+        let local_pwd = format!("p{:016x}", rng.next_u64());
         IceAgent {
-            local_ufrag: ufrag,
-            local_pwd: pwd,
-            local_key,
-            local_port,
+            local_key: HmacKey::new(local_pwd.as_bytes()),
+            local_ufrag,
+            local_pwd,
             candidates: Vec::new(),
-            remote: None,
-            remote_key: None,
-            in_flight: HashMap::new(),
-            selected: None,
+            gather_txid: None,
             gathering_done: false,
-            remote_addrs_seen: Vec::new(),
-            checked_remotes: std::collections::HashSet::new(),
-            checks_sent: 0,
             rng,
         }
-    }
-
-    /// The local port checks are sent from.
-    pub fn local_port(&self) -> u16 {
-        self.local_port
     }
 
     /// Local ICE credentials `(ufrag, pwd)`.
@@ -129,23 +90,15 @@ impl IceAgent {
             .push(Candidate::new(CandidateKind::Relay, addr));
     }
 
-    /// Adds a pre-built candidate (e.g. copied from a shared gatherer).
-    pub fn add_candidate(&mut self, candidate: Candidate) {
-        if !self.candidates.iter().any(|c| c.addr == candidate.addr) {
-            self.candidates.push(candidate);
-        }
-    }
-
-    /// Starts server-reflexive gathering against `stun_server`.
-    pub fn gather_srflx(&mut self, stun_server: Addr) -> Vec<IceEvent> {
-        let txid = self.fresh_txid();
-        self.in_flight.insert(txid, TxPurpose::GatherSrflx);
-        vec![IceEvent::SendTo {
-            to: stun_server,
-            data: Message::binding_request(txid)
-                .with(Attribute::Software("pdn-sim-ice".into()))
-                .encode(),
-        }]
+    /// Starts server-reflexive gathering against `stun_server`: the
+    /// Binding request to send there.
+    pub fn gather_srflx(&mut self, stun_server: Addr) -> (Addr, Bytes) {
+        let txid = fresh_txid(&mut self.rng);
+        self.gather_txid = Some(txid);
+        let request = Message::binding_request(txid)
+            .with(Attribute::Software("pdn-sim-ice".into()))
+            .encode();
+        (stun_server, request)
     }
 
     /// Marks gathering complete without a STUN server (host-only).
@@ -163,210 +116,163 @@ impl IceAgent {
         }
     }
 
-    /// Installs the remote description received over signaling.
-    pub fn set_remote(&mut self, remote: SessionDescription) {
-        for c in &remote.candidates {
-            self.remote_addrs_seen.push(c.addr);
-        }
-        self.remote_key = Some(HmacKey::new(remote.ice_pwd.as_bytes()));
-        self.remote = Some(remote);
-    }
-
-    /// Emits connectivity checks toward every remote candidate, highest
-    /// priority first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no remote description was set.
-    pub fn start_checks(&mut self) -> Vec<IceEvent> {
-        let remote = self.remote.as_ref().expect("remote description set");
-        let mut targets: Vec<Candidate> = remote.candidates.clone();
-        targets.sort_by_key(|c| std::cmp::Reverse(c.priority));
-        let username = format!("{}:{}", remote.ice_ufrag, self.local_ufrag);
-        let remote_key = self.remote_key.expect("set_remote computed the key");
-        let mut out = Vec::new();
-        for cand in targets {
-            if !self.checked_remotes.insert(cand.addr) {
-                continue;
-            }
-            let txid = self.fresh_txid();
-            self.in_flight
-                .insert(txid, TxPurpose::Check { remote: cand.addr });
-            self.checks_sent += 1;
-            let msg = Message::binding_request(txid)
-                .with(Attribute::Username(username.clone()))
-                .with(Attribute::Priority(cand.priority))
-                .with_integrity(&remote_key);
-            out.push(IceEvent::SendTo {
-                to: cand.addr,
-                data: msg.encode(),
-            });
-        }
-        out
-    }
-
-    /// Re-sends connectivity checks to every remote candidate that has not
-    /// validated yet (with fresh transaction IDs).
-    ///
-    /// ICE retransmits checks on a timer; in particular, hole punching
-    /// through address-restricted NATs only succeeds on a retry *after*
-    /// the other side's own check opened its mapping.
-    pub fn retransmit_checks(&mut self) -> Vec<IceEvent> {
-        if self.selected.is_some() {
-            return Vec::new();
-        }
-        let Some(remote) = self.remote.as_ref() else {
-            return Vec::new();
-        };
-        let username = format!("{}:{}", remote.ice_ufrag, self.local_ufrag);
-        let remote_key = self.remote_key.expect("set_remote computed the key");
-        let targets: Vec<Addr> = remote.candidates.iter().map(|c| c.addr).collect();
-        let mut out = Vec::new();
-        for addr in targets {
-            let txid = self.fresh_txid();
-            self.in_flight
-                .insert(txid, TxPurpose::Check { remote: addr });
-            self.checks_sent += 1;
-            let msg = Message::binding_request(txid)
-                .with(Attribute::Username(username.clone()))
-                .with_integrity(&remote_key);
-            out.push(IceEvent::SendTo {
-                to: addr,
-                data: msg.encode(),
-            });
-        }
-        out
-    }
-
-    /// Processes an incoming packet on the agent's port.
-    ///
-    /// Non-STUN packets are ignored (returns empty).
-    pub fn handle_packet(&mut self, from: Addr, data: &[u8]) -> Vec<IceEvent> {
-        let Ok(msg) = Message::decode(data) else {
-            return Vec::new();
-        };
+    /// Processes a STUN message received from `from`: the gathering
+    /// response completes gathering, and a connectivity check addressed to
+    /// this viewer is answered. Anything else (check responses included —
+    /// those belong to a [`CheckList`]) yields `None`.
+    pub fn handle(&mut self, from: Addr, msg: &Message) -> Option<IceEvent> {
         match (msg.class, msg.method) {
-            (Class::Success, Method::Binding) => self.on_success(from, &msg),
-            (Class::Request, Method::Binding) => self.on_check(from, &msg),
-            _ => Vec::new(),
+            (Class::Success, Method::Binding) => self.on_gathered(msg),
+            (Class::Request, Method::Binding) => self.on_check(from, msg),
+            _ => None,
         }
     }
 
-    fn on_success(&mut self, from: Addr, msg: &Message) -> Vec<IceEvent> {
-        let Some(purpose) = self.in_flight.remove(&msg.transaction_id) else {
-            return Vec::new();
-        };
-        match purpose {
-            TxPurpose::GatherSrflx => {
-                let mut events = Vec::new();
-                if let Some(mapped) = msg.mapped_address() {
-                    // Only add a distinct srflx candidate if the mapping
-                    // differs from every host candidate.
-                    if !self.candidates.iter().any(|c| c.addr == mapped) {
-                        self.candidates
-                            .push(Candidate::new(CandidateKind::ServerReflexive, mapped));
-                    }
-                }
-                self.gathering_done = true;
-                events.push(IceEvent::GatheringComplete);
-                events
-            }
-            TxPurpose::Check { remote } => {
-                let _ = from;
-                if self.selected.is_none() {
-                    self.selected = Some(remote);
-                    vec![IceEvent::Connected { remote }]
-                } else {
-                    Vec::new()
-                }
+    fn on_gathered(&mut self, msg: &Message) -> Option<IceEvent> {
+        if self.gather_txid != Some(msg.transaction_id) {
+            return None;
+        }
+        self.gather_txid = None;
+        if let Some(mapped) = msg.mapped_address() {
+            // Only add a distinct srflx candidate if the mapping differs
+            // from every host candidate.
+            if !self.candidates.iter().any(|c| c.addr == mapped) {
+                self.candidates
+                    .push(Candidate::new(CandidateKind::ServerReflexive, mapped));
             }
         }
+        self.gathering_done = true;
+        Some(IceEvent::GatheringComplete)
     }
 
-    fn on_check(&mut self, from: Addr, msg: &Message) -> Vec<IceEvent> {
+    fn on_check(&self, from: Addr, msg: &Message) -> Option<IceEvent> {
         // Verify the check is for us (USERNAME = local_ufrag:remote_ufrag)
-        // and carries a MAC under our password.
-        let Some(username) = msg.username() else {
-            return Vec::new();
+        // and carries a MAC under our password; answer with the reflexive
+        // address.
+        if msg.username()?.split(':').next() != Some(self.local_ufrag.as_str()) {
+            return None;
+        }
+        let resp = if msg.verify_integrity(&self.local_key) {
+            Message::binding_success(msg.transaction_id, from)
+        } else {
+            Message::new(Class::Error, Method::Binding, msg.transaction_id)
+                .with(Attribute::ErrorCode(401, "Unauthorized".into()))
         };
-        if username.split(':').next() != Some(self.local_ufrag.as_str()) {
-            return Vec::new();
-        }
-        if !msg.verify_integrity(&self.local_key) {
-            let err = Message::new(Class::Error, Method::Binding, msg.transaction_id)
-                .with(Attribute::ErrorCode(401, "Unauthorized".into()));
-            return vec![IceEvent::SendTo {
-                to: from,
-                data: err.encode(),
-            }];
-        }
-        // Record the remote peer address (triggered check = leak datum) and
-        // respond with the reflexive address.
-        if !self.remote_addrs_seen.contains(&from) {
-            self.remote_addrs_seen.push(from);
-        }
-        let resp = Message::binding_success(msg.transaction_id, from);
-        let mut events = vec![IceEvent::SendTo {
+        Some(IceEvent::SendTo {
             to: from,
             data: resp.encode(),
-        }];
-        // Triggered check: if we have the remote description, no selected
-        // pair yet, and we have not already probed this source, probe back.
-        if self.selected.is_none() && !self.checked_remotes.contains(&from) {
-            if let Some(remote) = &self.remote {
-                self.checked_remotes.insert(from);
-                let username = format!("{}:{}", remote.ice_ufrag, self.local_ufrag);
-                let remote_key = self.remote_key.expect("set_remote computed the key");
-                let txid = self.fresh_txid();
-                self.in_flight
-                    .insert(txid, TxPurpose::Check { remote: from });
-                let check = Message::binding_request(txid)
-                    .with(Attribute::Username(username))
-                    .with_integrity(&remote_key);
-                events.push(IceEvent::SendTo {
-                    to: from,
-                    data: check.encode(),
-                });
-            }
-        }
-        events
-    }
-
-    /// The validated remote address, once connected.
-    pub fn selected_remote(&self) -> Option<Addr> {
-        self.selected
+        })
     }
 
     /// Whether candidate gathering finished.
     pub fn is_gathering_complete(&self) -> bool {
         self.gathering_done
     }
+}
 
-    /// Local candidates gathered so far.
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
+/// The outbound checks of one connection toward one neighbor. See the
+/// [module docs](self).
+#[derive(Debug)]
+pub struct CheckList {
+    remote: SessionDescription,
+    /// Precomputed HMAC key of the remote password, reused across the
+    /// whole connectivity-check storm.
+    remote_key: HmacKey,
+    rng: SimRng,
+    /// Checks awaiting a response: transaction id and target. Emptied
+    /// once a pair is selected.
+    in_flight: Vec<([u8; 12], Addr)>,
+    selected: bool,
+}
+
+impl CheckList {
+    /// A check list toward the neighbor that signaled `remote`; `rng`
+    /// draws its transaction ids.
+    pub fn new(remote: SessionDescription, rng: SimRng) -> Self {
+        CheckList {
+            remote_key: HmacKey::new(remote.ice_pwd.as_bytes()),
+            remote,
+            rng,
+            in_flight: Vec::new(),
+            selected: false,
+        }
     }
 
-    /// Every remote address this agent has learned — from signaled
-    /// candidates and from observed check sources. This is the data a
-    /// malicious peer harvests in the IP-leak attack.
-    pub fn remote_addrs_seen(&self) -> &[Addr] {
-        &self.remote_addrs_seen
+    /// The neighbor's signaled description: its credentials, fingerprint
+    /// and candidates — the §IV-D harvest.
+    pub fn remote(&self) -> &SessionDescription {
+        &self.remote
     }
 
-    /// Number of connectivity checks sent.
-    pub fn checks_sent(&self) -> u32 {
-        self.checks_sent
+    /// Returns one connectivity check toward every distinct remote candidate
+    /// address, highest priority first. `local_ufrag` is the viewer's.
+    pub fn start(&mut self, local_ufrag: &str) -> Vec<(Addr, Bytes)> {
+        let mut targets = self.remote.candidates.clone();
+        targets.sort_by_key(|c| std::cmp::Reverse(c.priority));
+        let mut probed: Vec<Addr> = Vec::with_capacity(targets.len());
+        let mut out = Vec::new();
+        for cand in targets {
+            if probed.contains(&cand.addr) {
+                continue;
+            }
+            probed.push(cand.addr);
+            out.push(self.check(cand.addr, Some(cand.priority), local_ufrag));
+        }
+        out
     }
 
-    fn fresh_txid(&mut self) -> [u8; 12] {
-        let mut id = [0u8; 12];
-        let a = self.rng.next_u64().to_le_bytes();
-        let b = self.rng.next_u64().to_le_bytes();
-        id[..8].copy_from_slice(&a);
-        id[8..].copy_from_slice(&b[..4]);
-        id
+    /// Re-sends a check to every remote candidate (with fresh transaction
+    /// IDs) until a pair is selected.
+    ///
+    /// ICE retransmits checks on a timer; in particular, hole punching
+    /// through address-restricted NATs only succeeds on a retry *after*
+    /// the other side's own check opened its mapping.
+    pub fn retransmit(&mut self, local_ufrag: &str) -> Vec<(Addr, Bytes)> {
+        if self.selected {
+            return Vec::new();
+        }
+        (0..self.remote.candidates.len())
+            .map(|i| self.check(self.remote.candidates[i].addr, None, local_ufrag))
+            .collect()
     }
+
+    /// A Binding request toward `to` (carrying `priority`, if given),
+    /// recorded in flight.
+    fn check(&mut self, to: Addr, priority: Option<u32>, local_ufrag: &str) -> (Addr, Bytes) {
+        let txid = fresh_txid(&mut self.rng);
+        self.in_flight.push((txid, to));
+        let username = format!("{}:{}", self.remote.ice_ufrag, local_ufrag);
+        let mut msg = Message::binding_request(txid).with(Attribute::Username(username));
+        if let Some(priority) = priority {
+            msg = msg.with(Attribute::Priority(priority));
+        }
+        (to, msg.with_integrity(&self.remote_key).encode())
+    }
+
+    /// Takes a STUN message that may answer one of this list's checks.
+    /// Returns the remote address of the pair it selects — only the first
+    /// success does; requests and unknown transaction ids are ignored.
+    pub fn on_response(&mut self, msg: &Message) -> Option<Addr> {
+        if (msg.class, msg.method) != (Class::Success, Method::Binding) || self.selected {
+            return None;
+        }
+        let &(_, remote) = self
+            .in_flight
+            .iter()
+            .find(|(txid, _)| *txid == msg.transaction_id)?;
+        self.in_flight = Vec::new();
+        self.selected = true;
+        Some(remote)
+    }
+}
+
+fn fresh_txid(rng: &mut SimRng) -> [u8; 12] {
+    let mut id = [0u8; 12];
+    let a = rng.next_u64().to_le_bytes();
+    let b = rng.next_u64().to_le_bytes();
+    id[..8].copy_from_slice(&a);
+    id[8..].copy_from_slice(&b[..4]);
+    id
 }
 
 #[cfg(test)]
@@ -385,8 +291,31 @@ mod tests {
         Certificate::generate(&mut rng).fingerprint()
     }
 
-    /// Directly connects two agents on public addresses by ferrying their
-    /// events, asserting both reach Connected.
+    fn decode((to, data): &(Addr, Bytes)) -> (Addr, Message) {
+        (*to, Message::decode(data).unwrap())
+    }
+
+    /// The STUN reply in an agent's `SendTo`, decoded.
+    fn reply(ev: Option<IceEvent>) -> (Addr, Message) {
+        let Some(IceEvent::SendTo { to, data }) = ev else {
+            panic!("expected SendTo, got {ev:?}");
+        };
+        decode(&(to, data))
+    }
+
+    /// A check list toward `remote` (its txids drawn from `seed`), with
+    /// the first check it sends.
+    fn list_with_first_check(remote: &IceAgent, seed: u64) -> (CheckList, Message) {
+        let mut list = CheckList::new(remote.local_description(fp(4)), SimRng::seed(seed));
+        let checks = list.start("me");
+        assert_eq!(checks.len(), 1);
+        let (_, check) = decode(&checks[0]);
+        (list, check)
+    }
+
+    /// Two viewers on public addresses each run a check list toward the
+    /// other; each viewer's agent answers the other's checks, and both
+    /// lists select the other's address.
     #[test]
     fn two_agents_connect_via_checks() {
         let addr_a = Addr::new(20, 0, 0, 1, 5000);
@@ -397,66 +326,75 @@ mod tests {
         b.add_host_candidate(addr_b);
         a.finish_gathering();
         b.finish_gathering();
-        a.set_remote(b.local_description(fp(1)));
-        b.set_remote(a.local_description(fp(2)));
+        let mut a_to_b = CheckList::new(b.local_description(fp(1)), SimRng::seed(3));
+        let mut b_to_a = CheckList::new(a.local_description(fp(2)), SimRng::seed(4));
 
         // Ferry messages: (from_addr, to_addr, bytes) queue.
         let mut wire: Vec<(Addr, Addr, Bytes)> = Vec::new();
-        for ev in a.start_checks() {
-            if let IceEvent::SendTo { to, data } = ev {
-                wire.push((addr_a, to, data));
-            }
+        let opening = [
+            (addr_a, a_to_b.start(a.credentials().0)),
+            (addr_b, b_to_a.start(b.credentials().0)),
+        ];
+        for (from, checks) in opening {
+            wire.extend(checks.into_iter().map(|(to, data)| (from, to, data)));
         }
-        let mut a_connected = false;
-        let mut b_connected = false;
+        let (mut a_selected, mut b_selected) = (None, None);
         let mut hops = 0;
         while let Some((from, to, data)) = wire.pop() {
             hops += 1;
             assert!(hops < 100, "ICE must converge");
-            let (target, target_addr) = if to == addr_a {
-                (&mut a, addr_a)
+            let (viewer, list, selected) = if to == addr_a {
+                (&mut a, &mut a_to_b, &mut a_selected)
             } else {
-                (&mut b, addr_b)
+                (&mut b, &mut b_to_a, &mut b_selected)
             };
-            for ev in target.handle_packet(from, &data) {
-                match ev {
-                    IceEvent::SendTo { to, data } => wire.push((target_addr, to, data)),
-                    IceEvent::Connected { .. } => {
-                        if target_addr == addr_a {
-                            a_connected = true;
-                        } else {
-                            b_connected = true;
-                        }
-                    }
-                    IceEvent::GatheringComplete => {}
-                }
+            let msg = Message::decode(&data).unwrap();
+            if let Some(IceEvent::SendTo { to: back, data }) = viewer.handle(from, &msg) {
+                wire.push((to, back, data));
+            }
+            if let Some(remote) = list.on_response(&msg) {
+                assert_eq!(selected.replace(remote), None, "a list selects once");
             }
         }
-        assert!(a_connected && b_connected);
-        assert_eq!(a.selected_remote(), Some(addr_b));
-        assert_eq!(b.selected_remote(), Some(addr_a));
+        assert_eq!(a_selected, Some(addr_b));
+        assert_eq!(b_selected, Some(addr_a));
     }
 
     #[test]
     fn srflx_gathering_adds_candidate() {
         let mut a = agent(4000, 3);
         let stun = Addr::new(30, 0, 0, 1, 3478);
-        let events = a.gather_srflx(stun);
-        let IceEvent::SendTo { to, data } = &events[0] else {
-            panic!("expected SendTo");
-        };
-        assert_eq!(*to, stun);
-        let req = Message::decode(data).unwrap();
+        let (to, req) = decode(&a.gather_srflx(stun));
+        assert_eq!(to, stun);
         // The STUN server reflects the (NAT-mapped) source address.
         let mapped = Addr::new(99, 99, 99, 99, 41_000);
-        let resp = Message::binding_success(req.transaction_id, mapped).encode();
-        let events = a.handle_packet(stun, &resp);
-        assert!(events.contains(&IceEvent::GatheringComplete));
+        let resp = Message::binding_success(req.transaction_id, mapped);
+        assert_eq!(a.handle(stun, &resp), Some(IceEvent::GatheringComplete));
         assert!(a.is_gathering_complete());
         assert!(a
-            .candidates()
+            .local_description(fp(3))
+            .candidates
             .iter()
             .any(|c| c.kind == CandidateKind::ServerReflexive && c.addr == mapped));
+        // A repeated response is not a second gathering.
+        assert_eq!(a.handle(stun, &resp), None);
+    }
+
+    /// The viewer's agent answers a check sent by any connection's check
+    /// list toward it, reflecting the address the check came from.
+    #[test]
+    fn agent_answers_any_connections_check_with_the_mapped_address() {
+        let mut viewer = agent(4000, 12);
+        viewer.add_host_candidate(Addr::new(20, 0, 0, 1, 4000));
+        for seed in [21, 22] {
+            let (_, check) = list_with_first_check(&viewer, seed);
+            let mapped = Addr::new(77, 0, 0, seed as u8, 40_000);
+            let (to, resp) = reply(viewer.handle(mapped, &check));
+            assert_eq!(to, mapped);
+            assert_eq!(resp.class, Class::Success);
+            assert_eq!(resp.transaction_id, check.transaction_id);
+            assert_eq!(resp.mapped_address(), Some(mapped));
+        }
     }
 
     #[test]
@@ -471,15 +409,13 @@ mod tests {
                 a.credentials().0
             )))
             .with(Attribute::MessageIntegrity(hmac_sha256(b"wrongpwd", &txid)));
-        let events = a.handle_packet(striker, &check.encode());
-        // Response is a 401 error, and no triggered check goes out.
-        assert_eq!(events.len(), 1);
-        let IceEvent::SendTo { data, .. } = &events[0] else {
-            panic!("expected SendTo");
-        };
-        let resp = Message::decode(data).unwrap();
+        let (to, resp) = reply(a.handle(striker, &check));
+        assert_eq!(to, striker);
         assert_eq!(resp.class, Class::Error);
-        assert!(a.remote_addrs_seen().is_empty());
+        assert!(resp
+            .attributes
+            .iter()
+            .any(|at| matches!(at, Attribute::ErrorCode(401, _))));
     }
 
     #[test]
@@ -487,51 +423,86 @@ mod tests {
         let mut a = agent(4000, 5);
         let check =
             Message::binding_request([1; 12]).with(Attribute::Username("someoneelse:me".into()));
-        assert!(a
-            .handle_packet(Addr::new(1, 1, 1, 1, 1), &check.encode())
-            .is_empty());
+        assert_eq!(a.handle(Addr::new(1, 1, 1, 1, 1), &check), None);
     }
 
     #[test]
     fn remote_candidates_are_harvested() {
         // The privacy finding: merely *signaling* with a peer leaks all its
         // candidate addresses, before any media flows.
-        let mut a = agent(4000, 6);
         let mut b = agent(4000, 7);
         b.add_host_candidate(Addr::new(10, 1, 2, 3, 4000)); // private!
         b.add_host_candidate(Addr::new(77, 1, 2, 3, 4000));
-        a.set_remote(b.local_description(fp(3)));
-        let seen = a.remote_addrs_seen();
+        let list = CheckList::new(b.local_description(fp(3)), SimRng::seed(6));
+        let seen: Vec<Addr> = list.remote().candidate_addrs().collect();
         assert_eq!(seen.len(), 2);
         assert!(seen.contains(&Addr::new(10, 1, 2, 3, 4000)));
     }
 
+    /// ICE reacts to Binding messages only: other STUN (a TURN Allocate
+    /// carrying a matching username, its success) leaves the agent and a
+    /// check list alone.
     #[test]
-    fn non_stun_ignored() {
+    fn non_binding_stun_ignored() {
         let mut a = agent(4000, 8);
-        assert!(a
-            .handle_packet(Addr::new(1, 1, 1, 1, 1), b"not stun at all......")
-            .is_empty());
+        let username = format!("{}:x", a.credentials().0);
+        let allocate = Message::new(Class::Request, Method::Allocate, [2; 12])
+            .with(Attribute::Username(username));
+        assert_eq!(a.handle(Addr::new(1, 1, 1, 1, 1), &allocate), None);
+        let mut b = agent(5000, 13);
+        b.add_host_candidate(Addr::new(50, 0, 0, 1, 5000));
+        let (mut list, check) = list_with_first_check(&b, 11);
+        let allocated = Message::new(Class::Success, Method::Allocate, check.transaction_id);
+        assert_eq!(list.on_response(&allocated), None);
+        // The list still takes its check's real answer.
+        let resp = Message::binding_success(check.transaction_id, Addr::new(9, 9, 9, 9, 1));
+        assert_eq!(list.on_response(&resp), Some(Addr::new(50, 0, 0, 1, 5000)));
+    }
+
+    /// A check list takes only success responses to its own checks: a
+    /// request (even one reusing a check's transaction id) and an unknown
+    /// transaction id select nothing.
+    #[test]
+    fn check_list_ignores_requests_and_unknown_txids() {
+        let mut b = agent(5000, 14);
+        b.add_host_candidate(Addr::new(50, 0, 0, 1, 5000));
+        let (mut list, check) = list_with_first_check(&b, 11);
+        assert_eq!(list.on_response(&check), None);
+        let stranger = Message::binding_success([7; 12], Addr::new(9, 9, 9, 9, 1));
+        assert_eq!(list.on_response(&stranger), None);
+        // Neither selected: the check's own success still selects.
+        let resp = Message::binding_success(check.transaction_id, Addr::new(9, 9, 9, 9, 1));
+        assert_eq!(list.on_response(&resp), Some(Addr::new(50, 0, 0, 1, 5000)));
     }
 
     #[test]
     fn duplicate_success_selects_once() {
-        let mut a = agent(4000, 9);
         let remote_addr = Addr::new(50, 0, 0, 1, 5000);
         let mut b = agent(5000, 10);
         b.add_host_candidate(remote_addr);
-        a.set_remote(b.local_description(fp(4)));
-        let checks = a.start_checks();
-        assert_eq!(checks.len(), 1);
-        let IceEvent::SendTo { data, .. } = &checks[0] else {
-            panic!()
-        };
-        let req = Message::decode(data).unwrap();
-        let resp = Message::binding_success(req.transaction_id, Addr::new(9, 9, 9, 9, 1)).encode();
-        let ev1 = a.handle_packet(remote_addr, &resp);
-        assert!(matches!(ev1[..], [IceEvent::Connected { .. }]));
-        // Unknown/duplicate transaction: ignored.
-        let ev2 = a.handle_packet(remote_addr, &resp);
-        assert!(ev2.is_empty());
+        let (mut list, check) = list_with_first_check(&b, 11);
+        let resp = Message::binding_success(check.transaction_id, Addr::new(9, 9, 9, 9, 1));
+        assert_eq!(list.on_response(&resp), Some(remote_addr));
+        // Duplicate transaction: ignored.
+        assert_eq!(list.on_response(&resp), None);
+    }
+
+    /// Retransmits re-probe every candidate with fresh transaction ids,
+    /// and stop once a pair is selected.
+    #[test]
+    fn retransmits_stop_after_selection() {
+        let mut b = agent(5000, 15);
+        b.add_host_candidate(Addr::new(50, 0, 0, 1, 5000));
+        b.add_host_candidate(Addr::new(60, 0, 0, 1, 5000));
+        let mut list = CheckList::new(b.local_description(fp(5)), SimRng::seed(16));
+        let first = list.start("me");
+        let again = list.retransmit("me");
+        assert_eq!((first.len(), again.len()), (2, 2));
+        let (_, a) = decode(&first[0]);
+        let (_, b) = decode(&again[0]);
+        assert_ne!(a.transaction_id, b.transaction_id);
+        let resp = Message::binding_success(b.transaction_id, Addr::new(9, 9, 9, 9, 1));
+        assert!(list.on_response(&resp).is_some());
+        assert!(list.retransmit("me").is_empty());
     }
 }

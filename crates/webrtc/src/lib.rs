@@ -12,7 +12,7 @@
 //!   *plain-text STUN binding requests followed by a DTLS handshake*
 //!   ([`stun::is_stun`], [`dtls::is_dtls`]);
 //! - the **IP leak** (§IV-D) is the candidate exchange of ICE
-//!   ([`ice::IceAgent::remote_addrs_seen`]);
+//!   ([`ice::CheckList::remote`]);
 //! - the **content protections** the pollution attack must evade are DTLS
 //!   encryption and fingerprint authentication ([`dtls`]);
 //! - the **privacy mitigation** (§V-C) is TURN relaying ([`turn`]).
@@ -58,7 +58,7 @@ mod cert;
 pub use cert::{Certificate, Fingerprint};
 pub use channel::DataChannel;
 pub use dtls::{DtlsEndpoint, DtlsError};
-pub use ice::{IceAgent, IceEvent};
+pub use ice::{CheckList, IceAgent, IceEvent};
 pub use sdp::{Candidate, CandidateKind, SessionDescription};
 pub use turn::{TurnAction, TurnServer};
 

@@ -203,7 +203,8 @@ no_global_switches() {
 run_gate "no global switches (static Atomic*/OnceLock and thread_local! only on the allowlist)" no_global_switches
 
 # The signaling server, SDK scheduler, simnet router, route table, address
-# registry and shard runner, the DTLS record layer and data channel, the
+# registry and shard runner, the ICE agent and check lists (every STUN
+# packet passes through them), the DTLS record layer and data channel, the
 # bounded inboxes and open-loop harness, the federation config, the CDN
 # edge, the segment-digest memo and the paper-world loop all run on
 # FxHash/slab/bitmap structures. SipHash maps must not creep back into those files; test
@@ -223,6 +224,7 @@ no_std_hashmap_on_hot_paths() {
     crates/simnet/src/route.rs
     crates/simnet/src/geo.rs
     crates/simnet/src/shard.rs
+    crates/webrtc/src/ice.rs
     crates/webrtc/src/dtls.rs
     crates/webrtc/src/channel.rs
   )
