@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use pdn_media::{DigestStats, VideoSource};
+use pdn_media::{DigestStats, SegmentId, VideoId, VideoSource};
 use pdn_provider::sdk::ports;
 use pdn_provider::world::{PdnWorld, ViewerSpec};
 use pdn_provider::{AgentConfig, CustomerAccount, HttpResponse, ProviderProfile};
@@ -66,15 +66,23 @@ impl PollutionResult {
 const VIDEO: &str = "popular-stream";
 const SEGMENTS: u64 = 15;
 
-/// Deterministically corrupts segment bytes (same length, valid TS sync).
-fn pollute_bytes(data: &Bytes) -> Bytes {
-    let mut v = data.to_vec();
-    for (i, b) in v.iter_mut().enumerate() {
-        if i % 188 != 0 {
-            *b ^= 0x5a;
-        }
+/// The fake CDN's rewrite of a segment response: the same response with
+/// its segment deterministically corrupted (same length, every TS sync
+/// byte kept), written behind the response header in one pass into one
+/// exact-size buffer.
+fn polluted_frame(video: VideoId, rendition: u8, seq: u64, duration_ms: u32, data: &[u8]) -> Bytes {
+    let id = SegmentId {
+        video,
+        rendition,
+        seq,
+    };
+    let duration = Duration::from_millis(duration_ms.into());
+    let mut frame = HttpResponse::segment_header(&id, duration, data.len());
+    for packet in data.chunks(188) {
+        frame.push(packet[0]);
+        frame.extend(packet[1..].iter().map(|b| b ^ 0x5a));
     }
-    Bytes::from(v)
+    Bytes::from(frame)
 }
 
 /// Installs the fake-CDN tap on the controlled peer.
@@ -106,16 +114,7 @@ fn install_fake_cdn(world: &mut PdnWorld, node: NodeId, mode: PollutionMode) {
                         duration_ms,
                         data,
                     },
-                ) => TapVerdict::replace(
-                    HttpResponse::Segment {
-                        video,
-                        rendition,
-                        seq,
-                        duration_ms,
-                        data: pollute_bytes(&data),
-                    }
-                    .encode(),
-                ),
+                ) => TapVerdict::replace(polluted_frame(video, rendition, seq, duration_ms, &data)),
                 (
                     PollutionMode::FromSeq(from),
                     HttpResponse::Segment {
@@ -125,16 +124,9 @@ fn install_fake_cdn(world: &mut PdnWorld, node: NodeId, mode: PollutionMode) {
                         duration_ms,
                         data,
                     },
-                ) if seq >= from => TapVerdict::replace(
-                    HttpResponse::Segment {
-                        video,
-                        rendition,
-                        seq,
-                        duration_ms,
-                        data: pollute_bytes(&data),
-                    }
-                    .encode(),
-                ),
+                ) if seq >= from => {
+                    TapVerdict::replace(polluted_frame(video, rendition, seq, duration_ms, &data))
+                }
                 _ => TapVerdict::forward(),
             }
         }),
@@ -172,6 +164,9 @@ pub fn run_pollution(
         cfg.sim_key = b"pdn-server-sim-key".to_vec();
     }
 
+    // Victims' playback is judged by what they played.
+    world.audit_playback();
+
     // The controlled peer joins first and fills its cache via the fake CDN.
     let attacker = world.spawn_viewer(ViewerSpec::residential(cfg.clone()));
     install_fake_cdn(&mut world, attacker, mode);
@@ -205,7 +200,7 @@ pub fn run_pollution(
                         .expect("in range");
                     pdn_media::content_fingerprint(&authentic.data)
                 });
-            if rec.content_hash != fp {
+            if rec.content_hash != Some(fp) {
                 polluted += 1;
             }
         }
@@ -259,6 +254,7 @@ pub fn propagation_study(
         .accounts_mut()
         .register(CustomerAccount::new("customer", "key", []));
     world.server_mut().set_max_neighbors(6);
+    world.audit_playback();
     let source = VideoSource::vod(VIDEO, vec![1_000_000], Duration::from_secs(4), SEGMENTS);
     world.publish_video(source.clone());
 
@@ -278,8 +274,11 @@ pub fn propagation_study(
         world.run_until(SimTime::from_secs(70 + 2 * (i as u64 + 1)));
     }
 
-    let authentic: Vec<[u8; 32]> = (0..SEGMENTS)
-        .map(|s| pdn_media::content_fingerprint(&source.segment(0, s).expect("in range").data))
+    let authentic: Vec<Option<[u8; 32]>> = (0..SEGMENTS)
+        .map(|s| {
+            let data = source.segment(0, s).expect("in range").data;
+            Some(pdn_media::content_fingerprint(&data))
+        })
         .collect();
     let mut curve = Vec::new();
     let start = world.now().as_millis() / 1000;
@@ -395,11 +394,51 @@ mod tests {
         assert!(im.mismatches <= im.computed);
     }
 
+    /// The corruption the fake CDN applies, written the obvious way: XOR
+    /// every byte but each 188-byte packet's sync byte.
+    fn pollute_bytes(data: &Bytes) -> Bytes {
+        let mut v = data.to_vec();
+        for (i, b) in v.iter_mut().enumerate() {
+            if i % 188 != 0 {
+                *b ^= 0x5a;
+            }
+        }
+        Bytes::from(v)
+    }
+
+    /// The frame the tap writes in place is byte-identical to polluting a
+    /// copy of the segment and encoding the response around it, for a
+    /// whole number of packets, a partial last packet and an empty body.
+    #[test]
+    fn polluted_frame_equals_pollute_then_encode() {
+        let src = VideoSource::vod("v", vec![400_000, 1_000_000], Duration::from_secs(4), 2);
+        let mut bodies: Vec<(u8, Bytes)> = (0..2)
+            .map(|r| (r, src.segment(r, 1).unwrap().data))
+            .collect();
+        bodies.push((0, bodies[1].1.slice(..1000)));
+        bodies.push((1, Bytes::new()));
+        for (rendition, data) in bodies {
+            let frame = polluted_frame(VideoId::new("v"), rendition, 1, 4_000, &data);
+            let expected = HttpResponse::Segment {
+                video: VideoId::new("v"),
+                rendition,
+                seq: 1,
+                duration_ms: 4_000,
+                data: pollute_bytes(&data),
+            }
+            .encode();
+            assert_eq!(frame, expected, "{} bytes", data.len());
+        }
+    }
+
     #[test]
     fn polluted_bytes_differ_but_keep_length() {
         let src = VideoSource::vod("v", vec![400_000], Duration::from_secs(4), 2);
         let seg = src.segment(0, 0).unwrap();
-        let bad = pollute_bytes(&seg.data);
+        let frame = polluted_frame(VideoId::new("v"), 0, 0, 4_000, &seg.data);
+        let Some(HttpResponse::Segment { data: bad, .. }) = HttpResponse::decode(&frame) else {
+            panic!("the polluted frame decodes as a segment");
+        };
         assert_eq!(bad.len(), seg.data.len());
         assert_ne!(bad, seg.data);
         assert_eq!(bad[0], 0x47, "sync byte preserved");

@@ -1,7 +1,8 @@
-//! Differential tests: the fast SHA-256 and the midstate HMAC path must be
-//! bit-identical to the pre-optimization reference oracle
-//! (`pdn_oracle::reference`) for every key and message.
+//! Differential tests: the fast SHA-256, the midstate HMAC path and the
+//! slicing-by-8 CRC-32 must be bit-identical to the pre-optimization
+//! reference oracle (`pdn_oracle::reference`) for every key and message.
 
+use pdn_crypto::crc32;
 use pdn_crypto::hmac::{hmac_sha256, hmac_sha256_keyed, HmacKey};
 use pdn_crypto::sha256;
 use pdn_oracle::reference;
@@ -23,7 +24,45 @@ fn matches_reference_across_lengths() {
     }
 }
 
+/// Every length up to a full-size STUN Data indication, at every start
+/// offset modulo the 8-byte step, so each split between the sliced body
+/// and the byte-at-a-time tail is compared with the bitwise oracle.
+#[test]
+fn crc32_matches_reference_at_every_length_and_offset() {
+    let data: Vec<u8> = (0..1300u32 + 8)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+        .collect();
+    for start in 0..8 {
+        for len in 0..=1300 {
+            let slice = &data[start..start + len];
+            assert_eq!(
+                crc32::crc32(slice),
+                reference::crc32(slice),
+                "start {start}, length {len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crc32_check_value_matches_reference() {
+    // The standard CRC-32/ISO-HDLC check value.
+    assert_eq!(crc32::crc32(b"123456789"), 0xcbf4_3926);
+    assert_eq!(reference::crc32(b"123456789"), 0xcbf4_3926);
+    assert_eq!(
+        crc32::stun_fingerprint(b"123456789"),
+        0xcbf4_3926 ^ 0x5354_554e
+    );
+}
+
 proptest! {
+    #[test]
+    fn fast_crc32_matches_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..3000),
+    ) {
+        prop_assert_eq!(crc32::crc32(&data), reference::crc32(&data));
+    }
+
     #[test]
     fn fast_hmac_matches_reference(
         key in proptest::collection::vec(any::<u8>(), 0..200),

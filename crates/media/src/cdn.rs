@@ -5,13 +5,19 @@
 //! overcharge, the refetch cost of the IM-conflict defense — all hinge on
 //! *who pays for which byte*, so the CDN tracks egress bytes and dollars.
 //!
-//! Like a real edge, the cache keeps whole response objects: the first
-//! [`Cdn::serve_segment_frame`] of a cached segment encodes its response
-//! frame once, the entry's `Segment.data` is re-pointed into that frame, and
-//! every later request sends a refcounted clone of it. The encoder is the
-//! caller's, so this crate stays unaware of the wire format. Evicting the
-//! entry drops the edge's hold on the frame; billing, hit/miss counts and
-//! eviction order do not depend on whether a frame was built.
+//! Like a real edge, the cache keeps whole response objects, and builds
+//! each one in place. On a miss, [`Cdn::serve_segment_frame`] has the
+//! caller write the response header only (a [`FrameHeader`], so this crate
+//! stays unaware of the wire format); the origin appends the segment's
+//! bytes behind it in one exact-size buffer, with no zero-fill and no
+//! second copy, and the cached `Segment.data` is a slice of that frame.
+//! Every later request sends a refcounted clone of the frame. A segment
+//! cached without a frame (by [`Cdn::serve_segment`]) gets one on its
+//! first framed request: the header, then one copy of its bytes. Evicting
+//! the entry drops the edge's hold on the frame; billing, hit/miss counts
+//! and eviction order do not depend on whether a frame was built.
+
+use std::time::Duration;
 
 use bytes::Bytes;
 use pdn_simnet::FxHashMap;
@@ -47,9 +53,10 @@ impl OriginServer {
     }
 }
 
-/// Encodes a segment's response frame, returning the frame and the offset
-/// of the segment's bytes inside it.
-pub type FrameEncoder<'a> = &'a dyn Fn(&Segment) -> (Bytes, usize);
+/// Starts the response frame of segment `id`, of play time `duration` and
+/// `len` bytes: returns a buffer holding the frame's header, with capacity
+/// for the `len` segment bytes that follow it.
+pub type FrameHeader<'a> = &'a dyn Fn(&SegmentId, Duration, usize) -> Vec<u8>;
 
 /// One cached segment.
 #[derive(Debug)]
@@ -62,13 +69,15 @@ struct EdgeEntry {
     used: u64,
 }
 
-/// Encodes `segment`'s frame and re-points `segment.data` into it, so the
-/// pair holds one buffer.
-fn attach_frame(segment: &mut Segment, encode: FrameEncoder<'_>) -> Bytes {
-    let (frame, body) = encode(segment);
-    let data = frame.slice(body..body + segment.len());
-    debug_assert_eq!(data, segment.data, "frame body must be the segment");
-    segment.data = data;
+/// Builds the frame of a segment cached without one — its header, then a
+/// copy of its bytes — and re-points `segment.data` into it, so the pair
+/// holds one buffer.
+fn attach_frame(segment: &mut Segment, header: FrameHeader<'_>) -> Bytes {
+    let mut frame = header(&segment.id, segment.duration, segment.len());
+    let body = frame.len();
+    frame.extend_from_slice(&segment.data);
+    let frame = Bytes::from(frame);
+    segment.data = frame.slice(body..);
     frame
 }
 
@@ -118,18 +127,14 @@ impl EdgeCache {
     }
 
     /// Fetches the response frame of a cached segment, recording a hit or
-    /// miss. A hit on an entry without a frame encodes it once with
-    /// `encode`. Returns the frame and the segment's length.
-    fn get_frame(&mut self, id: &SegmentId, encode: FrameEncoder<'_>) -> Option<(Bytes, usize)> {
+    /// miss. A hit on an entry without a frame builds it once, starting
+    /// with `header`. Returns the frame and the segment's length.
+    fn get_frame(&mut self, id: &SegmentId, header: FrameHeader<'_>) -> Option<(Bytes, usize)> {
         let entry = self.touch(id)?;
-        let frame = match &entry.frame {
-            Some(frame) => frame.clone(),
-            None => {
-                let frame = attach_frame(&mut entry.segment, encode);
-                entry.frame = Some(frame.clone());
-                frame
-            }
-        };
+        let frame = entry
+            .frame
+            .get_or_insert_with(|| attach_frame(&mut entry.segment, header))
+            .clone();
         Some((frame, entry.segment.len()))
     }
 
@@ -140,15 +145,8 @@ impl EdgeCache {
         self.insert(segment, None);
     }
 
-    /// Encodes `segment`'s response frame with `encode` and returns it,
-    /// caching the segment and its frame as one buffer as `put` would cache
-    /// the segment alone.
-    fn put_frame(&mut self, mut segment: Segment, encode: FrameEncoder<'_>) -> Bytes {
-        let frame = attach_frame(&mut segment, encode);
-        self.insert(segment, Some(frame.clone()));
-        frame
-    }
-
+    /// Caches `segment` as `put` would, with `frame`, its response frame
+    /// (of which `segment.data` is a slice).
     fn insert(&mut self, segment: Segment, frame: Option<Bytes>) {
         let size = segment.len();
         if size > self.capacity_bytes {
@@ -248,23 +246,27 @@ impl Cdn {
         Some(seg)
     }
 
-    /// Serves a segment request as its encoded response frame, billing
-    /// egress exactly as [`Cdn::serve_segment`] does.
+    /// Serves a segment request as its response frame, billing egress
+    /// exactly as [`Cdn::serve_segment`] does. `header` writes the frame's
+    /// header; the segment's bytes follow it.
     ///
-    /// A cached segment's frame is encoded once and then cloned per
-    /// request; a miss populates the edge with the segment and its frame.
-    /// Only a segment larger than the whole cache is encoded per request.
+    /// A miss generates the segment inside its frame and populates the edge
+    /// with both (one buffer); a cached segment's frame is built at most
+    /// once and then cloned per request. Only a segment larger than the
+    /// whole cache is generated per request.
     pub fn serve_segment_frame(
         &mut self,
         id: &SegmentId,
-        encode: FrameEncoder<'_>,
+        header: FrameHeader<'_>,
     ) -> Option<Bytes> {
-        let (frame, len) = match self.edge.get_frame(id, encode) {
+        let (frame, len) = match self.edge.get_frame(id, header) {
             Some(hit) => hit,
             None => {
-                let seg = self.origin.segment(id)?;
+                let source = self.origin.source(&id.video)?;
+                let (seg, frame) = source.segment_in_frame(id.rendition, id.seq, header)?;
                 let len = seg.len();
-                (self.edge.put_frame(seg, encode), len)
+                self.edge.insert(seg, Some(frame.clone()));
+                (frame, len)
             }
         };
         self.bill_segment(len);
@@ -415,13 +417,20 @@ mod tests {
         assert!(parsed.ended);
     }
 
-    /// A stand-in for the HTTP encoder: a header naming the segment, then
-    /// its bytes.
-    fn test_encode(seg: &Segment) -> (Bytes, usize) {
-        let mut frame = format!("hdr:{}|", seg.id).into_bytes();
-        let body = frame.len();
+    /// A stand-in for the HTTP header: a line naming the segment, its
+    /// duration and length, with room for the body.
+    fn test_header(id: &SegmentId, duration: Duration, len: usize) -> Vec<u8> {
+        let header = format!("hdr:{id}:{}ms:{len}|", duration.as_millis());
+        let mut frame = Vec::with_capacity(header.len() + len);
+        frame.extend_from_slice(header.as_bytes());
+        frame
+    }
+
+    /// The frame `test_header` starts for `seg`, built the obvious way.
+    fn test_frame(seg: &Segment) -> Bytes {
+        let mut frame = test_header(&seg.id, seg.duration, seg.len());
         frame.extend_from_slice(&seg.data);
-        (Bytes::from(frame), body)
+        Bytes::from(frame)
     }
 
     /// Whether `inner` is a view into the allocation of `outer`.
@@ -441,11 +450,11 @@ mod tests {
     #[test]
     fn repeat_requests_share_one_frame() {
         let mut c = cdn();
-        let first = c.serve_segment_frame(&sid(3), &test_encode).unwrap();
-        let second = c.serve_segment_frame(&sid(3), &test_encode).unwrap();
+        let first = c.serve_segment_frame(&sid(3), &test_header).unwrap();
+        let second = c.serve_segment_frame(&sid(3), &test_header).unwrap();
         assert_eq!(first.as_ptr(), second.as_ptr(), "one frame, cloned");
         let authentic = c.origin().segment(&sid(3)).unwrap();
-        assert_eq!(first, test_encode(&authentic).0);
+        assert_eq!(first, test_frame(&authentic));
         let entry = cached(&c, 3);
         assert_eq!(entry.frame.as_ref().unwrap().as_ptr(), first.as_ptr());
         assert!(
@@ -461,10 +470,10 @@ mod tests {
         let mut c = cdn();
         let seg = c.serve_segment(&sid(0)).unwrap();
         assert!(cached(&c, 0).frame.is_none());
-        let first = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
-        let second = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        let first = c.serve_segment_frame(&sid(0), &test_header).unwrap();
+        let second = c.serve_segment_frame(&sid(0), &test_header).unwrap();
         assert_eq!(first.as_ptr(), second.as_ptr());
-        assert_eq!(first, test_encode(&seg).0);
+        assert_eq!(first, test_frame(&seg));
         assert!(points_inside(&cached(&c, 0).segment.data, &first));
         // The plain path now hands out the same bytes from the frame.
         let again = c.serve_segment(&sid(0)).unwrap();
@@ -484,11 +493,11 @@ mod tests {
             20,
         ));
         let mut c = Cdn::new(origin, seg_size * 2);
-        let before = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
-        c.serve_segment_frame(&sid(1), &test_encode);
-        c.serve_segment_frame(&sid(2), &test_encode); // evicts 0
+        let before = c.serve_segment_frame(&sid(0), &test_header).unwrap();
+        c.serve_segment_frame(&sid(1), &test_header);
+        c.serve_segment_frame(&sid(2), &test_header); // evicts 0
         assert!(!c.edge.entries.contains_key(&sid(0)));
-        let after = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        let after = c.serve_segment_frame(&sid(0), &test_header).unwrap();
         assert_ne!(
             before.as_ptr(),
             after.as_ptr(),
@@ -510,8 +519,8 @@ mod tests {
             20,
         ));
         let mut c = Cdn::new(origin, seg_size - 1);
-        let a = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
-        let b = c.serve_segment_frame(&sid(0), &test_encode).unwrap();
+        let a = c.serve_segment_frame(&sid(0), &test_header).unwrap();
+        let b = c.serve_segment_frame(&sid(0), &test_header).unwrap();
         assert_eq!(a, b);
         assert_ne!(a.as_ptr(), b.as_ptr(), "no shared frame when uncached");
         assert_eq!(c.edge.used_bytes(), 0);
@@ -599,7 +608,7 @@ mod tests {
             };
             let expect = model.serve(&reference, cap, &id);
             let got = if framed {
-                c.serve_segment_frame(&id, &test_encode).map(|f| f.len())
+                c.serve_segment_frame(&id, &test_header).map(|f| f.len())
             } else {
                 c.serve_segment(&id).map(|s| s.len())
             };
@@ -639,8 +648,8 @@ mod tests {
                     let id = SegmentId { video: VideoId::new("v"), rendition, seq };
                     let expect = model.serve(&reference, cap, &id);
                     if framed {
-                        let frame = c.serve_segment_frame(&id, &test_encode);
-                        let authentic = reference.segment(&id).map(|s| test_encode(&s).0);
+                        let frame = c.serve_segment_frame(&id, &test_header);
+                        let authentic = reference.segment(&id).map(|s| test_frame(&s));
                         prop_assert_eq!(frame, authentic);
                     } else {
                         prop_assert_eq!(c.serve_segment(&id), reference.segment(&id));

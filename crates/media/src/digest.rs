@@ -4,13 +4,20 @@
 //! world-scoped memo that computes each of them once per segment.
 //!
 //! In a PDN world every CDN-fetching reporter hashes each segment for its
-//! IM report, every receiver hashes its P2P copy again to verify it, and
-//! every player fingerprints each segment it plays. Most of those inputs
-//! are bytes the world has already hashed: the edge cache hands every
-//! viewer clones of one frame, and honest peers forward identical copies.
-//! The memo answers those repeats from the first result and computes
-//! everything else — including any copy whose bytes differ — directly, so
-//! every answer equals a direct computation over the same inputs.
+//! IM report and every receiver hashes its P2P copy again to verify it.
+//! Most of those inputs are bytes the world has already hashed: the edge
+//! cache hands every viewer clones of one frame, and honest peers forward
+//! identical copies. The memo answers those repeats from the first result
+//! and computes everything else — including any copy whose bytes differ —
+//! directly, so every answer equals a direct computation over the same
+//! inputs.
+//!
+//! Who fingerprints: only the players of a world that asked for a
+//! playback audit ([`SegmentDigests::audit_playback`]). The §IV-C
+//! pollution analysis is the one reader of what a viewer played, so its
+//! worlds turn the audit on and every played segment's record carries a
+//! fingerprint; in every other world (Table VI, Fig. 4/5, the economics,
+//! the ablations) a record's hash is `None` and no played byte is read.
 
 use std::collections::VecDeque;
 
@@ -167,12 +174,28 @@ pub struct SegmentDigests {
     /// Insertion order, for oldest-first eviction.
     order: VecDeque<SegmentId>,
     stats: DigestStats,
+    /// Whether players fingerprint the segments they play.
+    audit_playback: bool,
 }
 
 impl SegmentDigests {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes the players lent this memo fingerprint every segment they
+    /// play, for an analysis that compares played bytes with the authentic
+    /// ones. Off by default: nothing else reads a played segment's hash.
+    pub fn audit_playback(&mut self) {
+        self.audit_playback = true;
+    }
+
+    /// The playback hash of `segment`, which is starting to play: its
+    /// [`content_fingerprint`] when playback is audited, else `None`
+    /// without reading a byte.
+    pub fn playback_hash(&mut self, segment: &Segment) -> Option<[u8; 32]> {
+        self.audit_playback.then(|| self.fingerprint(segment))
     }
 
     /// [`compute_im`] of `segment`'s bytes, id and position.
@@ -185,6 +208,7 @@ impl SegmentDigests {
             entries,
             order,
             stats,
+            ..
         } = self;
         let counts = &mut stats.im;
         let Some(entry) = entries.get_mut(&segment.id) else {
@@ -221,6 +245,7 @@ impl SegmentDigests {
             entries,
             order,
             stats,
+            ..
         } = self;
         let counts = &mut stats.fingerprint;
         let Some(entry) = entries.get_mut(&segment.id) else {

@@ -37,7 +37,7 @@ mod manifest;
 mod player;
 mod source;
 
-pub use cdn::{Cdn, CdnBill, EdgeCache, FrameEncoder, OriginServer};
+pub use cdn::{Cdn, CdnBill, EdgeCache, FrameHeader, OriginServer};
 pub use digest::{compute_im, content_fingerprint, DigestCounts, DigestStats, SegmentDigests};
 pub use manifest::{ManifestEntry, MasterPlaylist, MediaPlaylist, ParseManifestError};
 pub use player::{DeliverySource, PlaybackRecord, Player, StallEvent};

@@ -34,8 +34,9 @@ pub struct PlaybackRecord {
     pub source: DeliverySource,
     /// [`content_fingerprint`](crate::content_fingerprint) of the bytes
     /// actually played (pollution checks compare this against the
-    /// authentic fingerprint).
-    pub content_hash: [u8; 32],
+    /// authentic fingerprint), or `None` when the world does not audit
+    /// playback ([`SegmentDigests::audit_playback`]).
+    pub content_hash: Option<[u8; 32]>,
 }
 
 /// A stall (rebuffering) event.
@@ -78,8 +79,8 @@ impl Player {
     /// Delivers a segment to the player buffer at time `at`.
     ///
     /// Out-of-order arrivals are fine; stale (already played) segments are
-    /// dropped. Segments that start playing are fingerprinted through the
-    /// world's `digests`.
+    /// dropped. Segments that start playing take their record's hash from
+    /// the world's `digests` (a fingerprint only when playback is audited).
     pub fn deliver(
         &mut self,
         at: SimTime,
@@ -131,12 +132,12 @@ impl Player {
                 .buffer
                 .remove(&self.next_play_seq)
                 .expect("checked contains_key");
-            let hash = digests.fingerprint(&seg);
+            let content_hash = digests.playback_hash(&seg);
             self.played.push(PlaybackRecord {
                 id: seg.id.clone(),
                 started_at: start_at,
                 source,
-                content_hash: hash,
+                content_hash,
             });
             self.playhead_exhausted_at = start_at + seg.duration;
             self.next_play_seq += 1;
@@ -261,6 +262,7 @@ mod tests {
     fn content_hash_distinguishes_pollution() {
         let mut p = Player::new(0);
         let mut d = SegmentDigests::new();
+        d.audit_playback();
         let authentic = seg(0);
         let mut polluted_data = authentic.data.to_vec();
         polluted_data[100] ^= 0xff;
@@ -269,8 +271,17 @@ mod tests {
             ..authentic.clone()
         };
         p.deliver(SimTime::ZERO, polluted, DeliverySource::Peer, &mut d);
-        let played_hash = p.played()[0].content_hash;
-        assert_ne!(played_hash, content_fingerprint(&authentic.data));
+        p.deliver(SimTime::ZERO, seg(1), DeliverySource::Cdn, &mut d);
+        p.tick(SimTime::from_secs(4), &mut d);
+        let played = p.played();
+        assert_ne!(
+            played[0].content_hash,
+            Some(content_fingerprint(&authentic.data))
+        );
+        assert_eq!(
+            played[1].content_hash,
+            Some(content_fingerprint(&seg(1).data))
+        );
     }
 
     #[test]

@@ -10,6 +10,8 @@
 use bytes::Bytes;
 use std::time::Duration;
 
+use crate::cdn::FrameHeader;
+
 /// Identifier of a video or live channel (the paper composes video IDs from
 /// fully-qualified manifest URLs, §V-A).
 #[derive(
@@ -178,52 +180,80 @@ impl VideoSource {
     /// Returns `None` for out-of-range renditions or past-the-end VOD
     /// sequence numbers.
     pub fn segment(&self, rendition: u8, seq: u64) -> Option<Segment> {
-        if rendition as usize >= self.ladder.len() {
+        let bare = |_: &SegmentId, _: Duration, len: usize| Vec::with_capacity(len);
+        self.segment_in_frame(rendition, seq, &bare)
+            .map(|(segment, _)| segment)
+    }
+
+    /// Generates the authentic segment `(rendition, seq)` inside its
+    /// response frame: `header` starts the frame, the segment's bytes are
+    /// appended behind the header (no zero-fill, no copy), and the
+    /// segment's data is a slice of the returned frame.
+    ///
+    /// Returns `None`, without calling `header`, for out-of-range
+    /// renditions or past-the-end VOD sequence numbers.
+    pub fn segment_in_frame(
+        &self,
+        rendition: u8,
+        seq: u64,
+        header: FrameHeader<'_>,
+    ) -> Option<(Segment, Bytes)> {
+        if rendition as usize >= self.ladder.len()
+            || self.total_segments.is_some_and(|total| seq >= total)
+        {
             return None;
         }
-        if let Some(total) = self.total_segments {
-            if seq >= total {
-                return None;
-            }
-        }
+        let id = SegmentId {
+            video: self.id.clone(),
+            rendition,
+            seq,
+        };
+        let mut frame = header(&id, self.segment_duration, self.segment_size(rendition));
+        let body = frame.len();
+        self.append_segment(rendition, seq, &mut frame);
+        let frame = Bytes::from(frame);
+        let segment = Segment {
+            id,
+            duration: self.segment_duration,
+            data: frame.slice(body..),
+        };
+        Some((segment, frame))
+    }
+
+    /// The one fill routine: appends segment `(rendition, seq)`'s bytes to
+    /// `out`, growing it at most once.
+    fn append_segment(&self, rendition: u8, seq: u64, out: &mut Vec<u8>) {
         let size = self.segment_size(rendition);
+        let start = out.len();
+        out.reserve_exact(size);
         // Counter-mode multiply-xorshift fill: every 8-byte word mixes an
         // independent counter value, so the loop has no carried dependency
         // and generation runs near memory speed. Content only has to be
         // deterministic and well-spread (all parties re-derive it from the
         // same seed so hashes agree); it is not a security boundary.
-        let base =
+        let mut ctr =
             self.content_seed ^ (rendition as u64) << 56 ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut data = vec![0u8; size];
-        let mut ctr = base;
         let mut word = || {
             ctr = ctr.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = ctr.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^= z >> 31;
-            z
+            let z = ctr.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ z >> 31).to_le_bytes()
         };
-        let mut chunks = data.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&word().to_le_bytes());
+        // Whole 64-byte blocks first: each append then covers eight words,
+        // so the per-append capacity check is paid once per block.
+        let mut block = [0u8; 64];
+        for _ in 0..size / 64 {
+            for w in block.chunks_exact_mut(8) {
+                w.copy_from_slice(&word());
+            }
+            out.extend_from_slice(&block);
         }
-        let rest = chunks.into_remainder();
-        if !rest.is_empty() {
-            let v = word().to_le_bytes();
-            let n = rest.len();
-            rest.copy_from_slice(&v[..n]);
+        for _ in 0..size % 64 / 8 {
+            out.extend_from_slice(&word());
         }
-        for i in (0..size).step_by(188) {
-            data[i] = 0x47; // MPEG-TS sync byte
+        out.extend_from_slice(&word()[..size % 8]);
+        for sync in out[start..].iter_mut().step_by(188) {
+            *sync = 0x47; // MPEG-TS sync byte
         }
-        Some(Segment {
-            id: SegmentId {
-                video: self.id.clone(),
-                rendition,
-                seq,
-            },
-            duration: self.segment_duration,
-            data: Bytes::from(data),
-        })
     }
 
     /// The highest media sequence published by time `elapsed` for a live
@@ -297,6 +327,76 @@ mod tests {
         assert_eq!(live.live_edge(Duration::from_secs(0)), 0);
         assert_eq!(live.live_edge(Duration::from_secs(9)), 2);
         assert!(live.segment(0, 1_000_000).is_some(), "live never ends");
+    }
+
+    /// The generated bytes are pinned: every party re-derives them, and
+    /// the IMs and fingerprints worlds compare are functions of them, so
+    /// these digests must never be re-taken to fit a new generator. The
+    /// three sizes leave 40, 36 and 60 bytes after the last whole 64-byte
+    /// block, so the block loop, the word loop and the byte tail are all
+    /// covered.
+    #[test]
+    fn content_is_pinned() {
+        for (bps, secs, len, sha) in [
+            (
+                2_400_000,
+                10,
+                3_000_104,
+                "17d5257a35449f9af057340d2e1b1910a85bacd3b03244f5548f3a2db024f6b1",
+            ),
+            (
+                300_000,
+                3,
+                112_612,
+                "4b2c481d0d0583faefe2482da4a1b5be598799e9cdc56305febe9d7dac740911",
+            ),
+            (
+                1_000,
+                1,
+                188,
+                "b2190715d8cab8eedc9ccd33f5cb76fef2a72fce2dd89672bf40194926e9be5d",
+            ),
+        ] {
+            let src = VideoSource::vod(
+                "https://cdn.test/v.m3u8",
+                vec![bps],
+                Duration::from_secs(secs),
+                9,
+            );
+            let seg = src.segment(0, 7).unwrap();
+            assert_eq!(seg.len(), len);
+            assert_eq!(
+                pdn_crypto::hex(&pdn_crypto::sha256::digest(&seg.data)),
+                sha,
+                "{bps} b/s"
+            );
+        }
+    }
+
+    /// A segment built behind a frame header is the same segment, a slice
+    /// of the frame, with the header left in front of it.
+    #[test]
+    fn segment_in_frame_appends_behind_the_header() {
+        let s = src();
+        let header = |_: &SegmentId, _: Duration, len: usize| {
+            let mut frame = Vec::with_capacity(4 + len);
+            frame.extend_from_slice(b"hdr:");
+            frame
+        };
+        for (rendition, seq) in [(0, 0), (1, 4), (0, 9)] {
+            let (seg, frame) = s.segment_in_frame(rendition, seq, &header).unwrap();
+            let plain = s.segment(rendition, seq).unwrap();
+            assert_eq!(seg, plain);
+            assert_eq!(&frame[..4], b"hdr:");
+            assert_eq!(frame.slice(4..), plain.data);
+            assert_eq!(
+                seg.data.as_ptr(),
+                frame[4..].as_ptr(),
+                "a slice of the frame"
+            );
+        }
+        assert!(s.segment_in_frame(2, 0, &header).is_none());
+        assert!(s.segment_in_frame(0, 10, &header).is_none());
     }
 
     #[test]

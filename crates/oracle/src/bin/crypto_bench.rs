@@ -2,8 +2,9 @@
 //! the zero-copy AES-128-GCM DTLS record layer against the naive baseline
 //! oracles (`pdn_oracle::reference` + `pdn_oracle::dtls_v1`), a 3 MB
 //! segment's round trip through a `DataChannel`, plus STUN
-//! MESSAGE-INTEGRITY checks/sec and JWT verifies/sec old vs new, all
-//! measured in the same process. The AES-GCM backend in use (`aes-ni`,
+//! MESSAGE-INTEGRITY checks/sec, JWT verifies/sec and the CRC-32 of a
+//! 1,200-byte STUN Data indication (slicing-by-8 tables vs the bitwise
+//! oracle) old vs new, all measured in the same process. The AES-GCM backend in use (`aes-ni`,
 //! `vaes-avx512` or `portable`) is recorded with the numbers.
 //!
 //! ```text
@@ -26,9 +27,10 @@ use pdn_crypto::aes_gcm::Aes128Gcm;
 use pdn_crypto::hmac::HmacKey;
 use pdn_crypto::{base64url, ct_eq, jwt};
 use pdn_oracle::{dtls_v1, reference};
-use pdn_simnet::SimRng;
+use pdn_simnet::{Addr, SimRng};
 use pdn_webrtc::dtls::{handshake, DtlsEndpoint};
 use pdn_webrtc::stun::Message;
+use pdn_webrtc::turn;
 use pdn_webrtc::{Certificate, DataChannel};
 
 /// Wraps the system allocator, counting every allocation. The DTLS
@@ -110,6 +112,11 @@ fn run_baseline(payload: &[u8], iters: usize) -> f64 {
     assert_eq!(&last.expect("ran")[..], payload, "baseline roundtrip");
     dt
 }
+
+/// Payload of the CRC row's TURN Send indication: with the 20-byte
+/// header, the 12-byte XOR-PEER-ADDRESS, the DATA attribute header and the
+/// 8-byte FINGERPRINT it makes a 1,200-byte datagram.
+const STUN_DATA_PAYLOAD: usize = 1156;
 
 /// Size of the segment the channel row sends: Table VI's 3 MB.
 const SEGMENT_BYTES: usize = 3_000_000;
@@ -282,6 +289,42 @@ fn main() {
     let jwt_new = jwt_iters as f64 / median(new_s);
     let jwt_old = jwt_iters as f64 / median(old_s);
 
+    // --- CRC-32 over a relayed datagram: the FINGERPRINT input of a
+    // 1,200-byte TURN indication (everything before the attribute), table
+    // vs bitwise oracle. ---
+    let indication = turn::send_indication(
+        [3; 12],
+        Addr::new(10, 0, 0, 2, 5000),
+        (0..STUN_DATA_PAYLOAD)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<u8>>()
+            .into(),
+    );
+    assert_eq!(indication.len(), 1200, "a 1,200-byte indication");
+    let crc_input = &indication[..indication.len() - 8];
+    assert_eq!(
+        pdn_crypto::crc32::crc32(crc_input),
+        reference::crc32(crc_input)
+    );
+    let crc_iters = (200_000 / scale).max(1000);
+    let mut new_s = Vec::new();
+    let mut old_s = Vec::new();
+    for _ in 0..RUNS {
+        let t = Instant::now();
+        for _ in 0..crc_iters {
+            std::hint::black_box(pdn_crypto::crc32::crc32(std::hint::black_box(crc_input)));
+        }
+        new_s.push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        for _ in 0..crc_iters {
+            std::hint::black_box(reference::crc32(std::hint::black_box(crc_input)));
+        }
+        old_s.push(t.elapsed().as_secs_f64());
+    }
+    let crc_new = crc_iters as f64 / median(new_s);
+    let crc_old = crc_iters as f64 / median(old_s);
+    let crc_speedup = crc_new / crc_old;
+
     let sha_hw = pdn_crypto::sha256::hw_accelerated();
     let hw = pdn_crypto::aes_gcm::hw_accelerated();
     let backend = Aes128Gcm::new(&[0; 16]).backend();
@@ -301,6 +344,9 @@ fn main() {
          \"jwt_verifies_per_sec_new\": {jwt_new:.0},\n  \
          \"jwt_verifies_per_sec_old\": {jwt_old:.0},\n  \
          \"jwt_speedup\": {:.2},\n  \
+         \"crc32_1200b_per_sec_new\": {crc_new:.0},\n  \
+         \"crc32_1200b_per_sec_old\": {crc_old:.0},\n  \
+         \"crc32_speedup\": {crc_speedup:.2},\n  \
          \"dtls_worst_speedup\": {worst_speedup:.2}\n}}\n",
         stun_new / stun_old,
         jwt_new / jwt_old,
@@ -343,5 +389,10 @@ fn main() {
     assert!(
         jwt_new > jwt_old,
         "keyed JWT verifies must beat per-verify key schedules"
+    );
+    assert!(
+        crc_speedup >= 3.0,
+        "slicing-by-8 CRC-32 must be >=3x the bitwise oracle on a 1,200-byte \
+         STUN indication (got {crc_speedup:.2}x)"
     );
 }

@@ -1,11 +1,13 @@
-//! Reference (pre-fast-path) SHA-256 and HMAC-SHA256 implementations.
+//! Reference (pre-fast-path) SHA-256, HMAC-SHA256 and CRC-32
+//! implementations.
 //!
 //! The original straightforward implementations — separate 64-entry
 //! message-schedule loop, byte-by-byte final padding, a full key schedule
-//! on every MAC — exactly as they shipped before the crypto fast path
-//! landed. `pdn-crypto`'s `reference_diff` integration tests hold the fast
-//! path bit-identical to them for random keys and messages, and
-//! `crypto_bench` measures the fast path against them in one process.
+//! on every MAC, a CRC that shifts one bit at a time — exactly as they
+//! shipped before the crypto fast path and the table-driven CRC landed.
+//! `pdn-crypto`'s `reference_diff` integration tests hold the fast paths
+//! bit-identical to them for random keys and messages, and `crypto_bench`
+//! measures the fast paths against them in one process.
 //!
 //! Deliberately unoptimized; never link these into a production path.
 
@@ -191,6 +193,20 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
     outer.finalize()
 }
 
+/// Reference IEEE CRC-32 (reflected polynomial `0xedb88320`), the
+/// definition bit by bit: eight shift-and-mask rounds per input byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb88320 & mask);
+        }
+    }
+    !crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,5 +231,11 @@ mod tests {
             hex(&mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
+    }
+
+    #[test]
+    fn reference_crc32_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 }

@@ -19,8 +19,10 @@
 //! that format: the retired JSON / fixed-width formats and the owned P2P
 //! message type live on as test oracles outside the production crates.
 
+use std::time::Duration;
+
 use bytes::{BufMut, Bytes, BytesMut};
-use pdn_media::{Segment, VideoId};
+use pdn_media::{SegmentId, VideoId};
 use pdn_webrtc::SessionDescription;
 
 use crate::wire;
@@ -183,7 +185,7 @@ pub enum HttpResponse {
     NotFound,
 }
 
-fn put_str(out: &mut BytesMut, s: &str) {
+fn put_str(out: &mut impl BufMut, s: &str) {
     out.put_u16(s.len() as u16);
     out.put_slice(s.as_bytes());
 }
@@ -286,27 +288,26 @@ impl HttpRequest {
     }
 }
 
-/// Encodes a `Segment` response frame in one exact-size allocation and
-/// returns it with the offset of `data` inside it.
-fn encode_segment_frame(
+/// Starts a `Segment` response frame: its header, in a buffer with
+/// capacity for the `len` body bytes that follow it.
+fn segment_frame_header(
     video: &VideoId,
     rendition: u8,
     seq: u64,
     duration_ms: u32,
-    data: &[u8],
-) -> (Bytes, usize) {
+    len: usize,
+) -> Vec<u8> {
     let body = HTTP_MARKER.len() + 1 + 2 + video.0.len() + 1 + 8 + 4 + 4;
-    let mut out = BytesMut::with_capacity(body + data.len());
+    let mut out = Vec::with_capacity(body + len);
     out.put_slice(HTTP_MARKER);
     out.put_u8(102);
     put_str(&mut out, &video.0);
     out.put_u8(rendition);
     out.put_u64(seq);
     out.put_u32(duration_ms);
-    out.put_u32(data.len() as u32);
+    out.put_u32(len as u32);
     debug_assert_eq!(out.len(), body);
-    out.put_slice(data);
-    (out.freeze(), body)
+    out
 }
 
 impl HttpResponse {
@@ -326,7 +327,12 @@ impl HttpResponse {
                 seq,
                 duration_ms,
                 data,
-            } => return encode_segment_frame(video, *rendition, *seq, *duration_ms, data).0,
+            } => {
+                let mut frame =
+                    segment_frame_header(video, *rendition, *seq, *duration_ms, data.len());
+                frame.extend_from_slice(data);
+                return Bytes::from(frame);
+            }
             HttpResponse::NotFound => {
                 out.put_u8(104);
             }
@@ -334,16 +340,17 @@ impl HttpResponse {
         out.freeze()
     }
 
-    /// Encodes the `Segment` response carrying `seg`, returning the frame
-    /// and the offset of the segment's bytes inside it — the encoder the
-    /// CDN edge caches frames with ([`pdn_media::Cdn::serve_segment_frame`]).
-    pub fn encode_segment(seg: &Segment) -> (Bytes, usize) {
-        encode_segment_frame(
-            &seg.id.video,
-            seg.id.rendition,
-            seg.id.seq,
-            seg.duration.as_millis() as u32,
-            &seg.data,
+    /// Starts the `Segment` response for segment `id` of `duration` and
+    /// `len` bytes: the frame's header, with capacity for the segment bytes
+    /// that follow it. This is the [`pdn_media::FrameHeader`] the CDN edge
+    /// builds its frames with ([`pdn_media::Cdn::serve_segment_frame`]).
+    pub fn segment_header(id: &SegmentId, duration: Duration, len: usize) -> Vec<u8> {
+        segment_frame_header(
+            &id.video,
+            id.rendition,
+            id.seq,
+            duration.as_millis() as u32,
+            len,
         )
     }
 
@@ -496,14 +503,17 @@ mod tests {
         }
     }
 
-    /// Every frame the CDN edge serves — first encode, cached clone,
-    /// rebuilt after eviction, and the uncached oversize path — is
-    /// byte-identical to `HttpResponse::Segment { .. }.encode()`, and
-    /// decodes to a zero-copy slice of itself.
+    /// Every frame the CDN edge serves — a segment generated inside a new
+    /// frame, a cached clone, a frame rebuilt after eviction, and the
+    /// uncached oversize path — is byte-identical to
+    /// `HttpResponse::Segment { .. }.encode()` of the origin's segment, and
+    /// decodes to a zero-copy slice of itself. Both renditions' segments
+    /// (93,812 and 281,436 bytes) are not a multiple of 8 long, so the fill
+    /// routine's tail lands in every frame, and the edge's cached segment
+    /// is a slice of its frame.
     #[test]
     fn cdn_segment_frames_match_response_encode() {
         use pdn_media::{Cdn, OriginServer, SegmentId, VideoSource};
-        use std::time::Duration;
 
         let long_id = format!("https://cdn.example/{}/master.m3u8", "x".repeat(3000));
         let cdn_with = |cache_bytes: usize| {
@@ -534,7 +544,7 @@ mod tests {
 
         let check = |cdn: &mut Cdn, id: &SegmentId| -> Bytes {
             let frame = cdn
-                .serve_segment_frame(id, &HttpResponse::encode_segment)
+                .serve_segment_frame(id, &HttpResponse::segment_header)
                 .unwrap();
             let expected = expected_response(cdn, id);
             assert_eq!(frame, expected.encode(), "frame of {id}");
@@ -548,11 +558,19 @@ mod tests {
             frame
         };
 
-        // A cache that holds everything: first encodes, then cached clones.
+        // A cache that holds everything: first builds, then cached clones.
         let mut roomy = cdn_with(64 << 20);
         let first: Vec<Bytes> = ids.iter().map(|id| check(&mut roomy, id)).collect();
         for (id, frame) in ids.iter().zip(&first) {
             assert_eq!(check(&mut roomy, id).as_ptr(), frame.as_ptr());
+            let cached = roomy.serve_segment(id).unwrap();
+            assert_eq!(cached.len() % 8, 4, "{id} ends in a partial word");
+            let body = frame.len() - cached.len();
+            assert_eq!(
+                cached.data.as_ptr(),
+                frame[body..].as_ptr(),
+                "the edge's copy of {id} is its frame's body"
+            );
         }
 
         // A cache of two high-rendition segments: refills rebuild frames.

@@ -13,7 +13,8 @@
 //! simulation deterministic. Entry
 //! points that can receive or play a segment also borrow the world's
 //! [`SegmentDigests`]: every IM the agent reports or verifies, and every
-//! fingerprint its player takes, is looked up there.
+//! fingerprint its player takes in a world that audits playback, is
+//! looked up there.
 //!
 //! Security posture notes:
 //! - the agent is *honest*: attacks in `pdn-core` are mounted by MITM'ing

@@ -253,6 +253,10 @@ pub struct SignalingServer {
     /// the cached ipad/opad midstates instead of rehashing the key.
     sim_hmac: HmacKey,
     origin: Option<OriginServer>,
+    /// IMs and sizes of authentic segments already taken from `origin`, so
+    /// each is generated and hashed once; emptied when it reaches
+    /// `MAX_IM_ENTRIES`.
+    origin_ims: FxHashMap<SegmentId, ([u8; 32], u64)>,
     defense_stats: DefenseStats,
     rng: SimRng,
     /// Reused reply buffer for the frame path (the per-agent scratch
@@ -305,6 +309,7 @@ impl SignalingServer {
             sim_key: b"pdn-server-sim-key".to_vec(),
             sim_hmac: HmacKey::new(b"pdn-server-sim-key"),
             origin: None,
+            origin_ims: FxHashMap::default(),
             defense_stats: DefenseStats::default(),
             rng: SimRng::seed(seed ^ 0x51_6e_a1),
             reply_scratch: Vec::new(),
@@ -922,11 +927,12 @@ impl SignalingServer {
             // Conflict: fetch the authoritative segment from the CDN
             // (server overhead the attacker inflicts, §V-B).
             self.defense_stats.im_conflicts += 1;
-            let authentic = self.authentic_im(&video, rendition, seq);
-            if authentic.is_some() {
+            let authentic = self.origin_segment_im(&video, rendition, seq);
+            if let Some((_, len)) = authentic {
                 self.defense_stats.cdn_refetches += 1;
+                self.defense_stats.cdn_refetch_bytes += len;
             }
-            authentic
+            authentic.map(|(im, _)| im)
         } else if total_reports >= self.im_reporters {
             // Unanimous quorum.
             Some(im)
@@ -1011,15 +1017,42 @@ impl SignalingServer {
         &self.sim_key
     }
 
-    fn authentic_im(&mut self, video: &str, rendition: u8, seq: u64) -> Option<[u8; 32]> {
-        let origin = self.origin.as_ref()?;
-        let seg = origin.segment(&SegmentId {
+    /// The IM of the origin's authentic segment `(video, rendition, seq)`,
+    /// the value IM conflicts are resolved against; `None` without an
+    /// origin or for a segment it does not have. Each segment is generated
+    /// and hashed once and then remembered. Unlike a conflict, a lookup
+    /// here bills no CDN refetch.
+    pub fn origin_im(&mut self, video: &str, rendition: u8, seq: u64) -> Option<[u8; 32]> {
+        self.origin_segment_im(video, rendition, seq)
+            .map(|(im, _)| im)
+    }
+
+    /// The IM and size of the origin's authentic segment, from the memo or
+    /// computed once.
+    fn origin_segment_im(
+        &mut self,
+        video: &str,
+        rendition: u8,
+        seq: u64,
+    ) -> Option<([u8; 32], u64)> {
+        let id = SegmentId {
             video: VideoId::new(video),
             rendition,
             seq,
-        })?;
-        self.defense_stats.cdn_refetch_bytes += seg.len() as u64;
-        Some(compute_im(&seg.data, video, rendition, seq))
+        };
+        if let Some(&known) = self.origin_ims.get(&id) {
+            return Some(known);
+        }
+        let seg = self.origin.as_ref()?.segment(&id)?;
+        let known = (
+            compute_im(&seg.data, video, rendition, seq),
+            seg.len() as u64,
+        );
+        if self.origin_ims.len() >= MAX_IM_ENTRIES {
+            self.origin_ims.clear();
+        }
+        self.origin_ims.insert(id, known);
+        Some(known)
     }
 
     /// Removes the peer that joined from `addr`, accruing its watch time.
@@ -1461,6 +1494,44 @@ mod tests {
             matches!(m, SignalMsg::SimBroadcast { im, .. } if *im == pdn_crypto::hex(&honest_im))
         });
         assert!(sim_ok, "broadcast SIM must carry the authentic IM");
+    }
+
+    /// An authentic segment is generated and hashed once: a conflict on a
+    /// segment whose IM the server already took from the origin resolves
+    /// from the memo (here with the origin detached), and still bills the
+    /// whole segment's refetch.
+    #[test]
+    fn authentic_im_is_computed_once_and_every_conflict_bills() {
+        let (mut s, geo, src) = hardened_server_with_origin();
+        s.handle(addr(1), join("x", "v", "k", 1), SimTime::ZERO, &geo);
+        s.handle(addr(2), join("x", "v", "k", 2), SimTime::ZERO, &geo);
+        let seg = src.segment(0, 5).unwrap();
+        let honest_im = compute_im(&seg.data, "v", 0, 5);
+        assert_eq!(s.origin_im("v", 0, 5), Some(honest_im));
+        assert_eq!(s.origin_im("v", 0, 5), Some(honest_im));
+        assert_eq!(s.origin_im("v", 9, 5), None, "no such rendition");
+        assert_eq!(s.origin_ims.len(), 1);
+        assert_eq!(
+            s.defense_stats(),
+            DefenseStats::default(),
+            "lookups bill nothing"
+        );
+
+        s.origin = None;
+        for (from, im) in [(1, honest_im), (2, [0xeeu8; 32])] {
+            let report = SignalMsg::ImReport {
+                video: "v".into(),
+                rendition: 0,
+                seq: 5,
+                im: pdn_crypto::hex(&im),
+            };
+            s.handle(addr(from), report, SimTime::ZERO, &geo);
+        }
+        let stats = s.defense_stats();
+        assert_eq!((stats.im_conflicts, stats.cdn_refetches), (1, 1));
+        assert_eq!(stats.cdn_refetch_bytes, seg.len() as u64);
+        assert!(s.is_blacklisted(2) && !s.is_blacklisted(1));
+        assert_eq!(s.origin_ims.len(), 1);
     }
 
     #[test]

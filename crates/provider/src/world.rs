@@ -74,8 +74,8 @@ pub struct PdnWorld {
     signal_out: Vec<(Addr, bytes::Bytes)>,
     /// Reused action buffer every agent entry point appends to.
     agent_out: Vec<AgentOut>,
-    /// IMs and playback fingerprints of the segments in this world, lent
-    /// to every viewer's agent and player.
+    /// IMs of the segments in this world (and playback fingerprints, when
+    /// audited), lent to every viewer's agent and player.
     digests: SegmentDigests,
 }
 
@@ -250,6 +250,15 @@ impl PdnWorld {
         self.turn_addr
     }
 
+    /// Makes every player in this world fingerprint the segments it plays,
+    /// so each [`PlaybackRecord`](pdn_media::PlaybackRecord) carries the
+    /// `content_hash` a pollution analysis compares with the authentic
+    /// bytes. Without it the records hold `None` and no played byte is
+    /// hashed.
+    pub fn audit_playback(&mut self) {
+        self.digests.audit_playback();
+    }
+
     /// How the world's segment digests were answered: SHA-256 IMs and
     /// playback fingerprints computed, and repeats answered from the memo.
     pub fn digest_stats(&self) -> DigestStats {
@@ -392,10 +401,11 @@ impl PdnWorld {
                     rendition,
                     seq,
                 };
-                // Cached segments answer with the edge's shared frame.
+                // Cached segments answer with the edge's shared frame; a
+                // miss generates the segment inside a new one.
                 match self
                     .cdn
-                    .serve_segment_frame(&id, &HttpResponse::encode_segment)
+                    .serve_segment_frame(&id, &HttpResponse::segment_header)
                 {
                     Some(frame) => frame,
                     None => HttpResponse::NotFound.encode(),
@@ -536,6 +546,7 @@ mod tests {
     #[test]
     fn end_to_end_playback_and_p2p_offload() {
         let (mut world, viewers) = demo_world(11);
+        world.audit_playback();
         world.run_until(SimTime::from_secs(140));
         let (a, b) = (viewers[0], viewers[1]);
 
@@ -560,11 +571,47 @@ mod tests {
             let authentic = src.segment(0, rec.id.seq).unwrap();
             assert_eq!(
                 rec.content_hash,
-                pdn_media::content_fingerprint(&authentic.data),
+                Some(pdn_media::content_fingerprint(&authentic.data)),
                 "segment {} authentic",
                 rec.id.seq
             );
         }
+    }
+
+    /// A world that does not audit playback never fingerprints a played
+    /// segment: the same run plays as much, its records hold no hash and
+    /// the memo saw no fingerprint lookup, while IMs are untouched. (The
+    /// audit starts after `demo_world` has run A's first seconds, so the
+    /// audited world hashes what is played from then on.)
+    #[test]
+    fn unaudited_world_fingerprints_nothing() {
+        let (mut plain, viewers) = demo_world(11);
+        plain.run_until(SimTime::from_secs(140));
+        let (mut audited, _) = demo_world(11);
+        audited.audit_playback();
+        audited.run_until(SimTime::from_secs(140));
+        for &v in &viewers {
+            let played = plain.agent(v).player().played();
+            assert_eq!(played.len(), 30);
+            assert!(played.iter().all(|rec| rec.content_hash.is_none()));
+            let audited_played = audited.agent(v).player().played();
+            assert_eq!(audited_played.len(), played.len());
+            for (a, b) in played.iter().zip(audited_played) {
+                assert_eq!(
+                    (&a.id, a.started_at, a.source),
+                    (&b.id, b.started_at, b.source)
+                );
+            }
+        }
+        assert_eq!(plain.digest_stats().fingerprint.lookups(), 0);
+        let hashed: usize = viewers
+            .iter()
+            .flat_map(|&v| audited.agent(v).player().played())
+            .filter(|rec| rec.content_hash.is_some())
+            .count();
+        assert!(hashed > 30, "B's whole run and the rest of A's: {hashed}");
+        assert_eq!(audited.digest_stats().fingerprint.lookups(), hashed as u64);
+        assert_eq!(plain.digest_stats().im, audited.digest_stats().im);
     }
 
     #[test]

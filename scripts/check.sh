@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Full local CI gate: build, tests, lints, formatting.
-# Run from the repo root: ./scripts/check.sh
+# Usage (from anywhere): ./scripts/check.sh [--ab REV]
+#   --ab REV  also run the A/B timing referee, scripts/ab.sh REV (10
+#             interleaved perfbench pairs on all four workloads, ~17 min),
+#             as the last gate; it fails on any BREACH or NOISY verdict.
+#             Off by default because of its length.
 #
 # Every gate runs through run_gate, which names a failed gate (and its
 # exit code) and records it, then goes on to the next gate: one run
@@ -9,6 +13,27 @@
 # just above its failure line.
 set -uo pipefail
 cd "$(dirname "$0")/.."
+
+ab_rev=""
+while (($# > 0)); do
+  case "$1" in
+    --ab)
+      if (($# < 2)); then
+        echo "check.sh: --ab needs a revision" >&2
+        exit 2
+      fi
+      ab_rev="$2"
+      shift
+      ;;
+    *) echo "check.sh: unknown argument $1 (usage: ./scripts/check.sh [--ab REV])" >&2; exit 2 ;;
+  esac
+  shift
+done
+# A mistyped revision fails now, not after every other gate has run.
+if [[ -n "${ab_rev}" ]] && ! git rev-parse --quiet --verify "${ab_rev}^{commit}" >/dev/null; then
+  echo "check.sh: --ab ${ab_rev} is not a commit" >&2
+  exit 2
+fi
 
 failed=()
 
@@ -242,6 +267,14 @@ run_gate "cargo clippy -D warnings" \
 
 run_gate "cargo fmt --check" \
   cargo fmt --all -- --check
+
+# Opt-in: the A/B referee judges the working tree's timing against REV.
+# Last, because it is the longest gate and nothing else may load the host
+# while its pairs run.
+if [[ -n "${ab_rev}" ]]; then
+  run_gate "A/B timing referee against ${ab_rev} (scripts/ab.sh: no BREACH or NOISY verdict on any end-to-end metric)" \
+    ./scripts/ab.sh "${ab_rev}"
+fi
 
 # Information only, never a gate: non-test lines per production crate.
 echo "==> production non-test lines (information only)"
