@@ -3,10 +3,33 @@
 //! (RFC 8827 §6.5), used by the simulated DTLS record layer in
 //! `pdn-webrtc`.
 //!
-//! [`Aes128Gcm`] expands a key once and then seals or opens buffers in
-//! place under a 96-bit nonce and arbitrary additional authenticated data,
-//! with the full 16-byte tag. Two backends produce identical bytes; the
-//! choice is made once per key, at construction:
+//! [`Aes128Gcm`] expands a key once and then seals or opens messages under
+//! a 96-bit nonce and arbitrary additional authenticated data, with the
+//! full 16-byte tag.
+//!
+//! # Streaming
+//!
+//! One streaming core does all the work. [`Aes128Gcm::sealing`] and
+//! [`Aes128Gcm::opening`] start a message ([`SealStream`], [`OpenStream`]);
+//! `update` calls of any length then carry it through, and `finish` yields
+//! (or checks) the tag. Between calls the stream keeps the partial block,
+//! the CTR counter and the GHASH state, so the bytes come out the same
+//! whatever the split. Each update reads its input once and writes its
+//! output once:
+//!
+//! - `update(src, dst)` writes to another buffer, `append(src, vec)` into
+//!   a `Vec`'s spare capacity (no zero-fill first), `update_in_place(buf)`
+//!   over the input itself;
+//! - [`OpenStream::verify`] runs GHASH over ciphertext and writes nothing,
+//!   for a receiver that already holds those bytes.
+//!
+//! [`Aes128Gcm::seal_in_place`] and [`Aes128Gcm::open_in_place`] are
+//! one-shot wrappers over the same core.
+//!
+//! # Backends
+//!
+//! Two backends produce identical bytes; the choice is made once per key,
+//! at construction:
 //!
 //! - **hardware** (x86-64 with AES-NI and PCLMULQDQ): eight counter blocks
 //!   in flight through the AES rounds, and GHASH aggregated over eight
@@ -21,9 +44,22 @@
 //!   architectures and pre-AES-NI CPUs, and the reference the hardware path
 //!   is differentially tested against ([`Aes128Gcm::new_portable`]).
 //!
+//! Both backends take an update's whole blocks in one call; the stream
+//! itself handles the partial blocks at either end of an update.
+//!
 //! The portable backend's table lookups are indexed by secret data, so it
 //! is not constant-time; like the rest of this crate it serves simulation,
 //! where the adversaries are inside the model.
+//!
+//! # Unsafe code
+//!
+//! All of it is in the private `ni` module (x86-64 only): the intrinsics
+//! behind `target_feature` gates, the hardware loop's loads and stores
+//! through the raw input and output pointers of an update (which may be
+//! equal, for in place, or null on output, for verify-only), and the
+//! `set_len` that commits the bytes `append` wrote into a `Vec`'s spare
+//! capacity. Each piece carries its own SAFETY comment. On other targets
+//! `append` zero-fills the bytes it then overwrites.
 //!
 //! # Examples
 //!
@@ -37,7 +73,22 @@
 //! assert_ne!(&buf, b"segment bytes");
 //! assert!(gcm.open_in_place(&nonce, b"header", &mut buf, &tag));
 //! assert_eq!(&buf, b"segment bytes");
+//!
+//! // The same message, streamed out of place in uneven pieces.
+//! let mut seal = gcm.sealing(&nonce, b"header");
+//! let mut ct = Vec::new();
+//! seal.append(b"segment", &mut ct);
+//! seal.append(b" bytes", &mut ct);
+//! assert_eq!(seal.finish(), tag);
+//! let mut open = gcm.opening(&nonce, b"header");
+//! let mut pt = [0u8; 13];
+//! open.update(&ct[..5], &mut pt[..5]);
+//! open.update(&ct[5..], &mut pt[5..]);
+//! assert!(open.finish(&tag));
+//! assert_eq!(&pt, b"segment bytes");
 //! ```
+
+use core::mem::MaybeUninit;
 
 /// AES-128 key length in bytes.
 pub const KEY_LEN: usize = 16;
@@ -122,6 +173,16 @@ impl Aes128Gcm {
         }
     }
 
+    /// Starts encrypting a message under `nonce`, authenticating `aad`.
+    pub fn sealing(&self, nonce: &[u8; NONCE_LEN], aad: &[u8]) -> SealStream<'_> {
+        SealStream(Stream::new(self, nonce, aad, true))
+    }
+
+    /// Starts decrypting a message under `nonce`, authenticating `aad`.
+    pub fn opening(&self, nonce: &[u8; NONCE_LEN], aad: &[u8]) -> OpenStream<'_> {
+        OpenStream(Stream::new(self, nonce, aad, false))
+    }
+
     /// Encrypts `buf` in place and returns the tag over `aad` and the
     /// ciphertext.
     pub fn seal_in_place(
@@ -130,7 +191,9 @@ impl Aes128Gcm {
         aad: &[u8],
         buf: &mut [u8],
     ) -> [u8; TAG_LEN] {
-        self.crypt(nonce, aad, buf, true)
+        let mut s = self.sealing(nonce, aad);
+        s.update_in_place(buf);
+        s.finish()
     }
 
     /// Decrypts `buf` in place and checks `tag` in constant time.
@@ -145,23 +208,284 @@ impl Aes128Gcm {
         buf: &mut [u8],
         tag: &[u8],
     ) -> bool {
-        let expect = self.crypt(nonce, aad, buf, false);
-        crate::ct_eq(&expect, tag)
+        let mut s = self.opening(nonce, aad);
+        s.update_in_place(buf);
+        s.finish(tag)
     }
 
-    fn crypt(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        buf: &mut [u8],
-        seal: bool,
-    ) -> [u8; TAG_LEN] {
+    /// One AES block encryption on this key's backend.
+    fn encrypt(&self, block: &[u8; BLOCK]) -> [u8; BLOCK] {
         match &self.backend {
-            Backend::Portable(k) => k.crypt(nonce, aad, buf, seal),
+            Backend::Portable(k) => k.encrypt_block(block),
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(k) => k.crypt(nonce, aad, buf, seal),
+            Backend::Ni(k) => k.encrypt_block(block),
         }
     }
+
+    /// One GHASH step: `(y ⊕ block) · H`.
+    fn ghash(&self, y: u128, block: &[u8; BLOCK]) -> u128 {
+        match &self.backend {
+            Backend::Portable(k) => k.ghash(y, block),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(k) => k.ghash(y, block),
+        }
+    }
+
+    /// CTR-encrypts the whole blocks of `io` from counter `ctr` on and
+    /// returns `y` advanced over their ciphertext.
+    fn blocks(&self, j0: &[u8; BLOCK], y: u128, ctr: u32, io: Io<'_>, seal: bool) -> u128 {
+        debug_assert_eq!(io.len() % BLOCK, 0);
+        match &self.backend {
+            Backend::Portable(k) => k.blocks(j0, y, ctr, io, seal),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(k) => k.blocks(j0, y, ctr, io, seal),
+        }
+    }
+}
+
+/// An AES-128-GCM encryption in progress (see the module docs).
+pub struct SealStream<'k>(Stream<'k>);
+
+impl SealStream<'_> {
+    /// Encrypts the next `src.len()` bytes of the message into `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not as long as `src`.
+    pub fn update(&mut self, src: &[u8], dst: &mut [u8]) {
+        self.0.update(Io::copy(src, dst));
+    }
+
+    /// Encrypts the next `buf.len()` bytes of the message in place.
+    pub fn update_in_place(&mut self, buf: &mut [u8]) {
+        self.0.update(Io::InPlace(buf));
+    }
+
+    /// Encrypts the next `src.len()` bytes of the message onto the end of
+    /// `out`, written once into its spare capacity.
+    pub fn append(&mut self, src: &[u8], out: &mut Vec<u8>) {
+        self.0.append(src, out);
+    }
+
+    /// The tag over the AAD and all the ciphertext.
+    pub fn finish(self) -> [u8; TAG_LEN] {
+        self.0.finish()
+    }
+}
+
+/// An AES-128-GCM decryption in progress (see the module docs).
+///
+/// Decryption is speculative: every byte it writes is unauthenticated
+/// until [`OpenStream::finish`] returns `true`.
+pub struct OpenStream<'k>(Stream<'k>);
+
+impl OpenStream<'_> {
+    /// Decrypts the next `src.len()` bytes of the message into `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not as long as `src`.
+    pub fn update(&mut self, src: &[u8], dst: &mut [u8]) {
+        self.0.update(Io::copy(src, dst));
+    }
+
+    /// Decrypts the next `buf.len()` bytes of the message in place.
+    pub fn update_in_place(&mut self, buf: &mut [u8]) {
+        self.0.update(Io::InPlace(buf));
+    }
+
+    /// Decrypts the next `src.len()` bytes of the message onto the end of
+    /// `out`, written once into its spare capacity.
+    pub fn append(&mut self, src: &[u8], out: &mut Vec<u8>) {
+        self.0.append(src, out);
+    }
+
+    /// Takes the next `ciphertext.len()` bytes of the message into the tag
+    /// only: GHASH runs over them, nothing is decrypted or written.
+    pub fn verify(&mut self, ciphertext: &[u8]) {
+        self.0.update(Io::Verify(ciphertext));
+    }
+
+    /// Whether `tag` authenticates the AAD and all the ciphertext,
+    /// compared in constant time.
+    #[must_use = "on false every decrypted byte is unauthenticated"]
+    pub fn finish(self, tag: &[u8]) -> bool {
+        crate::ct_eq(&self.0.finish(), tag)
+    }
+}
+
+/// Where one update reads its input and writes its output. Every variant
+/// but `InPlace` holds an output as long as its input (checked where one
+/// is built), and `blocks` writes every output byte exactly once.
+enum Io<'a> {
+    InPlace(&'a mut [u8]),
+    Copy(&'a [u8], &'a mut [u8]),
+    // Built only by `ni::append`; other targets zero-fill instead.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Uninit(&'a [u8], &'a mut [MaybeUninit<u8>]),
+    Verify(&'a [u8]),
+}
+
+impl<'a> Io<'a> {
+    fn copy(src: &'a [u8], dst: &'a mut [u8]) -> Self {
+        assert_eq!(src.len(), dst.len(), "output must be as long as input");
+        Io::Copy(src, dst)
+    }
+
+    fn src(&self) -> &[u8] {
+        match self {
+            Io::InPlace(b) => b,
+            Io::Copy(s, _) | Io::Uninit(s, _) | Io::Verify(s) => s,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.src().len()
+    }
+
+    fn split_at(self, mid: usize) -> (Io<'a>, Io<'a>) {
+        match self {
+            Io::InPlace(b) => {
+                let (l, r) = b.split_at_mut(mid);
+                (Io::InPlace(l), Io::InPlace(r))
+            }
+            Io::Copy(s, d) => {
+                let ((sl, sr), (dl, dr)) = (s.split_at(mid), d.split_at_mut(mid));
+                (Io::Copy(sl, dl), Io::Copy(sr, dr))
+            }
+            Io::Uninit(s, d) => {
+                let ((sl, sr), (dl, dr)) = (s.split_at(mid), d.split_at_mut(mid));
+                (Io::Uninit(sl, dl), Io::Uninit(sr, dr))
+            }
+            Io::Verify(s) => {
+                let (l, r) = s.split_at(mid);
+                (Io::Verify(l), Io::Verify(r))
+            }
+        }
+    }
+
+    /// Writes `out` at offset `at` of the output (nothing for `Verify`).
+    fn put(&mut self, at: usize, out: &[u8]) {
+        let end = at + out.len();
+        match self {
+            Io::InPlace(d) | Io::Copy(_, d) => d[at..end].copy_from_slice(out),
+            Io::Uninit(_, d) => {
+                d[at..end].write_copy_of_slice(out);
+            }
+            Io::Verify(_) => {}
+        }
+    }
+}
+
+/// The state one message carries between updates.
+struct Stream<'k> {
+    key: &'k Aes128Gcm,
+    /// `nonce ‖ 1`; counter block `i` is `nonce ‖ i`.
+    j0: [u8; BLOCK],
+    seal: bool,
+    /// GHASH state, the block read as a big-endian integer.
+    y: u128,
+    /// Counter of the next keystream block.
+    ctr: u32,
+    /// Keystream of the current partial block.
+    ks: [u8; BLOCK],
+    /// Ciphertext of the current partial block (its first `fill` bytes).
+    block: [u8; BLOCK],
+    /// Bytes of the current block done; 0 between blocks.
+    fill: usize,
+    aad_len: usize,
+    ct_len: usize,
+}
+
+impl<'k> Stream<'k> {
+    fn new(key: &'k Aes128Gcm, nonce: &[u8; NONCE_LEN], aad: &[u8], seal: bool) -> Self {
+        let mut j0 = [0u8; BLOCK];
+        j0[..NONCE_LEN].copy_from_slice(nonce);
+        j0[BLOCK - 1] = 1;
+        let mut y = 0;
+        for chunk in aad.chunks(BLOCK) {
+            y = key.ghash(y, &padded(chunk));
+        }
+        Stream {
+            key,
+            j0,
+            seal,
+            y,
+            ctr: 2,
+            ks: [0; BLOCK],
+            block: [0; BLOCK],
+            fill: 0,
+            aad_len: aad.len(),
+            ct_len: 0,
+        }
+    }
+
+    fn update(&mut self, mut io: Io<'_>) {
+        self.ct_len += io.len();
+        if self.fill > 0 {
+            let n = (BLOCK - self.fill).min(io.len());
+            let (head, rest) = io.split_at(n);
+            self.partial(head);
+            io = rest;
+        }
+        let whole = io.len() - io.len() % BLOCK;
+        let (bulk, tail) = io.split_at(whole);
+        if whole > 0 {
+            self.y = self.key.blocks(&self.j0, self.y, self.ctr, bulk, self.seal);
+            self.ctr = self.ctr.wrapping_add((whole / BLOCK) as u32);
+        }
+        if tail.len() > 0 {
+            self.ks = self.key.encrypt(&counter_block(&self.j0, self.ctr));
+            self.ctr = self.ctr.wrapping_add(1);
+            self.partial(tail);
+        }
+    }
+
+    /// Runs `io`, which fits in the rest of the current block, against
+    /// that block's keystream.
+    fn partial(&mut self, mut io: Io<'_>) {
+        let (at, n) = (self.fill, io.len());
+        let mut out = [0u8; BLOCK];
+        for ((o, s), k) in out.iter_mut().zip(io.src()).zip(&self.ks[at..]) {
+            *o = s ^ k;
+        }
+        let ct = if self.seal { &out[..n] } else { io.src() };
+        self.block[at..at + n].copy_from_slice(ct);
+        io.put(0, &out[..n]);
+        self.fill += n;
+        if self.fill == BLOCK {
+            self.y = self.key.ghash(self.y, &self.block);
+            self.fill = 0;
+        }
+    }
+
+    fn append(&mut self, src: &[u8], out: &mut Vec<u8>) {
+        #[cfg(target_arch = "x86_64")]
+        ni::append(self, src, out);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let at = out.len();
+            out.resize(at + src.len(), 0);
+            self.update(Io::Copy(src, &mut out[at..]));
+        }
+    }
+
+    fn finish(self) -> [u8; TAG_LEN] {
+        let mut y = self.y;
+        if self.fill > 0 {
+            // GHASH sees the zero-padded last block.
+            y = self.key.ghash(y, &padded(&self.block[..self.fill]));
+        }
+        y = self.key.ghash(y, &length_block(self.aad_len, self.ct_len));
+        (u128::from_be_bytes(self.key.encrypt(&self.j0)) ^ y).to_be_bytes()
+    }
+}
+
+/// Counter block `ctr` of the message whose J0 is `j0`.
+fn counter_block(j0: &[u8; BLOCK], ctr: u32) -> [u8; BLOCK] {
+    let mut b = *j0;
+    b[NONCE_LEN..].copy_from_slice(&ctr.to_be_bytes());
+    b
 }
 
 /// The GHASH length block: bit lengths of the AAD and the ciphertext.
@@ -237,7 +561,7 @@ fn expand_key(key: &[u8; KEY_LEN]) -> [u32; 44] {
 
 /// Portable backend: table AES and 4-bit-table (Shoup) GHASH.
 mod portable {
-    use super::{length_block, padded, BLOCK, NONCE_LEN, SBOX};
+    use super::{counter_block, Io, BLOCK, SBOX};
 
     /// Round table: `TE[x]` is the MixColumns column of `S(x)` in row 0,
     /// `[2·S(x), S(x), S(x), 3·S(x)]`; rows 1..3 use it rotated right by
@@ -308,7 +632,7 @@ mod portable {
         }
 
         /// One AES-128 block encryption (FIPS 197 §5.1).
-        fn encrypt_block(&self, input: &[u8; BLOCK]) -> [u8; BLOCK] {
+        pub(super) fn encrypt_block(&self, input: &[u8; BLOCK]) -> [u8; BLOCK] {
             let rk = &self.rk;
             let word = |i: usize| {
                 u32::from_be_bytes(input[4 * i..4 * i + 4].try_into().expect("4-byte word"))
@@ -365,42 +689,31 @@ mod portable {
             (u128::from(hi) << 64) | u128::from(lo)
         }
 
-        fn ghash_block(&self, y: u128, block: &[u8]) -> u128 {
-            self.gmul(y ^ u128::from_be_bytes(padded(block)))
+        /// One GHASH step: `(y ⊕ block) · H`.
+        pub(super) fn ghash(&self, y: u128, block: &[u8; BLOCK]) -> u128 {
+            self.gmul(y ^ u128::from_be_bytes(*block))
         }
 
-        pub(super) fn crypt(
+        /// The portable shape of the hardware loop: each whole block of
+        /// `io` read once, CTR-encrypted from counter `ctr` on, written
+        /// once, and taken into `y`.
+        pub(super) fn blocks(
             &self,
-            nonce: &[u8; NONCE_LEN],
-            aad: &[u8],
-            buf: &mut [u8],
+            j0: &[u8; BLOCK],
+            mut y: u128,
+            mut ctr: u32,
+            mut io: Io<'_>,
             seal: bool,
-        ) -> [u8; BLOCK] {
-            let mut y = 0u128;
-            for chunk in aad.chunks(BLOCK) {
-                y = self.ghash_block(y, chunk);
-            }
-            let mut counter = [0u8; BLOCK];
-            counter[..NONCE_LEN].copy_from_slice(nonce);
-            let mut ctr = 2u32;
-            for chunk in buf.chunks_mut(BLOCK) {
-                counter[NONCE_LEN..].copy_from_slice(&ctr.to_be_bytes());
-                let ks = self.encrypt_block(&counter);
-                if !seal {
-                    y = self.ghash_block(y, chunk);
-                }
-                for (b, k) in chunk.iter_mut().zip(ks) {
-                    *b ^= k;
-                }
-                if seal {
-                    y = self.ghash_block(y, chunk);
-                }
+        ) -> u128 {
+            for at in (0..io.len()).step_by(BLOCK) {
+                let ks = self.encrypt_block(&counter_block(j0, ctr));
                 ctr = ctr.wrapping_add(1);
+                let src: [u8; BLOCK] = io.src()[at..at + BLOCK].try_into().expect("whole block");
+                let out: [u8; BLOCK] = core::array::from_fn(|i| src[i] ^ ks[i]);
+                y = self.ghash(y, if seal { &out } else { &src });
+                io.put(at, &out);
             }
-            y = self.ghash_block(y, &length_block(aad.len(), buf.len()));
-            counter[NONCE_LEN..].copy_from_slice(&1u32.to_be_bytes());
-            let ek0 = self.encrypt_block(&counter);
-            (u128::from_be_bytes(ek0) ^ y).to_be_bytes()
+            y
         }
     }
 
@@ -427,13 +740,16 @@ mod portable {
 /// xmm loop finishes the tail.
 ///
 /// Besides `sha256::ni` this is the crate's only unsafe code: the
-/// intrinsics need `unsafe` plus a `target_feature` gate. A [`Key`] is
-/// only ever built after `available()` confirmed the CPU features, so
-/// holding one is the proof every entry point's SAFETY comment cites.
+/// intrinsics need `unsafe` plus a `target_feature` gate, the loops load
+/// and store through an update's raw input and output pointers, and
+/// [`append`] commits the bytes it wrote into a `Vec`'s spare capacity. A
+/// [`Key`] is only ever built after `available()` confirmed the CPU
+/// features, so holding one is the proof every entry point's SAFETY
+/// comment cites.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni {
-    use super::{length_block, padded, BLOCK, NONCE_LEN};
+    use super::{Io, Stream, BLOCK};
     use core::arch::x86_64::*;
 
     /// Blocks in flight per xmm main-loop iteration.
@@ -495,17 +811,58 @@ mod ni {
             self.wide
         }
 
-        pub(super) fn crypt(
-            &self,
-            nonce: &[u8; NONCE_LEN],
-            aad: &[u8],
-            buf: &mut [u8],
-            seal: bool,
-        ) -> [u8; BLOCK] {
+        pub(super) fn encrypt_block(&self, block: &[u8; BLOCK]) -> [u8; BLOCK] {
             // SAFETY: a `Key` exists only if `available()` returned true in
             // `Key::new`, so the target features are present.
-            unsafe { crypt(self, nonce, aad, buf, seal) }
+            unsafe { store(encrypt(&self.rk, load(block))) }
         }
+
+        pub(super) fn ghash(&self, y: u128, block: &[u8; BLOCK]) -> u128 {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { ghash(self, y, block) }
+        }
+
+        /// CTR-encrypts the whole blocks of `io` from counter `ctr` on and
+        /// returns `y` advanced over their ciphertext.
+        pub(super) fn blocks(
+            &self,
+            j0: &[u8; BLOCK],
+            y: u128,
+            ctr: u32,
+            io: Io<'_>,
+            seal: bool,
+        ) -> u128 {
+            let len = io.len();
+            let (src, dst): (*const u8, *mut u8) = match io {
+                Io::InPlace(b) => {
+                    let p = b.as_mut_ptr();
+                    (p.cast_const(), p)
+                }
+                Io::Copy(s, d) => (s.as_ptr(), d.as_mut_ptr()),
+                Io::Uninit(s, d) => (s.as_ptr(), d.as_mut_ptr().cast()),
+                Io::Verify(s) => (s.as_ptr(), core::ptr::null_mut()),
+            };
+            // SAFETY: the target features as in `encrypt_block`. `src` is
+            // `len` readable bytes; every output `Io` holds is as long as
+            // its input (checked where the `Io` was built), so `dst` is
+            // null (`Verify`), the input itself (`InPlace`), or `len`
+            // writable bytes that the exclusive borrow keeps apart from
+            // `src`; `MaybeUninit<u8>` has `u8`'s layout.
+            unsafe { crypt(self, j0, y, ctr, src, dst, len, seal) }
+        }
+    }
+
+    /// Appends `src`, run through `stream`, to `out`: each byte written
+    /// once into the spare capacity, none zero-filled first.
+    pub(super) fn append(stream: &mut Stream<'_>, src: &[u8], out: &mut Vec<u8>) {
+        out.reserve(src.len());
+        let at = out.len();
+        stream.update(Io::Uninit(src, &mut out.spare_capacity_mut()[..src.len()]));
+        // SAFETY: `Stream::update` writes every byte of an `Io::Uninit`
+        // output: the partial-block steps through `Io::put`, the whole
+        // blocks through `blocks` (both backends store each block they
+        // take), so the `src.len()` bytes past `at` are initialised.
+        unsafe { out.set_len(at + src.len()) };
     }
 
     /// # Safety
@@ -657,9 +1014,33 @@ mod ni {
         )
     }
 
-    /// Runs the whole 256-byte strides of `buf` (its length a multiple of
-    /// 256) through the 512-bit loop, counters from block 2 on (J0 + 1),
-    /// and returns the GHASH state `y` advanced over their ciphertext.
+    /// The GHASH state `y` (a block read as a big-endian integer) as the
+    /// byte-reversed register the loops work on, and back.
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3")]
+    fn to_reg(y: u128) -> __m128i {
+        load(&y.to_le_bytes())
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,pclmulqdq,ssse3")]
+    fn from_reg(y: __m128i) -> u128 {
+        u128::from_le_bytes(store(y))
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support aes, pclmulqdq and ssse3.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3")]
+    unsafe fn ghash(key: &Key, y: u128, block: &[u8; BLOCK]) -> u128 {
+        let h1 = key.hdesc[WIDE_BLOCKS - 1];
+        from_reg(gfmul(_mm_xor_si128(to_reg(y), bswap(load(block))), h1))
+    }
+
+    /// Runs the whole 256-byte strides of the `len` bytes at `src` (`len`
+    /// a multiple of 256) through the 512-bit loop, counters from `ctr`
+    /// on, writing to `dst` unless it is null, and returns the GHASH state
+    /// `y` advanced over their ciphertext.
     ///
     /// Per stride: four zmm counter vectors of four blocks, ten
     /// `vaesenc` rounds on each, then the sixteen GHASH products
@@ -669,14 +1050,20 @@ mod ni {
     /// # Safety
     ///
     /// The CPU must support aes, pclmulqdq, ssse3, avx512f, avx512bw, vaes
-    /// and vpclmulqdq.
+    /// and vpclmulqdq. `src` must be readable for `len` bytes, and `dst`
+    /// null or writable for `len` bytes, either equal to `src` or not
+    /// overlapping it.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "aes,pclmulqdq,ssse3,avx512f,avx512bw,vaes,vpclmulqdq")]
     unsafe fn crypt_wide(
         rk: &[__m128i; 11],
         hdesc: &[__m128i; WIDE_BLOCKS],
         j0_rev: __m128i,
         mut y: __m128i,
-        buf: &mut [u8],
+        ctr: u32,
+        src: *const u8,
+        dst: *mut u8,
+        len: usize,
         seal: bool,
     ) -> __m128i {
         let mut rkw = [_mm512_setzero_si512(); 11];
@@ -695,15 +1082,15 @@ mod ni {
             0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
         ));
         // J0 byte-reversed in every lane with its counter dword (element 0
-        // of each lane) cleared, and the per-lane block offsets 1..4 in
+        // of each lane) cleared, and the per-lane block offsets 0..3 in
         // that dword.
         let nonce = _mm512_broadcast_i32x4(_mm_and_si128(j0_rev, _mm_set_epi32(-1, -1, -1, 0)));
-        let lane_step = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1);
-        let mut next = 1u32;
-        for stride in buf.chunks_exact_mut(WIDE_BLOCKS * BLOCK) {
+        let lane_step = _mm512_set_epi32(0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0);
+        let mut next = ctr;
+        for stride in (0..len).step_by(WIDE_BLOCKS * BLOCK) {
             let mut ks = [_mm512_setzero_si512(); 4];
             for (v, k) in ks.iter_mut().enumerate() {
-                // GCM's inc32 per lane: `next + 4v + l + 1` lands in the
+                // GCM's inc32 per lane: `next + 4v + l` lands in the
                 // counter dword of lane `l` only, and `add_epi32` wraps
                 // within it exactly as `counter()` does.
                 let base = _mm512_maskz_set1_epi32(0x1111, next.wrapping_add(4 * v as u32) as i32);
@@ -721,14 +1108,20 @@ mod ni {
                 _mm512_setzero_si512(),
                 _mm512_setzero_si512(),
             );
-            let quads = stride.chunks_exact_mut(4 * BLOCK);
-            for (v, (k, quad)) in ks.iter().zip(quads).enumerate() {
-                // SAFETY: `quad` is 64 readable and writable bytes; both
+            for (v, k) in ks.iter().enumerate() {
+                let at = stride + v * 4 * BLOCK;
+                // SAFETY: `at + 64 <= len`, so the 64 bytes at `src + at`
+                // are readable and, unless `dst` is null, those at
+                // `dst + at` writable (the caller's contract); the quad is
+                // loaded before it is stored, so `dst == src` is fine. Both
                 // accesses are unaligned.
-                let src = unsafe { _mm512_loadu_si512(quad.as_ptr().cast()) };
-                let dst = _mm512_xor_si512(src, _mm512_aesenclast_epi128(*k, rkw[10]));
-                unsafe { _mm512_storeu_si512(quad.as_mut_ptr().cast(), dst) };
-                let mut c = _mm512_shuffle_epi8(if seal { dst } else { src }, bswap_w);
+                let s = unsafe { _mm512_loadu_si512(src.add(at).cast()) };
+                let d = _mm512_xor_si512(s, _mm512_aesenclast_epi128(*k, rkw[10]));
+                if !dst.is_null() {
+                    // SAFETY: as above.
+                    unsafe { _mm512_storeu_si512(dst.add(at).cast(), d) };
+                }
+                let mut c = _mm512_shuffle_epi8(if seal { d } else { s }, bswap_w);
                 if v == 0 {
                     c = _mm512_xor_si512(c, _mm512_zextsi128_si512(y));
                 }
@@ -752,48 +1145,49 @@ mod ni {
         y
     }
 
+    /// The hardware loop over the whole blocks of the `len` bytes at
+    /// `src` (callers pass a multiple of 16; a shorter tail is left
+    /// alone): CTR from counter `ctr` on, output to `dst` unless it is
+    /// null, GHASH state `y` advanced over the ciphertext.
+    ///
     /// # Safety
     ///
-    /// The CPU must support aes, pclmulqdq and ssse3.
+    /// The CPU must support aes, pclmulqdq and ssse3. `src` must be
+    /// readable for `len` bytes, and `dst` null or writable for `len`
+    /// bytes, either equal to `src` or not overlapping it.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "aes,pclmulqdq,ssse3")]
     unsafe fn crypt(
         key: &Key,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        buf: &mut [u8],
+        j0: &[u8; BLOCK],
+        y: u128,
+        ctr: u32,
+        src: *const u8,
+        dst: *mut u8,
+        len: usize,
         seal: bool,
-    ) -> [u8; BLOCK] {
+    ) -> u128 {
         let rk = &key.rk;
         let h1 = key.hdesc[WIDE_BLOCKS - 1];
-        let mut y = _mm_setzero_si128();
-        for chunk in aad.chunks(BLOCK) {
-            y = gfmul(_mm_xor_si128(y, bswap(load(&padded(chunk)))), h1);
-        }
-
-        let mut j0 = [0u8; BLOCK];
-        j0[..NONCE_LEN].copy_from_slice(nonce);
-        j0[BLOCK - 1] = 1;
-        let j0 = load(&j0);
-        let j0_rev = bswap(j0);
-        let mut next = 1u32;
-
-        let ct_len = buf.len();
-        let mut tail = buf;
+        let j0_rev = bswap(load(j0));
+        let mut y = to_reg(y);
+        let mut next = ctr;
+        let mut at = 0;
         // Below one stride the 512-bit loop has nothing to do.
-        if key.wide && ct_len >= WIDE_BLOCKS * BLOCK {
-            let (strides, rest) = tail.split_at_mut(ct_len - ct_len % (WIDE_BLOCKS * BLOCK));
+        let strides = len - len % (WIDE_BLOCKS * BLOCK);
+        if key.wide && strides > 0 {
             // SAFETY: `wide` is set only when `wide_available()` confirmed
-            // the 512-bit features; the caller guarantees the rest.
-            y = unsafe { crypt_wide(rk, &key.hdesc, j0_rev, y, strides, seal) };
-            next = next.wrapping_add((strides.len() / BLOCK) as u32);
-            tail = rest;
+            // the 512-bit features; the first `strides` bytes lie within
+            // the caller's `len`.
+            y = unsafe { crypt_wide(rk, &key.hdesc, j0_rev, y, next, src, dst, strides, seal) };
+            next = next.wrapping_add((strides / BLOCK) as u32);
+            at = strides;
         }
 
-        let mut chunks = tail.chunks_exact_mut(LANES * BLOCK);
-        for chunk in &mut chunks {
+        while at + LANES * BLOCK <= len {
             let mut ks = [_mm_setzero_si128(); LANES];
             for (i, k) in ks.iter_mut().enumerate() {
-                let ctr = counter(j0_rev, next.wrapping_add(1 + i as u32));
+                let ctr = counter(j0_rev, next.wrapping_add(i as u32));
                 *k = _mm_xor_si128(ctr, rk[0]);
             }
             next = next.wrapping_add(LANES as u32);
@@ -803,13 +1197,17 @@ mod ni {
                 }
             }
             let mut ct = [_mm_setzero_si128(); LANES];
-            let blocks = chunk.chunks_exact_mut(BLOCK);
-            for ((k, c), block) in ks.iter().zip(ct.iter_mut()).zip(blocks) {
-                let block: &mut [u8; BLOCK] = block.try_into().expect("16-byte block");
-                let src = load(block);
-                let dst = _mm_xor_si128(src, _mm_aesenclast_si128(*k, rk[10]));
-                *block = store(dst);
-                *c = bswap(if seal { dst } else { src });
+            for (i, (k, c)) in ks.iter().zip(ct.iter_mut()).enumerate() {
+                let p = at + i * BLOCK;
+                // SAFETY: `p + 16 <= len`; as in `crypt_wide`, each block
+                // is loaded before it is stored.
+                let s = unsafe { _mm_loadu_si128(src.add(p).cast()) };
+                let d = _mm_xor_si128(s, _mm_aesenclast_si128(*k, rk[10]));
+                if !dst.is_null() {
+                    // SAFETY: as above.
+                    unsafe { _mm_storeu_si128(dst.add(p).cast(), d) };
+                }
+                *c = bswap(if seal { d } else { s });
             }
             // Y ← (Y ⊕ C₀)·H⁸ ⊕ C₁·H⁷ ⊕ … ⊕ C₇·H¹, one reduction.
             let h8 = &key.hdesc[WIDE_BLOCKS - LANES..];
@@ -818,24 +1216,23 @@ mod ni {
                 add_wide(&mut acc, mul_wide(*c, *h));
             }
             y = reduce(acc);
+            at += LANES * BLOCK;
         }
 
-        for chunk in chunks.into_remainder().chunks_mut(BLOCK) {
-            next = next.wrapping_add(1);
+        while at + BLOCK <= len {
             let k = encrypt(rk, counter(j0_rev, next));
-            let src = load(&padded(chunk));
-            let out = store(_mm_xor_si128(src, k));
-            let n = chunk.len();
-            chunk.copy_from_slice(&out[..n]);
-            // GHASH sees the zero-padded ciphertext.
-            let c = if seal { load(&padded(&out[..n])) } else { src };
-            y = gfmul(_mm_xor_si128(y, bswap(c)), h1);
+            next = next.wrapping_add(1);
+            // SAFETY: `at + 16 <= len`; loaded before stored.
+            let s = unsafe { _mm_loadu_si128(src.add(at).cast()) };
+            let d = _mm_xor_si128(s, k);
+            if !dst.is_null() {
+                // SAFETY: as above.
+                unsafe { _mm_storeu_si128(dst.add(at).cast(), d) };
+            }
+            y = gfmul(_mm_xor_si128(y, bswap(if seal { d } else { s })), h1);
+            at += BLOCK;
         }
-
-        // The length block covers the whole buffer, strides and tail.
-        let len = load(&length_block(aad.len(), ct_len));
-        y = gfmul(_mm_xor_si128(y, bswap(len)), h1);
-        store(_mm_xor_si128(bswap(y), encrypt(rk, j0)))
+        from_reg(y)
     }
 
     /// One raw block encryption on this backend (`None` without the CPU
@@ -845,9 +1242,7 @@ mod ni {
         round_keys: &[u32; 44],
         block: &[u8; BLOCK],
     ) -> Option<[u8; BLOCK]> {
-        let key = Key::new(round_keys)?;
-        // SAFETY: `Key::new` succeeded, so the target features are present.
-        Some(unsafe { store(encrypt(&key.rk, load(block))) })
+        Some(Key::new(round_keys)?.encrypt_block(block))
     }
 }
 

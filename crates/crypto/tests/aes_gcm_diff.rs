@@ -9,8 +9,13 @@
 //! itself. On a host with AVX-512, VAES and VPCLMULQDQ it picks the
 //! `vaes-avx512` backend, checked below, so the differential tests cover
 //! the 512-bit stride loop and the xmm tail after it.
+//!
+//! The streaming half splits messages into `update` calls at every cut
+//! (and at random cuts), mixing out-of-place, in-place, `append` and
+//! verify-only pieces, and checks every result against the one-shot
+//! `seal_in_place` on the other backend.
 
-use pdn_crypto::aes_gcm::{Aes128Gcm, NONCE_LEN};
+use pdn_crypto::aes_gcm::{Aes128Gcm, NONCE_LEN, TAG_LEN};
 use pdn_crypto::hex;
 use proptest::prelude::*;
 
@@ -196,5 +201,202 @@ proptest! {
         prop_assert!(soft.open_in_place(&nonce, &aad, &mut c_hw, &t_hw));
         prop_assert_eq!(&c_hw, &pt);
         prop_assert_eq!(&c_soft, &pt);
+    }
+}
+
+/// How one piece of a streamed message is run.
+#[derive(Clone, Copy, Debug)]
+enum Piece {
+    OutOfPlace,
+    InPlace,
+    Append,
+    /// Opening only: GHASH without output (sealing runs it out of place).
+    Verify,
+}
+
+/// Seals `pt` on `gcm` in the pieces `cuts` marks, each run as `modes`
+/// says (cycled); returns ciphertext and tag.
+fn seal_pieces(
+    gcm: &Aes128Gcm,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    pt: &[u8],
+    cuts: &[usize],
+    modes: &[Piece],
+) -> (Vec<u8>, [u8; TAG_LEN]) {
+    let mut s = gcm.sealing(nonce, aad);
+    let mut ct = Vec::new();
+    for (i, w) in bounds(cuts, pt.len()).windows(2).enumerate() {
+        let src = &pt[w[0]..w[1]];
+        match modes[i % modes.len()] {
+            Piece::OutOfPlace | Piece::Verify => {
+                let mut out = vec![0xee; src.len()];
+                s.update(src, &mut out);
+                ct.extend_from_slice(&out);
+            }
+            Piece::InPlace => {
+                let mut buf = src.to_vec();
+                s.update_in_place(&mut buf);
+                ct.extend_from_slice(&buf);
+            }
+            Piece::Append => s.append(src, &mut ct),
+        }
+    }
+    (ct, s.finish())
+}
+
+/// Opens `ct` the same way; verify-only pieces leave their plaintext
+/// range as `0xee`. Returns the plaintext and whether `tag` checked.
+fn open_pieces(
+    gcm: &Aes128Gcm,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    ct: &[u8],
+    tag: &[u8],
+    cuts: &[usize],
+    modes: &[Piece],
+) -> (Vec<u8>, bool) {
+    let mut s = gcm.opening(nonce, aad);
+    let mut pt = Vec::new();
+    for (i, w) in bounds(cuts, ct.len()).windows(2).enumerate() {
+        let src = &ct[w[0]..w[1]];
+        match modes[i % modes.len()] {
+            Piece::OutOfPlace => {
+                let mut out = vec![0xee; src.len()];
+                s.update(src, &mut out);
+                pt.extend_from_slice(&out);
+            }
+            Piece::InPlace => {
+                let mut buf = src.to_vec();
+                s.update_in_place(&mut buf);
+                pt.extend_from_slice(&buf);
+            }
+            Piece::Append => s.append(src, &mut pt),
+            Piece::Verify => {
+                s.verify(src);
+                pt.resize(pt.len() + src.len(), 0xee);
+            }
+        }
+    }
+    (pt, s.finish(tag))
+}
+
+/// `0`, the sorted cuts clamped to `len`, `len`.
+fn bounds(cuts: &[usize], len: usize) -> Vec<usize> {
+    let mut b: Vec<usize> = cuts.iter().map(|&c| c.min(len)).collect();
+    b.sort_unstable();
+    b.insert(0, 0);
+    b.push(len);
+    b
+}
+
+/// Every two-piece split of a 600-byte message (two 256-byte strides, an
+/// eight-block pass and a tail) and every three-piece split around the
+/// 16- and 256-byte edges, in each pair of piece modes, on both backends,
+/// against the one-shot result of the other backend.
+#[test]
+fn every_split_matches_one_shot_on_both_backends() {
+    let key = [0x5cu8; 16];
+    let nonce = [0x21u8; NONCE_LEN];
+    let aad = [0xa5u8; 13];
+    let pt: Vec<u8> = (0..600).map(|i| (i * 7 + 3) as u8).collect();
+    let (hw, soft) = (Aes128Gcm::new(&key), Aes128Gcm::new_portable(&key));
+    let modes = [
+        Piece::OutOfPlace,
+        Piece::InPlace,
+        Piece::Append,
+        Piece::Verify,
+    ];
+    let edges: Vec<usize> = [0usize, 16, 32, 256, 512]
+        .iter()
+        .flat_map(|&e| e.saturating_sub(1)..=e + 1)
+        .collect();
+    let mut splits: Vec<Vec<usize>> = (0..=pt.len()).map(|c| vec![c]).collect();
+    for &a in &edges {
+        for &b in &edges {
+            splits.push(vec![a, b]);
+        }
+    }
+    for (gcm, reference) in [(&hw, &soft), (&soft, &hw)] {
+        let mut want = pt.clone();
+        let want_tag = reference.seal_in_place(&nonce, &aad, &mut want);
+        for cuts in &splits {
+            for m in &modes {
+                for n in &modes {
+                    let pair = [*m, *n];
+                    let what = format!("{gcm:?} cuts {cuts:?} {pair:?}");
+                    let (ct, tag) = seal_pieces(gcm, &nonce, &aad, &pt, cuts, &pair);
+                    assert_eq!(ct, want, "{what}: ciphertext");
+                    assert_eq!(tag, want_tag, "{what}: tag");
+                    let (got, ok) = open_pieces(gcm, &nonce, &aad, &ct, &tag, cuts, &pair);
+                    assert!(ok, "{what}: open");
+                    let b = bounds(cuts, pt.len());
+                    for (i, w) in b.windows(2).enumerate() {
+                        let r = w[0]..w[1];
+                        if matches!(pair[i % 2], Piece::Verify) {
+                            assert!(got[r].iter().all(|&x| x == 0xee), "{what}: verify wrote");
+                        } else {
+                            assert_eq!(got[r.clone()], pt[r], "{what}: plaintext");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A streamed opening rejects a bad tag whatever the split, and a
+/// verify-only stream checks exactly what a decrypting one does.
+#[test]
+fn streamed_open_rejects_bad_tag() {
+    let gcm = Aes128Gcm::new(&[3u8; 16]);
+    let nonce = [9u8; NONCE_LEN];
+    let mut ct: Vec<u8> = (0..700u32).map(|i| i as u8).collect();
+    let mut tag = gcm.seal_in_place(&nonce, b"aad", &mut ct);
+    for cuts in [vec![], vec![5], vec![16, 300], vec![255, 257, 699]] {
+        for mode in [Piece::OutOfPlace, Piece::Verify] {
+            let (_, ok) = open_pieces(&gcm, &nonce, b"aad", &ct, &tag, &cuts, &[mode]);
+            assert!(ok, "{cuts:?} {mode:?}");
+            tag[0] ^= 1;
+            let (_, ok) = open_pieces(&gcm, &nonce, b"aad", &ct, &tag, &cuts, &[mode]);
+            tag[0] ^= 1;
+            assert!(!ok, "{cuts:?} {mode:?}: bad tag accepted");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_splits_match_one_shot(
+        key in any::<[u8; 16]>(),
+        nonce in any::<[u8; NONCE_LEN]>(),
+        aad in proptest::collection::vec(any::<u8>(), 0..=40),
+        len in 0usize..=4_200,
+        cuts in proptest::collection::vec(0usize..=4_200, 0..8),
+        modes in proptest::collection::vec(0u8..4, 1..5),
+    ) {
+        let modes: Vec<Piece> = modes
+            .iter()
+            .map(|&m| [Piece::OutOfPlace, Piece::InPlace, Piece::Append, Piece::Verify][m as usize])
+            .collect();
+        let pt: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
+        let (hw, soft) = (Aes128Gcm::new(&key), Aes128Gcm::new_portable(&key));
+        let mut want = pt.clone();
+        let want_tag = soft.seal_in_place(&nonce, &aad, &mut want);
+        for gcm in [&hw, &soft] {
+            let (ct, tag) = seal_pieces(gcm, &nonce, &aad, &pt, &cuts, &modes);
+            prop_assert_eq!(&ct, &want);
+            prop_assert_eq!(tag, want_tag);
+            let (got, ok) = open_pieces(gcm, &nonce, &aad, &ct, &tag, &cuts, &modes);
+            prop_assert!(ok);
+            let b = bounds(&cuts, len);
+            for (i, w) in b.windows(2).enumerate() {
+                if !matches!(modes[i % modes.len()], Piece::Verify) {
+                    prop_assert_eq!(&got[w[0]..w[1]], &pt[w[0]..w[1]]);
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Emits `BENCH_crypto.json`: wall-clock numbers for the crypto fast path —
 //! the zero-copy AES-128-GCM DTLS record layer against the naive baseline
 //! oracles (`pdn_oracle::reference` + `pdn_oracle::dtls_v1`), a 3 MB
-//! segment's round trip through a `DataChannel`, plus STUN
+//! segment's round trip through a `DataChannel` beside in-place AES-GCM
+//! seal+open of the same bytes in record-sized pieces (the cipher work
+//! alone, no copies or allocations), plus STUN
 //! MESSAGE-INTEGRITY checks/sec, JWT verifies/sec and the CRC-32 of a
 //! 1,200-byte STUN Data indication (slicing-by-8 tables vs the bitwise
 //! oracle) old vs new, all measured in the same process. The AES-GCM backend in use (`aes-ni`,
@@ -16,7 +18,9 @@
 //!
 //! The binary installs a counting global allocator so the "zero heap
 //! allocations per sealed record in steady state" claim is *measured*, not
-//! asserted from code reading.
+//! asserted from code reading; the same counter shows that a channel
+//! receiving a multi-record message allocates nothing for the records that
+//! neither start it (the message buffer) nor complete it (its handle).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,6 +125,10 @@ const STUN_DATA_PAYLOAD: usize = 1156;
 /// Size of the segment the channel row sends: Table VI's 3 MB.
 const SEGMENT_BYTES: usize = 3_000_000;
 
+/// Message bytes per channel record: a full record less the worst-case
+/// chunk header (three 10-byte varints).
+const CHUNK_BYTES: usize = pdn_webrtc::dtls::MAX_RECORD_PLAINTEXT - 30;
+
 /// One timed channel run: `iters` 3 MB messages, each sent as a header part
 /// plus a segment part and received record by record, as the PDN SDK does.
 /// Returns (messages/sec, records per message).
@@ -148,6 +156,51 @@ fn run_channel(segment: &[u8], iters: usize) -> (f64, usize) {
     let dt = t.elapsed().as_secs_f64();
     assert_eq!(&msgs[0][header.len()..], segment, "channel roundtrip");
     (iters as f64 / dt, records)
+}
+
+/// The cipher work of one channel round trip alone: `segment` sealed and
+/// opened in place in record-sized pieces, each under its own nonce with a
+/// record-header-sized AAD. Returns messages/sec.
+fn run_in_place(segment: &[u8], iters: usize) -> f64 {
+    let gcm = Aes128Gcm::new(&[0x3c; 16]);
+    let mut buf = segment.to_vec();
+    let aad = [0x17u8; 13];
+    let t = Instant::now();
+    for _ in 0..iters {
+        for (seq, piece) in buf.chunks_mut(CHUNK_BYTES).enumerate() {
+            let mut nonce = [0u8; 12];
+            nonce[4..].copy_from_slice(&(seq as u64).to_be_bytes());
+            let tag = gcm.seal_in_place(&nonce, &aad, piece);
+            assert!(gcm.open_in_place(&nonce, &aad, piece, &tag));
+        }
+    }
+    let dt = t.elapsed().as_secs_f64();
+    assert_eq!(buf, segment, "in-place roundtrip");
+    iters as f64 / dt
+}
+
+/// Allocations per received record across warm 3 MB messages, counting
+/// only the records that neither start a message (which reserves its
+/// buffer) nor complete it (which wraps the buffer in its handle).
+fn channel_receive_allocs_per_record(segment: &[u8], messages: usize) -> f64 {
+    let (c, s) = dtls_pair(29);
+    let (mut tx, mut rx) = (DataChannel::new(c), DataChannel::new(s));
+    let (mut allocs, mut counted) = (0u64, 0u64);
+    for m in 0..=messages {
+        let records = tx.send_message(&[segment]).expect("send");
+        let last = records.len() - 1;
+        for (i, r) in records.iter().enumerate() {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let done = rx.receive_record(r).expect("open");
+            // Message 0 warms the receiver's partial-message map.
+            if m > 0 && i > 0 && i < last {
+                allocs += ALLOCS.load(Ordering::Relaxed) - before;
+                counted += 1;
+            }
+            assert_eq!(done.is_some(), i == last, "one message per send");
+        }
+    }
+    allocs as f64 / counted as f64
 }
 
 /// Allocations per record across a steady-state loop, counted separately
@@ -214,15 +267,20 @@ fn main() {
     // per-record receive with in-place reassembly. ---
     let segment: Vec<u8> = (0..SEGMENT_BYTES).map(|i| (i % 251) as u8).collect();
     let mut channel_s = Vec::new();
+    let mut in_place_s = Vec::new();
     let mut records_per_msg = 0;
     for _ in 0..RUNS {
-        let (rate, records) = run_channel(&segment, (40 / scale).max(3));
+        let iters = (40 / scale).max(3);
+        let (rate, records) = run_channel(&segment, iters);
         channel_s.push(rate);
         records_per_msg = records;
+        in_place_s.push(run_in_place(&segment, iters));
     }
     let channel_msgs = median(channel_s);
     let channel_mbps = channel_msgs * SEGMENT_BYTES as f64 / 1e6;
     let channel_ms = 1e3 / channel_msgs;
+    let in_place_ms = 1e3 / median(in_place_s);
+    let channel_recv_allocs = channel_receive_allocs_per_record(&segment, 3);
 
     // --- STUN MESSAGE-INTEGRITY: checks/sec, per-check key schedule vs
     // cached HmacKey. ---
@@ -337,7 +395,9 @@ fn main() {
          \"dtls_open_into_allocs_per_record\": {open_allocs:.3},\n  \
          \"channel_3mb_roundtrip\": {{\"message_bytes\": {SEGMENT_BYTES}, \
          \"records\": {records_per_msg}, \"ms_per_message\": {channel_ms:.3}, \
-         \"mb_per_sec\": {channel_mbps:.1}}},\n  \
+         \"mb_per_sec\": {channel_mbps:.1}, \
+         \"in_place_seal_open_ms\": {in_place_ms:.3}}},\n  \
+         \"channel_receive_allocs_per_record\": {channel_recv_allocs:.3},\n  \
          \"stun_checks_per_sec_new\": {stun_new:.0},\n  \
          \"stun_checks_per_sec_old\": {stun_old:.0},\n  \
          \"stun_speedup\": {:.2},\n  \
@@ -363,6 +423,11 @@ fn main() {
     assert!(
         open_allocs == 0.0,
         "steady-state open_into must not allocate (got {open_allocs:.3} allocs/record)"
+    );
+    assert!(
+        channel_recv_allocs == 0.0,
+        "a channel record that neither starts nor completes a message must not \
+         allocate (got {channel_recv_allocs:.3} allocs/record)"
     );
     // The fast path's margin at large payloads comes from running
     // AES-128-GCM on the CPU's AES-NI and PCLMULQDQ units. Without them the

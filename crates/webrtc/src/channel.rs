@@ -17,17 +17,32 @@
 //! copies each chunk body to `idx·CHUNK_DATA` in the message's buffer, so
 //! a record whose body breaks the layout is [`DtlsError::BadRecord`].
 //!
-//! # Bytes copied once
+//! # Bytes written once
+//!
+//! Each message byte passes through memory once per side: read from where
+//! it is and written, encrypted or decrypted, where it ends up.
 //!
 //! - **Send.** [`DataChannel::send_message`] takes the message as parts
 //!   (the P2P header and the segment bytes, say). Each record is built in
-//!   its own exact-size buffer: record header, chunk varints, the chunk
-//!   body gathered from the parts, in-place encryption, tag. Nothing is
-//!   staged.
-//! - **Receive.** Each record is opened into one reused scratch buffer and
-//!   its chunk body copied, while hot, into place. A multi-record message
-//!   reserves `total × CHUNK_DATA` on its first chunk, and on completion
-//!   that buffer becomes the message [`Bytes`] without another copy.
+//!   its own exact-size buffer: the record header, then the chunk varints
+//!   and the chunk body gathered from the parts, encrypted as they are
+//!   written, then the tag. Nothing is staged.
+//! - **Receive.** A record's first 32 plaintext bytes (two AES blocks: the
+//!   whole chunk header and the first body bytes) are decrypted into a
+//!   stack buffer and the header is checked. The rest is decrypted
+//!   straight into chunk `idx`'s slot: an in-order chunk onto the end of
+//!   the message buffer, into its spare capacity with no zero-fill; a
+//!   chunk filling a gap into its zeroed slot. A chunk already placed is
+//!   only authenticated. A single-record message is decrypted into its
+//!   exact-size buffer; a multi-record message reserves
+//!   `total × CHUNK_DATA` on its first chunk, and on completion that buffer
+//!   becomes the message [`Bytes`] without another copy.
+//! - **Speculative writes.** Decrypted bytes are unauthenticated until the
+//!   record's tag and the replay window accept it, and only then is the
+//!   chunk marked placed. A rejected record leaves no trace: the buffer is
+//!   cut back to its length before the record, a partial message that
+//!   record created is removed, and a placed chunk's bytes are never
+//!   written again.
 //!
 //! # Reassembly memory
 //!
@@ -42,17 +57,23 @@
 //!   record can never complete. [`DataChannel::evicted_partials`] counts
 //!   them.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use pdn_simnet::wire::{get_uvarint, put_uvarint, uvarint_len, MAX_UVARINT_LEN};
+use bytes::{BufMut, Bytes};
+use pdn_simnet::wire::{get_uvarint, put_uvarint, MAX_UVARINT_LEN};
 use pdn_simnet::FxHashMap;
 
-use crate::dtls::{DtlsEndpoint, DtlsError, MAX_RECORD_PLAINTEXT};
+use crate::dtls::{DtlsEndpoint, DtlsError, Plaintext, MAX_RECORD_PLAINTEXT};
 
 /// Worst-case chunk header: varint msg_id (u64), chunk_idx, total_chunks.
 /// Real headers are 3–12 bytes early in a session; budgeting the maximum
 /// keeps `CHUNK_DATA` a compile-time constant.
 const MAX_CHUNK_HEADER: usize = 3 * MAX_UVARINT_LEN;
 const CHUNK_DATA: usize = MAX_RECORD_PLAINTEXT - MAX_CHUNK_HEADER;
+
+/// Plaintext bytes read before the chunk header is parsed: two whole AES
+/// blocks, so they hold any header and the rest of the record streams from
+/// a block boundary.
+const FIRST_READ: usize = 32;
+const _: () = assert!(FIRST_READ >= MAX_CHUNK_HEADER);
 
 /// The largest message the channel sends or reassembles: 16 MiB, four
 /// times a 4-second segment at 8 Mbit/s and five times Table VI's 3 MB
@@ -62,6 +83,45 @@ pub const MAX_MESSAGE_SIZE: usize = 16 << 20;
 /// Upper bound on `total_chunks` accepted from the wire.
 const MAX_CHUNKS: u64 = MAX_MESSAGE_SIZE.div_ceil(CHUNK_DATA) as u64;
 
+/// Words of a partial message's placed-chunk bitmap.
+const PLACED_WORDS: usize = (MAX_CHUNKS as usize).div_ceil(64);
+
+/// A chunk header that fits the chunk layout.
+struct Chunk {
+    msg_id: u64,
+    idx: usize,
+    total: usize,
+    /// Header bytes.
+    header: usize,
+    /// Body bytes.
+    body: usize,
+}
+
+impl Chunk {
+    /// Parses the header at the front of `first`, the first bytes of a
+    /// `len`-byte frame; `None` unless it fits the chunk layout.
+    fn parse(first: &[u8], len: usize) -> Option<Chunk> {
+        let mut off = 0usize;
+        let msg_id = get_uvarint(first, &mut off)?;
+        let idx = get_uvarint(first, &mut off)?;
+        let total = get_uvarint(first, &mut off)?;
+        if total == 0 || total > MAX_CHUNKS || idx >= total {
+            return None;
+        }
+        let (idx, total, body) = (idx as usize, total as usize, len - off);
+        if body > CHUNK_DATA || (idx + 1 < total && body != CHUNK_DATA) {
+            return None;
+        }
+        Some(Chunk {
+            msg_id,
+            idx,
+            total,
+            header: off,
+            body,
+        })
+    }
+}
+
 /// A multi-record message being reassembled.
 #[derive(Debug)]
 struct Partial {
@@ -69,7 +129,7 @@ struct Partial {
     /// out-of-order chunk is zero-filled until its own chunk lands.
     buf: Vec<u8>,
     /// Bit `idx` is set once chunk `idx` has been placed.
-    placed: Vec<u64>,
+    placed: [u64; PLACED_WORDS],
     received: usize,
     total: usize,
 }
@@ -78,37 +138,38 @@ impl Partial {
     fn new(total: usize) -> Self {
         Partial {
             buf: Vec::with_capacity(total * CHUNK_DATA),
-            placed: vec![0; total.div_ceil(64)],
+            placed: [0; PLACED_WORDS],
             received: 0,
             total,
         }
     }
 
-    /// Copies chunk `idx` into place; `false` for a duplicate. The body
-    /// must already satisfy the chunk layout.
-    fn place(&mut self, idx: usize, body: &[u8]) -> bool {
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.placed[word] & bit != 0 {
-            return false;
-        }
-        self.placed[word] |= bit;
-        self.received += 1;
+    fn is_placed(&self, idx: usize) -> bool {
+        self.placed[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    /// Reads chunk `idx`'s `len`-byte body into its slot, `head` (its
+    /// first bytes) already read and the rest from `frame`. The body must
+    /// already satisfy the chunk layout and the chunk must not be placed.
+    fn write(&mut self, idx: usize, head: &[u8], len: usize, frame: &mut impl Plaintext) {
         let off = idx * CHUNK_DATA;
-        if off > self.buf.len() {
+        if off >= self.buf.len() {
+            // In order, or ahead of a gap that stays zeroed: straight onto
+            // the end.
             self.buf.resize(off, 0);
-        }
-        if off == self.buf.len() {
-            self.buf.extend_from_slice(body);
+            self.buf.extend_from_slice(head);
+            frame.append(len - head.len(), &mut self.buf);
         } else {
             // A full non-final chunk filling a gap left by a later one.
-            self.buf[off..off + body.len()].copy_from_slice(body);
+            let slot = &mut self.buf[off..off + len];
+            slot[..head.len()].copy_from_slice(head);
+            frame.read(&mut slot[head.len()..]);
         }
-        true
     }
 }
 
 /// The receive half's reassembly state, apart from the endpoint so a record
-/// opened into the channel's scratch can be placed without moving it.
+/// being opened can stream into it.
 #[derive(Debug, Default)]
 struct Reassembly {
     partials: FxHashMap<u64, Partial>,
@@ -116,39 +177,75 @@ struct Reassembly {
 }
 
 impl Reassembly {
-    fn ingest(&mut self, frame: &[u8]) -> Result<Option<Bytes>, DtlsError> {
-        let mut off = 0usize;
-        let msg_id = get_uvarint(frame, &mut off).ok_or(DtlsError::BadRecord)?;
-        let idx = get_uvarint(frame, &mut off).ok_or(DtlsError::BadRecord)?;
-        let total = get_uvarint(frame, &mut off).ok_or(DtlsError::BadRecord)?;
-        if total == 0 || total > MAX_CHUNKS || idx >= total {
+    fn receive(&mut self, mut frame: impl Plaintext) -> Result<Option<Bytes>, DtlsError> {
+        let len = frame.remaining();
+        let mut first = [0u8; FIRST_READ];
+        let first = &mut first[..len.min(FIRST_READ)];
+        frame.read(first);
+        let Some(c) = Chunk::parse(first, len) else {
+            // The frame is still authenticated first, so a record's
+            // sequence number is taken whether or not its chunk fits.
+            frame.finish()?;
             return Err(DtlsError::BadRecord);
-        }
-        let (idx, total) = (idx as usize, total as usize);
-        let body = &frame[off..];
-        if body.len() > CHUNK_DATA || (idx + 1 < total && body.len() != CHUNK_DATA) {
-            return Err(DtlsError::BadRecord);
-        }
-        if total == 1 {
+        };
+        let head = &first[c.header..];
+        if c.total == 1 {
             // Single-record message (all control traffic): no partial-map
-            // entry, one exact-size copy out of the scratch.
-            return Ok(Some(Bytes::copy_from_slice(body)));
+            // entry, read straight into its exact-size buffer.
+            let mut msg = Vec::with_capacity(c.body);
+            msg.extend_from_slice(head);
+            frame.append(c.body - head.len(), &mut msg);
+            frame.finish()?;
+            return Ok(Some(Bytes::from(msg)));
         }
+        let created = !self.partials.contains_key(&c.msg_id);
         let partial = self
             .partials
-            .entry(msg_id)
-            .or_insert_with(|| Partial::new(total));
-        if partial.total != total {
+            .entry(c.msg_id)
+            .or_insert_with(|| Partial::new(c.total));
+        if partial.total != c.total {
+            frame.finish()?;
             return Err(DtlsError::BadRecord);
         }
-        if !partial.place(idx, body) || partial.received < total {
+        let (before, placed) = (partial.buf.len(), partial.is_placed(c.idx));
+        if !placed {
+            partial.write(c.idx, head, c.body, &mut frame);
+        }
+        if let Err(e) = frame.finish() {
+            if created {
+                self.partials.remove(&c.msg_id);
+            } else {
+                partial.buf.truncate(before);
+            }
+            return Err(e);
+        }
+        if placed {
             return Ok(None);
         }
-        let done = self.partials.remove(&msg_id).expect("just placed");
+        partial.placed[c.idx / 64] |= 1 << (c.idx % 64);
+        partial.received += 1;
+        if partial.received < c.total {
+            return Ok(None);
+        }
+        let done = self.partials.remove(&c.msg_id).expect("just placed");
         let before = self.partials.len();
-        self.partials.retain(|&id, _| id > msg_id);
+        self.partials.retain(|&id, _| id > c.msg_id);
         self.evicted += (before - self.partials.len()) as u64;
         Ok(Some(Bytes::from(done.buf)))
+    }
+}
+
+/// A chunk header encoded on the stack.
+#[derive(Default)]
+struct ChunkHeader {
+    buf: [u8; MAX_CHUNK_HEADER],
+    len: usize,
+}
+
+impl BufMut for ChunkHeader {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.buf[self.len..self.len + src.len()].copy_from_slice(src);
+        self.len += src.len();
     }
 }
 
@@ -160,12 +257,12 @@ struct Gather<'a> {
 }
 
 impl Gather<'_> {
-    /// Appends the next `n` message bytes to `out`.
-    fn take_into(&mut self, mut n: usize, out: &mut BytesMut) {
+    /// Hands the next `n` message bytes to `put`, one run per part.
+    fn take(&mut self, mut n: usize, mut put: impl FnMut(&[u8])) {
         while n > 0 {
             let part = self.parts[self.part];
             let run = n.min(part.len() - self.off);
-            out.put_slice(&part[self.off..self.off + run]);
+            put(&part[self.off..self.off + run]);
             self.off += run;
             n -= run;
             if self.off == part.len() {
@@ -181,8 +278,6 @@ impl Gather<'_> {
 pub struct DataChannel {
     dtls: DtlsEndpoint,
     next_msg_id: u64,
-    /// Reused plaintext buffer every received record is opened into.
-    scratch: BytesMut,
     reassembly: Reassembly,
 }
 
@@ -200,7 +295,6 @@ impl DataChannel {
         DataChannel {
             dtls,
             next_msg_id: 0,
-            scratch: BytesMut::new(),
             reassembly: Reassembly::default(),
         }
     }
@@ -238,15 +332,16 @@ impl DataChannel {
         };
         for idx in 0..total {
             let body = CHUNK_DATA.min(len - idx * CHUNK_DATA);
-            let header = uvarint_len(msg_id) + uvarint_len(idx as u64) + uvarint_len(total as u64);
-            let mut record = BytesMut::new();
-            self.dtls.seal_with(header + body, &mut record, |out| {
-                put_uvarint(out, msg_id);
-                put_uvarint(out, idx as u64);
-                put_uvarint(out, total as u64);
-                src.take_into(body, out);
+            let mut header = ChunkHeader::default();
+            put_uvarint(&mut header, msg_id);
+            put_uvarint(&mut header, idx as u64);
+            put_uvarint(&mut header, total as u64);
+            let mut record = Vec::new();
+            self.dtls.seal_with(header.len + body, &mut record, |w| {
+                w.put(&header.buf[..header.len]);
+                src.take(body, |run| w.put(run));
             })?;
-            records.push(record.freeze());
+            records.push(Bytes::from(record));
         }
         Ok(records)
     }
@@ -259,8 +354,8 @@ impl DataChannel {
     /// break the chunk layout are reported as [`DtlsError::BadRecord`].
     pub fn receive_record(&mut self, record: &[u8]) -> Result<Option<Bytes>, DtlsError> {
         let _g = pdn_simnet::profile::phase(pdn_simnet::profile::Phase::Crypto);
-        self.dtls.open_into(record, &mut self.scratch)?;
-        self.reassembly.ingest(&self.scratch)
+        let record = self.dtls.open_record(record)?;
+        self.reassembly.receive(record)
     }
 
     /// Feeds an already-decrypted chunk frame (used when the harness opened
@@ -270,7 +365,7 @@ impl DataChannel {
     ///
     /// [`DtlsError::BadRecord`] for malformed chunk frames.
     pub fn ingest_plaintext(&mut self, frame: &[u8]) -> Result<Option<Bytes>, DtlsError> {
-        self.reassembly.ingest(frame)
+        self.reassembly.receive(frame)
     }
 
     /// Number of messages with outstanding chunks.
@@ -290,6 +385,7 @@ mod tests {
     use super::*;
     use crate::cert::Certificate;
     use crate::dtls::handshake;
+    use bytes::BytesMut;
     use pdn_simnet::SimRng;
 
     pub(super) fn endpoints(seed: u64) -> (DtlsEndpoint, DtlsEndpoint) {
@@ -619,13 +715,35 @@ mod prop_tests {
     //! Property tests for the send and receive paths: records gathered from
     //! any split into parts match sealing the chunk frames one by one, a
     //! damaged burst delivers exactly its undamaged messages, in order,
-    //! and reassembly from any mix of shuffled, duplicated, mis-sized or
-    //! forged-total chunk frames yields the exact message or `BadRecord`.
+    //! reassembly from any mix of shuffled, duplicated, mis-sized or
+    //! forged-total chunk frames yields the exact message or `BadRecord`,
+    //! and records that are refused, replayed or repeat a placed chunk
+    //! never change a placed byte or leave a partial message behind.
 
     use super::tests::{endpoints, frame, frames, receive_all};
     use super::*;
+    use bytes::BytesMut;
     use pdn_simnet::SimRng;
     use proptest::prelude::*;
+
+    /// Per partial message: its buffer and which chunks are placed.
+    type Snapshot = FxHashMap<u64, (Vec<u8>, Vec<usize>)>;
+
+    fn snapshot(rx: &DataChannel) -> Snapshot {
+        rx.reassembly
+            .partials
+            .iter()
+            .map(|(&id, p)| {
+                let placed = (0..p.total).filter(|&i| p.is_placed(i)).collect();
+                (id, (p.buf.clone(), placed))
+            })
+            .collect()
+    }
+
+    /// The bytes of chunk `idx` in a buffer of `len` bytes.
+    fn slot(idx: usize, len: usize) -> std::ops::Range<usize> {
+        idx * CHUNK_DATA..len.min((idx + 1) * CHUNK_DATA)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -712,6 +830,139 @@ mod prop_tests {
         }
 
         #[test]
+        fn refused_records_never_touch_placed_chunks(
+            lens in proptest::collection::vec(CHUNK_DATA + 1..3 * CHUNK_DATA, 1..4),
+            attacks in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..12),
+            seed in any::<u64>(),
+        ) {
+            // Genuine multi-record messages, each burst shuffled, the
+            // bursts in order; then records slipped in among them: a
+            // genuine record with a flipped bit (anywhere), a replay of one
+            // (after it), an authentic record repeating a placed chunk
+            // with other bytes (after it), an authentic record whose
+            // header breaks the layout or claims too many chunks
+            // (anywhere) or another total (after the message's first
+            // record), and a record with a bad tag opening a message of
+            // its own (anywhere). Fed record by record, no step may change
+            // a placed byte or leave a partial that a refused record
+            // created, and every genuine message arrives exactly, in order.
+            let mut rng = SimRng::seed(seed);
+            let (mut tx, s) = endpoints(99);
+            let mut messages: Vec<Vec<u8>> = Vec::new();
+            // (record, message, chunk)
+            let mut genuine: Vec<(Bytes, usize, usize)> = Vec::new();
+            for (m, &len) in lens.iter().enumerate() {
+                let message: Vec<u8> = (0..len).map(|i| (i * 7 + m * 31) as u8).collect();
+                let mut burst: Vec<(Bytes, usize, usize)> = frames(m as u64, &message)
+                    .iter()
+                    .enumerate()
+                    .map(|(j, f)| (tx.seal(f).unwrap(), m, j))
+                    .collect();
+                rng.shuffle(&mut burst);
+                genuine.extend(burst);
+                messages.push(message);
+            }
+            let at = |m: usize, j: usize| {
+                genuine.iter().position(|&(_, gm, gj)| (gm, gj) == (m, j)).unwrap() as i64
+            };
+            let first_of = |m: usize| {
+                genuine.iter().position(|&(_, gm, _)| gm == m).unwrap() as i64
+            };
+            let flip = |rec: &Bytes, bit: u32| {
+                let mut v = rec.to_vec();
+                let bit = bit as usize % (v.len() * 8);
+                v[bit / 8] ^= 1 << (bit % 8);
+                Bytes::from(v)
+            };
+            let mut slipped: Vec<(i64, Bytes)> = Vec::new();
+            for &(kind, p, q) in &attacks {
+                let (p, q) = (p as usize, q as usize);
+                let (rec, m, j) = genuine[p % genuine.len()].clone();
+                let total = messages[m].len().div_ceil(CHUNK_DATA);
+                let (after, record) = match kind {
+                    0 => (-1, flip(&rec, q as u32)),
+                    1 => (at(m, j), rec),
+                    2 => {
+                        let body = vec![0xee; slot(j, messages[m].len()).len()];
+                        (at(m, j), tx.seal(&frame(m as u64, j as u64, total as u64, &body)).unwrap())
+                    }
+                    3 => {
+                        let (t, body) = if q % 2 == 0 {
+                            (MAX_CHUNKS + 1 + q as u64 % 5, CHUNK_DATA)
+                        } else {
+                            (total as u64, CHUNK_DATA - 1 - q % 40)
+                        };
+                        let f = frame(m as u64, 0, t, &vec![0xdd; body]);
+                        (-1, tx.seal(&f).unwrap())
+                    }
+                    4 => {
+                        let f = frame(m as u64, 0, total as u64 + 1, &[0xcc; CHUNK_DATA]);
+                        (first_of(m), tx.seal(&f).unwrap())
+                    }
+                    _ => {
+                        let f = frame(100 + q as u64 % 50, 0, 3, &[0xbb; CHUNK_DATA]);
+                        let rec = tx.seal(&f).unwrap();
+                        let tag_bit = (rec.len() - 1) * 8 + q % 8;
+                        (-1, flip(&rec, tag_bit as u32))
+                    }
+                };
+                // Right after a genuine record no earlier than `after`.
+                let lo = after.max(-1);
+                let key = lo + rng.range(0..(genuine.len() as i64 - lo) as usize) as i64;
+                slipped.push((key, record));
+            }
+            let mut wire: Vec<(i64, usize, Bytes)> = genuine
+                .iter()
+                .enumerate()
+                .map(|(i, (r, _, _))| (i as i64, 0, r.clone()))
+                .chain(slipped.into_iter().enumerate().map(|(n, (k, r))| (k, n + 1, r)))
+                .collect();
+            wire.sort_by_key(|&(k, n, _)| (k, n));
+
+            let mut rx = DataChannel::new(s);
+            let mut delivered = Vec::new();
+            for (_, _, record) in &wire {
+                let before = snapshot(&rx);
+                let res = rx.receive_record(record);
+                let after = snapshot(&rx);
+                for (id, (buf, placed)) in &before {
+                    let Some((now, still)) = after.get(id) else { continue };
+                    for &i in placed {
+                        prop_assert!(still.contains(&i), "chunk {} of {} unplaced", i, id);
+                        let r = slot(i, buf.len());
+                        prop_assert_eq!(&now[r.clone()], &buf[r], "chunk {} of {} changed", i, id);
+                    }
+                }
+                if let Ok(Some(m)) = &res {
+                    delivered.push(m.clone());
+                }
+                // A genuine message still being reassembled holds only its
+                // own bytes. (Once delivered, a repeated chunk may start
+                // it over as a new partial: authentic, so accepted.)
+                for (id, (buf, placed)) in &after {
+                    let id = *id as usize;
+                    if let Some(message) = messages.get(id).filter(|_| id >= delivered.len()) {
+                        for &i in placed {
+                            let r = slot(i, message.len());
+                            prop_assert_eq!(&buf[r.clone()], &message[r], "chunk {} of {}", i, id);
+                        }
+                    }
+                }
+                if res.is_err() {
+                        for (id, (buf, _)) in &after {
+                            let was = before.get(id);
+                            prop_assert!(was.is_some(), "refused record left partial {}", id);
+                            prop_assert_eq!(buf.len(), was.unwrap().0.len(), "partial {} grew", id);
+                        }
+                }
+            }
+            prop_assert_eq!(delivered.len(), messages.len());
+            for (got, want) in delivered.iter().zip(&messages) {
+                prop_assert_eq!(&got[..], &want[..]);
+            }
+        }
+
+        #[test]
         fn reassembly_yields_exact_message_or_bad_record(
             len in 0usize..4 * CHUNK_DATA + 100,
             seed in any::<u64>(),
@@ -765,7 +1016,7 @@ mod prop_tests {
             let mut rx = Reassembly::default();
             let mut delivered = 0;
             for f in &fs {
-                match rx.ingest(f) {
+                match rx.receive(&f[..]) {
                     Ok(Some(m)) => {
                         prop_assert_eq!(&m[..], &message[..]);
                         delivered += 1;

@@ -46,11 +46,16 @@
 //!
 //! # Record fast path
 //!
-//! Every peer-served byte crosses this layer, so the record path runs
-//! allocation-free at steady state:
+//! Every peer-served byte crosses this layer, so each byte passes through
+//! memory once per side and the record path runs allocation-free at steady
+//! state:
 //!
-//! - [`DtlsEndpoint::seal_into`] / [`DtlsEndpoint::open_into`] encrypt and
-//!   decrypt in place in a caller-owned reusable [`BytesMut`];
+//! - [`DtlsEndpoint::seal`] / [`DtlsEndpoint::open`] encrypt and decrypt
+//!   straight into the spare capacity of a buffer of exactly the record's
+//!   (or plaintext's) size, and [`DtlsEndpoint::seal_into`] /
+//!   [`DtlsEndpoint::open_into`] out of place into a caller-owned reusable
+//!   [`BytesMut`] (sized first, as the vendored `bytes` has no safe way to
+//!   write spare capacity); no path stages the bytes in a second buffer;
 //! - the AES key schedule and the GHASH key material are expanded once per
 //!   session, into boxed session keys (one allocation per handshake, none
 //!   per record, and the endpoint stays small inline);
@@ -58,8 +63,11 @@
 //!   flight and reduces GHASH once per 128 bytes; with AVX-512, VAES and
 //!   VPCLMULQDQ it runs sixteen blocks per 256-byte stride first;
 //! - the data channel seals each record straight from the message's parts
-//!   (the crate-private `DtlsEndpoint::seal_with` appends the plaintext
-//!   into the record buffer), so a multi-record message is never staged.
+//!   (the crate-private `DtlsEndpoint::seal_with` hands a `RecordWriter`
+//!   that encrypts each piece onto the record buffer), and opens each
+//!   record straight into its reassembly slot (`DtlsEndpoint::open_record`
+//!   streams the plaintext to the destinations the channel picks, and its
+//!   `finish` runs the tag and replay checks).
 //!
 //! The pre-AES record path (a SHA-256 keystream plus a per-record HMAC)
 //! lives on as a test oracle in the `pdn-oracle` crate, the baseline
@@ -181,8 +189,6 @@ pub struct DtlsEndpoint {
     /// Last handshake flight sent, re-sent on duplicate requests (UDP loss
     /// recovery).
     last_flight: Option<Bytes>,
-    /// Reusable record buffer backing the allocating `seal`/`open` wrappers.
-    scratch: BytesMut,
 }
 
 /// Anti-replay sliding window (RFC 6347 §4.1.2.6 style): accepts reordered
@@ -254,53 +260,127 @@ impl RecordKey {
         n
     }
 
-    /// Writes record `seq` carrying a `len`-byte plaintext into `out`
-    /// (cleared first, then sized to the record): header, the plaintext
-    /// `write` appends, encrypted in place, tag.
-    fn seal_record(
-        &self,
-        seq: u64,
-        len: usize,
-        out: &mut BytesMut,
-        write: impl FnOnce(&mut BytesMut),
-    ) {
-        out.clear();
-        out.reserve(HEADER_LEN + len + TAG_LEN);
-        out.put_u8(CT_APPDATA);
-        out.put_slice(&VERSION);
-        out.put_u64(seq);
-        out.put_u16((len + TAG_LEN) as u16);
-        write(out);
-        assert_eq!(
-            out.len(),
-            HEADER_LEN + len,
-            "the plaintext writer must append exactly {len} bytes"
-        );
-        let (header, body) = out.split_at_mut(HEADER_LEN);
-        let tag = self.gcm.seal_in_place(&self.nonce(seq), header, body);
-        out.put_slice(&tag);
+    /// The header of record `seq` carrying a `len`-byte plaintext, and
+    /// the stream that seals the plaintext under it (the header is the
+    /// AAD).
+    fn sealing(&self, seq: u64, len: usize) -> ([u8; HEADER_LEN], aes_gcm::SealStream<'_>) {
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = CT_APPDATA;
+        header[1..3].copy_from_slice(&VERSION);
+        header[3..11].copy_from_slice(&seq.to_be_bytes());
+        header[11..].copy_from_slice(&((len + TAG_LEN) as u16).to_be_bytes());
+        let stream = self.gcm.sealing(&self.nonce(seq), &header);
+        (header, stream)
+    }
+}
+
+/// The plaintext side of a record being sealed: each [`Self::put`] is
+/// encrypted straight onto the end of the record buffer.
+pub(crate) struct RecordWriter<'a> {
+    stream: aes_gcm::SealStream<'a>,
+    out: &'a mut Vec<u8>,
+}
+
+impl RecordWriter<'_> {
+    /// Appends the next plaintext bytes, encrypted.
+    pub(crate) fn put(&mut self, plaintext: &[u8]) {
+        self.stream.append(plaintext, self.out);
+    }
+}
+
+/// A record whose header checked out, being opened: its plaintext streams,
+/// in order, to whatever destinations the caller picks, and nothing of it
+/// is authentic until [`Plaintext::finish`] accepts it.
+pub(crate) struct OpenRecord<'a> {
+    stream: aes_gcm::OpenStream<'a>,
+    /// The ciphertext not yet streamed.
+    rest: &'a [u8],
+    tag: &'a [u8],
+    seq: u64,
+    replay: &'a mut ReplayWindow,
+    state: &'a mut State,
+}
+
+/// A chunk of plaintext read front to back: a record being opened
+/// (decrypted as it is read, judged at [`Plaintext::finish`]) or a frame
+/// already in plaintext.
+pub(crate) trait Plaintext {
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize;
+    /// Reads the next `dst.len()` bytes into `dst`.
+    fn read(&mut self, dst: &mut [u8]);
+    /// Reads the next `n` bytes onto the end of `out`.
+    fn append(&mut self, n: usize, out: &mut Vec<u8>);
+    /// Accepts or refuses the whole plaintext; what was not read only
+    /// counts towards the verdict.
+    fn finish(self) -> Result<(), DtlsError>;
+}
+
+impl<'a> OpenRecord<'a> {
+    /// The next `n` ciphertext bytes.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (now, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        now
+    }
+}
+
+impl Plaintext for OpenRecord<'_> {
+    fn remaining(&self) -> usize {
+        self.rest.len()
     }
 
-    /// Authenticates and decrypts `record` into `out`, returning its
-    /// sequence number. Decryption is speculative: on a bad tag `out` is
-    /// cleared; a structurally invalid record leaves `out` untouched. The
-    /// replay window is the caller's.
-    fn open_record(&self, record: &[u8], out: &mut BytesMut) -> Result<u64, DtlsError> {
-        if record.len() < HEADER_LEN + TAG_LEN || record[0] != CT_APPDATA || record[1..3] != VERSION
-        {
+    fn read(&mut self, dst: &mut [u8]) {
+        let src = self.take(dst.len());
+        self.stream.update(src, dst);
+    }
+
+    fn append(&mut self, n: usize, out: &mut Vec<u8>) {
+        let src = self.take(n);
+        self.stream.append(src, out);
+    }
+
+    /// Authenticates the record: GHASH over whatever was not read (no
+    /// output), the tag, then the replay window. Only when both accept
+    /// does the record count as received (and complete a handshake that
+    /// awaited only the client's Finished): [`DtlsError::BadRecord`] on a
+    /// bad tag, [`DtlsError::Replay`] for a sequence number the window
+    /// refuses.
+    fn finish(mut self) -> Result<(), DtlsError> {
+        let rest = self.take(self.rest.len());
+        self.stream.verify(rest);
+        if !self.stream.finish(self.tag) {
             return Err(DtlsError::BadRecord);
         }
-        let seq = u64::from_be_bytes(record[3..11].try_into().expect("length checked"));
-        let (header, rest) = record.split_at(HEADER_LEN);
-        let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
-        out.clear();
-        out.reserve(ciphertext.len());
-        out.put_slice(ciphertext);
-        if !self.gcm.open_in_place(&self.nonce(seq), header, out, tag) {
-            out.clear();
-            return Err(DtlsError::BadRecord);
+        if !self.replay.check_and_update(self.seq) {
+            return Err(DtlsError::Replay);
         }
-        Ok(seq)
+        if matches!(self.state, State::AwaitClientFinished { .. }) {
+            *self.state = State::Established;
+        }
+        Ok(())
+    }
+}
+
+impl Plaintext for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn read(&mut self, dst: &mut [u8]) {
+        let (now, rest) = self.split_at(dst.len());
+        dst.copy_from_slice(now);
+        *self = rest;
+    }
+
+    fn append(&mut self, n: usize, out: &mut Vec<u8>) {
+        let (now, rest) = self.split_at(n);
+        out.extend_from_slice(now);
+        *self = rest;
+    }
+
+    fn finish(self) -> Result<(), DtlsError> {
+        Ok(())
     }
 }
 
@@ -368,7 +448,6 @@ impl DtlsEndpoint {
                 replay: ReplayWindow::default(),
                 peer_fingerprint: None,
                 last_flight: None,
-                scratch: BytesMut::new(),
             },
             hello,
         )
@@ -388,7 +467,6 @@ impl DtlsEndpoint {
             replay: ReplayWindow::default(),
             peer_fingerprint: None,
             last_flight: None,
-            scratch: BytesMut::new(),
         }
     }
 
@@ -527,110 +605,162 @@ impl DtlsEndpoint {
         }
     }
 
-    /// Encrypts `plaintext` into an application-data record.
-    ///
-    /// Convenience wrapper over [`Self::seal_into`] using an internal
-    /// reusable buffer; the returned [`Bytes`] is an owned copy. Hot paths
-    /// sending many records should call `seal_into` with their own buffer.
+    /// Encrypts `plaintext` into an application-data record, in a buffer
+    /// of exactly the record's size.
     ///
     /// # Errors
     ///
-    /// Returns [`DtlsError::NotEstablished`] before the handshake completes.
+    /// As [`Self::seal_into`].
     pub fn seal(&mut self, plaintext: &[u8]) -> Result<Bytes, DtlsError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.seal_into(plaintext, &mut scratch);
-        let out = result.map(|()| Bytes::copy_from_slice(&scratch));
-        self.scratch = scratch;
-        out
+        let mut out = Vec::new();
+        self.seal_with(plaintext.len(), &mut out, |w| w.put(plaintext))?;
+        Ok(Bytes::from(out))
     }
 
     /// Encrypts `plaintext` into an application-data record written to
     /// `out` (cleared first). With a warm `out`, the steady-state path
-    /// performs zero heap allocations: the plaintext is copied once into
-    /// `out` and encrypted there in place, and the tag is appended.
+    /// performs zero heap allocations: `out` is sized to the record and
+    /// the plaintext encrypted into it behind the header.
     ///
     /// # Errors
     ///
     /// Returns [`DtlsError::NotEstablished`] before the handshake
     /// completes, [`DtlsError::Oversize`] beyond [`MAX_RECORD_PLAINTEXT`].
     pub fn seal_into(&mut self, plaintext: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
-        self.seal_with(plaintext.len(), out, |o| o.put_slice(plaintext))
+        let (header, mut stream) = self.next_record(plaintext.len())?;
+        out.clear();
+        out.reserve(HEADER_LEN + plaintext.len() + TAG_LEN);
+        out.extend_from_slice(&header);
+        out.resize(HEADER_LEN + plaintext.len(), 0);
+        stream.update(plaintext, &mut out[HEADER_LEN..]);
+        out.extend_from_slice(&stream.finish());
+        Ok(())
     }
 
-    /// [`Self::seal_into`] for a plaintext that `write` appends to `out`
-    /// (after the record header) instead of one contiguous slice: the
-    /// data channel gathers a chunk header and a chunk body from the
-    /// message's parts straight into the record buffer. `write` must
-    /// append exactly `len` bytes.
+    /// Seals a record of a `len`-byte plaintext that `write` puts in
+    /// pieces into `out` (cleared first, then exactly the record's size):
+    /// the data channel encrypts a chunk header and a chunk body from the
+    /// message's parts straight into the record buffer. `write` must put
+    /// exactly `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::seal_into`].
     pub(crate) fn seal_with(
         &mut self,
         len: usize,
-        out: &mut BytesMut,
-        write: impl FnOnce(&mut BytesMut),
+        out: &mut Vec<u8>,
+        write: impl FnOnce(&mut RecordWriter<'_>),
     ) -> Result<(), DtlsError> {
+        let (header, stream) = self.next_record(len)?;
+        out.clear();
+        out.reserve_exact(HEADER_LEN + len + TAG_LEN);
+        out.extend_from_slice(&header);
+        let mut w = RecordWriter { stream, out };
+        write(&mut w);
+        let RecordWriter { stream, out } = w;
+        assert_eq!(
+            out.len(),
+            HEADER_LEN + len,
+            "the plaintext writer must put exactly {len} bytes"
+        );
+        out.extend_from_slice(&stream.finish());
+        Ok(())
+    }
+
+    /// Takes the next sequence number for a `len`-byte plaintext: the
+    /// record header and the stream that seals the plaintext.
+    fn next_record(
+        &mut self,
+        len: usize,
+    ) -> Result<([u8; HEADER_LEN], aes_gcm::SealStream<'_>), DtlsError> {
         if !self.is_established() {
             return Err(DtlsError::NotEstablished);
         }
         if len > MAX_RECORD_PLAINTEXT {
             return Err(DtlsError::Oversize);
         }
-        let keys = self.keys.as_ref().expect("established implies keys");
-        keys.sealing(self.role)
-            .seal_record(self.send_seq, len, out, write);
+        let seq = self.send_seq;
         self.send_seq += 1;
-        Ok(())
+        let keys = self.keys.as_ref().expect("established implies keys");
+        Ok(keys.sealing(self.role).sealing(seq, len))
     }
 
-    /// Decrypts an application-data record.
-    ///
-    /// Convenience wrapper over [`Self::open_into`] using an internal
-    /// reusable buffer; the returned [`Bytes`] is an owned copy.
+    /// Decrypts an application-data record into a buffer of exactly the
+    /// plaintext's size.
     ///
     /// # Errors
     ///
-    /// [`DtlsError::BadRecord`] on authentication failure,
-    /// [`DtlsError::Replay`] for non-monotonic sequence numbers.
+    /// As [`Self::open_into`].
     pub fn open(&mut self, record: &[u8]) -> Result<Bytes, DtlsError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.open_into(record, &mut scratch);
-        let out = result.map(|()| Bytes::copy_from_slice(&scratch));
-        self.scratch = scratch;
-        out
+        let mut rec = self.open_record(record)?;
+        let mut out = Vec::with_capacity(rec.remaining());
+        rec.append(rec.remaining(), &mut out);
+        rec.finish()?;
+        Ok(Bytes::from(out))
     }
 
     /// Decrypts an application-data record into `out` (cleared first).
     /// With a warm `out` the steady-state path performs zero heap
-    /// allocations: the ciphertext is copied once into `out` and decrypted
-    /// there while GHASH runs over it; `out` is cleared again unless both
-    /// the tag and the replay window accept the record.
+    /// allocations: `out` is sized to the plaintext and the ciphertext
+    /// decrypted into it while GHASH runs over it; `out` is cleared again
+    /// unless both the tag and the replay window accept the record.
     ///
     /// # Errors
     ///
     /// [`DtlsError::BadRecord`] on authentication failure,
     /// [`DtlsError::Replay`] for non-monotonic sequence numbers.
     pub fn open_into(&mut self, record: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
+        let mut rec = self.open_record(record)?;
+        out.clear();
+        out.resize(rec.remaining(), 0);
+        rec.read(out);
+        rec.finish().inspect_err(|_| out.clear())
+    }
+
+    /// Checks `record`'s header and starts opening it; the caller streams
+    /// the plaintext where it wants and then calls [`Plaintext::finish`].
+    ///
+    /// # Errors
+    ///
+    /// [`DtlsError::NotEstablished`] before the handshake got as far as
+    /// the session keys, [`DtlsError::BadRecord`] for a record too short
+    /// or of the wrong type or version.
+    pub(crate) fn open_record<'a>(
+        &'a mut self,
+        record: &'a [u8],
+    ) -> Result<OpenRecord<'a>, DtlsError> {
         // Implicit handshake completion (cf. DTLS epoch semantics): when
         // only the client's Finished is outstanding, a record that passes
         // authentication proves the peer holds the session keys, so the
         // handshake is complete even if the Finished flight was lost.
-        let awaiting_finished =
-            matches!(self.state, State::AwaitClientFinished { .. }) && self.keys.is_some();
-        if !self.is_established() && !awaiting_finished {
-            return Err(DtlsError::NotEstablished);
+        let DtlsEndpoint {
+            role,
+            state,
+            keys,
+            replay,
+            ..
+        } = self;
+        let keys = match (&*state, keys) {
+            (State::Established | State::AwaitClientFinished { .. }, Some(keys)) => keys,
+            _ => return Err(DtlsError::NotEstablished),
+        };
+        if record.len() < HEADER_LEN + TAG_LEN || record[0] != CT_APPDATA || record[1..3] != VERSION
+        {
+            return Err(DtlsError::BadRecord);
         }
-        let keys = self
-            .keys
-            .as_ref()
-            .expect("established or awaiting implies keys");
-        let seq = keys.opening(self.role).open_record(record, out)?;
-        if !self.replay.check_and_update(seq) {
-            out.clear();
-            return Err(DtlsError::Replay);
-        }
-        if awaiting_finished {
-            self.state = State::Established;
-        }
-        Ok(())
+        let seq = u64::from_be_bytes(record[3..11].try_into().expect("length checked"));
+        let (header, rest) = record.split_at(HEADER_LEN);
+        let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+        let key = keys.opening(*role);
+        Ok(OpenRecord {
+            stream: key.gcm.opening(&key.nonce(seq), header),
+            rest: ciphertext,
+            tag,
+            seq,
+            replay,
+            state,
+        })
     }
 }
 

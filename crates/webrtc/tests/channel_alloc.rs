@@ -1,10 +1,11 @@
 //! Allocation pins for the data channel, measured with a counting global
-//! allocator (same stance as provider's `join_alloc`): a warm 3 MB message
-//! costs a fixed number of allocations to send and to receive — one exact
-//! size buffer plus its `Bytes` handle per record on the send side, one
-//! reassembly buffer for the whole message on the receive side, and no
-//! staging or re-copy buffers on either — and a record whose header claims
-//! more than the max message size allocates no more than one chunk.
+//! allocator (same stance as provider's `join_alloc`): a 3 MB message
+//! costs a fixed number of allocations to send and to receive — the
+//! record list and one exact-size buffer per record on the send side, one
+//! reassembly buffer for the whole message on the receive side, each
+//! buffer plus the `Bytes` handle that shares it, and no staging, scratch
+//! or re-copy buffers on either — and a record whose header claims more
+//! than the max message size allocates no more than one chunk.
 //!
 //! The counters are per thread, so the tests can run in parallel.
 
@@ -70,6 +71,10 @@ fn endpoints() -> (DtlsEndpoint, DtlsEndpoint) {
 
 const SEGMENT: usize = 3_000_000;
 
+/// Bytes of the shared handle `Bytes::from(Vec<u8>)` allocates: the
+/// vendored `bytes` keeps the buffer in an `Arc<Vec<u8>>`.
+const HANDLE: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
+
 /// Message bytes per record: a full record less the worst-case chunk
 /// header (three 10-byte varints).
 const CHUNK: usize = MAX_RECORD_PLAINTEXT - 30;
@@ -92,7 +97,7 @@ fn warm_3mb_message_send_and_receive_allocation_counts_are_pinned() {
     let segment: Vec<u8> = (0..SEGMENT).map(|i| (i % 251) as u8).collect();
     let mut msgs: Vec<Bytes> = Vec::with_capacity(1);
 
-    // Warm: the receive scratch grows to a full record once.
+    // Warm: the receiver's partial-message map lays out its table once.
     let records = tx.send_message(&[&header, &segment]).unwrap();
     receive_all(&mut rx, &records, &mut msgs);
     assert_eq!(msgs.len(), 1);
@@ -101,22 +106,60 @@ fn warm_3mb_message_send_and_receive_allocation_counts_are_pinned() {
     assert_eq!(n, 184, "a 3 MB segment is 184 records");
 
     for _ in 0..2 {
-        let (send_allocs, _, records) = measure(|| tx.send_message(&[&header, &segment]).unwrap());
+        let (send_allocs, send_bytes, records) =
+            measure(|| tx.send_message(&[&header, &segment]).unwrap());
         // The record list, then per record its exact-size buffer and the
-        // `Bytes` handle that freezes it.
+        // `Bytes` handle that shares it.
         assert_eq!(send_allocs, 1 + 2 * n as u64, "send");
+        let wire: usize = records.iter().map(Bytes::len).sum();
+        let list = n * std::mem::size_of::<Bytes>();
+        assert_eq!(send_bytes, (list + wire + n * HANDLE) as u64, "send bytes");
 
-        let (recv_allocs, recv_bytes, ()) = measure(|| receive_all(&mut rx, &records, &mut msgs));
-        // The reassembly buffer, its received-bitmap and the message's
-        // `Bytes` handle; opening every record reuses the warm scratch.
-        assert_eq!(recv_allocs, 3, "receive");
+        // Per record, with the same counter: the first reserves the
+        // message buffer, the last wraps it in its handle, the others
+        // decrypt into it and allocate nothing.
+        let per_record: Vec<u64> = records
+            .iter()
+            .map(|r| {
+                measure(|| {
+                    if let Some(m) = rx.receive_record(r).expect("intact record") {
+                        msgs.push(m);
+                    }
+                })
+                .0
+            })
+            .collect();
+        assert_eq!(per_record[0], 1, "the message buffer");
+        assert_eq!(per_record[n - 1], 1, "the message's handle");
         assert!(
-            recv_bytes < (n * CHUNK) as u64 + 1024,
-            "receive reserved {recv_bytes} B for a {} B message",
-            SEGMENT + header.len()
+            per_record[1..n - 1].iter().all(|&a| a == 0),
+            "{per_record:?}"
         );
         assert_eq!(&msgs[0][header.len()..], &segment[..]);
         msgs.clear();
+
+        // The whole receive in bytes: one reservation of every chunk slot,
+        // plus the handle.
+        let records = tx.send_message(&[&header, &segment]).unwrap();
+        let (_, recv_bytes, ()) = measure(|| receive_all(&mut rx, &records, &mut msgs));
+        assert_eq!(recv_bytes, (n * CHUNK + HANDLE) as u64, "receive bytes");
+        assert_eq!(&msgs[0][header.len()..], &segment[..]);
+        msgs.clear();
+    }
+}
+
+#[test]
+fn single_record_message_is_one_exact_buffer() {
+    let (c, s) = endpoints();
+    let (mut tx, mut rx) = (DataChannel::new(c), DataChannel::new(s));
+    for len in [0usize, 1, 31, 32, 33, 1200, CHUNK] {
+        let msg: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let records = tx.send_message(&[&msg]).unwrap();
+        let (allocs, bytes, got) = measure(|| rx.receive_record(&records[0]).unwrap());
+        assert_eq!(&got.expect("one record")[..], &msg[..], "len {len}");
+        // The message buffer (none when empty) and its handle.
+        assert_eq!(allocs, 1 + u64::from(len > 0), "len {len}");
+        assert_eq!(bytes, (len + HANDLE) as u64, "len {len}");
     }
 }
 
@@ -137,15 +180,8 @@ fn forged_total_record_allocates_no_more_than_one_chunk() {
     let body = vec![9u8; CHUNK];
     let limit = MAX_MESSAGE_SIZE.div_ceil(CHUNK) as u64;
 
-    // Cold receiver, first record ever: a total far past the max message
-    // size is refused, and only the record scratch was allocated.
-    let record = forged(&mut c, 1, u64::MAX, &body);
-    let (_, bytes, res) = measure(|| rx.receive_record(&record));
-    assert_eq!(res, Err(DtlsError::BadRecord));
-    assert!(bytes <= MAX_RECORD_PLAINTEXT as u64, "cold: {bytes} B");
-
-    // Warm: a forged total allocates nothing at all.
-    for total in [limit + 1, 1 << 22, u64::MAX] {
+    // A forged total allocates nothing at all, on a cold receiver too.
+    for total in [u64::MAX, limit + 1, 1 << 22, u64::MAX] {
         let record = forged(&mut c, 2, total, &body);
         let (allocs, _, res) = measure(|| rx.receive_record(&record));
         assert_eq!(res, Err(DtlsError::BadRecord), "total {total}");
