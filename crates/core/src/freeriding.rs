@@ -105,10 +105,10 @@ pub fn domain_spoofing_attack(profile: &ProviderProfile, seed: u64) -> (AuthTest
             node,
             Box::new(|dir, dgram| {
                 if dir != TapDirection::Outbound || dgram.src.port != ports::SIGNAL {
-                    return TapVerdict::forward();
+                    return TapVerdict::Forward;
                 }
                 let Some(msg) = SignalMsg::decode(&dgram.payload) else {
-                    return TapVerdict::forward();
+                    return TapVerdict::Forward;
                 };
                 if let SignalMsg::Join {
                     api_key,
@@ -127,9 +127,9 @@ pub fn domain_spoofing_attack(profile: &ProviderProfile, seed: u64) -> (AuthTest
                         manifest_hash,
                         sdp,
                     };
-                    TapVerdict::replace(spoofed.encode())
+                    TapVerdict::Replace(spoofed.encode())
                 } else {
-                    TapVerdict::forward()
+                    TapVerdict::Forward
                 }
             }),
         );

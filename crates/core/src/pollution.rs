@@ -94,16 +94,16 @@ fn install_fake_cdn(world: &mut PdnWorld, node: NodeId, mode: PollutionMode) {
             // controlled peer (Figure 3's redirect-to-fake-CDN collapses to
             // an in-path rewrite in the simulator).
             if dir != TapDirection::Inbound || dgram.dst.port != ports::HTTP {
-                return TapVerdict::forward();
+                return TapVerdict::Forward;
             }
             let Some(resp) = HttpResponse::decode(&dgram.payload) else {
-                return TapVerdict::forward();
+                return TapVerdict::Forward;
             };
             match (mode, resp) {
                 (PollutionMode::Direct, HttpResponse::Playlist { text }) => {
                     // The fake CDN serves its own (doctored) manifest.
                     let doctored = format!("{text}#EXT-X-FAKE-CDN:1\n");
-                    TapVerdict::replace(HttpResponse::Playlist { text: doctored }.encode())
+                    TapVerdict::Replace(HttpResponse::Playlist { text: doctored }.encode())
                 }
                 (
                     PollutionMode::Direct,
@@ -114,7 +114,7 @@ fn install_fake_cdn(world: &mut PdnWorld, node: NodeId, mode: PollutionMode) {
                         duration_ms,
                         data,
                     },
-                ) => TapVerdict::replace(polluted_frame(video, rendition, seq, duration_ms, &data)),
+                ) => TapVerdict::Replace(polluted_frame(video, rendition, seq, duration_ms, &data)),
                 (
                     PollutionMode::FromSeq(from),
                     HttpResponse::Segment {
@@ -125,9 +125,9 @@ fn install_fake_cdn(world: &mut PdnWorld, node: NodeId, mode: PollutionMode) {
                         data,
                     },
                 ) if seq >= from => {
-                    TapVerdict::replace(polluted_frame(video, rendition, seq, duration_ms, &data))
+                    TapVerdict::Replace(polluted_frame(video, rendition, seq, duration_ms, &data))
                 }
-                _ => TapVerdict::forward(),
+                _ => TapVerdict::Forward,
             }
         }),
     );

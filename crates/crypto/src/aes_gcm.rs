@@ -18,13 +18,9 @@
 //! output once:
 //!
 //! - `update(src, dst)` writes to another buffer, `append(src, vec)` into
-//!   a `Vec`'s spare capacity (no zero-fill first), `update_in_place(buf)`
-//!   over the input itself;
+//!   a `Vec`'s spare capacity (no zero-fill first);
 //! - [`OpenStream::verify`] runs GHASH over ciphertext and writes nothing,
 //!   for a receiver that already holds those bytes.
-//!
-//! [`Aes128Gcm::seal_in_place`] and [`Aes128Gcm::open_in_place`] are
-//! one-shot wrappers over the same core.
 //!
 //! # Backends
 //!
@@ -55,8 +51,8 @@
 //!
 //! All of it is in the private `ni` module (x86-64 only): the intrinsics
 //! behind `target_feature` gates, the hardware loop's loads and stores
-//! through the raw input and output pointers of an update (which may be
-//! equal, for in place, or null on output, for verify-only), and the
+//! through the raw input and output pointers of an update (null on
+//! output, for verify-only), and the
 //! `set_len` that commits the bytes `append` wrote into a `Vec`'s spare
 //! capacity. Each piece carries its own SAFETY comment. On other targets
 //! `append` zero-fills the bytes it then overwrites.
@@ -68,18 +64,14 @@
 //!
 //! let gcm = Aes128Gcm::new(&[7u8; 16]);
 //! let nonce = [1u8; 12];
-//! let mut buf = *b"segment bytes";
-//! let tag = gcm.seal_in_place(&nonce, b"header", &mut buf);
-//! assert_ne!(&buf, b"segment bytes");
-//! assert!(gcm.open_in_place(&nonce, b"header", &mut buf, &tag));
-//! assert_eq!(&buf, b"segment bytes");
 //!
-//! // The same message, streamed out of place in uneven pieces.
+//! // A message streamed in uneven pieces.
 //! let mut seal = gcm.sealing(&nonce, b"header");
 //! let mut ct = Vec::new();
 //! seal.append(b"segment", &mut ct);
 //! seal.append(b" bytes", &mut ct);
-//! assert_eq!(seal.finish(), tag);
+//! let tag = seal.finish();
+//! assert_ne!(&ct[..], b"segment bytes");
 //! let mut open = gcm.opening(&nonce, b"header");
 //! let mut pt = [0u8; 13];
 //! open.update(&ct[..5], &mut pt[..5]);
@@ -100,21 +92,6 @@ pub const NONCE_LEN: usize = 12;
 pub const TAG_LEN: usize = 16;
 
 const BLOCK: usize = 16;
-
-/// Whether [`Aes128Gcm::new`] picks a hardware backend (`aes-ni` or
-/// `vaes-avx512`, see [`Aes128Gcm::backend`]) on this host.
-///
-/// Benchmarks use this to annotate results; output is identical either way.
-pub fn hw_accelerated() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        ni::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// An expanded AES-128-GCM key: the AES round keys plus the GHASH key
 /// material for the backend chosen at construction.
@@ -183,36 +160,6 @@ impl Aes128Gcm {
         OpenStream(Stream::new(self, nonce, aad, false))
     }
 
-    /// Encrypts `buf` in place and returns the tag over `aad` and the
-    /// ciphertext.
-    pub fn seal_in_place(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        buf: &mut [u8],
-    ) -> [u8; TAG_LEN] {
-        let mut s = self.sealing(nonce, aad);
-        s.update_in_place(buf);
-        s.finish()
-    }
-
-    /// Decrypts `buf` in place and checks `tag` in constant time.
-    ///
-    /// Decryption is speculative: on `false` the tag did not verify and
-    /// `buf` holds unauthenticated bytes that the caller must discard.
-    #[must_use = "on false `buf` holds unauthenticated bytes"]
-    pub fn open_in_place(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        buf: &mut [u8],
-        tag: &[u8],
-    ) -> bool {
-        let mut s = self.opening(nonce, aad);
-        s.update_in_place(buf);
-        s.finish(tag)
-    }
-
     /// One AES block encryption on this key's backend.
     fn encrypt(&self, block: &[u8; BLOCK]) -> [u8; BLOCK] {
         match &self.backend {
@@ -256,11 +203,6 @@ impl SealStream<'_> {
         self.0.update(Io::copy(src, dst));
     }
 
-    /// Encrypts the next `buf.len()` bytes of the message in place.
-    pub fn update_in_place(&mut self, buf: &mut [u8]) {
-        self.0.update(Io::InPlace(buf));
-    }
-
     /// Encrypts the next `src.len()` bytes of the message onto the end of
     /// `out`, written once into its spare capacity.
     pub fn append(&mut self, src: &[u8], out: &mut Vec<u8>) {
@@ -289,11 +231,6 @@ impl OpenStream<'_> {
         self.0.update(Io::copy(src, dst));
     }
 
-    /// Decrypts the next `buf.len()` bytes of the message in place.
-    pub fn update_in_place(&mut self, buf: &mut [u8]) {
-        self.0.update(Io::InPlace(buf));
-    }
-
     /// Decrypts the next `src.len()` bytes of the message onto the end of
     /// `out`, written once into its spare capacity.
     pub fn append(&mut self, src: &[u8], out: &mut Vec<u8>) {
@@ -314,11 +251,10 @@ impl OpenStream<'_> {
     }
 }
 
-/// Where one update reads its input and writes its output. Every variant
-/// but `InPlace` holds an output as long as its input (checked where one
-/// is built), and `blocks` writes every output byte exactly once.
+/// Where one update reads its input and writes its output. Every output
+/// is as long as its input (checked where one is built), and `blocks`
+/// writes every output byte exactly once.
 enum Io<'a> {
-    InPlace(&'a mut [u8]),
     Copy(&'a [u8], &'a mut [u8]),
     // Built only by `ni::append`; other targets zero-fill instead.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -334,7 +270,6 @@ impl<'a> Io<'a> {
 
     fn src(&self) -> &[u8] {
         match self {
-            Io::InPlace(b) => b,
             Io::Copy(s, _) | Io::Uninit(s, _) | Io::Verify(s) => s,
         }
     }
@@ -345,10 +280,6 @@ impl<'a> Io<'a> {
 
     fn split_at(self, mid: usize) -> (Io<'a>, Io<'a>) {
         match self {
-            Io::InPlace(b) => {
-                let (l, r) = b.split_at_mut(mid);
-                (Io::InPlace(l), Io::InPlace(r))
-            }
             Io::Copy(s, d) => {
                 let ((sl, sr), (dl, dr)) = (s.split_at(mid), d.split_at_mut(mid));
                 (Io::Copy(sl, dl), Io::Copy(sr, dr))
@@ -368,7 +299,7 @@ impl<'a> Io<'a> {
     fn put(&mut self, at: usize, out: &[u8]) {
         let end = at + out.len();
         match self {
-            Io::InPlace(d) | Io::Copy(_, d) => d[at..end].copy_from_slice(out),
+            Io::Copy(_, d) => d[at..end].copy_from_slice(out),
             Io::Uninit(_, d) => {
                 d[at..end].write_copy_of_slice(out);
             }
@@ -834,10 +765,6 @@ mod ni {
         ) -> u128 {
             let len = io.len();
             let (src, dst): (*const u8, *mut u8) = match io {
-                Io::InPlace(b) => {
-                    let p = b.as_mut_ptr();
-                    (p.cast_const(), p)
-                }
                 Io::Copy(s, d) => (s.as_ptr(), d.as_mut_ptr()),
                 Io::Uninit(s, d) => (s.as_ptr(), d.as_mut_ptr().cast()),
                 Io::Verify(s) => (s.as_ptr(), core::ptr::null_mut()),
@@ -845,9 +772,9 @@ mod ni {
             // SAFETY: the target features as in `encrypt_block`. `src` is
             // `len` readable bytes; every output `Io` holds is as long as
             // its input (checked where the `Io` was built), so `dst` is
-            // null (`Verify`), the input itself (`InPlace`), or `len`
-            // writable bytes that the exclusive borrow keeps apart from
-            // `src`; `MaybeUninit<u8>` has `u8`'s layout.
+            // null (`Verify`) or `len` writable bytes that the exclusive
+            // borrow keeps apart from `src`; `MaybeUninit<u8>` has `u8`'s
+            // layout.
             unsafe { crypt(self, j0, y, ctr, src, dst, len, seal) }
         }
     }
@@ -1292,7 +1219,8 @@ mod tests {
     #[test]
     fn new_picks_the_backend_hw_accelerated_reports() {
         let gcm = Aes128Gcm::new(&[1; 16]);
-        assert_eq!(gcm.backend() != "portable", hw_accelerated(), "{gcm:?}");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(gcm.backend() != "portable", ni::available(), "{gcm:?}");
         assert!(format!("{gcm:?}").contains(gcm.backend()), "{gcm:?}");
     }
 

@@ -77,29 +77,6 @@ pub fn sign_raw(payload_json: &[u8], key: &[u8]) -> String {
     format!("{signing_input}.{}", base64url::encode(&sig))
 }
 
-/// Signs `claims` into a compact HS256 JWT under a precomputed [`HmacKey`].
-///
-/// Identical output to [`sign`] with the same key bytes; issuers holding a
-/// long-lived provider secret amortize the HMAC key schedule across tokens.
-///
-/// # Errors
-///
-/// Returns a serialization error if `claims` cannot be encoded as JSON.
-pub fn sign_keyed<T: Serialize>(claims: &T, key: &HmacKey) -> Result<String, serde_json::Error> {
-    let payload = serde_json::to_vec(claims)?;
-    Ok(sign_raw_keyed(&payload, key))
-}
-
-/// Signs a raw JSON payload into a compact HS256 JWT under a precomputed
-/// [`HmacKey`]. The signing input is MACed scatter-gather (`head`, `.`,
-/// `body`) without an intermediate concatenation.
-pub fn sign_raw_keyed(payload_json: &[u8], key: &HmacKey) -> String {
-    let head = base64url::encode(HEADER_JSON.as_bytes());
-    let body = base64url::encode(payload_json);
-    let sig = hmac_sha256_keyed(key, &[head.as_bytes(), b".", body.as_bytes()]);
-    format!("{head}.{body}.{}", base64url::encode(&sig))
-}
-
 /// Verifies `token` under `key` and deserializes its claims.
 ///
 /// # Errors
@@ -231,12 +208,11 @@ mod tests {
     #[test]
     fn keyed_sign_and_verify_match_byte_key_path() {
         let key = HmacKey::new(b"k");
-        let token = sign_keyed(&claims(), &key).unwrap();
-        // Keyed signing is byte-identical to the per-call key schedule.
-        assert_eq!(token, sign(&claims(), b"k").unwrap());
+        let token = sign(&claims(), b"k").unwrap();
+        // A token signed under the byte key verifies under the keyed path
+        // and under the byte key.
         let back: Claims = verify_keyed(&token, &key).unwrap();
         assert_eq!(back, claims());
-        // Cross-path: keyed-signed verifies under byte key and vice versa.
         let back2: Claims = verify(&token, b"k").unwrap();
         assert_eq!(back2, claims());
         assert_eq!(

@@ -230,17 +230,6 @@ impl Default for CorpusConfig {
     }
 }
 
-impl CorpusConfig {
-    /// The paper's full scale (slow; used by the long-running benches).
-    pub fn paper_scale() -> Self {
-        CorpusConfig {
-            website_haystack: 68_757,
-            app_haystack: 1_500_000,
-            video_fraction: 1.0,
-        }
-    }
-}
-
 /// The generated ecosystem.
 #[derive(Debug)]
 pub struct Ecosystem {

@@ -88,7 +88,12 @@ mod paper_scale_tests {
     #[ignore = "paper-scale corpus: several minutes"]
     fn full_scale_pipeline() {
         let mut rng = SimRng::seed(1);
-        let eco = corpus::generate(corpus::CorpusConfig::paper_scale(), &mut rng);
+        let config = corpus::CorpusConfig {
+            website_haystack: 68_757,
+            app_haystack: 1_500_000,
+            video_fraction: 1.0,
+        };
+        let eco = corpus::generate(config, &mut rng);
         assert!(eco.apps.len() >= 1_500_000);
         let report = tables::run_pipeline(&eco, &mut rng);
         let sites: usize = report.table1.iter().map(|r| r.websites.1).sum();

@@ -295,14 +295,7 @@ impl SignatureMatcher {
     /// search, known-provider hits subsume [`ProviderTag::GenericWebRtc`],
     /// result sorted and deduplicated.
     ///
-    /// Convenience wrapper that pays one scratch allocation; the scan loop
-    /// uses [`SignatureMatcher::match_page_in`] with a per-worker
-    /// [`Scratch`].
-    pub fn match_page(&self, content: &str) -> Vec<ProviderTag> {
-        self.match_page_in(&mut Scratch::default(), content)
-    }
-
-    /// [`SignatureMatcher::match_page`] with caller-provided scratch.
+    /// The scan loop passes a per-worker [`Scratch`].
     pub fn match_page_in(&self, scratch: &mut Scratch, content: &str) -> Vec<ProviderTag> {
         let mask = self.page_mask(scratch, content);
         let mut hits = providers_from_mask(mask, &self.page_providers);
@@ -435,7 +428,10 @@ mod tests {
         let m = SignatureMatcher::new(&sigs);
         assert!(m.page_gateways.is_none());
         assert_eq!(
-            m.match_page("<script src=\"some-custom-sdk.js\"></script>"),
+            m.match_page_in(
+                &mut Scratch::default(),
+                "<script src=\"some-custom-sdk.js\"></script>"
+            ),
             vec![ProviderTag::GenericWebRtc]
         );
     }

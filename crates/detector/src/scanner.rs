@@ -18,9 +18,6 @@ use crate::corpus::{AndroidApp, Ecosystem, Website};
 use crate::matcher::{Scratch, SignatureMatcher};
 use crate::signatures::{builtin_signatures, extract_api_key, ProviderTag, Signature};
 
-/// Maximum crawl depth (the paper's "within a depth of 3").
-pub const MAX_DEPTH: u32 = 3;
-
 /// Worker count used when the caller doesn't pick one: the host-sized
 /// [`WorldPool::auto`] count.
 pub fn default_workers() -> usize {
@@ -138,15 +135,8 @@ impl Scanner {
     }
 
     /// Crawls one website; returns a detection if any signature matches
-    /// within the depth limit.
-    ///
-    /// Convenience wrapper over [`Scanner::scan_site_in`] that allocates a
-    /// fresh [`Scratch`]; the shard loop reuses one scratch per worker.
-    pub fn scan_site(&self, site: &Website, stats: &mut ScanStats) -> Option<SiteDetection> {
-        self.scan_site_in(&mut Scratch::default(), site, stats)
-    }
-
-    /// [`Scanner::scan_site`] with caller-provided matcher scratch.
+    /// within the depth limit. The shard loop reuses one matcher
+    /// [`Scratch`] per worker.
     pub fn scan_site_in(
         &self,
         scratch: &mut Scratch,
@@ -410,7 +400,9 @@ mod tests {
             },
             trigger: crate::corpus::Trigger::Always,
         };
-        assert!(scanner.scan_site(&site, &mut stats).is_none());
+        assert!(scanner
+            .scan_site_in(&mut Scratch::default(), &site, &mut stats)
+            .is_none());
         assert_eq!(stats.pages_fetched, 0);
     }
 
@@ -438,7 +430,9 @@ mod tests {
             trigger: crate::corpus::Trigger::Always,
         };
         assert!(
-            scanner.scan_site(&site, &mut stats).is_none(),
+            scanner
+                .scan_site_in(&mut Scratch::default(), &site, &mut stats)
+                .is_none(),
             "runtime-loaded signatures are invisible statically"
         );
     }

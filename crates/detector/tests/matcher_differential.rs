@@ -2,7 +2,7 @@
 //! scanner against the naive reference in `pdn-oracle`.
 
 use pdn_detector::corpus::{generate, CorpusConfig};
-use pdn_detector::matcher::SignatureMatcher;
+use pdn_detector::matcher::{Scratch, SignatureMatcher};
 use pdn_detector::signatures::builtin_signatures;
 use pdn_detector::Scanner;
 use pdn_oracle::naive_scan::{match_apk, match_page, scan_naive};
@@ -22,7 +22,7 @@ fn matches_reference_on_builtin_corpus_samples() {
         "WINDOW.PEER5 viblast( STREAMROOTKEY",
     ] {
         assert_eq!(
-            m.match_page(content),
+            m.match_page_in(&mut Scratch::default(), content),
             match_page(&sigs, content),
             "{content}"
         );
@@ -94,7 +94,7 @@ proptest! {
         let sigs = builtin_signatures();
         let m = SignatureMatcher::new(&sigs);
         let content = salted_content(&words, &salts);
-        prop_assert_eq!(m.match_page(&content), match_page(&sigs, &content));
+        prop_assert_eq!(m.match_page_in(&mut Scratch::default(), &content), match_page(&sigs, &content));
     }
 
     /// Same for the APK side (manifest substring + namespace prefix).

@@ -88,7 +88,9 @@ pub struct EdgeCache {
     used_bytes: usize,
     entries: FxHashMap<SegmentId, EdgeEntry>,
     clock: u64,
+    #[cfg(test)]
     hits: u64,
+    #[cfg(test)]
     misses: u64,
 }
 
@@ -100,28 +102,29 @@ impl EdgeCache {
             used_bytes: 0,
             entries: FxHashMap::default(),
             clock: 0,
+            #[cfg(test)]
             hits: 0,
+            #[cfg(test)]
             misses: 0,
         }
     }
 
-    /// Looks `id` up, recording a hit or miss and refreshing its LRU stamp.
+    /// Looks `id` up, refreshing its LRU stamp (and, in tests, counting a
+    /// hit or miss).
     fn touch(&mut self, id: &SegmentId) -> Option<&mut EdgeEntry> {
         self.clock += 1;
-        match self.entries.get_mut(id) {
-            Some(entry) => {
-                entry.used = self.clock;
-                self.hits += 1;
-                Some(entry)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let entry = self.entries.get_mut(id);
+        #[cfg(test)]
+        match entry {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        let entry = entry?;
+        entry.used = self.clock;
+        Some(entry)
     }
 
-    /// Fetches from cache, recording a hit or miss.
+    /// Fetches from cache.
     pub fn get(&mut self, id: &SegmentId) -> Option<Segment> {
         self.touch(id).map(|entry| entry.segment.clone())
     }
@@ -178,12 +181,14 @@ impl EdgeCache {
     }
 
     /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Bytes currently cached.
-    pub fn used_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self) -> usize {
         self.used_bytes
     }
 }
@@ -305,11 +310,6 @@ impl Cdn {
     pub fn bill(&self) -> CdnBill {
         self.bill
     }
-
-    /// Edge cache `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.edge.stats()
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +349,7 @@ mod tests {
         let mut c = cdn();
         c.serve_segment(&sid(0));
         c.serve_segment(&sid(0));
-        let (hits, misses) = c.cache_stats();
+        let (hits, misses) = c.edge.stats();
         assert_eq!((hits, misses), (1, 1));
     }
 
@@ -401,7 +401,7 @@ mod tests {
         c.serve_segment(&sid(2)); // evicts 1
         c.serve_segment(&sid(0)); // still cached
         c.serve_segment(&sid(1)); // miss again
-        let (hits, misses) = c.cache_stats();
+        let (hits, misses) = c.edge.stats();
         assert_eq!(hits, 2, "seq 0 hit twice");
         assert_eq!(misses, 4);
     }
@@ -462,7 +462,7 @@ mod tests {
             "the cached segment is a slice of its frame, not a second buffer"
         );
         assert_eq!(entry.segment, authentic);
-        assert_eq!(c.cache_stats(), (1, 1));
+        assert_eq!(c.edge.stats(), (1, 1));
     }
 
     #[test]
@@ -479,7 +479,7 @@ mod tests {
         let again = c.serve_segment(&sid(0)).unwrap();
         assert_eq!(again, seg);
         assert!(points_inside(&again.data, &first));
-        assert_eq!(c.cache_stats(), (3, 1));
+        assert_eq!(c.edge.stats(), (3, 1));
     }
 
     #[test]
@@ -524,7 +524,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a.as_ptr(), b.as_ptr(), "no shared frame when uncached");
         assert_eq!(c.edge.used_bytes(), 0);
-        assert_eq!(c.cache_stats(), (0, 2));
+        assert_eq!(c.edge.stats(), (0, 2));
         assert_eq!(c.bill().egress_bytes, seg_size as u64 * 2);
     }
 
@@ -614,14 +614,14 @@ mod tests {
             };
             assert_eq!(got.is_some(), expect.is_some());
             assert_eq!(c.bill(), model.bill);
-            assert_eq!(c.cache_stats(), (model.hits, model.misses));
+            assert_eq!(c.edge.stats(), (model.hits, model.misses));
             assert_eq!(c.edge.used_bytes(), model.used);
             let mut resident: Vec<_> = c.edge.entries.iter().collect();
             resident.sort_by_key(|(_, e)| e.used);
             let resident: Vec<SegmentId> = resident.into_iter().map(|(k, _)| k.clone()).collect();
             assert_eq!(resident, model.order, "LRU order after {id}");
         }
-        assert_eq!(c.cache_stats(), (3, 9));
+        assert_eq!(c.edge.stats(), (3, 9));
     }
 
     mod lru_prop {
@@ -656,7 +656,7 @@ mod tests {
                     }
                     prop_assert_eq!(expect.is_some(), reference.segment(&id).is_some());
                     prop_assert_eq!(c.bill(), model.bill);
-                    prop_assert_eq!(c.cache_stats(), (model.hits, model.misses));
+                    prop_assert_eq!(c.edge.stats(), (model.hits, model.misses));
                     prop_assert_eq!(c.edge.used_bytes(), model.used);
                     let mut resident: Vec<_> = c.edge.entries.iter().collect();
                     resident.sort_by_key(|(_, e)| e.used);

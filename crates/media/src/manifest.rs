@@ -7,7 +7,9 @@
 
 use std::time::Duration;
 
-use crate::source::{SegmentId, VideoId, VideoSource};
+use crate::source::VideoSource;
+#[cfg(test)]
+use crate::source::{SegmentId, VideoId};
 
 /// One entry of a media playlist.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +161,8 @@ impl MediaPlaylist {
 
     /// Resolves an entry to a [`SegmentId`] for `video`, by parsing the
     /// `r<rendition>/s<seq>.ts` URI convention used by the simulated CDN.
-    pub fn segment_id(&self, video: &VideoId, entry: &ManifestEntry) -> Option<SegmentId> {
+    #[cfg(test)]
+    fn segment_id(&self, video: &VideoId, entry: &ManifestEntry) -> Option<SegmentId> {
         let rest = entry.uri.strip_prefix('r')?;
         let (rendition, rest) = rest.split_once("/s")?;
         let seq = rest.strip_suffix(".ts")?;

@@ -29,7 +29,9 @@ use pdn_bench::ablations::{ablation_suite, AblationConfig};
 use pdn_bench::{assert_matches_golden, table5_pooled, SEED};
 use pdn_core::WorldPool;
 use pdn_oracle::queue::HeapMapQueue;
-use pdn_simnet::{profile, Event, EventQueue, NodeId, SimRng, SimTime};
+use pdn_simnet::{profile, CalendarQueue, Event, NodeId, SimRng, SimTime};
+
+type EventQueue = CalendarQueue<Event>;
 
 const RUNS: usize = 9;
 

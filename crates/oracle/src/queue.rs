@@ -8,7 +8,7 @@ use pdn_simnet::{Event, SimTime};
 /// The original scheduler — a `BinaryHeap` ordering index plus a side
 /// `HashMap` payload store, one heap op **and** one hash insert/remove per
 /// event. `pdn-simnet`'s `queue_differential` test proves
-/// `pdn_simnet::EventQueue` pops in the identical order, and `sim_bench`
+/// `pdn_simnet::CalendarQueue` pops in the identical order, and `sim_bench`
 /// measures the calendar queue's speedup against it.
 #[derive(Debug, Default)]
 pub struct HeapMapQueue {

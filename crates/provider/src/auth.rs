@@ -109,7 +109,8 @@ impl AccountRegistry {
     }
 
     /// Mutable lookup by API key.
-    pub fn by_key_mut(&mut self, api_key: &str) -> Option<&mut CustomerAccount> {
+    #[cfg(test)]
+    pub(crate) fn by_key_mut(&mut self, api_key: &str) -> Option<&mut CustomerAccount> {
         self.by_key.get_mut(api_key)
     }
 
@@ -133,11 +134,6 @@ impl AccountRegistry {
             return Err(AuthError::OriginNotAllowed);
         }
         Ok(account)
-    }
-
-    /// Number of registered accounts.
-    pub fn len(&self) -> usize {
-        self.by_key.len()
     }
 
     /// Whether the registry is empty.

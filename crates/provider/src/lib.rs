@@ -21,13 +21,27 @@
 //! # Examples
 //!
 //! ```
-//! use pdn_provider::world::demo_world;
+//! use std::time::Duration;
+//!
+//! use pdn_media::VideoSource;
+//! use pdn_provider::world::{PdnWorld, ViewerSpec};
+//! use pdn_provider::{AgentConfig, CustomerAccount, ProviderProfile};
 //! use pdn_simnet::SimTime;
 //!
-//! let (mut world, viewers) = demo_world(7);
+//! let mut world = PdnWorld::new(ProviderProfile::peer5(), 7);
+//! world
+//!     .server_mut()
+//!     .accounts_mut()
+//!     .register(CustomerAccount::new("demo-customer", "demo-key", ["demo.tv".to_string()]));
+//! world.publish_video(VideoSource::vod("demo-video", vec![1_000_000], Duration::from_secs(4), 30));
+//! let mut cfg = AgentConfig::new("demo-video", "demo-key", "demo.tv");
+//! cfg.vod_end = Some(30);
+//! world.spawn_viewer(ViewerSpec::residential(cfg.clone()));
+//! world.run_until(SimTime::from_secs(10));
+//! let late = world.spawn_viewer(ViewerSpec::residential(cfg));
 //! world.run_until(SimTime::from_secs(140));
 //! // The late joiner offloaded part of the stream from the early one.
-//! assert!(world.agent(viewers[1]).player().p2p_offload_ratio() > 0.0);
+//! assert!(world.agent(late).player().p2p_offload_ratio() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -178,16 +178,6 @@ impl ProviderProfile {
             ..base.clone()
         }
     }
-
-    /// All four measured public/private baseline profiles.
-    pub fn all_measured() -> Vec<ProviderProfile> {
-        vec![
-            Self::peer5(),
-            Self::streamroot(),
-            Self::viblast(),
-            Self::private_mango_tv(),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +193,12 @@ mod tests {
 
     #[test]
     fn nobody_checks_segment_integrity() {
-        for p in ProviderProfile::all_measured() {
+        for p in [
+            ProviderProfile::peer5(),
+            ProviderProfile::streamroot(),
+            ProviderProfile::viblast(),
+            ProviderProfile::private_mango_tv(),
+        ] {
             assert!(!p.segment_integrity_check, "{}", p.name);
             assert!(p.manifest_consistency_check, "{}", p.name);
             assert!(p.slow_start_segments > 0, "{}", p.name);

@@ -351,9 +351,8 @@ pub struct PdnAgent {
     polluted_rejections: u64,
     blacklisted: bool,
     last_playlist_fetch: SimTime,
-    /// Reusable encode scratch for outgoing P2P frames (the crypto fast
-    /// path's `seal_into` pattern): zero allocations per message
-    /// steady-state.
+    /// Reusable encode scratch for outgoing P2P frames: zero allocations
+    /// per message steady-state.
     wire_scratch: BytesMut,
 }
 
@@ -818,11 +817,6 @@ impl PdnAgent {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// The agent's certificate fingerprint (signaled in its SDP).
-    pub fn fingerprint(&self) -> pdn_webrtc::Fingerprint {
-        self.cert.fingerprint()
     }
 
     // ------------------------------------------------------------------

@@ -42,7 +42,7 @@
 
 use std::collections::VecDeque;
 
-use pdn_crypto::hmac::{hmac_sha256, hmac_sha256_keyed, HmacKey};
+use pdn_crypto::hmac::{hmac_sha256_keyed, HmacKey};
 pub use pdn_media::compute_im;
 use pdn_media::{OriginServer, SegmentId, VideoId};
 use pdn_simnet::{Addr, FxHashMap, FxHashSet, GeoIpService, Interner, SimRng, SimTime};
@@ -395,13 +395,6 @@ impl SignalingServer {
     /// Number of live peers.
     pub fn peer_count(&self) -> usize {
         self.live_peers
-    }
-
-    /// Iterates wire addresses of live peers in join (peer-id) order —
-    /// what the *server* knows; peers individually see only their
-    /// neighbors.
-    pub fn known_peer_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.peers.iter().flatten().map(|p| p.addr)
     }
 
     fn meter_mut(&mut self, customer: u32) -> &mut UsageMeter {
@@ -999,14 +992,9 @@ impl SignalingServer {
         }
     }
 
-    /// Verifies a SIM signature (what honest peers do on receipt).
-    pub fn verify_sim(key: &[u8], im: &[u8; 32], sig: &[u8; 32]) -> bool {
-        pdn_crypto::ct_eq(&hmac_sha256(key, im), sig)
-    }
-
-    /// Like [`SignalingServer::verify_sim`], but with a precomputed
-    /// [`HmacKey`] — peers verifying many SIM broadcasts pay the key
-    /// schedule once instead of per signature.
+    /// Verifies a SIM signature (what honest peers do on receipt) under a
+    /// precomputed [`HmacKey`]: peers verifying many SIM broadcasts pay the
+    /// key schedule once instead of per signature.
     pub fn verify_sim_keyed(key: &HmacKey, im: &[u8; 32], sig: &[u8; 32]) -> bool {
         pdn_crypto::ct_eq(&hmac_sha256_keyed(key, &[im]), sig)
     }
@@ -1315,10 +1303,8 @@ mod tests {
             &geo,
         );
         assert_eq!(s.peer_count(), 1);
-        assert_eq!(s.known_peer_addrs().collect::<Vec<_>>(), vec![addr(1)]);
         s.handle(addr(1), SignalMsg::Leave, SimTime::from_secs(30), &geo);
         assert_eq!(s.peer_count(), 0);
-        assert_eq!(s.known_peer_addrs().count(), 0);
         assert_eq!(s.meter("victim").viewer_seconds, 30);
         // A rejoin from the same address gets a fresh, never-reused id.
         let r = s.handle(

@@ -42,11 +42,6 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
         }
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True if the map has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -264,7 +259,6 @@ mod tests {
         assert_eq!(m.keys().collect::<Vec<_>>(), vec![3, 5]);
         *m.or_insert_with(2, || "b") = "B";
         assert_eq!(m.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![2, 3, 5]);
-        assert_eq!(m.len(), 3);
     }
 
     #[test]

@@ -508,40 +508,39 @@ impl PdnWorld {
     }
 }
 
-/// Convenience: a complete two-viewer world on a published VOD, used by
-/// many tests and examples.
-pub fn demo_world(seed: u64) -> (PdnWorld, Vec<NodeId>) {
-    use crate::auth::CustomerAccount;
-
-    let mut world = PdnWorld::new(ProviderProfile::peer5(), seed);
-    world
-        .server_mut()
-        .accounts_mut()
-        .register(CustomerAccount::new(
-            "demo-customer",
-            "demo-key",
-            ["demo.tv".to_string()],
-        ));
-    world.publish_video(VideoSource::vod(
-        "demo-video",
-        vec![1_000_000],
-        Duration::from_secs(4),
-        30,
-    ));
-    let mut cfg = AgentConfig::new("demo-video", "demo-key", "demo.tv");
-    cfg.vod_end = Some(30);
-    let a = world.spawn_viewer(ViewerSpec::residential(cfg.clone()));
-    // Stagger the second viewer so the first has cached segments to serve.
-    let spawn_b_at = SimTime::from_secs(10);
-    world.run_until(spawn_b_at);
-    let b = world.spawn_viewer(ViewerSpec::residential(cfg));
-    (world, vec![a, b])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes as _Bytes;
+
+    /// A complete two-viewer world on a published VOD.
+    fn demo_world(seed: u64) -> (PdnWorld, Vec<NodeId>) {
+        use crate::auth::CustomerAccount;
+
+        let mut world = PdnWorld::new(ProviderProfile::peer5(), seed);
+        world
+            .server_mut()
+            .accounts_mut()
+            .register(CustomerAccount::new(
+                "demo-customer",
+                "demo-key",
+                ["demo.tv".to_string()],
+            ));
+        world.publish_video(VideoSource::vod(
+            "demo-video",
+            vec![1_000_000],
+            Duration::from_secs(4),
+            30,
+        ));
+        let mut cfg = AgentConfig::new("demo-video", "demo-key", "demo.tv");
+        cfg.vod_end = Some(30);
+        let a = world.spawn_viewer(ViewerSpec::residential(cfg.clone()));
+        // Stagger the second viewer so the first has cached segments to serve.
+        let spawn_b_at = SimTime::from_secs(10);
+        world.run_until(spawn_b_at);
+        let b = world.spawn_viewer(ViewerSpec::residential(cfg));
+        (world, vec![a, b])
+    }
 
     #[test]
     fn end_to_end_playback_and_p2p_offload() {
@@ -603,14 +602,15 @@ mod tests {
                 );
             }
         }
-        assert_eq!(plain.digest_stats().fingerprint.lookups(), 0);
+        let lookups = |c: pdn_media::DigestCounts| c.computed + c.identity_hits + c.equal_hits;
+        assert_eq!(lookups(plain.digest_stats().fingerprint), 0);
         let hashed: usize = viewers
             .iter()
             .flat_map(|&v| audited.agent(v).player().played())
             .filter(|rec| rec.content_hash.is_some())
             .count();
         assert!(hashed > 30, "B's whole run and the rest of A's: {hashed}");
-        assert_eq!(audited.digest_stats().fingerprint.lookups(), hashed as u64);
+        assert_eq!(lookups(audited.digest_stats().fingerprint), hashed as u64);
         assert_eq!(plain.digest_stats().im, audited.digest_stats().im);
     }
 

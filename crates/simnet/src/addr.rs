@@ -34,7 +34,8 @@ impl Addr {
     }
 
     /// The same IP with a different port.
-    pub const fn with_port(self, port: u16) -> Self {
+    #[cfg(test)]
+    const fn with_port(self, port: u16) -> Self {
         Addr { ip: self.ip, port }
     }
 

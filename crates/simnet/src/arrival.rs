@@ -120,8 +120,9 @@ impl RatePlan {
         }
     }
 
-    /// Scales every rate in the plan by `factor` (the load-sweep knob).
-    pub fn scaled(&self, factor: f64) -> RatePlan {
+    /// Scales every rate in the plan by `factor`.
+    #[cfg(test)]
+    fn scaled(&self, factor: f64) -> RatePlan {
         let mut plan = self.clone();
         match &mut plan {
             RatePlan::Steady { per_sec } => *per_sec *= factor,

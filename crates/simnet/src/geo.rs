@@ -74,7 +74,8 @@ fn continent_row(country: &str) -> Option<usize> {
 }
 
 /// Maps a country code to its continent group.
-pub fn continent_of(country: &str) -> Continent {
+#[cfg(test)]
+fn continent_of(country: &str) -> Continent {
     continent_row(country).map_or(Continent::Other, |row| CONTINENTS[row].1)
 }
 
@@ -306,7 +307,8 @@ impl GeoIpService {
     }
 
     /// Number of distinct allocated blocks.
-    pub fn block_count(&self) -> usize {
+    #[cfg(test)]
+    fn block_count(&self) -> usize {
         self.owners.iter().flatten().count()
     }
 }
@@ -341,13 +343,6 @@ impl CountryMix {
             "country mix must have at least one positive weight"
         );
         CountryMix { entries }
-    }
-
-    /// A single-country mix.
-    pub fn single(country: CountryCode) -> Self {
-        CountryMix {
-            entries: vec![(country, 1.0)],
-        }
     }
 
     /// Samples a country.

@@ -25,7 +25,8 @@ const BUCKETS: usize = (OCTAVES + 1) * SUB_BUCKETS as usize;
 
 /// Maximum relative overshoot of a quantile query: one part in
 /// [`SUB_BUCKETS`].
-pub const RELATIVE_ERROR: f64 = 1.0 / SUB_BUCKETS as f64;
+#[cfg(test)]
+const RELATIVE_ERROR: f64 = 1.0 / SUB_BUCKETS as f64;
 
 /// Bucket index of `v`. Exact for `v < SUB_BUCKETS`; log-linear above.
 #[inline]
@@ -163,8 +164,8 @@ impl LatencyHistogram {
 
     /// The value at quantile `q` in `[0, 1]`: the upper bound of the
     /// bucket containing the sample of rank `ceil(q · count)`, clamped to
-    /// the observed maximum. At most [`RELATIVE_ERROR`] above the true
-    /// rank value; never below it. Returns 0 on an empty histogram.
+    /// the observed maximum. At most one part in [`SUB_BUCKETS`] above the
+    /// true rank value; never below it. Returns 0 on an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;

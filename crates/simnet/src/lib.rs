@@ -56,15 +56,15 @@ pub mod wire;
 pub use addr::{Addr, IpClass};
 pub use arrival::{PoissonArrivals, RatePlan};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Interner};
-pub use geo::{continent_of, Continent, CountryCode, CountryMix, GeoInfo, GeoIpService};
-pub use hist::{LatencyHistogram, RELATIVE_ERROR, SUB_BUCKETS};
+pub use geo::{Continent, CountryCode, CountryMix, GeoInfo, GeoIpService};
+pub use hist::{LatencyHistogram, SUB_BUCKETS};
 pub use nat::{Nat, NatKind};
 pub use net::{
     CaptureFilter, CapturedFrame, Datagram, DropReason, Event, LinkSpec, NatId, Network, NodeId,
     SendOutcome, TapDirection, TapFn, TapVerdict, Transport, DEFAULT_CAPTURE_LIMIT,
 };
-pub use queue::{CalendarQueue, EventQueue, EventQueueStats};
-pub use resources::{series_to_csv, ResourceModel, ResourceSample, ResourceSummary};
+pub use queue::{CalendarQueue, EventQueueStats};
+pub use resources::{ResourceModel, ResourceSample, ResourceSummary};
 pub use rng::{splitmix64_finalize, SimRng};
 pub use time::SimTime;
 #[cfg(test)]

@@ -76,11 +76,6 @@ impl Nat {
         }
     }
 
-    /// The NAT's behaviour.
-    pub fn kind(&self) -> NatKind {
-        self.kind
-    }
-
     /// The NAT's public IP.
     pub fn public_ip(&self) -> std::net::Ipv4Addr {
         self.public_ip
@@ -130,11 +125,6 @@ impl Nat {
             }
         };
         admitted.then_some(internal)
-    }
-
-    /// Number of active public-port mappings.
-    pub fn mapping_count(&self) -> usize {
-        self.inbound.len()
     }
 }
 
@@ -213,6 +203,5 @@ mod tests {
         let p1 = nat.egress(Addr::new(192, 168, 1, 10, 1000), addr(1, 80));
         let p2 = nat.egress(Addr::new(192, 168, 1, 11, 1000), addr(1, 80));
         assert_ne!(p1.port, p2.port);
-        assert_eq!(nat.mapping_count(), 2);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! 1. **capture** ([`Network::capture`]): every frame on the wire, like
 //!    `tcpdump` on `docker0`;
-//! 2. **taps** ([`Network::install_tap`]): per-node middleboxes that can
-//!    drop, rewrite or redirect traffic, like the analyzer's MITM proxy;
+//! 2. **taps** ([`Network::install_tap`]): per-node middleboxes that
+//!    forward or rewrite traffic, like the analyzer's MITM proxy;
 //! 3. **resource stats** ([`Network::resources`]): per-node CPU/memory/IO
 //!    counters, like the Docker Engine stats API.
 //!
@@ -136,45 +136,12 @@ pub enum TapDirection {
 }
 
 /// Verdict returned by a tap for one frame.
-#[derive(Debug, Clone, Default)]
-pub struct TapVerdict {
-    /// Drop the frame entirely.
-    pub drop: bool,
-    /// Replace the payload.
-    pub new_payload: Option<Bytes>,
-    /// Redirect to a different destination (outbound taps only).
-    pub redirect_to: Option<Addr>,
-}
-
-impl TapVerdict {
+#[derive(Debug, Clone)]
+pub enum TapVerdict {
     /// Let the frame pass unchanged.
-    pub fn forward() -> Self {
-        TapVerdict::default()
-    }
-
-    /// Silently drop the frame.
-    pub fn drop_frame() -> Self {
-        TapVerdict {
-            drop: true,
-            ..Default::default()
-        }
-    }
-
-    /// Forward with a rewritten payload.
-    pub fn replace(payload: Bytes) -> Self {
-        TapVerdict {
-            new_payload: Some(payload),
-            ..Default::default()
-        }
-    }
-
-    /// Redirect to another destination, keeping the payload.
-    pub fn redirect(to: Addr) -> Self {
-        TapVerdict {
-            redirect_to: Some(to),
-            ..Default::default()
-        }
-    }
+    Forward,
+    /// Forward the frame with this payload in place of its own.
+    Replace(Bytes),
 }
 
 /// A middlebox function observing one node's traffic.
@@ -246,8 +213,6 @@ pub enum DropReason {
     NatFiltered,
     /// Source or destination host is down.
     NodeDown,
-    /// A tap dropped the frame.
-    Tapped,
 }
 
 /// Result of [`Network::send`].
@@ -260,13 +225,6 @@ pub enum SendOutcome {
     },
     /// Dropped; no delivery will occur.
     Dropped(DropReason),
-}
-
-impl SendOutcome {
-    /// Whether the frame was scheduled.
-    pub fn is_sent(&self) -> bool {
-        matches!(self, SendOutcome::Sent { .. })
-    }
 }
 
 /// The per-node record the frame path reads and writes. Everything else
@@ -472,16 +430,6 @@ impl<T> Network<T> {
         }
     }
 
-    /// Whether the node sits behind a NAT.
-    pub fn is_natted(&self, node: NodeId) -> bool {
-        self.node(node).nat.is_some()
-    }
-
-    /// The NAT kind in front of the node, if any.
-    pub fn nat_kind(&self, node: NodeId) -> Option<NatKind> {
-        self.node(node).nat.map(|i| self.nats[i as usize].kind())
-    }
-
     /// Geographic registration of the node.
     pub fn geo(&self, node: NodeId) -> &GeoInfo {
         self.geoip.registration(self.node(node).reg)
@@ -563,10 +511,10 @@ impl<T> Network<T> {
 
     /// Sends `payload` from `node` (source port `src_port`) to `dst`.
     ///
-    /// Applies, in order: the sender's tap (may drop/rewrite/redirect), NAT
-    /// egress, routing, loss, NAT ingress filtering, the receiver's tap
-    /// (may drop/rewrite), then schedules delivery honouring both access
-    /// links' bandwidth.
+    /// Applies, in order: the sender's tap (may rewrite), NAT egress,
+    /// routing, loss, NAT ingress filtering, the receiver's tap (may
+    /// rewrite), then schedules delivery honouring both access links'
+    /// bandwidth.
     pub fn send(
         &mut self,
         node: NodeId,
@@ -596,7 +544,7 @@ impl<T> Network<T> {
     /// [`Network::send`] once per frame, in order; the batch hoists the
     /// per-send bookkeeping: the sender's tap lookup happens once, and
     /// route resolution (public table + NAT ingress + private table) is
-    /// computed once and reused for every frame the tap didn't redirect.
+    /// computed once and reused for every frame.
     ///
     /// Delivery is aggregated: the frames surviving to one destination
     /// arrive together as a single [`Event::Burst`] scheduled at the
@@ -629,30 +577,17 @@ impl<T> Network<T> {
                 )
             })
             .collect();
-        // Group surviving frames by destination, preserving send order.
-        // Redirecting taps can split a burst across destinations; each
-        // group becomes one event at its own last delivery completion
-        // (per-destination `deliver_at` is monotone: reception chains on
-        // `down_free_at`).
-        while let Some(&(first_at, to, _)) = pending.first() {
-            let mut at = first_at;
-            let mut dgrams = Vec::new();
-            let mut rest = Vec::new();
-            for (t, n, d) in pending.drain(..) {
-                if n == to {
-                    at = at.max(t);
-                    dgrams.push(d);
-                } else {
-                    rest.push((t, n, d));
-                }
-            }
+        // Every surviving frame went to the one routed destination, in send
+        // order; they become one event at the last one's delivery (which is
+        // the latest: reception chains on `down_free_at`).
+        if let Some(&(at, to, _)) = pending.last() {
+            let mut dgrams: Vec<Datagram> = pending.into_iter().map(|(_, _, d)| d).collect();
             if dgrams.len() == 1 {
                 let dgram = dgrams.pop().expect("length checked");
                 self.queue.push(at, Event::Packet { to, dgram });
             } else {
                 self.queue.push(at, Event::Burst { to, dgrams });
             }
-            pending = rest;
         }
         outcomes
     }
@@ -682,19 +617,11 @@ impl<T> Network<T> {
         };
 
         // Sender-side tap (the analyzer's proxy client).
-        let mut redirected = false;
         if sender_has_tap {
-            if let Some(verdict) = self.apply_tap(node, TapDirection::Outbound, &dgram) {
-                if verdict.drop {
-                    return SendOutcome::Dropped(DropReason::Tapped);
-                }
-                if let Some(p) = verdict.new_payload {
-                    dgram.payload = p;
-                }
-                if let Some(d) = verdict.redirect_to {
-                    redirected = dgram.dst != d;
-                    dgram.dst = d;
-                }
+            if let Some(TapVerdict::Replace(p)) =
+                self.apply_tap(node, TapDirection::Outbound, &dgram)
+            {
+                dgram.payload = p;
             }
         }
 
@@ -708,17 +635,12 @@ impl<T> Network<T> {
         let len = dgram.payload.len().max(64) as u64; // 64-byte minimum frame
 
         // Routing. Route resolution is pure (NAT ingress does not mutate),
-        // so frames of a burst that kept the original destination reuse
-        // the first frame's result; a redirected frame recomputes and
-        // never touches the cache.
-        let cached = (!redirected).then_some(*route_cache).flatten();
-        let (dest_node, final_dst) = match cached {
+        // so the frames of a burst reuse the first frame's result.
+        let (dest_node, final_dst) = match *route_cache {
             Some(pair) => pair,
             None => match self.route(&dgram, node) {
                 Ok(pair) => {
-                    if !redirected {
-                        *route_cache = Some(pair);
-                    }
+                    *route_cache = Some(pair);
                     pair
                 }
                 Err(reason) => {
@@ -750,15 +672,10 @@ impl<T> Network<T> {
             ..dgram
         };
         if dst.tapped {
-            if let Some(verdict) =
+            if let Some(TapVerdict::Replace(p)) =
                 self.apply_tap(dest_node, TapDirection::Inbound, &delivered_dgram)
             {
-                if verdict.drop {
-                    return SendOutcome::Dropped(DropReason::Tapped);
-                }
-                if let Some(p) = verdict.new_payload {
-                    delivered_dgram.payload = p;
-                }
+                delivered_dgram.payload = p;
             }
         }
 
@@ -957,7 +874,7 @@ mod tests {
         let (a, b) = two_public_hosts(&mut net);
         let dst = Addr::from_ip(net.ip(b), 80);
         let out = net.send(a, 5000, dst, Transport::Tcp, Bytes::from_static(b"hi"));
-        assert!(out.is_sent());
+        assert!(matches!(out, SendOutcome::Sent { .. }));
         let (at, ev) = net.step().expect("one event");
         match ev {
             Event::Packet { to, dgram } => {
@@ -983,7 +900,7 @@ mod tests {
         let payload = Bytes::from(vec![0xAB; 1024]);
         let sent_ptr = payload.as_ptr();
         let out = net.send(a, 5000, dst, Transport::Tcp, payload);
-        assert!(out.is_sent());
+        assert!(matches!(out, SendOutcome::Sent { .. }));
         let captured = &net.capture()[0];
         assert_eq!(
             captured.payload.as_ptr(),
@@ -1048,7 +965,7 @@ mod tests {
             Transport::Udp,
             Bytes::from_static(b"req"),
         );
-        assert!(out.is_sent());
+        assert!(matches!(out, SendOutcome::Sent { .. }));
         let (_, ev) = net.step().unwrap();
         let observed_src = match ev {
             Event::Packet { to, dgram } => {
@@ -1069,7 +986,7 @@ mod tests {
             Transport::Udp,
             Bytes::from_static(b"ok"),
         );
-        assert!(back.is_sent());
+        assert!(matches!(back, SendOutcome::Sent { .. }));
         let (_, ev) = net.step().unwrap();
         match ev {
             Event::Packet { to, dgram } => {
@@ -1140,56 +1057,29 @@ mod tests {
     }
 
     #[test]
-    fn outbound_tap_can_redirect_and_rewrite() {
-        let mut net: Network = Network::new(1);
-        let a = net.add_public_host(geo("US"), LinkSpec::residential());
-        let real = net.add_public_host(geo("US"), LinkSpec::datacenter());
-        let fake = net.add_public_host(geo("US"), LinkSpec::datacenter());
-        let fake_addr = Addr::from_ip(net.ip(fake), 80);
-        net.install_tap(
-            a,
-            Box::new(move |dir, d| {
-                if dir == TapDirection::Outbound && d.dst.port == 80 {
-                    TapVerdict {
-                        redirect_to: Some(fake_addr),
-                        new_payload: Some(Bytes::from_static(b"polluted")),
-                        drop: false,
-                    }
-                } else {
-                    TapVerdict::forward()
-                }
-            }),
-        );
-        let real_addr = Addr::from_ip(net.ip(real), 80);
-        net.send(a, 1, real_addr, Transport::Tcp, Bytes::from_static(b"orig"));
-        let (_, ev) = net.step().unwrap();
-        match ev {
-            Event::Packet { to, dgram } => {
-                assert_eq!(to, fake, "redirected to the fake CDN");
-                assert_eq!(&dgram.payload[..], b"polluted");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inbound_tap_can_drop() {
+    fn outbound_tap_can_rewrite() {
         let mut net: Network = Network::new(1);
         let (a, b) = two_public_hosts(&mut net);
         net.install_tap(
-            b,
-            Box::new(|dir, _| {
-                if dir == TapDirection::Inbound {
-                    TapVerdict::drop_frame()
+            a,
+            Box::new(|dir, d| {
+                if dir == TapDirection::Outbound && d.dst.port == 80 {
+                    TapVerdict::Replace(Bytes::from_static(b"polluted"))
                 } else {
-                    TapVerdict::forward()
+                    TapVerdict::Forward
                 }
             }),
         );
         let dst = Addr::from_ip(net.ip(b), 80);
-        let out = net.send(a, 1, dst, Transport::Tcp, Bytes::from_static(b"x"));
-        assert_eq!(out, SendOutcome::Dropped(DropReason::Tapped));
-        assert!(net.step().is_none());
+        net.send(a, 1, dst, Transport::Tcp, Bytes::from_static(b"orig"));
+        let (_, ev) = net.step().unwrap();
+        match ev {
+            Event::Packet { to, dgram } => {
+                assert_eq!(to, b, "delivered to the original destination");
+                assert_eq!(&dgram.payload[..], b"polluted");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -41,14 +41,12 @@
 //! tie-break key from the caller, which is what the sharded runner needs:
 //! a key derived from event *content* (origin node, per-origin counter)
 //! pops in the same order no matter which shard pushed it first, making
-//! merge results independent of shard count. The [`EventQueue`] alias
-//! (payload = [`Event`] with `u64` timer tokens) is the default `Network`
-//! scheduler.
+//! merge results independent of shard count. A [`CalendarQueue`] of
+//! [`Event`](crate::net::Event)s is the `Network` scheduler.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::net::Event;
 use crate::time::SimTime;
 
 /// Log2 of the bucket width in nanoseconds (2^19 ns ≈ 0.52 ms).
@@ -164,9 +162,6 @@ pub struct CalendarQueue<T> {
     len: usize,
     next_seq: u64,
 }
-
-/// The `Network` scheduler: a [`CalendarQueue`] carrying [`Event`]s.
-pub type EventQueue = CalendarQueue<Event>;
 
 impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
@@ -460,7 +455,9 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::NodeId;
+    use crate::net::{Event, NodeId};
+
+    type EventQueue = CalendarQueue<Event>;
 
     fn timer(token: u64) -> Event {
         Event::Timer {

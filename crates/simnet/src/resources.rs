@@ -133,7 +133,8 @@ impl ResourceModel {
 
 /// Renders a sampled series as CSV (`t_secs,cpu,mem_bytes,rx_bytes,tx_bytes`)
 /// for external plotting of the Figure 4 curves.
-pub fn series_to_csv(samples: &[ResourceSample]) -> String {
+#[cfg(test)]
+fn series_to_csv(samples: &[ResourceSample]) -> String {
     let mut out = String::from("t_secs,cpu,mem_bytes,rx_bytes,tx_bytes\n");
     for s in samples {
         out.push_str(&format!(

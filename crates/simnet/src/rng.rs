@@ -97,7 +97,8 @@ impl SimRng {
     }
 
     /// Samples `k` distinct indices out of `0..n` (all if `k >= n`).
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    #[cfg(test)]
+    fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..n).collect();
         self.shuffle(&mut idx);
         idx.truncate(k.min(n));

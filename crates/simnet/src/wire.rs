@@ -58,7 +58,8 @@ pub fn get_uvarint(data: &[u8], off: &mut usize) -> Option<u64> {
 }
 
 /// Encoded size of `v` in bytes (1..=[`MAX_UVARINT_LEN`]).
-pub fn uvarint_len(v: u64) -> usize {
+#[cfg(test)]
+fn uvarint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 

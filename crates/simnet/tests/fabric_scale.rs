@@ -4,7 +4,9 @@
 //! route blocks.
 
 use bytes::Bytes;
-use pdn_simnet::{Addr, Event, GeoInfo, IpClass, LinkSpec, NatKind, Network, NodeId, Transport};
+use pdn_simnet::{
+    Addr, Event, GeoInfo, IpClass, LinkSpec, NatKind, Network, NodeId, SendOutcome, Transport,
+};
 
 const PUBLIC_HOSTS: u32 = 100_000;
 const NATS: u32 = 1_000;
@@ -70,9 +72,8 @@ fn every_host_of_a_100k_world_gets_its_frame() {
     // NATed hosts speak first, opening their mappings; the server sees
     // each one from its NAT's public IP.
     for &c in &natted {
-        assert!(net
-            .send(c, 5000, server_addr, Transport::Tcp, tag(c))
-            .is_sent());
+        let out = net.send(c, 5000, server_addr, Transport::Tcp, tag(c));
+        assert!(matches!(out, SendOutcome::Sent { .. }));
     }
     let mut mapped = Vec::new();
     while let Some((_, ev)) = net.step() {
@@ -91,10 +92,12 @@ fn every_host_of_a_100k_world_gets_its_frame() {
     // to every mapping.
     for &h in &public {
         let dst = Addr::from_ip(net.ip(h), 80);
-        assert!(net.send(server, 443, dst, Transport::Tcp, tag(h)).is_sent());
+        let out = net.send(server, 443, dst, Transport::Tcp, tag(h));
+        assert!(matches!(out, SendOutcome::Sent { .. }));
     }
     for &(c, dst) in &mapped {
-        assert!(net.send(server, 443, dst, Transport::Tcp, tag(c)).is_sent());
+        let out = net.send(server, 443, dst, Transport::Tcp, tag(c));
+        assert!(matches!(out, SendOutcome::Sent { .. }));
     }
     let mut delivered = vec![0u32; 1 + public.len() + natted.len()];
     while let Some((_, ev)) = net.step() {
@@ -103,7 +106,7 @@ fn every_host_of_a_100k_world_gets_its_frame() {
         };
         let who = untag(&dgram.payload);
         assert_eq!(to, who);
-        let port = if net.is_natted(who) { 5000 } else { 80 };
+        let port = if natted.contains(&who) { 5000 } else { 80 };
         assert_eq!(dgram.dst, Addr::from_ip(net.ip(who), port));
         assert_eq!(dgram.src, server_addr);
         delivered[who.0 as usize] += 1;

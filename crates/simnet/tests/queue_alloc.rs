@@ -9,7 +9,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use pdn_simnet::{Event, EventQueue, NodeId, SimTime};
+use pdn_simnet::{CalendarQueue, Event, NodeId, SimTime};
+
+type EventQueue = CalendarQueue<Event>;
 
 struct CountingAlloc;
 

@@ -4,8 +4,10 @@
 use std::time::Duration;
 
 use pdn_oracle::queue::HeapMapQueue;
-use pdn_simnet::{Event, EventQueue, NodeId, SimRng, SimTime};
+use pdn_simnet::{CalendarQueue, Event, NodeId, SimRng, SimTime};
 use proptest::prelude::*;
+
+type EventQueue = CalendarQueue<Event>;
 
 fn timer(token: u64) -> Event {
     Event::Timer {

@@ -54,8 +54,7 @@
 //!   with a lower `msg_id`. The PDN SDK sends each message's records as one
 //!   burst over a FIFO path and re-requests a lost segment as a new
 //!   message, so once a later message is whole, an earlier one that lost a
-//!   record can never complete. [`DataChannel::evicted_partials`] counts
-//!   them.
+//!   record can never complete.
 
 use bytes::{BufMut, Bytes};
 use pdn_simnet::wire::{get_uvarint, put_uvarint, MAX_UVARINT_LEN};
@@ -173,7 +172,6 @@ impl Partial {
 #[derive(Debug, Default)]
 struct Reassembly {
     partials: FxHashMap<u64, Partial>,
-    evicted: u64,
 }
 
 impl Reassembly {
@@ -228,9 +226,7 @@ impl Reassembly {
             return Ok(None);
         }
         let done = self.partials.remove(&c.msg_id).expect("just placed");
-        let before = self.partials.len();
         self.partials.retain(|&id, _| id > c.msg_id);
-        self.evicted += (before - self.partials.len()) as u64;
         Ok(Some(Bytes::from(done.buf)))
     }
 }
@@ -299,11 +295,6 @@ impl DataChannel {
         }
     }
 
-    /// Access to the underlying DTLS endpoint.
-    pub fn dtls(&self) -> &DtlsEndpoint {
-        &self.dtls
-    }
-
     /// Encrypts the message formed by concatenating `parts` into one or
     /// more wire records.
     ///
@@ -369,14 +360,9 @@ impl DataChannel {
     }
 
     /// Number of messages with outstanding chunks.
-    pub fn pending_messages(&self) -> usize {
+    #[cfg(test)]
+    fn pending_messages(&self) -> usize {
         self.reassembly.partials.len()
-    }
-
-    /// Partial messages dropped because a later multi-record message
-    /// completed first (see the module docs).
-    pub fn evicted_partials(&self) -> u64 {
-        self.reassembly.evicted
     }
 }
 
@@ -385,6 +371,7 @@ mod tests {
     use super::*;
     use crate::cert::Certificate;
     use crate::dtls::handshake;
+    use crate::dtls::seal_record;
     use bytes::BytesMut;
     use pdn_simnet::SimRng;
 
@@ -507,13 +494,12 @@ mod tests {
         receive_all(&mut b, &r1[1..], &mut msgs);
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0][..], &vec![2u8; CHUNK_DATA + 9][..]);
-        assert_eq!(b.pending_messages(), 0);
-        assert_eq!(b.evicted_partials(), 1);
+        assert_eq!(b.pending_messages(), 0, "message 0's partial evicted");
         // A single-record message completing evicts nothing.
         let r2 = a.send_message(&[&vec![3u8; CHUNK_DATA * 2]]).unwrap();
         let r3 = a.send_message(&[b"ping"]).unwrap();
         receive_all(&mut b, &[r2[0].clone(), r3[0].clone()], &mut msgs);
-        assert_eq!((b.pending_messages(), b.evicted_partials()), (1, 1));
+        assert_eq!(b.pending_messages(), 1);
     }
 
     #[test]
@@ -541,7 +527,7 @@ mod tests {
     #[test]
     fn send_message_matches_sequential_seal_of_chunk_frames() {
         // The records of a multi-part message are byte-identical to sealing
-        // each conforming chunk frame with `seal_into`, on a twin endpoint
+        // each conforming chunk frame as one record, on a twin endpoint
         // (seeded pairs share keys).
         let (c, _) = endpoints(9);
         let (mut twin, _) = endpoints(9);
@@ -554,11 +540,10 @@ mod tests {
             let records = chan.send_message(&[header, &data]).unwrap();
             let whole = [&header[..], &data].concat();
             let msg_id = chan.next_msg_id - 1;
-            let mut rec = BytesMut::new();
             let want = frames(msg_id, &whole);
             assert_eq!(records.len(), want.len());
             for (i, (got, f)) in records.iter().zip(&want).enumerate() {
-                twin.seal_into(f, &mut rec).unwrap();
+                let rec = seal_record(&mut twin, f).unwrap();
                 assert_eq!(&got[..], &rec[..], "record {i}");
                 assert_eq!(got.len(), 13 + f.len() + 16, "exact-size record {i}");
             }
@@ -722,7 +707,7 @@ mod prop_tests {
 
     use super::tests::{endpoints, frame, frames, receive_all};
     use super::*;
-    use bytes::BytesMut;
+    use crate::dtls::seal_record;
     use pdn_simnet::SimRng;
     use proptest::prelude::*;
 
@@ -768,9 +753,8 @@ mod prop_tests {
             let records = chan.send_message(&parts).unwrap();
             let want = frames(0, &message);
             prop_assert_eq!(records.len(), want.len());
-            let mut rec = BytesMut::new();
             for (i, f) in want.iter().enumerate() {
-                twin.seal_into(f, &mut rec).unwrap();
+                let rec = seal_record(&mut twin, f).unwrap();
                 prop_assert_eq!(&records[i][..], &rec[..], "record {}", i);
             }
         }
@@ -856,7 +840,7 @@ mod prop_tests {
                 let mut burst: Vec<(Bytes, usize, usize)> = frames(m as u64, &message)
                     .iter()
                     .enumerate()
-                    .map(|(j, f)| (tx.seal(f).unwrap(), m, j))
+                    .map(|(j, f)| (seal_record(&mut tx, f).unwrap(), m, j))
                     .collect();
                 rng.shuffle(&mut burst);
                 genuine.extend(burst);
@@ -884,7 +868,7 @@ mod prop_tests {
                     1 => (at(m, j), rec),
                     2 => {
                         let body = vec![0xee; slot(j, messages[m].len()).len()];
-                        (at(m, j), tx.seal(&frame(m as u64, j as u64, total as u64, &body)).unwrap())
+                        (at(m, j), seal_record(&mut tx, &frame(m as u64, j as u64, total as u64, &body)).unwrap())
                     }
                     3 => {
                         let (t, body) = if q % 2 == 0 {
@@ -893,15 +877,15 @@ mod prop_tests {
                             (total as u64, CHUNK_DATA - 1 - q % 40)
                         };
                         let f = frame(m as u64, 0, t, &vec![0xdd; body]);
-                        (-1, tx.seal(&f).unwrap())
+                        (-1, seal_record(&mut tx, &f).unwrap())
                     }
                     4 => {
                         let f = frame(m as u64, 0, total as u64 + 1, &[0xcc; CHUNK_DATA]);
-                        (first_of(m), tx.seal(&f).unwrap())
+                        (first_of(m), seal_record(&mut tx, &f).unwrap())
                     }
                     _ => {
                         let f = frame(100 + q as u64 % 50, 0, 3, &[0xbb; CHUNK_DATA]);
-                        let rec = tx.seal(&f).unwrap();
+                        let rec = seal_record(&mut tx, &f).unwrap();
                         let tag_bit = (rec.len() - 1) * 8 + q % 8;
                         (-1, flip(&rec, tag_bit as u32))
                     }

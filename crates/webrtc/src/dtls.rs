@@ -47,15 +47,14 @@
 //! # Record fast path
 //!
 //! Every peer-served byte crosses this layer, so each byte passes through
-//! memory once per side and the record path runs allocation-free at steady
-//! state:
+//! memory once per side:
 //!
-//! - [`DtlsEndpoint::seal`] / [`DtlsEndpoint::open`] encrypt and decrypt
-//!   straight into the spare capacity of a buffer of exactly the record's
-//!   (or plaintext's) size, and [`DtlsEndpoint::seal_into`] /
-//!   [`DtlsEndpoint::open_into`] out of place into a caller-owned reusable
-//!   [`BytesMut`] (sized first, as the vendored `bytes` has no safe way to
-//!   write spare capacity); no path stages the bytes in a second buffer;
+//! - [`DtlsEndpoint::seal_with`] encrypts each piece of a record's
+//!   plaintext straight onto the end of a buffer of exactly the record's
+//!   size, and [`DtlsEndpoint::open`] decrypts into a buffer of exactly the
+//!   plaintext's size; no path stages the bytes in a second buffer (the
+//!   data channel's exact allocation counts are pinned by its
+//!   `channel_alloc` test);
 //! - the AES key schedule and the GHASH key material are expanded once per
 //!   session, into boxed session keys (one allocation per handshake, none
 //!   per record, and the endpoint stays small inline);
@@ -63,11 +62,11 @@
 //!   flight and reduces GHASH once per 128 bytes; with AVX-512, VAES and
 //!   VPCLMULQDQ it runs sixteen blocks per 256-byte stride first;
 //! - the data channel seals each record straight from the message's parts
-//!   (the crate-private `DtlsEndpoint::seal_with` hands a `RecordWriter`
-//!   that encrypts each piece onto the record buffer), and opens each
-//!   record straight into its reassembly slot (`DtlsEndpoint::open_record`
-//!   streams the plaintext to the destinations the channel picks, and its
-//!   `finish` runs the tag and replay checks).
+//!   (`seal_with` hands a [`RecordWriter`] that encrypts each piece onto
+//!   the record buffer), and opens each record straight into its
+//!   reassembly slot (the crate-private `DtlsEndpoint::open_record` streams
+//!   the plaintext to the destinations the channel picks, and its `finish`
+//!   runs the tag and replay checks).
 //!
 //! The pre-AES record path (a SHA-256 keystream plus a per-record HMAC)
 //! lives on as a test oracle in the `pdn-oracle` crate, the baseline
@@ -185,7 +184,6 @@ pub struct DtlsEndpoint {
     keys: Option<Box<SessionKeys>>,
     send_seq: u64,
     replay: ReplayWindow,
-    peer_fingerprint: Option<Fingerprint>,
     /// Last handshake flight sent, re-sent on duplicate requests (UDP loss
     /// recovery).
     last_flight: Option<Bytes>,
@@ -276,14 +274,14 @@ impl RecordKey {
 
 /// The plaintext side of a record being sealed: each [`Self::put`] is
 /// encrypted straight onto the end of the record buffer.
-pub(crate) struct RecordWriter<'a> {
+pub struct RecordWriter<'a> {
     stream: aes_gcm::SealStream<'a>,
     out: &'a mut Vec<u8>,
 }
 
 impl RecordWriter<'_> {
     /// Appends the next plaintext bytes, encrypted.
-    pub(crate) fn put(&mut self, plaintext: &[u8]) {
+    pub fn put(&mut self, plaintext: &[u8]) {
         self.stream.append(plaintext, self.out);
     }
 }
@@ -446,7 +444,6 @@ impl DtlsEndpoint {
                 keys: None,
                 send_seq: 0,
                 replay: ReplayWindow::default(),
-                peer_fingerprint: None,
                 last_flight: None,
             },
             hello,
@@ -465,7 +462,6 @@ impl DtlsEndpoint {
             keys: None,
             send_seq: 0,
             replay: ReplayWindow::default(),
-            peer_fingerprint: None,
             last_flight: None,
         }
     }
@@ -473,11 +469,6 @@ impl DtlsEndpoint {
     /// Whether the handshake completed.
     pub fn is_established(&self) -> bool {
         matches!(self.state, State::Established)
-    }
-
-    /// The peer's certificate fingerprint, once seen.
-    pub fn peer_fingerprint(&self) -> Option<Fingerprint> {
-        self.peer_fingerprint
     }
 
     /// Processes a handshake record; returns an optional response flight.
@@ -504,7 +495,6 @@ impl DtlsEndpoint {
                 let client_random: [u8; 32] = body[..32].try_into().expect("checked");
                 let client_pub = u64::from_be_bytes(body[32..40].try_into().expect("checked"));
                 let client_fp = Fingerprint(body[40..72].try_into().expect("checked"));
-                self.peer_fingerprint = Some(client_fp);
                 if let Some(expected) = self.expected_peer {
                     if expected != client_fp {
                         self.state = State::Failed;
@@ -545,7 +535,6 @@ impl DtlsEndpoint {
                 let server_pub = u64::from_be_bytes(body[32..40].try_into().expect("checked"));
                 let server_fp = Fingerprint(body[40..72].try_into().expect("checked"));
                 let finished: [u8; 32] = body[72..104].try_into().expect("checked");
-                self.peer_fingerprint = Some(server_fp);
                 if let Some(expected) = self.expected_peer {
                     if expected != server_fp {
                         self.state = State::Failed;
@@ -605,38 +594,6 @@ impl DtlsEndpoint {
         }
     }
 
-    /// Encrypts `plaintext` into an application-data record, in a buffer
-    /// of exactly the record's size.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::seal_into`].
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<Bytes, DtlsError> {
-        let mut out = Vec::new();
-        self.seal_with(plaintext.len(), &mut out, |w| w.put(plaintext))?;
-        Ok(Bytes::from(out))
-    }
-
-    /// Encrypts `plaintext` into an application-data record written to
-    /// `out` (cleared first). With a warm `out`, the steady-state path
-    /// performs zero heap allocations: `out` is sized to the record and
-    /// the plaintext encrypted into it behind the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtlsError::NotEstablished`] before the handshake
-    /// completes, [`DtlsError::Oversize`] beyond [`MAX_RECORD_PLAINTEXT`].
-    pub fn seal_into(&mut self, plaintext: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
-        let (header, mut stream) = self.next_record(plaintext.len())?;
-        out.clear();
-        out.reserve(HEADER_LEN + plaintext.len() + TAG_LEN);
-        out.extend_from_slice(&header);
-        out.resize(HEADER_LEN + plaintext.len(), 0);
-        stream.update(plaintext, &mut out[HEADER_LEN..]);
-        out.extend_from_slice(&stream.finish());
-        Ok(())
-    }
-
     /// Seals a record of a `len`-byte plaintext that `write` puts in
     /// pieces into `out` (cleared first, then exactly the record's size):
     /// the data channel encrypts a chunk header and a chunk body from the
@@ -645,8 +602,13 @@ impl DtlsEndpoint {
     ///
     /// # Errors
     ///
-    /// As [`Self::seal_into`].
-    pub(crate) fn seal_with(
+    /// Returns [`DtlsError::NotEstablished`] before the handshake
+    /// completes, [`DtlsError::Oversize`] beyond [`MAX_RECORD_PLAINTEXT`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `write` puts other than `len` bytes.
+    pub fn seal_with(
         &mut self,
         len: usize,
         out: &mut Vec<u8>,
@@ -687,35 +649,19 @@ impl DtlsEndpoint {
     }
 
     /// Decrypts an application-data record into a buffer of exactly the
-    /// plaintext's size.
+    /// plaintext's size, released only after both the tag and the replay
+    /// window accept the record.
     ///
     /// # Errors
     ///
-    /// As [`Self::open_into`].
+    /// [`DtlsError::BadRecord`] on authentication failure,
+    /// [`DtlsError::Replay`] for non-monotonic sequence numbers.
     pub fn open(&mut self, record: &[u8]) -> Result<Bytes, DtlsError> {
         let mut rec = self.open_record(record)?;
         let mut out = Vec::with_capacity(rec.remaining());
         rec.append(rec.remaining(), &mut out);
         rec.finish()?;
         Ok(Bytes::from(out))
-    }
-
-    /// Decrypts an application-data record into `out` (cleared first).
-    /// With a warm `out` the steady-state path performs zero heap
-    /// allocations: `out` is sized to the plaintext and the ciphertext
-    /// decrypted into it while GHASH runs over it; `out` is cleared again
-    /// unless both the tag and the replay window accept the record.
-    ///
-    /// # Errors
-    ///
-    /// [`DtlsError::BadRecord`] on authentication failure,
-    /// [`DtlsError::Replay`] for non-monotonic sequence numbers.
-    pub fn open_into(&mut self, record: &[u8], out: &mut BytesMut) -> Result<(), DtlsError> {
-        let mut rec = self.open_record(record)?;
-        out.clear();
-        out.resize(rec.remaining(), 0);
-        rec.read(out);
-        rec.finish().inspect_err(|_| out.clear())
     }
 
     /// Checks `record`'s header and starts opening it; the caller streams
@@ -832,6 +778,15 @@ pub fn handshake(
     Ok(())
 }
 
+/// Seals `plaintext` into one record: [`DtlsEndpoint::seal_with`] in one
+/// call, for tests.
+#[cfg(test)]
+pub(crate) fn seal_record(ep: &mut DtlsEndpoint, plaintext: &[u8]) -> Result<Bytes, DtlsError> {
+    let mut out = Vec::new();
+    ep.seal_with(plaintext.len(), &mut out, |w| w.put(plaintext))?;
+    Ok(Bytes::from(out))
+}
+
 fn _assert_send() {
     fn check<T: Send>() {}
     check::<DtlsEndpoint>();
@@ -857,30 +812,16 @@ mod tests {
         let (c, s) = pair(true);
         assert!(c.is_established());
         assert!(s.is_established());
-        assert!(c.peer_fingerprint().is_some());
     }
 
     #[test]
     fn data_roundtrip_both_directions() {
         let (mut c, mut s) = pair(true);
-        let rec = c.seal(b"segment bytes").unwrap();
+        let rec = seal_record(&mut c, b"segment bytes").unwrap();
         assert!(is_dtls(&rec));
         assert_eq!(&s.open(&rec).unwrap()[..], b"segment bytes");
-        let rec = s.seal(b"reply").unwrap();
+        let rec = seal_record(&mut s, b"reply").unwrap();
         assert_eq!(&c.open(&rec).unwrap()[..], b"reply");
-    }
-
-    #[test]
-    fn into_variants_match_wrappers() {
-        let (mut c, mut s) = pair(true);
-        let mut rec = BytesMut::new();
-        let mut pt = BytesMut::new();
-        for msg in [&b"first"[..], b"second message", &[0u8; 1000]] {
-            c.seal_into(msg, &mut rec).unwrap();
-            assert!(is_dtls(&rec));
-            s.open_into(&rec, &mut pt).unwrap();
-            assert_eq!(&pt[..], msg);
-        }
     }
 
     /// Runs the handshake flight by flight and re-derives both directions'
@@ -909,13 +850,11 @@ mod tests {
     }
 
     #[test]
-    fn seal_into_pins_aes_gcm_record() {
+    fn record_pins_aes_gcm() {
         // A record is header ‖ AES-128-GCM(key = write[..16],
         // nonce = write[16..20] ‖ seq, aad = header, pt) — on both backends,
         // both directions, and every block/tail shape.
         let (mut c, mut s, client_write, server_write) = pair_with_write_secrets();
-        let mut rec = BytesMut::new();
-        let mut pt_out = BytesMut::new();
         for n in [
             0usize, 1, 13, 15, 16, 17, 64, 127, 128, 129, 200, 1200, 4096, 16_383, 16_384,
         ] {
@@ -927,7 +866,7 @@ mod tests {
                     (&mut s, &mut c, &server_write)
                 };
                 let seq = sender.send_seq;
-                sender.seal_into(&plaintext, &mut rec).unwrap();
+                let rec = seal_record(sender, &plaintext).unwrap();
 
                 let mut header = vec![CT_APPDATA, VERSION[0], VERSION[1]];
                 header.extend_from_slice(&seq.to_be_bytes());
@@ -937,12 +876,14 @@ mod tests {
                 nonce[4..].copy_from_slice(&seq.to_be_bytes());
                 let key: &[u8; 16] = write[..16].try_into().unwrap();
                 for gcm in [Aes128Gcm::new(key), Aes128Gcm::new_portable(key)] {
-                    let mut body = plaintext.clone();
-                    let tag = gcm.seal_in_place(&nonce, &header, &mut body);
+                    let mut body = vec![0; n];
+                    let mut stream = gcm.sealing(&nonce, &header);
+                    stream.update(&plaintext, &mut body);
+                    let tag = stream.finish();
                     let want = [&header[..], &body, &tag].concat();
                     assert_eq!(&rec[..], &want[..], "{gcm:?} seal mismatch at n={n}");
                 }
-                receiver.open_into(&rec, &mut pt_out).unwrap();
+                let pt_out = receiver.open(&rec).unwrap();
                 assert_eq!(&pt_out[..], &plaintext[..], "open mismatch at n={n}");
             }
         }
@@ -953,9 +894,9 @@ mod tests {
         // Each direction has its own key, so a record bounced back to its
         // sender does not authenticate.
         let (mut c, mut s) = pair(true);
-        let rec = c.seal(b"reflect me").unwrap();
+        let rec = seal_record(&mut c, b"reflect me").unwrap();
         assert_eq!(c.open(&rec), Err(DtlsError::BadRecord));
-        let rec = s.seal(b"reflect me too").unwrap();
+        let rec = seal_record(&mut s, b"reflect me too").unwrap();
         assert_eq!(s.open(&rec), Err(DtlsError::BadRecord));
         // The same records still open at their real destination.
         assert_eq!(&c.open(&rec).unwrap()[..], b"reflect me too");
@@ -965,7 +906,10 @@ mod tests {
     fn record_length_is_header_plus_plaintext_plus_tag() {
         let (mut c, _s) = pair(true);
         for n in [0usize, 1, 16, 100, 1200, MAX_RECORD_PLAINTEXT] {
-            assert_eq!(c.seal(&vec![7u8; n]).unwrap().len(), 13 + n + 16);
+            assert_eq!(
+                seal_record(&mut c, &vec![7u8; n]).unwrap().len(),
+                13 + n + 16
+            );
         }
     }
 
@@ -974,7 +918,7 @@ mod tests {
         // Type and version fail the structural check; seq and length are
         // in the AAD; body and tag fail the GCM tag.
         let (mut c, mut s) = pair(true);
-        let rec = c.seal(b"authenticated payload").unwrap();
+        let rec = seal_record(&mut c, b"authenticated payload").unwrap();
         let len = rec.len();
         for (what, idx) in [
             ("type", 0),
@@ -996,7 +940,7 @@ mod tests {
     fn ciphertext_hides_plaintext() {
         let (mut c, _s) = pair(true);
         let plaintext = b"SECRET-VIDEO-SEGMENT-CONTENT";
-        let rec = c.seal(plaintext).unwrap();
+        let rec = seal_record(&mut c, plaintext).unwrap();
         assert!(!rec
             .windows(plaintext.len())
             .any(|w| w == plaintext.as_slice()));
@@ -1005,7 +949,7 @@ mod tests {
     #[test]
     fn tampered_record_rejected() {
         let (mut c, mut s) = pair(true);
-        let rec = c.seal(b"data").unwrap();
+        let rec = seal_record(&mut c, b"data").unwrap();
         let mut bad = rec.to_vec();
         bad[14] ^= 0x01;
         assert_eq!(s.open(&bad), Err(DtlsError::BadRecord));
@@ -1014,7 +958,7 @@ mod tests {
     #[test]
     fn replay_rejected() {
         let (mut c, mut s) = pair(true);
-        let rec = c.seal(b"data").unwrap();
+        let rec = seal_record(&mut c, b"data").unwrap();
         assert!(s.open(&rec).is_ok());
         assert_eq!(s.open(&rec), Err(DtlsError::Replay));
     }
@@ -1050,7 +994,7 @@ mod tests {
         let mut rng = SimRng::seed(5);
         let cert = Certificate::generate(&mut rng);
         let (mut c, _hello) = DtlsEndpoint::client(cert, None, &mut rng);
-        assert_eq!(c.seal(b"x"), Err(DtlsError::NotEstablished));
+        assert_eq!(seal_record(&mut c, b"x"), Err(DtlsError::NotEstablished));
     }
 
     #[test]
@@ -1065,10 +1009,10 @@ mod tests {
     fn max_record_roundtrip_and_oversize_rejected() {
         let (mut c, mut s) = pair(true);
         let payload = vec![0xabu8; MAX_RECORD_PLAINTEXT];
-        let rec = c.seal(&payload).unwrap();
+        let rec = seal_record(&mut c, &payload).unwrap();
         assert_eq!(&s.open(&rec).unwrap()[..], payload.as_slice());
         assert_eq!(
-            c.seal(&vec![0u8; MAX_RECORD_PLAINTEXT + 1]),
+            seal_record(&mut c, &vec![0u8; MAX_RECORD_PLAINTEXT + 1]),
             Err(DtlsError::Oversize)
         );
     }
@@ -1125,10 +1069,8 @@ mod prop_tests {
             payload in proptest::collection::vec(any::<u8>(), 0..=MAX_RECORD_PLAINTEXT),
         ) {
             let (mut c, mut s) = pair();
-            let mut rec = BytesMut::new();
-            let mut pt = BytesMut::new();
-            c.seal_into(&payload, &mut rec).unwrap();
-            s.open_into(&rec, &mut pt).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
+            let pt = s.open(&rec).unwrap();
             prop_assert_eq!(&pt[..], payload.as_slice());
         }
 
@@ -1138,7 +1080,7 @@ mod prop_tests {
             cut in 1usize..64,
         ) {
             let (mut c, mut s) = pair();
-            let rec = c.seal(&payload).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
             let cut = cut.min(rec.len());
             let truncated = &rec[..rec.len() - cut];
             prop_assert!(s.open(truncated).is_err());
@@ -1151,7 +1093,7 @@ mod prop_tests {
             bit in 0u8..8,
         ) {
             let (mut c, mut s) = pair();
-            let rec = c.seal(&payload).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
             let mut bad = rec.to_vec();
             let idx = bad.len() - TAG_LEN + tag_byte;
             bad[idx] ^= 1 << bit;
@@ -1165,7 +1107,7 @@ mod prop_tests {
             bit in 0u8..8,
         ) {
             let (mut c, mut s) = pair();
-            let rec = c.seal(&payload).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
             let mut bad = rec.to_vec();
             // Flip anywhere in header or ciphertext (not the tag itself).
             let idx = pos % (bad.len() - TAG_LEN);
@@ -1178,7 +1120,7 @@ mod prop_tests {
             payload in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
             let (mut c, mut s) = pair();
-            let rec = c.seal(&payload).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
             prop_assert!(s.open(&rec).is_ok());
             prop_assert_eq!(s.open(&rec), Err(DtlsError::Replay));
         }

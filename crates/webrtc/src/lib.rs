@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use pdn_simnet::SimRng;
-//! use pdn_webrtc::{Certificate, DtlsEndpoint, dtls};
+//! use pdn_webrtc::{Certificate, DataChannel, DtlsEndpoint, dtls};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = SimRng::seed(7);
@@ -37,8 +37,10 @@
 //! let mut server = DtlsEndpoint::server(server_cert, None, &mut rng);
 //! dtls::handshake(&mut client, hello, &mut server, &mut rng)?;
 //!
-//! let record = client.seal(b"video segment chunk")?;
-//! assert_eq!(&server.open(&record)?[..], b"video segment chunk");
+//! let (mut tx, mut rx) = (DataChannel::new(client), DataChannel::new(server));
+//! let records = tx.send_message(&[b"video segment chunk"])?;
+//! let message = rx.receive_record(&records[0])?.expect("a one-record message");
+//! assert_eq!(&message[..], b"video segment chunk");
 //! # Ok(())
 //! # }
 //! ```
@@ -65,6 +67,7 @@ pub use turn::{TurnAction, TurnServer};
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::dtls::seal_record;
     use bytes::Bytes;
     use pdn_simnet::{Addr, SimRng};
     use proptest::prelude::*;
@@ -103,7 +106,7 @@ mod prop_tests {
             let (mut c, hello) = DtlsEndpoint::client(cc, Some(sc.fingerprint()), &mut rng);
             let mut s = DtlsEndpoint::server(sc, None, &mut rng);
             dtls::handshake(&mut c, hello, &mut s, &mut rng).unwrap();
-            let rec = c.seal(&payload).unwrap();
+            let rec = seal_record(&mut c, &payload).unwrap();
             let mut tampered = rec.to_vec();
             let bit = flip % (tampered.len() * 8);
             tampered[bit / 8] ^= 1 << (bit % 8);
@@ -126,7 +129,7 @@ mod prop_tests {
             let (mut c, hello) = DtlsEndpoint::client(cc, None, &mut rng);
             let mut s = DtlsEndpoint::server(sc, None, &mut rng);
             dtls::handshake(&mut c, hello, &mut s, &mut rng).unwrap();
-            let records: Vec<_> = (0..24u8).map(|i| c.seal(&[i]).unwrap()).collect();
+            let records: Vec<_> = (0..24u8).map(|i| seal_record(&mut c, &[i]).unwrap()).collect();
             let mut opened = [false; 24];
             for idx in order {
                 match s.open(&records[idx]) {

@@ -52,7 +52,8 @@ impl Candidate {
     }
 
     /// Renders the `a=candidate:` SDP line.
-    pub fn to_sdp_line(&self) -> String {
+    #[cfg(test)]
+    fn to_sdp_line(self) -> String {
         let typ = match self.kind {
             CandidateKind::Host => "host",
             CandidateKind::ServerReflexive => "srflx",
@@ -80,8 +81,9 @@ pub struct SessionDescription {
 }
 
 impl SessionDescription {
-    /// Renders an abbreviated SDP blob (for logging and signature matching).
-    pub fn to_sdp(&self) -> String {
+    /// Renders an abbreviated SDP blob.
+    #[cfg(test)]
+    fn to_sdp(&self) -> String {
         let mut out = String::from("v=0\r\n");
         out.push_str(&format!("a=ice-ufrag:{}\r\n", self.ice_ufrag));
         out.push_str(&format!("a=ice-pwd:{}\r\n", self.ice_pwd));

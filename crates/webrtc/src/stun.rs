@@ -179,13 +179,6 @@ impl Message {
         })
     }
 
-    /// Whether the USE-CANDIDATE flag is present.
-    pub fn use_candidate(&self) -> bool {
-        self.attributes
-            .iter()
-            .any(|a| matches!(a, Attribute::UseCandidate))
-    }
-
     /// Appends a MESSAGE-INTEGRITY attribute MAC'd under `key`, builder
     /// style.
     ///
@@ -533,7 +526,10 @@ mod tests {
             .with(Attribute::MessageIntegrity([0xab; 32]));
         let back = Message::decode(&m.encode()).unwrap();
         assert_eq!(back.username(), Some("remoteU:localU"));
-        assert!(back.use_candidate());
+        assert!(back
+            .attributes
+            .iter()
+            .any(|a| matches!(a, Attribute::UseCandidate)));
         assert!(back
             .attributes
             .iter()

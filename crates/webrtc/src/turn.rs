@@ -145,7 +145,8 @@ impl TurnServer {
     }
 
     /// Number of live allocations.
-    pub fn allocation_count(&self) -> usize {
+    #[cfg(test)]
+    fn allocation_count(&self) -> usize {
         self.allocations.len()
     }
 }

@@ -41,8 +41,7 @@ HEADLINES = {
         ("jwt verifies/s (fast)", "jwt_verifies_per_sec_new"),
         ("jwt speedup", "jwt_speedup"),
         ("dtls worst-case speedup", "dtls_worst_speedup"),
-        ("dtls seal_into allocs/record", "dtls_seal_into_allocs_per_record"),
-        ("dtls open_into allocs/record", "dtls_open_into_allocs_per_record"),
+        ("channel receive allocs/record", "channel_receive_allocs_per_record"),
         ("aes-gcm backend", "aes_gcm_backend"),
     ],
     "BENCH_scan.json": [

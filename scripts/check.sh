@@ -172,6 +172,13 @@ unsafe_confined() {
 }
 run_gate "unsafe confinement (#[allow(unsafe_code)] only in sha256.rs and aes_gcm.rs)" unsafe_confined
 
+# Production crates keep only what production calls: every `pub` item in
+# them has a caller outside tests and pdn-oracle, or an entry with its
+# reason in scripts/dead_api.allow. A stale entry fails too, so the list
+# only shrinks.
+run_gate "dead-API gate (every production pub item has a production caller or an allowlist reason; no stale entries)" \
+  ./scripts/dead_api.sh
+
 # Process-global mutable switches make behaviour depend on hidden state;
 # production code takes its configuration through values. A `thread_local!`
 # is the same thing per thread: a memo or switch in one would carry state

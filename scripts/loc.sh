@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Non-test lines per production crate: each source file counts its lines
-# up to its first `#[cfg(test)]` (the unit-test module sits at the end of
-# a file by convention); binaries under src/bin are excluded.
+# Non-test lines per production crate: each source file counts every line
+# outside its `#[cfg(test)]` items, each skipped from the attribute to the
+# brace that closes it (scripts/nontest.awk, the rule dead_api.sh reads
+# code by); binaries under src/bin are excluded.
 #
 #   ./scripts/loc.sh         # the working tree
 #   ./scripts/loc.sh REV     # REV (any git revision) beside the working
 #                            # tree, with the change per crate
 #
 # REV is read with `git archive` into a temporary directory, so the
-# working tree is never touched. Run from anywhere.
+# working tree is never touched; both trees are counted by this tree's
+# rule. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,12 +22,8 @@ count_tree() {
   for crate in "${crates[@]}"; do
     find "${root}/crates/${crate}/src" -name '*.rs' -not -path '*/src/bin/*' -print0 \
       | sort -z \
-      | xargs -0 awk '
-          FNR == 1 { counting = 1 }
-          /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-          counting { n++ }
-          END { print n + 0 }
-        '
+      | xargs -0 awk -f scripts/nontest.awk \
+      | wc -l
   done
 }
 

@@ -10,6 +10,17 @@ use std::time::Duration;
 
 const SEGMENTS: u64 = 20;
 
+/// Each viewer's NAT, in spawn order.
+const NATS: [Option<NatKind>; 7] = [
+    None,
+    Some(NatKind::FullCone),
+    Some(NatKind::RestrictedCone),
+    Some(NatKind::PortRestrictedCone),
+    Some(NatKind::Symmetric),
+    None,
+    Some(NatKind::FullCone),
+];
+
 fn build(seed: u64) -> (PdnWorld, Vec<pdn_simnet::NodeId>) {
     let mut world = PdnWorld::new(ProviderProfile::peer5(), seed);
     world
@@ -27,17 +38,8 @@ fn build(seed: u64) -> (PdnWorld, Vec<pdn_simnet::NodeId>) {
     let mut cfg = AgentConfig::new("v", "k", "site.tv");
     cfg.vod_end = Some(SEGMENTS);
 
-    let nats = [
-        None,
-        Some(NatKind::FullCone),
-        Some(NatKind::RestrictedCone),
-        Some(NatKind::PortRestrictedCone),
-        Some(NatKind::Symmetric),
-        None,
-        Some(NatKind::FullCone),
-    ];
     let mut viewers = Vec::new();
-    for (i, nat) in nats.into_iter().enumerate() {
+    for (i, nat) in NATS.into_iter().enumerate() {
         let v = world.spawn_viewer(ViewerSpec {
             geo: GeoInfo::new("US", (i % 3) as u16, "AS7922"),
             nat,
@@ -54,13 +56,12 @@ fn build(seed: u64) -> (PdnWorld, Vec<pdn_simnet::NodeId>) {
 #[test]
 fn heterogeneous_swarm_completes_playback() {
     let (world, viewers) = build(5);
-    for &v in &viewers {
+    for (&v, nat) in viewers.iter().zip(NATS) {
         let agent = world.agent(v);
         assert_eq!(
             agent.player().played().len(),
             SEGMENTS as usize,
-            "viewer {v} (nat {:?}) finished",
-            world.net().nat_kind(v)
+            "viewer {v} (nat {nat:?}) finished"
         );
         // Whatever the path, content is authentic.
         let src = VideoSource::vod("v", vec![800_000], Duration::from_secs(4), SEGMENTS);
