@@ -8,8 +8,6 @@
 use std::time::Duration;
 
 use crate::source::VideoSource;
-#[cfg(test)]
-use crate::source::{SegmentId, VideoId};
 
 /// One entry of a media playlist.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,20 +156,6 @@ impl MediaPlaylist {
         }
         Ok(playlist)
     }
-
-    /// Resolves an entry to a [`SegmentId`] for `video`, by parsing the
-    /// `r<rendition>/s<seq>.ts` URI convention used by the simulated CDN.
-    #[cfg(test)]
-    fn segment_id(&self, video: &VideoId, entry: &ManifestEntry) -> Option<SegmentId> {
-        let rest = entry.uri.strip_prefix('r')?;
-        let (rendition, rest) = rest.split_once("/s")?;
-        let seq = rest.strip_suffix(".ts")?;
-        Some(SegmentId {
-            video: video.clone(),
-            rendition: rendition.parse().ok()?,
-            seq: seq.parse().ok()?,
-        })
-    }
 }
 
 /// A master playlist listing renditions of a video.
@@ -288,21 +272,6 @@ mod tests {
         let text = "#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-FANCY:1\n#EXT-X-TARGETDURATION:10\n#EXT-X-MEDIA-SEQUENCE:0\n#EXTINF:10.000,\nr0/s0.ts\n";
         let m = MediaPlaylist::parse(text).unwrap();
         assert_eq!(m.entries.len(), 1);
-    }
-
-    #[test]
-    fn segment_id_resolution() {
-        let m = MediaPlaylist::for_source(&src(), 1, 2, 4);
-        let vid = VideoId::new("v");
-        let id = m.segment_id(&vid, &m.entries[0]).unwrap();
-        assert_eq!(id.rendition, 1);
-        assert_eq!(id.seq, 2);
-        let bogus = ManifestEntry {
-            seq: 0,
-            duration: Duration::from_secs(1),
-            uri: "weird.ts".into(),
-        };
-        assert!(m.segment_id(&vid, &bogus).is_none());
     }
 
     #[test]

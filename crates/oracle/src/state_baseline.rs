@@ -60,7 +60,6 @@ pub struct BaselineSignalingServer {
     accounts: AccountRegistry,
     token_validator: Option<TokenValidator>,
     temp_tokens: HashMap<String, Option<VideoId>>,
-    registered_sources: Option<HashSet<String>>,
     matching: MatchingPolicy,
     max_neighbors: usize,
     swarms: HashMap<SwarmKey, Vec<Member>>,
@@ -88,7 +87,6 @@ impl BaselineSignalingServer {
             accounts: AccountRegistry::new(),
             token_validator,
             temp_tokens: HashMap::new(),
-            registered_sources: None,
             matching: MatchingPolicy::Global,
             max_neighbors: 4,
             swarms: HashMap::new(),
@@ -129,11 +127,6 @@ impl BaselineSignalingServer {
     /// Gives the server CDN origin access for IM conflict resolution.
     pub fn attach_origin(&mut self, origin: OriginServer) {
         self.origin = Some(origin);
-    }
-
-    /// Restricts joins to registered video sources.
-    pub fn set_registered_sources(&mut self, sources: impl IntoIterator<Item = String>) {
-        self.registered_sources = Some(sources.into_iter().collect());
     }
 
     /// Mints a temporary token.
@@ -232,11 +225,6 @@ impl BaselineSignalingServer {
 
         if self.blacklist_addrs.contains(&from) {
             return deny("peer is blacklisted".into());
-        }
-        if let Some(reg) = &self.registered_sources {
-            if !reg.contains(&video) {
-                return deny("video source not registered".into());
-            }
         }
         let customer_id = match self.authenticate(&api_key, &token, &origin, &video, now) {
             Ok(id) => id,

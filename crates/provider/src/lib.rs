@@ -13,6 +13,8 @@
 //! - [`wire`] — the versioned zero-copy binary codec behind [`proto`];
 //! - [`signaling`] — the tracker: swarms, neighbor introduction, metering,
 //!   §V-B integrity checking with blacklist, §V-C peer matching;
+//! - [`sched`] — the segment planner both the SDK and the swarm model use:
+//!   CDN slow start, then peers first with the CDN as fallback;
 //! - [`sdk`] — the client agent a customer embeds (sans-IO state machine);
 //! - [`service`] — open-loop service mode: the tracker under live Poisson
 //!   load with bounded inboxes, load shedding, and tail-latency SLOs;
@@ -51,6 +53,7 @@ pub mod auth;
 pub mod billing;
 pub mod profiles;
 pub mod proto;
+pub mod sched;
 pub mod sdk;
 pub mod service;
 pub mod signaling;

@@ -142,9 +142,8 @@ impl ProviderProfile {
             allowlist_default: false,
             slow_start_segments: 3,
             manifest_consistency_check: true,
-            // Private services additionally gate on registered video
-            // sources (DRM-ish); modeled via manifest consistency +
-            // registered-source checks in the signaling server.
+            // Private services gate on their own video sources
+            // (DRM-ish); modeled by the manifest consistency check.
             segment_integrity_check: false,
             billing: BillingModel::PerP2pTraffic { usd_per_tb: 0.0 },
             cellular: CellularPolicy::LeechOnly,

@@ -39,6 +39,7 @@ use pdn_webrtc::{
 };
 
 use crate::proto::{HttpRequest, HttpResponse, SignalMsg};
+use crate::sched;
 use crate::signaling::parse_hex32;
 use crate::state::{AvailMap, VecMap};
 use crate::wire::{self, P2pRef, P2pView};
@@ -278,7 +279,7 @@ impl Conn {
     /// a [`Conn::new_endpoint`] whose output is dropped, plus the TURN
     /// transaction id an initiator's ClientHello takes in relay mode. The
     /// draws shift every later one, so Table VI, Fig. 4 and Fig. 5 depend
-    /// on them. ROADMAP item 4 deletes its one call.
+    /// on them. ROADMAP item 5 deletes its one call.
     fn legacy_endpoint_draw(&self, cert: &Certificate, relay: Option<Addr>, rng: &mut SimRng) {
         let (_, hello) = self.new_endpoint(cert, rng);
         if hello.is_some() && relay.is_some() {
@@ -972,7 +973,7 @@ impl PdnAgent {
                 legacy_draw_due, ..
             } => {
                 if std::mem::take(legacy_draw_due) {
-                    // ROADMAP item 4: deleting this call is the fix.
+                    // ROADMAP item 5: deleting this call is the fix.
                     conn.legacy_endpoint_draw(&self.cert, self.config.relay, &mut self.rng);
                 }
                 out.push(AgentOut::ChargeCpu(crypto_cost(data.len())));
@@ -1247,78 +1248,13 @@ impl PdnAgent {
         let start = self.session_start_seq.unwrap_or(0);
         let end = manifest.media_sequence + manifest.entries.len() as u64;
         let next = self.player.next_needed_seq();
-        for seq in next..(next + costs::BUFFER_TARGET).min(end) {
-            if self.cache.contains_key(seq)
-                || self.requested.contains_key(seq)
-                || self.held.contains_key(seq)
-            {
-                continue;
-            }
-            let in_slow_start = seq < start + self.config.slow_start_segments;
-            let rendition = self.current_rendition;
-            let p2p = !in_slow_start && self.config.pdn_enabled && !self.blacklisted;
-            let holder = p2p
-                .then(|| {
-                    // Ascending peer-id order (`conns_by_peer`): the order
-                    // the RNG pick is pinned to.
-                    let holders: Vec<u32> = self
-                        .conns_by_peer
-                        .iter()
-                        .copied()
-                        .filter(|&i| {
-                            let c = &self.conns[i as usize];
-                            c.is_established() && c.avail.contains(rendition, seq)
-                        })
-                        .collect();
-                    self.rng.choose(&holders).map(|&i| i as usize)
-                })
-                .flatten();
-            match holder {
-                Some(idx) => {
-                    let peer = self.conns[idx].remote_peer;
-                    self.first_wanted.remove(seq);
-                    self.requested.insert(seq, (RequestVia::Peer(peer), now));
-                    let (conns, mut tx) = self.p2p_tx();
-                    if let Some((remote, chan)) = conns[idx].established() {
-                        let request = P2pRef::RequestSegment {
-                            video: tx.video,
-                            rendition,
-                            seq,
-                        };
-                        tx.send(remote, chan, &request, out);
-                    }
-                }
-                None => {
-                    // P2P patience: with live neighbors connected, wait a
-                    // beat for a Have announcement before paying the CDN.
-                    // The deadline is jittered per segment so exactly one
-                    // swarm member gives up first and seeds the others —
-                    // this is what concentrates load on seed peers (Fig 5).
-                    let base = self.config.cdn_patience;
-                    let deadline = match self.first_wanted.get(seq) {
-                        Some(d) => *d,
-                        None => {
-                            let jitter_ns = if base.is_zero() {
-                                0
-                            } else {
-                                let span = base.as_nanos() as u64;
-                                self.rng.range(span / 2..=span * 3 / 2)
-                            };
-                            let d = now + Duration::from_nanos(jitter_ns);
-                            self.first_wanted.insert(seq, d);
-                            d
-                        }
-                    };
-                    let can_wait =
-                        p2p && self.conns.iter().any(Conn::is_established) && now < deadline;
-                    if can_wait {
-                        continue;
-                    }
-                    self.first_wanted.remove(seq);
-                    self.fetch_from_cdn(seq, now, out);
-                }
-            }
-        }
+        let policy = sched::Policy {
+            window: costs::BUFFER_TARGET,
+            in_flight: costs::BUFFER_TARGET,
+            slow_start: self.config.slow_start_segments,
+        };
+        let p2p = self.config.pdn_enabled && !self.blacklisted;
+        sched::plan(&mut Fetch(self, now, out), policy, start, next, end, p2p);
     }
 
     /// Requests `seq` from the CDN at the current rendition.
@@ -1367,6 +1303,70 @@ impl PdnAgent {
             p2p_up,
         };
         (&mut conns[..], tx)
+    }
+}
+
+/// The agent as the segment planner sees it: one pass at `now`.
+struct Fetch<'a>(&'a mut PdnAgent, SimTime, &'a mut Vec<AgentOut>);
+
+impl sched::Fetcher for Fetch<'_> {
+    type Peer = usize;
+
+    // Segments the player already buffered are not busy here, so they
+    // may be fetched again: the re-requests of ROADMAP item 5.
+    fn busy(&self, seq: u64) -> bool {
+        let a = &self.0;
+        a.cache.contains_key(seq) || a.requested.contains_key(seq) || a.held.contains_key(seq)
+    }
+
+    // Ascending peer-id order (`conns_by_peer`): the order the RNG pick
+    // is pinned to.
+    fn pick(&mut self, seq: u64) -> Option<usize> {
+        let a = &mut *self.0;
+        let holders: Vec<u32> = a
+            .conns_by_peer
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let c = &a.conns[i as usize];
+                c.is_established() && c.avail.contains(a.current_rendition, seq)
+            })
+            .collect();
+        a.rng.choose(&holders).map(|&i| i as usize)
+    }
+
+    // P2P patience: with live neighbors connected, wait a beat for a Have
+    // announcement before paying the CDN. The deadline is jittered per
+    // segment so exactly one swarm member gives up first and seeds the
+    // others — this is what concentrates load on seed peers (Fig 5).
+    fn wait(&mut self, seq: u64) -> bool {
+        let (a, now) = (&mut *self.0, self.1);
+        let deadline = *a.first_wanted.or_insert_with(seq, || {
+            let span = a.config.cdn_patience.as_nanos() as u64;
+            let jitter = (span > 0).then(|| a.rng.range(span / 2..=span * 3 / 2));
+            now + Duration::from_nanos(jitter.unwrap_or(0))
+        });
+        a.conns.iter().any(Conn::is_established) && now < deadline
+    }
+
+    fn fetch(&mut self, seq: u64, peer: Option<usize>) {
+        let Fetch(a, now, out) = self;
+        a.first_wanted.remove(seq);
+        let Some(idx) = peer else {
+            return a.fetch_from_cdn(seq, *now, out);
+        };
+        let rendition = a.current_rendition;
+        let via = RequestVia::Peer(a.conns[idx].remote_peer);
+        a.requested.insert(seq, (via, *now));
+        let (conns, mut tx) = a.p2p_tx();
+        if let Some((remote, chan)) = conns[idx].established() {
+            let request = P2pRef::RequestSegment {
+                video: tx.video,
+                rendition,
+                seq,
+            };
+            tx.send(remote, chan, &request, out);
+        }
     }
 }
 

@@ -211,9 +211,6 @@ pub struct SignalingServer {
     token_validator: Option<TokenValidator>,
     /// Temp tokens (private profiles): token -> optional bound video.
     temp_tokens: FxHashMap<String, Option<VideoId>>,
-    /// Private platforms only accept registered video sources (the DRM-ish
-    /// gate that blocked the Mango TV pollution test, §IV-C).
-    registered_sources: Option<FxHashSet<String>>,
     matching: MatchingPolicy,
     max_neighbors: usize,
     // --- swarm-state engine ---
@@ -286,7 +283,6 @@ impl SignalingServer {
             accounts: AccountRegistry::new(),
             token_validator,
             temp_tokens: FxHashMap::default(),
-            registered_sources: None,
             matching: MatchingPolicy::Global,
             max_neighbors: 4,
             videos: Interner::new(),
@@ -350,11 +346,6 @@ impl SignalingServer {
     /// Gives the server CDN origin access for IM conflict resolution.
     pub fn attach_origin(&mut self, origin: OriginServer) {
         self.origin = Some(origin);
-    }
-
-    /// Restricts joins to registered video sources (private platforms).
-    pub fn set_registered_sources(&mut self, sources: impl IntoIterator<Item = String>) {
-        self.registered_sources = Some(sources.into_iter().collect());
     }
 
     /// Mints a temporary token (private profiles). Bound to `video` when
@@ -544,11 +535,10 @@ impl SignalingServer {
         }
     }
 
-    /// Join admission, the only one: a blacklisted address, an
-    /// unregistered source or failed authentication is denied; otherwise
-    /// the joiner is introduced to up to `max_neighbors` live members
-    /// youngest-first under the matching policy, and each of them is told
-    /// about the joiner.
+    /// Join admission, the only one: a blacklisted address or failed
+    /// authentication is denied; otherwise the joiner is introduced to up
+    /// to `max_neighbors` live members youngest-first under the matching
+    /// policy, and each of them is told about the joiner.
     ///
     /// Nothing is materialised: credentials stay `&str` views into the
     /// frame, the joiner's SDP is interned as a zero-copy slice of the
@@ -574,13 +564,6 @@ impl SignalingServer {
         if self.blacklist_addrs.contains(&from) {
             out.push((from, deny("peer is blacklisted".into())));
             return;
-        }
-        // Private platforms: only registered video sources participate.
-        if let Some(reg) = &self.registered_sources {
-            if !reg.contains(view.video) {
-                out.push((from, deny("video source not registered".into())));
-                return;
-            }
         }
         let customer_id = match self.authenticate_memo(
             view.api_key,
@@ -1645,24 +1628,6 @@ mod tests {
             sdp: sdp(1),
         };
         let r = bound.handle(addr(1), j, SimTime::ZERO, &geo);
-        assert!(matches!(r[..], [(_, SignalMsg::JoinDenied { .. })]));
-    }
-
-    #[test]
-    fn registered_sources_gate_private_platforms() {
-        let mut s = SignalingServer::new(ProviderProfile::private_mango_tv(), 1);
-        s.set_registered_sources(["official-video".to_string()]);
-        let geo = GeoIpService::new();
-        let t = s.mint_temp_token(None);
-        let j = SignalMsg::Join {
-            api_key: None,
-            token: Some(t),
-            origin: "x".into(),
-            video: "custom-video".into(),
-            manifest_hash: "m".into(),
-            sdp: sdp(1),
-        };
-        let r = s.handle(addr(1), j, SimTime::ZERO, &geo);
         assert!(matches!(r[..], [(_, SignalMsg::JoinDenied { .. })]));
     }
 

@@ -51,6 +51,8 @@ use std::time::Duration;
 use pdn_simnet::shard::{run_sharded, ShardMode, ShardRunReport, ShardWorld};
 use pdn_simnet::{splitmix64_finalize, CalendarQueue, SimTime};
 
+use crate::sched;
+
 /// Neighbor slots per peer. Fixed so [`CompactPeer`] stays heap-free.
 pub const MAX_NEIGHBORS: usize = 6;
 
@@ -242,7 +244,9 @@ pub struct CompactPeer {
     play_pos: u8,
     /// Ticks accumulated toward the next playback advance.
     play_ticks: u8,
-    /// Ticks the current needed segment has been P2P-unavailable.
+    /// Ticks the current needed segment has waited for a peer: a tick
+    /// with no supplier, a P2P timeout or a Nack each add one; the CDN
+    /// fallback and any arrival reset it.
     wait_ticks: u8,
     /// Segment of the in-flight request ([`NO_SEQ`] = none).
     pending_seq: u8,
@@ -734,10 +738,6 @@ impl SwarmShard {
         let timeout_ns = self.cfg.p2p_timeout.as_nanos() as u64;
         let tick_ns = self.cfg.tick.as_nanos() as u64;
         let seed = self.cfg.seed;
-        // Per-peer CDN patience (constant per peer, keyed off a counter
-        // value no real message ever uses).
-        let spread = 2 * self.cfg.cdn_patience as u64 + 1;
-        let patience = (1 + mix(seed, me, u32::MAX - 1) % spread) as u8;
 
         // 1. Join on first tick.
         if self.peers[local].state == IDLE {
@@ -793,62 +793,20 @@ impl SwarmShard {
                 }
             }
             if self.peers[local].pending_seq == NO_SEQ {
-                let buffer = self.cfg.buffer_segs;
-                let p = &self.peers[local];
-                let window_end = (p.play_pos as u16 + buffer as u16).min(cfg_segments as u16) as u8;
-                let target = (p.play_pos..window_end)
-                    .find(|&s| p.have & (1 << s) == 0 && p.requested & (1 << s) == 0);
-                if let Some(seq) = target {
-                    // Prefer a neighbor advertising the segment; rotate
-                    // the starting slot by a counter-keyed draw so load
-                    // spreads without a shared RNG.
-                    let n = p.n_neighbors as usize;
-                    let supplier = if n > 0 {
-                        let start = (mix(seed, me, p.send_ctr) as usize) % n;
-                        (0..n)
-                            .map(|i| (start + i) % n)
-                            .find(|&i| p.avail[i] & (1 << seq) != 0)
-                            .map(|i| p.neighbors[i])
-                    } else {
-                        None
-                    };
-                    if let Some(neighbor) = supplier {
-                        let p = &mut self.peers[local];
-                        p.requested |= 1 << seq;
-                        p.pending_seq = seq;
-                        p.pending_at_ns = at_ns;
-                        let ctr = p.send_ctr;
-                        p.send_ctr += 1;
-                        self.post(
-                            outbox,
-                            at_ns,
-                            me,
-                            ctr,
-                            neighbor,
-                            MsgKind::Request { from: me, seq },
-                        );
-                    } else {
-                        let p = &mut self.peers[local];
-                        p.wait_ticks = p.wait_ticks.saturating_add(1);
-                        if p.wait_ticks > patience {
-                            // CDN fallback: RTT + downlink serialization,
-                            // chained on the receiver's downlink.
-                            let cdn_rtt = self.cfg.cdn_rtt.as_nanos() as u64;
-                            let seg = self.cfg.seg_bytes as u64;
-                            let down_bps = self.cfg.down_bps;
-                            let p = &mut self.peers[local];
-                            let done = at_ns.max(p.down_free_ns) + cdn_rtt + ser_ns(seg, down_bps);
-                            p.down_free_ns = done;
-                            p.requested |= 1 << seq;
-                            p.pending_seq = seq;
-                            p.pending_at_ns = done; // completes exactly then
-                            p.wait_ticks = 0;
-                            let ctr = p.send_ctr;
-                            p.send_ctr += 1;
-                            self.post_local(done, me, ctr, me, MsgKind::CdnDone { seq });
-                        }
-                    }
-                }
+                let policy = sched::Policy {
+                    window: self.cfg.buffer_segs as u64,
+                    in_flight: 1,
+                    slow_start: 0,
+                };
+                let next = self.peers[local].play_pos as u64;
+                let mut pump = Pump {
+                    shard: self,
+                    local,
+                    me,
+                    at_ns,
+                    outbox,
+                };
+                sched::plan(&mut pump, policy, 0, next, cfg_segments as u64, true);
             }
         }
 
@@ -902,6 +860,75 @@ impl SwarmShard {
             + self.queue.mem_bytes()
             + self.regions.capacity() * std::mem::size_of::<RegionStats>()
             + self.tracker.as_ref().map_or(0, |t| t.mem_bytes())
+    }
+}
+
+/// One peer's tick as the segment planner sees it.
+struct Pump<'a> {
+    shard: &'a mut SwarmShard,
+    local: usize,
+    me: u32,
+    at_ns: u64,
+    outbox: &'a mut Vec<(usize, SwarmMsg)>,
+}
+
+impl sched::Fetcher for Pump<'_> {
+    type Peer = u32;
+
+    fn busy(&self, seq: u64) -> bool {
+        let p = &self.shard.peers[self.local];
+        (p.have | p.requested) & (1 << seq) != 0
+    }
+
+    // Prefer a neighbor advertising the segment; rotate the starting slot
+    // by a counter-keyed draw so load spreads without a shared RNG.
+    fn pick(&mut self, seq: u64) -> Option<u32> {
+        let p = &self.shard.peers[self.local];
+        let n = p.n_neighbors as usize;
+        if n == 0 {
+            return None;
+        }
+        let start = (mix(self.shard.cfg.seed, self.me, p.send_ctr) as usize) % n;
+        (0..n)
+            .map(|i| (start + i) % n)
+            .find(|&i| p.avail[i] & (1 << seq) != 0)
+            .map(|i| p.neighbors[i])
+    }
+
+    // Per-peer CDN patience in ticks (constant per peer, keyed off a
+    // counter value no real message ever uses).
+    fn wait(&mut self, _seq: u64) -> bool {
+        let cfg = &self.shard.cfg;
+        let spread = 2 * cfg.cdn_patience as u64 + 1;
+        let patience = (1 + mix(cfg.seed, self.me, u32::MAX - 1) % spread) as u8;
+        let p = &mut self.shard.peers[self.local];
+        p.wait_ticks = p.wait_ticks.saturating_add(1);
+        p.wait_ticks <= patience
+    }
+
+    fn fetch(&mut self, seq: u64, peer: Option<u32>) {
+        let (at_ns, me, seq) = (self.at_ns, self.me, seq as u8);
+        let cfg = &self.shard.cfg;
+        let p = &mut self.shard.peers[self.local];
+        p.requested |= 1 << seq;
+        p.pending_seq = seq;
+        let ctr = p.send_ctr;
+        p.send_ctr += 1;
+        if let Some(neighbor) = peer {
+            p.pending_at_ns = at_ns;
+            let kind = MsgKind::Request { from: me, seq };
+            return self.shard.post(self.outbox, at_ns, me, ctr, neighbor, kind);
+        }
+        // CDN fallback: RTT + downlink serialization, chained on the
+        // receiver's downlink; completes exactly at `pending_at_ns`.
+        let done = at_ns.max(p.down_free_ns)
+            + cfg.cdn_rtt.as_nanos() as u64
+            + ser_ns(cfg.seg_bytes as u64, cfg.down_bps);
+        p.down_free_ns = done;
+        p.pending_at_ns = done;
+        p.wait_ticks = 0;
+        self.shard
+            .post_local(done, me, ctr, me, MsgKind::CdnDone { seq });
     }
 }
 

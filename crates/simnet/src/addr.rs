@@ -33,12 +33,6 @@ impl Addr {
         Addr { ip, port }
     }
 
-    /// The same IP with a different port.
-    #[cfg(test)]
-    const fn with_port(self, port: u16) -> Self {
-        Addr { ip: self.ip, port }
-    }
-
     /// Classification of this address's IP.
     pub fn class(self) -> IpClass {
         IpClass::of(self.ip)
@@ -167,11 +161,5 @@ mod tests {
     #[test]
     fn public_is_not_bogon() {
         assert!(!IpClass::of(Ipv4Addr::new(93, 184, 216, 34)).is_bogon());
-    }
-
-    #[test]
-    fn with_port() {
-        let a = Addr::new(1, 1, 1, 1, 80);
-        assert_eq!(a.with_port(8080), Addr::new(1, 1, 1, 1, 8080));
     }
 }

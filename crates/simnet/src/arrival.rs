@@ -119,26 +119,6 @@ impl RatePlan {
             } => base_per_sec * mult.max(1.0),
         }
     }
-
-    /// Scales every rate in the plan by `factor`.
-    #[cfg(test)]
-    fn scaled(&self, factor: f64) -> RatePlan {
-        let mut plan = self.clone();
-        match &mut plan {
-            RatePlan::Steady { per_sec } => *per_sec *= factor,
-            RatePlan::Diurnal {
-                base_per_sec,
-                peak_per_sec,
-                ..
-            } => {
-                *base_per_sec *= factor;
-                *peak_per_sec *= factor;
-            }
-            RatePlan::FlashCrowd { base_per_sec, .. } => *base_per_sec *= factor,
-            RatePlan::Failover { base_per_sec, .. } => *base_per_sec *= factor,
-        }
-        plan
-    }
 }
 
 /// A deterministic nonhomogeneous Poisson arrival stream. See the
@@ -273,17 +253,5 @@ mod tests {
             after as f64 > before as f64 * 2.0,
             "failover {after} vs base {before}"
         );
-    }
-
-    #[test]
-    fn scaled_scales_the_envelope() {
-        let plan = RatePlan::Steady { per_sec: 10.0 };
-        assert_eq!(plan.scaled(3.0).peak(), 30.0);
-        let d = RatePlan::Diurnal {
-            base_per_sec: 1.0,
-            peak_per_sec: 5.0,
-            period: Duration::from_secs(10),
-        };
-        assert_eq!(d.scaled(2.0).peak(), 10.0);
     }
 }

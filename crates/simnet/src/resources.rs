@@ -131,24 +131,6 @@ impl ResourceModel {
     }
 }
 
-/// Renders a sampled series as CSV (`t_secs,cpu,mem_bytes,rx_bytes,tx_bytes`)
-/// for external plotting of the Figure 4 curves.
-#[cfg(test)]
-fn series_to_csv(samples: &[ResourceSample]) -> String {
-    let mut out = String::from("t_secs,cpu,mem_bytes,rx_bytes,tx_bytes\n");
-    for s in samples {
-        out.push_str(&format!(
-            "{},{:.4},{},{},{}\n",
-            s.at.as_millis() as f64 / 1000.0,
-            s.cpu,
-            s.mem_bytes,
-            s.rx_bytes,
-            s.tx_bytes
-        ));
-    }
-    out
-}
-
 /// Aggregate statistics over a sampled series.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ResourceSummary {
@@ -249,18 +231,6 @@ mod tests {
         assert_eq!(s.total_tx, 10);
         assert_eq!(s.total_rx, 20);
         assert_eq!(s.mean_mem_bytes, 100.0);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut m = ResourceModel::new();
-        m.alloc_mem(5);
-        m.record_tx(7);
-        m.sample(SimTime::from_secs(1));
-        let csv = series_to_csv(m.series());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("t_secs,cpu,mem_bytes,rx_bytes,tx_bytes"));
-        assert_eq!(lines.next(), Some("1,0.0000,5,0,7"));
     }
 
     #[test]

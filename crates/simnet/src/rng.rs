@@ -96,15 +96,6 @@ impl SimRng {
         items.shuffle(&mut self.0);
     }
 
-    /// Samples `k` distinct indices out of `0..n` (all if `k >= n`).
-    #[cfg(test)]
-    fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k.min(n));
-        idx
-    }
-
     /// Exponentially distributed value with the given mean.
     ///
     /// Used for inter-arrival times (viewer churn, request arrivals).
@@ -188,27 +179,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(r.choose_weighted(&[0.0, 2.5, -3.0]), Some(1));
         }
-    }
-
-    #[test]
-    fn sample_indices_caps_at_the_population() {
-        let mut r = SimRng::seed(5);
-        let mut all = r.sample_indices(3, 10);
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2]);
-        assert!(r.sample_indices(0, 4).is_empty());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = SimRng::seed(3);
-        let s = r.sample_indices(10, 4);
-        assert_eq!(s.len(), 4);
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4);
-        assert_eq!(r.sample_indices(3, 10).len(), 3);
     }
 
     #[test]

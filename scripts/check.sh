@@ -245,6 +245,7 @@ no_std_hashmap_on_hot_paths() {
   local hot_paths=(
     crates/media/src/cdn.rs
     crates/media/src/digest.rs
+    crates/provider/src/sched.rs
     crates/provider/src/sdk.rs
     crates/provider/src/signaling.rs
     crates/provider/src/swarm.rs
