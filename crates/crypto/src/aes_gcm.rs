@@ -41,7 +41,10 @@
 //!   is differentially tested against ([`Aes128Gcm::new_portable`]).
 //!
 //! Both backends take an update's whole blocks in one call; the stream
-//! itself handles the partial blocks at either end of an update.
+//! itself handles the partial blocks at either end of an update. A
+//! message's fixed cost is one more backend call at each end: the AAD's
+//! GHASH with E(J0) when it starts, and the last partial block, the
+//! length block and the tag when it finishes.
 //!
 //! The portable backend's table lookups are indexed by secret data, so it
 //! is not constant-time; like the rest of this crate it serves simulation,
@@ -158,6 +161,28 @@ impl Aes128Gcm {
     /// Starts decrypting a message under `nonce`, authenticating `aad`.
     pub fn opening(&self, nonce: &[u8; NONCE_LEN], aad: &[u8]) -> OpenStream<'_> {
         OpenStream(Stream::new(self, nonce, aad, false))
+    }
+
+    /// A message's fixed opening cost in one backend call: the GHASH
+    /// state over the zero-padded AAD blocks, and E(J0), the mask the tag
+    /// is sealed with.
+    fn begin(&self, j0: &[u8; BLOCK], aad: &[u8]) -> (u128, [u8; BLOCK]) {
+        match &self.backend {
+            Backend::Portable(k) => k.begin(j0, aad),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(k) => k.begin(j0, aad),
+        }
+    }
+
+    /// A message's closing cost in one backend call: `y` advanced over
+    /// the zero-padded `last` partial block (if any) and the `lengths`
+    /// block, masked with `ek0` = E(J0).
+    fn tag(&self, y: u128, last: &[u8], lengths: &[u8; BLOCK], ek0: &[u8; BLOCK]) -> [u8; TAG_LEN] {
+        match &self.backend {
+            Backend::Portable(k) => k.tag(y, last, lengths, ek0),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(k) => k.tag(y, last, lengths, ek0),
+        }
     }
 
     /// One AES block encryption on this key's backend.
@@ -313,6 +338,8 @@ struct Stream<'k> {
     key: &'k Aes128Gcm,
     /// `nonce ‖ 1`; counter block `i` is `nonce ‖ i`.
     j0: [u8; BLOCK],
+    /// E(J0), the mask the tag is sealed with.
+    ek0: [u8; BLOCK],
     seal: bool,
     /// GHASH state, the block read as a big-endian integer.
     y: u128,
@@ -333,13 +360,11 @@ impl<'k> Stream<'k> {
         let mut j0 = [0u8; BLOCK];
         j0[..NONCE_LEN].copy_from_slice(nonce);
         j0[BLOCK - 1] = 1;
-        let mut y = 0;
-        for chunk in aad.chunks(BLOCK) {
-            y = key.ghash(y, &padded(chunk));
-        }
+        let (y, ek0) = key.begin(&j0, aad);
         Stream {
             key,
             j0,
+            ek0,
             seal,
             y,
             ctr: 2,
@@ -402,13 +427,13 @@ impl<'k> Stream<'k> {
     }
 
     fn finish(self) -> [u8; TAG_LEN] {
-        let mut y = self.y;
-        if self.fill > 0 {
-            // GHASH sees the zero-padded last block.
-            y = self.key.ghash(y, &padded(&self.block[..self.fill]));
-        }
-        y = self.key.ghash(y, &length_block(self.aad_len, self.ct_len));
-        (u128::from_be_bytes(self.key.encrypt(&self.j0)) ^ y).to_be_bytes()
+        // GHASH sees the zero-padded last block, then the lengths.
+        self.key.tag(
+            self.y,
+            &self.block[..self.fill],
+            &length_block(self.aad_len, self.ct_len),
+            &self.ek0,
+        )
     }
 }
 
@@ -492,7 +517,7 @@ fn expand_key(key: &[u8; KEY_LEN]) -> [u32; 44] {
 
 /// Portable backend: table AES and 4-bit-table (Shoup) GHASH.
 mod portable {
-    use super::{counter_block, Io, BLOCK, SBOX};
+    use super::{counter_block, padded, Io, BLOCK, SBOX};
 
     /// Round table: `TE[x]` is the MixColumns column of `S(x)` in row 0,
     /// `[2·S(x), S(x), S(x), 3·S(x)]`; rows 1..3 use it rotated right by
@@ -625,6 +650,29 @@ mod portable {
             self.gmul(y ^ u128::from_be_bytes(*block))
         }
 
+        /// GHASH over the zero-padded AAD, and E(J0).
+        pub(super) fn begin(&self, j0: &[u8; BLOCK], aad: &[u8]) -> (u128, [u8; BLOCK]) {
+            let y = aad
+                .chunks(BLOCK)
+                .fold(0, |y, chunk| self.ghash(y, &padded(chunk)));
+            (y, self.encrypt_block(j0))
+        }
+
+        /// GHASH over the zero-padded last block and the lengths, masked
+        /// with E(J0).
+        pub(super) fn tag(
+            &self,
+            mut y: u128,
+            last: &[u8],
+            lengths: &[u8; BLOCK],
+            ek0: &[u8; BLOCK],
+        ) -> [u8; BLOCK] {
+            if !last.is_empty() {
+                y = self.ghash(y, &padded(last));
+            }
+            (self.ghash(y, lengths) ^ u128::from_be_bytes(*ek0)).to_be_bytes()
+        }
+
         /// The portable shape of the hardware loop: each whole block of
         /// `io` read once, CTR-encrypted from counter `ctr` on, written
         /// once, and taken into `y`.
@@ -680,7 +728,7 @@ mod portable {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni {
-    use super::{Io, Stream, BLOCK};
+    use super::{padded, Io, Stream, BLOCK};
     use core::arch::x86_64::*;
 
     /// Blocks in flight per xmm main-loop iteration.
@@ -751,6 +799,22 @@ mod ni {
         pub(super) fn ghash(&self, y: u128, block: &[u8; BLOCK]) -> u128 {
             // SAFETY: as in `encrypt_block`.
             unsafe { ghash(self, y, block) }
+        }
+
+        pub(super) fn begin(&self, j0: &[u8; BLOCK], aad: &[u8]) -> (u128, [u8; BLOCK]) {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { begin(self, j0, aad) }
+        }
+
+        pub(super) fn tag(
+            &self,
+            y: u128,
+            last: &[u8],
+            lengths: &[u8; BLOCK],
+            ek0: &[u8; BLOCK],
+        ) -> [u8; BLOCK] {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { tag(self, y, last, lengths, ek0) }
         }
 
         /// CTR-encrypts the whole blocks of `io` from counter `ctr` on and
@@ -962,6 +1026,46 @@ mod ni {
     unsafe fn ghash(key: &Key, y: u128, block: &[u8; BLOCK]) -> u128 {
         let h1 = key.hdesc[WIDE_BLOCKS - 1];
         from_reg(gfmul(_mm_xor_si128(to_reg(y), bswap(load(block))), h1))
+    }
+
+    /// GHASH over the zero-padded AAD blocks, and E(J0): a message's
+    /// opening cost in one call behind the feature gate.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support aes, pclmulqdq and ssse3.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3")]
+    unsafe fn begin(key: &Key, j0: &[u8; BLOCK], aad: &[u8]) -> (u128, [u8; BLOCK]) {
+        let h1 = key.hdesc[WIDE_BLOCKS - 1];
+        let mut y = _mm_setzero_si128();
+        for chunk in aad.chunks(BLOCK) {
+            y = gfmul(_mm_xor_si128(y, bswap(load(&padded(chunk)))), h1);
+        }
+        (from_reg(y), store(encrypt(&key.rk, load(j0))))
+    }
+
+    /// GHASH over the zero-padded `last` block (if any) and the
+    /// `lengths` block, masked with `ek0`: a message's closing cost in
+    /// one call behind the feature gate.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support aes, pclmulqdq and ssse3.
+    #[target_feature(enable = "aes,pclmulqdq,ssse3")]
+    unsafe fn tag(
+        key: &Key,
+        y: u128,
+        last: &[u8],
+        lengths: &[u8; BLOCK],
+        ek0: &[u8; BLOCK],
+    ) -> [u8; BLOCK] {
+        let h1 = key.hdesc[WIDE_BLOCKS - 1];
+        let mut y = to_reg(y);
+        if !last.is_empty() {
+            y = gfmul(_mm_xor_si128(y, bswap(load(&padded(last)))), h1);
+        }
+        y = gfmul(_mm_xor_si128(y, bswap(load(lengths))), h1);
+        (from_reg(y) ^ u128::from_be_bytes(*ek0)).to_be_bytes()
     }
 
     /// Runs the whole 256-byte strides of the `len` bytes at `src` (`len`

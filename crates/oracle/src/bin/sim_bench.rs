@@ -65,8 +65,9 @@ fn timer(token: u64) -> Event {
 
 /// The churn workload both queues run: keep `IN_FLIGHT` events scheduled,
 /// pop one / push one until `CHURN_EVENTS` have cycled. Delays mix the
-/// near-term wheel band with occasional far-future overflow pushes, like
-/// a streaming world's mix of packet deliveries and session timers.
+/// near-term wheel band with occasional timers seconds out, in the coarse
+/// wheel, like a streaming world's mix of packet deliveries and session
+/// timers.
 fn churn<Q>(
     q: &mut Q,
     push: fn(&mut Q, SimTime, Event),
@@ -89,7 +90,7 @@ fn churn<Q>(
         let delay_ns = if rng.chance(0.95) {
             rng.range(0..50_000_000) // wheel band
         } else {
-            rng.range(0..5_000_000_000) // overflow tier
+            rng.range(0..5_000_000_000) // coarse wheel
         };
         push(q, now + Duration::from_nanos(delay_ns), timer(token));
         token += 1;

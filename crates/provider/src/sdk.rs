@@ -1323,16 +1323,23 @@ impl sched::Fetcher for Fetch<'_> {
     // is pinned to.
     fn pick(&mut self, seq: u64) -> Option<usize> {
         let a = &mut *self.0;
-        let holders: Vec<u32> = a
-            .conns_by_peer
+        // Counting the holders and drawing the k-th is the same draw as
+        // `rng.choose` over a collected list (`gen_range(0..len)`), without
+        // the list.
+        let holds = |i: &u32| {
+            let c = &a.conns[*i as usize];
+            c.is_established() && c.avail.contains(a.current_rendition, seq)
+        };
+        let n = a.conns_by_peer.iter().filter(|i| holds(i)).count();
+        if n == 0 {
+            return None;
+        }
+        let k = a.rng.range(0..n);
+        a.conns_by_peer
             .iter()
-            .copied()
-            .filter(|&i| {
-                let c = &a.conns[i as usize];
-                c.is_established() && c.avail.contains(a.current_rendition, seq)
-            })
-            .collect();
-        a.rng.choose(&holders).map(|&i| i as usize)
+            .filter(|i| holds(i))
+            .nth(k)
+            .map(|&i| i as usize)
     }
 
     // P2P patience: with live neighbors connected, wait a beat for a Have

@@ -259,6 +259,7 @@ pub struct CompactPeer {
 // breaks them should fail the build, not the bench.
 const _: () = assert!(std::mem::size_of::<CompactPeer>() <= 128);
 const _: () = assert!(std::mem::size_of::<SwarmMsg>() <= 56);
+const _: () = assert!(std::mem::size_of::<QueuedMsg>() <= 32);
 
 impl CompactPeer {
     fn new(region: u16) -> Self {
@@ -314,6 +315,31 @@ pub struct SwarmMsg {
     kind: MsgKind,
 }
 
+/// A swarm event in its shard's queue: destination and payload. Its
+/// arrival stamp and key are the queue entry's own `(time, tie-break)`,
+/// so the queue does not move them twice.
+#[derive(Debug, Clone, Copy)]
+struct QueuedMsg {
+    to: u32,
+    kind: MsgKind,
+}
+
+/// A 64-segment availability bitmap carried as two `u32` words, so that
+/// `MsgKind` needs only 4-byte alignment and a queued message takes 32
+/// bytes, not 40.
+#[derive(Debug, Clone, Copy)]
+struct HaveBits([u32; 2]);
+
+impl HaveBits {
+    fn new(have: u64) -> Self {
+        HaveBits([have as u32, (have >> 32) as u32])
+    }
+
+    fn get(self) -> u64 {
+        u64::from(self.0[0]) | u64::from(self.0[1]) << 32
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum MsgKind {
     /// Local agent timer.
@@ -325,9 +351,9 @@ enum MsgKind {
     /// Peer → peer: open a neighbor edge.
     Hello { from: u32 },
     /// Peer → peer: edge accepted (or tolerated), with availability.
-    HelloAck { from: u32, have: u64 },
+    HelloAck { from: u32, have: HaveBits },
     /// Peer → peer: availability gossip (full bitmap).
-    Have { from: u32, have: u64 },
+    Have { from: u32, have: HaveBits },
     /// Peer → peer: fetch one segment.
     Request { from: u32, seq: u8 },
     /// Peer → peer: segment bytes (stamped at upload-serialize + latency).
@@ -443,7 +469,7 @@ pub struct SwarmShard {
     k: usize,
     cfg: SwarmConfig,
     peers: Vec<CompactPeer>,
-    queue: CalendarQueue<SwarmMsg>,
+    queue: CalendarQueue<QueuedMsg>,
     tracker: Option<Tracker>,
     regions: Vec<RegionStats>,
     events: u64,
@@ -517,17 +543,18 @@ impl SwarmShard {
         } else {
             mix(self.cfg.seed, origin, ctr) % (jitter_cap + 1)
         };
-        let msg = SwarmMsg {
-            at_ns: depart_ns + self.latency_ns(origin, to) + jitter,
-            key: ((origin as u64) << 32) | ctr as u64,
-            to,
-            kind,
-        };
+        let at_ns = depart_ns + self.latency_ns(origin, to) + jitter;
         let dst = self.shard_of(to);
         if dst == self.index {
-            self.queue
-                .push_keyed(SimTime::from_nanos(msg.at_ns), msg.key, msg);
+            self.post_local(at_ns, origin, ctr, to, kind);
         } else {
+            let key = ((origin as u64) << 32) | ctr as u64;
+            let msg = SwarmMsg {
+                at_ns,
+                key,
+                to,
+                kind,
+            };
             outbox.push((dst, msg));
         }
     }
@@ -535,17 +562,12 @@ impl SwarmShard {
     /// Schedules a local event (tick, serialization completion) for a
     /// peer this shard owns.
     fn post_local(&mut self, at_ns: u64, origin: u32, ctr: u32, to: u32, kind: MsgKind) {
-        let msg = SwarmMsg {
-            at_ns,
-            key: ((origin as u64) << 32) | ctr as u64,
-            to,
-            kind,
-        };
+        let key = ((origin as u64) << 32) | ctr as u64;
         self.queue
-            .push_keyed(SimTime::from_nanos(msg.at_ns), msg.key, msg);
+            .push_keyed(SimTime::from_nanos(at_ns), key, QueuedMsg { to, kind });
     }
 
-    fn process(&mut self, at_ns: u64, msg: SwarmMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
+    fn process(&mut self, at_ns: u64, msg: QueuedMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
         self.events += 1;
         if msg.to == TRACKER {
             self.process_tracker(at_ns, msg, outbox);
@@ -554,7 +576,7 @@ impl SwarmShard {
         }
     }
 
-    fn process_tracker(&mut self, at_ns: u64, msg: SwarmMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
+    fn process_tracker(&mut self, at_ns: u64, msg: QueuedMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
         let MsgKind::Join { from } = msg.kind else {
             return;
         };
@@ -574,7 +596,7 @@ impl SwarmShard {
         );
     }
 
-    fn process_peer(&mut self, at_ns: u64, msg: SwarmMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
+    fn process_peer(&mut self, at_ns: u64, msg: QueuedMsg, outbox: &mut Vec<(usize, SwarmMsg)>) {
         let local = self.local_of(msg.to);
         let me = msg.to;
         match msg.kind {
@@ -629,13 +651,16 @@ impl SwarmShard {
                     me,
                     ctr,
                     from,
-                    MsgKind::HelloAck { from: me, have },
+                    MsgKind::HelloAck {
+                        from: me,
+                        have: HaveBits::new(have),
+                    },
                 );
             }
             MsgKind::HelloAck { from, have } | MsgKind::Have { from, have } => {
                 let p = &mut self.peers[local];
                 if let Some(slot) = p.neighbor_slot(from) {
-                    p.avail[slot] = have;
+                    p.avail[slot] = have.get();
                 }
             }
             MsgKind::Request { from, seq } => self.on_request(at_ns, local, me, from, seq, outbox),
@@ -849,7 +874,10 @@ impl SwarmShard {
                 me,
                 ctr,
                 neighbor,
-                MsgKind::Have { from: me, have },
+                MsgKind::Have {
+                    from: me,
+                    have: HaveBits::new(have),
+                },
             );
         }
     }
@@ -946,8 +974,14 @@ impl ShardWorld for SwarmShard {
     }
 
     fn deliver(&mut self, msg: SwarmMsg) {
+        let SwarmMsg {
+            at_ns,
+            key,
+            to,
+            kind,
+        } = msg;
         self.queue
-            .push_keyed(SimTime::from_nanos(msg.at_ns), msg.key, msg);
+            .push_keyed(SimTime::from_nanos(at_ns), key, QueuedMsg { to, kind });
     }
 
     fn stamp(msg: &SwarmMsg) -> SimTime {

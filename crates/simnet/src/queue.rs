@@ -2,32 +2,41 @@
 //! with their keys.
 //!
 //! [`CalendarQueue`] replaces the original two-structure scheduler (a
-//! `BinaryHeap<Reverse<(time, seq)>>` ordering index plus a side
+//! binary-heap ordering index of `Reverse<(time, seq)>` plus a side
 //! `HashMap<seq, Event>` payload store) with a single priority queue that
-//! stores each `(time, tie-break, payload)` entry in one place:
+//! stores each `(time, tie-break, payload)` entry in one place, in a
+//! two-level hierarchy of timing wheels (Varghese and Lauck, SOSP '87):
 //!
-//! - **Timer-wheel front end.** Near-term events — the overwhelming
-//!   majority in a streaming simulation, where deliveries land a few
-//!   milliseconds out — go into one of [`WHEEL_BUCKETS`] calendar buckets
-//!   of ~0.5 ms width. A bucket is a 12-byte `(head, tail, len)` header
-//!   over a list of fixed 4-entry chunks; a push writes the entry into
-//!   the tail chunk. The wheel is laid out on the first push, so an
+//! - **Fine wheel.** Events less than one turn (~1.07 s) ahead of the
+//!   cursor — near-term deliveries a few milliseconds out are the
+//!   overwhelming majority in a streaming simulation — go into one of
+//!   [`WHEEL_BUCKETS`] calendar buckets of ~0.5 ms width. A bucket is a 12-byte `(head, tail, len)`
+//!   header over a list of fixed 4-entry chunks; a push writes the entry
+//!   into the tail chunk. The wheel is laid out on the first push, so an
 //!   unused queue costs nothing.
-//! - **Pooled chunks.** Chunks come from an arena of 64-entry pages and
-//!   go back to the arena's free chain when their bucket drains, so
-//!   steady-state churn allocates nothing and a page, once made, is never
-//!   moved.
+//! - **Coarse wheel.** Events a turn or more ahead, up to
+//!   [`COARSE_SLOTS`] coarse slots on, are appended to their slot's chunk
+//!   chain. A slot spans one full turn of the fine wheel (2^30 ns ≈
+//!   1.07 s), so the horizon is ≈ 68.7 s: peer ticks, stats timers and
+//!   session timeouts all land in O(1). When the cursor enters a slot,
+//!   its entries move once into the fine wheel. A `u64` occupancy mask
+//!   finds the next non-empty slot, and each slot keeps its earliest
+//!   stamp for `next_at`.
+//! - **Far list.** Events past the coarse horizon go into one unsorted
+//!   chunk chain whose earliest stamp is kept; the whole list is re-filed
+//!   when that stamp comes within the horizon. Simulated worlds push
+//!   nothing this far ahead, so it only has to be correct.
+//! - **Pooled chunks.** Every chain takes its chunks from one arena of
+//!   64-entry pages and gives them back to the arena's free chain when it
+//!   drains, so steady-state churn allocates nothing and a page, once
+//!   made, is never moved.
 //! - **One drain vector.** When the cursor reaches a bucket, its entries
 //!   move into a reused vector that is sorted once, descending, and
 //!   popped from the back. The front of the queue is then the vector's
 //!   last element: `pop_before` peeks at it, and a push into the bucket
 //!   being drained is a sorted insert.
-//! - **Heap overflow tier.** Events beyond the wheel horizon (~1 s) wait
-//!   in a small binary heap of entries and migrate into the wheel as the
-//!   cursor advances. Long timers pay two cheap moves instead of
-//!   O(log n) sift costs against the whole near-term population.
-//! - **Zero per-event hashing.** No `HashMap` anywhere: every lookup is an
-//!   array index.
+//! - **No sifting, no hashing.** No heap and no `HashMap` anywhere: every
+//!   push is an append and every lookup an array index.
 //!
 //! A queued event always pops: a world that no longer wants a timer
 //! ignores it when it fires (the service harness tags client timers with
@@ -44,16 +53,22 @@
 //! merge results independent of shard count. A [`CalendarQueue`] of
 //! [`Event`](crate::net::Event)s is the `Network` scheduler.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use crate::time::SimTime;
 
 /// Log2 of the bucket width in nanoseconds (2^19 ns ≈ 0.52 ms).
 const BUCKET_SHIFT: u32 = 19;
 
-/// Number of calendar buckets (wheel horizon ≈ 1.07 s).
-const WHEEL_BUCKETS: usize = 2048;
+/// Log2 of the number of fine buckets, one coarse slot's worth.
+const FINE_BITS: u32 = 11;
+
+/// Number of fine calendar buckets (one turn ≈ 1.07 s).
+const WHEEL_BUCKETS: usize = 1 << FINE_BITS;
+
+/// Number of coarse slots, each one turn of the fine wheel (horizon ≈
+/// 68.7 s). One `u64` mask bit per slot.
+const COARSE_SLOTS: u64 = 64;
 
 /// Entries per bucket chunk.
 const CHUNK_ENTRIES: usize = 4;
@@ -75,6 +90,11 @@ struct Entry<T> {
 impl<T> Entry<T> {
     fn key(&self) -> (u64, u64) {
         (self.at, self.seq)
+    }
+
+    /// The fine bucket this entry's stamp falls in.
+    fn bucket(&self) -> u64 {
+        self.at >> BUCKET_SHIFT
     }
 }
 
@@ -98,25 +118,25 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 
-/// A fixed run of entries in a bucket's chain. A bucket of `len` entries
-/// fills its chunks front to back, so only the tail chunk is partial.
-/// Free chunks are chained through `next` too.
+/// A fixed run of entries in a chain. A chain of `len` entries fills its
+/// chunks front to back, so only the tail chunk is partial. Free chunks
+/// are chained through `next` too.
 #[derive(Debug)]
 struct Chunk<T> {
     entries: [Option<Entry<T>>; CHUNK_ENTRIES],
     next: u32,
 }
 
-/// One calendar bucket: the first and last chunk of its chain and its
-/// entry count.
+/// One chunk chain — a fine bucket, a coarse slot or the far list: its
+/// first and last chunk and its entry count.
 #[derive(Debug, Clone, Copy)]
-struct Bucket {
+struct Chain {
     head: u32,
     tail: u32,
     len: u32,
 }
 
-const EMPTY_BUCKET: Bucket = Bucket {
+const EMPTY_CHAIN: Chain = Chain {
     head: NIL,
     tail: NIL,
     len: 0,
@@ -126,39 +146,58 @@ fn wheel_index(bucket: u64) -> usize {
     (bucket % WHEEL_BUCKETS as u64) as usize
 }
 
+/// The coarse slot (one fine-wheel turn) that fine bucket `bucket` is in.
+fn coarse_of(bucket: u64) -> u64 {
+    bucket >> FINE_BITS
+}
+
 /// Occupancy counters of the queue, exposed for capacity assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventQueueStats {
     /// Scheduled events not yet popped.
     pub live: usize,
-    /// Bucket chunks the arena has made — bounds the queue's memory
-    /// footprint. Stays at the high-water mark of chunks in use at once,
-    /// not the total ever filled.
+    /// Chunks the arena has made — bounds the queue's memory footprint.
+    /// Stays at the high-water mark of chunks in use at once, not the
+    /// total ever filled.
     pub chunks: usize,
-    /// Events currently in the wheel tier (bucket chunks plus the drain).
+    /// Events currently in the fine wheel (bucket chunks plus the drain).
     pub wheel: usize,
-    /// Events currently in the overflow tier.
-    pub overflow: usize,
+    /// Events currently in the coarse wheel.
+    pub coarse: usize,
+    /// Events currently in the far list, past the coarse horizon.
+    pub far: usize,
 }
 
 /// The calendar queue, generic over its payload. See the module docs for
 /// the design.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// Bucket headers; empty until the first push into the wheel.
-    wheel: Vec<Bucket>,
+    /// Fine bucket headers; empty until the first push into the wheel.
+    wheel: Vec<Chain>,
+    /// Coarse slot `c % COARSE_SLOTS` holds the events of coarse slot `c`,
+    /// for `c` after the cursor's slot and within the horizon.
+    coarse: [Chain; COARSE_SLOTS as usize],
+    /// Earliest stamp in each coarse slot; `u64::MAX` when it is empty.
+    coarse_min: [u64; COARSE_SLOTS as usize],
+    /// Bit `i` set when `coarse[i]` is non-empty.
+    coarse_mask: u64,
+    /// Events past the coarse horizon, unsorted.
+    far: Chain,
+    /// Earliest stamp in `far`; `u64::MAX` when it is empty.
+    far_min: u64,
     /// The chunk arena: chunk `i` is `pages[i / PAGE_CHUNKS][i % PAGE_CHUNKS]`.
     pages: Vec<Box<[Chunk<T>]>>,
     /// Head of the free chunk chain.
     free: u32,
-    /// Entries in bucket chunks (excludes `drain` and `overflow`).
+    /// Entries in fine bucket chunks (excludes `drain`).
     wheel_len: usize,
     /// The cursor bucket's entries, sorted descending (popped from the
     /// back). While non-empty, the cursor bucket's chunk chain is empty.
     drain: Vec<Entry<T>>,
-    /// Absolute bucket index the wheel is positioned at; only advances.
+    /// Absolute fine bucket index the wheel is positioned at; only
+    /// advances. The fine wheel holds the events of the turn that starts
+    /// here.
     cursor: u64,
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
     len: usize,
     next_seq: u64,
 }
@@ -174,12 +213,16 @@ impl<T> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
             wheel: Vec::new(),
+            coarse: [EMPTY_CHAIN; COARSE_SLOTS as usize],
+            coarse_min: [u64::MAX; COARSE_SLOTS as usize],
+            coarse_mask: 0,
+            far: EMPTY_CHAIN,
+            far_min: u64::MAX,
             pages: Vec::new(),
             free: NIL,
             wheel_len: 0,
             drain: Vec::new(),
             cursor: 0,
-            overflow: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
         }
@@ -201,21 +244,21 @@ impl<T> CalendarQueue<T> {
             live: self.len,
             chunks: self.pages.len() * PAGE_CHUNKS,
             wheel: self.wheel_len + self.drain.len(),
-            overflow: self.overflow.len(),
+            coarse: self.coarse.iter().map(|c| c.len as usize).sum(),
+            far: self.far.len as usize,
         }
     }
 
     /// Approximate heap footprint of the queue's own structures in bytes
-    /// (wheel headers, chunk arena, drain vector, overflow heap; excludes
-    /// heap memory owned by payloads). Used by the scale bench's per-peer
-    /// accounting.
+    /// (fine wheel headers, chunk arena, drain vector; excludes heap
+    /// memory owned by payloads). Every chain's entries live in the
+    /// arena. Used by the scale bench's per-peer accounting.
     pub fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.wheel.capacity() * size_of::<Bucket>()
+        self.wheel.capacity() * size_of::<Chain>()
             + self.pages.capacity() * size_of::<Box<[Chunk<T>]>>()
             + self.pages.len() * PAGE_CHUNKS * size_of::<Chunk<T>>()
             + self.drain.capacity() * size_of::<Entry<T>>()
-            + self.overflow.capacity() * size_of::<Reverse<Entry<T>>>()
     }
 
     /// Schedules `ev` at `at` with an internally assigned tie-break
@@ -244,44 +287,71 @@ impl<T> CalendarQueue<T> {
             seq,
             ev,
         };
-        // An event never schedules before the cursor (time is monotone);
-        // clamp defensively so a misuse degrades to FIFO, not a panic.
-        let bucket = (entry.at >> BUCKET_SHIFT).max(self.cursor);
-        if bucket - self.cursor >= WHEEL_BUCKETS as u64 {
-            self.overflow.push(Reverse(entry));
-        } else if bucket == self.cursor && !self.drain.is_empty() {
+        if entry.bucket() <= self.cursor && !self.drain.is_empty() {
             // Keep the draining bucket sorted descending.
             let pos = self.drain.partition_point(|e| *e > entry);
             self.drain.insert(pos, entry);
         } else {
-            self.push_to_bucket(bucket, entry);
+            self.file(entry);
         }
         self.len += 1;
     }
 
-    /// Appends `entry` to the chunk chain of absolute bucket `bucket`.
-    fn push_to_bucket(&mut self, bucket: u64, entry: Entry<T>) {
+    /// Puts `entry` in the tier its stamp calls for: the fine wheel within
+    /// one turn of the cursor, a coarse slot within the horizon, the far
+    /// list past it. An event never schedules before the cursor (time is
+    /// monotone); a stamp behind it is clamped into the cursor bucket, so
+    /// a misuse degrades to FIFO, not a panic.
+    // `file`, `push_fine` and `append` are forced inline: left out of
+    // line, each push paid calls that copied its entry again, a few
+    // percent of a push/pop churn.
+    #[inline(always)]
+    fn file(&mut self, entry: Entry<T>) {
+        let bucket = entry.bucket().max(self.cursor);
+        if bucket - self.cursor < WHEEL_BUCKETS as u64 {
+            self.push_fine(bucket, entry);
+        } else if coarse_of(bucket) - coarse_of(self.cursor) < COARSE_SLOTS {
+            // At least one turn ahead, so in a later coarse slot than the
+            // cursor's.
+            let slot = (coarse_of(bucket) % COARSE_SLOTS) as usize;
+            self.coarse_min[slot] = self.coarse_min[slot].min(entry.at);
+            self.coarse[slot] = self.append(self.coarse[slot], entry);
+            self.coarse_mask |= 1 << slot;
+        } else {
+            self.far_min = self.far_min.min(entry.at);
+            self.far = self.append(self.far, entry);
+        }
+    }
+
+    /// Appends `entry` to fine bucket `bucket`, within one turn of the
+    /// cursor.
+    #[inline(always)]
+    fn push_fine(&mut self, bucket: u64, entry: Entry<T>) {
+        debug_assert!(bucket - self.cursor < WHEEL_BUCKETS as u64);
         if self.wheel.is_empty() {
-            self.wheel = vec![EMPTY_BUCKET; WHEEL_BUCKETS];
+            self.wheel = vec![EMPTY_CHAIN; WHEEL_BUCKETS];
         }
         let idx = wheel_index(bucket);
-        let Bucket { tail, len, .. } = self.wheel[idx];
-        let slot = len as usize % CHUNK_ENTRIES;
-        let tail = if slot == 0 {
-            let fresh = self.alloc_chunk();
-            if len == 0 {
-                self.wheel[idx].head = fresh;
-            } else {
-                self.chunk_mut(tail).next = fresh;
-            }
-            self.wheel[idx].tail = fresh;
-            fresh
-        } else {
-            tail
-        };
-        self.chunk_mut(tail).entries[slot] = Some(entry);
-        self.wheel[idx].len += 1;
+        self.wheel[idx] = self.append(self.wheel[idx], entry);
         self.wheel_len += 1;
+    }
+
+    /// Appends `entry` to `chain` and returns the chain's new header.
+    #[inline(always)]
+    fn append(&mut self, mut chain: Chain, entry: Entry<T>) -> Chain {
+        let slot = chain.len as usize % CHUNK_ENTRIES;
+        if slot == 0 {
+            let fresh = self.alloc_chunk();
+            if chain.len == 0 {
+                chain.head = fresh;
+            } else {
+                self.chunk_mut(chain.tail).next = fresh;
+            }
+            chain.tail = fresh;
+        }
+        self.chunk_mut(chain.tail).entries[slot] = Some(entry);
+        chain.len += 1;
+        chain
     }
 
     fn chunk(&self, id: u32) -> &Chunk<T> {
@@ -312,11 +382,48 @@ impl<T> CalendarQueue<T> {
         id
     }
 
+    /// Hands the entries of the detached `chain` to `f` front to back,
+    /// returning each chunk to the pool once it is emptied. `f` may append
+    /// to other chains.
+    fn drain_chain(&mut self, chain: Chain, mut f: impl FnMut(&mut Self, Entry<T>)) {
+        let (mut id, mut left) = (chain.head, chain.len as usize);
+        while left > 0 {
+            let n = left.min(CHUNK_ENTRIES);
+            for slot in 0..n {
+                let entry = self.chunk_mut(id).entries[slot]
+                    .take()
+                    .expect("a chain's first len slots are full");
+                f(self, entry);
+            }
+            let free = self.free;
+            let next = std::mem::replace(&mut self.chunk_mut(id).next, free);
+            self.free = id;
+            left -= n;
+            id = next;
+        }
+    }
+
+    /// The earliest stamp in `chain`.
+    fn chain_min(&self, chain: Chain) -> u64 {
+        let (mut id, mut left) = (chain.head, chain.len as usize);
+        let mut min = u64::MAX;
+        while left > 0 {
+            let chunk = self.chunk(id);
+            let n = left.min(CHUNK_ENTRIES);
+            for e in chunk.entries[..n].iter().flatten() {
+                min = min.min(e.at);
+            }
+            left -= n;
+            id = chunk.next;
+        }
+        min
+    }
+
     /// Pops the earliest event (ties broken by ascending tie-break key,
     /// i.e. schedule order under [`CalendarQueue::push`]).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if self.drain.is_empty() {
-            let bucket = self.first_bucket()?;
+            let bucket = self.next_bucket(u64::MAX)?;
             self.load(bucket);
         }
         self.pop_drain()
@@ -328,14 +435,7 @@ impl<T> CalendarQueue<T> {
     pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, T)> {
         let end = end.as_nanos();
         if self.drain.is_empty() {
-            let bucket = self.first_bucket()?;
-            // A bucket past the cursor holds no stamp before its start
-            // (only the cursor bucket takes clamped pushes), so one
-            // starting at or past `end` has nothing to pop: leave the
-            // cursor short of it, where the coming window's pushes land.
-            if bucket > self.cursor && bucket << BUCKET_SHIFT >= end {
-                return None;
-            }
+            let bucket = self.next_bucket(end)?;
             self.load(bucket);
         }
         if self.drain.last()?.at < end {
@@ -356,25 +456,17 @@ impl<T> CalendarQueue<T> {
         if let Some(e) = self.drain.last() {
             return Some(SimTime::from_nanos(e.at));
         }
-        if self.wheel_len == 0 {
-            return self
-                .overflow
-                .peek()
-                .map(|Reverse(e)| SimTime::from_nanos(e.at));
+        if self.len == 0 {
+            return None;
         }
-        let Bucket { head, len, .. } = self.wheel[wheel_index(self.first_bucket()?)];
-        let (mut id, mut left) = (head, len as usize);
-        let mut min = u64::MAX;
-        while left > 0 {
-            let chunk = self.chunk(id);
-            let n = left.min(CHUNK_ENTRIES);
-            for e in chunk.entries[..n].iter().flatten() {
-                min = min.min(e.at);
-            }
-            left -= n;
-            id = chunk.next;
-        }
-        Some(SimTime::from_nanos(min))
+        let fine = self
+            .first_fine_before(self.cursor + WHEEL_BUCKETS as u64)
+            .map_or(u64::MAX, |b| self.chain_min(self.wheel[wheel_index(b)]));
+        let outer = match self.next_coarse_slot() {
+            Some(slot) => self.coarse_min[(slot % COARSE_SLOTS) as usize],
+            None => self.far_min,
+        };
+        Some(SimTime::from_nanos(fine.min(outer)))
     }
 
     /// Informs the queue that simulation time jumped to `now` without
@@ -386,23 +478,71 @@ impl<T> CalendarQueue<T> {
         // bucket, so the cursor stays.
         if bucket > self.cursor && self.drain.is_empty() {
             // Every bucket strictly before `now`'s is empty (its whole
-            // range is in the past), so the jump skips no events.
-            let first = self.first_bucket().map_or(bucket, |b| b.min(bucket));
+            // range is in the past), and the jump stops at the first
+            // queued bucket or coarse slot, so it skips no events.
+            let outer = self.next_outer().unwrap_or(u64::MAX);
+            let limit = bucket.min(outer);
+            let first = self.first_fine_before(limit).unwrap_or(limit);
             self.advance_cursor_to(first);
         }
     }
 
-    /// Absolute bucket index of the earliest event outside the drain, if
-    /// any.
-    fn first_bucket(&self) -> Option<u64> {
+    /// The first fine bucket of the next non-empty coarse slot, or else
+    /// the far list's earliest bucket.
+    fn next_outer(&self) -> Option<u64> {
+        match self.next_coarse_slot() {
+            Some(slot) => Some(slot << FINE_BITS),
+            None => (self.far.len > 0).then_some(self.far_min >> BUCKET_SHIFT),
+        }
+    }
+
+    /// Absolute index of the first non-empty fine bucket before `limit`.
+    /// Fine events all lie within one turn of the cursor, so the scan
+    /// stops there.
+    fn first_fine_before(&self, limit: u64) -> Option<u64> {
         if self.wheel_len == 0 {
-            return self.overflow.peek().map(|Reverse(e)| e.at >> BUCKET_SHIFT);
+            return None;
         }
-        let mut b = self.cursor;
-        while self.wheel[wheel_index(b)].len == 0 {
-            b += 1;
+        let limit = limit.min(self.cursor + WHEEL_BUCKETS as u64);
+        (self.cursor..limit).find(|&b| self.wheel[wheel_index(b)].len > 0)
+    }
+
+    /// Absolute index of the next non-empty coarse slot after the
+    /// cursor's, if any.
+    fn next_coarse_slot(&self) -> Option<u64> {
+        if self.coarse_mask == 0 {
+            return None;
         }
-        Some(b)
+        // The cursor's own slot bit is clear (its events are in the fine
+        // wheel), so the first set bit after it is at most 63 slots on.
+        let from = coarse_of(self.cursor) + 1;
+        let skip = self
+            .coarse_mask
+            .rotate_right((from % COARSE_SLOTS) as u32)
+            .trailing_zeros();
+        Some(from + u64::from(skip))
+    }
+
+    /// The earliest non-empty fine bucket, after cascading the next coarse
+    /// slot (or re-filing the far list) into the fine wheel when it starts
+    /// first. `None` when nothing is queued outside the drain, or when the
+    /// next bucket starts at or after `end`: a bucket past the cursor
+    /// holds no stamp before its start (only the cursor bucket takes
+    /// clamped pushes), so it has nothing to pop before `end`, and the
+    /// cursor stays short of it, where the coming window's pushes land.
+    fn next_bucket(&mut self, end: u64) -> Option<u64> {
+        loop {
+            let outer = self.next_outer();
+            let fine = self.first_fine_before(outer.unwrap_or(u64::MAX));
+            let start = fine.or(outer)?;
+            if start > self.cursor && start << BUCKET_SHIFT >= end {
+                return None;
+            }
+            if fine.is_some() {
+                return fine;
+            }
+            self.advance_cursor_to(start);
+        }
     }
 
     /// Moves the cursor to `bucket` and the bucket's chunks into the
@@ -410,44 +550,37 @@ impl<T> CalendarQueue<T> {
     fn load(&mut self, bucket: u64) {
         debug_assert!(self.drain.is_empty(), "drain holds an older bucket");
         self.advance_cursor_to(bucket);
-        let idx = wheel_index(bucket);
-        let Bucket { head, len, .. } = std::mem::replace(&mut self.wheel[idx], EMPTY_BUCKET);
-        let (mut id, mut left) = (head, len as usize);
-        while left > 0 {
-            let chunk = &mut self.pages[id as usize / PAGE_CHUNKS][id as usize % PAGE_CHUNKS];
-            let n = left.min(CHUNK_ENTRIES);
-            for slot in &mut chunk.entries[..n] {
-                self.drain
-                    .push(slot.take().expect("a bucket's first len slots are full"));
-            }
-            let next = chunk.next;
-            chunk.next = self.free;
-            self.free = id;
-            left -= n;
-            id = next;
-        }
-        self.wheel_len -= len as usize;
+        let chain = std::mem::replace(&mut self.wheel[wheel_index(bucket)], EMPTY_CHAIN);
+        self.wheel_len -= chain.len as usize;
+        self.drain_chain(chain, |q, e| q.drain.push(e));
         self.drain.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Moves the cursor forward to `bucket`, pulling overflow entries
-    /// that fall inside the new horizon into the wheel. Callers must not
-    /// jump past a non-empty bucket, and the drain must be empty.
+    /// Moves the cursor forward to `bucket`. Entering a coarse slot moves
+    /// its events into the fine wheel, and re-files the far list once its
+    /// earliest event is within the new horizon. Callers must not jump
+    /// past an event or into a non-empty coarse slot past its start, and
+    /// the drain must be empty.
     fn advance_cursor_to(&mut self, bucket: u64) {
         debug_assert!(bucket >= self.cursor, "cursor went backwards");
-        if bucket == self.cursor {
+        let (from, to) = (coarse_of(self.cursor), coarse_of(bucket));
+        self.cursor = bucket;
+        if to == from {
             return;
         }
-        self.cursor = bucket;
-        let horizon = self.cursor + WHEEL_BUCKETS as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            let b = e.at >> BUCKET_SHIFT;
-            if b >= horizon {
-                break;
-            }
-            debug_assert!(b >= self.cursor, "overflow entry behind cursor");
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            self.push_to_bucket(b, e);
+        let slot = (to % COARSE_SLOTS) as usize;
+        if self.coarse_mask & (1 << slot) != 0 {
+            debug_assert!(to - from < COARSE_SLOTS, "jumped past a coarse slot");
+            debug_assert_eq!(bucket, to << FINE_BITS, "entered a coarse slot late");
+            let chain = std::mem::replace(&mut self.coarse[slot], EMPTY_CHAIN);
+            self.coarse_mask &= !(1 << slot);
+            self.coarse_min[slot] = u64::MAX;
+            self.drain_chain(chain, |q, e| q.push_fine(e.bucket().max(q.cursor), e));
+        }
+        if self.far.len > 0 && coarse_of(self.far_min >> BUCKET_SHIFT) < to + COARSE_SLOTS {
+            let chain = std::mem::replace(&mut self.far, EMPTY_CHAIN);
+            self.far_min = u64::MAX;
+            self.drain_chain(chain, Self::file);
         }
     }
 }
@@ -456,6 +589,7 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
     use crate::net::{Event, NodeId};
+    use std::time::Duration;
 
     type EventQueue = CalendarQueue<Event>;
 
@@ -479,7 +613,7 @@ mod tests {
         q.push(SimTime::from_millis(5), timer(1));
         q.push(SimTime::from_millis(2), timer(2));
         q.push(SimTime::from_millis(5), timer(3));
-        q.push(SimTime::from_secs(10), timer(4)); // overflow tier
+        q.push(SimTime::from_secs(10), timer(4)); // coarse wheel
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| tok(&e))
             .collect();
@@ -489,13 +623,18 @@ mod tests {
     #[test]
     fn next_at_matches_pop() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3), timer(1)); // overflow only
+        q.push(SimTime::from_secs(200), timer(0)); // far list only
+        assert_eq!(q.next_at(), Some(SimTime::from_secs(200)));
+        q.push(SimTime::from_secs(3), timer(1)); // coarse wheel
         assert_eq!(q.next_at(), Some(SimTime::from_secs(3)));
-        q.push(SimTime::from_millis(1), timer(2));
+        q.push(SimTime::from_millis(1), timer(2)); // fine wheel
         assert_eq!(q.next_at(), Some(SimTime::from_millis(1)));
-        let (at, _) = q.pop().unwrap();
-        assert_eq!(at, SimTime::from_millis(1));
+        let s = q.stats();
+        assert_eq!((s.wheel, s.coarse, s.far), (1, 1, 1));
+        assert_eq!(q.pop().unwrap().0, SimTime::from_millis(1));
         assert_eq!(q.next_at(), Some(SimTime::from_secs(3)));
+        assert_eq!(q.pop().unwrap().0, SimTime::from_secs(3));
+        assert_eq!(q.next_at(), Some(SimTime::from_secs(200)));
     }
 
     #[test]
@@ -542,7 +681,7 @@ mod tests {
         let entry = std::mem::size_of::<Entry<Event>>();
         let mut now = 0u64;
         for i in 0..20_000u64 {
-            // Mostly near-term, some past the wheel horizon.
+            // Mostly near-term, some in the coarse wheel.
             let delay = if i % 10 == 0 {
                 3_000_000_000
             } else {
@@ -615,6 +754,26 @@ mod tests {
         assert_eq!(drained, vec![1], "the boundary event itself stays queued");
         assert_eq!(q.len(), 2);
         assert_eq!(q.next_at(), Some(SimTime::from_millis(5)));
+    }
+
+    /// Width of one coarse slot in nanoseconds: one fine-wheel turn.
+    const SLOT_NS: u64 = 1 << (BUCKET_SHIFT + FINE_BITS);
+
+    #[test]
+    fn pop_before_leaves_a_coarse_slot_starting_at_end_alone() {
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let slot_start = SimTime::from_nanos(3 * SLOT_NS);
+        q.push_keyed(slot_start, 1, 1);
+        assert_eq!(q.pop_before(slot_start), None);
+        assert_eq!(q.stats().coarse, 1, "the slot stays in the coarse wheel");
+        assert_eq!(q.cursor, 0, "the cursor stays short of the slot");
+        // Later pushes, one just before the slot included, order against
+        // the queued slot by their own stamps.
+        q.push_keyed(slot_start, 0, 0);
+        q.push_keyed(SimTime::from_nanos(3 * SLOT_NS - 1), 2, 2);
+        let end = slot_start + Duration::from_nanos(1);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop_before(end).map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![2, 0, 1]);
     }
 
     #[test]

@@ -32,13 +32,8 @@ fn agrees_with_heapmap_reference_under_random_churn() {
     let mut token = 0u64;
     for _ in 0..5_000 {
         if rng.chance(0.6) || new_q.is_empty() {
-            // Mixed near/far delays exercise both tiers.
-            let delay_ns = if rng.chance(0.8) {
-                rng.range(0..200_000_000u64)
-            } else {
-                rng.range(0..5_000_000_000u64)
-            };
-            let at = now + Duration::from_nanos(delay_ns);
+            // Mixed delays exercise all three tiers.
+            let at = now + delay(&mut rng, now);
             new_q.push(at, timer(token));
             old_q.push(at, timer(token));
             token += 1;
@@ -57,14 +52,25 @@ fn agrees_with_heapmap_reference_under_random_churn() {
     assert!(old_q.pop().is_none());
 }
 
-/// A delay mixing the wheel band, the overflow tier, and whole-millisecond
-/// stamps (so ties at one instant are common).
-fn delay(rng: &mut SimRng) -> Duration {
-    match rng.range(0..10u64) {
-        0..=5 => Duration::from_nanos(rng.range(0..200_000_000u64)),
-        6..=7 => Duration::from_millis(rng.range(0..20u64)),
-        _ => Duration::from_nanos(rng.range(0..5_000_000_000u64)),
-    }
+/// A delay after `from` mixing the fine wheel band, whole-millisecond
+/// stamps (so ties at one instant are common), peer-tick timers just past
+/// one fine-wheel turn, coarse slots, stamps exactly on coarse-slot edges
+/// and on the coarse horizon ±1 bucket, and the far list out to ~300 s.
+fn delay(rng: &mut SimRng, from: SimTime) -> Duration {
+    let from = from.as_nanos();
+    let slot_start = from / COARSE_NS * COARSE_NS;
+    Duration::from_nanos(match rng.range(0..40u64) {
+        0..=19 => rng.range(0..200_000_000u64),
+        20..=27 => rng.range(0..20u64) * 1_000_000,
+        28..=31 => rng.range(1_000_000_000..1_125_000_000u64),
+        32..=33 => rng.range(0..5_000_000_000u64),
+        34..=35 => slot_start + rng.range(1..70u64) * COARSE_NS - from,
+        36..=37 => {
+            slot_start + COARSE_HORIZON_NS - BUCKET_NS + rng.range(0..3u64) * BUCKET_NS - from
+        }
+        38 => rng.range(0..300_000_000_000u64),
+        _ => rng.range(0..2 * COARSE_HORIZON_NS),
+    })
 }
 
 /// The world pump's contract: drain a window with `pop_before(end)`
@@ -87,14 +93,19 @@ fn windowed_pops_agree_with_heapmap_reference() {
     };
     let mut popped = 0usize;
     for _ in 0..600 {
-        let next_end = end + Duration::from_nanos(rng.range(0..300_000_000u64));
+        // Some windows end exactly on a coarse-slot start.
+        let next_end = if rng.chance(0.1) {
+            SimTime::from_nanos((end.as_nanos() / COARSE_NS + 1) * COARSE_NS)
+        } else {
+            end + Duration::from_nanos(rng.range(0..300_000_000u64))
+        };
         for _ in 0..rng.range(0..16u64) {
             // Some land exactly on the coming window's end, which must
             // refuse them.
             let at = if rng.chance(0.1) {
                 next_end
             } else {
-                end + delay(&mut rng)
+                end + delay(&mut rng, end)
             };
             push(at, &mut new_q, &mut old_q);
         }
@@ -110,7 +121,7 @@ fn windowed_pops_agree_with_heapmap_reference() {
                         let at = if rng.chance(0.2) {
                             end
                         } else {
-                            a.0 + delay(&mut rng)
+                            a.0 + delay(&mut rng, a.0)
                         };
                         push(at, &mut new_q, &mut old_q);
                     }
@@ -131,30 +142,94 @@ fn windowed_pops_agree_with_heapmap_reference() {
     assert!(old_q.pop().is_none());
 }
 
+/// Peer ticks: 10k timers at 1.0–1.125 s, each re-armed on its pop for
+/// 20 turns, so most land just past one fine-wheel turn, in the coarse
+/// wheel, and cross into the fine wheel slot by slot. They pop exactly as
+/// the reference pops them. The same 20 turns then run again on the
+/// drained queue, shifted by a whole number of coarse slots so every
+/// stamp meets the wheels exactly as before: the second lap stays at the
+/// chunk pool's high-water mark from the first.
+#[test]
+fn rearmed_tick_timers_pop_in_order_without_growing_the_pool() {
+    const TIMERS: u64 = 10_000;
+    const TURNS: u64 = 20;
+    // Past the last stamp of a lap (20 turns of at most 1.125 s).
+    const LAP_NS: u64 = 32 * COARSE_NS;
+    let mut new_q = EventQueue::new();
+    let mut old_q = HeapMapQueue::new();
+    let mut high_water = None;
+    for lap in 0..2 {
+        let start = SimTime::from_nanos(lap * LAP_NS);
+        new_q.advance_time(start);
+        let mut rng = SimRng::seed(11);
+        let mut tick = || Duration::from_nanos(rng.range(1_000_000_000..1_125_000_000u64));
+        for token in 0..TIMERS {
+            let at = start + tick();
+            new_q.push(at, timer(token));
+            old_q.push(at, timer(token));
+        }
+        let mut last = start;
+        for popped in 0..TIMERS * TURNS {
+            let a = new_q.pop().expect("every timer re-arms");
+            let b = old_q.pop().expect("reference in step");
+            assert_eq!((a.0, tok(&a.1)), (b.0, tok(&b.1)), "lap {lap} pop {popped}");
+            assert!(a.0 >= last, "pops go forward in time");
+            last = a.0;
+            let (token, turn) = (tok(&a.1) % TIMERS, tok(&a.1) / TIMERS);
+            if turn + 1 < TURNS {
+                let at = a.0 + tick();
+                let next = (turn + 1) * TIMERS + token;
+                new_q.push(at, timer(next));
+                old_q.push(at, timer(next));
+            }
+        }
+        assert!(new_q.is_empty() && old_q.is_empty());
+        assert!(last < SimTime::from_nanos((lap + 1) * LAP_NS));
+        let chunks = new_q.stats().chunks;
+        assert_eq!(
+            *high_water.get_or_insert(chunks),
+            chunks,
+            "the second lap grew the chunk pool"
+        );
+    }
+}
+
 /// Width of one calendar bucket in nanoseconds (the queue's private
 /// `BUCKET_SHIFT` of 19).
 const BUCKET_NS: u64 = 1 << 19;
 
-/// The wheel's horizon in nanoseconds (2,048 buckets).
-const HORIZON_NS: u64 = 2_048 * BUCKET_NS;
+/// One turn of the fine wheel (2,048 buckets): the width of a coarse slot.
+const COARSE_NS: u64 = 2_048 * BUCKET_NS;
+
+/// The coarse wheel's horizon: 64 slots.
+const COARSE_HORIZON_NS: u64 = 64 * COARSE_NS;
 
 /// A push stamp relative to `now` that aims at one of the queue's edge
 /// cases, picked by `kind`.
 fn stamp(kind: u64, now: u64, r: u64) -> SimTime {
     let bucket_start = now / BUCKET_NS * BUCKET_NS;
-    SimTime::from_nanos(match kind % 6 {
-        // Near term, inside the wheel.
+    let slot_start = now / COARSE_NS * COARSE_NS;
+    SimTime::from_nanos(match kind % 10 {
+        // Near term, inside the fine wheel.
         0 => now + r % 200_000_000,
-        // Past the wheel horizon: the overflow tier.
-        1 => now + HORIZON_NS - BUCKET_NS + r % (3 * HORIZON_NS),
-        // Exactly on a bucket edge, near or past the horizon.
+        // About one turn ahead or more: the coarse wheel.
+        1 => now + COARSE_NS - BUCKET_NS + r % (3 * COARSE_NS),
+        // Exactly on a bucket edge, near or past one turn.
         2 => bucket_start + (1 + r % 2_100) * BUCKET_NS,
+        // Exactly on a coarse-slot edge, up to past the coarse horizon.
+        6 => slot_start + (1 + r % 70) * COARSE_NS,
+        // The coarse horizon ±1 bucket.
+        7 => slot_start + COARSE_HORIZON_NS - BUCKET_NS + r % 3 * BUCKET_NS,
+        // The far list, several horizons out (~300 s).
+        8 => now + r % (300 * 1_000_000_000),
         // Inside the bucket being drained (at or after `now`).
         3 => now + r % (bucket_start + BUCKET_NS - now),
         // Behind `now`, so behind the cursor: clamped into its bucket.
         4 => now.saturating_sub(r % (4 * BUCKET_NS)),
         // A tie: whole milliseconds collide often.
-        _ => (now / 1_000_000 + r % 4) * 1_000_000,
+        5 => (now / 1_000_000 + r % 4) * 1_000_000,
+        // A peer tick: one second plus up to 125 ms of jitter.
+        _ => now + 1_000_000_000 + r % 125_000_000,
     })
 }
 
@@ -202,9 +277,10 @@ proptest! {
                     // The window ends on a bucket edge, on a stamp drawn
                     // like a push's, or anywhere near term; it pops one
                     // event or drains the window.
-                    let end = SimTime::from_nanos(match a % 3 {
+                    let end = SimTime::from_nanos(match a % 4 {
                         0 => (now / BUCKET_NS + b % 8) * BUCKET_NS,
                         1 => stamp(b, now, a).as_nanos(),
+                        2 => (now / COARSE_NS + b % 3) * COARSE_NS,
                         _ => now + b % 50_000_000,
                     });
                     loop {
@@ -223,7 +299,7 @@ proptest! {
                 _ => {
                     // A clock jump, as `Network::advance_to` makes one;
                     // it may pass queued events, which must still pop.
-                    now += b % (2 * HORIZON_NS);
+                    now += b % (2 * COARSE_NS);
                     new_q.advance_time(SimTime::from_nanos(now));
                 }
             }

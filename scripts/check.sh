@@ -270,6 +270,25 @@ no_std_hashmap_on_hot_paths() {
 run_gate "hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)" \
   no_std_hashmap_on_hot_paths
 
+# Every world's event kernel runs on the calendar queue's wheels, where a
+# push is an O(1) append; a BinaryHeap creeping back into these files
+# would put an O(log n) sift on every event it holds again.
+no_binary_heap_in_event_kernel() {
+  local kernel=(
+    crates/simnet/src/queue.rs
+    crates/simnet/src/net.rs
+    crates/simnet/src/shard.rs
+    crates/provider/src/swarm.rs
+  )
+  if grep -n "BinaryHeap" "${kernel[@]}"; then
+    echo "expected: no BinaryHeap in the event-kernel files above, actual: the matches listed" >&2
+    echo "  (schedule through pdn_simnet::CalendarQueue)" >&2
+    return 1
+  fi
+}
+run_gate "event-kernel heap lint (no BinaryHeap in queue.rs, net.rs, shard.rs or swarm.rs)" \
+  no_binary_heap_in_event_kernel
+
 run_gate "cargo clippy -D warnings" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
 
